@@ -56,7 +56,6 @@ from .pharmonic import (
     build_psi,
     certify_family,
     combine,
-    compositions,
     f_coeff,
     formal_tau,
     g_coeff,

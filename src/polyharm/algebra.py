@@ -337,9 +337,11 @@ def from_json_dict(obj: Mapping) -> AlgebraSpec:
 
 
 def load_file(path: str) -> AlgebraSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from None
     return from_json_dict(obj)

@@ -50,6 +50,15 @@ def resolve_algebra(source: str) -> AlgebraSpec:
     return algebra_mod.catalog_short_name(source)
 
 
+def _int_field(obj: Mapping, key: str) -> int:
+    try:
+        return int(obj[key])
+    except (TypeError, ValueError):
+        raise ParseError(
+            f"radial seed field {key!r} must be an integer, got {obj[key]!r}"
+        ) from None
+
+
 def parse_radial_seed(text: str | Mapping) -> RadialSeed:
     """Radial-seed JSON: {"n1": int, "terms": [{"k", "a", "b"}...], "G": {...}}.
 
@@ -66,7 +75,7 @@ def parse_radial_seed(text: str | Mapping) -> RadialSeed:
     if not isinstance(obj, Mapping):
         raise ParseError("radial seed must be a JSON object")
     try:
-        n1 = int(obj["n1"])
+        n1 = _int_field(obj, "n1")
         raw_terms = obj["terms"]
     except KeyError as exc:
         raise ParseError(f"radial seed is missing key {exc.args[0]!r}") from None
@@ -76,7 +85,7 @@ def parse_radial_seed(text: str | Mapping) -> RadialSeed:
     for term in raw_terms:
         if not isinstance(term, Mapping) or "k" not in term:
             raise ParseError("each radial term needs fields k, a, b")
-        k = int(term["k"])
+        k = _int_field(term, "k")
         if k < 0:
             raise UnsupportedSpan(f"rho-power index k={k} is outside the span (k >= 0)")
         a = parse_rational(str(term.get("a", "0")))

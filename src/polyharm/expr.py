@@ -429,15 +429,22 @@ class _Parser:
             rational = False
             nxt = self.toks.peek()
             if nxt and nxt[:2] == ("op", "/"):
-                self.toks.next()
-                dtok = self.toks.next()
-                if dtok[0] != "num":
-                    raise ParseError("expected a denominator", dtok[2])
-                den = int(dtok[1])
+                den = self._denominator()
                 rational = True
             self.toks.expect_op(")")
             return Fraction(sign * num, den), rational or sign < 0
         raise ParseError(f"bad exponent {tok[1]!r}", tok[2])
+
+    def _denominator(self) -> int:
+        """Consume "/" and a positive integer literal after it."""
+        self.toks.next()
+        dtok = self.toks.next()
+        if dtok[0] != "num":
+            raise ParseError("expected a denominator", dtok[2])
+        den = int(dtok[1])
+        if den == 0:
+            raise ParseError("zero denominator", dtok[2])
+        return den
 
     def _atom(self) -> tuple[MixedExpr, str]:
         tok = self.toks.next()
@@ -446,11 +453,7 @@ class _Parser:
             num = int(value)
             nxt = self.toks.peek()
             if nxt and nxt[:2] == ("op", "/"):
-                self.toks.next()
-                dtok = self.toks.next()
-                if dtok[0] != "num":
-                    raise ParseError("expected a denominator", dtok[2])
-                return MixedExpr.constant(Fraction(num, int(dtok[1]))), "const"
+                return MixedExpr.constant(Fraction(num, self._denominator())), "const"
             return MixedExpr.constant(num), "const"
         if kind == "ident":
             if value == "t":

@@ -6,10 +6,11 @@ Given a seed with finite tension tree {h^i_alpha} of degree r, the two families
     psi_p = h t^n log(t)^(p-1) + sum_{i<=r, alpha} h^i_alpha g^i_alpha(t, p)
 
 are assembled from the branch coefficient functions f/g (rational combinations
-of t-powers and log-powers indexed by integer compositions).  The phi family
-requires 2 Lambda^k_alpha != n along every branch with a nonzero node; a
-violation raises Resonance and callers fall back to psi, which is always
-defined.
+of t-powers and log-powers weighted by complete homogeneous symmetric
+polynomials in 1/(2 Lambda^k - n) for phi, 1/(2 Lambda^k + n) for psi).  The
+phi family requires 2 Lambda^k_alpha != n along every branch with a nonzero
+node; a violation raises Resonance and callers fall back to psi, which is
+always defined.
 
 Certification never trusts the construction: `verify` iterates the operator
 exactly and reports the least vanishing order, and `recurrence_check` tests
@@ -28,29 +29,10 @@ from typing import Mapping, Union
 
 from .algebra import AlgebraSpec
 from .errors import DependentNodes, KindMismatch, Resonance, ZeroCombination
-from .expr import MixedExpr
-from .laplacian import tau, tau_t
+from .expr import MixedExpr, _wrap
+from .laplacian import _accumulate_product, tau, tau_t
 from .poly import Monomial, Polynomial
 from .tension import MultiIndex, TensionTree
-
-
-def compositions(j: int, i: int) -> list[tuple[int, ...]]:
-    """All i-tuples of non-negative integers summing to j, lexicographic.
-
-    The empty tuple is the unique composition of 0 into 0 parts; there is no
-    composition of j > 0 into 0 parts.
-    """
-    if j < 0:
-        return []
-    if i == 0:
-        return [()] if j == 0 else []
-    if i == 1:
-        return [(j,)]
-    out = []
-    for head in range(j + 1):
-        for rest in compositions(j - head, i - 1):
-            out.append((head,) + rest)
-    return out
 
 
 def prefix_sums(spec: AlgebraSpec, alpha: MultiIndex) -> list[Fraction]:
@@ -83,9 +65,17 @@ def _coeff_function(
     else:
         denoms = [2 * lam + n for lam in lams]
         exponent = 2 * lams[-1] + n
+    # The sum over compositions l of j into i parts of prod 1/d_k^(l_k+1) is
+    # (prod 1/d_k) * h_j(1/d_1, ..., 1/d_i), h_j the complete homogeneous
+    # symmetric polynomial: h_j(a_1..a_s) = h_j(a_1..a_(s-1)) + a_s h_(j-1)(a_1..a_s).
     prefactor = Fraction(1)
-    for lam in lams:
-        prefactor /= lam
+    for lam, d in zip(lams, denoms):
+        prefactor /= lam * d
+    h = [Fraction(1)] + [Fraction(0)] * (p - 1)
+    for d in denoms:
+        a = 1 / d
+        for j in range(1, p):
+            h[j] += a * h[j - 1]
     sign_i = -1 if i % 2 else 1
     out: dict = {}
     falling = Fraction(1)  # (p-1)(p-2)...(p-j)
@@ -93,13 +83,7 @@ def _coeff_function(
         if j:
             falling *= p - j
         scale = sign_i * (-1 if j % 2 else 1) * Fraction(2) ** (j - i) * falling
-        total = Fraction(0)
-        for parts in compositions(j, i):
-            denom = Fraction(1)
-            for d, l in zip(denoms, parts):
-                denom *= d ** (l + 1)
-            total += 1 / denom
-        coeff = prefactor * scale * total
+        coeff = prefactor * scale * h[j]
         if coeff:
             out[(Monomial.one(), exponent, p - 1 - j)] = coeff
     return MixedExpr(out)
@@ -218,11 +202,12 @@ def _build(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> Built:
         raise ValueError("p must be >= 1")
     root_coeff = _coeff_function(spec, (), p, family)
     if tree.kind == "polynomial":
-        out = MixedExpr.from_polynomial(tree.seed) * root_coeff
+        out: dict = {}
+        _accumulate_product(out, tree.seed, root_coeff, Fraction(0))
         for alpha in tree.branches():
             coeff = _coeff_function(spec, alpha, p, family)
-            out = out + MixedExpr.from_polynomial(tree.nodes[alpha]) * coeff
-        return out
+            _accumulate_product(out, tree.nodes[alpha], coeff, Fraction(0))
+        return _wrap(out)
     terms: dict[MultiIndex, MixedExpr] = {(): root_coeff}
     for alpha in tree.branches():
         terms[alpha] = _coeff_function(spec, alpha, p, family)

@@ -8,8 +8,10 @@ used to check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, prod
 
-from polyharm import MixedExpr, Polynomial, VarIndex
+from polyharm import MixedExpr, Polynomial, Resonance, VarIndex
+from polyharm.poly import Monomial
 
 
 def brute_ad_power(spec, i: int, j: int, r: int) -> dict[VarIndex, Polynomial]:
@@ -74,11 +76,28 @@ def ch2_display_tau_as_printed(e: MixedExpr) -> MixedExpr:
     return out
 
 
+def compositions(j: int, i: int) -> list[tuple[int, ...]]:
+    """All i-tuples of non-negative integers summing to j, lexicographic.
+
+    The empty tuple is the unique composition of 0 into 0 parts; there is no
+    composition of j > 0 into 0 parts.
+    """
+    if j < 0:
+        return []
+    if i == 0:
+        return [()] if j == 0 else []
+    if i == 1:
+        return [(j,)]
+    out = []
+    for head in range(j + 1):
+        for rest in compositions(j - head, i - 1):
+            out.append((head,) + rest)
+    return out
+
+
 def composition_sum(a: list[Fraction], j: int, parts: int, last_drop: bool) -> Fraction:
     """sum over l_1+...+l_parts = j of prod a_k^(l_k+1), with the final factor
     exponent dropped to l_i when last_drop is set (the identity's first sum)."""
-    from polyharm import compositions
-
     total = Fraction(0)
     for parts_tuple in compositions(j, parts):
         prod = Fraction(1)
@@ -98,3 +117,49 @@ def composition_identity_holds(a: list[Fraction], j: int) -> bool:
     s2 = composition_sum(a, j - 1, i, last_drop=False) if j >= 1 else Fraction(0)
     s3 = composition_sum(a[:-1], j, i - 1, last_drop=False)
     return s1 - s2 == s3
+
+
+def branch_coeff_by_compositions(
+    lambdas: tuple[Fraction, ...], n: Fraction, alpha: tuple[int, ...], p: int, family: str
+) -> MixedExpr:
+    """The branch coefficient f (family "phi") or g ("psi") of order p along
+    alpha, summed term by term over compositions of j into i = len(alpha) parts:
+
+        sum_{j<p} (-1)^(i+j) 2^(j-i) (p-1)!/(p-1-j)! / prod_k Lambda^k
+            * sum_{l_1+...+l_i=j} prod_k 1/d_k^(l_k+1) * t^(2 Lambda^i [+ n]) log(t)^(p-1-j)
+
+    with Lambda^k = lambda_(alpha_1) + ... + lambda_(alpha_k) and
+    d_k = 2 Lambda^k - n (phi) or 2 Lambda^k + n (psi).  Raises Resonance at the
+    first k with d_k = 0.  The empty branch gives log(t)^(p-1) (times t^n).
+    """
+    i = len(alpha)
+    big_lambdas = [sum(lambdas[layer - 1] for layer in alpha[:k]) for k in range(1, i + 1)]
+    sign_n = -1 if family == "phi" else 1
+    denoms = [2 * lam + sign_n * n for lam in big_lambdas]
+    for k, d in enumerate(denoms, start=1):
+        if d == 0:
+            raise Resonance(alpha, k)
+    exponent = 2 * (big_lambdas[-1] if big_lambdas else 0) + (n if family == "psi" else 0)
+    lambda_product = prod(big_lambdas)
+    terms = {}
+    for j in range(p):
+        # over the common denominator prod_k a_k^(j+1), with d_k = a_k / b_k,
+        # the part 1/d_k^(l+1) contributes b_k^(l+1) a_k^(j-l)
+        weights = [
+            [d.denominator ** (l + 1) * d.numerator ** (j - l) for l in range(j + 1)]
+            for d in denoms
+        ]
+        numerator = 0
+        for parts in compositions(j, i):
+            product = 1
+            for row, l in zip(weights, parts):
+                product *= row[l]
+            numerator += product
+        total = Fraction(numerator, prod(d.numerator ** (j + 1) for d in denoms))
+        coeff = (
+            (-1) ** (i + j) * Fraction(2) ** (j - i)
+            * Fraction(factorial(p - 1), factorial(p - 1 - j)) * total / lambda_product
+        )
+        if coeff:
+            terms[(Monomial.one(), exponent, p - 1 - j)] = coeff
+    return MixedExpr(terms)

@@ -64,6 +64,13 @@ def test_validate_broken_file(capsys, tmp_path):
     assert "GradingViolation" in err
 
 
+def test_validate_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    code, _, err = run(capsys, "validate", "--algebra", str(path))
+    assert code == 1 and "error[ParseError]" in err
+
+
 def test_tree_text_nodes(capsys):
     code, out, _ = run(capsys, "tree", "--algebra", "ch2", "--seed", "z^4")
     assert code == 0
@@ -248,3 +255,23 @@ def test_radial_seed_with_linear_G(capsys):
 def test_unknown_algebra(capsys):
     code, _, err = run(capsys, "validate", "--algebra", "qh7")
     assert code == 1 and "UnknownCatalogName" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--algebra", "ch2", "--expr", "2/0", "--p", "2"),
+        ("verify", "--algebra", "ch2", "--expr", "t^(1/0)", "--p", "2"),
+        ("validate", "--algebra", "missing.json"),
+        (
+            "tree", "--algebra", "rh3",
+            "--radial-seed", '{"n1":2,"terms":[{"k":"a","a":"1","b":"0"}]}',
+        ),
+    ],
+    ids=["zero-denominator", "zero-exponent-denominator", "missing-file", "radial-k-not-int"],
+)
+def test_bad_input_is_domain_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "error[" in err and "Traceback" not in err

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -17,8 +18,8 @@ from polyharm import (
     ZeroCombination,
     build_phi,
     build_psi,
+    catalog_short_name,
     combine,
-    compositions,
     f_coeff,
     formal_tau,
     g_coeff,
@@ -27,11 +28,13 @@ from polyharm import (
     recurrence_check,
     tension_tree,
     tension_tree_radial,
+    validate,
     verify,
     verify_formal,
 )
 
-from oracles import composition_identity_holds
+from oracles import branch_coeff_by_compositions, composition_identity_holds, compositions
+from test_algebra import filiform
 
 
 def tree_of(spec, text):
@@ -100,7 +103,78 @@ def test_g_coeff_rh2(rh2):
     assert g_coeff(rh2, (), 2) == parse("t*log(t)")
 
 
+# --- coefficient functions against the composition-sum oracle ---
+
+def assert_coeff_matches_oracle(spec, alpha, p):
+    for family, production in (("phi", f_coeff), ("psi", g_coeff)):
+        try:
+            expected = branch_coeff_by_compositions(
+                spec.lambdas, spec.homogeneous_dim, alpha, p, family
+            )
+        except Resonance as oracle_err:
+            with pytest.raises(Resonance) as err:
+                production(spec, alpha, p)
+            assert (err.value.alpha, err.value.k) == (oracle_err.alpha, oracle_err.k)
+        else:
+            assert production(spec, alpha, p).terms == expected.terms
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [
+        ("ch2", "z^8"),
+        ("rh3", "(x1_1^2+x1_2^2)^6"),
+        ("ch4", "(x_1*y_2+z)^4"),
+        ("fil3", "(x1_1*x1_2+x2_1+x3_1)^4"),
+    ],
+)
+def test_coeff_matches_composition_oracle_on_tree(name, seed):
+    spec = filiform() if name == "fil3" else catalog_short_name(name)
+    tree = tree_of(spec, seed)
+    for alpha in [()] + list(tree.branches()):
+        for p in range(1, 9):
+            assert_coeff_matches_oracle(spec, alpha, p)
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6),
+        min_size=1,
+        max_size=3,
+        unique=True,
+    ),
+    st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    st.lists(st.integers(1, 3), min_size=1, max_size=5),
+    st.integers(1, 7),
+)
+@settings(max_examples=60, deadline=None)
+def test_coeff_matches_composition_oracle_random(lambdas, dims, path, p):
+    # random eigenvalue data makes the denominators 2 Lambda^k -+ n arbitrary
+    # nonzero rationals, or zero exactly where phi is resonant
+    spec = validate("abelian", sorted(lambdas), dims[: len(lambdas)])
+    alpha = tuple(min(k, spec.m) for k in path)
+    assert_coeff_matches_oracle(spec, alpha, p)
+
+
 # --- assembly ---
+
+def render_digest(spec, built):
+    return hashlib.sha256(built.render(spec.var_name).encode()).hexdigest()
+
+
+def test_psi6_ch2_z8_golden(ch2):
+    built = build_psi(ch2, tree_of(ch2, "z^8"), 6)
+    assert render_digest(ch2, built) == (
+        "38223d45516472a3acf9564b4edab99b7070b2ae81eeb919e834ae216aa1a8c7"
+    )
+
+
+def test_phi6_rh2_x16_golden(rh2):
+    built = build_phi(rh2, tree_of(rh2, "x^16"), 6)
+    assert render_digest(rh2, built) == (
+        "8f20501bfcb9852f80b3615e796ed33566a7ac725b29c58d46fa26246ac305ee"
+    )
+
 
 def test_phi2_reproduces_published_biharmonic(rh2):
     phi2 = build_phi(rh2, tree_of(rh2, "x^6"), 2)
