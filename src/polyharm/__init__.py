@@ -14,7 +14,6 @@ from .algebra import (
 )
 from .errors import (
     BadParams,
-    DependentNodes,
     DepthExceeded,
     DuplicateBracket,
     GradingViolation,
@@ -30,23 +29,15 @@ from .errors import (
     Resonance,
     UnknownCatalogName,
     UnsupportedSpan,
-    WrongLayer,
     ZeroCombination,
 )
 from .expr import MixedExpr, parse, parse_polynomial
 from .laplacian import (
     StructPolyTable,
-    VectorField,
     ad_power,
     bernoulli,
-    kappa,
-    left_invariant_fields,
     struct_polys,
     tau,
-    tau_fast_x1,
-    tau_fast_x1x2,
-    tau_frame,
-    tau_power,
     tau_t,
 )
 from .pharmonic import (

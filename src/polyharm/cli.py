@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Mapping
@@ -21,6 +22,7 @@ from .algebra import AlgebraSpec
 from .errors import ParseError, PolyharmError, UnsupportedSpan
 from .expr import MixedExpr, parse, parse_polynomial
 from .pharmonic import (
+    Built,
     HarmonicCertificate,
     NodeSymbolExpr,
     build_phi,
@@ -50,13 +52,18 @@ def resolve_algebra(source: str) -> AlgebraSpec:
     return algebra_mod.catalog_short_name(source)
 
 
+_DECIMAL_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
 def _int_field(obj: Mapping, key: str) -> int:
-    try:
-        return int(obj[key])
-    except (TypeError, ValueError):
-        raise ParseError(
-            f"radial seed field {key!r} must be an integer, got {obj[key]!r}"
-        ) from None
+    """An int (not a bool) or a decimal-integer string; anything else, a float
+    included, is refused rather than truncated."""
+    value = obj[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL_INT_RE.fullmatch(value):
+        return int(value)
+    raise ParseError(f"radial seed field {key!r} must be an integer, got {value!r}")
 
 
 def parse_radial_seed(text: str | Mapping) -> RadialSeed:
@@ -100,8 +107,11 @@ def parse_radial_seed(text: str | Mapping) -> RadialSeed:
     if not isinstance(gobj, Mapping):
         raise ParseError("'G' must be an object with c0 and optional c list")
     constant = parse_rational(str(gobj.get("c0", "0")))
+    raw_linear = gobj.get("c", [])
+    if not isinstance(raw_linear, list):
+        raise ParseError("'G.c' must be a list of coefficients")
     linear = []
-    for idx, c in enumerate(gobj.get("c", [])):
+    for idx, c in enumerate(raw_linear):
         value = parse_rational(str(c))
         if value:
             linear.append((idx + 1, value))
@@ -192,17 +202,23 @@ def _cmd_tree(args) -> int:
     return 0
 
 
+def _build_family(spec: AlgebraSpec, tree: TensionTree, args) -> Built:
+    if args.kind == "phi":
+        return build_phi(spec, tree, args.p)
+    if args.kind == "psi":
+        return build_psi(spec, tree, args.p)
+    return combine(
+        parse_rational(args.a),
+        parse_rational(args.b),
+        build_phi(spec, tree, args.p),
+        build_psi(spec, tree, args.p),
+    )
+
+
 def _cmd_build(args) -> int:
     spec = resolve_algebra(args.algebra)
     tree = _load_tree(spec, args)
-    if args.kind == "phi":
-        built = build_phi(spec, tree, args.p)
-    elif args.kind == "psi":
-        built = build_psi(spec, tree, args.p)
-    else:
-        a = parse_rational(args.a)
-        b = parse_rational(args.b)
-        built = combine(a, b, build_phi(spec, tree, args.p), build_psi(spec, tree, args.p))
+    built = _build_family(spec, tree, args)
     if isinstance(built, MixedExpr):
         print(_emit_expr(built, spec, args.format))
     else:
@@ -217,17 +233,7 @@ def _cmd_verify(args) -> int:
         cert = verify(spec, e, args.p, kind="expression", seed=args.expr)
     else:
         tree = _load_tree(spec, args)
-        if args.kind == "phi":
-            built = build_phi(spec, tree, args.p)
-        elif args.kind == "psi":
-            built = build_psi(spec, tree, args.p)
-        else:
-            built = combine(
-                parse_rational(args.a),
-                parse_rational(args.b),
-                build_phi(spec, tree, args.p),
-                build_psi(spec, tree, args.p),
-            )
+        built = _build_family(spec, tree, args)
         seed_text = args.seed if args.seed is not None else args.radial_seed
         if isinstance(built, MixedExpr):
             cert = verify(spec, built, args.p, kind=args.kind, seed=seed_text)

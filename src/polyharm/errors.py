@@ -70,10 +70,6 @@ class ParseError(PolyharmError):
 
 # --- operator / tension layer ---
 
-class WrongLayer(PolyharmError):
-    """A fast-path operator was applied to a function outside its layer class."""
-
-
 class DepthExceeded(PolyharmError):
     pass
 
@@ -104,11 +100,6 @@ class Resonance(PolyharmError):
         )
         self.alpha = alpha
         self.k = k
-
-
-class DependentNodes(PolyharmError):
-    """Formal verification needed linear independence of the tree nodes but the
-    actual node functions are linearly dependent."""
 
 
 class ZeroCombination(PolyharmError):

@@ -17,8 +17,6 @@ import re
 from fractions import Fraction
 from typing import Callable, Mapping
 
-import mpmath
-
 from .algebra import AlgebraSpec, VarIndex
 from .errors import ParseError
 from .poly import Monomial, Polynomial, format_term, monomial_factors
@@ -74,10 +72,6 @@ class MixedExpr:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_t_only(self) -> bool:
-        """True when no x-variable occurs (the coefficient-function class)."""
-        return all(not mono.exps for mono, _, _ in self.terms)
 
     def is_t_independent(self) -> bool:
         return all(mu == 0 and logpow == 0 for _, mu, logpow in self.terms)
@@ -215,59 +209,11 @@ class MixedExpr:
                 factors.append(r"\log(t)")
             elif logpow:
                 factors.append(rf"\log(t)^{{{logpow}}}")
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            if mag == 1 and factors:
-                body = r" \, ".join(factors)
-            else:
-                mag_tex = (
-                    str(mag.numerator)
-                    if mag.denominator == 1
-                    else rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-                )
-                body = r" \, ".join([mag_tex] + factors)
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
+            parts.append(latex_term(coeff, factors, first=not parts))
         return "".join(parts)
 
     def __repr__(self) -> str:
         return f"MixedExpr({self.render()})"
-
-    # --- numeric spot checks (secondary signal only) ---
-
-    def evaluate_numeric(
-        self,
-        point: Mapping[VarIndex, Fraction],
-        t_value: Fraction,
-        precision_bits: int = 256,
-    ):
-        """High-precision floating evaluation at rational (t, x); t must be > 0.
-
-        The canonical form is the authority on exactness; this exists for
-        numerical cross-checks only (rational t-exponents have no exact value
-        at rational t).
-        """
-        if t_value <= 0:
-            raise ValueError("t must be positive")
-        with mpmath.workprec(precision_bits):
-            tv = mpmath.mpf(t_value.numerator) / t_value.denominator
-            log_t = mpmath.log(tv)
-            total = mpmath.mpf(0)
-            for (mono, mu, logpow), c in self.terms.items():
-                val = mpmath.mpf(c.numerator) / c.denominator
-                for v, e in mono.exps:
-                    xv = Fraction(point[v])
-                    val *= (mpmath.mpf(xv.numerator) / xv.denominator) ** e
-                val *= mpmath.power(tv, mpmath.mpf(mu.numerator) / mu.denominator)
-                if logpow:
-                    val *= log_t**logpow
-                total += val
-            return total
-
-
-TExpr = MixedExpr  # alias for x-free expressions (documented, not enforced by type)
 
 
 def _wrap(terms: dict[Key, Fraction]) -> MixedExpr:
@@ -282,6 +228,25 @@ def _acc(out: dict[Key, Fraction], key: Key, value: Fraction) -> None:
         out[key] = acc
     else:
         out.pop(key, None)
+
+
+def latex_term(coeff: Fraction, factors: list[str], first: bool) -> str:
+    """Signed LaTeX term for joined rendering: the magnitude (left out when it
+    is 1 and there are factors), then the factors, joined by thin spaces."""
+    sign = "-" if coeff < 0 else "+"
+    mag = abs(coeff)
+    if mag == 1 and factors:
+        body = r" \, ".join(factors)
+    else:
+        mag_tex = (
+            str(mag.numerator)
+            if mag.denominator == 1
+            else rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        )
+        body = r" \, ".join([mag_tex] + factors)
+    if first:
+        return body if sign == "+" else f"-{body}"
+    return f" {sign} {body}"
 
 
 def _t_factors(mu: Fraction, logpow: int) -> list[str]:

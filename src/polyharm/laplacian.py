@@ -9,16 +9,12 @@ where the coordinate part is assembled from the structure polynomials
 P^{i alpha}_{j beta}: Kronecker deltas for i >= alpha, Bernoulli-weighted sums
 of the ad-power polynomials p^{i alpha}_{j beta}(x, r) for i < alpha.
 
-Two independent realizations are provided and cross-asserted in the tests:
-
-* `tau`       - the expanded coordinate formula (production path; the first
-                and second order coefficient polynomials are precomputed once
-                per algebra).
-* `tau_frame` - the frame sum A(A(e)) + sum X^i_j(X^i_j(e)) - n t e_t built
-                from the left-invariant fields.
-
-The redundancy is deliberate: it is the only practical defense against index
-transcription mistakes in six-index structure constants.
+`tau` is the expanded coordinate formula; its first and second order
+coefficient polynomials are precomputed once per algebra.  The test suite
+cross-asserts it against an independent frame-sum realization
+A(A(e)) + sum X^i_j(X^i_j(e)) - n t e_t built from the left-invariant fields:
+the redundancy is the only practical defense against index transcription
+mistakes in six-index structure constants.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from .algebra import AlgebraSpec, VarIndex
-from .errors import WrongLayer
 from .expr import Key, MixedExpr, _acc, _wrap
 from .poly import Polynomial
 
@@ -97,11 +92,10 @@ def ad_power(spec: AlgebraSpec, i: int, j: int, r: int) -> dict[VarIndex, Polyno
 
 @dataclass(frozen=True, eq=False)
 class StructPolyTable:
-    """All P^{i alpha}_{j beta} plus the per-order p(x, r) polynomials."""
+    """All P^{i alpha}_{j beta}."""
 
     spec: AlgebraSpec
     entries: dict[tuple[int, int, int, int], Polynomial]
-    order_cache: dict[tuple[int, int, int, int, int], Polynomial]
 
     def P(self, i: int, j: int, alpha: int, beta: int) -> Polynomial:
         return self.entries.get((i, j, alpha, beta), Polynomial.zero())
@@ -110,7 +104,6 @@ class StructPolyTable:
 @lru_cache(maxsize=None)
 def struct_polys(spec: AlgebraSpec) -> StructPolyTable:
     entries: dict[tuple[int, int, int, int], Polynomial] = {}
-    order_cache: dict[tuple[int, int, int, int, int], Polynomial] = {}
     for v in spec.variables():
         # i >= alpha: the identity block, no polynomial content
         entries[(v.layer, v.slot, v.layer, v.slot)] = Polynomial.one()
@@ -121,58 +114,17 @@ def struct_polys(spec: AlgebraSpec) -> StructPolyTable:
         rows = _ad_rows(spec, r)
         for source, row in rows.items():
             for target, p in row.items():
-                order_cache[(source.layer, source.slot, target.layer, target.slot, r)] = p
                 if target.layer > source.layer:
                     key = (source.layer, source.slot, target.layer, target.slot)
                     entries[key] = entries.get(key, Polynomial.zero()) + p * weight
     entries = {k: p for k, p in entries.items() if not p.is_zero()}
-    return StructPolyTable(spec=spec, entries=entries, order_cache=order_cache)
-
-
-# --- left-invariant frame ---
-
-@dataclass(frozen=True, eq=False)
-class VectorField:
-    """First-order operator c_t(t) d/dt + sum_v c_v(t,x) d/dx_v."""
-
-    label: str
-    t_coefficient: MixedExpr
-    x_coefficients: dict[VarIndex, MixedExpr]
-
-    def apply(self, e: MixedExpr) -> MixedExpr:
-        out = MixedExpr.zero()
-        if not self.t_coefficient.is_zero():
-            out = out + self.t_coefficient * e.d_dt()
-        for v, coeff in self.x_coefficients.items():
-            d = e.partial(v)
-            if not d.is_zero():
-                out = out + coeff * d
-        return out
-
-
-@lru_cache(maxsize=None)
-def left_invariant_fields(spec: AlgebraSpec) -> tuple[VectorField, ...]:
-    """The orthonormal frame: the grading field t d/dt, then one field per x^i_j."""
-    fields = [
-        VectorField("A", MixedExpr.t_power(1), {})
-    ]
-    table = struct_polys(spec)
-    for v in spec.variables():
-        lam = spec.lam(v.layer)
-        coeffs: dict[VarIndex, MixedExpr] = {}
-        for target in spec.variables():
-            p = table.P(v.layer, v.slot, target.layer, target.slot)
-            if not p.is_zero():
-                coeffs[target] = MixedExpr.from_polynomial(p, mu=lam)
-        fields.append(VectorField(f"X{v.layer}_{v.slot}", MixedExpr.zero(), coeffs))
-    return tuple(fields)
+    return StructPolyTable(spec=spec, entries=entries)
 
 
 # --- the operator ---
 
-def tau_t(e: MixedExpr, n: Fraction) -> MixedExpr:
-    """The pure t-part t^2 e_tt + (1 - n) t e_t, exact and termwise."""
-    out: dict[Key, Fraction] = {}
+def _accumulate_t_part(out: dict[Key, Fraction], e: MixedExpr, n: Fraction) -> None:
+    """out += t^2 e_tt + (1 - n) t e_t, termwise."""
     for (mono, mu, k), c in e.terms.items():
         if mu:
             _acc(out, (mono, mu, k), c * mu * (mu - n))
@@ -180,6 +132,12 @@ def tau_t(e: MixedExpr, n: Fraction) -> MixedExpr:
             _acc(out, (mono, mu, k - 1), c * k * (2 * mu - n))
             if k >= 2:
                 _acc(out, (mono, mu, k - 2), c * k * (k - 1))
+
+
+def tau_t(e: MixedExpr, n: Fraction) -> MixedExpr:
+    """The pure t-part t^2 e_tt + (1 - n) t e_t, exact and termwise."""
+    out: dict[Key, Fraction] = {}
+    _accumulate_t_part(out, e, n)
     return _wrap(out)
 
 
@@ -241,14 +199,7 @@ def tau(spec: AlgebraSpec, e: MixedExpr) -> MixedExpr:
     """Image of e under the Laplace-Beltrami operator (coordinate formula)."""
     tables = _tau_tables(spec)
     out: dict[Key, Fraction] = {}
-    n = tables.n
-    for (mono, mu, k), c in e.terms.items():
-        if mu:
-            _acc(out, (mono, mu, k), c * mu * (mu - n))
-        if k:
-            _acc(out, (mono, mu, k - 1), c * k * (2 * mu - n))
-            if k >= 2:
-                _acc(out, (mono, mu, k - 2), c * k * (k - 1))
+    _accumulate_t_part(out, e, tables.n)
     partials: dict[VarIndex, MixedExpr] = {}
 
     def d1(v: VarIndex) -> MixedExpr:
@@ -269,108 +220,3 @@ def tau(spec: AlgebraSpec, e: MixedExpr) -> MixedExpr:
         for shift, poly in shifts.items():
             _accumulate_product(out, poly, d, shift)
     return _wrap(out)
-
-
-def tau_frame(spec: AlgebraSpec, e: MixedExpr) -> MixedExpr:
-    """Frame-sum realization: A^2 + sum (X^i_j)^2 minus n t d/dt (the covariant
-    correction).  Slower; kept as the independent cross-check."""
-    fields = left_invariant_fields(spec)
-    out = MixedExpr.zero()
-    for field in fields:
-        out = out + field.apply(field.apply(e))
-    return out + e.d_dt().mul_t_power(1) * (-spec.homogeneous_dim)
-
-
-def tau_power(spec: AlgebraSpec, e: MixedExpr, p: int) -> MixedExpr:
-    for _ in range(p):
-        e = tau(spec, e)
-    return e
-
-
-# --- fast paths for layer-restricted functions ---
-
-def _laplacian_in_layer(spec: AlgebraSpec, h: Polynomial, layer: int) -> Polynomial:
-    acc = Polynomial.zero()
-    for j in range(1, spec.dim(layer) + 1):
-        v = VarIndex(layer, j)
-        acc = acc + h.partial(v).partial(v)
-    return acc
-
-
-def tau_fast_x1(spec: AlgebraSpec, h: Polynomial) -> MixedExpr:
-    """t^(2 lambda_1) * (flat Laplacian of h in the x^1 variables)."""
-    if not h.layers_used() <= {1}:
-        raise WrongLayer(f"function uses layers {sorted(h.layers_used())}, expected only 1")
-    return MixedExpr.from_polynomial(
-        _laplacian_in_layer(spec, h, 1), mu=2 * spec.lam(1)
-    )
-
-
-def tau_fast_x1x2(spec: AlgebraSpec, h: Polynomial) -> MixedExpr:
-    """Four-term closed form for functions of the x^1 and x^2 variables only:
-    layer-1 Laplacian, first-bracket cross term, layer-2 Laplacian and the
-    quadratic bracket-squared term."""
-    layers = h.layers_used()
-    if not layers <= {1, 2}:
-        raise WrongLayer(f"function uses layers {sorted(layers)}, expected only 1, 2")
-    shift1 = 2 * spec.lam(1)
-    out = MixedExpr.from_polynomial(_laplacian_in_layer(spec, h, 1), mu=shift1)
-    if spec.m < 2:
-        return out
-    n1, n2 = spec.dim(1), spec.dim(2)
-
-    def a112(j: int, l: int, b: int) -> Fraction:
-        return spec.structure_constant(1, j, 1, l, 2, b)
-
-    cross = Polynomial.zero()
-    for j in range(1, n1 + 1):
-        xj = Polynomial.variable(VarIndex(1, j))
-        for l in range(1, n1 + 1):
-            for b in range(1, n2 + 1):
-                c = a112(j, l, b)
-                if c:
-                    d2 = h.partial(VarIndex(1, l)).partial(VarIndex(2, b))
-                    if not d2.is_zero():
-                        cross = cross + xj * d2 * c
-    out = out + MixedExpr.from_polynomial(cross, mu=shift1)
-
-    out = out + MixedExpr.from_polynomial(
-        _laplacian_in_layer(spec, h, 2), mu=2 * spec.lam(2)
-    )
-
-    quad = Polynomial.zero()
-    for l in range(1, n2 + 1):
-        for b in range(1, n2 + 1):
-            d2 = h.partial(VarIndex(2, l)).partial(VarIndex(2, b))
-            if d2.is_zero():
-                continue
-            coeff = Polynomial.zero()
-            for j in range(1, n1 + 1):
-                for r in range(1, n1 + 1):
-                    c_r = a112(r, j, l)
-                    if not c_r:
-                        continue
-                    for s in range(1, n1 + 1):
-                        c_s = a112(s, j, b)
-                        if c_s:
-                            coeff = coeff + (
-                                Polynomial.variable(VarIndex(1, r))
-                                * Polynomial.variable(VarIndex(1, s))
-                                * (c_r * c_s)
-                            )
-            quad = quad + coeff * d2
-    out = out + MixedExpr.from_polynomial(quad * Fraction(1, 4), mu=shift1)
-    return out
-
-
-def kappa(spec: AlgebraSpec, f: MixedExpr, h: MixedExpr) -> MixedExpr:
-    """Gradient inner product g(grad f, grad h) via the left-invariant frame."""
-    out = MixedExpr.zero()
-    for field in left_invariant_fields(spec):
-        ff = field.apply(f)
-        if ff.is_zero():
-            continue
-        fh = field.apply(h)
-        if not fh.is_zero():
-            out = out + ff * fh
-    return out

@@ -15,9 +15,10 @@ always defined.
 Certification never trusts the construction: `verify` iterates the operator
 exactly and reports the least vanishing order, and `recurrence_check` tests
 the two-step iteration identities the families satisfy.  For radial seeds the
-nodes are treated as formal, linearly independent symbols and verification
-reduces to t-only identities (`verify_formal`); the independence assumption is
-checked against the actual node functions before any "nonzero" conclusion.
+nodes are carried as formal symbols with t-only coefficients and the operator
+acts on the coefficients (`formal_tau`); `verify_formal` decides each formal
+iterate by substituting the actual nodes and testing the realized function
+for zero in canonical form.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .algebra import AlgebraSpec
-from .errors import DependentNodes, KindMismatch, Resonance, ZeroCombination
-from .expr import MixedExpr, _wrap
+from .errors import KindMismatch, Resonance, ZeroCombination
+from .expr import MixedExpr, _acc, _wrap
 from .laplacian import _accumulate_product, tau, tau_t
 from .poly import Monomial, Polynomial
-from .tension import MultiIndex, TensionTree
+from .tension import MultiIndex, Node, TensionTree
 
 
 def prefix_sums(spec: AlgebraSpec, alpha: MultiIndex) -> list[Fraction]:
@@ -109,9 +110,9 @@ def g_coeff(spec: AlgebraSpec, alpha: MultiIndex, p: int) -> MixedExpr:
 class NodeSymbolExpr:
     """Linear combination of abstract node symbols with t-only coefficients.
 
-    The empty multi-index denotes the seed itself.  Used when the nodes are
-    treated as formal linearly independent generators, so that operator
-    identities reduce to identities among the t-coefficients.
+    The empty multi-index denotes the seed itself.  Used for radial trees,
+    whose nodes are not polynomials: the operator acts on the t-coefficients
+    (`formal_tau`), and `realize` substitutes the actual nodes back.
     """
 
     terms: Mapping[MultiIndex, MixedExpr]
@@ -258,6 +259,29 @@ class HarmonicCertificate:
         }
 
 
+def _certify(
+    kind: str, p: int, seed: str, e: Built, step: Callable[[Built], Built]
+) -> HarmonicCertificate:
+    """Iterate `step` from e up to p times, stopping at the first zero iterate."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    iterates = [e]
+    while len(iterates) <= p and not iterates[-1].is_zero():
+        iterates.append(step(iterates[-1]))
+    # only the last iterate can be zero, and every power past it is zero too
+    last = len(iterates) - 1
+    verified_order = last if iterates[last].is_zero() else None
+    return HarmonicCertificate(
+        kind=kind,
+        p=p,
+        seed=seed,
+        verified_order=verified_order,
+        proper=verified_order == p,
+        residual_pminus1=iterates[min(p - 1, last)],
+        residual_p=iterates[min(p, last)],
+    )
+
+
 def verify(
     spec: AlgebraSpec,
     e: MixedExpr,
@@ -266,64 +290,36 @@ def verify(
     seed: str = "",
 ) -> HarmonicCertificate:
     """Apply the operator up to p times with exact zero tests."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    iterates = [e]
-    for _ in range(p):
-        if iterates[-1].is_zero():
-            break
-        iterates.append(tau(spec, iterates[-1]))
-    verified_order: int | None = None
-    for q, image in enumerate(iterates):
-        if image.is_zero():
-            verified_order = q
-            break
-
-    def power(q: int) -> MixedExpr:
-        return iterates[q] if q < len(iterates) else MixedExpr.zero()
-
-    return HarmonicCertificate(
-        kind=kind,
-        p=p,
-        seed=seed,
-        verified_order=verified_order,
-        proper=verified_order == p,
-        residual_pminus1=power(p - 1),
-        residual_p=power(p),
-    )
+    return _certify(kind, p, seed, e, lambda image: tau(spec, image))
 
 
-def _node_vectors(tree: TensionTree) -> list[dict]:
-    """Seed and node functions as sparse coordinate vectors for the rank test."""
-    vectors = []
-    entries = [tree.seed] + [tree.nodes[a] for a in tree.branches()]
-    for node in entries:
-        if isinstance(node, Polynomial):
-            vectors.append(dict(node.terms))
-        else:
-            vectors.append(dict(node.radial.terms))
-    return vectors
+def _node_terms(node: Node) -> dict:
+    """A node as a sparse map from independent x-basis functions to their
+    coefficients: monomials for a polynomial node; for a radial node
+    H(rho) * G(x^2), the products rho^a log(rho)^b * (monomial of G)."""
+    if isinstance(node, Polynomial):
+        return node.terms
+    g = node.affine.to_polynomial()
+    return {
+        (a, has_log, mono): c * c_g
+        for (a, has_log), c in node.radial.terms.items()
+        for mono, c_g in g.terms.items()
+    }
 
 
-def _linearly_independent(vectors: list[dict]) -> bool:
-    """Exact Gaussian elimination over the rationals on sparse vectors."""
-    pivots: list[tuple[object, dict]] = []
-    for vec in vectors:
-        vec = dict(vec)
-        for key, pivot in pivots:
-            if key in vec:
-                factor = vec[key] / pivot[key]
-                for k2, v2 in pivot.items():
-                    acc = vec.get(k2, Fraction(0)) - factor * v2
-                    if acc:
-                        vec[k2] = acc
-                    else:
-                        vec.pop(k2, None)
-        if not vec:
-            return False
-        key = next(iter(sorted(vec, key=repr)))
-        pivots.append((key, vec))
-    return True
+def realize(tree: TensionTree, e: NodeSymbolExpr) -> dict:
+    """Substitute the tree's nodes into the t-only coefficients of e:
+    sum_alpha c_alpha(t) * node_alpha, in canonical sparse form keyed by
+    (x-basis function, t-exponent, log-power).  The basis functions are
+    linearly independent, so the map is empty exactly when the function is
+    zero."""
+    out: dict = {}
+    for alpha, coeff in e.terms.items():
+        node = tree.nodes[alpha] if alpha else tree.seed
+        for basis, c_x in _node_terms(node).items():
+            for (_, mu, k), c_t in coeff.terms.items():
+                _acc(out, (basis, mu, k), c_x * c_t)
+    return out
 
 
 def verify_formal(
@@ -334,46 +330,24 @@ def verify_formal(
     kind: str = "expression",
     seed: str = "",
 ) -> HarmonicCertificate:
-    """Certify in node-symbol mode: iterate the formal operator and test the
-    vanishing of every symbol coefficient.
+    """Certify in node-symbol mode: iterate the formal operator and test each
+    iterate for zero on its realization (`realize`).
 
-    A vanishing formal iterate is sound unconditionally.  Concluding that a
-    NONZERO formal iterate means a nonzero function additionally requires the
-    actual node functions to be linearly independent; if they are not,
-    DependentNodes is raised instead of returning a certificate that relies on
-    the false assumption.
+    Every formal iterate is the exact image of the realized function, because
+    the tree satisfies tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k) by
+    construction; so the realized test decides both tau^p = 0 and
+    tau^(p-1) != 0 without any independence assumption on the nodes.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    zero = NodeSymbolExpr.build({})
+
+    def realized(image: NodeSymbolExpr) -> NodeSymbolExpr:
+        return image if realize(tree, image) else zero
+
     valid = {()} | set(tree.nodes)
     e = NodeSymbolExpr.build({a: c for a, c in e.terms.items() if a in valid})
-    iterates = [e]
-    for _ in range(p):
-        if iterates[-1].is_zero():
-            break
-        iterates.append(formal_tau(spec, tree, iterates[-1]))
-    verified_order: int | None = None
-    for q, image in enumerate(iterates):
-        if image.is_zero():
-            verified_order = q
-            break
-    relies_on_independence = verified_order is None or verified_order == p
-    if relies_on_independence and not _linearly_independent(_node_vectors(tree)):
-        raise DependentNodes(
-            "tree nodes are linearly dependent; formal nonzero conclusions are unsound"
-        )
-
-    def power(q: int) -> NodeSymbolExpr:
-        return iterates[q] if q < len(iterates) else NodeSymbolExpr.build({})
-
-    return HarmonicCertificate(
-        kind=kind,
-        p=p,
-        seed=seed,
-        verified_order=verified_order,
-        proper=verified_order == p,
-        residual_pminus1=power(p - 1),
-        residual_p=power(p),
+    return _certify(
+        kind, p, seed, realized(e),
+        lambda image: realized(formal_tau(spec, tree, image)),
     )
 
 

@@ -60,9 +60,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
-    def degree_in_layer(self, layer: int) -> int:
-        return sum(e for v, e in self.exps if v.layer == layer)
-
     def exponent(self, v: VarIndex) -> int:
         for var, e in self.exps:
             if var == v:
@@ -132,9 +129,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return all(not mono.exps for mono in self.terms)
-
-    def constant_value(self) -> Fraction:
-        return self.terms.get(Monomial.one(), Fraction(0))
 
     def total_degree(self) -> int:
         return max((mono.degree for mono in self.terms), default=0)

@@ -24,7 +24,7 @@ from .errors import (
     KindMismatch,
     UnsupportedSpan,
 )
-from .expr import MixedExpr
+from .expr import MixedExpr, _acc, latex_term
 from .laplacian import tau
 from .poly import Polynomial
 from .scalar import format_rational, parse_rational
@@ -89,11 +89,7 @@ class RadialFunction:
             raise KindMismatch("radial functions over different layer-1 dimensions")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            acc = out.get(key, Fraction(0)) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            _acc(out, key, c)
         result = RadialFunction.__new__(RadialFunction)
         result.n1, result.terms = self.n1, out
         return result
@@ -110,23 +106,13 @@ class RadialFunction:
         out: dict[tuple[int, bool], Fraction] = {}
         n1 = self.n1
         for (a, has_log), c in self.terms.items():
-            main = Fraction(a * (a + n1 - 2))
+            main = a * (a + n1 - 2)
             if main:
-                key = (a - 2, has_log)
-                acc = out.get(key, Fraction(0)) + c * main
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+                _acc(out, (a - 2, has_log), c * main)
             if has_log:
-                extra = Fraction(2 * a + n1 - 2)
+                extra = 2 * a + n1 - 2
                 if extra:
-                    key = (a - 2, False)
-                    acc = out.get(key, Fraction(0)) + c * extra
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
+                    _acc(out, (a - 2, False), c * extra)
         result = RadialFunction.__new__(RadialFunction)
         result.n1, result.terms = n1, out
         return result
@@ -210,8 +196,6 @@ class RadialSeed:
         return f"({h}) * ({self.affine.render(namer)})"
 
     def latex(self, namer: Callable[[VarIndex], str] | None = None) -> str:
-        from .expr import MixedExpr
-
         parts = []
         for (a, has_log), c in self.radial.sorted_terms():
             factors = []
@@ -221,27 +205,13 @@ class RadialSeed:
                 factors.append(rf"\rho^{{{a}}}")
             if has_log:
                 factors.append(r"\log(\rho)")
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if mag == 1 and factors:
-                body = r" \, ".join(factors)
-            else:
-                mag_tex = (
-                    str(mag.numerator)
-                    if mag.denominator == 1
-                    else rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-                )
-                body = r" \, ".join([mag_tex] + factors)
-            parts.append(body if not parts and sign == "+" else
-                         (f"-{body}" if not parts else f" {sign} {body}"))
+            parts.append(latex_term(c, factors, first=not parts))
         h = "".join(parts) if parts else "0"
         if self.affine.is_constant() and self.affine.constant == 1:
             return h
         g = MixedExpr.from_polynomial(self.affine.to_polynomial()).latex(namer)
         return rf"\left({h}\right) \left({g}\right)"
 
-
-RadialNode = RadialSeed  # tree nodes share the representation (same affine part)
 
 Node = Union[Polynomial, RadialSeed]
 
@@ -322,8 +292,8 @@ def tension_tree_radial(
 
     The layer-1/2 cross terms of the operator annihilate on radial x affine
     functions because the first-layer bracket constants are antisymmetric in
-    the two layer-1 slots; the stored canonical orientation guarantees this,
-    so it is asserted rather than recomputed.
+    the two layer-1 slots; validation rejects a self-bracket [X, X], so the
+    diagonal constants vanish on every algebra spec.
     """
     if seed.radial.n1 != spec.dim(1):
         raise BadParams(
@@ -337,11 +307,6 @@ def tension_tree_radial(
             )
         for slot, _ in seed.affine.linear:
             spec.check_index(VarIndex(2, slot))
-    assert all(
-        spec.structure_constant(1, j, 1, j, 2, b) == 0
-        for j in range(1, spec.dim(1) + 1)
-        for b in range(1, (spec.dim(2) if spec.m >= 2 else 0) + 1)
-    )
     nodes: dict[MultiIndex, RadialSeed] = {}
     current = seed.radial
     if not seed.is_zero():
@@ -386,16 +351,10 @@ def sum_trees(t1: TensionTree, t2: TensionTree) -> TensionTree:
 
 # --- rendering ---
 
-def _node_text(node: Node, namer: Callable[[VarIndex], str]) -> str:
-    if isinstance(node, Polynomial):
-        return node.render(namer)
-    return node.render(namer)
-
-
 def render_tree_text(tree: TensionTree, use_aliases: bool = True) -> str:
     """Indented branch layout: each node under its parent, root first."""
     namer = (lambda v: tree.spec.var_name(v)) if use_aliases else str
-    lines = [f"h = {_node_text(tree.seed, namer)}"]
+    lines = [f"h = {tree.seed.render(namer)}"]
 
     def walk(alpha: MultiIndex, indent: int) -> None:
         for k in tree.children(alpha):
@@ -403,7 +362,7 @@ def render_tree_text(tree: TensionTree, use_aliases: bool = True) -> str:
             label = ",".join(str(a) for a in child)
             lines.append(
                 "  " * indent + f"h^{len(child)}_({label}) = "
-                + _node_text(tree.nodes[child], namer)
+                + tree.nodes[child].render(namer)
             )
             walk(child, indent + 1)
 

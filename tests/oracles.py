@@ -1,16 +1,23 @@
 """Independent oracles used by the unit and acceptance tests.
 
 Everything here is deliberately written against the raw data (bracket maps,
-hand-typed display formulas) and never calls the production code paths it is
-used to check.
+structure polynomials, hand-typed display formulas) and never calls the
+production code paths it is used to check: the frame-sum operator and the
+layer closed forms are second realizations of `polyharm.tau`, and the
+high-precision evaluator is a numeric signal beside the canonical zero test.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
+from typing import Mapping
 
-from polyharm import MixedExpr, Polynomial, Resonance, VarIndex
+import mpmath
+
+from polyharm import MixedExpr, Polynomial, Resonance, VarIndex, struct_polys
 from polyharm.poly import Monomial
 
 
@@ -163,3 +170,173 @@ def branch_coeff_by_compositions(
         if coeff:
             terms[(Monomial.one(), exponent, p - 1 - j)] = coeff
     return MixedExpr(terms)
+
+
+# --- left-invariant frame and the frame-sum operator ---
+
+@dataclass(frozen=True, eq=False)
+class VectorField:
+    """First-order operator c_t(t) d/dt + sum_v c_v(t,x) d/dx_v."""
+
+    label: str
+    t_coefficient: MixedExpr
+    x_coefficients: dict[VarIndex, MixedExpr]
+
+    def apply(self, e: MixedExpr) -> MixedExpr:
+        out = MixedExpr.zero()
+        if not self.t_coefficient.is_zero():
+            out = out + self.t_coefficient * e.d_dt()
+        for v, coeff in self.x_coefficients.items():
+            d = e.partial(v)
+            if not d.is_zero():
+                out = out + coeff * d
+        return out
+
+
+@lru_cache(maxsize=None)
+def left_invariant_fields(spec) -> tuple[VectorField, ...]:
+    """The orthonormal frame: the grading field t d/dt, then one field per x^i_j."""
+    fields = [
+        VectorField("A", MixedExpr.t_power(1), {})
+    ]
+    table = struct_polys(spec)
+    for v in spec.variables():
+        lam = spec.lam(v.layer)
+        coeffs: dict[VarIndex, MixedExpr] = {}
+        for target in spec.variables():
+            p = table.P(v.layer, v.slot, target.layer, target.slot)
+            if not p.is_zero():
+                coeffs[target] = MixedExpr.from_polynomial(p, mu=lam)
+        fields.append(VectorField(f"X{v.layer}_{v.slot}", MixedExpr.zero(), coeffs))
+    return tuple(fields)
+
+
+def tau_frame(spec, e: MixedExpr) -> MixedExpr:
+    """Frame-sum realization: A^2 + sum (X^i_j)^2 minus n t d/dt (the covariant
+    correction)."""
+    fields = left_invariant_fields(spec)
+    out = MixedExpr.zero()
+    for field in fields:
+        out = out + field.apply(field.apply(e))
+    return out + e.d_dt().mul_t_power(1) * (-spec.homogeneous_dim)
+
+
+def kappa(spec, f: MixedExpr, h: MixedExpr) -> MixedExpr:
+    """Gradient inner product g(grad f, grad h) via the left-invariant frame."""
+    out = MixedExpr.zero()
+    for field in left_invariant_fields(spec):
+        ff = field.apply(f)
+        if ff.is_zero():
+            continue
+        fh = field.apply(h)
+        if not fh.is_zero():
+            out = out + ff * fh
+    return out
+
+
+# --- closed forms for functions of the first one or two layers ---
+
+def _laplacian_in_layer(spec, h: Polynomial, layer: int) -> Polynomial:
+    acc = Polynomial.zero()
+    for j in range(1, spec.dim(layer) + 1):
+        v = VarIndex(layer, j)
+        acc = acc + h.partial(v).partial(v)
+    return acc
+
+
+def tau_fast_x1(spec, h: Polynomial) -> MixedExpr:
+    """t^(2 lambda_1) * (flat Laplacian of h in the x^1 variables)."""
+    if not h.layers_used() <= {1}:
+        raise ValueError(f"function uses layers {sorted(h.layers_used())}, expected only 1")
+    return MixedExpr.from_polynomial(
+        _laplacian_in_layer(spec, h, 1), mu=2 * spec.lam(1)
+    )
+
+
+def tau_fast_x1x2(spec, h: Polynomial) -> MixedExpr:
+    """Four-term closed form for functions of the x^1 and x^2 variables only:
+    layer-1 Laplacian, first-bracket cross term, layer-2 Laplacian and the
+    quadratic bracket-squared term."""
+    layers = h.layers_used()
+    if not layers <= {1, 2}:
+        raise ValueError(f"function uses layers {sorted(layers)}, expected only 1, 2")
+    shift1 = 2 * spec.lam(1)
+    out = MixedExpr.from_polynomial(_laplacian_in_layer(spec, h, 1), mu=shift1)
+    if spec.m < 2:
+        return out
+    n1, n2 = spec.dim(1), spec.dim(2)
+
+    def a112(j: int, l: int, b: int) -> Fraction:
+        return spec.structure_constant(1, j, 1, l, 2, b)
+
+    cross = Polynomial.zero()
+    for j in range(1, n1 + 1):
+        xj = Polynomial.variable(VarIndex(1, j))
+        for l in range(1, n1 + 1):
+            for b in range(1, n2 + 1):
+                c = a112(j, l, b)
+                if c:
+                    d2 = h.partial(VarIndex(1, l)).partial(VarIndex(2, b))
+                    if not d2.is_zero():
+                        cross = cross + xj * d2 * c
+    out = out + MixedExpr.from_polynomial(cross, mu=shift1)
+
+    out = out + MixedExpr.from_polynomial(
+        _laplacian_in_layer(spec, h, 2), mu=2 * spec.lam(2)
+    )
+
+    quad = Polynomial.zero()
+    for l in range(1, n2 + 1):
+        for b in range(1, n2 + 1):
+            d2 = h.partial(VarIndex(2, l)).partial(VarIndex(2, b))
+            if d2.is_zero():
+                continue
+            coeff = Polynomial.zero()
+            for j in range(1, n1 + 1):
+                for r in range(1, n1 + 1):
+                    c_r = a112(r, j, l)
+                    if not c_r:
+                        continue
+                    for s in range(1, n1 + 1):
+                        c_s = a112(s, j, b)
+                        if c_s:
+                            coeff = coeff + (
+                                Polynomial.variable(VarIndex(1, r))
+                                * Polynomial.variable(VarIndex(1, s))
+                                * (c_r * c_s)
+                            )
+            quad = quad + coeff * d2
+    out = out + MixedExpr.from_polynomial(quad * Fraction(1, 4), mu=shift1)
+    return out
+
+
+# --- numeric spot checks (secondary signal only) ---
+
+def evaluate_numeric(
+    e: MixedExpr,
+    point: Mapping[VarIndex, Fraction],
+    t_value: Fraction,
+    precision_bits: int = 256,
+):
+    """High-precision floating evaluation of e at rational (t, x); t must be > 0.
+
+    The canonical form is the authority on exactness; this exists for
+    numerical cross-checks only (rational t-exponents have no exact value
+    at rational t).
+    """
+    if t_value <= 0:
+        raise ValueError("t must be positive")
+    with mpmath.workprec(precision_bits):
+        tv = mpmath.mpf(t_value.numerator) / t_value.denominator
+        log_t = mpmath.log(tv)
+        total = mpmath.mpf(0)
+        for (mono, mu, logpow), c in e.terms.items():
+            val = mpmath.mpf(c.numerator) / c.denominator
+            for v, exp in mono.exps:
+                xv = Fraction(point[v])
+                val *= (mpmath.mpf(xv.numerator) / xv.denominator) ** exp
+            val *= mpmath.power(tv, mpmath.mpf(mu.numerator) / mu.denominator)
+            if logpow:
+                val *= log_t**logpow
+            total += val
+        return total

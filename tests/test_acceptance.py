@@ -24,14 +24,10 @@ from polyharm import (
     catalog_short_name,
     certify_family,
     from_json_dict,
-    kappa,
     parse,
     parse_polynomial,
     recurrence_check,
     tau,
-    tau_fast_x1,
-    tau_fast_x1x2,
-    tau_frame,
     tension_tree,
     tension_tree_radial,
     validate,
@@ -47,6 +43,10 @@ from oracles import (
     ch2_display_tau,
     ch2_display_tau_as_printed,
     composition_identity_holds,
+    kappa,
+    tau_fast_x1,
+    tau_fast_x1x2,
+    tau_frame,
 )
 
 ALGEBRAS = ("rh2", "rh4", "ch2", "ch3")

@@ -209,6 +209,28 @@ def test_verify_built_radial(capsys):
     assert payload["verified_order"] == 2 and payload["proper"] is True
 
 
+@pytest.mark.parametrize(
+    "radial_seed",
+    [
+        '{"n1":2,"terms":[{"k":1,"a":"1","b":"0"}],"G":{"c0":"0"}}',
+        '{"n1":2,"terms":[{"k":1,"a":"0","b":"0"}],"G":{"c0":"1"}}',
+    ],
+    ids=["G-zero", "H-zero"],
+)
+def test_verify_zero_radial_seed(capsys, radial_seed):
+    # the zero function certifies like --seed "0": order 0, not proper
+    argv = ("verify", "--algebra", "rh3", "--kind", "psi", "--p", "2",
+            "--radial-seed", radial_seed)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    assert "verified_order: 0\nproper: false" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified_order"] == 0 and payload["proper"] is False
+    assert payload["residual_pminus1_nonzero"] is False
+
+
 def test_verify_seed_exceeds(capsys):
     code, out, _ = run(
         capsys,
@@ -237,6 +259,11 @@ def test_parse_radial_seed_spec_examples():
         parse_radial_seed('{"n1":2, "terms":[], "G":{"c0":"1"}}')
     with pytest.raises(UnsupportedSpan):
         parse_radial_seed('{"n1":2, "terms":[{"k":-1,"a":"1","b":"0"}], "G":{"c0":"1"}}')
+    with pytest.raises(ParseError):  # a string is not a coefficient list
+        parse_radial_seed('{"n1":2, "terms":[{"k":1,"a":"1"}], "G":{"c0":"1","c":"12"}}')
+    # integer fields may also be decimal-integer strings
+    seed = parse_radial_seed('{"n1":"2", "terms":[{"k":"1","a":"1","b":"0"}]}')
+    assert seed.radial == RadialFunction(2, {(2, True): Fraction(1)})
 
 
 def test_radial_seed_with_linear_G(capsys):
@@ -267,8 +294,27 @@ def test_unknown_algebra(capsys):
             "tree", "--algebra", "rh3",
             "--radial-seed", '{"n1":2,"terms":[{"k":"a","a":"1","b":"0"}]}',
         ),
+        (
+            "tree", "--algebra", "ch2",
+            "--radial-seed", '{"n1":2,"terms":[{"k":1,"a":"0","b":"1"}],"G":{"c0":"0","c":"1"}}',
+        ),
+        (
+            "tree", "--algebra", "rh3",
+            "--radial-seed", '{"n1":2,"terms":[{"k":1.5,"a":"1","b":"0"}]}',
+        ),
+        (
+            "tree", "--algebra", "rh3",
+            "--radial-seed", '{"n1":2.7,"terms":[{"k":1,"a":"1","b":"0"}]}',
+        ),
+        (
+            "tree", "--algebra", "rh3",
+            "--radial-seed", '{"n1":2,"terms":[{"k":true,"a":"1","b":"0"}]}',
+        ),
     ],
-    ids=["zero-denominator", "zero-exponent-denominator", "missing-file", "radial-k-not-int"],
+    ids=[
+        "zero-denominator", "zero-exponent-denominator", "missing-file", "radial-k-not-int",
+        "radial-G-c-string", "radial-k-float", "radial-n1-float", "radial-k-bool",
+    ],
 )
 def test_bad_input_is_domain_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

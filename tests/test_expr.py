@@ -1,14 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyharm
 from polyharm import MixedExpr, ParseError, Polynomial, VarIndex, parse, parse_polynomial
 from polyharm.poly import Monomial
 
 from conftest import random_mixed_expr
+from oracles import evaluate_numeric
 
 X = VarIndex(1, 1)
 Y = VarIndex(1, 2)
@@ -138,7 +144,7 @@ def test_numeric_evaluation_is_secondary_signal():
     e = parse("t^(1/2)*t^(1/2) - t")
     assert e.is_zero()
     nonzero = parse("x1_1^2*t - t*log(t)")
-    val = nonzero.evaluate_numeric({X: Fraction(3, 2)}, Fraction(7, 4))
+    val = evaluate_numeric(nonzero, {X: Fraction(3, 2)}, Fraction(7, 4))
     import mpmath
 
     with mpmath.workprec(256):
@@ -171,6 +177,17 @@ def test_numeric_zero_signal(ch2):
                 v: Fraction(rng.randint(5, 20), 10) for v in ch2.variables()
             }
             tv = Fraction(rng.randint(5, 20), 10)
-            points.append(abs(e.evaluate_numeric(pt, tv)))
-            assert abs(diff.evaluate_numeric(pt, tv)) < mpmath.mpf("1e-30")
+            points.append(abs(evaluate_numeric(e, pt, tv)))
+            assert abs(evaluate_numeric(diff, pt, tv)) < mpmath.mpf("1e-30")
         assert max(points) > mpmath.mpf("1e-30")
+
+
+def test_import_loads_no_mpmath():
+    # mpmath is a test-only dependency (the numeric oracle); the package must
+    # import without it
+    env = dict(os.environ, PYTHONPATH=str(Path(polyharm.__file__).parents[1]))
+    code = "import polyharm, sys; assert 'mpmath' not in sys.modules"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from math import comb
 
@@ -8,13 +9,11 @@ from hypothesis import strategies as st
 
 from polyharm import (
     AffinePart,
-    DependentNodes,
     MixedExpr,
     NodeSymbolExpr,
     RadialFunction,
     RadialSeed,
     Resonance,
-    TensionTree,
     ZeroCombination,
     build_phi,
     build_psi,
@@ -26,12 +25,14 @@ from polyharm import (
     parse,
     parse_polynomial,
     recurrence_check,
+    tau,
     tension_tree,
     tension_tree_radial,
     validate,
     verify,
     verify_formal,
 )
+from polyharm.pharmonic import realize
 
 from oracles import branch_coeff_by_compositions, composition_identity_holds, compositions
 from test_algebra import filiform
@@ -332,24 +333,97 @@ def test_formal_tau_children_shift(rh3):
     assert image == NodeSymbolExpr.build({(1,): parse("t^2")})
 
 
-def test_dependent_nodes_guard(rh3):
-    shared = AffinePart(constant=Fraction(1))
-    h = RadialFunction(2, {(2, False): Fraction(1)})
-    fake = TensionTree(
-        spec=rh3,
-        kind="radial",
-        seed=RadialSeed(radial=h, affine=shared),
-        nodes={(1,): RadialSeed(radial=h.scale(Fraction(2)), affine=shared)},
-        degree=1,
+@pytest.mark.parametrize(
+    "terms, c0",
+    [({(2, True): 1}, "0"), ({}, "1")],
+    ids=["G-zero", "H-zero"],
+)
+def test_zero_radial_seed_certifies_order_zero(rh3, terms, c0):
+    # H(rho) * G(x^2) with one factor zero is the zero function: order 0, not
+    # proper, although the formal root symbol carries a nonzero coefficient
+    tree = radial_tree(rh3, terms, c0=c0)
+    psi2 = build_psi(rh3, tree, 2)
+    assert not psi2.is_zero()
+    cert = verify_formal(rh3, psi2, tree, 2, kind="psi")
+    assert cert.verified_order == 0 and not cert.proper
+    assert cert.to_json_dict()["residual_pminus1_nonzero"] is False
+
+
+def test_realization_keeps_log_terms_apart(rh3):
+    # h^1 = Lap(rho^2 log(rho) - 2 rho^2) = 4 log(rho) - 4 is harmonic and
+    # nonzero, although its two coefficients sum to zero
+    tree = radial_tree(rh3, {(2, True): 1, (2, False): -2})
+    assert tree.nodes[(1,)].radial == RadialFunction(2, {(0, True): 4, (0, False): -4})
+    cert = verify_formal(rh3, NodeSymbolExpr.build({(1,): MixedExpr.one()}), tree, 1)
+    assert cert.verified_order == 1 and cert.proper
+
+
+def random_radial_seed(spec, rng):
+    """Nonzero H(rho) * G(x^2) over an algebra with n1 = 2."""
+    span = [(2 * k, log) for k in range(4) for log in (True, False)]
+    radial = RadialFunction(
+        spec.dim(1),
+        {
+            key: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            for key in rng.sample(span, rng.randint(1, 3))
+        },
     )
-    e = NodeSymbolExpr.build({(): MixedExpr.log_t()})
-    with pytest.raises(DependentNodes):
-        verify_formal(rh3, e, fake, 1)
+    linear = ()
+    if spec.m >= 2 and rng.random() < 0.5:
+        linear = ((1, Fraction(rng.randint(1, 4), rng.randint(1, 3))),)
+    c0 = Fraction(rng.randint(0 if linear else 1, 3))
+    return RadialSeed(radial=radial, affine=AffinePart(constant=c0, linear=linear))
+
+
+def test_realized_zero_test_agrees_with_formal_on_random_radial_seeds(rh3, ch2):
+    # on nonzero radial seeds the tree nodes are independent, so the formal
+    # zero test and the zero test on the realized function must agree
+    rng = random.Random(2007)
+    iterates_checked = 0
+    for spec in (rh3, ch2):
+        for _ in range(25):
+            tree = tension_tree_radial(spec, random_radial_seed(spec, rng))
+            for builder in (build_phi, build_psi):
+                for p in range(1, 5):
+                    try:
+                        image = builder(spec, tree, p)
+                    except Resonance:
+                        continue
+                    for _ in range(p + 1):
+                        assert image.is_zero() == (not realize(tree, image))
+                        iterates_checked += 1
+                        if image.is_zero():
+                            break
+                        image = formal_tau(spec, tree, image)
+    assert iterates_checked > 500
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [("ch2", "x^4"), ("ch4", "(x_1*y_2+z)^4"), ("fil3", "(x1_1*x1_2+x2_1+x3_1)^4")],
+)
+def test_formal_iterates_realize_to_concrete_iterates(name, seed):
+    # polynomial nodes substitute into the formal form of psi_p; each formal
+    # iterate realizes to the concrete operator iterate, and verify_formal
+    # certifies what verify does (these trees have linearly dependent nodes)
+    spec = filiform() if name == "fil3" else catalog_short_name(name)
+    tree = tree_of(spec, seed)
+    for p in (1, 2, 3):
+        formal = NodeSymbolExpr.build(
+            {alpha: g_coeff(spec, alpha, p) for alpha in [()] + tree.branches()}
+        )
+        concrete = build_psi(spec, tree, p)
+        assert realize(tree, formal) == concrete.terms
+        cert = verify_formal(spec, formal, tree, p, kind="psi")
+        expected = verify(spec, concrete, p, kind="psi")
+        assert cert.to_json_dict() == expected.to_json_dict()
+        for _ in range(p):
+            formal = formal_tau(spec, tree, formal)
+            concrete = tau(spec, concrete)
+            assert realize(tree, formal) == concrete.terms
 
 
 def test_random_combinations_stay_proper(rh2, ch2, ch3):
-    import random
-
     rng = random.Random(77)
     cases = [
         (rh2, tree_of(rh2, "x^6")),
