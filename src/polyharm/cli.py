@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from typing import Mapping
@@ -31,7 +30,7 @@ from .pharmonic import (
     verify,
     verify_formal,
 )
-from .scalar import format_rational, parse_rational
+from .scalar import format_rational, int_field, parse_rational
 from .tension import (
     AffinePart,
     RadialFunction,
@@ -52,20 +51,6 @@ def resolve_algebra(source: str) -> AlgebraSpec:
     return algebra_mod.catalog_short_name(source)
 
 
-_DECIMAL_INT_RE = re.compile(r"[+-]?[0-9]+")
-
-
-def _int_field(obj: Mapping, key: str) -> int:
-    """An int (not a bool) or a decimal-integer string; anything else, a float
-    included, is refused rather than truncated."""
-    value = obj[key]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str) and _DECIMAL_INT_RE.fullmatch(value):
-        return int(value)
-    raise ParseError(f"radial seed field {key!r} must be an integer, got {value!r}")
-
-
 def parse_radial_seed(text: str | Mapping) -> RadialSeed:
     """Radial-seed JSON: {"n1": int, "terms": [{"k", "a", "b"}...], "G": {...}}.
 
@@ -82,7 +67,7 @@ def parse_radial_seed(text: str | Mapping) -> RadialSeed:
     if not isinstance(obj, Mapping):
         raise ParseError("radial seed must be a JSON object")
     try:
-        n1 = _int_field(obj, "n1")
+        n1 = int_field(obj, "n1")
         raw_terms = obj["terms"]
     except KeyError as exc:
         raise ParseError(f"radial seed is missing key {exc.args[0]!r}") from None
@@ -92,7 +77,7 @@ def parse_radial_seed(text: str | Mapping) -> RadialSeed:
     for term in raw_terms:
         if not isinstance(term, Mapping) or "k" not in term:
             raise ParseError("each radial term needs fields k, a, b")
-        k = _int_field(term, "k")
+        k = int_field(term, "k")
         if k < 0:
             raise UnsupportedSpan(f"rho-power index k={k} is outside the span (k >= 0)")
         a = parse_rational(str(term.get("a", "0")))

@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Union
 from .algebra import AlgebraSpec
 from .errors import KindMismatch, Resonance, ZeroCombination
 from .expr import MixedExpr, _acc, _wrap
-from .laplacian import _accumulate_product, tau, tau_t
+from .laplacian import tau, tau_t
 from .poly import Monomial, Polynomial
 from .tension import MultiIndex, Node, TensionTree
 
@@ -198,16 +198,23 @@ def build_psi(spec: AlgebraSpec, tree: TensionTree, p: int) -> Built:
     return _build(spec, tree, p, "psi")
 
 
+def _accumulate_product(out: dict, poly: Polynomial, e: MixedExpr) -> None:
+    """out += poly * e, termwise."""
+    for mono_p, c_p in poly.terms.items():
+        for (mono_e, mu, k), c_e in e.terms.items():
+            _acc(out, (mono_p * mono_e, mu, k), c_p * c_e)
+
+
 def _build(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> Built:
     if p < 1:
         raise ValueError("p must be >= 1")
     root_coeff = _coeff_function(spec, (), p, family)
     if tree.kind == "polynomial":
         out: dict = {}
-        _accumulate_product(out, tree.seed, root_coeff, Fraction(0))
+        _accumulate_product(out, tree.seed, root_coeff)
         for alpha in tree.branches():
             coeff = _coeff_function(spec, alpha, p, family)
-            _accumulate_product(out, tree.nodes[alpha], coeff, Fraction(0))
+            _accumulate_product(out, tree.nodes[alpha], coeff)
         return _wrap(out)
     terms: dict[MultiIndex, MixedExpr] = {(): root_coeff}
     for alpha in tree.branches():

@@ -1,20 +1,23 @@
 """Exact rational scalars.
 
 All coefficients in the package are `fractions.Fraction` values; this module
-adds the strict string form used by the JSON interfaces: "p" or "p/q" with a
-positive denominator and no decimal points.
+adds the strict forms used by the JSON interfaces: rationals as "p" or "p/q"
+with a positive denominator and no decimal points, and integer fields that
+are never truncated.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Mapping
 
 from .errors import ParseError
 
 Scalar = Fraction
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_DECIMAL_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -34,3 +37,14 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def int_field(obj: Mapping, key: str) -> int:
+    """obj[key] as an int: an int (not a bool) or a decimal-integer string;
+    anything else, a float included, is refused rather than truncated."""
+    value = obj[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL_INT_RE.fullmatch(value):
+        return int(value)
+    raise ParseError(f"field {key!r} must be an integer, got {value!r}")

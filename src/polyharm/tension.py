@@ -22,12 +22,13 @@ from .errors import (
     DepthExceeded,
     InternalClosureError,
     KindMismatch,
+    ParseError,
     UnsupportedSpan,
 )
 from .expr import MixedExpr, _acc, latex_term
 from .laplacian import tau
 from .poly import Polynomial
-from .scalar import format_rational, parse_rational
+from .scalar import format_rational, int_field, parse_rational
 
 MultiIndex = tuple[int, ...]
 
@@ -442,27 +443,36 @@ def _node_from_json(spec: AlgebraSpec, obj: object, kind: str) -> Node:
         from .expr import parse_polynomial
 
         return parse_polynomial(obj, spec)
-    n1 = spec.dim(1)
-    radial = RadialFunction(
-        n1,
-        {
-            (int(term["a"]), bool(term["log"])): parse_rational(term["c"])
-            for term in obj["radial"]
-        },
-    )
+    terms = {}
+    for term in obj["radial"]:
+        if not isinstance(term["log"], bool):
+            raise ParseError(f"radial field 'log' must be true or false, got {term['log']!r}")
+        terms[(int_field(term, "a"), term["log"])] = parse_rational(term["c"])
+    radial = RadialFunction(spec.dim(1), terms)
     return RadialSeed(radial=radial, affine=_affine_from_json(obj["affine"]))
 
 
 def tree_from_json(spec: AlgebraSpec, obj: Mapping) -> TensionTree:
-    kind = obj["kind"]
+    """Read a tree written by `tree_to_json`.  The tree is rebuilt from the
+    seed; declared nodes or a declared degree that differ from it are a
+    ParseError."""
+    kind = obj.get("kind")
+    if kind not in ("polynomial", "radial"):
+        raise ParseError(f"tree kind must be 'polynomial' or 'radial', got {kind!r}")
+    seed = _node_from_json(spec, obj["seed"], kind)
     nodes = {
         tuple(entry["alpha"]): _node_from_json(spec, entry["node"], kind)
         for entry in obj["nodes"]
     }
-    return TensionTree(
-        spec=spec,
-        kind=kind,
-        seed=_node_from_json(spec, obj["seed"], kind),
-        nodes=nodes,
-        degree=int(obj["degree"]),
-    )
+    degree = int_field(obj, "degree")
+    if kind == "polynomial":
+        tree = tension_tree(spec, seed)
+    else:
+        tree = tension_tree_radial(spec, seed)
+    if nodes != tree.nodes:
+        raise ParseError("the declared nodes differ from the tension tree of the seed")
+    if degree != tree.degree:
+        raise ParseError(
+            f"declared degree {degree} differs from the tree degree {tree.degree}"
+        )
+    return tree

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against the raw data (bracket maps,
 structure polynomials, hand-typed display formulas) and never calls the
-production code paths it is used to check: the frame-sum operator and the
-layer closed forms are second realizations of `polyharm.tau`, and the
+production code paths it is used to check: the frame-sum operator, the
+expression-level partial-derivative operator and the layer closed forms are
+second realizations of `polyharm.tau`, and the
 high-precision evaluator is a numeric signal beside the canonical zero test.
 """
 
@@ -340,3 +341,78 @@ def evaluate_numeric(
                 val *= log_t**logpow
             total += val
         return total
+
+
+# --- the operator by expression-level partial derivatives ---
+
+def _add(out: dict, key, value: Fraction) -> None:
+    acc = out.get(key, Fraction(0)) + value
+    if acc:
+        out[key] = acc
+    else:
+        out.pop(key, None)
+
+
+def _accumulate_product(out: dict, poly: Polynomial, e: MixedExpr, shift: Fraction) -> None:
+    """out += poly * e * t^shift, termwise."""
+    for mono_p, c_p in poly.terms.items():
+        for (mono_e, mu, k), c_e in e.terms.items():
+            _add(out, (mono_p * mono_e, mu + shift, k), c_p * c_e)
+
+
+def tau_by_partials(spec, e: MixedExpr) -> MixedExpr:
+    """The coordinate formula applied to the whole expression: the t-part
+    t^2 e_tt + (1 - n) t e_t, then every first and second partial derivative
+    of e times its coefficient polynomial and t-power.  The coefficient tables
+    are rebuilt here from the structure polynomials; there is no per-monomial
+    memo and no integer scaling."""
+    table = struct_polys(spec)
+    n = spec.homogeneous_dim
+    second: dict = {}
+    first: dict = {}
+    for i in range(1, spec.m + 1):
+        shift = 2 * spec.lam(i)
+        for j in range(1, spec.dim(i) + 1):
+            row = {
+                v: table.P(i, j, v.layer, v.slot)
+                for v in spec.variables()
+                if not table.P(i, j, v.layer, v.slot).is_zero()
+            }
+            for v1, p1 in row.items():
+                for v2, p2 in row.items():
+                    pair = (v1, v2) if v1 <= v2 else (v2, v1)
+                    bucket = second.setdefault(pair, {})
+                    bucket[shift] = bucket.get(shift, Polynomial.zero()) + p1 * p2
+                for v2, p2 in row.items():
+                    dp = p2.partial(v1)
+                    if not dp.is_zero():
+                        bucket = first.setdefault(v2, {})
+                        bucket[shift] = bucket.get(shift, Polynomial.zero()) + p1 * dp
+    out: dict = {}
+    for (mono, mu, k), c in e.terms.items():
+        if mu:
+            _add(out, (mono, mu, k), c * mu * (mu - n))
+        if k:
+            _add(out, (mono, mu, k - 1), c * k * (2 * mu - n))
+            if k >= 2:
+                _add(out, (mono, mu, k - 2), c * k * (k - 1))
+    partials: dict = {}
+
+    def d1(v: VarIndex) -> MixedExpr:
+        if v not in partials:
+            partials[v] = e.partial(v)
+        return partials[v]
+
+    for (v1, v2), shifts in second.items():
+        d2 = d1(v1).partial(v2)
+        if d2.is_zero():
+            continue
+        for shift, poly in shifts.items():
+            _accumulate_product(out, poly, d2, shift)
+    for v, shifts in first.items():
+        d = d1(v)
+        if d.is_zero():
+            continue
+        for shift, poly in shifts.items():
+            _accumulate_product(out, poly, d, shift)
+    return MixedExpr(out)

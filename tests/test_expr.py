@@ -182,6 +182,13 @@ def test_numeric_zero_signal(ch2):
         assert max(points) > mpmath.mpf("1e-30")
 
 
+def test_package_imports_from_checkout_src():
+    # pytest puts the checkout's src/ on sys.path (pyproject.toml), so the
+    # tests exercise this tree and not an installed copy
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert Path(polyharm.__file__).resolve().is_relative_to(src)
+
+
 def test_import_loads_no_mpmath():
     # mpmath is a test-only dependency (the numeric oracle); the package must
     # import without it

@@ -2,19 +2,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyharm import (
     MixedExpr,
     Polynomial,
+    Resonance,
     VarIndex,
     ad_power,
     bernoulli,
+    build_phi,
+    build_psi,
+    catalog_short_name,
+    laplacian,
     parse,
     parse_polynomial,
     struct_polys,
     tau,
     tau_t,
+    tension_tree,
 )
+from polyharm.poly import Monomial
 
 from conftest import random_mixed_expr, random_polynomial
 from oracles import (
@@ -22,6 +31,7 @@ from oracles import (
     ch2_display_tau,
     kappa,
     left_invariant_fields,
+    tau_by_partials,
     tau_fast_x1,
     tau_fast_x1x2,
     tau_frame,
@@ -159,6 +169,87 @@ def test_frame_equals_coordinate_formula(rh2, rh4, ch2, ch3):
         for _ in range(20):
             e = random_mixed_expr(spec, rng)
             assert tau(spec, e) == tau_frame(spec, e)
+
+
+FAMILY_TREES = {
+    "fil3": (filiform, "(x1_1*x1_2 + x2_1 + x3_1)^4"),
+    "ch4": (lambda: catalog_short_name("ch4"), "(x_1*y_2 + z)^4"),
+    "ch2": (lambda: catalog_short_name("ch2"), "z^8"),
+}
+
+
+def family_members(spec, seed, p_max=6):
+    """phi_p and psi_p of the seed's tree, p = 1..p_max (phi skipped where it
+    is resonant)."""
+    tree = tension_tree(spec, parse_polynomial(seed, spec))
+    for p in range(1, p_max + 1):
+        for builder in (build_phi, build_psi):
+            try:
+                yield builder(spec, tree, p)
+            except Resonance:
+                continue
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_TREES))
+def test_tau_equals_partials_oracle_on_family_iterates(name):
+    make_spec, seed = FAMILY_TREES[name]
+    spec = make_spec()
+    count = 0
+    for e in family_members(spec, seed):
+        while not e.is_zero():
+            image = tau_by_partials(spec, e)
+            assert tau(spec, e) == image
+            e = image
+            count += 1
+    assert count >= 21  # psi alone has p iterates for each p
+
+
+RANDOM_SPECS = [
+    catalog_short_name("rh2"),
+    catalog_short_name("ch2"),
+    catalog_short_name("ch3"),
+    filiform(),
+]
+
+
+@st.composite
+def mixed_exprs(draw, spec):
+    """Mixed expressions with pairwise coprime coefficient denominators,
+    rational and negative t-exponents and log powers 0..3."""
+    primes = st.sampled_from((1, 2, 3, 5, 7, 11, 13, 17))
+    factors = st.tuples(st.sampled_from(spec.variables()), st.integers(1, 3))
+    terms = {}
+    for den in draw(st.lists(primes, min_size=1, max_size=6, unique=True)):
+        exps: dict[VarIndex, int] = {}
+        for v, e in draw(st.lists(factors, max_size=3)):
+            exps[v] = exps.get(v, 0) + e
+        mu = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3, 5))))
+        k = draw(st.integers(0, 3))
+        num = draw(st.integers(-30, 30).filter(bool))
+        terms[(Monomial(exps.items()), mu, k)] = Fraction(num, den)
+    return MixedExpr(terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_tau_equals_partials_oracle_on_random_expressions(data):
+    spec = data.draw(st.sampled_from(RANDOM_SPECS))
+    e = data.draw(mixed_exprs(spec))
+    assert tau(spec, e) == tau_by_partials(spec, e)
+
+
+def test_memo_bound_does_not_change_results(monkeypatch):
+    spec = filiform()
+    rng = random.Random(5)
+    inputs = list(family_members(spec, FAMILY_TREES["fil3"][1], p_max=4))
+    inputs += [random_mixed_expr(spec, rng) for _ in range(10)]
+    expected = [tau(spec, e) for e in inputs]
+    monkeypatch.setattr(laplacian, "_MEMO_LIMIT", 1)
+    tables = laplacian._tau_tables(spec)
+    for e, image in zip(inputs, expected):
+        assert tau(spec, e) == image
+        # cleared at the start of every call: only this call's monomials stay
+        assert set(tables.images) == {mono for mono, _, _ in e.terms}
 
 
 def test_fast_path_x1(rh2, ch2):

@@ -9,6 +9,7 @@ from polyharm import (
     DepthExceeded,
     KindMismatch,
     MixedExpr,
+    ParseError,
     Polynomial,
     RadialFunction,
     RadialSeed,
@@ -247,3 +248,36 @@ def test_tree_json_round_trip(rh2, ch2, rh3):
         (ch2, tension_tree_radial(ch2, radial(2, {(2, False): 1}, c0="2", linear=((1, "1/3"),)))),
     ):
         assert tree_from_json(spec, tree_to_json(tree)) == tree
+
+
+def test_tree_from_json_rejects_nodes_not_of_the_seed(rh3):
+    # rho^2 log(rho) is not harmonic; declared without nodes it would load as
+    # a degree-0 tree and certify as proper of order 1
+    tree = tension_tree_radial(rh3, radial(2, {(2, True): 1}))
+    with pytest.raises(ParseError):
+        tree_from_json(rh3, dict(tree_to_json(tree), nodes=[], degree=0))
+
+
+@pytest.mark.parametrize("field, value", [("degree", 3), ("degree", 4.0), ("kind", "radial ")])
+def test_tree_from_json_rejects_wrong_degree_or_kind(ch2, field, value):
+    tree = tension_tree(ch2, poly("z^4", ch2))
+    with pytest.raises(ParseError):
+        tree_from_json(ch2, dict(tree_to_json(tree), **{field: value}))
+
+
+def test_tree_from_json_rejects_polynomial_nodes_not_of_the_seed(ch2):
+    tree = tension_tree(ch2, poly("z^4", ch2))
+    obj = tree_to_json(tree)
+    obj["nodes"][0] = dict(obj["nodes"][0], node="x^2")
+    with pytest.raises(ParseError):
+        tree_from_json(ch2, obj)
+
+
+@pytest.mark.parametrize("field, value", [("a", 2.9), ("a", True), ("log", "no"), ("log", 1)])
+def test_tree_from_json_rejects_mistyped_radial_fields(rh3, field, value):
+    tree = tension_tree_radial(rh3, radial(2, {(2, True): 1}))
+    obj = tree_to_json(tree)
+    term = dict(obj["seed"]["radial"][0], **{field: value})
+    obj["seed"] = dict(obj["seed"], radial=[term])
+    with pytest.raises(ParseError):
+        tree_from_json(rh3, obj)
