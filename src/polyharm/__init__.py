@@ -50,7 +50,6 @@ from .pharmonic import (
     f_coeff,
     formal_tau,
     g_coeff,
-    prefix_sums,
     recurrence_check,
     verify,
     verify_formal,

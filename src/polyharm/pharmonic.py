@@ -12,6 +12,14 @@ phi family requires 2 Lambda^k_alpha != n along every branch with a nonzero
 node; a violation raises Resonance and callers fall back to psi, which is
 always defined.
 
+Assembly has two parts.  The p-independent part of each coefficient is a row
+u_alpha, computed in one step from its parent's row (`_Row`) and kept in a
+memo per algebra and family, of bounded size; one row serves every p up to
+its length and every branch that extends alpha.  The sum over the tree then
+runs on integers: node coefficients and rows are scaled to common
+denominators, products are accumulated in a dict keyed by ints and monomials,
+and each output coefficient is normalized once.
+
 Certification never trusts the construction: `verify` iterates the operator
 exactly and reports the least vanishing order, and `recurrence_check` tests
 the two-step iteration identities the families satisfy.  For radial seeds the
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import lcm
 from typing import Callable, Mapping, Union
 
 from .algebra import AlgebraSpec
@@ -36,72 +44,120 @@ from .poly import Monomial, Polynomial
 from .tension import MultiIndex, Node, TensionTree
 
 
-def prefix_sums(spec: AlgebraSpec, alpha: MultiIndex) -> list[Fraction]:
-    """Lambda^k_alpha = lambda_{alpha_1} + ... + lambda_{alpha_k}, k = 1..len(alpha)."""
-    sums: list[Fraction] = []
-    acc = Fraction(0)
-    for layer in alpha:
-        acc += spec.lam(layer)
-        sums.append(acc)
-    return sums
+# --- branch rows ---
+
+# Most branch rows the row memos keep, over all algebras and both families.
+# The memos are cleared wholesale at the start of a call once they hold this
+# many, so a long-lived process keeps at most this many plus those of one call.
+_ROW_LIMIT = 4096
 
 
-@lru_cache(maxsize=None)
-def _coeff_function(
-    spec: AlgebraSpec, alpha: MultiIndex, p: int, family: str
-) -> MixedExpr:
-    i = len(alpha)
-    n = spec.homogeneous_dim
-    if i == 0:
-        if family == "phi":
-            return MixedExpr.log_t(p - 1)
-        return MixedExpr.t_power(n, p - 1)
-    lams = prefix_sums(spec, alpha)
-    if family == "phi":
-        denoms = [2 * lam - n for lam in lams]
-        for k, d in enumerate(denoms, start=1):
-            if d == 0:
-                raise Resonance(alpha, k)
-        exponent = 2 * lams[-1]
-    else:
-        denoms = [2 * lam + n for lam in lams]
-        exponent = 2 * lams[-1] + n
-    # The sum over compositions l of j into i parts of prod 1/d_k^(l_k+1) is
-    # (prod 1/d_k) * h_j(1/d_1, ..., 1/d_i), h_j the complete homogeneous
-    # symmetric polynomial: h_j(a_1..a_s) = h_j(a_1..a_(s-1)) + a_s h_(j-1)(a_1..a_s).
-    prefactor = Fraction(1)
-    for lam, d in zip(lams, denoms):
-        prefactor /= lam * d
-    h = [Fraction(1)] + [Fraction(0)] * (p - 1)
-    for d in denoms:
-        a = 1 / d
-        for j in range(1, p):
-            h[j] += a * h[j - 1]
-    sign_i = -1 if i % 2 else 1
-    out: dict = {}
-    falling = Fraction(1)  # (p-1)(p-2)...(p-j)
-    for j in range(p):
-        if j:
-            falling *= p - j
-        scale = sign_i * (-1 if j % 2 else 1) * Fraction(2) ** (j - i) * falling
-        coeff = prefactor * scale * h[j]
-        if coeff:
-            out[(Monomial.one(), exponent, p - 1 - j)] = coeff
-    return MixedExpr(out)
+@dataclass(slots=True)
+class _Row:
+    """The p-independent part of one branch coefficient.
+
+    Along alpha = (parent, k), with Lambda = Lambda_parent + lambda_k,
+    d = 2 Lambda -+ n, a = 1/d and m = -a / (2 Lambda):
+
+        u_alpha[0] = m u_parent[0],   u_alpha[j] = m u_parent[j] + a u_alpha[j-1],
+
+    from u_() = (1, 0, 0, ...).  u_alpha[j] is (prod_k -1/(2 Lambda^k d_k)) times
+    h_j(1/d_1, ..., 1/d_i), h_j the complete homogeneous symmetric polynomial,
+    and the coefficient of order p is
+
+        sum_{j<p} (-2)^j (p-1)...(p-j) u_alpha[j] t^exponent log(t)^(p-1-j).
+
+    A row of length L serves every p <= L; `_row` extends it in place.
+    """
+
+    lam: Fraction  # Lambda_alpha
+    exponent: Fraction  # of t: 2 Lambda (phi) or 2 Lambda + n (psi)
+    a: Fraction
+    m: Fraction
+    u: list[Fraction]
+
+
+# (algebra, family) -> multi-index -> row
+_ROWS: dict[tuple[AlgebraSpec, str], dict[MultiIndex, _Row]] = {}
+
+
+def _row_memo(spec: AlgebraSpec, family: str) -> dict[MultiIndex, _Row]:
+    """The rows of one algebra and family; bounds all memos first."""
+    if sum(map(len, _ROWS.values())) >= _ROW_LIMIT:
+        _ROWS.clear()
+    return _ROWS.setdefault((spec, family), {})
+
+
+def _row(
+    spec: AlgebraSpec, memo: dict[MultiIndex, _Row], alpha: MultiIndex, p: int, family: str
+) -> _Row | None:
+    """The row of alpha to length at least p, from its parent's row, which
+    must already be in the memo to that length; None where phi is resonant
+    at alpha itself (2 Lambda_alpha = n)."""
+    row = memo.get(alpha)
+    if row is None:
+        n = spec.homogeneous_dim
+        if not alpha:
+            exponent = Fraction(0) if family == "phi" else n
+            row = _Row(Fraction(0), exponent, Fraction(0), Fraction(0), [Fraction(1)])
+        else:
+            lam = memo[alpha[:-1]].lam + spec.lam(alpha[-1])
+            d = 2 * lam - n if family == "phi" else 2 * lam + n
+            if not d:
+                return None
+            a = 1 / d
+            row = _Row(lam, 2 * lam if family == "phi" else d, a, -a / (2 * lam), [])
+        memo[alpha] = row
+    u = row.u
+    if not alpha:
+        u.extend([Fraction(0)] * (p - len(u)))
+    elif len(u) < p:
+        a, m, parent = row.a, row.m, memo[alpha[:-1]].u
+        for j in range(len(u), p):
+            u.append(m * parent[j] + (a * u[j - 1] if j else 0))
+    return row
+
+
+def _weights(p: int) -> list[int]:
+    """(-2)^j (p-1)(p-2)...(p-j) for j < p."""
+    out = [1]
+    for j in range(1, p):
+        out.append(out[-1] * -2 * (p - j))
+    return out
+
+
+def _coeff_expr(row: _Row, p: int) -> MixedExpr:
+    """The branch coefficient of order p from its row, as a t-only MixedExpr."""
+    one = Monomial.one()
+    return _wrap(
+        {
+            (one, row.exponent, p - 1 - j): w * u
+            for j, (w, u) in enumerate(zip(_weights(p), row.u))
+            if u
+        }
+    )
+
+
+def _branch_coeff(spec: AlgebraSpec, alpha: MultiIndex, p: int, family: str) -> MixedExpr:
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    memo = _row_memo(spec, family)
+    row = _row(spec, memo, (), p, family)
+    for k in range(1, len(alpha) + 1):
+        row = _row(spec, memo, alpha[:k], p, family)
+        if row is None:
+            raise Resonance(alpha, k)
+    return _coeff_expr(row, p)
 
 
 def f_coeff(spec: AlgebraSpec, alpha: MultiIndex, p: int) -> MixedExpr:
     """Branch coefficient of the log family; raises Resonance if 2 Lambda^k = n."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return _coeff_function(spec, tuple(alpha), p, "phi")
+    return _branch_coeff(spec, tuple(alpha), p, "phi")
 
 
 def g_coeff(spec: AlgebraSpec, alpha: MultiIndex, p: int) -> MixedExpr:
     """Branch coefficient of the t^n family; always defined."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return _coeff_function(spec, tuple(alpha), p, "psi")
+    return _branch_coeff(spec, tuple(alpha), p, "psi")
 
 
 # --- node-symbol expressions (formal mode for radial trees) ---
@@ -198,28 +254,59 @@ def build_psi(spec: AlgebraSpec, tree: TensionTree, p: int) -> Built:
     return _build(spec, tree, p, "psi")
 
 
-def _accumulate_product(out: dict, poly: Polynomial, e: MixedExpr) -> None:
-    """out += poly * e, termwise."""
-    for mono_p, c_p in poly.terms.items():
-        for (mono_e, mu, k), c_e in e.terms.items():
-            _acc(out, (mono_p * mono_e, mu, k), c_p * c_e)
-
-
 def _build(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> Built:
+    """Seed and nodes times their branch coefficients, summed.
+
+    The rows are walked in `tree.branches()` order, parents before children,
+    so the first resonant phi branch raises.  For a polynomial tree the sum
+    runs on integers: node coefficients over their common denominator D, rows
+    over theirs W, keyed by (monomial, exponent id * p + j); each output
+    coefficient is normalized once, as a Fraction over D * W.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
-    root_coeff = _coeff_function(spec, (), p, family)
-    if tree.kind == "polynomial":
-        out: dict = {}
-        _accumulate_product(out, tree.seed, root_coeff)
-        for alpha in tree.branches():
-            coeff = _coeff_function(spec, alpha, p, family)
-            _accumulate_product(out, tree.nodes[alpha], coeff)
-        return _wrap(out)
-    terms: dict[MultiIndex, MixedExpr] = {(): root_coeff}
-    for alpha in tree.branches():
-        terms[alpha] = _coeff_function(spec, alpha, p, family)
-    return NodeSymbolExpr.build(terms)
+    memo = _row_memo(spec, family)
+    branches = tree.branches()
+    rows = [_row(spec, memo, (), p, family)]
+    for alpha in branches:
+        row = _row(spec, memo, alpha, p, family)
+        if row is None:
+            raise Resonance(alpha, len(alpha))
+        rows.append(row)
+    if tree.kind != "polynomial":
+        return NodeSymbolExpr.build(
+            {alpha: _coeff_expr(row, p) for alpha, row in zip([()] + branches, rows)}
+        )
+    nodes = [tree.seed.terms] + [tree.nodes[alpha].terms for alpha in branches]
+    d = lcm(*(c.denominator for terms in nodes for c in terms.values()))
+    w = lcm(*(u.denominator for row in rows for u in row.u[:p]))
+    exponent_ids: dict[Fraction, int] = {}
+    out: dict[tuple[Monomial, int], int] = {}
+    get = out.get
+    for terms, row in zip(nodes, rows):
+        base = exponent_ids.setdefault(row.exponent, len(exponent_ids)) * p
+        scaled = [
+            (base + j, u.numerator * (w // u.denominator))
+            for j, u in enumerate(row.u[:p])
+            if u
+        ]
+        for mono, c in terms.items():
+            c = c.numerator * (d // c.denominator)
+            for slot, u in scaled:
+                key = (mono, slot)
+                out[key] = get(key, 0) + c * u
+    exponents = list(exponent_ids)
+    weights = _weights(p)
+    denominator = d * w
+    return _wrap(
+        {
+            (mono, exponents[slot // p], p - 1 - slot % p): Fraction(
+                v * weights[slot % p], denominator
+            )
+            for (mono, slot), v in out.items()
+            if v
+        }
+    )
 
 
 def combine(a: Fraction, b: Fraction, phi: Built, psi: Built) -> Built:
@@ -400,7 +487,9 @@ def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
                 continue
             raise
         image = apply(current)
-        expected = scaled(builder(spec, tree, 1), Fraction(0))  # zero of right type
+        expected = (
+            MixedExpr.zero() if isinstance(current, MixedExpr) else NodeSymbolExpr.build({})
+        )
         if p >= 2:
             expected = expected + scaled(
                 builder(spec, tree, p - 1), Fraction(sign * n * (p - 1))

@@ -400,10 +400,11 @@ def _affine_to_json(g: AffinePart, n2: int) -> dict:
 
 def _affine_from_json(obj: Mapping) -> AffinePart:
     constant = parse_rational(obj.get("c0", "0"))
+    linear = obj.get("c", [])
+    if not isinstance(linear, list):
+        raise ParseError(f"affine field 'c' must be a JSON list, got {linear!r}")
     linear = tuple(
-        (j + 1, parse_rational(c))
-        for j, c in enumerate(obj.get("c", []))
-        if parse_rational(c) != 0
+        (j + 1, parse_rational(c)) for j, c in enumerate(linear) if parse_rational(c) != 0
     )
     return AffinePart(constant=constant, linear=linear)
 
@@ -438,33 +439,58 @@ def tree_to_json(tree: TensionTree) -> dict:
     }
 
 
+def _field(obj: object, key: str, kind: type = object) -> object:
+    """obj[key], refusing a non-object, a missing key or a value not of `kind`;
+    an int field is read by `int_field`."""
+    if not isinstance(obj, Mapping):
+        raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ParseError(f"missing field {key!r}")
+    if kind is int:
+        return int_field(obj, key)
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise ParseError(
+            f"field {key!r} must be a JSON {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
 def _node_from_json(spec: AlgebraSpec, obj: object, kind: str) -> Node:
     if kind == "polynomial":
         from .expr import parse_polynomial
 
+        if not isinstance(obj, str):
+            raise ParseError(f"a polynomial node must be a string, got {type(obj).__name__}")
         return parse_polynomial(obj, spec)
     terms = {}
-    for term in obj["radial"]:
-        if not isinstance(term["log"], bool):
-            raise ParseError(f"radial field 'log' must be true or false, got {term['log']!r}")
-        terms[(int_field(term, "a"), term["log"])] = parse_rational(term["c"])
+    for term in _field(obj, "radial", list):
+        log = _field(term, "log", bool)
+        terms[(_field(term, "a", int), log)] = parse_rational(_field(term, "c"))
     radial = RadialFunction(spec.dim(1), terms)
-    return RadialSeed(radial=radial, affine=_affine_from_json(obj["affine"]))
+    return RadialSeed(radial=radial, affine=_affine_from_json(_field(obj, "affine", Mapping)))
+
+
+def _alpha_from_json(entry: object) -> MultiIndex:
+    alpha = _field(entry, "alpha", list)
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in alpha):
+        raise ParseError(f"field 'alpha' must be a list of layer numbers, got {alpha!r}")
+    return tuple(alpha)
 
 
 def tree_from_json(spec: AlgebraSpec, obj: Mapping) -> TensionTree:
     """Read a tree written by `tree_to_json`.  The tree is rebuilt from the
     seed; declared nodes or a declared degree that differ from it are a
     ParseError."""
-    kind = obj.get("kind")
+    kind = _field(obj, "kind")
     if kind not in ("polynomial", "radial"):
         raise ParseError(f"tree kind must be 'polynomial' or 'radial', got {kind!r}")
-    seed = _node_from_json(spec, obj["seed"], kind)
+    seed = _node_from_json(spec, _field(obj, "seed"), kind)
     nodes = {
-        tuple(entry["alpha"]): _node_from_json(spec, entry["node"], kind)
-        for entry in obj["nodes"]
+        _alpha_from_json(entry): _node_from_json(spec, _field(entry, "node"), kind)
+        for entry in _field(obj, "nodes", list)
     }
-    degree = int_field(obj, "degree")
+    degree = _field(obj, "degree", int)
     if kind == "polynomial":
         tree = tension_tree(spec, seed)
     else:

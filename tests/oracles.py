@@ -18,7 +18,7 @@ from typing import Mapping
 
 import mpmath
 
-from polyharm import MixedExpr, Polynomial, Resonance, VarIndex, struct_polys
+from polyharm import MixedExpr, NodeSymbolExpr, Polynomial, Resonance, VarIndex, struct_polys
 from polyharm.poly import Monomial
 
 
@@ -171,6 +171,28 @@ def branch_coeff_by_compositions(
         if coeff:
             terms[(Monomial.one(), exponent, p - 1 - j)] = coeff
     return MixedExpr(terms)
+
+
+def build_by_branches(spec, tree, p: int, family: str):
+    """phi_p (family "phi") or psi_p ("psi") assembled branch by branch: the
+    seed times the root coefficient plus every node times its coefficient from
+    `branch_coeff_by_compositions`, summed in plain Fractions.  Branches are
+    taken in `tree.branches()` order, so the first resonant one raises.  A
+    radial tree gives the node-symbol form."""
+    alphas = [()] + tree.branches()
+    coeffs = [
+        branch_coeff_by_compositions(spec.lambdas, spec.homogeneous_dim, alpha, p, family)
+        for alpha in alphas
+    ]
+    if tree.kind == "radial":
+        return NodeSymbolExpr.build(dict(zip(alphas, coeffs)))
+    out: dict = {}
+    for alpha, coeff in zip(alphas, coeffs):
+        node = tree.nodes[alpha] if alpha else tree.seed
+        for mono, c in node.terms.items():
+            for (_, mu, k), c_t in coeff.terms.items():
+                _add(out, (mono, mu, k), c * c_t)
+    return MixedExpr(out)
 
 
 # --- left-invariant frame and the frame-sum operator ---

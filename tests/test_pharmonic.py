@@ -32,9 +32,15 @@ from polyharm import (
     verify,
     verify_formal,
 )
+from polyharm import pharmonic
 from polyharm.pharmonic import realize
 
-from oracles import branch_coeff_by_compositions, composition_identity_holds, compositions
+from oracles import (
+    branch_coeff_by_compositions,
+    build_by_branches,
+    composition_identity_holds,
+    compositions,
+)
 from test_algebra import filiform
 
 
@@ -175,6 +181,101 @@ def test_phi6_rh2_x16_golden(rh2):
     assert render_digest(rh2, built) == (
         "8f20501bfcb9852f80b3615e796ed33566a7ac725b29c58d46fa26246ac305ee"
     )
+
+
+# --- assembly against the branch-by-branch oracle ---
+
+# phi is resonant on the rh3 trees (2 Lambda = n along (1,)), so these cover
+# Resonance parity as well as built functions
+ORACLE_TREES = [
+    ("ch2", "z^8"),
+    ("rh3", "(x1_1^2+x1_2^2)^6"),
+    ("fil3", "(x1_1*x1_2+x2_1+x3_1)^4"),
+    ("ch4", "(x_1*y_2+z)^4"),
+    ("ch2", "x^2*z^2 - 3/7*y^4"),
+    ("rh3", {(4, True): 1, (2, False): 3}),  # radial seeds
+    ("ch2", {(6, True): 2}),
+]
+
+
+def oracle_tree(name, seed):
+    spec = filiform() if name == "fil3" else catalog_short_name(name)
+    if isinstance(seed, str):
+        return spec, tree_of(spec, seed)
+    return spec, radial_tree(spec, seed)
+
+
+def typed(e):
+    """The canonical terms of a built function with the type of every
+    exponent and coefficient beside its value."""
+    if isinstance(e, NodeSymbolExpr):
+        return {alpha: typed(coeff) for alpha, coeff in e.terms.items()}
+    return {
+        (mono, type(mu), mu, type(k), k): (type(c), c)
+        for (mono, mu, k), c in e.terms.items()
+    }
+
+
+def outcome(make):
+    """What make() gives: the typed terms of a function, or the Resonance it
+    raises."""
+    try:
+        return typed(make())
+    except Resonance as err:
+        return ("Resonance", err.alpha, err.k, str(err))
+
+
+def production_build(spec, tree, p, family):
+    return (build_phi if family == "phi" else build_psi)(spec, tree, p)
+
+
+@pytest.mark.parametrize("name, seed", ORACLE_TREES)
+def test_build_matches_branch_oracle(name, seed):
+    spec, tree = oracle_tree(name, seed)
+    for p in range(1, 9):
+        for family in ("phi", "psi"):
+            assert outcome(lambda: production_build(spec, tree, p, family)) == outcome(
+                lambda: build_by_branches(spec, tree, p, family)
+            )
+
+
+P_ORDERS = [range(1, 9), range(8, 0, -1), (5, 1, 8, 3, 2, 7, 4, 6)]
+
+
+def memo_outcomes(trees, order):
+    """Every build and some branch coefficients of the trees, p in `order`."""
+    out = {}
+    for index, (spec, tree) in enumerate(trees):
+        for p in order:
+            for family, coeff in (("phi", f_coeff), ("psi", g_coeff)):
+                out[index, p, family] = outcome(
+                    lambda: production_build(spec, tree, p, family)
+                )
+                for alpha in [()] + tree.branches()[-3:]:
+                    out[index, p, family, alpha] = outcome(lambda: coeff(spec, alpha, p))
+    return out
+
+
+def test_row_memo_does_not_change_results(monkeypatch):
+    trees = [oracle_tree(name, seed) for name, seed in ORACLE_TREES]
+    pharmonic._ROWS.clear()
+    expected = memo_outcomes(trees, P_ORDERS[0])
+    for order in P_ORDERS[1:]:
+        pharmonic._ROWS.clear()
+        assert memo_outcomes(trees, order) == expected
+    monkeypatch.setattr(pharmonic, "_ROW_LIMIT", 1)
+    for order in P_ORDERS:
+        assert memo_outcomes(trees, order) == expected
+
+
+def test_row_memo_is_bounded(monkeypatch, ch2):
+    monkeypatch.setattr(pharmonic, "_ROW_LIMIT", 1)
+    tree = tree_of(ch2, "z^8")
+    for p in (3, 6, 2):
+        build_psi(ch2, tree, p)
+        # cleared at the start of every call: only this call's rows stay
+        assert list(pharmonic._ROWS) == [(ch2, "psi")]
+        assert set(pharmonic._ROWS[(ch2, "psi")]) == {()} | set(tree.nodes)
 
 
 def test_phi2_reproduces_published_biharmonic(rh2):

@@ -281,3 +281,32 @@ def test_tree_from_json_rejects_mistyped_radial_fields(rh3, field, value):
     obj["seed"] = dict(obj["seed"], radial=[term])
     with pytest.raises(ParseError):
         tree_from_json(rh3, obj)
+
+
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def malformed_polynomial_tree(ch2, case):
+    obj = tree_to_json(tension_tree(ch2, poly("z^4", ch2)))
+    if case == "only a kind":
+        return {"kind": "polynomial"}
+    if case == "no nodes":
+        return without(obj, "nodes")
+    if case == "node without alpha":
+        return dict(obj, nodes=[without(obj["nodes"][0], "alpha")] + obj["nodes"][1:])
+    return [obj]  # "not an object"
+
+
+@pytest.mark.parametrize(
+    "case", ["only a kind", "no nodes", "node without alpha", "not an object"]
+)
+def test_tree_from_json_rejects_malformed_polynomial_trees(ch2, case):
+    with pytest.raises(ParseError):
+        tree_from_json(ch2, malformed_polynomial_tree(ch2, case))
+
+
+def test_tree_from_json_rejects_a_radial_seed_that_is_a_string(rh3):
+    obj = tree_to_json(tension_tree_radial(rh3, radial(2, {(2, True): 1})))
+    with pytest.raises(ParseError):
+        tree_from_json(rh3, dict(obj, seed="rho^2*log(rho)"))
