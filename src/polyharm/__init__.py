@@ -21,7 +21,6 @@ from .errors import (
     InternalClosureError,
     JacobiViolation,
     KindMismatch,
-    MissingAssignment,
     NonIncreasingEigenvalues,
     NonPositiveEigenvalue,
     ParseError,
@@ -63,7 +62,6 @@ from .tension import (
     TensionTree,
     render_tree_latex,
     render_tree_text,
-    sum_trees,
     tension_tree,
     tension_tree_radial,
     tree_from_json,

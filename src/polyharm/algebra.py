@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     UnknownCatalogName,
 )
-from .scalar import format_rational, parse_rational
+from .scalar import format_rational, int_field, parse_rational
 
 
 class VarIndex(NamedTuple):
@@ -102,11 +102,6 @@ class AlgebraSpec:
     def bracket(self, u: VarIndex, v: VarIndex) -> dict[VarIndex, Fraction]:
         """[X_u, X_v] expanded in the basis, as a sparse map."""
         return self._pair_map.get((u, v), {})
-
-    def structure_constant(
-        self, i: int, j: int, k: int, l: int, alpha: int, beta: int
-    ) -> Fraction:
-        return self.bracket(VarIndex(i, j), VarIndex(k, l)).get(VarIndex(alpha, beta), Fraction(0))
 
     # --- naming ---
 
@@ -307,7 +302,8 @@ def catalog_short_name(short: str) -> AlgebraSpec:
 # --- JSON interface ---
 
 def from_json_dict(obj: Mapping) -> AlgebraSpec:
-    """Validate the JSON algebra format (rationals as decimal-free strings)."""
+    """Validate the JSON algebra format (rationals as decimal-free strings,
+    dims and bracket indices as integers read by `int_field`)."""
     if not isinstance(obj, Mapping):
         raise ParseError("algebra JSON must be an object")
     try:
@@ -323,17 +319,21 @@ def from_json_dict(obj: Mapping) -> AlgebraSpec:
     if not isinstance(raw_dims, list):
         raise ParseError("'dims' must be a list of positive integers")
     lambdas = [parse_rational(s) for s in raw_lambdas]
+    try:
+        dims = [int_field(raw_dims, i) for i in range(len(raw_dims))]
+    except ParseError:
+        raise ParseError(f"'dims' must be a list of positive integers, got {raw_dims!r}") from None
     brackets = []
     for entry in obj.get("brackets", []):
         if not isinstance(entry, Mapping):
             raise ParseError("each bracket entry must be an object")
         try:
-            idx = tuple(int(entry[key]) for key in ("i", "j", "k", "l", "alpha", "beta"))
+            idx = tuple(int_field(entry, key) for key in ("i", "j", "k", "l", "alpha", "beta"))
             c = parse_rational(entry["c"])
         except KeyError as exc:
             raise ParseError(f"bracket entry is missing key {exc.args[0]!r}") from None
         brackets.append((idx, c))
-    return validate(name, lambdas, raw_dims, brackets)
+    return validate(name, lambdas, dims, brackets)
 
 
 def load_file(path: str) -> AlgebraSpec:

@@ -51,10 +51,6 @@ class BadParams(PolyharmError):
 
 # --- polynomial / expression layer ---
 
-class MissingAssignment(PolyharmError):
-    """An evaluation point does not assign a variable that occurs in the polynomial."""
-
-
 class ParseError(PolyharmError):
     """Syntax error in an expression or seed description.
 

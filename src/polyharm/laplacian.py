@@ -9,14 +9,19 @@ where the coordinate part is assembled from the structure polynomials
 P^{i alpha}_{j beta}: Kronecker deltas for i >= alpha, Bernoulli-weighted sums
 of the ad-power polynomials p^{i alpha}_{j beta}(x, r) for i < alpha.
 
-`tau` is the expanded coordinate formula; its first and second order
-coefficient polynomials are precomputed once per algebra.  The operator is
-linear and its x-part does not depend on t, so `tau` is the linear extension
-of monomial images: each monomial's image (a sum of t-shifts times integer
-polynomials over one denominator) is computed once and memoized on the
-algebra's tables, in a memo of bounded size, and an expression's terms are
-pushed through those images with the t-part folded in, accumulated on
-integers over one common denominator.
+Everything derived from one algebra lives in one `Tables` object, built on
+first use and stored on the spec itself (`tables_of`), so it lives as long as
+the spec and no lookup hashes the spec: the ad-power rows, the structure
+polynomials, the operator's first and second order coefficient polynomials,
+and the memos of the operator's monomial images and of each family's branch
+rows (filled by `pharmonic`), all bounded by `_MEMO_LIMIT`.
+
+`tau` is the expanded coordinate formula.  The operator is linear and its
+x-part does not depend on t, so `tau` is the linear extension of monomial
+images: each monomial's image (a sum of t-shifts times integer polynomials
+over one denominator) is computed once and memoized, and an expression's
+terms are pushed through those images with the t-part folded in,
+accumulated on integers over one common denominator.
 
 The test suite cross-asserts `tau` against an independent frame-sum
 realization A(A(e)) + sum X^i_j(X^i_j(e)) - n t e_t built from the
@@ -28,27 +33,12 @@ structure constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial, lcm
 from .algebra import AlgebraSpec, VarIndex
 from .expr import Key, MixedExpr, _acc, _wrap
 from .poly import Monomial, Polynomial
-
-
-# --- Bernoulli numbers, B_1 = +1/2 convention ---
-
-@lru_cache(maxsize=None)
-def _bernoulli_minus(n: int) -> Fraction:
-    if n == 0:
-        return Fraction(1)
-    if n >= 3 and n % 2:
-        return Fraction(0)
-    acc = Fraction(0)
-    for k in range(n):
-        acc += comb(n + 1, k) * _bernoulli_minus(k)
-    return -acc / (n + 1)
 
 
 def bernoulli(r: int) -> Fraction:
@@ -57,47 +47,28 @@ def bernoulli(r: int) -> Fraction:
         raise ValueError("Bernoulli index must be non-negative")
     if r == 1:
         return Fraction(1, 2)
-    return _bernoulli_minus(r)
+    # B_n = -1/(n+1) sum_{k<n} C(n+1, k) B_k, from B_0 = 1 (B_1 = -1/2 here)
+    b = [Fraction(1)]
+    for n in range(1, r + 1):
+        b.append(-sum(comb(n + 1, k) * b[k] for k in range(n)) / (n + 1))
+    return b[r]
 
 
-# --- ad-power coefficient polynomials ---
+# --- per-algebra tables ---
 
-@lru_cache(maxsize=None)
-def _ad_rows(spec: AlgebraSpec, r: int) -> dict[VarIndex, dict[VarIndex, Polynomial]]:
-    """Row (i,j) maps target (alpha,beta) to the coefficient of X^alpha_beta in
-    ad(X)^r X^i_j, where X = sum x^k_l X^k_l is the generic element."""
-    assert r >= 1
-    rows: dict[VarIndex, dict[VarIndex, Polynomial]] = {}
-    basis = spec.variables()
-    if r == 1:
-        for source in basis:
-            row: dict[VarIndex, Polynomial] = {}
-            for u in basis:
-                xu = Polynomial.variable(u)
-                for target, c in spec.bracket(u, source).items():
-                    row[target] = row.get(target, Polynomial.zero()) + xu * c
-            rows[source] = {v: p for v, p in row.items() if not p.is_zero()}
-        return rows
-    prev = _ad_rows(spec, r - 1)
-    step = _ad_rows(spec, 1)
-    for source in basis:
-        row = {}
-        for mid, p_mid in prev[source].items():
-            for target, p_step in step.get(mid, {}).items():
-                row[target] = row.get(target, Polynomial.zero()) + p_mid * p_step
-        rows[source] = {v: p for v, p in row.items() if not p.is_zero()}
-    return rows
+# Most entries each memo of an algebra's tables keeps: the operator's monomial
+# images, and each family's branch rows.  A memo is cleared wholesale at the
+# start of a call once it holds this many, so a long-lived process keeps at
+# most this many plus those of one call, per memo of a live algebra.
+_MEMO_LIMIT = 4096
 
+# The x-part of the operator on one monomial m: sum over s of t^(shifts[s])
+# times a polynomial, with monomials as memo ids and integer numerators over
+# one denominator, as (denominator, id of m, ((shift id, id, numerator), ...)).
+_Image = tuple[int, int, tuple[tuple[int, int, int], ...]]
 
-def ad_power(spec: AlgebraSpec, i: int, j: int, r: int) -> dict[VarIndex, Polynomial]:
-    """Coefficient polynomials p^{i alpha}_{j beta}(x, r) of ad(X)^r X^i_j."""
-    if r < 1:
-        raise ValueError("ad power must be >= 1")
-    spec.check_index(VarIndex(i, j))
-    return dict(_ad_rows(spec, r).get(VarIndex(i, j), {}))
+_AdRows = dict[VarIndex, dict[VarIndex, Polynomial]]
 
-
-# --- structure polynomials ---
 
 @dataclass(frozen=True, eq=False)
 class StructPolyTable:
@@ -110,33 +81,108 @@ class StructPolyTable:
         return self.entries.get((i, j, alpha, beta), Polynomial.zero())
 
 
-@lru_cache(maxsize=None)
-def struct_polys(spec: AlgebraSpec) -> StructPolyTable:
+class Tables:
+    """Everything derived from one algebra; see the module docstring."""
+
+    def __init__(self, spec: AlgebraSpec) -> None:
+        self.ad_rows = _ad_rows(spec)
+        self.struct = _struct_table(spec, self.ad_rows)
+        # 2 lambda_i, with shift id i - 1
+        self.shifts = tuple(2 * spec.lam(i) for i in range(1, spec.m + 1))
+        self.coefficients = _coefficients(spec, self.struct)
+        # the image memo (`_image`): monomial images, and the monomials they
+        # use interned to ids (id -> monomial, monomial -> id)
+        self.images: dict[Monomial, _Image] = {}
+        self.monomials: list[Monomial] = []
+        self.monomial_ids: dict[Monomial, int] = {}
+        # family -> multi-index -> branch row (`pharmonic._row`)
+        self.rows: dict[str, dict] = {"phi": {}, "psi": {}}
+
+    def bound_images(self) -> None:
+        """Clear the image memo once it holds `_MEMO_LIMIT` monomials."""
+        if len(self.monomials) >= _MEMO_LIMIT:
+            self.images.clear()
+            self.monomials.clear()
+            self.monomial_ids.clear()
+
+    def branch_rows(self, family: str) -> dict:
+        """The branch-row memo of `family`, cleared first once it holds
+        `_MEMO_LIMIT` rows."""
+        memo = self.rows[family]
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
+        return memo
+
+
+def tables_of(spec: AlgebraSpec) -> Tables:
+    """The tables of `spec`, built on first use and kept on the spec."""
+    found = spec.__dict__.get("_tables")
+    if found is None:
+        found = spec.__dict__["_tables"] = Tables(spec)
+    return found
+
+
+def _nonzero(row: dict) -> dict:
+    return {v: p for v, p in row.items() if not p.is_zero()}
+
+
+def _ad_rows(spec: AlgebraSpec) -> list[_AdRows]:
+    """Row r - 1 maps source to target to the coefficient of X_target in
+    ad(X)^r X_source, X = sum x^k_l X^k_l the generic element, for r = 1..m-1;
+    each bracket raises the layer, so ad(X)^m = 0."""
+    basis = spec.variables()
+    step: _AdRows = {}  # ad(X) X_source
+    for source in basis:
+        row: dict[VarIndex, Polynomial] = {}
+        for u in basis:
+            xu = Polynomial.variable(u)
+            for target, c in spec.bracket(u, source).items():
+                row[target] = row.get(target, Polynomial.zero()) + xu * c
+        step[source] = _nonzero(row)
+    powers: list[_AdRows] = [{v: {v: Polynomial.one()} for v in basis}]  # ad(X)^0
+    while len(powers) < spec.m:
+        rows: _AdRows = {}
+        for source in basis:
+            row = {}
+            for mid, p_mid in powers[-1][source].items():
+                for target, p_step in step[mid].items():
+                    row[target] = row.get(target, Polynomial.zero()) + p_mid * p_step
+            rows[source] = _nonzero(row)
+        powers.append(rows)
+    return powers[1:]
+
+
+def ad_power(spec: AlgebraSpec, i: int, j: int, r: int) -> dict[VarIndex, Polynomial]:
+    """Coefficient polynomials p^{i alpha}_{j beta}(x, r) of ad(X)^r X^i_j."""
+    if r < 1:
+        raise ValueError("ad power must be >= 1")
+    spec.check_index(VarIndex(i, j))
+    rows = tables_of(spec).ad_rows
+    return dict(rows[r - 1][VarIndex(i, j)]) if r < spec.m else {}
+
+
+# --- structure polynomials ---
+
+def _struct_table(spec: AlgebraSpec, ad_rows: list[_AdRows]) -> StructPolyTable:
     entries: dict[tuple[int, int, int, int], Polynomial] = {}
     for v in spec.variables():
         # i >= alpha: the identity block, no polynomial content
         entries[(v.layer, v.slot, v.layer, v.slot)] = Polynomial.one()
-    for r in range(1, spec.m):
-        weight = bernoulli(r)
-        for k in range(2, r + 1):
-            weight /= k
-        rows = _ad_rows(spec, r)
+    for r, rows in enumerate(ad_rows, start=1):
+        weight = bernoulli(r) / factorial(r)
         for source, row in rows.items():
             for target, p in row.items():
                 if target.layer > source.layer:
                     key = (source.layer, source.slot, target.layer, target.slot)
                     entries[key] = entries.get(key, Polynomial.zero()) + p * weight
-    entries = {k: p for k, p in entries.items() if not p.is_zero()}
-    return StructPolyTable(spec=spec, entries=entries)
+    return StructPolyTable(spec=spec, entries=_nonzero(entries))
+
+
+def struct_polys(spec: AlgebraSpec) -> StructPolyTable:
+    return tables_of(spec).struct
 
 
 # --- the operator ---
-
-# Most monomials the operator memo keeps per algebra.  The memo is cleared
-# wholesale at the start of a call once it holds this many, so a long-lived
-# process keeps at most this many plus those of one call.
-_MEMO_LIMIT = 4096
-
 
 def tau_t(e: MixedExpr, n: Fraction) -> MixedExpr:
     """The pure t-part t^2 e_tt + (1 - n) t e_t, exact and termwise."""
@@ -151,31 +197,12 @@ def tau_t(e: MixedExpr, n: Fraction) -> MixedExpr:
     return _wrap(out)
 
 
-# The x-part of the operator on one monomial m: sum over s of t^(shifts[s])
-# times a polynomial, with monomials as memo ids and integer numerators over
-# one denominator, as (denominator, id of m, ((shift id, id, numerator), ...)).
-_Image = tuple[int, int, tuple[tuple[int, int, int], ...]]
-
-
-@dataclass(frozen=True, eq=False)
-class _TauTables:
-    n: Fraction
-    shifts: tuple[Fraction, ...]  # 2 lambda_i, with shift id i - 1
-    # unordered derivative pair -> shift id -> coefficient polynomial
-    second: dict[tuple[VarIndex, VarIndex], dict[int, Polynomial]]
-    first: dict[VarIndex, dict[int, Polynomial]]
-    # the memo, filled on first use by `_image`: monomial images, and the
-    # monomials they use interned to ids (id -> monomial, monomial -> id)
-    images: dict[Monomial, _Image] = field(default_factory=dict)
-    monomials: list[Monomial] = field(default_factory=list)
-    monomial_ids: dict[Monomial, int] = field(default_factory=dict)
-
-
-@lru_cache(maxsize=None)
-def _tau_tables(spec: AlgebraSpec) -> _TauTables:
-    table = struct_polys(spec)
+def _coefficients(spec: AlgebraSpec, table: StructPolyTable) -> dict:
+    """The operator's coefficient polynomials by the variables of their
+    derivative, first order (one variable) before second order (an
+    unordered pair), then by shift id."""
+    first: dict[tuple[VarIndex], dict[int, Polynomial]] = {}
     second: dict[tuple[VarIndex, VarIndex], dict[int, Polynomial]] = {}
-    first: dict[VarIndex, dict[int, Polynomial]] = {}
     for i in range(1, spec.m + 1):
         shift = i - 1
         for j in range(1, spec.dim(i) + 1):
@@ -193,24 +220,10 @@ def _tau_tables(spec: AlgebraSpec) -> _TauTables:
                     dp = p2.partial(v1)
                     if dp.is_zero():
                         continue
-                    bucket = first.setdefault(v2, {})
+                    bucket = first.setdefault((v2,), {})
                     bucket[shift] = bucket.get(shift, Polynomial.zero()) + p1 * dp
-    second = {
-        pair: {s: p for s, p in shifts.items() if not p.is_zero()}
-        for pair, shifts in second.items()
-    }
-    second = {pair: shifts for pair, shifts in second.items() if shifts}
-    first = {
-        v: {s: p for s, p in shifts.items() if not p.is_zero()}
-        for v, shifts in first.items()
-    }
-    first = {v: shifts for v, shifts in first.items() if shifts}
-    return _TauTables(
-        n=spec.homogeneous_dim,
-        shifts=tuple(2 * spec.lam(i) for i in range(1, spec.m + 1)),
-        second=second,
-        first=first,
-    )
+    out = {variables: _nonzero(shifts) for variables, shifts in {**first, **second}.items()}
+    return {variables: shifts for variables, shifts in out.items() if shifts}
 
 
 def _derivative(exps: dict[VarIndex, int], *variables: VarIndex) -> tuple[int, Monomial]:
@@ -227,7 +240,7 @@ def _derivative(exps: dict[VarIndex, int], *variables: VarIndex) -> tuple[int, M
     return factor, Monomial(exps.items())
 
 
-def _intern(tables: _TauTables, mono: Monomial) -> int:
+def _intern(tables: Tables, mono: Monomial) -> int:
     i = tables.monomial_ids.get(mono)
     if i is None:
         i = tables.monomial_ids[mono] = len(tables.monomials)
@@ -235,16 +248,15 @@ def _intern(tables: _TauTables, mono: Monomial) -> int:
     return i
 
 
-def _image(tables: _TauTables, mono: Monomial) -> _Image:
+def _image(tables: Tables, mono: Monomial) -> _Image:
     """The x-part of the operator on one monomial, computed once per memo."""
     image = tables.images.get(mono)
     if image is not None:
         return image
     exps = dict(mono.exps)
     acc: dict[tuple[int, Monomial], Fraction] = {}
-    derivatives = [(shifts, _derivative(exps, v)) for v, shifts in tables.first.items()]
-    derivatives += [(shifts, _derivative(exps, *pair)) for pair, shifts in tables.second.items()]
-    for shifts, (factor, lowered) in derivatives:
+    for variables, shifts in tables.coefficients.items():
+        factor, lowered = _derivative(exps, *variables)
         if not factor:
             continue
         for shift, poly in shifts.items():
@@ -272,14 +284,11 @@ def tau(spec: AlgebraSpec, e: MixedExpr) -> MixedExpr:
     e's coefficients times S for the images and the t-part factors; each
     output coefficient is normalized once, as a Fraction over D * S.
     """
-    tables = _tau_tables(spec)
+    tables = tables_of(spec)
     if not e.terms:
         return _wrap({})
-    if len(tables.monomials) >= _MEMO_LIMIT:
-        tables.images.clear()
-        tables.monomials.clear()
-        tables.monomial_ids.clear()
-    n = tables.n
+    tables.bound_images()
+    n = spec.homogeneous_dim
     d = lcm(*(c.denominator for c in e.terms.values()))
     # e's terms by monomial as (t-exponent id, log power, numerator over d).
     # Terms mostly share their exponent objects, so ids are looked up by object

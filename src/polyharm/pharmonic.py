@@ -13,9 +13,10 @@ node; a violation raises Resonance and callers fall back to psi, which is
 always defined.
 
 Assembly has two parts.  The p-independent part of each coefficient is a row
-u_alpha, computed in one step from its parent's row (`_Row`) and kept in a
-memo per algebra and family, of bounded size; one row serves every p up to
-its length and every branch that extends alpha.  The sum over the tree then
+u_alpha, computed in one step from its parent's row (`_Row`) and kept in the
+algebra's tables (`laplacian.Tables`), one memo per family, bounded by the
+same `_MEMO_LIMIT` as the operator's memo; one row serves every p up to its
+length and every branch that extends alpha.  The sum over the tree then
 runs on integers: node coefficients and rows are scaled to common
 denominators, products are accumulated in a dict keyed by ints and monomials,
 and each output coefficient is normalized once.
@@ -39,18 +40,12 @@ from typing import Callable, Mapping, Union
 from .algebra import AlgebraSpec
 from .errors import KindMismatch, Resonance, ZeroCombination
 from .expr import MixedExpr, _acc, _wrap
-from .laplacian import tau, tau_t
+from .laplacian import tables_of, tau, tau_t
 from .poly import Monomial, Polynomial
 from .tension import MultiIndex, Node, TensionTree
 
 
 # --- branch rows ---
-
-# Most branch rows the row memos keep, over all algebras and both families.
-# The memos are cleared wholesale at the start of a call once they hold this
-# many, so a long-lived process keeps at most this many plus those of one call.
-_ROW_LIMIT = 4096
-
 
 @dataclass(slots=True)
 class _Row:
@@ -75,17 +70,6 @@ class _Row:
     a: Fraction
     m: Fraction
     u: list[Fraction]
-
-
-# (algebra, family) -> multi-index -> row
-_ROWS: dict[tuple[AlgebraSpec, str], dict[MultiIndex, _Row]] = {}
-
-
-def _row_memo(spec: AlgebraSpec, family: str) -> dict[MultiIndex, _Row]:
-    """The rows of one algebra and family; bounds all memos first."""
-    if sum(map(len, _ROWS.values())) >= _ROW_LIMIT:
-        _ROWS.clear()
-    return _ROWS.setdefault((spec, family), {})
 
 
 def _row(
@@ -141,7 +125,7 @@ def _coeff_expr(row: _Row, p: int) -> MixedExpr:
 def _branch_coeff(spec: AlgebraSpec, alpha: MultiIndex, p: int, family: str) -> MixedExpr:
     if p < 1:
         raise ValueError("p must be >= 1")
-    memo = _row_memo(spec, family)
+    memo = tables_of(spec).branch_rows(family)
     row = _row(spec, memo, (), p, family)
     for k in range(1, len(alpha) + 1):
         row = _row(spec, memo, alpha[:k], p, family)
@@ -265,7 +249,7 @@ def _build(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> Built:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    memo = _row_memo(spec, family)
+    memo = tables_of(spec).branch_rows(family)
     branches = tree.branches()
     rows = [_row(spec, memo, (), p, family)]
     for alpha in branches:

@@ -12,7 +12,6 @@ from functools import total_ordering
 from typing import Callable, Iterable, Mapping
 
 from .algebra import VarIndex
-from .errors import MissingAssignment
 from .scalar import format_rational
 
 
@@ -139,13 +138,6 @@ class Polynomial:
             out |= mono.layers()
         return out
 
-    def homogeneous_degree(self) -> int | None:
-        """Common degree of all terms, or None if inhomogeneous / zero."""
-        degrees = {mono.degree for mono in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
@@ -232,17 +224,6 @@ class Polynomial:
         result = Polynomial.__new__(Polynomial)
         result.terms = out
         return result
-
-    def evaluate(self, point: Mapping[VarIndex, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for v, e in mono.exps:
-                if v not in point:
-                    raise MissingAssignment(f"no value assigned to {v}")
-                value *= Fraction(point[v]) ** e
-            total += value
-        return total
 
     # --- rendering ---
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import ParseError
 
@@ -39,9 +39,10 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def int_field(obj: Mapping, key: str) -> int:
-    """obj[key] as an int: an int (not a bool) or a decimal-integer string;
-    anything else, a float included, is refused rather than truncated."""
+def int_field(obj: Mapping | Sequence, key: str | int) -> int:
+    """obj[key], a field of an object or an entry of a list, as an int: an int
+    (not a bool) or a decimal-integer string; anything else, a float
+    included, is refused rather than truncated."""
     value = obj[key]
     if isinstance(value, int) and not isinstance(value, bool):
         return value

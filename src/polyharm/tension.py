@@ -322,34 +322,6 @@ def tension_tree_radial(
     return TensionTree(spec=spec, kind="radial", seed=seed, nodes=nodes, degree=degree)
 
 
-def sum_trees(t1: TensionTree, t2: TensionTree) -> TensionTree:
-    """Nodewise sum; the tree map is linear in the seed."""
-    if t1.spec != t2.spec or t1.kind != t2.kind:
-        raise KindMismatch("trees over different algebras or node kinds")
-    if t1.kind == "polynomial":
-        seed = t1.seed + t2.seed
-        nodes: dict[MultiIndex, Node] = {}
-        for alpha in set(t1.nodes) | set(t2.nodes):
-            zero = Polynomial.zero()
-            total = t1.nodes.get(alpha, zero) + t2.nodes.get(alpha, zero)
-            if not total.is_zero():
-                nodes[alpha] = total
-    else:
-        if t1.seed.affine != t2.seed.affine:
-            raise KindMismatch("radial trees with different affine parts do not sum")
-        seed = RadialSeed(radial=t1.seed.radial + t2.seed.radial, affine=t1.seed.affine)
-        nodes = {}
-        for alpha in set(t1.nodes) | set(t2.nodes):
-            zero = RadialFunction(t1.seed.radial.n1)
-            total = (
-                t1.nodes[alpha].radial if alpha in t1.nodes else zero
-            ) + (t2.nodes[alpha].radial if alpha in t2.nodes else zero)
-            if not total.is_zero():
-                nodes[alpha] = RadialSeed(radial=total, affine=t1.seed.affine)
-    degree = max((len(alpha) for alpha in nodes), default=0)
-    return TensionTree(spec=t1.spec, kind=t1.kind, seed=seed, nodes=nodes, degree=degree)
-
-
 # --- rendering ---
 
 def render_tree_text(tree: TensionTree, use_aliases: bool = True) -> str:

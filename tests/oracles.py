@@ -6,6 +6,8 @@ production code paths it is used to check: the frame-sum operator, the
 expression-level partial-derivative operator and the layer closed forms are
 second realizations of `polyharm.tau`, and the
 high-precision evaluator is a numeric signal beside the canonical zero test.
+The module also holds small helpers only the tests use: exact polynomial
+evaluation, the homogeneous degree, structure constants and tree sums.
 """
 
 from __future__ import annotations
@@ -18,7 +20,19 @@ from typing import Mapping
 
 import mpmath
 
-from polyharm import MixedExpr, NodeSymbolExpr, Polynomial, Resonance, VarIndex, struct_polys
+from polyharm import (
+    KindMismatch,
+    MixedExpr,
+    NodeSymbolExpr,
+    PolyharmError,
+    Polynomial,
+    RadialFunction,
+    RadialSeed,
+    Resonance,
+    TensionTree,
+    VarIndex,
+    struct_polys,
+)
 from polyharm.poly import Monomial
 
 
@@ -290,7 +304,7 @@ def tau_fast_x1x2(spec, h: Polynomial) -> MixedExpr:
     n1, n2 = spec.dim(1), spec.dim(2)
 
     def a112(j: int, l: int, b: int) -> Fraction:
-        return spec.structure_constant(1, j, 1, l, 2, b)
+        return structure_constant(spec, 1, j, 1, l, 2, b)
 
     cross = Polynomial.zero()
     for j in range(1, n1 + 1):
@@ -331,6 +345,66 @@ def tau_fast_x1x2(spec, h: Polynomial) -> MixedExpr:
             quad = quad + coeff * d2
     out = out + MixedExpr.from_polynomial(quad * Fraction(1, 4), mu=shift1)
     return out
+
+
+# --- exact evaluation, homogeneity, structure constants, tree sums ---
+
+class MissingAssignment(PolyharmError):
+    """An evaluation point does not assign a variable that occurs in the polynomial."""
+
+
+def evaluate(poly: Polynomial, point: Mapping[VarIndex, Fraction]) -> Fraction:
+    """The exact value of poly at a rational point."""
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        value = coeff
+        for v, e in mono.exps:
+            if v not in point:
+                raise MissingAssignment(f"no value assigned to {v}")
+            value *= Fraction(point[v]) ** e
+        total += value
+    return total
+
+
+def homogeneous_degree(poly: Polynomial) -> int | None:
+    """Common degree of all terms, or None if inhomogeneous / zero."""
+    degrees = {mono.degree for mono in poly.terms}
+    if len(degrees) == 1:
+        return degrees.pop()
+    return None
+
+
+def structure_constant(spec, i: int, j: int, k: int, l: int, alpha: int, beta: int) -> Fraction:
+    """<[X^i_j, X^k_l], X^alpha_beta>, either orientation of the pair."""
+    return spec.bracket(VarIndex(i, j), VarIndex(k, l)).get(VarIndex(alpha, beta), Fraction(0))
+
+
+def sum_trees(t1: TensionTree, t2: TensionTree) -> TensionTree:
+    """Nodewise sum; the tree map is linear in the seed."""
+    if t1.spec != t2.spec or t1.kind != t2.kind:
+        raise KindMismatch("trees over different algebras or node kinds")
+    if t1.kind == "polynomial":
+        seed = t1.seed + t2.seed
+        nodes = {}
+        for alpha in set(t1.nodes) | set(t2.nodes):
+            zero = Polynomial.zero()
+            total = t1.nodes.get(alpha, zero) + t2.nodes.get(alpha, zero)
+            if not total.is_zero():
+                nodes[alpha] = total
+    else:
+        if t1.seed.affine != t2.seed.affine:
+            raise KindMismatch("radial trees with different affine parts do not sum")
+        seed = RadialSeed(radial=t1.seed.radial + t2.seed.radial, affine=t1.seed.affine)
+        nodes = {}
+        for alpha in set(t1.nodes) | set(t2.nodes):
+            zero = RadialFunction(t1.seed.radial.n1)
+            total = (
+                t1.nodes[alpha].radial if alpha in t1.nodes else zero
+            ) + (t2.nodes[alpha].radial if alpha in t2.nodes else zero)
+            if not total.is_zero():
+                nodes[alpha] = RadialSeed(radial=total, affine=t1.seed.affine)
+    degree = max((len(alpha) for alpha in nodes), default=0)
+    return TensionTree(spec=t1.spec, kind=t1.kind, seed=seed, nodes=nodes, degree=degree)
 
 
 # --- numeric spot checks (secondary signal only) ---

@@ -18,6 +18,8 @@ from polyharm import (
     validate,
 )
 
+from oracles import structure_constant
+
 CH2_JSON = {
     "name": "ch2",
     "lambdas": ["1/2", "1"],
@@ -52,8 +54,8 @@ def test_catalog_ch2(ch2):
     assert ch2.lambdas == (Fraction(1, 2), Fraction(1))
     assert ch2.dims == (2, 1)
     assert ch2.homogeneous_dim == 2
-    assert ch2.structure_constant(1, 1, 1, 2, 2, 1) == 1
-    assert ch2.structure_constant(1, 2, 1, 1, 2, 1) == -1  # synthesized mirror
+    assert structure_constant(ch2, 1, 1, 1, 2, 2, 1) == 1
+    assert structure_constant(ch2, 1, 2, 1, 1, 2, 1) == -1  # synthesized mirror
 
 
 def test_catalog_ch3_homogeneous_dim(ch3):

@@ -26,20 +26,17 @@ def test_validate_catalog(capsys):
     assert "homogeneous_dim=2" in out
 
 
+CH2_FILE = {
+    "name": "ch2-file",
+    "lambdas": ["1/2", "1"],
+    "dims": [2, 1],
+    "brackets": [{"i": 1, "j": 1, "k": 1, "l": 2, "alpha": 2, "beta": 1, "c": "1"}],
+}
+
+
 def test_validate_file_ok(capsys, tmp_path):
     path = tmp_path / "ch2.json"
-    path.write_text(
-        json.dumps(
-            {
-                "name": "ch2-file",
-                "lambdas": ["1/2", "1"],
-                "dims": [2, 1],
-                "brackets": [
-                    {"i": 1, "j": 1, "k": 1, "l": 2, "alpha": 2, "beta": 1, "c": "1"}
-                ],
-            }
-        )
-    )
+    path.write_text(json.dumps(CH2_FILE))
     code, out, _ = run(capsys, "validate", "--algebra", str(path))
     assert code == 0 and "ch2-file" in out
 
@@ -62,6 +59,25 @@ def test_validate_broken_file(capsys, tmp_path):
     code, out, err = run(capsys, "validate", "--algebra", str(path))
     assert code == 1
     assert "GradingViolation" in err
+
+
+@pytest.mark.parametrize(
+    "change, code",
+    [
+        # a float index is refused, not truncated to beta = 1
+        ({"brackets": [dict(CH2_FILE["brackets"][0], beta=1.9)]}, 1),
+        # a bool is not a dimension
+        ({"lambdas": ["1"], "dims": [True], "brackets": []}, 1),
+        # a decimal-integer string is an integer
+        ({"brackets": [dict(CH2_FILE["brackets"][0], i="1")]}, 0),
+    ],
+)
+def test_validate_file_integer_fields(capsys, tmp_path, change, code):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({**CH2_FILE, **change}))
+    got, _, err = run(capsys, "validate", "--algebra", str(path))
+    assert got == code
+    assert ("error[ParseError]" in err) == bool(code)
 
 
 def test_validate_non_utf8_file(capsys, tmp_path):

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -21,6 +23,7 @@ from polyharm import (
     combine,
     f_coeff,
     formal_tau,
+    from_json_dict,
     g_coeff,
     parse,
     parse_polynomial,
@@ -32,7 +35,8 @@ from polyharm import (
     verify,
     verify_formal,
 )
-from polyharm import pharmonic
+from polyharm import laplacian
+from polyharm.laplacian import tables_of
 from polyharm.pharmonic import realize
 
 from oracles import (
@@ -256,26 +260,46 @@ def memo_outcomes(trees, order):
     return out
 
 
+def clear_row_memos(trees):
+    for spec, _ in trees:
+        for memo in tables_of(spec).rows.values():
+            memo.clear()
+
+
 def test_row_memo_does_not_change_results(monkeypatch):
     trees = [oracle_tree(name, seed) for name, seed in ORACLE_TREES]
-    pharmonic._ROWS.clear()
+    clear_row_memos(trees)
     expected = memo_outcomes(trees, P_ORDERS[0])
     for order in P_ORDERS[1:]:
-        pharmonic._ROWS.clear()
+        clear_row_memos(trees)
         assert memo_outcomes(trees, order) == expected
-    monkeypatch.setattr(pharmonic, "_ROW_LIMIT", 1)
+    monkeypatch.setattr(laplacian, "_MEMO_LIMIT", 1)
     for order in P_ORDERS:
         assert memo_outcomes(trees, order) == expected
 
 
-def test_row_memo_is_bounded(monkeypatch, ch2):
-    monkeypatch.setattr(pharmonic, "_ROW_LIMIT", 1)
-    tree = tree_of(ch2, "z^8")
+def test_row_memo_is_bounded(monkeypatch, rh2, ch2):
+    monkeypatch.setattr(laplacian, "_MEMO_LIMIT", 1)
+    calls = [(ch2, "z^8", build_psi, "psi"), (rh2, "x^6", build_phi, "phi")]
     for p in (3, 6, 2):
-        build_psi(ch2, tree, p)
-        # cleared at the start of every call: only this call's rows stay
-        assert list(pharmonic._ROWS) == [(ch2, "psi")]
-        assert set(pharmonic._ROWS[(ch2, "psi")]) == {()} | set(tree.nodes)
+        for spec, seed, build, family in calls:
+            tree = tree_of(spec, seed)
+            build(spec, tree, p)
+            # cleared at the start of every call: only this call's rows stay
+            assert set(tables_of(spec).rows[family]) == {()} | set(tree.nodes)
+
+
+def test_tables_die_with_their_spec():
+    # a name of its own, so that no equal spec is held anywhere else
+    spec = from_json_dict({**catalog_short_name("ch2").to_json_dict(), "name": "ch2 weakref"})
+    ref = weakref.ref(spec)
+    tree = tree_of(spec, "x2_1^4")
+    built = build_psi(spec, tree, 3)
+    assert not tau(spec, built).is_zero()
+    assert verify(spec, built, 3).proper
+    del spec, tree, built
+    gc.collect()
+    assert ref() is None
 
 
 def test_phi2_reproduces_published_biharmonic(rh2):

@@ -18,7 +18,6 @@ from polyharm import (
     parse,
     parse_polynomial,
     render_tree_text,
-    sum_trees,
     tau,
     tension_tree,
     tension_tree_radial,
@@ -27,6 +26,7 @@ from polyharm import (
 )
 
 from conftest import random_polynomial
+from oracles import sum_trees
 
 X = VarIndex(1, 1)
 
