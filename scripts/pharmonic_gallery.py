@@ -14,7 +14,7 @@ from polyharm import (
     build_phi,
     build_psi,
     catalog_short_name,
-    certify_family,
+    certify,
     parse_polynomial,
     render_tree_text,
     tension_tree,
@@ -42,7 +42,7 @@ def main(argv=None) -> int:
             except Resonance as exc:
                 print(f"{family}_{p}: undefined ({exc})")
                 continue
-            cert = certify_family(spec, tree, p, family, seed=args.seed)
+            cert = certify(spec, tree, built, p, family, args.seed)
             status = "proper" if cert.proper else f"order={cert.verified_order}"
             rendered = built.latex(namer) if args.latex else built.render(namer)
             print(f"{family}_{p} ({status}): {rendered}")

@@ -14,7 +14,6 @@ from .algebra import (
 )
 from .errors import (
     BadParams,
-    DepthExceeded,
     DuplicateBracket,
     GradingViolation,
     IndexOutOfRange,
@@ -44,11 +43,10 @@ from .pharmonic import (
     NodeSymbolExpr,
     build_phi,
     build_psi,
+    certify,
     certify_family,
     combine,
-    f_coeff,
     formal_tau,
-    g_coeff,
     recurrence_check,
     verify,
     verify_formal,

@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     UnknownCatalogName,
 )
-from .scalar import format_rational, int_field, parse_rational
+from .scalar import _acc, format_rational, int_field, parse_rational
 
 
 class VarIndex(NamedTuple):
@@ -185,7 +185,7 @@ def validate(
         raise BadParams("at least one eigenvalue layer is required")
     if len(dims) != m:
         raise BadParams(f"{m} eigenvalues but {len(dims)} dimensions")
-    if any(not isinstance(n, int) or n < 1 for n in dims):
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in dims):
         raise BadParams(f"eigenspace dimensions must be positive integers: {dims}")
     lambdas = tuple(Fraction(q) for q in lambdas)
     for q in lambdas:
@@ -235,8 +235,8 @@ def _check_jacobi(spec: AlgebraSpec) -> None:
                     inner = spec.bracket(x, y)
                     for mid, c_mid in inner.items():
                         for target, c_t in spec.bracket(mid, z).items():
-                            acc[target] = acc.get(target, Fraction(0)) + c_mid * c_t
-                if any(val != 0 for val in acc.values()):
+                            _acc(acc, target, c_mid * c_t)
+                if acc:
                     raise JacobiViolation(f"Jacobi identity fails on triple ({u}, {v}, {w})")
 
 
@@ -280,7 +280,12 @@ def catalog(name: str, params: Sequence[int]) -> AlgebraSpec:
         raise UnknownCatalogName(
             f"unknown catalog algebra {name!r}; known: {sorted(CATALOG)}"
         )
-    if len(params) != 1 or not isinstance(params[0], int) or params[0] < 1:
+    if (
+        len(params) != 1
+        or isinstance(params[0], bool)
+        or not isinstance(params[0], int)
+        or params[0] < 1
+    ):
         raise BadParams(f"{name} expects a single integer parameter n >= 1, got {params!r}")
     return CATALOG[name][0](params[0])
 

@@ -26,11 +26,11 @@ from .pharmonic import (
     NodeSymbolExpr,
     build_phi,
     build_psi,
+    certify,
     combine,
     verify,
-    verify_formal,
 )
-from .scalar import format_rational, int_field, parse_rational
+from .scalar import _acc, format_rational, int_field, parse_rational
 from .tension import (
     AffinePart,
     RadialFunction,
@@ -84,10 +84,9 @@ def parse_radial_seed(text: str | Mapping) -> RadialSeed:
         b = parse_rational(str(term.get("b", "0")))
         if a:
             key = (2 * k, True) if n1 == 2 else (2 * k + 2 - n1, False)
-            accum[key] = accum.get(key, Fraction(0)) + a
+            _acc(accum, key, a)
         if b:
-            key = (2 * k, False)
-            accum[key] = accum.get(key, Fraction(0)) + b
+            _acc(accum, (2 * k, False), b)
     gobj = obj.get("G", {})
     if not isinstance(gobj, Mapping):
         raise ParseError("'G' must be an object with c0 and optional c list")
@@ -152,9 +151,8 @@ def _emit_certificate(cert: HarmonicCertificate, fmt: str) -> str:
 def _load_tree(spec: AlgebraSpec, args) -> TensionTree:
     if args.radial_seed is not None:
         seed = parse_radial_seed(args.radial_seed)
-        return tension_tree_radial(spec, seed, max_depth=args.max_depth)
-    h = parse_polynomial(args.seed, spec)
-    return tension_tree(spec, h, max_depth=args.max_depth)
+        return tension_tree_radial(spec, seed)
+    return tension_tree(spec, parse_polynomial(args.seed, spec))
 
 
 def _cmd_catalog_list(args) -> int:
@@ -204,7 +202,7 @@ def _cmd_build(args) -> int:
     spec = resolve_algebra(args.algebra)
     tree = _load_tree(spec, args)
     built = _build_family(spec, tree, args)
-    if isinstance(built, MixedExpr):
+    if tree.kind == "polynomial":
         print(_emit_expr(built, spec, args.format))
     else:
         print(_emit_formal(built, args.format))
@@ -220,10 +218,7 @@ def _cmd_verify(args) -> int:
         tree = _load_tree(spec, args)
         built = _build_family(spec, tree, args)
         seed_text = args.seed if args.seed is not None else args.radial_seed
-        if isinstance(built, MixedExpr):
-            cert = verify(spec, built, args.p, kind=args.kind, seed=seed_text)
-        else:
-            cert = verify_formal(spec, built, tree, args.p, kind=args.kind, seed=seed_text)
+        cert = certify(spec, tree, built, args.p, args.kind, seed_text)
     print(_emit_certificate(cert, args.format))
     return 0
 
@@ -243,7 +238,6 @@ def _add_seed_args(sub) -> None:
         "--radial-seed",
         help='radial seed JSON, e.g. \'{"n1":2,"terms":[{"k":1,"a":"1","b":"0"}],"G":{"c0":"1"}}\'',
     )
-    sub.add_argument("--max-depth", type=int, default=64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--expr", help="expression to verify directly")
     group.add_argument("--seed", help="polynomial seed (build then verify)")
     group.add_argument("--radial-seed", help="radial seed JSON (build then verify formally)")
-    p_verify.add_argument("--max-depth", type=int, default=64)
     p_verify.add_argument("--kind", choices=("phi", "psi", "combo"), default="phi")
     p_verify.add_argument("--p", type=int, required=True)
     p_verify.add_argument("--a", default="1")

@@ -66,10 +66,6 @@ class ParseError(PolyharmError):
 
 # --- operator / tension layer ---
 
-class DepthExceeded(PolyharmError):
-    pass
-
-
 class InternalClosureError(PolyharmError):
     """The image of a t-independent function under the operator left the expected
     span of t^(2*lambda_k) components.  Indicates an operator bug, never user error."""

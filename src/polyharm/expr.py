@@ -4,7 +4,9 @@ The grading operator image of any member stays in the class, which is what
 makes exact iteration (and hence exact certification) possible.  Exponents mu
 are rationals, log powers are non-negative integers.  Canonical form = sparse
 map keyed by (monomial, mu, logpow) with nonzero Fraction values; equality of
-maps is the authoritative zero test.
+maps is the authoritative zero test.  `MixedExpr` is a `poly.Sparse`, which
+gives it equality, hashing, sums, scalar multiples and powers; this module
+adds its product, calculus, rendering and the parser.
 
 An expression whose every monomial is constant is "t-only" (the coefficient
 functions f/g of the main construction live there); one with mu = 0 and
@@ -19,15 +21,15 @@ from typing import Callable, Mapping
 
 from .algebra import AlgebraSpec, VarIndex
 from .errors import ParseError
-from .poly import Monomial, Polynomial, format_term, monomial_factors
-from .scalar import format_rational
+from .poly import Monomial, Polynomial, Sparse, format_term, monomial_factors
+from .scalar import _acc, format_rational
 
 # key: (monomial, t-exponent, log-power)
 Key = tuple[Monomial, Fraction, int]
 
 
-class MixedExpr:
-    __slots__ = ("terms",)
+class MixedExpr(Sparse):
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Key, Fraction] | None = None):
         clean: dict[Key, Fraction] = {}
@@ -40,10 +42,6 @@ class MixedExpr:
         self.terms = clean
 
     # --- constructors ---
-
-    @classmethod
-    def zero(cls) -> "MixedExpr":
-        return cls()
 
     @classmethod
     def constant(cls, value: Fraction | int) -> "MixedExpr":
@@ -70,9 +68,6 @@ class MixedExpr:
 
     # --- structure ---
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_t_independent(self) -> bool:
         return all(mu == 0 and logpow == 0 for _, mu, logpow in self.terms)
 
@@ -88,71 +83,22 @@ class MixedExpr:
             grouped.setdefault((mu, logpow), {})[mono] = c
         return {key: Polynomial(val) for key, val in grouped.items()}
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MixedExpr) and self.terms == other.terms
+    # --- product and calculus ---
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    # --- arithmetic ---
-
-    def __add__(self, other: "MixedExpr") -> "MixedExpr":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, Fraction(0)) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return _wrap(out)
-
-    def __neg__(self) -> "MixedExpr":
-        return _wrap({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other: "MixedExpr") -> "MixedExpr":
-        return self + (-other)
-
-    def __mul__(self, other) -> "MixedExpr":
-        if isinstance(other, (Fraction, int)):
-            other = Fraction(other)
-            return _wrap(
-                {} if not other else {k: c * other for k, c in self.terms.items()}
-            )
+    def _times(self, other: "MixedExpr | Polynomial") -> "MixedExpr":
         if isinstance(other, Polynomial):
             other = MixedExpr.from_polynomial(other)
         out: dict[Key, Fraction] = {}
         for (m1, mu1, k1), c1 in self.terms.items():
             for (m2, mu2, k2), c2 in other.terms.items():
-                key = (m1 * m2, mu1 + mu2, k1 + k2)
-                acc = out.get(key, Fraction(0)) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return _wrap(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "MixedExpr":
-        if exponent < 0:
-            raise ValueError("negative power of a mixed expression")
-        result = MixedExpr.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+                _acc(out, (m1 * m2, mu1 + mu2, k1 + k2), c1 * c2)
+        return self._wrap(out)
 
     def mul_t_power(self, shift: Fraction | int) -> "MixedExpr":
         shift = Fraction(shift)
         if not shift:
             return self
-        return _wrap({(m, mu + shift, k): c for (m, mu, k), c in self.terms.items()})
-
-    # --- calculus ---
+        return self._wrap({(m, mu + shift, k): c for (m, mu, k), c in self.terms.items()})
 
     def d_dt(self) -> "MixedExpr":
         """Exact d/dt: c*m*t^mu*log^k -> c*m*(mu t^(mu-1) log^k + k t^(mu-1) log^(k-1))."""
@@ -162,17 +108,15 @@ class MixedExpr:
                 _acc(out, (mono, mu - 1, k), c * mu)
             if k:
                 _acc(out, (mono, mu - 1, k - 1), c * k)
-        return _wrap(out)
+        return self._wrap(out)
 
     def partial(self, v: VarIndex) -> "MixedExpr":
         out: dict[Key, Fraction] = {}
         for (mono, mu, k), c in self.terms.items():
-            e = mono.exponent(v)
-            if not e:
-                continue
-            lowered = Monomial([(w, p - 1 if w == v else p) for w, p in mono.exps])
-            _acc(out, (lowered, mu, k), c * e)
-        return _wrap(out)
+            factor, lowered = mono.derivative(v)
+            if factor:
+                _acc(out, (lowered, mu, k), c * factor)
+        return self._wrap(out)
 
     # --- rendering ---
 
@@ -214,20 +158,6 @@ class MixedExpr:
 
     def __repr__(self) -> str:
         return f"MixedExpr({self.render()})"
-
-
-def _wrap(terms: dict[Key, Fraction]) -> MixedExpr:
-    e = MixedExpr.__new__(MixedExpr)
-    e.terms = terms
-    return e
-
-
-def _acc(out: dict[Key, Fraction], key: Key, value: Fraction) -> None:
-    acc = out.get(key, Fraction(0)) + value
-    if acc:
-        out[key] = acc
-    else:
-        out.pop(key, None)
 
 
 def latex_term(coeff: Fraction, factors: list[str], first: bool) -> str:

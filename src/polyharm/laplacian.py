@@ -37,8 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from .algebra import AlgebraSpec, VarIndex
-from .expr import Key, MixedExpr, _acc, _wrap
+from .expr import Key, MixedExpr
 from .poly import Monomial, Polynomial
+from .scalar import _acc
 
 
 def bernoulli(r: int) -> Fraction:
@@ -122,10 +123,6 @@ def tables_of(spec: AlgebraSpec) -> Tables:
     return found
 
 
-def _nonzero(row: dict) -> dict:
-    return {v: p for v, p in row.items() if not p.is_zero()}
-
-
 def _ad_rows(spec: AlgebraSpec) -> list[_AdRows]:
     """Row r - 1 maps source to target to the coefficient of X_target in
     ad(X)^r X_source, X = sum x^k_l X^k_l the generic element, for r = 1..m-1;
@@ -137,8 +134,8 @@ def _ad_rows(spec: AlgebraSpec) -> list[_AdRows]:
         for u in basis:
             xu = Polynomial.variable(u)
             for target, c in spec.bracket(u, source).items():
-                row[target] = row.get(target, Polynomial.zero()) + xu * c
-        step[source] = _nonzero(row)
+                _acc(row, target, xu * c)
+        step[source] = row
     powers: list[_AdRows] = [{v: {v: Polynomial.one()} for v in basis}]  # ad(X)^0
     while len(powers) < spec.m:
         rows: _AdRows = {}
@@ -146,8 +143,8 @@ def _ad_rows(spec: AlgebraSpec) -> list[_AdRows]:
             row = {}
             for mid, p_mid in powers[-1][source].items():
                 for target, p_step in step[mid].items():
-                    row[target] = row.get(target, Polynomial.zero()) + p_mid * p_step
-            rows[source] = _nonzero(row)
+                    _acc(row, target, p_mid * p_step)
+            rows[source] = row
         powers.append(rows)
     return powers[1:]
 
@@ -174,8 +171,8 @@ def _struct_table(spec: AlgebraSpec, ad_rows: list[_AdRows]) -> StructPolyTable:
             for target, p in row.items():
                 if target.layer > source.layer:
                     key = (source.layer, source.slot, target.layer, target.slot)
-                    entries[key] = entries.get(key, Polynomial.zero()) + p * weight
-    return StructPolyTable(spec=spec, entries=_nonzero(entries))
+                    _acc(entries, key, p * weight)
+    return StructPolyTable(spec=spec, entries=entries)
 
 
 def struct_polys(spec: AlgebraSpec) -> StructPolyTable:
@@ -194,7 +191,7 @@ def tau_t(e: MixedExpr, n: Fraction) -> MixedExpr:
             _acc(out, (mono, mu, k - 1), c * k * (2 * mu - n))
             if k >= 2:
                 _acc(out, (mono, mu, k - 2), c * k * (k - 1))
-    return _wrap(out)
+    return MixedExpr._wrap(out)
 
 
 def _coefficients(spec: AlgebraSpec, table: StructPolyTable) -> dict:
@@ -214,30 +211,13 @@ def _coefficients(spec: AlgebraSpec, table: StructPolyTable) -> dict:
             for v1, p1 in row.items():
                 for v2, p2 in row.items():
                     pair = (v1, v2) if v1 <= v2 else (v2, v1)
-                    bucket = second.setdefault(pair, {})
-                    bucket[shift] = bucket.get(shift, Polynomial.zero()) + p1 * p2
+                    _acc(second.setdefault(pair, {}), shift, p1 * p2)
                 for v2, p2 in row.items():
                     dp = p2.partial(v1)
                     if dp.is_zero():
                         continue
-                    bucket = first.setdefault((v2,), {})
-                    bucket[shift] = bucket.get(shift, Polynomial.zero()) + p1 * dp
-    out = {variables: _nonzero(shifts) for variables, shifts in {**first, **second}.items()}
-    return {variables: shifts for variables, shifts in out.items() if shifts}
-
-
-def _derivative(exps: dict[VarIndex, int], *variables: VarIndex) -> tuple[int, Monomial]:
-    """The derivative of the monomial with exponents `exps` by `variables`,
-    as (integer factor, monomial); the factor is 0 when it vanishes."""
-    exps = dict(exps)
-    factor = 1
-    for v in variables:
-        e = exps.get(v, 0)
-        if not e:
-            return 0, Monomial.one()
-        factor *= e
-        exps[v] = e - 1
-    return factor, Monomial(exps.items())
+                    _acc(first.setdefault((v2,), {}), shift, p1 * dp)
+    return {variables: shifts for variables, shifts in {**first, **second}.items() if shifts}
 
 
 def _intern(tables: Tables, mono: Monomial) -> int:
@@ -253,10 +233,9 @@ def _image(tables: Tables, mono: Monomial) -> _Image:
     image = tables.images.get(mono)
     if image is not None:
         return image
-    exps = dict(mono.exps)
     acc: dict[tuple[int, Monomial], Fraction] = {}
     for variables, shifts in tables.coefficients.items():
-        factor, lowered = _derivative(exps, *variables)
+        factor, lowered = mono.derivative(*variables)
         if not factor:
             continue
         for shift, poly in shifts.items():
@@ -286,7 +265,7 @@ def tau(spec: AlgebraSpec, e: MixedExpr) -> MixedExpr:
     """
     tables = tables_of(spec)
     if not e.terms:
-        return _wrap({})
+        return MixedExpr()
     tables.bound_images()
     n = spec.homogeneous_dim
     d = lcm(*(c.denominator for c in e.terms.values()))
@@ -343,7 +322,7 @@ def tau(spec: AlgebraSpec, e: MixedExpr) -> MixedExpr:
     denominator = d * s
     monomials = tables.monomials
     mus = list(out_ids)
-    return _wrap(
+    return MixedExpr._wrap(
         {
             (monomials[m], mus[o], k): Fraction(v, denominator)
             for (m, o, k), v in out.items()

@@ -24,10 +24,14 @@ and each output coefficient is normalized once.
 Certification never trusts the construction: `verify` iterates the operator
 exactly and reports the least vanishing order, and `recurrence_check` tests
 the two-step iteration identities the families satisfy.  For radial seeds the
-nodes are carried as formal symbols with t-only coefficients and the operator
-acts on the coefficients (`formal_tau`); `verify_formal` decides each formal
-iterate by substituting the actual nodes and testing the realized function
-for zero in canonical form.
+nodes are carried as formal symbols with t-only coefficients
+(`NodeSymbolExpr`, a `poly.Sparse` like MixedExpr, so both kinds of function
+share one set of ring operations) and the operator acts on the coefficients
+(`formal_tau`); `verify_formal` decides each formal iterate by substituting
+the actual nodes and testing the realized function for zero in canonical
+form.  The tree's kind, not the type of the built function, picks the route:
+`certify` and `recurrence_check` choose the concrete or the formal operator
+from `tree.kind`.
 """
 
 from __future__ import annotations
@@ -39,9 +43,10 @@ from typing import Callable, Mapping, Union
 
 from .algebra import AlgebraSpec
 from .errors import KindMismatch, Resonance, ZeroCombination
-from .expr import MixedExpr, _acc, _wrap
+from .expr import MixedExpr
 from .laplacian import tables_of, tau, tau_t
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, Sparse
+from .scalar import _acc
 from .tension import MultiIndex, Node, TensionTree
 
 
@@ -113,7 +118,7 @@ def _weights(p: int) -> list[int]:
 def _coeff_expr(row: _Row, p: int) -> MixedExpr:
     """The branch coefficient of order p from its row, as a t-only MixedExpr."""
     one = Monomial.one()
-    return _wrap(
+    return MixedExpr._wrap(
         {
             (one, row.exponent, p - 1 - j): w * u
             for j, (w, u) in enumerate(zip(_weights(p), row.u))
@@ -122,56 +127,23 @@ def _coeff_expr(row: _Row, p: int) -> MixedExpr:
     )
 
 
-def _branch_coeff(spec: AlgebraSpec, alpha: MultiIndex, p: int, family: str) -> MixedExpr:
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    memo = tables_of(spec).branch_rows(family)
-    row = _row(spec, memo, (), p, family)
-    for k in range(1, len(alpha) + 1):
-        row = _row(spec, memo, alpha[:k], p, family)
-        if row is None:
-            raise Resonance(alpha, k)
-    return _coeff_expr(row, p)
-
-
-def f_coeff(spec: AlgebraSpec, alpha: MultiIndex, p: int) -> MixedExpr:
-    """Branch coefficient of the log family; raises Resonance if 2 Lambda^k = n."""
-    return _branch_coeff(spec, tuple(alpha), p, "phi")
-
-
-def g_coeff(spec: AlgebraSpec, alpha: MultiIndex, p: int) -> MixedExpr:
-    """Branch coefficient of the t^n family; always defined."""
-    return _branch_coeff(spec, tuple(alpha), p, "psi")
-
-
 # --- node-symbol expressions (formal mode for radial trees) ---
 
-@dataclass(frozen=True)
-class NodeSymbolExpr:
-    """Linear combination of abstract node symbols with t-only coefficients.
+class NodeSymbolExpr(Sparse):
+    """Linear combination of abstract node symbols with t-only coefficients:
+    a sum keyed by multi-index, with MixedExpr coefficients.
 
     The empty multi-index denotes the seed itself.  Used for radial trees,
     whose nodes are not polynomials: the operator acts on the t-coefficients
     (`formal_tau`), and `realize` substitutes the actual nodes back.
     """
 
-    terms: Mapping[MultiIndex, MixedExpr]
+    __slots__ = ()
 
     @classmethod
     def build(cls, terms: Mapping[MultiIndex, MixedExpr]) -> "NodeSymbolExpr":
-        return cls({a: e for a, e in terms.items() if not e.is_zero()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "NodeSymbolExpr") -> "NodeSymbolExpr":
-        out = dict(self.terms)
-        for a, e in other.terms.items():
-            out[a] = out.get(a, MixedExpr.zero()) + e
-        return NodeSymbolExpr.build(out)
-
-    def scale(self, c: Fraction) -> "NodeSymbolExpr":
-        return NodeSymbolExpr.build({a: e * c for a, e in self.terms.items()})
+        """The sum of `terms`; zero coefficients are dropped."""
+        return cls(terms)
 
     def render(self) -> str:
         if not self.terms:
@@ -205,17 +177,13 @@ def formal_tau(spec: AlgebraSpec, tree: TensionTree, e: NodeSymbolExpr) -> NodeS
     dropping symbols whose actual node is zero (absent from the tree)."""
     n = spec.homogeneous_dim
     out: dict[MultiIndex, MixedExpr] = {}
-
-    def add(alpha: MultiIndex, val: MixedExpr) -> None:
-        out[alpha] = out.get(alpha, MixedExpr.zero()) + val
-
     for alpha, coeff in e.terms.items():
-        add(alpha, tau_t(coeff, n))
+        _acc(out, alpha, tau_t(coeff, n))
         for k in range(1, spec.m + 1):
             child = alpha + (k,)
             if child in tree.nodes:
-                add(child, coeff.mul_t_power(2 * spec.lam(k)))
-    return NodeSymbolExpr.build(out)
+                _acc(out, child, coeff.mul_t_power(2 * spec.lam(k)))
+    return NodeSymbolExpr._wrap(out)
 
 
 # --- assembly ---
@@ -282,7 +250,7 @@ def _build(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> Built:
     exponents = list(exponent_ids)
     weights = _weights(p)
     denominator = d * w
-    return _wrap(
+    return MixedExpr._wrap(
         {
             (mono, exponents[slot // p], p - 1 - slot % p): Fraction(
                 v * weights[slot % p], denominator
@@ -298,11 +266,9 @@ def combine(a: Fraction, b: Fraction, phi: Built, psi: Built) -> Built:
     a, b = Fraction(a), Fraction(b)
     if a == 0 and b == 0:
         raise ZeroCombination("the zero combination is not a p-harmonic candidate")
-    if isinstance(phi, MixedExpr) != isinstance(psi, MixedExpr):
+    if type(phi) is not type(psi):
         raise KindMismatch("cannot combine a concrete and a formal expression")
-    if isinstance(phi, MixedExpr):
-        return phi * a + psi * b
-    return phi.scale(a) + psi.scale(b)
+    return phi * a + psi * b
 
 
 # --- certification ---
@@ -416,7 +382,7 @@ def verify_formal(
     construction; so the realized test decides both tau^p = 0 and
     tau^(p-1) != 0 without any independence assumption on the nodes.
     """
-    zero = NodeSymbolExpr.build({})
+    zero = NodeSymbolExpr()
 
     def realized(image: NodeSymbolExpr) -> NodeSymbolExpr:
         return image if realize(tree, image) else zero
@@ -429,15 +395,22 @@ def verify_formal(
     )
 
 
+def certify(
+    spec: AlgebraSpec, tree: TensionTree, built: Built, p: int, kind: str, seed: str
+) -> HarmonicCertificate:
+    """Certify a function built from `tree`: `verify` for a polynomial tree,
+    `verify_formal` for a radial one."""
+    if tree.kind == "polynomial":
+        return verify(spec, built, p, kind=kind, seed=seed)
+    return verify_formal(spec, built, tree, p, kind=kind, seed=seed)
+
+
 def certify_family(
     spec: AlgebraSpec, tree: TensionTree, p: int, family: str, seed: str = ""
 ) -> HarmonicCertificate:
-    """Build one family member and certify it with the appropriate verifier."""
+    """Build one family member and certify it."""
     builder = build_phi if family == "phi" else build_psi
-    built = builder(spec, tree, p)
-    if isinstance(built, MixedExpr):
-        return verify(spec, built, p, kind=family, seed=seed)
-    return verify_formal(spec, built, tree, p, kind=family, seed=seed)
+    return certify(spec, tree, builder(spec, tree, p), p, family, seed)
 
 
 def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
@@ -453,15 +426,10 @@ def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
     if p < 1:
         raise ValueError("p must be >= 1")
     n = spec.homogeneous_dim
-
-    def apply(e: Built) -> Built:
-        if isinstance(e, MixedExpr):
-            return tau(spec, e)
-        return formal_tau(spec, tree, e)
-
-    def scaled(e: Built, c: Fraction) -> Built:
-        return e * c if isinstance(e, MixedExpr) else e.scale(c)
-
+    if tree.kind == "polynomial":
+        step = lambda e: tau(spec, e)
+    else:
+        step = lambda e: formal_tau(spec, tree, e)
     ok = True
     for family, builder, sign in (("phi", build_phi, -1), ("psi", build_psi, 1)):
         try:
@@ -470,17 +438,10 @@ def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
             if family == "phi":
                 continue
             raise
-        image = apply(current)
-        expected = (
-            MixedExpr.zero() if isinstance(current, MixedExpr) else NodeSymbolExpr.build({})
-        )
+        residual = step(current)
         if p >= 2:
-            expected = expected + scaled(
-                builder(spec, tree, p - 1), Fraction(sign * n * (p - 1))
-            )
+            residual = residual - builder(spec, tree, p - 1) * (sign * n * (p - 1))
         if p >= 3:
-            expected = expected + scaled(
-                builder(spec, tree, p - 2), Fraction((p - 1) * (p - 2))
-            )
-        ok = ok and image == expected
+            residual = residual - builder(spec, tree, p - 2) * ((p - 1) * (p - 2))
+        ok = ok and not residual
     return ok

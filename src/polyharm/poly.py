@@ -1,8 +1,16 @@
-"""Sparse exact multivariate polynomials in the coordinates x^i_j.
+"""Sparse exact sums, and the multivariate polynomials in the coordinates x^i_j.
 
-Coefficients are Fractions, exponent maps are kept sparse (no zero exponents,
-no zero coefficients), and terms are ordered graded-lexicographically so that
-equal polynomials have identical canonical form and deterministic rendering.
+`Sparse` is the one core of every finite sum in the package: a map from keys
+to nonzero coefficients with equality, hashing, the zero test, sums, scalar
+multiples and powers.  `Polynomial` (keyed by monomials), `expr.MixedExpr`
+(keyed by monomial, t-exponent and log power) and `pharmonic.NodeSymbolExpr`
+(keyed by tree node) derive from it and add their own constructors, product,
+calculus and rendering.
+
+Polynomial coefficients are Fractions, exponent maps are kept sparse (no zero
+exponents, no zero coefficients), and terms are ordered
+graded-lexicographically so that equal polynomials have identical canonical
+form and deterministic rendering.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from functools import total_ordering
 from typing import Callable, Iterable, Mapping
 
 from .algebra import VarIndex
-from .scalar import format_rational
+from .scalar import _acc, format_rational
 
 
 @total_ordering
@@ -68,6 +76,19 @@ class Monomial:
     def layers(self) -> set[int]:
         return {v.layer for v, _ in self.exps}
 
+    def derivative(self, *variables: VarIndex) -> tuple[int, "Monomial"]:
+        """The derivative by `variables` as (integer factor, monomial); the
+        factor is 0 when the derivative vanishes."""
+        exps = dict(self.exps)
+        factor = 1
+        for v in variables:
+            e = exps.get(v, 0)
+            if not e:
+                return 0, _ONE_MONOMIAL
+            factor *= e
+            exps[v] = e - 1
+        return factor, Monomial(exps.items())
+
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not self.exps:
             return other
@@ -89,10 +110,82 @@ class Monomial:
 _ONE_MONOMIAL = Monomial()
 
 
-class Polynomial:
-    """Canonical sparse polynomial: map monomial -> nonzero Fraction."""
+class Sparse:
+    """A finite sum: `terms` maps each key to its nonzero coefficient.
+
+    Subclasses give the constructors (`one` is where `**` starts), the
+    product of two sums (`_times`), the calculus and the rendering; the ring operations here only add and scale
+    coefficients, so they serve every kind of key.  Equal sums have equal
+    `terms`, so the zero test and equality are exact.
+    """
 
     __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = {key: c for key, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _wrap(cls, terms: dict):
+        """A sum of `terms`, which already hold no zero coefficient."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _acc(out, key, c)
+        return self._wrap(out)
+
+    def __neg__(self):
+        return self._wrap({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (Fraction, int)):
+            return self._wrap(
+                {key: c * other for key, c in self.terms.items()} if other else {}
+            )
+        return self._times(other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        result = type(self).one()
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+
+class Polynomial(Sparse):
+    """Canonical sparse polynomial: map monomial -> nonzero Fraction."""
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -104,10 +197,6 @@ class Polynomial:
         self.terms = clean
 
     # --- constructors ---
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
 
     @classmethod
     def constant(cls, value: Fraction | int) -> "Polynomial":
@@ -122,9 +211,6 @@ class Polynomial:
         return cls({Monomial.variable(v, power): Fraction(1)})
 
     # --- structure ---
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_constant(self) -> bool:
         return all(not mono.exps for mono in self.terms)
@@ -141,89 +227,22 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms
+    # --- product and calculus ---
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    # --- ring operations ---
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, Fraction(0)) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        result = Polynomial.__new__(Polynomial)
-        result.terms = out
-        return result
-
-    def __neg__(self) -> "Polynomial":
-        result = Polynomial.__new__(Polynomial)
-        result.terms = {mono: -coeff for mono, coeff in self.terms.items()}
-        return result
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (Fraction, int)):
-            other = Fraction(other)
-            result = Polynomial.__new__(Polynomial)
-            result.terms = (
-                {} if not other else {m: c * other for m, c in self.terms.items()}
-            )
-            return result
+    def _times(self, other: "Polynomial") -> "Polynomial":
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = m1 * m2
-                acc = out.get(mono, Fraction(0)) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
-        result = Polynomial.__new__(Polynomial)
-        result.terms = out
-        return result
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    # --- calculus / evaluation ---
+                _acc(out, m1 * m2, c1 * c2)
+        return self._wrap(out)
 
     def partial(self, v: VarIndex) -> "Polynomial":
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
-            e = mono.exponent(v)
-            if not e:
-                continue
-            lowered = Monomial(
-                [(w, p - 1 if w == v else p) for w, p in mono.exps]
-            )
-            acc = out.get(lowered, Fraction(0)) + coeff * e
-            if acc:
-                out[lowered] = acc
-            else:
-                out.pop(lowered, None)
-        result = Polynomial.__new__(Polynomial)
-        result.terms = out
-        return result
+            factor, lowered = mono.derivative(v)
+            if factor:
+                _acc(out, lowered, coeff * factor)
+        return self._wrap(out)
 
     # --- rendering ---
 

@@ -3,7 +3,8 @@
 All coefficients in the package are `fractions.Fraction` values; this module
 adds the strict forms used by the JSON interfaces: rationals as "p" or "p/q"
 with a positive denominator and no decimal points, and integer fields that
-are never truncated.
+are never truncated.  It also holds `_acc`, the one accumulate step of every
+sparse sum in the package.
 """
 
 from __future__ import annotations
@@ -18,6 +19,20 @@ Scalar = Fraction
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 _DECIMAL_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _acc(out: dict, key, value) -> None:
+    """Add `value` to out[key], dropping the key when the sum is zero.
+
+    Values are anything with `+` whose zero is false: Fractions, or sparse
+    sums (`poly.Sparse`)."""
+    total = out.get(key)
+    if total is not None:
+        value = total + value
+    if value:
+        out[key] = value
+    else:
+        out.pop(key, None)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -19,16 +19,16 @@ from typing import Callable, Mapping, Union
 from .algebra import AlgebraSpec, VarIndex
 from .errors import (
     BadParams,
-    DepthExceeded,
+    IndexOutOfRange,
     InternalClosureError,
     KindMismatch,
     ParseError,
     UnsupportedSpan,
 )
-from .expr import MixedExpr, _acc, latex_term
+from .expr import MixedExpr, latex_term
 from .laplacian import tau
 from .poly import Polynomial
-from .scalar import format_rational, int_field, parse_rational
+from .scalar import _acc, format_rational, int_field, parse_rational
 
 MultiIndex = tuple[int, ...]
 
@@ -93,12 +93,6 @@ class RadialFunction:
             _acc(out, key, c)
         result = RadialFunction.__new__(RadialFunction)
         result.n1, result.terms = self.n1, out
-        return result
-
-    def scale(self, c: Fraction) -> "RadialFunction":
-        result = RadialFunction.__new__(RadialFunction)
-        result.n1 = self.n1
-        result.terms = {} if not c else {k: v * c for k, v in self.terms.items()}
         return result
 
     def laplacian(self) -> "RadialFunction":
@@ -258,20 +252,36 @@ def _split_components(spec: AlgebraSpec, image: MixedExpr) -> dict[int, Polynomi
     return children
 
 
-def tension_tree(spec: AlgebraSpec, h: Polynomial, max_depth: int = 64) -> TensionTree:
-    """Full tree of a polynomial seed.  Terminates for every polynomial; the
-    depth guard exists to catch operator bugs, not legitimate seeds."""
+def _check_depth(depth: int, bound: int) -> None:
+    if depth > bound:
+        raise InternalClosureError(
+            f"tension tree node at depth {depth} passes the seed's depth bound "
+            f"{bound}; this is a bug, not a user error"
+        )
+
+
+def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
+    """Full tree of a polynomial seed.
+
+    Terminates for every polynomial: validation enforces the grading rule, so
+    the child at t^(2 lambda_k) has weighted degree (sum of lambda_layer *
+    exponent over a monomial, maximized) at least 2 lambda_k below its
+    parent's, and the depth is at most the seed's weighted degree over
+    2 lambda_1.  A node past that bound means an operator bug.
+    """
     for v_layer in h.layers_used():
         if not 1 <= v_layer <= spec.m:
-            from .errors import IndexOutOfRange
-
             raise IndexOutOfRange(f"seed uses layer {v_layer}, algebra has m={spec.m}")
+    weighted = max(
+        (sum(spec.lam(v.layer) * e for v, e in mono.exps) for mono in h.terms),
+        default=0,
+    )
+    bound = weighted // (2 * spec.lam(1))
     nodes: dict[MultiIndex, Polynomial] = {}
     frontier: dict[MultiIndex, Polynomial] = {(): h}
     depth = 0
     while frontier:
-        if depth > max_depth:
-            raise DepthExceeded(f"tension tree exceeded max_depth={max_depth}")
+        _check_depth(depth, bound)
         next_frontier: dict[MultiIndex, Polynomial] = {}
         for alpha, node in frontier.items():
             image = tau(spec, MixedExpr.from_polynomial(node))
@@ -286,12 +296,12 @@ def tension_tree(spec: AlgebraSpec, h: Polynomial, max_depth: int = 64) -> Tensi
     return TensionTree(spec=spec, kind="polynomial", seed=h, nodes=nodes, degree=degree)
 
 
-def tension_tree_radial(
-    spec: AlgebraSpec, seed: RadialSeed, max_depth: int = 64
-) -> TensionTree:
+def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:
     """Single-branch tree of H(|x^1|) G(x^2): node i is Lap^i(H) * G.
 
-    The layer-1/2 cross terms of the operator annihilate on radial x affine
+    Each Laplacian lowers every rho-power by 2 down to its harmonic floor, 0
+    or 2 - n1, so the depth is at most (max a - min(0, 2 - n1)) // 2; a node
+    past that bound means an operator bug.  The layer-1/2 cross terms of the operator annihilate on radial x affine
     functions because the first-layer bracket constants are antisymmetric in
     the two layer-1 slots; validation rejects a self-bracket [X, X], so the
     diagonal constants vanish on every algebra spec.
@@ -308,16 +318,18 @@ def tension_tree_radial(
             )
         for slot, _ in seed.affine.linear:
             spec.check_index(VarIndex(2, slot))
+    n1 = seed.radial.n1
+    bound = (max((a for a, _ in seed.radial.terms), default=0) - min(0, 2 - n1)) // 2
     nodes: dict[MultiIndex, RadialSeed] = {}
     current = seed.radial
-    if not seed.is_zero():
-        for depth in range(1, max_depth + 2):
-            if depth > max_depth:
-                raise DepthExceeded(f"radial tree exceeded max_depth={max_depth}")
-            current = current.laplacian()
-            if current.is_zero():
-                break
-            nodes[(1,) * depth] = RadialSeed(radial=current, affine=seed.affine)
+    depth = 0
+    while not seed.is_zero():
+        current = current.laplacian()
+        if current.is_zero():
+            break
+        depth += 1
+        _check_depth(depth, bound)
+        nodes[(1,) * depth] = RadialSeed(radial=current, affine=seed.affine)
     degree = max((len(alpha) for alpha in nodes), default=0)
     return TensionTree(spec=spec, kind="radial", seed=seed, nodes=nodes, degree=degree)
 

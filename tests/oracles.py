@@ -33,6 +33,8 @@ from polyharm import (
     VarIndex,
     struct_polys,
 )
+from polyharm.laplacian import tables_of
+from polyharm.pharmonic import _coeff_expr, _row
 from polyharm.poly import Monomial
 
 
@@ -185,6 +187,31 @@ def branch_coeff_by_compositions(
         if coeff:
             terms[(Monomial.one(), exponent, p - 1 - j)] = coeff
     return MixedExpr(terms)
+
+
+def _branch_coeff(spec, alpha: tuple[int, ...], p: int, family: str) -> MixedExpr:
+    """The production branch coefficient of order p along alpha: the rows of
+    `pharmonic._row` from the root down, turned into a t-only MixedExpr by
+    `pharmonic._coeff_expr`.  Raises Resonance at the first resonant prefix."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    memo = tables_of(spec).branch_rows(family)
+    row = _row(spec, memo, (), p, family)
+    for k in range(1, len(alpha) + 1):
+        row = _row(spec, memo, alpha[:k], p, family)
+        if row is None:
+            raise Resonance(alpha, k)
+    return _coeff_expr(row, p)
+
+
+def f_coeff(spec, alpha, p: int) -> MixedExpr:
+    """Branch coefficient of the log family; raises Resonance if 2 Lambda^k = n."""
+    return _branch_coeff(spec, tuple(alpha), p, "phi")
+
+
+def g_coeff(spec, alpha, p: int) -> MixedExpr:
+    """Branch coefficient of the t^n family; always defined."""
+    return _branch_coeff(spec, tuple(alpha), p, "psi")
 
 
 def build_by_branches(spec, tree, p: int, family: str):

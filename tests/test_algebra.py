@@ -74,6 +74,16 @@ def test_catalog_errors():
         catalog("real-hyperbolic", [1, 2])
 
 
+def test_validate_refuses_bool_dimension():
+    with pytest.raises(BadParams):
+        validate("x", [Fraction(1)], [True])
+
+
+def test_catalog_refuses_bool_parameter():
+    with pytest.raises(BadParams):
+        catalog("real-hyperbolic", [True])
+
+
 def test_catalog_short_names(ch3):
     assert catalog_short_name("rh2").name == "rh2"
     assert catalog_short_name("ch3") == ch3

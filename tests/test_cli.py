@@ -94,6 +94,12 @@ def test_tree_text_nodes(capsys):
     assert "degree = 4" in out
 
 
+def test_tree_deep_seed(capsys):
+    code, out, _ = run(capsys, "tree", "--algebra", "rh2", "--seed", "x^130")
+    assert code == 0
+    assert out.rstrip().endswith("degree = 65")
+
+
 def test_tree_json_round_trip(capsys):
     code, out, _ = run(capsys, "tree", "--algebra", "ch2", "--seed", "z^4", "--format", "json")
     assert code == 0
@@ -223,6 +229,17 @@ def test_verify_built_radial(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verified_order"] == 2 and payload["proper"] is True
+
+
+def test_verify_radial_combination(capsys):
+    code, out, _ = run(
+        capsys,
+        "verify", "--algebra", "rh4", "--radial-seed",
+        '{"n1":3,"terms":[{"k":2,"a":"1","b":"3"}],"G":{"c0":"2","c":["0"]}}',
+        "--kind", "combo", "--a", "2", "--b=-1/3", "--p", "3",
+    )
+    assert code == 0
+    assert "proper: true" in out
 
 
 @pytest.mark.parametrize(

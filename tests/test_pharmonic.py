@@ -20,11 +20,10 @@ from polyharm import (
     build_phi,
     build_psi,
     catalog_short_name,
+    certify,
     combine,
-    f_coeff,
     formal_tau,
     from_json_dict,
-    g_coeff,
     parse,
     parse_polynomial,
     recurrence_check,
@@ -36,6 +35,7 @@ from polyharm import (
     verify_formal,
 )
 from polyharm import laplacian
+from polyharm.cli import parse_radial_seed
 from polyharm.laplacian import tables_of
 from polyharm.pharmonic import realize
 
@@ -44,6 +44,8 @@ from oracles import (
     build_by_branches,
     composition_identity_holds,
     compositions,
+    f_coeff,
+    g_coeff,
 )
 from test_algebra import filiform
 
@@ -366,6 +368,25 @@ def test_combine(rh2):
     assert cert.proper and cert.verified_order == 2
     with pytest.raises(ZeroCombination):
         combine(0, 0, phi2, psi2)
+
+
+def test_combine_formal(rh4):
+    seed = parse_radial_seed(
+        '{"n1":3,"terms":[{"k":2,"a":"1","b":"3"}],"G":{"c0":"2","c":["0"]}}'
+    )
+    tree = tension_tree_radial(rh4, seed)
+    phi3, psi3 = build_phi(rh4, tree, 3), build_psi(rh4, tree, 3)
+    a, b = Fraction(2), Fraction(-1, 3)
+    both = combine(a, b, phi3, psi3)
+    zero = MixedExpr.zero()
+    assert both == NodeSymbolExpr.build(
+        {
+            alpha: phi3.terms.get(alpha, zero) * a + psi3.terms.get(alpha, zero) * b
+            for alpha in set(phi3.terms) | set(psi3.terms)
+        }
+    )
+    cert = certify(rh4, tree, both, 3, "combo", "")
+    assert cert.proper and cert.verified_order == 3
 
 
 def test_verify_published_function(rh2):

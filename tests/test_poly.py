@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyharm import Polynomial, VarIndex
+from polyharm import MixedExpr, NodeSymbolExpr, Polynomial, VarIndex
 from polyharm.poly import Monomial
 
+from conftest import random_mixed_expr, random_polynomial
 from oracles import MissingAssignment, evaluate, homogeneous_degree
 
 X = VarIndex(1, 1)
@@ -122,3 +124,42 @@ def test_pow_and_degree():
     assert Polynomial.zero().total_degree() == 0
     assert homogeneous_degree(p) == 3
     assert homogeneous_degree(p + Polynomial.one()) is None
+
+
+# --- the shared sparse core: one set of ring operations for every sum ---
+
+def random_node_symbol_expr(spec, rng: random.Random) -> NodeSymbolExpr:
+    """Nonzero node-symbol sum with t-only coefficients (constant monomials)."""
+    while True:
+        e = NodeSymbolExpr.build(
+            {
+                tuple(rng.choices((1, 2), k=rng.randint(0, 2))): random_mixed_expr(
+                    spec, rng, max_degree=0
+                )
+                for _ in range(rng.randint(1, 3))
+            }
+        )
+        if e:
+            return e
+
+
+SPARSE_KINDS = {
+    Polynomial: random_polynomial,
+    MixedExpr: random_mixed_expr,
+    NodeSymbolExpr: random_node_symbol_expr,
+}
+
+
+@pytest.mark.parametrize("kind", list(SPARSE_KINDS), ids=lambda kind: kind.__name__)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sparse_ring_laws(ch2, kind, seed):
+    rng = random.Random(seed)
+    a, b = (SPARSE_KINDS[kind](ch2, rng) for _ in range(2))
+    assert type(a) is kind and a and a.terms
+    assert (a - a).terms == {} and not a - a
+    assert a * 0 == kind() and not a * 0
+    assert a + b == b + a
+    assert hash(a + b) == hash(b + a)
+    assert bool(a + b) == bool((a + b).terms)
+    assert a + b - b == a

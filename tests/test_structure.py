@@ -1,0 +1,91 @@
+"""Structural invariants of the package source, checked on its syntax tree.
+
+No `assert` carries a precondition (they vanish under `python -O`), no
+unbounded `functools` cache holds per-algebra data, and every sparse sum
+accumulates through the one `scalar._acc` instead of a pasted
+`d.get(k, zero) + v` loop.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "polyharm"
+MODULES = sorted(SOURCE.glob("*.py"))
+ZERO_CLASSES = {"Polynomial", "MixedExpr"}
+
+
+def tree_of(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def is_zero_default(node: ast.expr) -> bool:
+    """Fraction(0), Polynomial.zero() or MixedExpr.zero()."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "Fraction":
+        return [ast.dump(a) for a in node.args] == [ast.dump(ast.Constant(0))]
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "zero"
+        and isinstance(func.value, ast.Name)
+        and func.value.id in ZERO_CLASSES
+        and not node.args
+    )
+
+
+def pasted_accumulates(module: ast.Module) -> list[int]:
+    """Lines of `x.get(k, zero) + ...` outside the body of `_acc`."""
+    inside_acc = {
+        id(node)
+        for fn in ast.walk(module)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_acc"
+        for node in ast.walk(fn)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(module)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Add)
+        and id(node) not in inside_acc
+        and isinstance(node.left, ast.Call)
+        and isinstance(node.left.func, ast.Attribute)
+        and node.left.func.attr == "get"
+        and len(node.left.args) == 2
+        and is_zero_default(node.left.args[1])
+    ]
+
+
+def functools_caches(module: ast.Module) -> list[int]:
+    """Lines importing or naming functools.lru_cache / functools.cache."""
+    names = {"lru_cache", "cache"}
+    lines = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name in names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_source_structure(path):
+    module = tree_of(path)
+    asserts = [node.lineno for node in ast.walk(module) if isinstance(node, ast.Assert)]
+    assert asserts == [], f"assert statements at lines {asserts}"
+    assert functools_caches(module) == []
+    assert pasted_accumulates(module) == []
+
+
+def test_accumulate_check_sees_a_pasted_loop():
+    module = ast.parse("out[k] = out.get(k, Fraction(0)) + v\ny = d.get(k, MixedExpr.zero()) + e\n")
+    assert pasted_accumulates(module) == [1, 2]
+    module = ast.parse("def _acc(out, k, v):\n    out[k] = out.get(k, Fraction(0)) + v\n")
+    assert pasted_accumulates(module) == []

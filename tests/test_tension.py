@@ -6,7 +6,7 @@ import pytest
 
 from polyharm import (
     AffinePart,
-    DepthExceeded,
+    InternalClosureError,
     KindMismatch,
     MixedExpr,
     ParseError,
@@ -24,6 +24,7 @@ from polyharm import (
     tree_from_json,
     tree_to_json,
 )
+from polyharm import tension
 
 from conftest import random_polynomial
 from oracles import sum_trees
@@ -93,9 +94,20 @@ def test_defining_recursion(rh2, ch2, ch3):
             assert image == rebuilt
 
 
-def test_depth_guard(rh2):
-    with pytest.raises(DepthExceeded):
-        tension_tree(rh2, poly("x^6", rh2), max_depth=2)
+def test_depth_bound_comes_from_the_seed(rh2):
+    # depth 65: a fixed depth limit of 64 would refuse this finite tree
+    assert tension_tree(rh2, poly("x^130", rh2)).degree == 65
+
+
+def test_depth_guard_stops_a_looping_operator(rh2, rh3, monkeypatch):
+    # operators that make a node its own child would never terminate
+    monkeypatch.setattr(tension, "tau", lambda spec, e: e.mul_t_power(2 * spec.lam(1)))
+    with pytest.raises(InternalClosureError):
+        tension_tree(rh2, poly("x^6", rh2))
+    monkeypatch.setattr(RadialFunction, "laplacian", lambda self: self)
+    seed = RadialSeed(RadialFunction(2, {(4, False): Fraction(1)}), AffinePart(Fraction(1)))
+    with pytest.raises(InternalClosureError):
+        tension_tree_radial(rh3, seed)
 
 
 def test_degree_bound_heuristic(rh2, ch2, ch3):
