@@ -14,6 +14,7 @@ from .algebra import (
 )
 from .errors import (
     BadParams,
+    BudgetExceeded,
     DuplicateBracket,
     GradingViolation,
     IndexOutOfRange,

@@ -16,7 +16,7 @@ over basis triples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -68,6 +68,11 @@ class AlgebraSpec:
     brackets: tuple[BracketEntry, ...]
     homogeneous_dim: Fraction
     aliases: tuple[tuple[str, VarIndex], ...] = ()
+
+    def __getstate__(self) -> dict:
+        """Only the fields: a pickle or copy leaves behind the cached lookups
+        and the tables (`laplacian.tables_of`), which are rebuilt on use."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # --- index helpers ---
 

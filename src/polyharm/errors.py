@@ -75,6 +75,11 @@ class UnsupportedSpan(PolyharmError):
     """A radial function falls outside the admissible power/log span."""
 
 
+class BudgetExceeded(PolyharmError):
+    """A seed's tension tree may be deeper than the depth budget allows; it is
+    refused before any level is expanded."""
+
+
 class KindMismatch(PolyharmError):
     pass
 

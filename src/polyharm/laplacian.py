@@ -13,15 +13,22 @@ Everything derived from one algebra lives in one `Tables` object, built on
 first use and stored on the spec itself (`tables_of`), so it lives as long as
 the spec and no lookup hashes the spec: the ad-power rows, the structure
 polynomials, the operator's first and second order coefficient polynomials,
-and the memos of the operator's monomial images and of each family's branch
-rows (filled by `pharmonic`), all bounded by `_MEMO_LIMIT`.
+the monomials and t-exponents interned to integer ids, and the memos of the
+operator's monomial images, of each exponent's t-part and of each family's
+branch rows (filled by `pharmonic`), all bounded by `_MEMO_LIMIT`.
 
-`tau` is the expanded coordinate formula.  The operator is linear and its
-x-part does not depend on t, so `tau` is the linear extension of monomial
-images: each monomial's image (a sum of t-shifts times integer polynomials
-over one denominator) is computed once and memoized, and an expression's
-terms are pushed through those images with the t-part folded in,
-accumulated on integers over one common denominator.
+Concrete functions are carried in an integer form (`Form`): one denominator
+and a map from (monomial id, exponent id, log power) to integer numerators.
+The operator is linear and its x-part does not depend on t, so its kernel
+`tau_form` is the linear extension of monomial images: each monomial's image
+(a sum of t-shifts times integer polynomials over one per-algebra
+denominator) is computed once, each exponent's t-part factors mu (mu - n)
+and 2 mu - n and shifted exponent ids are computed once, and a form's terms
+are pushed through both on integers, with one gcd reduction per
+application.  `tau` is the same operator on MixedExpr: it converts to the
+form, applies the kernel and converts back.  `pharmonic` builds, iterates and
+checks concrete functions on forms, so Fractions appear only where a
+MixedExpr crosses the public API.
 
 The test suite cross-asserts `tau` against an independent frame-sum
 realization A(A(e)) + sum X^i_j(X^i_j(e)) - n t e_t built from the
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from .algebra import AlgebraSpec, VarIndex
 from .expr import Key, MixedExpr
 from .poly import Monomial, Polynomial
@@ -57,16 +64,28 @@ def bernoulli(r: int) -> Fraction:
 
 # --- per-algebra tables ---
 
-# Most entries each memo of an algebra's tables keeps: the operator's monomial
-# images, and each family's branch rows.  A memo is cleared wholesale at the
-# start of a call once it holds this many, so a long-lived process keeps at
-# most this many plus those of one call, per memo of a live algebra.
+# Most entries each memo of an algebra's tables keeps: the interned monomials
+# and t-exponents with the operator's images, and each family's branch rows.
+# A memo is cleared wholesale at the start of a public call once it holds this
+# many, so a long-lived process keeps at most this many plus those of one
+# call, per memo of a live algebra.
 _MEMO_LIMIT = 4096
 
-# The x-part of the operator on one monomial m: sum over s of t^(shifts[s])
-# times a polynomial, with monomials as memo ids and integer numerators over
-# one denominator, as (denominator, id of m, ((shift id, id, numerator), ...)).
-_Image = tuple[int, int, tuple[tuple[int, int, int], ...]]
+# A concrete function in integer form: (denominator, {(monomial id, t-exponent
+# id, log power): numerator}), with ids interned in the algebra's tables and
+# no zero numerator, so the zero function has no terms.  Ids stay valid until
+# the next `Tables.bound_images`, which runs only at the entry of a public
+# call, so a form never outlives the call that made it.
+Form = tuple[int, dict[tuple[int, int, int], int]]
+
+# The x-part of the operator on one monomial: sum over s of t^(shifts[s])
+# times a polynomial, as ((shift id, monomial id, numerator), ...) over the
+# algebra's one image denominator.
+_Image = tuple[tuple[int, int, int], ...]
+
+# The t-part of the operator at one t-exponent mu, as (t, mu (mu - n) * t,
+# (2 mu - n) * t, ids of mu + each shift): two factors as integers over t.
+_TPart = tuple[int, int, int, tuple[int, ...]]
 
 _AdRows = dict[VarIndex, dict[VarIndex, Polynomial]]
 
@@ -86,25 +105,58 @@ class Tables:
     """Everything derived from one algebra; see the module docstring."""
 
     def __init__(self, spec: AlgebraSpec) -> None:
+        self.n = spec.homogeneous_dim
         self.ad_rows = _ad_rows(spec)
         self.struct = _struct_table(spec, self.ad_rows)
         # 2 lambda_i, with shift id i - 1
         self.shifts = tuple(2 * spec.lam(i) for i in range(1, spec.m + 1))
         self.coefficients = _coefficients(spec, self.struct)
-        # the image memo (`_image`): monomial images, and the monomials they
-        # use interned to ids (id -> monomial, monomial -> id)
-        self.images: dict[Monomial, _Image] = {}
+        # every image coefficient is a sum of integer multiples of these
+        # polynomials' coefficients, so their lcm serves every image
+        self.image_denominator = lcm(
+            *(
+                c.denominator
+                for shifts in self.coefficients.values()
+                for poly in shifts.values()
+                for c in poly.terms.values()
+            )
+        )
+        # monomials and t-exponents interned to ids (id -> value, value -> id),
+        # the image of each monomial id (`_image`) and the t-part of each
+        # exponent id (`_t_part`); `bound_images` clears all six together
         self.monomials: list[Monomial] = []
         self.monomial_ids: dict[Monomial, int] = {}
+        self.exponents: list[Fraction] = []
+        self.exponent_ids: dict[Fraction, int] = {}
+        self.images: dict[int, _Image] = {}
+        self.t_parts: dict[int, _TPart] = {}
         # family -> multi-index -> branch row (`pharmonic._row`)
         self.rows: dict[str, dict] = {"phi": {}, "psi": {}}
 
     def bound_images(self) -> None:
-        """Clear the image memo once it holds `_MEMO_LIMIT` monomials."""
-        if len(self.monomials) >= _MEMO_LIMIT:
-            self.images.clear()
-            self.monomials.clear()
-            self.monomial_ids.clear()
+        """Clear the ids, and every memo holding one (the images, the t-parts
+        and the branch rows), once `_MEMO_LIMIT` monomials or exponents are
+        interned; called only at the entry of a public call."""
+        if max(len(self.monomials), len(self.exponents)) >= _MEMO_LIMIT:
+            for memo in (
+                self.monomials, self.monomial_ids, self.exponents,
+                self.exponent_ids, self.images, self.t_parts, *self.rows.values(),
+            ):
+                memo.clear()
+
+    def monomial_id(self, mono: Monomial) -> int:
+        i = self.monomial_ids.get(mono)
+        if i is None:
+            i = self.monomial_ids[mono] = len(self.monomials)
+            self.monomials.append(mono)
+        return i
+
+    def exponent_id(self, mu: Fraction) -> int:
+        i = self.exponent_ids.get(mu)
+        if i is None:
+            i = self.exponent_ids[mu] = len(self.exponents)
+            self.exponents.append(mu)
+        return i
 
     def branch_rows(self, family: str) -> dict:
         """The branch-row memo of `family`, cleared first once it holds
@@ -220,112 +272,122 @@ def _coefficients(spec: AlgebraSpec, table: StructPolyTable) -> dict:
     return {variables: shifts for variables, shifts in {**first, **second}.items() if shifts}
 
 
-def _intern(tables: Tables, mono: Monomial) -> int:
-    i = tables.monomial_ids.get(mono)
-    if i is None:
-        i = tables.monomial_ids[mono] = len(tables.monomials)
-        tables.monomials.append(mono)
-    return i
-
-
-def _image(tables: Tables, mono: Monomial) -> _Image:
-    """The x-part of the operator on one monomial, computed once per memo."""
-    image = tables.images.get(mono)
-    if image is not None:
-        return image
+def _image(tables: Tables, m: int) -> _Image:
+    """The x-part of the operator on monomial id m, computed once per memo."""
+    mono = tables.monomials[m]
     acc: dict[tuple[int, Monomial], Fraction] = {}
     for variables, shifts in tables.coefficients.items():
         factor, lowered = mono.derivative(*variables)
         if not factor:
             continue
         for shift, poly in shifts.items():
-            for m, c in poly.terms.items():
-                _acc(acc, (shift, m * lowered), c * factor)
-    denominator = lcm(*(c.denominator for c in acc.values()))
-    image = (
-        denominator,
-        _intern(tables, mono),
-        tuple(
-            (shift, _intern(tables, m), c.numerator * (denominator // c.denominator))
-            for (shift, m), c in acc.items()
-        ),
+            for target, c in poly.terms.items():
+                _acc(acc, (shift, target * lowered), c * factor)
+    denominator = tables.image_denominator
+    image = tables.images[m] = tuple(
+        (shift, tables.monomial_id(target), c.numerator * (denominator // c.denominator))
+        for (shift, target), c in acc.items()
     )
-    tables.images[mono] = image
     return image
 
 
-def tau(spec: AlgebraSpec, e: MixedExpr) -> MixedExpr:
-    """Image of e under the Laplace-Beltrami operator (coordinate formula).
-
-    The operator is linear and its x-part does not depend on t, so e's terms
-    are grouped by monomial and pushed through that monomial's image
-    (`_image`).  The sum runs on integers over one common denominator: D for
-    e's coefficients times S for the images and the t-part factors; each
-    output coefficient is normalized once, as a Fraction over D * S.
-    """
-    tables = tables_of(spec)
-    if not e.terms:
-        return MixedExpr()
-    tables.bound_images()
-    n = spec.homogeneous_dim
-    d = lcm(*(c.denominator for c in e.terms.values()))
-    # e's terms by monomial as (t-exponent id, log power, numerator over d).
-    # Terms mostly share their exponent objects, so ids are looked up by object
-    # first: hashing a Fraction costs more than the rest of the grouping.
-    mu_ids: dict[Fraction, int] = {}
-    by_object: dict[int, int] = {}
-    groups: dict[Monomial, list[tuple[int, int, int]]] = {}
-    for (mono, mu, k), c in e.terms.items():
-        i = by_object.get(id(mu))
-        if i is None:
-            i = by_object[id(mu)] = mu_ids.setdefault(mu, len(mu_ids))
-        groups.setdefault(mono, []).append((i, k, c.numerator * (d // c.denominator)))
-    images = [(group, _image(tables, mono)) for mono, group in groups.items()]
-    # t-part factors mu (mu - n) and 2 mu - n, per input t-exponent
-    t2 = [mu * (mu - n) for mu in mu_ids]
-    t1 = [2 * mu - n for mu in mu_ids]
-    s = lcm(
-        *(image[0] for _, image in images),
-        *(f.denominator for f in t2),
-        *(f.denominator for f in t1),
+def _t_part(tables: Tables, e: int) -> _TPart:
+    """The t-part factors of exponent id e, computed once per memo."""
+    mu, n = tables.exponents[e], tables.n
+    t2, t1 = mu * (mu - n), 2 * mu - n
+    t = lcm(t2.denominator, t1.denominator)
+    part = tables.t_parts[e] = (
+        t,
+        t2.numerator * (t // t2.denominator),
+        t1.numerator * (t // t1.denominator),
+        tuple(tables.exponent_id(mu + shift) for shift in tables.shifts),
     )
-    t2 = [f.numerator * (s // f.denominator) for f in t2]
-    t1 = [f.numerator * (s // f.denominator) for f in t1]
-    # ids of the output t-exponents: mu itself (t-part) and mu + each shift
-    out_ids: dict[Fraction, int] = {}
-    same = [out_ids.setdefault(mu, len(out_ids)) for mu in mu_ids]
-    rows = [
-        tuple(out_ids.setdefault(mu + shift, len(out_ids)) for shift in tables.shifts)
-        for mu in mu_ids
-    ]
-    # (monomial id, output t-exponent id, log power) -> numerator over d * s
-    out: dict[tuple[int, int, int], int] = {}
-    get = out.get
-    for group, (image_den, own, image) in images:
-        scale = s // image_den
-        for i, k, num in group:
-            row = rows[i]
-            scaled = num * scale
-            for shift, m, a in image:
-                key = (m, row[shift], k)
-                out[key] = get(key, 0) + scaled * a
-            o = same[i]
-            if t2[i]:
-                key = (own, o, k)
-                out[key] = get(key, 0) + num * t2[i]
-            if k:
-                key = (own, o, k - 1)
-                out[key] = get(key, 0) + num * k * t1[i]
-                if k >= 2:
-                    key = (own, o, k - 2)
-                    out[key] = get(key, 0) + num * k * (k - 1) * s
-    denominator = d * s
-    monomials = tables.monomials
-    mus = list(out_ids)
+    return part
+
+
+def reduced(denominator: int, numerators: dict) -> Form:
+    """The form of numerators over denominator, zeros dropped and the common
+    factor of every numerator and the denominator divided out."""
+    g = gcd(denominator, *numerators.values())
+    if g > 1:
+        return denominator // g, {key: v // g for key, v in numerators.items() if v}
+    if 0 in numerators.values():
+        return denominator, {key: v for key, v in numerators.items() if v}
+    return denominator, numerators
+
+
+def to_form(tables: Tables, e: MixedExpr) -> Form:
+    """e in integer form over the lcm of its coefficient denominators."""
+    d = lcm(*(c.denominator for c in e.terms.values()))
+    monomial_id, exponent_id = tables.monomial_id, tables.exponent_id
+    return d, {
+        (monomial_id(mono), exponent_id(mu), k): c.numerator * (d // c.denominator)
+        for (mono, mu, k), c in e.terms.items()
+    }
+
+
+def to_expr(tables: Tables, form: Form) -> MixedExpr:
+    """The MixedExpr of a form."""
+    d, terms = form
+    monomials, exponents = tables.monomials, tables.exponents
     return MixedExpr._wrap(
         {
-            (monomials[m], mus[o], k): Fraction(v, denominator)
-            for (m, o, k), v in out.items()
-            if v
+            (monomials[m], exponents[e], k): Fraction(v, d)
+            for (m, e, k), v in terms.items()
         }
     )
+
+
+def tau_form(tables: Tables, form: Form) -> Form:
+    """The operator on a form: each term is pushed through its monomial's
+    image (`_image`) with the t-shifts of its exponent, and the t-part of its
+    exponent (`_t_part`) is added.  The sum runs on integers over d * s, d the
+    form's denominator and s the lcm of the image denominator and the t-part
+    denominators of the form's exponents; the result is reduced once."""
+    d, terms = form
+    if not terms:
+        return form
+    t_parts = tables.t_parts
+    parts = {
+        e: t_parts[e] if e in t_parts else _t_part(tables, e)
+        for e in {e for _, e, _ in terms}
+    }
+    image_denominator = tables.image_denominator
+    s = lcm(image_denominator, *(part[0] for part in parts.values()))
+    scale = s // image_denominator
+    factors = {
+        e: (t2 * (s // t), t1 * (s // t), shifted)
+        for e, (t, t2, t1, shifted) in parts.items()
+    }
+    images = tables.images
+    out: dict[tuple[int, int, int], int] = {}
+    get = out.get
+    for (m, e, k), num in terms.items():
+        image = images.get(m)
+        if image is None:
+            image = _image(tables, m)
+        t2, t1, shifted = factors[e]
+        scaled = num * scale
+        for shift, target, a in image:
+            key = (target, shifted[shift], k)
+            out[key] = get(key, 0) + scaled * a
+        if t2:
+            key = (m, e, k)
+            out[key] = get(key, 0) + num * t2
+        if k:
+            key = (m, e, k - 1)
+            out[key] = get(key, 0) + num * k * t1
+            if k >= 2:
+                key = (m, e, k - 2)
+                out[key] = get(key, 0) + num * k * (k - 1) * s
+    return reduced(d * s, out)
+
+
+def tau(spec: AlgebraSpec, e: MixedExpr) -> MixedExpr:
+    """Image of e under the Laplace-Beltrami operator (coordinate formula),
+    computed on e's integer form (`tau_form`)."""
+    tables = tables_of(spec)
+    tables.bound_images()
+    if not e.terms:
+        return MixedExpr()
+    return to_expr(tables, tau_form(tables, to_form(tables, e)))

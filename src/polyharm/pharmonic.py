@@ -17,13 +17,17 @@ u_alpha, computed in one step from its parent's row (`_Row`) and kept in the
 algebra's tables (`laplacian.Tables`), one memo per family, bounded by the
 same `_MEMO_LIMIT` as the operator's memo; one row serves every p up to its
 length and every branch that extends alpha.  The sum over the tree then
-runs on integers: node coefficients and rows are scaled to common
-denominators, products are accumulated in a dict keyed by ints and monomials,
-and each output coefficient is normalized once.
+runs on integers straight into the operator's integer form
+(`laplacian.Form`): node coefficients and rows are scaled to common
+denominators and their products accumulated by (monomial id, exponent id,
+log power); `build_phi`/`build_psi` convert the form to a MixedExpr once.
 
-Certification never trusts the construction: `verify` iterates the operator
-exactly and reports the least vanishing order, and `recurrence_check` tests
-the two-step iteration identities the families satisfy.  For radial seeds the
+Certification never trusts the construction: `verify` iterates the integer
+kernel `laplacian.tau_form` exactly, testing each iterate for zero by its
+empty term map and converting only the two residuals the certificate keeps,
+and reports the least vanishing order; `recurrence_check` tests the two-step
+iteration identities the families satisfy, on a polynomial tree as one
+integer sum over the forms of f_p, f_(p-1) and f_(p-2).  For radial seeds the
 nodes are carried as formal symbols with t-only coefficients
 (`NodeSymbolExpr`, a `poly.Sparse` like MixedExpr, so both kinds of function
 share one set of ring operations) and the operator acts on the coefficients
@@ -31,7 +35,8 @@ share one set of ring operations) and the operator acts on the coefficients
 the actual nodes and testing the realized function for zero in canonical
 form.  The tree's kind, not the type of the built function, picks the route:
 `certify` and `recurrence_check` choose the concrete or the formal operator
-from `tree.kind`.
+from `tree.kind`.  A form's ids are valid only inside the public call that
+made it, since `Tables.bound_images` runs at the entry of each.
 """
 
 from __future__ import annotations
@@ -39,12 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, TypeVar, Union
 
 from .algebra import AlgebraSpec
 from .errors import KindMismatch, Resonance, ZeroCombination
 from .expr import MixedExpr
-from .laplacian import tables_of, tau, tau_t
+from .laplacian import Form, Tables, reduced, tables_of, tau_form, tau_t, to_expr, to_form
 from .poly import Monomial, Polynomial, Sparse
 from .scalar import _acc
 from .tension import MultiIndex, Node, TensionTree
@@ -75,6 +80,9 @@ class _Row:
     a: Fraction
     m: Fraction
     u: list[Fraction]
+    # the exponent's id in the algebra's tables, set by `_build_form`; valid
+    # because `Tables.bound_images` clears the rows with the ids
+    exponent_id: int | None = None
 
 
 def _row(
@@ -207,58 +215,68 @@ def build_psi(spec: AlgebraSpec, tree: TensionTree, p: int) -> Built:
 
 
 def _build(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> Built:
-    """Seed and nodes times their branch coefficients, summed.
-
-    The rows are walked in `tree.branches()` order, parents before children,
-    so the first resonant phi branch raises.  For a polynomial tree the sum
-    runs on integers: node coefficients over their common denominator D, rows
-    over theirs W, keyed by (monomial, exponent id * p + j); each output
-    coefficient is normalized once, as a Fraction over D * W.
-    """
+    """Seed and nodes times their branch coefficients, summed: the formal
+    node-symbol form for a radial tree, for a polynomial tree the MixedExpr
+    of `_build_form`."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    memo = tables_of(spec).branch_rows(family)
+    if tree.kind == "polynomial":
+        tables = tables_of(spec)
+        tables.bound_images()
+        return to_expr(tables, _build_form(spec, tables, tree, p, family))
     branches = tree.branches()
+    rows = _rows(spec, tables_of(spec), branches, p, family)
+    return NodeSymbolExpr.build(
+        {alpha: _coeff_expr(row, p) for alpha, row in zip([()] + branches, rows)}
+    )
+
+
+def _rows(
+    spec: AlgebraSpec, tables: Tables, branches: list[MultiIndex], p: int, family: str
+) -> list[_Row]:
+    """The rows of the root and of `branches`, walked in `tree.branches()`
+    order, parents before children, so the first resonant phi branch raises."""
+    memo = tables.branch_rows(family)
     rows = [_row(spec, memo, (), p, family)]
     for alpha in branches:
         row = _row(spec, memo, alpha, p, family)
         if row is None:
             raise Resonance(alpha, len(alpha))
         rows.append(row)
-    if tree.kind != "polynomial":
-        return NodeSymbolExpr.build(
-            {alpha: _coeff_expr(row, p) for alpha, row in zip([()] + branches, rows)}
-        )
-    nodes = [tree.seed.terms] + [tree.nodes[alpha].terms for alpha in branches]
-    d = lcm(*(c.denominator for terms in nodes for c in terms.values()))
+    return rows
+
+
+def _build_form(
+    spec: AlgebraSpec, tables: Tables, tree: TensionTree, p: int, family: str
+) -> Form:
+    """The family member of order p of a polynomial tree in integer form: node
+    coefficients over their common denominator D, rows with their weights
+    folded in over theirs W, summed on integers keyed by (monomial id,
+    exponent id, p - 1 - j) and reduced once over D * W."""
+    rows = _rows(spec, tables, tree.branches(), p, family)
+    d, nodes = tree.scaled_terms
     w = lcm(*(u.denominator for row in rows for u in row.u[:p]))
-    exponent_ids: dict[Fraction, int] = {}
-    out: dict[tuple[Monomial, int], int] = {}
+    weights = _weights(p)
+    ids = tables.monomial_ids
+    out: dict[tuple[int, int, int], int] = {}
     get = out.get
     for terms, row in zip(nodes, rows):
-        base = exponent_ids.setdefault(row.exponent, len(exponent_ids)) * p
+        e = row.exponent_id
+        if e is None:
+            e = row.exponent_id = tables.exponent_id(row.exponent)
         scaled = [
-            (base + j, u.numerator * (w // u.denominator))
+            (p - 1 - j, u.numerator * (w // u.denominator) * weights[j])
             for j, u in enumerate(row.u[:p])
             if u
         ]
-        for mono, c in terms.items():
-            c = c.numerator * (d // c.denominator)
-            for slot, u in scaled:
-                key = (mono, slot)
+        for mono, c in terms:
+            m = ids.get(mono)
+            if m is None:
+                m = tables.monomial_id(mono)
+            for k, u in scaled:
+                key = (m, e, k)
                 out[key] = get(key, 0) + c * u
-    exponents = list(exponent_ids)
-    weights = _weights(p)
-    denominator = d * w
-    return MixedExpr._wrap(
-        {
-            (mono, exponents[slot // p], p - 1 - slot % p): Fraction(
-                v * weights[slot % p], denominator
-            )
-            for (mono, slot), v in out.items()
-            if v
-        }
-    )
+    return reduced(d * w, out)
 
 
 def combine(a: Fraction, b: Fraction, phi: Built, psi: Built) -> Built:
@@ -303,26 +321,37 @@ class HarmonicCertificate:
         }
 
 
+_Iterate = TypeVar("_Iterate")
+
+
 def _certify(
-    kind: str, p: int, seed: str, e: Built, step: Callable[[Built], Built]
+    kind: str,
+    p: int,
+    seed: str,
+    e: _Iterate,
+    step: Callable[[_Iterate], _Iterate],
+    nonzero: Callable[[_Iterate], bool],
+    built: Callable[[_Iterate], Built],
 ) -> HarmonicCertificate:
-    """Iterate `step` from e up to p times, stopping at the first zero iterate."""
+    """Iterate `step` from e up to p times, stopping at the first zero
+    iterate; only the last two iterates are held, and `built` turns the two
+    residuals into the certificate's functions."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    iterates = [e]
-    while len(iterates) <= p and not iterates[-1].is_zero():
-        iterates.append(step(iterates[-1]))
+    previous = current = e
+    q = 0
+    while q < p and nonzero(current):
+        previous, current, q = current, step(current), q + 1
     # only the last iterate can be zero, and every power past it is zero too
-    last = len(iterates) - 1
-    verified_order = last if iterates[last].is_zero() else None
+    verified_order = None if nonzero(current) else q
     return HarmonicCertificate(
         kind=kind,
         p=p,
         seed=seed,
         verified_order=verified_order,
         proper=verified_order == p,
-        residual_pminus1=iterates[min(p - 1, last)],
-        residual_p=iterates[min(p, last)],
+        residual_pminus1=built(previous if q == p else current),
+        residual_p=built(current),
     )
 
 
@@ -333,8 +362,16 @@ def verify(
     kind: str = "expression",
     seed: str = "",
 ) -> HarmonicCertificate:
-    """Apply the operator up to p times with exact zero tests."""
-    return _certify(kind, p, seed, e, lambda image: tau(spec, image))
+    """Apply the operator up to p times with exact zero tests, iterating on
+    e's integer form (`laplacian.tau_form`)."""
+    tables = tables_of(spec)
+    tables.bound_images()
+    return _certify(
+        kind, p, seed, to_form(tables, e),
+        lambda form: tau_form(tables, form),
+        lambda form: bool(form[1]),
+        lambda form: to_expr(tables, form),
+    )
 
 
 def _node_terms(node: Node) -> dict:
@@ -392,6 +429,8 @@ def verify_formal(
     return _certify(
         kind, p, seed, realized(e),
         lambda image: realized(formal_tau(spec, tree, image)),
+        bool,
+        lambda image: image,
     )
 
 
@@ -421,27 +460,69 @@ def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
 
     For p = 2 the two-step term carries coefficient zero and is dropped; for
     p = 1 the identities reduce to tau = 0.  Branches blocked by Resonance
-    skip the phi side (psi is always checked).
+    skip the phi side (psi is always checked).  A polynomial tree is checked
+    on integer forms (`_vanishes`), a radial one on the formal operator.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    n = spec.homogeneous_dim
-    if tree.kind == "polynomial":
-        step = lambda e: tau(spec, e)
-    else:
-        step = lambda e: formal_tau(spec, tree, e)
+    tables = tables_of(spec)
+    tables.bound_images()
     ok = True
-    for family, builder, sign in (("phi", build_phi, -1), ("psi", build_psi, 1)):
+    for family, sign in (("phi", -1), ("psi", 1)):
         try:
-            current = builder(spec, tree, p)
+            if tree.kind == "polynomial":
+                holds = _recurrence_holds(spec, tables, tree, p, family, sign)
+            else:
+                holds = _formal_recurrence_holds(spec, tree, p, family, sign)
         except Resonance:
             if family == "phi":
                 continue
             raise
-        residual = step(current)
-        if p >= 2:
-            residual = residual - builder(spec, tree, p - 1) * (sign * n * (p - 1))
-        if p >= 3:
-            residual = residual - builder(spec, tree, p - 2) * ((p - 1) * (p - 2))
-        ok = ok and not residual
+        ok = ok and holds
     return ok
+
+
+def _recurrence_holds(
+    spec: AlgebraSpec, tables: Tables, tree: TensionTree, p: int, family: str, sign: int
+) -> bool:
+    """The identity of one family on a polynomial tree: tau(f_p) minus the
+    scaled lower members, as (form, coefficient numerator, coefficient
+    denominator) parts summed on integers (`_vanishes`)."""
+    n = spec.homogeneous_dim
+    parts = [(tau_form(tables, _build_form(spec, tables, tree, p, family)), 1, 1)]
+    if p >= 2:
+        lower = _build_form(spec, tables, tree, p - 1, family)
+        parts.append((lower, -sign * (p - 1) * n.numerator, n.denominator))
+    if p >= 3:
+        lower = _build_form(spec, tables, tree, p - 2, family)
+        parts.append((lower, -(p - 1) * (p - 2), 1))
+    return _vanishes(parts)
+
+
+def _vanishes(parts: list[tuple[Form, int, int]]) -> bool:
+    """Whether the sum of c * f over the parts (f, numerator of c,
+    denominator of c) is zero, cross-multiplied over the lcm of each form's
+    denominator times its coefficient's."""
+    common = lcm(*(form[0] * c_den for form, _, c_den in parts))
+    total: dict[tuple[int, int, int], int] = {}
+    get = total.get
+    for (d, terms), c_num, c_den in parts:
+        scale = c_num * (common // (d * c_den))
+        for key, v in terms.items():
+            total[key] = get(key, 0) + v * scale
+    return not any(total.values())
+
+
+def _formal_recurrence_holds(
+    spec: AlgebraSpec, tree: TensionTree, p: int, family: str, sign: int
+) -> bool:
+    """The identity of one family on a radial tree, with the formal operator
+    (`formal_tau`) and node-symbol arithmetic."""
+    n = spec.homogeneous_dim
+    builder = build_phi if family == "phi" else build_psi
+    residual = formal_tau(spec, tree, builder(spec, tree, p))
+    if p >= 2:
+        residual = residual - builder(spec, tree, p - 1) * (sign * n * (p - 1))
+    if p >= 3:
+        residual = residual - builder(spec, tree, p - 2) * ((p - 1) * (p - 2))
+    return not residual

@@ -14,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable, Mapping, Union
 
 from .algebra import AlgebraSpec, VarIndex
 from .errors import (
     BadParams,
+    BudgetExceeded,
     IndexOutOfRange,
     InternalClosureError,
     KindMismatch,
@@ -27,7 +29,7 @@ from .errors import (
 )
 from .expr import MixedExpr, latex_term
 from .laplacian import tau
-from .poly import Polynomial
+from .poly import Monomial, Polynomial
 from .scalar import _acc, format_rational, int_field, parse_rational
 
 MultiIndex = tuple[int, ...]
@@ -224,6 +226,18 @@ class TensionTree:
     def branches(self) -> list[MultiIndex]:
         return sorted(self.nodes)
 
+    @cached_property
+    def scaled_terms(self) -> tuple[int, list[list[tuple[Monomial, int]]]]:
+        """A polynomial tree's seed and nodes, in `branches()` order, as
+        (D, [[(monomial, numerator over D), ...], ...]), D the common
+        denominator of every coefficient."""
+        nodes = [self.seed.terms] + [self.nodes[alpha].terms for alpha in self.branches()]
+        d = lcm(*(c.denominator for terms in nodes for c in terms.values()))
+        return d, [
+            [(mono, c.numerator * (d // c.denominator)) for mono, c in terms.items()]
+            for terms in nodes
+        ]
+
     def node_count(self) -> int:
         return len(self.nodes)
 
@@ -252,6 +266,19 @@ def _split_components(spec: AlgebraSpec, image: MixedExpr) -> dict[int, Polynomi
     return children
 
 
+# The deepest tension tree a seed may ask for, by its depth bound: x^(10^11)
+# on rh2 would otherwise be expanded one level at a time, 5 * 10^10 levels.
+_DEPTH_BUDGET = 1024
+
+
+def _check_budget(bound: int) -> None:
+    if bound > _DEPTH_BUDGET:
+        raise BudgetExceeded(
+            f"the seed's tension tree may be {bound} levels deep; "
+            f"the depth budget is {_DEPTH_BUDGET}"
+        )
+
+
 def _check_depth(depth: int, bound: int) -> None:
     if depth > bound:
         raise InternalClosureError(
@@ -267,7 +294,8 @@ def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
     the child at t^(2 lambda_k) has weighted degree (sum of lambda_layer *
     exponent over a monomial, maximized) at least 2 lambda_k below its
     parent's, and the depth is at most the seed's weighted degree over
-    2 lambda_1.  A node past that bound means an operator bug.
+    2 lambda_1.  A node past that bound means an operator bug; a bound past
+    `_DEPTH_BUDGET` raises BudgetExceeded before any level is expanded.
     """
     for v_layer in h.layers_used():
         if not 1 <= v_layer <= spec.m:
@@ -277,6 +305,7 @@ def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
         default=0,
     )
     bound = weighted // (2 * spec.lam(1))
+    _check_budget(bound)
     nodes: dict[MultiIndex, Polynomial] = {}
     frontier: dict[MultiIndex, Polynomial] = {(): h}
     depth = 0
@@ -301,7 +330,8 @@ def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:
 
     Each Laplacian lowers every rho-power by 2 down to its harmonic floor, 0
     or 2 - n1, so the depth is at most (max a - min(0, 2 - n1)) // 2; a node
-    past that bound means an operator bug.  The layer-1/2 cross terms of the operator annihilate on radial x affine
+    past that bound means an operator bug, and a bound past `_DEPTH_BUDGET`
+    raises BudgetExceeded.  The layer-1/2 cross terms of the operator annihilate on radial x affine
     functions because the first-layer bracket constants are antisymmetric in
     the two layer-1 slots; validation rejects a self-bracket [X, X], so the
     diagonal constants vanish on every algebra spec.
@@ -320,6 +350,7 @@ def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:
             spec.check_index(VarIndex(2, slot))
     n1 = seed.radial.n1
     bound = (max((a for a, _ in seed.radial.terms), default=0) - min(0, 2 - n1)) // 2
+    _check_budget(bound)
     nodes: dict[MultiIndex, RadialSeed] = {}
     current = seed.radial
     depth = 0

@@ -4,7 +4,9 @@ Everything here is deliberately written against the raw data (bracket maps,
 structure polynomials, hand-typed display formulas) and never calls the
 production code paths it is used to check: the frame-sum operator, the
 expression-level partial-derivative operator and the layer closed forms are
-second realizations of `polyharm.tau`, and the
+second realizations of `polyharm.tau`, the
+recurrence and certificate loops redo `recurrence_check` and `verify` on
+MixedExpr arithmetic with the partial-derivative operator, and the
 high-precision evaluator is a numeric signal beside the canonical zero test.
 The module also holds small helpers only the tests use: exact polynomial
 evaluation, the homogeneous degree, structure constants and tree sums.
@@ -31,6 +33,8 @@ from polyharm import (
     Resonance,
     TensionTree,
     VarIndex,
+    build_phi,
+    build_psi,
     struct_polys,
 )
 from polyharm.laplacian import tables_of
@@ -539,3 +543,44 @@ def tau_by_partials(spec, e: MixedExpr) -> MixedExpr:
         for shift, poly in shifts.items():
             _accumulate_product(out, poly, d, shift)
     return MixedExpr(out)
+
+
+# --- certification by the partial-derivative operator ---
+
+def recurrence_by_exprs(spec, tree, p: int) -> bool:
+    """The two-step identities of `polyharm.recurrence_check` on a polynomial
+    tree, in MixedExpr arithmetic with `tau_by_partials` as the operator:
+
+        tau(phi_p) = -n (p-1) phi_{p-1} + (p-1)(p-2) phi_{p-2}
+        tau(psi_p) = +n (p-1) psi_{p-1} + (p-1)(p-2) psi_{p-2}
+
+    A resonant phi side is skipped."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    n = spec.homogeneous_dim
+    ok = True
+    for family, builder, sign in (("phi", build_phi, -1), ("psi", build_psi, 1)):
+        try:
+            current = builder(spec, tree, p)
+        except Resonance:
+            if family == "phi":
+                continue
+            raise
+        residual = tau_by_partials(spec, current)
+        if p >= 2:
+            residual = residual - builder(spec, tree, p - 1) * (sign * n * (p - 1))
+        if p >= 3:
+            residual = residual - builder(spec, tree, p - 2) * ((p - 1) * (p - 2))
+        ok = ok and not residual
+    return ok
+
+
+def certificate_by_partials(spec, e: MixedExpr, p: int) -> tuple:
+    """(verified_order, proper, residual_pminus1, residual_p) of `polyharm.verify`,
+    from the list of every iterate of `tau_by_partials` up to the first zero."""
+    iterates = [e]
+    while len(iterates) <= p and not iterates[-1].is_zero():
+        iterates.append(tau_by_partials(spec, iterates[-1]))
+    last = len(iterates) - 1
+    order = last if iterates[last].is_zero() else None
+    return order, order == p, iterates[min(p - 1, last)], iterates[min(p, last)]

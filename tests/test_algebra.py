@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,11 +14,16 @@ from polyharm import (
     NonPositiveEigenvalue,
     UnknownCatalogName,
     VarIndex,
+    build_psi,
     catalog,
     catalog_short_name,
     from_json_dict,
+    parse_polynomial,
+    tension_tree,
     validate,
+    verify,
 )
+from polyharm.laplacian import tables_of
 
 from oracles import structure_constant
 
@@ -222,3 +229,23 @@ def test_variables_and_aliases(ch2, ch3):
     assert ch3.alias_to_var["y_2"] == VarIndex(1, 4)
     with pytest.raises(IndexOutOfRange):
         ch2.check_index(VarIndex(3, 1))
+
+
+def test_pickle_and_copy_carry_only_the_fields():
+    spec = catalog_short_name("ch3")
+    fresh = pickle.dumps(spec)
+
+    def certify(s):
+        tree = tension_tree(s, parse_polynomial("(x_1*y_2+z)^4", s))
+        return verify(s, build_psi(s, tree, 5), 5)
+
+    cert = certify(spec)
+    assert tables_of(spec).images  # the spec now holds filled memos
+    assert pickle.dumps(spec) == fresh
+    for clone in (pickle.loads(fresh), copy.deepcopy(spec), copy.copy(spec)):
+        assert clone == spec and "_tables" not in clone.__dict__
+        assert certify(clone) == cert
+        rebuilt, original = tables_of(clone), tables_of(spec)
+        assert rebuilt is not original
+        assert rebuilt.coefficients == original.coefficients
+        assert rebuilt.struct.entries == original.struct.entries

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyharm import ParseError, RadialFunction, UnsupportedSpan, parse
 from polyharm.cli import main, parse_radial_seed, resolve_algebra
@@ -343,10 +347,12 @@ def test_unknown_algebra(capsys):
             "tree", "--algebra", "rh3",
             "--radial-seed", '{"n1":2,"terms":[{"k":true,"a":"1","b":"0"}]}',
         ),
+        ("build", "--algebra", "rh2", "--seed", "x^99999999999", "--p", "2"),
     ],
     ids=[
         "zero-denominator", "zero-exponent-denominator", "missing-file", "radial-k-not-int",
         "radial-G-c-string", "radial-k-float", "radial-n1-float", "radial-k-bool",
+        "seed-past-depth-budget",
     ],
 )
 def test_bad_input_is_domain_error(capsys, tmp_path, monkeypatch, argv):
@@ -354,3 +360,75 @@ def test_bad_input_is_domain_error(capsys, tmp_path, monkeypatch, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "error[" in err and "Traceback" not in err
+
+
+# --- argv fuzz: every input ends in exit 0, 1 or 2, never a traceback ---
+
+FUZZ_SEEDS = ("x^4", "z^2", "x_1*y_2 + z", "x^2*z - 1/3*y", "x1_1^3", "0", "7")
+FUZZ_MALFORMED = (
+    "", "x^", "((z", "z^-1", "x*t", "1/0", "x_9", "t^(1/0)", "--p", "nan", "1e3",
+    "\x00", "é", "x^99999999999", "{", '{"n1":2,"terms":[]}', "-", "3/-2",
+)
+FUZZ_RADIAL = (
+    '{"n1":2,"terms":[{"k":1,"a":"1","b":"0"}],"G":{"c0":"1"}}',
+    '{"n1":2,"terms":[{"k":2,"a":"0","b":"1/2"}]}',
+    '{"n1":3,"terms":[{"k":1,"a":"-1","b":"2"}]}',
+)
+
+
+@st.composite
+def expr_texts(draw):
+    """--expr text: sums of coefficient * variable power * t^(a/b) * log(t)^k."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        factors = [f"({coeff})"]
+        if draw(st.booleans()):
+            factors.append(f"{draw(st.sampled_from(('x', 'y', 'z', 'x_1')))}^{draw(st.integers(1, 3))}")
+        num, den = draw(st.integers(-4, 4)), draw(st.integers(1, 3))
+        if num:
+            factors.append(f"t^({num}/{den})")
+        logpow = draw(st.integers(0, 3))
+        if logpow:
+            factors.append(f"log(t)^{logpow}")
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(("tree", "build", "verify", "validate")))
+    argv = [command, "--algebra", draw(st.sampled_from(("rh2", "ch2", "ch3", "rh3", "zz9", "none.json")))]
+    if command != "validate":
+        source = draw(st.sampled_from(("seed", "radial", "expr", "malformed")))
+        if source == "expr" and command == "verify":
+            argv += ["--expr", draw(expr_texts())]
+        elif source == "radial":
+            argv += ["--radial-seed", draw(st.sampled_from(FUZZ_RADIAL + FUZZ_MALFORMED))]
+        elif source == "malformed":
+            argv += ["--seed", draw(st.sampled_from(FUZZ_MALFORMED))]
+        else:
+            argv += ["--seed", draw(st.sampled_from(FUZZ_SEEDS))]
+    if command in ("build", "verify"):
+        argv += ["--p", str(draw(st.integers(-2, 5)))]
+        argv += ["--kind", draw(st.sampled_from(("phi", "psi", "combo", "chi")))]
+        if draw(st.booleans()):
+            argv += ["--a", draw(st.sampled_from(("2/3", "-1", "0", "x", "1/0"))), "--b", "0"]
+    if command != "validate" and draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(("text", "json", "latex", "xml")))]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(FUZZ_MALFORMED)))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_argvs())
+def test_cli_argv_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

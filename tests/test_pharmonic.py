@@ -38,6 +38,7 @@ from polyharm import laplacian
 from polyharm.cli import parse_radial_seed
 from polyharm.laplacian import tables_of
 from polyharm.pharmonic import realize
+from polyharm.poly import Monomial
 
 from oracles import (
     branch_coeff_by_compositions,
@@ -624,14 +625,18 @@ def test_recurrence_radial(rh3):
 
 
 def test_recurrence_detects_wrong_factor(rh2, monkeypatch):
-    # sanity: the check is not vacuous; a wrong homogeneous dimension must fail
+    # sanity: the check is not vacuous; an operator off by t must fail it.  The
+    # polynomial route applies the integer kernel, so that is what is broken.
     tree = tree_of(rh2, "x^6")
     import polyharm.pharmonic as ph
 
-    original = ph.tau
+    original = ph.tau_form
 
-    def broken_tau(spec, e):
-        return original(spec, e) + MixedExpr.t_power(1)
+    def broken_tau_form(tables, form):
+        d, terms = original(tables, form)
+        key = (tables.monomial_id(Monomial.one()), tables.exponent_id(Fraction(1)), 0)
+        return d, {**terms, key: terms.get(key, 0) + d}
 
-    monkeypatch.setattr(ph, "tau", broken_tau)
+    assert recurrence_check(rh2, tree, 2)
+    monkeypatch.setattr(ph, "tau_form", broken_tau_form)
     assert not recurrence_check(rh2, tree, 2)

@@ -6,6 +6,7 @@ import pytest
 
 from polyharm import (
     AffinePart,
+    BudgetExceeded,
     InternalClosureError,
     KindMismatch,
     MixedExpr,
@@ -97,6 +98,20 @@ def test_defining_recursion(rh2, ch2, ch3):
 def test_depth_bound_comes_from_the_seed(rh2):
     # depth 65: a fixed depth limit of 64 would refuse this finite tree
     assert tension_tree(rh2, poly("x^130", rh2)).degree == 65
+
+
+def test_depth_budget_refuses_a_huge_seed_up_front(rh2, rh3, monkeypatch):
+    # x^(10^11) would be expanded one level at a time for hours
+    calls = []
+    monkeypatch.setattr(tension, "tau", lambda spec, e: calls.append(e))
+    with pytest.raises(BudgetExceeded):
+        tension_tree(rh2, poly("x^99999999999", rh2))
+    seed = RadialSeed(RadialFunction(2, {(10**9, False): Fraction(1)}), AffinePart(Fraction(1)))
+    with pytest.raises(BudgetExceeded):
+        tension_tree_radial(rh3, seed)
+    assert not calls
+    monkeypatch.undo()
+    assert tension_tree(rh2, poly(f"x^{2 * tension._DEPTH_BUDGET}", rh2)).degree == tension._DEPTH_BUDGET
 
 
 def test_depth_guard_stops_a_looping_operator(rh2, rh3, monkeypatch):
