@@ -37,7 +37,6 @@ from .laplacian import (
     bernoulli,
     struct_polys,
     tau,
-    tau_t,
 )
 from .pharmonic import (
     HarmonicCertificate,
@@ -47,7 +46,6 @@ from .pharmonic import (
     certify,
     certify_family,
     combine,
-    formal_tau,
     recurrence_check,
     verify,
     verify_formal,

@@ -6,7 +6,8 @@ are rationals, log powers are non-negative integers.  Canonical form = sparse
 map keyed by (monomial, mu, logpow) with nonzero Fraction values; equality of
 maps is the authoritative zero test.  `MixedExpr` is a `poly.Sparse`, which
 gives it equality, hashing, sums, scalar multiples and powers; this module
-adds its product, calculus, rendering and the parser.
+adds its product, rendering and the parser.  The operator acts on it through
+the integer form of `laplacian`, so it carries no calculus of its own.
 
 An expression whose every monomial is constant is "t-only" (the coefficient
 functions f/g of the main construction live there); one with mu = 0 and
@@ -83,7 +84,7 @@ class MixedExpr(Sparse):
             grouped.setdefault((mu, logpow), {})[mono] = c
         return {key: Polynomial(val) for key, val in grouped.items()}
 
-    # --- product and calculus ---
+    # --- product ---
 
     def _times(self, other: "MixedExpr | Polynomial") -> "MixedExpr":
         if isinstance(other, Polynomial):
@@ -92,30 +93,6 @@ class MixedExpr(Sparse):
         for (m1, mu1, k1), c1 in self.terms.items():
             for (m2, mu2, k2), c2 in other.terms.items():
                 _acc(out, (m1 * m2, mu1 + mu2, k1 + k2), c1 * c2)
-        return self._wrap(out)
-
-    def mul_t_power(self, shift: Fraction | int) -> "MixedExpr":
-        shift = Fraction(shift)
-        if not shift:
-            return self
-        return self._wrap({(m, mu + shift, k): c for (m, mu, k), c in self.terms.items()})
-
-    def d_dt(self) -> "MixedExpr":
-        """Exact d/dt: c*m*t^mu*log^k -> c*m*(mu t^(mu-1) log^k + k t^(mu-1) log^(k-1))."""
-        out: dict[Key, Fraction] = {}
-        for (mono, mu, k), c in self.terms.items():
-            if mu:
-                _acc(out, (mono, mu - 1, k), c * mu)
-            if k:
-                _acc(out, (mono, mu - 1, k - 1), c * k)
-        return self._wrap(out)
-
-    def partial(self, v: VarIndex) -> "MixedExpr":
-        out: dict[Key, Fraction] = {}
-        for (mono, mu, k), c in self.terms.items():
-            factor, lowered = mono.derivative(v)
-            if factor:
-                _acc(out, (lowered, mu, k), c * factor)
         return self._wrap(out)
 
     # --- rendering ---

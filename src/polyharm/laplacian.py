@@ -17,18 +17,21 @@ the monomials and t-exponents interned to integer ids, and the memos of the
 operator's monomial images, of each exponent's t-part and of each family's
 branch rows (filled by `pharmonic`), all bounded by `_MEMO_LIMIT`.
 
-Concrete functions are carried in an integer form (`Form`): one denominator
-and a map from (monomial id, exponent id, log power) to integer numerators.
-The operator is linear and its x-part does not depend on t, so its kernel
-`tau_form` is the linear extension of monomial images: each monomial's image
-(a sum of t-shifts times integer polynomials over one per-algebra
+Functions are carried in an integer form (`Form`): one denominator and a map
+from (x-part, exponent id, log power) to integer numerators, the x-part a
+monomial id for a concrete function and a node symbol for a radial tree's
+formal one.  The operator is linear and its x-part does not depend on t, so
+its one kernel `tau_form` is the linear extension of images: each monomial's
+image (a sum of t-shifts times integer polynomials over one per-algebra
 denominator) is computed once, each exponent's t-part factors mu (mu - n)
 and 2 mu - n and shifted exponent ids are computed once, and a form's terms
 are pushed through both on integers, with one gcd reduction per
-application.  `tau` is the same operator on MixedExpr: it converts to the
-form, applies the kernel and converts back.  `pharmonic` builds, iterates and
-checks concrete functions on forms, so Fractions appear only where a
-MixedExpr crosses the public API.
+application.  A radial tree passes its own images in place of the monomial
+images, the tree rule tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k), and
+the t-part comes from the same memo.  `tau` is the operator on MixedExpr: it
+converts to the form, applies the kernel and converts back.  `pharmonic`
+builds, iterates and checks both kinds of function on forms, so Fractions
+appear only where a MixedExpr or a node-symbol sum crosses the public API.
 
 The test suite cross-asserts `tau` against an independent frame-sum
 realization A(A(e)) + sum X^i_j(X^i_j(e)) - n t e_t built from the
@@ -43,8 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
+from typing import Mapping
 from .algebra import AlgebraSpec, VarIndex
-from .expr import Key, MixedExpr
+from .expr import MixedExpr
 from .poly import Monomial, Polynomial
 from .scalar import _acc
 
@@ -71,12 +75,14 @@ def bernoulli(r: int) -> Fraction:
 # call, per memo of a live algebra.
 _MEMO_LIMIT = 4096
 
-# A concrete function in integer form: (denominator, {(monomial id, t-exponent
-# id, log power): numerator}), with ids interned in the algebra's tables and
-# no zero numerator, so the zero function has no terms.  Ids stay valid until
-# the next `Tables.bound_images`, which runs only at the entry of a public
-# call, so a form never outlives the call that made it.
-Form = tuple[int, dict[tuple[int, int, int], int]]
+# A function in integer form: (denominator, {(x-part, t-exponent id, log
+# power): numerator}), with no zero numerator, so the zero function has no
+# terms.  The x-part is a monomial id for a concrete function and a node
+# symbol (a multi-index) for a radial tree's formal one.  Ids are interned in
+# the algebra's tables and stay valid until the next `Tables.bound_images`,
+# which runs only at the entry of a public call, so a form never outlives the
+# call that made it.
+Form = tuple[int, dict[tuple, int]]
 
 # The x-part of the operator on one monomial: sum over s of t^(shifts[s])
 # times a polynomial, as ((shift id, monomial id, numerator), ...) over the
@@ -233,19 +239,6 @@ def struct_polys(spec: AlgebraSpec) -> StructPolyTable:
 
 # --- the operator ---
 
-def tau_t(e: MixedExpr, n: Fraction) -> MixedExpr:
-    """The pure t-part t^2 e_tt + (1 - n) t e_t, exact and termwise."""
-    out: dict[Key, Fraction] = {}
-    for (mono, mu, k), c in e.terms.items():
-        if mu:
-            _acc(out, (mono, mu, k), c * mu * (mu - n))
-        if k:
-            _acc(out, (mono, mu, k - 1), c * k * (2 * mu - n))
-            if k >= 2:
-                _acc(out, (mono, mu, k - 2), c * k * (k - 1))
-    return MixedExpr._wrap(out)
-
-
 def _coefficients(spec: AlgebraSpec, table: StructPolyTable) -> dict:
     """The operator's coefficient polynomials by the variables of their
     derivative, first order (one variable) before second order (an
@@ -338,29 +331,34 @@ def to_expr(tables: Tables, form: Form) -> MixedExpr:
     )
 
 
-def tau_form(tables: Tables, form: Form) -> Form:
-    """The operator on a form: each term is pushed through its monomial's
-    image (`_image`) with the t-shifts of its exponent, and the t-part of its
-    exponent (`_t_part`) is added.  The sum runs on integers over d * s, d the
-    form's denominator and s the lcm of the image denominator and the t-part
-    denominators of the form's exponents; the result is reduced once."""
+def tau_form(tables: Tables, form: Form, images: Mapping | None = None) -> Form:
+    """The operator on a form: each term is pushed through the image of its
+    key's first part with the t-shifts of its exponent, and the t-part of its
+    exponent (`_t_part`) is added.  The images are the monomial images
+    (`_image`) unless `images` maps every first part of the form to its image
+    over denominator 1, as a radial tree's node symbols do.  The sum runs on
+    integers over d * s, d the form's denominator and s the lcm of the image
+    denominator and the t-part denominators of the form's exponents; the
+    result is reduced once."""
     d, terms = form
     if not terms:
         return form
+    if images is None:
+        images, image_denominator = tables.images, tables.image_denominator
+    else:
+        image_denominator = 1
     t_parts = tables.t_parts
     parts = {
         e: t_parts[e] if e in t_parts else _t_part(tables, e)
         for e in {e for _, e, _ in terms}
     }
-    image_denominator = tables.image_denominator
     s = lcm(image_denominator, *(part[0] for part in parts.values()))
     scale = s // image_denominator
     factors = {
         e: (t2 * (s // t), t1 * (s // t), shifted)
         for e, (t, t2, t1, shifted) in parts.items()
     }
-    images = tables.images
-    out: dict[tuple[int, int, int], int] = {}
+    out: dict[tuple, int] = {}
     get = out.get
     for (m, e, k), num in terms.items():
         image = images.get(m)

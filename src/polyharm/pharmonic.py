@@ -19,24 +19,29 @@ same `_MEMO_LIMIT` as the operator's memo; one row serves every p up to its
 length and every branch that extends alpha.  The sum over the tree then
 runs on integers straight into the operator's integer form
 (`laplacian.Form`): node coefficients and rows are scaled to common
-denominators and their products accumulated by (monomial id, exponent id,
-log power); `build_phi`/`build_psi` convert the form to a MixedExpr once.
+denominators and their products accumulated by (x-part, exponent id, log
+power).  A polynomial tree's x-parts are monomial ids and
+`build_phi`/`build_psi` convert the form to a MixedExpr once.  A radial
+tree's nodes are not polynomial, so its x-parts are node symbols (the
+multi-indices, each node with coefficient 1) and the build converts to the
+formal sum `NodeSymbolExpr`, a `poly.Sparse` like MixedExpr.
 
-Certification never trusts the construction: `verify` iterates the integer
-kernel `laplacian.tau_form` exactly, testing each iterate for zero by its
-empty term map and converting only the two residuals the certificate keeps,
-and reports the least vanishing order; `recurrence_check` tests the two-step
-iteration identities the families satisfy, on a polynomial tree as one
-integer sum over the forms of f_p, f_(p-1) and f_(p-2).  For radial seeds the
-nodes are carried as formal symbols with t-only coefficients
-(`NodeSymbolExpr`, a `poly.Sparse` like MixedExpr, so both kinds of function
-share one set of ring operations) and the operator acts on the coefficients
-(`formal_tau`); `verify_formal` decides each formal iterate by substituting
-the actual nodes and testing the realized function for zero in canonical
-form.  The tree's kind, not the type of the built function, picks the route:
-`certify` and `recurrence_check` choose the concrete or the formal operator
-from `tree.kind`.  A form's ids are valid only inside the public call that
-made it, since `Tables.bound_images` runs at the entry of each.
+Certification never trusts the construction, and both tree kinds run on the
+one kernel `laplacian.tau_form`.  `verify` iterates it exactly, testing each
+iterate for zero by its empty term map and converting only the two
+residuals the certificate keeps, and reports the least vanishing order.
+`verify_formal` iterates it on a node-symbol form under the tree's own
+images (the tree rule tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k)) and
+decides each iterate by substituting the actual nodes and testing the
+realized function for zero in canonical form (`realize`).
+`recurrence_check` tests the two-step iteration identities the families
+satisfy as one integer sum over the forms of tau(f_p), f_(p-1) and
+f_(p-2), passing the images of a radial tree to the kernel.  The tree's
+kind, not the type of the built function, picks the images: `certify` and
+`recurrence_check` read `tree.kind`.  Every order p is checked against the
+budget `_P_BUDGET` before a row is made or the operator applied.  A form's
+ids are valid only inside the public call that made it, since
+`Tables.bound_images` runs at the entry of each.
 """
 
 from __future__ import annotations
@@ -44,12 +49,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Mapping, TypeVar, Union
+from typing import Callable, Mapping, Union
 
 from .algebra import AlgebraSpec
-from .errors import KindMismatch, Resonance, ZeroCombination
+from .errors import BudgetExceeded, KindMismatch, Resonance, ZeroCombination
 from .expr import MixedExpr
-from .laplacian import Form, Tables, reduced, tables_of, tau_form, tau_t, to_expr, to_form
+from .laplacian import Form, Tables, reduced, tables_of, tau_form, to_expr, to_form
 from .poly import Monomial, Polynomial, Sparse
 from .scalar import _acc
 from .tension import MultiIndex, Node, TensionTree
@@ -123,27 +128,16 @@ def _weights(p: int) -> list[int]:
     return out
 
 
-def _coeff_expr(row: _Row, p: int) -> MixedExpr:
-    """The branch coefficient of order p from its row, as a t-only MixedExpr."""
-    one = Monomial.one()
-    return MixedExpr._wrap(
-        {
-            (one, row.exponent, p - 1 - j): w * u
-            for j, (w, u) in enumerate(zip(_weights(p), row.u))
-            if u
-        }
-    )
-
-
 # --- node-symbol expressions (formal mode for radial trees) ---
 
 class NodeSymbolExpr(Sparse):
     """Linear combination of abstract node symbols with t-only coefficients:
     a sum keyed by multi-index, with MixedExpr coefficients.
 
-    The empty multi-index denotes the seed itself.  Used for radial trees,
-    whose nodes are not polynomials: the operator acts on the t-coefficients
-    (`formal_tau`), and `realize` substitutes the actual nodes back.
+    The empty multi-index denotes the seed itself.  It is the public value
+    of a radial tree's build and of its certificate residuals, whose nodes
+    are not polynomials; the work runs on the integer form keyed by node
+    symbol (`_symbol_form`, `_symbols`).
     """
 
     __slots__ = ()
@@ -179,24 +173,61 @@ class NodeSymbolExpr(Sparse):
         return " + ".join(parts)
 
 
-def formal_tau(spec: AlgebraSpec, tree: TensionTree, e: NodeSymbolExpr) -> NodeSymbolExpr:
-    """Push the operator through node symbols:
-    tau(s_alpha F) = sum_k s_(alpha,k) t^(2 lambda_k) F + s_alpha tau_t(F),
-    dropping symbols whose actual node is zero (absent from the tree)."""
-    n = spec.homogeneous_dim
-    out: dict[MultiIndex, MixedExpr] = {}
-    for alpha, coeff in e.terms.items():
-        _acc(out, alpha, tau_t(coeff, n))
-        for k in range(1, spec.m + 1):
-            child = alpha + (k,)
-            if child in tree.nodes:
-                _acc(out, child, coeff.mul_t_power(2 * spec.lam(k)))
-    return NodeSymbolExpr._wrap(out)
+def _symbol_images(tree: TensionTree) -> dict:
+    """The operator's images of the node symbols, in the layout of
+    `laplacian.tau_form` over denominator 1: the tree rule
+    tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k), with shift id k - 1,
+    over the children present (a zero node is absent from the tree)."""
+    return {
+        alpha: tuple((k - 1, alpha + (k,), 1) for k in tree.children(alpha))
+        for alpha in [(), *tree.nodes]
+    }
+
+
+def _symbol_form(tables: Tables, e: NodeSymbolExpr, symbols) -> Form:
+    """The integer form of e's terms on `symbols`, keyed by (node symbol,
+    exponent id, log power); the coefficients must be t-only."""
+    terms = [
+        (alpha, key, c)
+        for alpha, coeff in e.terms.items()
+        if alpha in symbols
+        for key, c in coeff.terms.items()
+    ]
+    if any(mono.exps for _, (mono, _, _), _ in terms):
+        raise ValueError("node-symbol coefficients must be t-only")
+    d = lcm(*(c.denominator for _, _, c in terms))
+    exponent_id = tables.exponent_id
+    return d, {
+        (alpha, exponent_id(mu), k): c.numerator * (d // c.denominator)
+        for alpha, (_, mu, k), c in terms
+    }
+
+
+def _symbols(tables: Tables, form: Form) -> NodeSymbolExpr:
+    """The node-symbol sum of a form keyed by node symbol."""
+    d, terms = form
+    one, exponents = Monomial.one(), tables.exponents
+    out: dict[MultiIndex, dict] = {}
+    for (alpha, e, k), v in terms.items():
+        out.setdefault(alpha, {})[(one, exponents[e], k)] = Fraction(v, d)
+    return NodeSymbolExpr._wrap({alpha: MixedExpr._wrap(c) for alpha, c in out.items()})
 
 
 # --- assembly ---
 
 Built = Union[MixedExpr, NodeSymbolExpr]
+
+# The highest order a build, a certificate or a recurrence check may ask for:
+# rows grow with p and an iterate need never vanish (t^(1/2)), so p = 10^10
+# would run for ever.
+_P_BUDGET = 1024
+
+
+def _check_p(p: int) -> None:
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if p > _P_BUDGET:
+        raise BudgetExceeded(f"p = {p} passes the order budget {_P_BUDGET}")
 
 
 def build_phi(spec: AlgebraSpec, tree: TensionTree, p: int) -> Built:
@@ -215,20 +246,14 @@ def build_psi(spec: AlgebraSpec, tree: TensionTree, p: int) -> Built:
 
 
 def _build(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> Built:
-    """Seed and nodes times their branch coefficients, summed: the formal
-    node-symbol form for a radial tree, for a polynomial tree the MixedExpr
-    of `_build_form`."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if tree.kind == "polynomial":
-        tables = tables_of(spec)
-        tables.bound_images()
-        return to_expr(tables, _build_form(spec, tables, tree, p, family))
-    branches = tree.branches()
-    rows = _rows(spec, tables_of(spec), branches, p, family)
-    return NodeSymbolExpr.build(
-        {alpha: _coeff_expr(row, p) for alpha, row in zip([()] + branches, rows)}
-    )
+    """Seed and nodes times their branch coefficients, summed in integer form
+    (`_build_form`): a MixedExpr for a polynomial tree, the formal node-symbol
+    sum for a radial one."""
+    _check_p(p)
+    tables = tables_of(spec)
+    tables.bound_images()
+    form = _build_form(spec, tables, tree, p, family)
+    return to_expr(tables, form) if tree.kind == "polynomial" else _symbols(tables, form)
 
 
 def _rows(
@@ -249,16 +274,18 @@ def _rows(
 def _build_form(
     spec: AlgebraSpec, tables: Tables, tree: TensionTree, p: int, family: str
 ) -> Form:
-    """The family member of order p of a polynomial tree in integer form: node
-    coefficients over their common denominator D, rows with their weights
-    folded in over theirs W, summed on integers keyed by (monomial id,
-    exponent id, p - 1 - j) and reduced once over D * W."""
+    """The family member of order p in integer form: node coefficients over
+    their common denominator D, rows with their weights folded in over theirs
+    W, summed on integers keyed by (x-part, exponent id, p - 1 - j) and
+    reduced once over D * W.  The x-part is a monomial id for a polynomial
+    tree; a radial tree's nodes are its symbols, each with coefficient 1."""
     rows = _rows(spec, tables, tree.branches(), p, family)
     d, nodes = tree.scaled_terms
     w = lcm(*(u.denominator for row in rows for u in row.u[:p]))
     weights = _weights(p)
     ids = tables.monomial_ids
-    out: dict[tuple[int, int, int], int] = {}
+    symbols = tree.kind == "radial"
+    out: dict[tuple, int] = {}
     get = out.get
     for terms, row in zip(nodes, rows):
         e = row.exponent_id
@@ -270,7 +297,7 @@ def _build_form(
             if u
         ]
         for mono, c in terms:
-            m = ids.get(mono)
+            m = mono if symbols else ids.get(mono)
             if m is None:
                 m = tables.monomial_id(mono)
             for k, u in scaled:
@@ -321,29 +348,24 @@ class HarmonicCertificate:
         }
 
 
-_Iterate = TypeVar("_Iterate")
-
-
 def _certify(
     kind: str,
     p: int,
     seed: str,
-    e: _Iterate,
-    step: Callable[[_Iterate], _Iterate],
-    nonzero: Callable[[_Iterate], bool],
-    built: Callable[[_Iterate], Built],
+    form: Form,
+    step: Callable[[Form], Form],
+    built: Callable[[Form], Built],
 ) -> HarmonicCertificate:
-    """Iterate `step` from e up to p times, stopping at the first zero
+    """Iterate `step` from a form up to p times, stopping at the first zero
     iterate; only the last two iterates are held, and `built` turns the two
     residuals into the certificate's functions."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    previous = current = e
+    _check_p(p)
+    previous = current = form
     q = 0
-    while q < p and nonzero(current):
+    while q < p and current[1]:
         previous, current, q = current, step(current), q + 1
     # only the last iterate can be zero, and every power past it is zero too
-    verified_order = None if nonzero(current) else q
+    verified_order = None if current[1] else q
     return HarmonicCertificate(
         kind=kind,
         p=p,
@@ -369,7 +391,6 @@ def verify(
     return _certify(
         kind, p, seed, to_form(tables, e),
         lambda form: tau_form(tables, form),
-        lambda form: bool(form[1]),
         lambda form: to_expr(tables, form),
     )
 
@@ -388,18 +409,17 @@ def _node_terms(node: Node) -> dict:
     }
 
 
-def realize(tree: TensionTree, e: NodeSymbolExpr) -> dict:
-    """Substitute the tree's nodes into the t-only coefficients of e:
-    sum_alpha c_alpha(t) * node_alpha, in canonical sparse form keyed by
-    (x-basis function, t-exponent, log-power).  The basis functions are
-    linearly independent, so the map is empty exactly when the function is
-    zero."""
+def realize(tree: TensionTree, form: Form) -> dict:
+    """Substitute the tree's nodes for the symbols of a form keyed by node
+    symbol: sum_alpha c_alpha(t) * node_alpha, in canonical sparse form keyed
+    by (x-basis function, exponent id, log power) over the form's
+    denominator.  The basis functions are linearly independent, so the map
+    is empty exactly when the function is zero."""
     out: dict = {}
-    for alpha, coeff in e.terms.items():
+    for (alpha, e, k), v in form[1].items():
         node = tree.nodes[alpha] if alpha else tree.seed
         for basis, c_x in _node_terms(node).items():
-            for (_, mu, k), c_t in coeff.terms.items():
-                _acc(out, (basis, mu, k), c_x * c_t)
+            _acc(out, (basis, e, k), c_x * v)
     return out
 
 
@@ -411,26 +431,27 @@ def verify_formal(
     kind: str = "expression",
     seed: str = "",
 ) -> HarmonicCertificate:
-    """Certify in node-symbol mode: iterate the formal operator and test each
-    iterate for zero on its realization (`realize`).
+    """Certify in node-symbol mode: iterate the kernel `laplacian.tau_form`
+    under the tree's images (`_symbol_images`) and test each iterate for zero
+    on its realization (`realize`).  Symbols of e that the tree lacks (zero
+    nodes) are dropped.
 
     Every formal iterate is the exact image of the realized function, because
     the tree satisfies tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k) by
     construction; so the realized test decides both tau^p = 0 and
     tau^(p-1) != 0 without any independence assumption on the nodes.
     """
-    zero = NodeSymbolExpr()
+    tables = tables_of(spec)
+    tables.bound_images()
+    images = _symbol_images(tree)
 
-    def realized(image: NodeSymbolExpr) -> NodeSymbolExpr:
-        return image if realize(tree, image) else zero
+    def realized(form: Form) -> Form:
+        return form if realize(tree, form) else (1, {})
 
-    valid = {()} | set(tree.nodes)
-    e = NodeSymbolExpr.build({a: c for a, c in e.terms.items() if a in valid})
     return _certify(
-        kind, p, seed, realized(e),
-        lambda image: realized(formal_tau(spec, tree, image)),
-        bool,
-        lambda image: image,
+        kind, p, seed, realized(_symbol_form(tables, e, images)),
+        lambda form: realized(tau_form(tables, form, images)),
+        lambda form: _symbols(tables, form),
     )
 
 
@@ -460,20 +481,17 @@ def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
 
     For p = 2 the two-step term carries coefficient zero and is dropped; for
     p = 1 the identities reduce to tau = 0.  Branches blocked by Resonance
-    skip the phi side (psi is always checked).  A polynomial tree is checked
-    on integer forms (`_vanishes`), a radial one on the formal operator.
+    skip the phi side (psi is always checked).  Both tree kinds are checked
+    on integer forms, a radial tree under its images (`_symbol_images`).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     tables = tables_of(spec)
     tables.bound_images()
+    images = None if tree.kind == "polynomial" else _symbol_images(tree)
     ok = True
     for family, sign in (("phi", -1), ("psi", 1)):
         try:
-            if tree.kind == "polynomial":
-                holds = _recurrence_holds(spec, tables, tree, p, family, sign)
-            else:
-                holds = _formal_recurrence_holds(spec, tree, p, family, sign)
+            holds = _recurrence_holds(spec, tables, tree, p, family, sign, images)
         except Resonance:
             if family == "phi":
                 continue
@@ -483,13 +501,19 @@ def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
 
 
 def _recurrence_holds(
-    spec: AlgebraSpec, tables: Tables, tree: TensionTree, p: int, family: str, sign: int
+    spec: AlgebraSpec,
+    tables: Tables,
+    tree: TensionTree,
+    p: int,
+    family: str,
+    sign: int,
+    images: dict | None,
 ) -> bool:
-    """The identity of one family on a polynomial tree: tau(f_p) minus the
-    scaled lower members, as (form, coefficient numerator, coefficient
-    denominator) parts summed on integers (`_vanishes`)."""
+    """The identity of one family: tau(f_p) minus the scaled lower members,
+    as (form, coefficient numerator, coefficient denominator) parts summed
+    on integers (`_vanishes`)."""
     n = spec.homogeneous_dim
-    parts = [(tau_form(tables, _build_form(spec, tables, tree, p, family)), 1, 1)]
+    parts = [(tau_form(tables, _build_form(spec, tables, tree, p, family), images), 1, 1)]
     if p >= 2:
         lower = _build_form(spec, tables, tree, p - 1, family)
         parts.append((lower, -sign * (p - 1) * n.numerator, n.denominator))
@@ -504,25 +528,10 @@ def _vanishes(parts: list[tuple[Form, int, int]]) -> bool:
     denominator of c) is zero, cross-multiplied over the lcm of each form's
     denominator times its coefficient's."""
     common = lcm(*(form[0] * c_den for form, _, c_den in parts))
-    total: dict[tuple[int, int, int], int] = {}
+    total: dict[tuple, int] = {}
     get = total.get
     for (d, terms), c_num, c_den in parts:
         scale = c_num * (common // (d * c_den))
         for key, v in terms.items():
             total[key] = get(key, 0) + v * scale
     return not any(total.values())
-
-
-def _formal_recurrence_holds(
-    spec: AlgebraSpec, tree: TensionTree, p: int, family: str, sign: int
-) -> bool:
-    """The identity of one family on a radial tree, with the formal operator
-    (`formal_tau`) and node-symbol arithmetic."""
-    n = spec.homogeneous_dim
-    builder = build_phi if family == "phi" else build_psi
-    residual = formal_tau(spec, tree, builder(spec, tree, p))
-    if p >= 2:
-        residual = residual - builder(spec, tree, p - 1) * (sign * n * (p - 1))
-    if p >= 3:
-        residual = residual - builder(spec, tree, p - 2) * ((p - 1) * (p - 2))
-    return not residual

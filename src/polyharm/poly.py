@@ -2,10 +2,13 @@
 
 `Sparse` is the one core of every finite sum in the package: a map from keys
 to nonzero coefficients with equality, hashing, the zero test, sums, scalar
-multiples and powers.  `Polynomial` (keyed by monomials), `expr.MixedExpr`
-(keyed by monomial, t-exponent and log power) and `pharmonic.NodeSymbolExpr`
-(keyed by tree node) derive from it and add their own constructors, product,
-calculus and rendering.
+multiples and powers.  `Polynomial` (keyed by monomials) and
+`expr.MixedExpr` (keyed by monomial, t-exponent and log power) derive from it
+and add their own constructors, product and rendering, and Polynomial its
+partial derivatives.  `pharmonic.NodeSymbolExpr` (keyed by tree node, with
+t-only MixedExpr coefficients) derives from it too, as the public value of a
+radial tree's build and certificate residuals, and adds only a constructor
+and its rendering; sums and scalar multiples are all `combine` needs of it.
 
 Polynomial coefficients are Fractions, exponent maps are kept sparse (no zero
 exponents, no zero coefficients), and terms are ordered
@@ -114,8 +117,9 @@ class Sparse:
     """A finite sum: `terms` maps each key to its nonzero coefficient.
 
     Subclasses give the constructors (`one` is where `**` starts), the
-    product of two sums (`_times`), the calculus and the rendering; the ring operations here only add and scale
-    coefficients, so they serve every kind of key.  Equal sums have equal
+    product of two sums (`_times`), the derivatives and the rendering; the
+    ring operations here only add and scale coefficients, so they serve
+    every kind of key.  Equal sums have equal
     `terms`, so the zero test and equality are exact.
     """
 

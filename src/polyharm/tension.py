@@ -227,10 +227,13 @@ class TensionTree:
         return sorted(self.nodes)
 
     @cached_property
-    def scaled_terms(self) -> tuple[int, list[list[tuple[Monomial, int]]]]:
-        """A polynomial tree's seed and nodes, in `branches()` order, as
-        (D, [[(monomial, numerator over D), ...], ...]), D the common
-        denominator of every coefficient."""
+    def scaled_terms(self) -> tuple[int, list[list[tuple[Monomial | MultiIndex, int]]]]:
+        """The seed and nodes, in `branches()` order, as (D, [[(x-part,
+        numerator over D), ...], ...]): for a polynomial tree the monomials,
+        D the common denominator of every coefficient; a radial tree's nodes
+        are not polynomial, so each is its node symbol with coefficient 1."""
+        if self.kind == "radial":
+            return 1, [[(alpha, 1)] for alpha in [(), *self.branches()]]
         nodes = [self.seed.terms] + [self.nodes[alpha].terms for alpha in self.branches()]
         d = lcm(*(c.denominator for terms in nodes for c in terms.values()))
         return d, [

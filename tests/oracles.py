@@ -4,11 +4,14 @@ Everything here is deliberately written against the raw data (bracket maps,
 structure polynomials, hand-typed display formulas) and never calls the
 production code paths it is used to check: the frame-sum operator, the
 expression-level partial-derivative operator and the layer closed forms are
-second realizations of `polyharm.tau`, the
-recurrence and certificate loops redo `recurrence_check` and `verify` on
-MixedExpr arithmetic with the partial-derivative operator, and the
-high-precision evaluator is a numeric signal beside the canonical zero test.
-The module also holds small helpers only the tests use: exact polynomial
+second realizations of `polyharm.tau`; the formal operator `formal_tau`
+(with its t-part `tau_t`) pushes the operator through node symbols in
+MixedExpr arithmetic, beside the kernel `laplacian.tau_form` under a radial
+tree's images; the recurrence and certificate loops redo
+`recurrence_check`, `verify` and `verify_formal` with these operators; and
+the high-precision evaluator is a numeric signal beside the canonical zero
+test.  The module also holds small helpers only the tests use: the calculus
+on MixedExpr (d/dt, partial derivatives, t-shifts), exact polynomial
 evaluation, the homogeneous degree, structure constants and tree sums.
 """
 
@@ -38,8 +41,40 @@ from polyharm import (
     struct_polys,
 )
 from polyharm.laplacian import tables_of
-from polyharm.pharmonic import _coeff_expr, _row
+from polyharm.pharmonic import _node_terms, _row, _weights
 from polyharm.poly import Monomial
+from polyharm.scalar import _acc
+
+
+# --- calculus on MixedExpr ---
+
+def d_dt(e: MixedExpr) -> MixedExpr:
+    """Exact d/dt: c*m*t^mu*log^k -> c*m*(mu t^(mu-1) log^k + k t^(mu-1) log^(k-1))."""
+    out: dict = {}
+    for (mono, mu, k), c in e.terms.items():
+        if mu:
+            _acc(out, (mono, mu - 1, k), c * mu)
+        if k:
+            _acc(out, (mono, mu - 1, k - 1), c * k)
+    return MixedExpr._wrap(out)
+
+
+def partial(e: MixedExpr, v: VarIndex) -> MixedExpr:
+    """Exact partial derivative by the coordinate v."""
+    out: dict = {}
+    for (mono, mu, k), c in e.terms.items():
+        factor, lowered = mono.derivative(v)
+        if factor:
+            _acc(out, (lowered, mu, k), c * factor)
+    return MixedExpr._wrap(out)
+
+
+def mul_t_power(e: MixedExpr, shift: Fraction | int) -> MixedExpr:
+    """e * t^shift."""
+    shift = Fraction(shift)
+    if not shift:
+        return e
+    return MixedExpr._wrap({(m, mu + shift, k): c for (m, mu, k), c in e.terms.items()})
 
 
 def brute_ad_power(spec, i: int, j: int, r: int) -> dict[VarIndex, Polynomial]:
@@ -65,7 +100,7 @@ X1, Y1, Z1 = VarIndex(1, 1), VarIndex(1, 2), VarIndex(2, 1)
 
 
 def _second(e: MixedExpr, u: VarIndex, v: VarIndex) -> MixedExpr:
-    return e.partial(u).partial(v)
+    return partial(partial(e, u), v)
 
 
 def ch2_display_tau(e: MixedExpr) -> MixedExpr:
@@ -78,13 +113,11 @@ def ch2_display_tau(e: MixedExpr) -> MixedExpr:
     """
     x = MixedExpr.from_polynomial(Polynomial.variable(X1))
     y = MixedExpr.from_polynomial(Polynomial.variable(Y1))
-    out = e.d_dt().d_dt().mul_t_power(2) - e.d_dt().mul_t_power(1)
-    out = out + (_second(e, X1, X1) + _second(e, Y1, Y1)).mul_t_power(1)
+    out = mul_t_power(d_dt(d_dt(e)), 2) - mul_t_power(d_dt(e), 1)
+    out = out + mul_t_power(_second(e, X1, X1) + _second(e, Y1, Y1), 1)
     zz = _second(e, Z1, Z1)
-    out = out + (
-        (x * x + y * y) * zz * Fraction(1, 4)
-    ).mul_t_power(1) + zz.mul_t_power(2)
-    out = out + (x * _second(e, Y1, Z1) - y * _second(e, X1, Z1)).mul_t_power(1)
+    out = out + mul_t_power((x * x + y * y) * zz * Fraction(1, 4), 1) + mul_t_power(zz, 2)
+    out = out + mul_t_power(x * _second(e, Y1, Z1) - y * _second(e, X1, Z1), 1)
     return out
 
 
@@ -94,13 +127,11 @@ def ch2_display_tau_as_printed(e: MixedExpr) -> MixedExpr:
     the operator of the (1/2, 1) eigenvalue data."""
     x = MixedExpr.from_polynomial(Polynomial.variable(X1))
     y = MixedExpr.from_polynomial(Polynomial.variable(Y1))
-    out = e.d_dt().d_dt().mul_t_power(2) - e.d_dt().mul_t_power(1)
-    out = out + (_second(e, X1, X1) + _second(e, Y1, Y1)).mul_t_power(2)
+    out = mul_t_power(d_dt(d_dt(e)), 2) - mul_t_power(d_dt(e), 1)
+    out = out + mul_t_power(_second(e, X1, X1) + _second(e, Y1, Y1), 2)
     zz = _second(e, Z1, Z1)
-    out = out + (
-        (x * x + y * y) * zz * Fraction(1, 4)
-    ).mul_t_power(2) + zz.mul_t_power(4)
-    out = out + (x * _second(e, Y1, Z1) - y * _second(e, X1, Z1)).mul_t_power(2)
+    out = out + mul_t_power((x * x + y * y) * zz * Fraction(1, 4), 2) + mul_t_power(zz, 4)
+    out = out + mul_t_power(x * _second(e, Y1, Z1) - y * _second(e, X1, Z1), 2)
     return out
 
 
@@ -193,10 +224,23 @@ def branch_coeff_by_compositions(
     return MixedExpr(terms)
 
 
+def _coeff_expr(row, p: int) -> MixedExpr:
+    """The branch coefficient of order p from its row (`pharmonic._Row`), as
+    a t-only MixedExpr."""
+    one = Monomial.one()
+    return MixedExpr._wrap(
+        {
+            (one, row.exponent, p - 1 - j): w * u
+            for j, (w, u) in enumerate(zip(_weights(p), row.u))
+            if u
+        }
+    )
+
+
 def _branch_coeff(spec, alpha: tuple[int, ...], p: int, family: str) -> MixedExpr:
     """The production branch coefficient of order p along alpha: the rows of
     `pharmonic._row` from the root down, turned into a t-only MixedExpr by
-    `pharmonic._coeff_expr`.  Raises Resonance at the first resonant prefix."""
+    `_coeff_expr`.  Raises Resonance at the first resonant prefix."""
     if p < 1:
         raise ValueError("p must be >= 1")
     memo = tables_of(spec).branch_rows(family)
@@ -253,9 +297,9 @@ class VectorField:
     def apply(self, e: MixedExpr) -> MixedExpr:
         out = MixedExpr.zero()
         if not self.t_coefficient.is_zero():
-            out = out + self.t_coefficient * e.d_dt()
+            out = out + self.t_coefficient * d_dt(e)
         for v, coeff in self.x_coefficients.items():
-            d = e.partial(v)
+            d = partial(e, v)
             if not d.is_zero():
                 out = out + coeff * d
         return out
@@ -286,7 +330,7 @@ def tau_frame(spec, e: MixedExpr) -> MixedExpr:
     out = MixedExpr.zero()
     for field in fields:
         out = out + field.apply(field.apply(e))
-    return out + e.d_dt().mul_t_power(1) * (-spec.homogeneous_dim)
+    return out + mul_t_power(d_dt(e), 1) * (-spec.homogeneous_dim)
 
 
 def kappa(spec, f: MixedExpr, h: MixedExpr) -> MixedExpr:
@@ -527,11 +571,11 @@ def tau_by_partials(spec, e: MixedExpr) -> MixedExpr:
 
     def d1(v: VarIndex) -> MixedExpr:
         if v not in partials:
-            partials[v] = e.partial(v)
+            partials[v] = partial(e, v)
         return partials[v]
 
     for (v1, v2), shifts in second.items():
-        d2 = d1(v1).partial(v2)
+        d2 = partial(d1(v1), v2)
         if d2.is_zero():
             continue
         for shift, poly in shifts.items():
@@ -545,11 +589,75 @@ def tau_by_partials(spec, e: MixedExpr) -> MixedExpr:
     return MixedExpr(out)
 
 
+# --- the formal operator on node symbols ---
+
+def tau_t(e: MixedExpr, n: Fraction) -> MixedExpr:
+    """The pure t-part t^2 e_tt + (1 - n) t e_t, exact and termwise."""
+    out: dict = {}
+    for (mono, mu, k), c in e.terms.items():
+        if mu:
+            _acc(out, (mono, mu, k), c * mu * (mu - n))
+        if k:
+            _acc(out, (mono, mu, k - 1), c * k * (2 * mu - n))
+            if k >= 2:
+                _acc(out, (mono, mu, k - 2), c * k * (k - 1))
+    return MixedExpr._wrap(out)
+
+
+def formal_tau(spec, tree: TensionTree, e: NodeSymbolExpr) -> NodeSymbolExpr:
+    """Push the operator through node symbols:
+    tau(s_alpha F) = sum_k s_(alpha,k) t^(2 lambda_k) F + s_alpha tau_t(F),
+    dropping symbols whose actual node is zero (absent from the tree)."""
+    n = spec.homogeneous_dim
+    out: dict = {}
+    for alpha, coeff in e.terms.items():
+        _acc(out, alpha, tau_t(coeff, n))
+        for k in range(1, spec.m + 1):
+            child = alpha + (k,)
+            if child in tree.nodes:
+                _acc(out, child, mul_t_power(coeff, 2 * spec.lam(k)))
+    return NodeSymbolExpr._wrap(out)
+
+
+def realize(tree: TensionTree, e: NodeSymbolExpr) -> dict:
+    """Substitute the tree's nodes into the t-only coefficients of e:
+    sum_alpha c_alpha(t) * node_alpha, in canonical sparse form keyed by
+    (x-basis function, t-exponent, log-power).  The basis functions are
+    linearly independent, so the map is empty exactly when the function is
+    zero."""
+    out: dict = {}
+    for alpha, coeff in e.terms.items():
+        node = tree.nodes[alpha] if alpha else tree.seed
+        for basis, c_x in _node_terms(node).items():
+            for (_, mu, k), c_t in coeff.terms.items():
+                _acc(out, (basis, mu, k), c_x * c_t)
+    return out
+
+
+def formal_certificate(spec, tree: TensionTree, e: NodeSymbolExpr, p: int) -> tuple:
+    """(verified_order, proper, residual_pminus1, residual_p) of
+    `polyharm.verify_formal`, from the list of every iterate of `formal_tau`
+    up to the first whose realization (`realize`) is zero; a zero iterate is
+    the empty sum."""
+    valid = {()} | set(tree.nodes)
+    current = NodeSymbolExpr.build({a: c for a, c in e.terms.items() if a in valid})
+    iterates = []
+    while True:
+        iterates.append(current if realize(tree, current) else NodeSymbolExpr())
+        if len(iterates) > p or iterates[-1].is_zero():
+            break
+        current = formal_tau(spec, tree, iterates[-1])
+    last = len(iterates) - 1
+    order = last if iterates[last].is_zero() else None
+    return order, order == p, iterates[min(p - 1, last)], iterates[min(p, last)]
+
+
 # --- certification by the partial-derivative operator ---
 
 def recurrence_by_exprs(spec, tree, p: int) -> bool:
-    """The two-step identities of `polyharm.recurrence_check` on a polynomial
-    tree, in MixedExpr arithmetic with `tau_by_partials` as the operator:
+    """The two-step identities of `polyharm.recurrence_check`, with
+    `tau_by_partials` as the operator on a polynomial tree's MixedExpr and
+    `formal_tau` on a radial tree's node-symbol sums:
 
         tau(phi_p) = -n (p-1) phi_{p-1} + (p-1)(p-2) phi_{p-2}
         tau(psi_p) = +n (p-1) psi_{p-1} + (p-1)(p-2) psi_{p-2}
@@ -566,7 +674,10 @@ def recurrence_by_exprs(spec, tree, p: int) -> bool:
             if family == "phi":
                 continue
             raise
-        residual = tau_by_partials(spec, current)
+        if tree.kind == "radial":
+            residual = formal_tau(spec, tree, current)
+        else:
+            residual = tau_by_partials(spec, current)
         if p >= 2:
             residual = residual - builder(spec, tree, p - 1) * (sign * n * (p - 1))
         if p >= 3:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -268,6 +269,87 @@ def test_verify_zero_radial_seed(capsys, radial_seed):
     assert payload["residual_pminus1_nonzero"] is False
 
 
+# --- radial output pinned byte for byte ---
+
+RH3_RHO2_LOG = '{"n1":2,"terms":[{"k":1,"a":"1","b":"0"}],"G":{"c0":"1"}}'
+# case -> (algebra, radial seed, build/verify arguments)
+RADIAL_CASES = {
+    "rh3-psi": ("rh3", RH3_RHO2_LOG, ("--kind", "psi", "--p", "3")),
+    "ch2-phi-linear-G": (
+        "ch2",
+        '{"n1":2,"terms":[{"k":1,"a":"1","b":"-1/2"}],"G":{"c0":"1","c":["3/2"]}}',
+        ("--kind", "phi", "--p", "3"),
+    ),
+    "rh4-combo": (
+        "rh4",
+        '{"n1":3,"terms":[{"k":2,"a":"1","b":"3"}],"G":{"c0":"2","c":["0"]}}',
+        ("--kind", "combo", "--a", "2", "--b=-1/3", "--p", "3"),
+    ),
+    "rh3-phi-resonance": ("rh3", RH3_RHO2_LOG, ("--kind", "phi", "--p", "2")),
+    "G-zero": (
+        "rh3",
+        '{"n1":2,"terms":[{"k":1,"a":"1","b":"0"}],"G":{"c0":"0"}}',
+        ("--kind", "psi", "--p", "2"),
+    ),
+}
+# (case, command, format, exit code, sha256 of stdout); the resonance case's
+# tree is the rh3-psi tree
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+RADIAL_DIGESTS = [
+    ("rh3-psi", "tree", "text", 0, 'b88106717e789e2f6a20f6f76d0b5c07290f7fa0f32f2cca11cfc8bcb0dc0c07'),
+    ("rh3-psi", "tree", "latex", 0, '460c8ca6393f58e443cd7808b041ad6b06db2fbbc002a4fc12e6c1b9a2d35886'),
+    ("rh3-psi", "tree", "json", 0, '1498b1c57d61896c50835a97da5a5b022a0d00afd88f8a53a9d789174288e944'),
+    ("rh3-psi", "build", "text", 0, '16c65a6205ad02691c859c655c66bb1a14ee7eccc8a155acead64fb62e88d99d'),
+    ("rh3-psi", "build", "latex", 0, '75c0c2d41eb05e044ef81a8d7449c712b4e4feccced1667eae568edc1ee26d19'),
+    ("rh3-psi", "build", "json", 0, '14907fa22a83791ab956d00af796ea82e2a38cc55ff66aabaebd3487fd6d9a22'),
+    ("rh3-psi", "verify", "text", 0, 'e0f5a3ed33618352c77d6ba34e17b1b74fffc1a60d3d43032a3666cfba683b08'),
+    ("rh3-psi", "verify", "json", 0, 'c3ed8e5206042f7abf0d534edb0b8b4d835f7f9fa8eb3dd798b3d509947abb81'),
+    ("ch2-phi-linear-G", "tree", "text", 0, '157323dc77053bf9a25353aeb25e791c7cc7eb87faf3ffa1538c53b090236201'),
+    ("ch2-phi-linear-G", "tree", "latex", 0, '04051b9736d90037883e9df6394667a235e3f7ab92b46888db1176969a064916'),
+    ("ch2-phi-linear-G", "tree", "json", 0, '6c9b01b60f2b0e8850e318b9c04759fc213444916fb0494662dfbeb3a8104dbc'),
+    ("ch2-phi-linear-G", "build", "text", 0, 'c554e89ea1111f0aab2d7ee2764269eb01f71dc0b351207fce933b3110547b6a'),
+    ("ch2-phi-linear-G", "build", "latex", 0, 'de58c5e7bfe9e32730ccaed87b7c11cda7cf25360c7d151f88577dc47c707ae4'),
+    ("ch2-phi-linear-G", "build", "json", 0, '4c97f467d1ac7b779668b970a51b533f174012b2f82ba07c6498cdeb0a25244a'),
+    ("ch2-phi-linear-G", "verify", "text", 0, 'bf0268f98f9839b779e0395d4a24e8d4a5d7e2f855246bb16766a050a0efc351'),
+    ("ch2-phi-linear-G", "verify", "json", 0, '6a2c2754766f9c108ac5459565a50ab3097f5e86949de1669a39ee086f5e800b'),
+    ("rh4-combo", "tree", "text", 0, '6aff72459a76f75e2ee3ab0ca728219bb5b2b9746a7dee1b9b9562917c2059b4'),
+    ("rh4-combo", "tree", "latex", 0, '342235172d4455702919069a7e3cd345101a169ed3437fb88721f0d1a1feef15'),
+    ("rh4-combo", "tree", "json", 0, '8127cec24441867abc31458f1fd59e973b8de283d9c7a2abc8b955f9f705834b'),
+    ("rh4-combo", "build", "text", 0, 'eb6076e13b4d4b3569865b2fd0c9960e48892ec339b0e2a34fb6489b113545b6'),
+    ("rh4-combo", "build", "latex", 0, 'f60eb6b385d67e88b74bea8d011bdb1372a2e297a0094330a8582517075b2028'),
+    ("rh4-combo", "build", "json", 0, '6775015043fd6a3488ab8eaab32416e247011571dccf6ae63d481b5e9fd8c114'),
+    ("rh4-combo", "verify", "text", 0, '2c46e0a774cd9424b6982d69633dd127b1770459a0015418c3e4668bc992f5d8'),
+    ("rh4-combo", "verify", "json", 0, '96325a3ce57097f3c90e3f8a970a23b6e40bc8ce01dff4d86cbd023edea3199f'),
+    ("rh3-phi-resonance", "build", "text", 1, EMPTY),
+    ("rh3-phi-resonance", "build", "latex", 1, EMPTY),
+    ("rh3-phi-resonance", "build", "json", 1, EMPTY),
+    ("rh3-phi-resonance", "verify", "text", 1, EMPTY),
+    ("rh3-phi-resonance", "verify", "json", 1, EMPTY),
+    ("G-zero", "tree", "text", 0, 'a32a49221ccf0bd3fadf45a35be044e1d5f6ee320ef3ee739ecc5d2f50d6545c'),
+    ("G-zero", "tree", "latex", 0, '3a8b5ab436184293f66a1321230caace4e3351fd2b26249a580b7987941bfa64'),
+    ("G-zero", "tree", "json", 0, '71eb55fe26a6caa0bd05ed40a65d64af9a63db649adcfcce621d41f9f41f0f2f'),
+    ("G-zero", "build", "text", 0, 'c770ad62058bf4ce339e5bea878207aa8fd402b2b374e16188f5f28282dd5451'),
+    ("G-zero", "build", "latex", 0, '8e7d0e09eae282cae8354d658be3514f17afe33f2c8067256d08c91c4185098b'),
+    ("G-zero", "build", "json", 0, '1bb887741689da931649ddb144612dc6219aa9a5550e5e6fb8f511de559edbc5'),
+    ("G-zero", "verify", "text", 0, '45c59c20e65d97dca87d9acecb28c53828cfa7f5ef5112d75f9fa870a24ede88'),
+    ("G-zero", "verify", "json", 0, '8cdf80ce454b35aa83b7279fb1c124e0fb2a7ef0ceda191a4e8ddeef4f1fc2fc'),
+]
+
+
+@pytest.mark.parametrize(
+    "case, command, fmt, code, digest",
+    RADIAL_DIGESTS,
+    ids=[":".join(entry[:3]) for entry in RADIAL_DIGESTS],
+)
+def test_radial_output_is_pinned(capsys, case, command, fmt, code, digest):
+    algebra, seed, family = RADIAL_CASES[case]
+    argv = [command, "--algebra", algebra, "--radial-seed", seed, "--format", fmt]
+    if command != "tree":
+        argv += family
+    got, out, _ = run(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 def test_verify_seed_exceeds(capsys):
     code, out, _ = run(
         capsys,
@@ -348,11 +430,14 @@ def test_unknown_algebra(capsys):
             "--radial-seed", '{"n1":2,"terms":[{"k":true,"a":"1","b":"0"}]}',
         ),
         ("build", "--algebra", "rh2", "--seed", "x^99999999999", "--p", "2"),
+        # no iterate of t^(1/2) vanishes, and a build makes rows of length p
+        ("verify", "--algebra", "rh2", "--expr", "t^(1/2)", "--p", "10000000000"),
+        ("build", "--algebra", "rh2", "--seed", "x^2", "--kind", "psi", "--p", "100000000"),
     ],
     ids=[
         "zero-denominator", "zero-exponent-denominator", "missing-file", "radial-k-not-int",
         "radial-G-c-string", "radial-k-float", "radial-n1-float", "radial-k-bool",
-        "seed-past-depth-budget",
+        "seed-past-depth-budget", "verify-p-past-budget", "build-p-past-budget",
     ],
 )
 def test_bad_input_is_domain_error(capsys, tmp_path, monkeypatch, argv):
@@ -410,7 +495,7 @@ def cli_argvs(draw):
         else:
             argv += ["--seed", draw(st.sampled_from(FUZZ_SEEDS))]
     if command in ("build", "verify"):
-        argv += ["--p", str(draw(st.integers(-2, 5)))]
+        argv += ["--p", str(draw(st.integers(-2, 5) | st.just(10000000000)))]
         argv += ["--kind", draw(st.sampled_from(("phi", "psi", "combo", "chi")))]
         if draw(st.booleans()):
             argv += ["--a", draw(st.sampled_from(("2/3", "-1", "0", "x", "1/0"))), "--b", "0"]

@@ -1,7 +1,9 @@
 """The integer form from build to certificate, cross-checked against the
 MixedExpr oracles: `recurrence_check` against `recurrence_by_exprs`, `verify`
 against a loop of `tau_by_partials`, and every result under the smallest
-memo bound."""
+memo bound.  Radial trees run on the same kernel under their images; there
+the oracles are the formal operator `formal_tau` on node-symbol sums and its
+certificate loop."""
 
 import random
 from fractions import Fraction
@@ -9,7 +11,11 @@ from fractions import Fraction
 import pytest
 
 from polyharm import (
+    AffinePart,
     MixedExpr,
+    NodeSymbolExpr,
+    RadialFunction,
+    RadialSeed,
     Resonance,
     build_phi,
     build_psi,
@@ -20,13 +26,22 @@ from polyharm import (
     recurrence_check,
     tau,
     tension_tree,
+    tension_tree_radial,
     verify,
+    verify_formal,
 )
 from polyharm import laplacian
-from polyharm.laplacian import tables_of
+from polyharm.laplacian import tables_of, tau_form
+from polyharm.pharmonic import _build_form, _symbol_images, _symbols
 
 from conftest import random_mixed_expr
-from oracles import certificate_by_partials, recurrence_by_exprs
+from oracles import (
+    build_by_branches,
+    certificate_by_partials,
+    formal_certificate,
+    formal_tau,
+    recurrence_by_exprs,
+)
 from test_algebra import filiform
 
 # [X^1_1, X^1_2] = 3/2 X^2_1 with eigenvalues (1/3, 2/3): n = 4/3
@@ -183,3 +198,102 @@ def test_exponent_parts_are_made_once(ch2):
         mu = tables.exponents[e]
         assert Fraction(t2, t) == mu * (mu - n) and Fraction(t1, t) == 2 * mu - n
         assert [tables.exponents[s] for s in shifted] == [mu + s for s in tables.shifts]
+
+
+# --- radial trees: the kernel under the tree's images ---
+
+def random_radial_seed(spec, rng):
+    """A nonzero H(rho) * G(x^2) in the span of the algebra's n1: rho^(2k)
+    and rho^(2k) log(rho) for n1 = 2, rho^(2k) and rho^(2k + 2 - n1) else;
+    G has a linear part wherever the algebra has a second layer."""
+    n1 = spec.dim(1)
+    if n1 == 2:
+        span = [(2 * k, log) for k in range(4) for log in (True, False)]
+    else:
+        span = sorted({(a, False) for k in range(4) for a in (2 * k, 2 * k + 2 - n1)})
+    radial = RadialFunction(
+        n1,
+        {
+            key: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            for key in rng.sample(span, rng.randint(1, 3))
+        },
+    )
+    linear = ()
+    if spec.m >= 2:
+        linear = ((1, Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))),)
+    c0 = Fraction(rng.randint(0, 3))
+    return RadialSeed(radial=radial, affine=AffinePart(constant=c0, linear=linear))
+
+
+def radial_cases():
+    """(spec, tree) for 25 random radial seeds on each of rh3, ch2 (linear G)
+    and rh4 (n1 = 3, no logs)."""
+    rng = random.Random(2007)
+    for name in ("rh3", "ch2", "rh4"):
+        spec = spec_of(name)
+        for _ in range(25):
+            yield spec, tension_tree_radial(spec, random_radial_seed(spec, rng))
+
+
+RADIAL_P_MAX = 5
+
+
+def test_radial_kernel_iterates_match_formal_operator():
+    checked = 0
+    for spec, tree in radial_cases():
+        images = _symbol_images(tree)
+        for family, builder in (("phi", build_phi), ("psi", build_psi)):
+            for p in range(1, RADIAL_P_MAX + 1):
+                try:
+                    built = builder(spec, tree, p)
+                except Resonance:
+                    continue
+                assert built == build_by_branches(spec, tree, p, family)
+                # the oracle iterates first: the public build clears ids
+                expected = [built]
+                for _ in range(p):
+                    expected.append(formal_tau(spec, tree, expected[-1]))
+                tables = tables_of(spec)
+                form = _build_form(spec, tables, tree, p, family)
+                for e in expected:
+                    assert _symbols(tables, form) == e
+                    form = tau_form(tables, form, images)
+                    checked += 1
+    assert checked > 1500
+
+
+def random_symbol_sum(tree, rng):
+    """Random t-powers and logs on some of the tree's symbols and on one
+    symbol the tree lacks, which certification drops."""
+    symbols = [(), *tree.branches(), (9,)]
+    return NodeSymbolExpr.build(
+        {
+            alpha: MixedExpr.t_power(
+                Fraction(rng.randint(-3, 4), rng.randint(1, 2)), rng.randint(0, 2)
+            ) * rng.randint(-2, 3)
+            for alpha in rng.sample(symbols, rng.randint(1, len(symbols)))
+        }
+    )
+
+
+def test_radial_certificate_matches_formal_oracle():
+    rng = random.Random(9)
+    for spec, tree in radial_cases():
+        candidates = [(random_symbol_sum(tree, rng), rng.randint(1, 4))]
+        for builder in (build_phi, build_psi):
+            for p in range(1, RADIAL_P_MAX + 1):
+                try:
+                    candidates.append((builder(spec, tree, p), p))
+                except Resonance:
+                    pass
+        for e, p in candidates:
+            cert = verify_formal(spec, e, tree, p)
+            assert certificate_fields(cert) == formal_certificate(spec, tree, e, p)
+            assert type(cert.residual_pminus1) is NodeSymbolExpr
+            assert type(cert.residual_p) is NodeSymbolExpr
+
+
+def test_radial_recurrence_matches_formal_oracle():
+    for spec, tree in radial_cases():
+        for p in range(1, RADIAL_P_MAX + 1):
+            assert recurrence_check(spec, tree, p) == recurrence_by_exprs(spec, tree, p)

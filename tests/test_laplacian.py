@@ -20,7 +20,6 @@ from polyharm import (
     parse_polynomial,
     struct_polys,
     tau,
-    tau_t,
     tension_tree,
 )
 from polyharm.poly import Monomial
@@ -36,6 +35,7 @@ from oracles import (
     tau_fast_x1,
     tau_fast_x1x2,
     tau_frame,
+    tau_t,
 )
 from test_algebra import filiform
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from polyharm import (
     AffinePart,
+    BudgetExceeded,
     MixedExpr,
     NodeSymbolExpr,
     RadialFunction,
@@ -22,7 +23,6 @@ from polyharm import (
     catalog_short_name,
     certify,
     combine,
-    formal_tau,
     from_json_dict,
     parse,
     parse_polynomial,
@@ -37,7 +37,6 @@ from polyharm import (
 from polyharm import laplacian
 from polyharm.cli import parse_radial_seed
 from polyharm.laplacian import tables_of
-from polyharm.pharmonic import realize
 from polyharm.poly import Monomial
 
 from oracles import (
@@ -46,7 +45,9 @@ from oracles import (
     composition_identity_holds,
     compositions,
     f_coeff,
+    formal_tau,
     g_coeff,
+    realize,
 )
 from test_algebra import filiform
 
@@ -604,6 +605,34 @@ def test_formal_latex_render(rh3):
     assert r"h^{1}_{(1)}" in tex and r"\log(t)" in tex
 
 
+def test_p_budget_refuses_before_any_work(rh2, rh3, monkeypatch):
+    # every public entry taking an order checks it first: p past the budget
+    # is a BudgetExceeded before a row is made or the operator is applied
+    import polyharm.pharmonic as ph
+
+    trees = [(rh2, tree_of(rh2, "x^2")), (rh3, radial_tree(rh3, {(2, True): 1}))]
+    calls = []
+    monkeypatch.setattr(ph, "_row", lambda *args: calls.append("row"))
+    monkeypatch.setattr(ph, "tau_form", lambda *args: calls.append("tau"))
+    p = ph._P_BUDGET + 1
+    for spec, tree in trees:
+        for run in (
+            lambda: build_psi(spec, tree, p),
+            lambda: recurrence_check(spec, tree, p),
+            lambda: verify(spec, parse("t^(1/2)"), p),
+            lambda: verify_formal(spec, NodeSymbolExpr.build({(): MixedExpr.one()}), tree, p),
+        ):
+            with pytest.raises(BudgetExceeded):
+                run()
+    assert not calls
+    monkeypatch.undo()
+    # the budget itself is allowed
+    assert build_psi(rh2, trees[0][1], ph._P_BUDGET)
+    assert verify(rh2, parse("x^2", rh2), ph._P_BUDGET).verified_order is None
+    with pytest.raises(ValueError):
+        build_phi(rh2, trees[0][1], 0)
+
+
 # --- recurrences ---
 
 def test_recurrence_rh2_x6(rh2):
@@ -624,19 +653,23 @@ def test_recurrence_radial(rh3):
         assert recurrence_check(rh3, tree, p)
 
 
-def test_recurrence_detects_wrong_factor(rh2, monkeypatch):
-    # sanity: the check is not vacuous; an operator off by t must fail it.  The
-    # polynomial route applies the integer kernel, so that is what is broken.
-    tree = tree_of(rh2, "x^6")
+def test_recurrence_detects_wrong_factor(rh2, rh3, monkeypatch):
+    # sanity: the check is not vacuous; an operator off by t must fail it.
+    # Both tree kinds apply the integer kernel, so that is what is broken: on
+    # a polynomial tree it adds t^1 to every image, on a radial tree t^1
+    # times the seed symbol.
+    trees = [(rh2, tree_of(rh2, "x^6")), (rh3, radial_tree(rh3, {(2, True): 1}))]
     import polyharm.pharmonic as ph
 
     original = ph.tau_form
 
-    def broken_tau_form(tables, form):
-        d, terms = original(tables, form)
-        key = (tables.monomial_id(Monomial.one()), tables.exponent_id(Fraction(1)), 0)
+    def broken_tau_form(tables, form, images=None):
+        d, terms = original(tables, form, images)
+        x_part = tables.monomial_id(Monomial.one()) if images is None else ()
+        key = (x_part, tables.exponent_id(Fraction(1)), 0)
         return d, {**terms, key: terms.get(key, 0) + d}
 
-    assert recurrence_check(rh2, tree, 2)
+    assert all(recurrence_check(spec, tree, 2) for spec, tree in trees)
     monkeypatch.setattr(ph, "tau_form", broken_tau_form)
-    assert not recurrence_check(rh2, tree, 2)
+    for spec, tree in trees:
+        assert not recurrence_check(spec, tree, 2)

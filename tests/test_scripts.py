@@ -25,11 +25,7 @@ def test_certification_sweep(capsys):
     assert ", 0 failures," in out
 
 
-@pytest.mark.parametrize(
-    "name, args",
-    # the probe's main takes no arguments
-    [("pharmonic_gallery", (["--max-p", "2"],)), ("probe_reference_formulas", ())],
-)
+@pytest.mark.parametrize("name, args", [("pharmonic_gallery", (["--max-p", "2"],))])
 def test_script_runs(capsys, name, args):
     assert script_main(name)(*args) == 0
     assert capsys.readouterr().out

@@ -28,7 +28,7 @@ from polyharm import (
 from polyharm import tension
 
 from conftest import random_polynomial
-from oracles import sum_trees
+from oracles import mul_t_power, sum_trees
 
 X = VarIndex(1, 1)
 
@@ -116,7 +116,7 @@ def test_depth_budget_refuses_a_huge_seed_up_front(rh2, rh3, monkeypatch):
 
 def test_depth_guard_stops_a_looping_operator(rh2, rh3, monkeypatch):
     # operators that make a node its own child would never terminate
-    monkeypatch.setattr(tension, "tau", lambda spec, e: e.mul_t_power(2 * spec.lam(1)))
+    monkeypatch.setattr(tension, "tau", lambda spec, e: mul_t_power(e, 2 * spec.lam(1)))
     with pytest.raises(InternalClosureError):
         tension_tree(rh2, poly("x^6", rh2))
     monkeypatch.setattr(RadialFunction, "laplacian", lambda self: self)
