@@ -30,7 +30,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = catalog_short_name(args.algebra)
-    namer = lambda v: spec.var_name(v)
+    namer = spec.var_name
     seed = parse_polynomial(args.seed, spec)
     tree = tension_tree(spec, seed)
     print(render_tree_text(tree))

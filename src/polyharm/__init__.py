@@ -51,7 +51,7 @@ from .pharmonic import (
     verify_formal,
 )
 from .poly import Monomial, Polynomial
-from .scalar import Scalar, format_rational, parse_rational
+from .scalar import format_rational, parse_rational
 from .tension import (
     AffinePart,
     RadialFunction,

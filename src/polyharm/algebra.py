@@ -118,8 +118,8 @@ class AlgebraSpec:
     def var_to_alias(self) -> dict[VarIndex, str]:
         return {v: name for name, v in self.aliases}
 
-    def var_name(self, v: VarIndex, use_aliases: bool = True) -> str:
-        if use_aliases and v in self.var_to_alias:
+    def var_name(self, v: VarIndex) -> str:
+        if v in self.var_to_alias:
             return self.var_to_alias[v]
         return str(v)
 

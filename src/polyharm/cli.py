@@ -105,16 +105,12 @@ def parse_radial_seed(text: str | Mapping) -> RadialSeed:
     )
 
 
-def _namer(spec: AlgebraSpec):
-    return lambda v: spec.var_name(v)
-
-
 def _emit_expr(e: MixedExpr, spec: AlgebraSpec, fmt: str) -> str:
     if fmt == "latex":
-        return e.latex(lambda v: spec.var_name(v))
+        return e.latex(spec.var_name)
     if fmt == "json":
-        return json.dumps({"expr": e.render(_namer(spec))}, sort_keys=True)
-    return e.render(_namer(spec))
+        return json.dumps({"expr": e.render(spec.var_name)}, sort_keys=True)
+    return e.render(spec.var_name)
 
 
 def _emit_formal(e: NodeSymbolExpr, fmt: str) -> str:

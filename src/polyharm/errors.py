@@ -67,8 +67,10 @@ class ParseError(PolyharmError):
 # --- operator / tension layer ---
 
 class InternalClosureError(PolyharmError):
-    """The image of a t-independent function under the operator left the expected
-    span of t^(2*lambda_k) components.  Indicates an operator bug, never user error."""
+    """A tension tree left its expected shape: a term of the kernel's image of
+    a node has an exponent id that is not that of some t^(2*lambda_k), or a
+    log power, or a node lies past the seed's depth bound.  Indicates an
+    operator bug, never user error."""
 
 
 class UnsupportedSpan(PolyharmError):

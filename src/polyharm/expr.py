@@ -77,13 +77,6 @@ class MixedExpr(Sparse):
             raise ValueError("expression depends on t; not a polynomial in x")
         return Polynomial({mono: c for (mono, _, _), c in self.terms.items()})
 
-    def t_components(self) -> dict[tuple[Fraction, int], Polynomial]:
-        """Group terms by (mu, logpow); each component is a polynomial in x."""
-        grouped: dict[tuple[Fraction, int], dict[Monomial, Fraction]] = {}
-        for (mono, mu, logpow), c in self.terms.items():
-            grouped.setdefault((mu, logpow), {})[mono] = c
-        return {key: Polynomial(val) for key, val in grouped.items()}
-
     # --- product ---
 
     def _times(self, other: "MixedExpr | Polynomial") -> "MixedExpr":

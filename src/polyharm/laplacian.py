@@ -28,10 +28,11 @@ and 2 mu - n and shifted exponent ids are computed once, and a form's terms
 are pushed through both on integers, with one gcd reduction per
 application.  A radial tree passes its own images in place of the monomial
 images, the tree rule tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k), and
-the t-part comes from the same memo.  `tau` is the operator on MixedExpr: it
-converts to the form, applies the kernel and converts back.  `pharmonic`
-builds, iterates and checks both kinds of function on forms, so Fractions
-appear only where a MixedExpr or a node-symbol sum crosses the public API.
+the t-part comes from the same memo.  `tau` is the operator on MixedExpr, for
+the public API only: it converts to the form, applies the kernel and converts
+back.  `tension` expands tree nodes, and `pharmonic` builds, iterates and
+checks both kinds of function, on forms, so Fractions appear only where a
+polynomial, a MixedExpr or a node-symbol sum crosses the public API.
 
 The test suite cross-asserts `tau` against an independent frame-sum
 realization A(A(e)) + sum X^i_j(X^i_j(e)) - n t e_t built from the

@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Union
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, KindMismatch, Resonance, ZeroCombination
 from .expr import MixedExpr
 from .laplacian import Form, Tables, reduced, tables_of, tau_form, to_expr, to_form
@@ -147,7 +147,7 @@ class NodeSymbolExpr(Sparse):
         """The sum of `terms`; zero coefficients are dropped."""
         return cls(terms)
 
-    def render(self) -> str:
+    def render(self, namer: Callable[[VarIndex], str] = str) -> str:
         if not self.terms:
             return "0"
         parts = []
@@ -156,7 +156,7 @@ class NodeSymbolExpr(Sparse):
                 len(alpha),
                 ",".join(map(str, alpha)),
             )
-            parts.append(f"[{label}]*({self.terms[alpha].render()})")
+            parts.append(f"[{label}]*({self.terms[alpha].render(namer)})")
         return " + ".join(parts)
 
     def latex(self, namer=None) -> str:

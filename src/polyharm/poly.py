@@ -70,12 +70,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
-    def exponent(self, v: VarIndex) -> int:
-        for var, e in self.exps:
-            if var == v:
-                return e
-        return 0
-
     def layers(self) -> set[int]:
         return {v.layer for v, _ in self.exps}
 
@@ -215,9 +209,6 @@ class Polynomial(Sparse):
         return cls({Monomial.variable(v, power): Fraction(1)})
 
     # --- structure ---
-
-    def is_constant(self) -> bool:
-        return all(not mono.exps for mono in self.terms)
 
     def total_degree(self) -> int:
         return max((mono.degree for mono in self.terms), default=0)

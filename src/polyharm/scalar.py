@@ -15,8 +15,6 @@ from typing import Mapping, Sequence
 
 from .errors import ParseError
 
-Scalar = Fraction
-
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 _DECIMAL_INT_RE = re.compile(r"[+-]?[0-9]+")
 

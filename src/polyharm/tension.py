@@ -2,11 +2,16 @@
 
     tau(h^i_alpha) = sum_k h^{i+1}_{(alpha,k)} * t^(2 lambda_k).
 
-Children are read off the operator image by matching t-powers, which is well
-defined because the eigenvalues are distinct and nodes are t-independent.
-Polynomial seeds always terminate; the radial x^1-power seeds of the
-rho-span (times an affine function of the x^2 variables) produce single-branch
-trees via the closed-form radial Laplacian and never touch the full operator.
+A polynomial node is expanded by the one operator kernel `laplacian.tau_form`
+on its integer form, and each child is read off the image by exponent id: the
+id of 2 lambda_k names layer k, which is well defined because the eigenvalues
+are distinct and nodes are t-independent.  The children of a node depend only
+on its polynomial, so each distinct node is expanded once per tree (a dict
+local to `tension_tree`) and its children are shared by every multi-index
+that reaches it.  Polynomial seeds always terminate; the radial x^1-power
+seeds of the rho-span (times an affine function of the x^2 variables) produce
+single-branch trees via the closed-form radial Laplacian and never touch the
+full operator.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from .errors import (
     ParseError,
     UnsupportedSpan,
 )
-from .expr import MixedExpr, latex_term
-from .laplacian import tau
-from .poly import Monomial, Polynomial
+from .expr import MixedExpr, latex_term, parse_polynomial
+from .laplacian import Tables, tables_of, tau_form
+from .poly import Monomial, Polynomial, format_term
 from .scalar import _acc, format_rational, int_field, parse_rational
 
 MultiIndex = tuple[int, ...]
@@ -144,8 +149,6 @@ class RadialFunction:
                 factors.append(f"rho^{a}" if a > 0 else f"rho^({a})")
             if has_log:
                 factors.append("log(rho)")
-            from .poly import format_term
-
             parts.append(format_term(c, factors, first=not parts))
         return "".join(parts)
 
@@ -215,7 +218,8 @@ Node = Union[Polynomial, RadialSeed]
 
 @dataclass(frozen=True)
 class TensionTree:
-    """Sparse tree: only nonzero nodes are stored, keyed by multi-index."""
+    """Sparse tree: only nonzero nodes are stored, keyed by multi-index;
+    equal polynomial nodes may be one shared object."""
 
     spec: AlgebraSpec
     kind: str  # "polynomial" | "radial"
@@ -255,18 +259,25 @@ class TensionTree:
         return sorted(self._children.get(alpha, []))
 
 
-def _split_components(spec: AlgebraSpec, image: MixedExpr) -> dict[int, Polynomial]:
-    """Read h^{i+1}_{(alpha,k)} off tau(node) as the coefficient of t^(2 lambda_k)."""
-    shifts = {2 * spec.lam(k): k for k in range(1, spec.m + 1)}
-    children: dict[int, Polynomial] = {}
-    for (mu, logpow), poly in image.t_components().items():
-        if logpow != 0 or mu not in shifts:
+def _expand(tables: Tables, node: Polynomial, layers: dict[int, int]) -> dict[int, Polynomial]:
+    """The children of a polynomial node: h_(alpha,k) is the coefficient of
+    t^(2 lambda_k) in the kernel's image of the node's integer form, and
+    `layers` maps the exponent id of each 2 lambda_k to k."""
+    d = lcm(*(c.denominator for c in node.terms.values()))
+    zero = tables.exponent_id(Fraction(0))
+    d, image = tau_form(tables, (d, {
+        (tables.monomial_id(mono), zero, 0): c.numerator * (d // c.denominator)
+        for mono, c in node.terms.items()
+    }))
+    children: dict[int, dict[Monomial, Fraction]] = {}
+    for (m, e, logpow), v in image.items():
+        if logpow or e not in layers:
             raise InternalClosureError(
-                f"operator image contains an unexpected t^({format_rational(mu)})"
+                f"operator image contains an unexpected t^({format_rational(tables.exponents[e])})"
                 f"*log^{logpow} component; this is a bug, not a user error"
             )
-        children[shifts[mu]] = poly
-    return children
+        children.setdefault(layers[e], {})[tables.monomials[m]] = Fraction(v, d)
+    return {k: Polynomial._wrap(terms) for k, terms in children.items()}
 
 
 # The deepest tension tree a seed may ask for, by its depth bound: x^(10^11)
@@ -299,6 +310,8 @@ def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
     parent's, and the depth is at most the seed's weighted degree over
     2 lambda_1.  A node past that bound means an operator bug; a bound past
     `_DEPTH_BUDGET` raises BudgetExceeded before any level is expanded.
+    Each distinct node polynomial is expanded once (`_expand`), so nodes
+    that repeat share their `Polynomial` objects.
     """
     for v_layer in h.layers_used():
         if not 1 <= v_layer <= spec.m:
@@ -309,6 +322,10 @@ def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
     )
     bound = weighted // (2 * spec.lam(1))
     _check_budget(bound)
+    tables = tables_of(spec)
+    tables.bound_images()
+    layers = {tables.exponent_id(shift): k for k, shift in enumerate(tables.shifts, 1)}
+    expanded: dict[Polynomial, dict[int, Polynomial]] = {}
     nodes: dict[MultiIndex, Polynomial] = {}
     frontier: dict[MultiIndex, Polynomial] = {(): h}
     depth = 0
@@ -316,12 +333,13 @@ def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
         _check_depth(depth, bound)
         next_frontier: dict[MultiIndex, Polynomial] = {}
         for alpha, node in frontier.items():
-            image = tau(spec, MixedExpr.from_polynomial(node))
-            for k, child in _split_components(spec, image).items():
-                if not child.is_zero():
-                    child_alpha = alpha + (k,)
-                    nodes[child_alpha] = child
-                    next_frontier[child_alpha] = child
+            children = expanded.get(node)
+            if children is None:
+                children = expanded[node] = _expand(tables, node, layers)
+            for k, child in children.items():
+                child_alpha = alpha + (k,)
+                nodes[child_alpha] = child
+                next_frontier[child_alpha] = child
         frontier = next_frontier
         depth += 1
     degree = max((len(alpha) for alpha in nodes), default=0)
@@ -370,9 +388,9 @@ def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:
 
 # --- rendering ---
 
-def render_tree_text(tree: TensionTree, use_aliases: bool = True) -> str:
+def render_tree_text(tree: TensionTree) -> str:
     """Indented branch layout: each node under its parent, root first."""
-    namer = (lambda v: tree.spec.var_name(v)) if use_aliases else str
+    namer = tree.spec.var_name
     lines = [f"h = {tree.seed.render(namer)}"]
 
     def walk(alpha: MultiIndex, indent: int) -> None:
@@ -392,9 +410,7 @@ def render_tree_text(tree: TensionTree, use_aliases: bool = True) -> str:
 
 def render_tree_latex(tree: TensionTree) -> str:
     """One aligned line per node, paper-style labels h^{i}_{(alpha)}."""
-    from .expr import MixedExpr
-
-    namer = lambda v: tree.spec.var_name(v)
+    namer = tree.spec.var_name
 
     def node_tex(node: Node) -> str:
         if isinstance(node, Polynomial):
@@ -436,7 +452,7 @@ def _radial_to_json(r: RadialFunction) -> list[dict]:
 
 def _node_to_json(tree: TensionTree, node: Node) -> object:
     if isinstance(node, Polynomial):
-        return node.render(lambda v: tree.spec.var_name(v))
+        return node.render(tree.spec.var_name)
     n2 = tree.spec.dim(2) if tree.spec.m >= 2 else 0
     return {
         "radial": _radial_to_json(node.radial),
@@ -476,8 +492,6 @@ def _field(obj: object, key: str, kind: type = object) -> object:
 
 def _node_from_json(spec: AlgebraSpec, obj: object, kind: str) -> Node:
     if kind == "polynomial":
-        from .expr import parse_polynomial
-
         if not isinstance(obj, str):
             raise ParseError(f"a polynomial node must be a string, got {type(obj).__name__}")
         return parse_polynomial(obj, spec)

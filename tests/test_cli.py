@@ -350,6 +350,23 @@ def test_radial_output_is_pinned(capsys, case, command, fmt, code, digest):
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+# polynomial trees pinned byte for byte: (algebra, seed, format, sha256 of
+# stdout); ch2 z^16 has 4,179 nodes and only 79 distinct polynomials
+TREE_DIGESTS = [
+    ("ch2", "z^16", "json", "e742e06a9f50732d1f1f8590acd8848d33be1cfc6cf8877570f07722389b206e"),
+]
+
+
+@pytest.mark.parametrize(
+    "algebra, seed, fmt, digest",
+    TREE_DIGESTS,
+    ids=[":".join(entry[:3]) for entry in TREE_DIGESTS],
+)
+def test_tree_output_is_pinned(capsys, algebra, seed, fmt, digest):
+    got, out, _ = run(capsys, "tree", "--algebra", algebra, "--seed", seed, "--format", fmt)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 def test_verify_seed_exceeds(capsys):
     code, out, _ = run(
         capsys,

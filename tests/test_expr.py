@@ -154,13 +154,6 @@ def test_numeric_evaluation_is_secondary_signal():
         assert abs(val - expected) < mpmath.mpf(2) ** -200
 
 
-def test_t_components():
-    e = parse("x1_1*t^2 + 3*t^2 - log(t)")
-    comps = e.t_components()
-    assert comps[(Fraction(2), 0)] == Polynomial.variable(X) + Polynomial.constant(3)
-    assert comps[(Fraction(0), 1)] == Polynomial.constant(-1)
-
-
 def test_numeric_zero_signal(ch2):
     # canonical zero <=> functional zero on this class; the 256-bit evaluation
     # is a secondary signal with tolerance 1e-30

@@ -468,6 +468,20 @@ def test_radial_harmonic_seed_p1(rh3):
     assert cert.verified_order == 1 and cert.proper
 
 
+def test_formal_render_takes_the_namer(rh3, ch2):
+    # the coefficients are t-only, so naming the variables changes nothing;
+    # a caller that renders every build with its algebra's names must not fail
+    linear_g = radial_tree(ch2, {(2, True): 1, (2, False): "-1/2"}, linear=((1, "3/2"),))
+    for spec, tree, builder in (
+        (rh3, radial_tree(rh3, {(2, True): 1}), build_psi),
+        (ch2, linear_g, build_phi),
+    ):
+        built = builder(spec, tree, 3)
+        assert not built.is_zero()
+        assert built.render(spec.var_name) == built.render()
+        assert built.latex(spec.var_name) == built.latex()
+
+
 def test_formal_root_log_alone_exceeds(rh3):
     tree = radial_tree(rh3, {(2, True): 1})
     e = NodeSymbolExpr.build({(): MixedExpr.log_t()})

@@ -1,9 +1,12 @@
 """Structural invariants of the package source, checked on its syntax tree.
 
 No `assert` carries a precondition (they vanish under `python -O`), no
-unbounded `functools` cache holds per-algebra data, and every sparse sum
+unbounded `functools` cache holds per-algebra data, every sparse sum
 accumulates through the one `scalar._acc` instead of a pasted
-`d.get(k, zero) + v` loop.
+`d.get(k, zero) + v` loop, and production code reaches the operator only
+through its integer kernel `laplacian.tau_form`: no module but
+`laplacian.py` refers to the MixedExpr operator `tau`, which `__init__.py`
+only re-exports.
 """
 
 import ast
@@ -75,6 +78,22 @@ def functools_caches(module: ast.Module) -> list[int]:
     return lines
 
 
+def operator_references(module: ast.Module, reexport: bool = False) -> list[int]:
+    """Lines that import, name or look up `tau`; with `reexport`, the
+    package's own `from .laplacian import tau` is allowed."""
+    lines = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom):
+            if reexport and node.level == 1 and node.module == "laplacian":
+                continue
+            lines += [node.lineno for alias in node.names if alias.name == "tau"]
+        elif isinstance(node, ast.Name) and node.id == "tau":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "tau":
+            lines.append(node.lineno)
+    return lines
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_source_structure(path):
     module = tree_of(path)
@@ -82,6 +101,8 @@ def test_source_structure(path):
     assert asserts == [], f"assert statements at lines {asserts}"
     assert functools_caches(module) == []
     assert pasted_accumulates(module) == []
+    if path.name != "laplacian.py":
+        assert operator_references(module, reexport=path.name == "__init__.py") == []
 
 
 def test_accumulate_check_sees_a_pasted_loop():
@@ -89,3 +110,10 @@ def test_accumulate_check_sees_a_pasted_loop():
     assert pasted_accumulates(module) == [1, 2]
     module = ast.parse("def _acc(out, k, v):\n    out[k] = out.get(k, Fraction(0)) + v\n")
     assert pasted_accumulates(module) == []
+
+
+def test_operator_check_sees_a_reference_to_tau():
+    injected = "from .laplacian import tau\nimage = tau(spec, e)\nother = laplacian.tau(spec, e)\n"
+    assert operator_references(ast.parse(injected)) == [1, 2, 3]
+    assert operator_references(ast.parse(injected), reexport=True) == [2, 3]
+    assert operator_references(ast.parse("from .laplacian import tables_of, tau_form\n")) == []

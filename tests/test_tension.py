@@ -25,10 +25,11 @@ from polyharm import (
     tree_from_json,
     tree_to_json,
 )
-from polyharm import tension
+from polyharm import catalog_short_name, laplacian, tension
 
 from conftest import random_polynomial
-from oracles import mul_t_power, sum_trees
+from oracles import sum_trees, tau_by_partials
+from test_algebra import filiform
 
 X = VarIndex(1, 1)
 
@@ -73,18 +74,29 @@ def test_constant_seed(ch2):
     assert tree.degree == 0 and not tree.nodes
 
 
-def test_defining_recursion(rh2, ch2, ch3):
+def test_defining_recursion(rh2, rh3, ch2, ch3):
+    # tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k) on every node, against
+    # production `tau` and against the independent `tau_by_partials`, which
+    # shares no code with the kernel the tree is expanded by
     rng = random.Random(31)
+    ch4 = catalog_short_name("ch4")
+    fil3 = filiform()
     for spec, seed in (
         (rh2, poly("x^6", rh2)),
         (ch2, poly("z^4", ch2)),
         (ch2, random_polynomial(ch2, rng)),
         (ch3, random_polynomial(ch3, rng)),
+        (ch2, poly("z^8", ch2)),
+        (ch4, poly("(x_1*y_2+z)^4", ch4)),
+        (fil3, poly("(x1_1*x1_2+x2_1+x3_1)^4", fil3)),
+        (rh3, poly("(x1_1^2+x1_2^2)^6", rh3)),
     ):
         tree = tension_tree(spec, seed)
-        entries = [((), seed)] + list(tree.nodes.items())
-        for alpha, node in entries:
-            image = tau(spec, MixedExpr.from_polynomial(node))
+        oracle: dict = {}  # by node polynomial, so a repeated node is expanded once
+        for alpha, node in [((), seed)] + list(tree.nodes.items()):
+            e = MixedExpr.from_polynomial(node)
+            if node not in oracle:
+                oracle[node] = tau_by_partials(spec, e)
             rebuilt = MixedExpr.zero()
             for k in range(1, spec.m + 1):
                 child = tree.nodes.get(alpha + (k,))
@@ -92,7 +104,41 @@ def test_defining_recursion(rh2, ch2, ch3):
                     rebuilt = rebuilt + MixedExpr.from_polynomial(
                         child, mu=2 * spec.lam(k)
                     )
-            assert image == rebuilt
+            assert oracle[node] == rebuilt
+            assert tau(spec, e) == rebuilt
+
+
+def test_each_distinct_node_is_expanded_once(ch2, monkeypatch):
+    # 4,179 nodes but 79 distinct polynomials: one kernel application each,
+    # plus the seed's, not one per multi-index; counted on every route to
+    # the kernel, through `tau` too
+    calls = []
+    kernel = laplacian.tau_form
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(laplacian, "tau_form", counting)
+    monkeypatch.setattr(tension, "tau_form", counting)
+    seed = poly("z^16", ch2)
+    tree = tension_tree(ch2, seed)
+    assert tree.node_count() == 4179
+    assert len(calls) == len(set(tree.nodes.values()) | {seed}) == 80
+
+
+def test_closure_check_refuses_a_stray_image_term(rh2, monkeypatch):
+    # an image term at a t-power that is no 2 lambda_k, or with a log power,
+    # cannot be read as a child
+    for shift, logpow in ((Fraction(5, 2), 0), (Fraction(2), 1)):
+        def stray(tables, form, images=None, shift=shift, logpow=logpow):
+            d, terms = form
+            e = tables.exponent_id(shift)
+            return d, {(m, e, logpow): v for (m, _, _), v in terms.items()}
+
+        monkeypatch.setattr(tension, "tau_form", stray)
+        with pytest.raises(InternalClosureError):
+            tension_tree(rh2, poly("x^6", rh2))
 
 
 def test_depth_bound_comes_from_the_seed(rh2):
@@ -103,7 +149,7 @@ def test_depth_bound_comes_from_the_seed(rh2):
 def test_depth_budget_refuses_a_huge_seed_up_front(rh2, rh3, monkeypatch):
     # x^(10^11) would be expanded one level at a time for hours
     calls = []
-    monkeypatch.setattr(tension, "tau", lambda spec, e: calls.append(e))
+    monkeypatch.setattr(tension, "tau_form", lambda tables, form, images=None: calls.append(form))
     with pytest.raises(BudgetExceeded):
         tension_tree(rh2, poly("x^99999999999", rh2))
     seed = RadialSeed(RadialFunction(2, {(10**9, False): Fraction(1)}), AffinePart(Fraction(1)))
@@ -116,7 +162,12 @@ def test_depth_budget_refuses_a_huge_seed_up_front(rh2, rh3, monkeypatch):
 
 def test_depth_guard_stops_a_looping_operator(rh2, rh3, monkeypatch):
     # operators that make a node its own child would never terminate
-    monkeypatch.setattr(tension, "tau", lambda spec, e: mul_t_power(e, 2 * spec.lam(1)))
+    def looping(tables, form, images=None):
+        d, terms = form
+        e = tables.exponent_id(tables.shifts[0])
+        return d, {(m, e, k): v for (m, _, k), v in terms.items()}
+
+    monkeypatch.setattr(tension, "tau_form", looping)
     with pytest.raises(InternalClosureError):
         tension_tree(rh2, poly("x^6", rh2))
     monkeypatch.setattr(RadialFunction, "laplacian", lambda self: self)
