@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .algebra import AlgebraSpec, VarIndex
-from .errors import ParseError
+from .errors import BudgetExceeded, ParseError
 from .poly import Monomial, Polynomial, Sparse, format_term, monomial_factors
 from .scalar import _acc, format_rational
 
@@ -215,6 +215,29 @@ class _Tokenizer:
             raise ParseError(f"expected {op!r}, found {tok[1]!r}", tok[2])
 
 
+# The most terms a power of a sum may expand to, by the bound C(T + e - 1,
+# T - 1) on the monomials of degree e in T terms: on ch4,
+# (x_1+x_2+x_3+y_1+y_2+y_3+z)^200 passes the depth budget but would expand
+# eagerly to C(206, 6) ~ 10^11 terms.
+_TERM_BUDGET = 2_000
+
+
+def _check_power(terms: int, e: int) -> None:
+    """Refuse a power of a `terms`-term sum whose term bound passes
+    `_TERM_BUDGET`, before expanding it.  The bound is built up one factor
+    at a time, C(n - k + i, i) for i = 1..k, and stops once past the budget,
+    so a huge e or a long sum costs at most a few steps."""
+    n, k = terms + e - 1, min(terms - 1, e)
+    bound = 1
+    for i in range(1, k + 1):
+        bound = bound * (n - k + i) // i
+        if bound > _TERM_BUDGET:
+            raise BudgetExceeded(
+                f"a power of a {terms}-term sum to the {e} may expand to more than "
+                f"{_TERM_BUDGET} terms; the term budget is {_TERM_BUDGET}"
+            )
+
+
 class _Parser:
     """Recursive descent for: rationals, x{i}_{j} / aliases, t, log(t), + - * ^.
 
@@ -274,6 +297,7 @@ class _Parser:
                 raise ParseError(
                     "rational or negative exponents are allowed on t only", pos
                 )
+            _check_power(len(base.terms), int(exponent))
             return base ** int(exponent)
         return base
 

@@ -14,21 +14,22 @@ first use and stored on the spec itself (`tables_of`), so it lives as long as
 the spec and no lookup hashes the spec: the ad-power rows, the structure
 polynomials, the operator's first and second order coefficient polynomials,
 the monomials and t-exponents interned to integer ids, and the memos of the
-operator's monomial images, of each exponent's t-part and of each family's
-branch rows (filled by `pharmonic`), all bounded by `_MEMO_LIMIT`.
+operator's monomial images and of each exponent's t-part, all bounded by
+`_MEMO_LIMIT`.  Branch rows are not kept here: they belong to one tree's
+states, and `pharmonic` keeps them on the tree.
 
 Functions are carried in an integer form (`Form`): one denominator and a map
 from (x-part, exponent id, log power) to integer numerators, the x-part a
-monomial id for a concrete function and a node symbol for a radial tree's
-formal one.  The operator is linear and its x-part does not depend on t, so
-its one kernel `tau_form` is the linear extension of images: each monomial's
+monomial id for a concrete function and a tree state for a formal one.  The
+operator is linear and its x-part does not depend on t, so its one kernel
+`tau_form` is the linear extension of images: each monomial's
 image (a sum of t-shifts times integer polynomials over one per-algebra
 denominator) is computed once, each exponent's t-part factors mu (mu - n)
 and 2 mu - n and shifted exponent ids are computed once, and a form's terms
 are pushed through both on integers, with one gcd reduction per
-application.  A radial tree passes its own images in place of the monomial
-images, the tree rule tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k), and
-the t-part comes from the same memo.  `tau` is the operator on MixedExpr, for
+application.  A tree passes its own state images in place of the monomial
+images, the tree rule tau(h_S) = sum_k h_(S,k) t^(2 lambda_k), and the
+t-part comes from the same memo.  `tau` is the operator on MixedExpr, for
 the public API only: it converts to the form, applies the kernel and converts
 back.  `tension` expands tree nodes, and `pharmonic` builds, iterates and
 checks both kinds of function, on forms, so Fractions appear only where a
@@ -70,7 +71,7 @@ def bernoulli(r: int) -> Fraction:
 # --- per-algebra tables ---
 
 # Most entries each memo of an algebra's tables keeps: the interned monomials
-# and t-exponents with the operator's images, and each family's branch rows.
+# and t-exponents with the operator's images and t-parts.
 # A memo is cleared wholesale at the start of a public call once it holds this
 # many, so a long-lived process keeps at most this many plus those of one
 # call, per memo of a live algebra.
@@ -78,8 +79,8 @@ _MEMO_LIMIT = 4096
 
 # A function in integer form: (denominator, {(x-part, t-exponent id, log
 # power): numerator}), with no zero numerator, so the zero function has no
-# terms.  The x-part is a monomial id for a concrete function and a node
-# symbol (a multi-index) for a radial tree's formal one.  Ids are interned in
+# terms.  The x-part is a monomial id for a concrete function and a state
+# symbol (a state's index in its tree) for a formal one.  Ids are interned in
 # the algebra's tables and stay valid until the next `Tables.bound_images`,
 # which runs only at the entry of a public call, so a form never outlives the
 # call that made it.
@@ -137,19 +138,21 @@ class Tables:
         self.exponent_ids: dict[Fraction, int] = {}
         self.images: dict[int, _Image] = {}
         self.t_parts: dict[int, _TPart] = {}
-        # family -> multi-index -> branch row (`pharmonic._row`)
-        self.rows: dict[str, dict] = {"phi": {}, "psi": {}}
+        # how many times `bound_images` has cleared the ids: an id kept
+        # outside the tables is valid while this count is unchanged
+        self.clears = 0
 
     def bound_images(self) -> None:
-        """Clear the ids, and every memo holding one (the images, the t-parts
-        and the branch rows), once `_MEMO_LIMIT` monomials or exponents are
-        interned; called only at the entry of a public call."""
+        """Clear the ids, and every memo holding one (the images and the
+        t-parts), once `_MEMO_LIMIT` monomials or exponents are interned;
+        called only at the entry of a public call."""
         if max(len(self.monomials), len(self.exponents)) >= _MEMO_LIMIT:
             for memo in (
                 self.monomials, self.monomial_ids, self.exponents,
-                self.exponent_ids, self.images, self.t_parts, *self.rows.values(),
+                self.exponent_ids, self.images, self.t_parts,
             ):
                 memo.clear()
+            self.clears += 1
 
     def monomial_id(self, mono: Monomial) -> int:
         i = self.monomial_ids.get(mono)
@@ -164,14 +167,6 @@ class Tables:
             i = self.exponent_ids[mu] = len(self.exponents)
             self.exponents.append(mu)
         return i
-
-    def branch_rows(self, family: str) -> dict:
-        """The branch-row memo of `family`, cleared first once it holds
-        `_MEMO_LIMIT` rows."""
-        memo = self.rows[family]
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        return memo
 
 
 def tables_of(spec: AlgebraSpec) -> Tables:
@@ -337,7 +332,7 @@ def tau_form(tables: Tables, form: Form, images: Mapping | None = None) -> Form:
     key's first part with the t-shifts of its exponent, and the t-part of its
     exponent (`_t_part`) is added.  The images are the monomial images
     (`_image`) unless `images` maps every first part of the form to its image
-    over denominator 1, as a radial tree's node symbols do.  The sum runs on
+    over denominator 1, as a tree's state symbols do.  The sum runs on
     integers over d * s, d the form's denominator and s the lcm of the image
     denominator and the t-part denominators of the form's exponents; the
     result is reduced once."""

@@ -12,43 +12,49 @@ phi family requires 2 Lambda^k_alpha != n along every branch with a nonzero
 node; a violation raises Resonance and callers fall back to psi, which is
 always defined.
 
-Assembly has two parts.  The p-independent part of each coefficient is a row
-u_alpha, computed in one step from its parent's row (`_Row`) and kept in the
-algebra's tables (`laplacian.Tables`), one memo per family, bounded by the
-same `_MEMO_LIMIT` as the operator's memo; one row serves every p up to its
-length and every branch that extends alpha.  The sum over the tree then
-runs on integers straight into the operator's integer form
-(`laplacian.Form`): node coefficients and rows are scaled to common
-denominators and their products accumulated by (x-part, exponent id, log
-power).  A polynomial tree's x-parts are monomial ids and
-`build_phi`/`build_psi` convert the form to a MixedExpr once.  A radial
-tree's nodes are not polynomial, so its x-parts are node symbols (the
-multi-indices, each node with coefficient 1) and the build converts to the
-formal sum `NodeSymbolExpr`, a `poly.Sparse` like MixedExpr.
+Assembly runs on the tree's states (`tension.State`), never on its
+multi-indices.  A branch row depends on alpha only through the sequence of
+Lambda along it, and its recurrence is linear with factors that depend only
+on Lambda, so the rows summed over the multi-indices of one state obey the
+same recurrence over the state's in-edges (`_Rows`).  These state rows are
+exact integer pairs, made once per tree and family and extended in place as
+p grows (`_rows`, kept in `TensionTree.rows`); one row serves every p up to
+its length.  Their weighted sums over one denominator give each state's
+coefficient (`_coefficients`), and the family member is sum_S node_S times
+the coefficient of S.  For a polynomial tree the products with the node
+monomials run on integers straight into the operator's integer form
+(`laplacian.Form`, `_concrete_form`) and `build_phi`/`build_psi` convert it
+to a MixedExpr once.  A radial tree's nodes are not polynomial, so its build
+stays keyed by state (`_state_form`) and converts to the formal sum
+`NodeSymbolExpr`, a `poly.Sparse` like MixedExpr, each state named by its
+multi-index.  Phi raises Resonance at the least alpha, in `branches()`
+order, of any state with 2 Lambda = n.
 
 Certification never trusts the construction, and both tree kinds run on the
-one kernel `laplacian.tau_form`.  `verify` iterates it exactly, testing each
-iterate for zero by its empty term map and converting only the two
-residuals the certificate keeps, and reports the least vanishing order.
-`verify_formal` iterates it on a node-symbol form under the tree's own
-images (the tree rule tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k)) and
-decides each iterate by substituting the actual nodes and testing the
-realized function for zero in canonical form (`realize`).
+one kernel `laplacian.tau_form`.  `verify` iterates it exactly on the
+concrete function, testing each iterate for zero by its empty term map and
+converting only the two residuals the certificate keeps, and reports the
+least vanishing order; it is the independent check on the state
+construction.  `verify_formal` iterates it on a form keyed by state under
+the tree's state images (the tree rule tau(h_S) = sum_k h_(S,k)
+t^(2 lambda_k)) and decides each iterate by substituting the actual nodes
+and testing the realized function for zero in canonical form (`realize`).
 `recurrence_check` tests the two-step iteration identities the families
-satisfy as one integer sum over the forms of tau(f_p), f_(p-1) and
-f_(p-2), passing the images of a radial tree to the kernel.  The tree's
-kind, not the type of the built function, picks the images: `certify` and
-`recurrence_check` read `tree.kind`.  Every order p is checked against the
-budget `_P_BUDGET` before a row is made or the operator applied.  A form's
-ids are valid only inside the public call that made it, since
-`Tables.bound_images` runs at the entry of each.
+satisfy on states: one integer sum over the state-keyed forms of tau(f_p),
+f_(p-1) and f_(p-2), with tau under the state images.  The tree rule holds
+by construction, so a sum that vanishes state by state proves the
+identity; only a sum that does not is realized.  `certify` routes by
+`tree.kind`.  Every order p is checked against the budget `_P_BUDGET`
+before a row is made or the operator applied.  A form's ids are valid only
+inside the public call that made it, since `Tables.bound_images` runs at
+the entry of each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Mapping, Union
 
 from .algebra import AlgebraSpec, VarIndex
@@ -60,64 +66,112 @@ from .scalar import _acc
 from .tension import MultiIndex, Node, TensionTree
 
 
-# --- branch rows ---
+# --- branch rows, per state ---
 
 @dataclass(slots=True)
-class _Row:
-    """The p-independent part of one branch coefficient.
+class _Rows:
+    """The p-independent parts of the branch coefficients of one tree and
+    family, summed per state, extended in place as p grows.
 
     Along alpha = (parent, k), with Lambda = Lambda_parent + lambda_k,
-    d = 2 Lambda -+ n, a = 1/d and m = -a / (2 Lambda):
+    d = 2 Lambda -+ n, a = 1/d and m = -a / (2 Lambda), the row of alpha is
 
         u_alpha[0] = m u_parent[0],   u_alpha[j] = m u_parent[j] + a u_alpha[j-1],
 
-    from u_() = (1, 0, 0, ...).  u_alpha[j] is (prod_k -1/(2 Lambda^k d_k)) times
-    h_j(1/d_1, ..., 1/d_i), h_j the complete homogeneous symmetric polynomial,
-    and the coefficient of order p is
+    from u_() = (1, 0, 0, ...), so u_alpha[j] is (prod_k -1/(2 Lambda^k d_k))
+    times h_j(1/d_1, ..., 1/d_i), h_j the complete homogeneous symmetric
+    polynomial, and the coefficient of order p is
 
         sum_{j<p} (-2)^j (p-1)...(p-j) u_alpha[j] t^exponent log(t)^(p-1-j).
 
-    A row of length L serves every p <= L; `_row` extends it in place.
+    The recurrence is linear and a, m depend only on Lambda, so the sum U_S
+    of the rows of a state's multi-indices obeys it over the state's in-edges:
+
+        U_S[0] = m sum U_S'[0],   U_S[j] = m sum U_S'[j] + a U_S[j-1],
+
+    each sum over the edges (S', k) -> S.  Every entry is a reduced pair of
+    integers (numerator, positive denominator).
     """
 
-    lam: Fraction  # Lambda_alpha
-    exponent: Fraction  # of t: 2 Lambda (phi) or 2 Lambda + n (psi)
-    a: Fraction
-    m: Fraction
-    u: list[Fraction]
-    # the exponent's id in the algebra's tables, set by `_build_form`; valid
-    # because `Tables.bound_images` clears the rows with the ids
-    exponent_id: int | None = None
+    resonant: MultiIndex | None  # phi only: the least alpha with 2 Lambda = n
+    exponents: list[Fraction]  # of t per state: 2 Lambda (phi) or 2 Lambda + n (psi)
+    steps: list[tuple[int, int, int, int] | None]  # per state (a, m) as two pairs
+    u: list[list[tuple[int, int]]]
+    stamp: tuple | None  # the tables and clear count `exponent_ids` are valid for
+    exponent_ids: list[int]
+    weighted: dict[int, tuple[int, list]]  # see `_coefficients`
 
 
-def _row(
-    spec: AlgebraSpec, memo: dict[MultiIndex, _Row], alpha: MultiIndex, p: int, family: str
-) -> _Row | None:
-    """The row of alpha to length at least p, from its parent's row, which
-    must already be in the memo to that length; None where phi is resonant
-    at alpha itself (2 Lambda_alpha = n)."""
-    row = memo.get(alpha)
-    if row is None:
-        n = spec.homogeneous_dim
-        if not alpha:
-            exponent = Fraction(0) if family == "phi" else n
-            row = _Row(Fraction(0), exponent, Fraction(0), Fraction(0), [Fraction(1)])
-        else:
-            lam = memo[alpha[:-1]].lam + spec.lam(alpha[-1])
-            d = 2 * lam - n if family == "phi" else 2 * lam + n
-            if not d:
-                return None
-            a = 1 / d
-            row = _Row(lam, 2 * lam if family == "phi" else d, a, -a / (2 * lam), [])
-        memo[alpha] = row
-    u = row.u
-    if not alpha:
-        u.extend([Fraction(0)] * (p - len(u)))
-    elif len(u) < p:
-        a, m, parent = row.a, row.m, memo[alpha[:-1]].u
-        for j in range(len(u), p):
-            u.append(m * parent[j] + (a * u[j - 1] if j else 0))
-    return row
+def _rows(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> _Rows:
+    """The rows of `tree` for `family` to length at least p, kept in
+    `tree.rows`; Resonance, naming the least resonant alpha in `branches()`
+    order, where phi is resonant at some state (2 Lambda = n)."""
+    rows = tree.rows.get(family)
+    if rows is None:
+        rows = tree.rows[family] = _new_rows(spec, tree, family)
+    if rows.resonant is not None:
+        raise Resonance(rows.resonant, len(rows.resonant))
+    u, states = rows.u, tree.states
+    if len(u[-1]) >= p:  # every row past the seed's has one length
+        return rows
+    u[0].extend([(0, 1)] * (p - len(u[0])))
+    for s in range(1, len(states)):
+        an, ad, mn, md = rows.steps[s]
+        parents = [u[q] for q in states[s].parents]
+        row = u[s]
+        for j in range(len(row), p):
+            sn, sd = 0, 1  # the sum over the in-edges
+            for parent in parents:
+                n, d = parent[j]
+                if n:
+                    g = gcd(sd, d)
+                    sn, sd = sn * (d // g) + n * (sd // g), sd // g * d
+            num, den = mn * sn, md * sd
+            if j and row[j - 1][0]:
+                pn, pd = row[j - 1]
+                num, den = num * ad * pd + an * pn * den, den * ad * pd
+            g = gcd(num, den)
+            row.append((num // g, den // g))
+    return rows
+
+
+def _new_rows(spec: AlgebraSpec, tree: TensionTree, family: str) -> _Rows:
+    """Empty rows past the seed's, with each state's exponent and steps,
+    worked out on integers: d = 2 Lambda -+ n, a = 1/d, m = -a / (2 Lambda)."""
+    n = spec.homogeneous_dim
+    sign = -1 if family == "phi" else 1
+    exponents: list[Fraction] = []
+    steps: list[tuple[int, int, int, int] | None] = []
+    resonant = []
+    ld = tree.scale
+    for state in tree.states:
+        ln = state.lam
+        dn, dd = 2 * ln * n.denominator + sign * n.numerator * ld, ld * n.denominator
+        exponents.append(Fraction(2 * ln, ld) if family == "phi" else Fraction(dn, dd))
+        if not ln or not dn:
+            steps.append(None)
+            if ln:
+                resonant.append(state.least)
+            continue
+        steps.append(_pair(dd, dn) + _pair(-dd * ld, 2 * ln * dn))
+    u = [[(1, 1)]] + [[] for _ in tree.states[1:]]
+    return _Rows(min(resonant, default=None), exponents, steps, u, None, [], {})
+
+
+def _pair(num: int, den: int) -> tuple[int, int]:
+    """num / den as a reduced pair with a positive denominator."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
+
+
+def _exponent_ids(tables: Tables, rows: _Rows) -> list[int]:
+    """The exponent id of each state's t-power, kept with the rows until
+    the tables clear their ids (`Tables.clears`)."""
+    stamp = (tables, tables.clears)
+    if rows.stamp != stamp:
+        rows.exponent_ids = [tables.exponent_id(mu) for mu in rows.exponents]
+        rows.stamp = stamp
+    return rows.exponent_ids
 
 
 def _weights(p: int) -> list[int]:
@@ -136,8 +190,8 @@ class NodeSymbolExpr(Sparse):
 
     The empty multi-index denotes the seed itself.  It is the public value
     of a radial tree's build and of its certificate residuals, whose nodes
-    are not polynomials; the work runs on the integer form keyed by node
-    symbol (`_symbol_form`, `_symbols`).
+    are not polynomials; the work runs on the integer form keyed by tree
+    state (`_symbol_form`, `_symbols`).
     """
 
     __slots__ = ()
@@ -173,43 +227,35 @@ class NodeSymbolExpr(Sparse):
         return " + ".join(parts)
 
 
-def _symbol_images(tree: TensionTree) -> dict:
-    """The operator's images of the node symbols, in the layout of
-    `laplacian.tau_form` over denominator 1: the tree rule
-    tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k), with shift id k - 1,
-    over the children present (a zero node is absent from the tree)."""
-    return {
-        alpha: tuple((k - 1, alpha + (k,), 1) for k in tree.children(alpha))
-        for alpha in [(), *tree.nodes]
-    }
-
-
-def _symbol_form(tables: Tables, e: NodeSymbolExpr, symbols) -> Form:
-    """The integer form of e's terms on `symbols`, keyed by (node symbol,
-    exponent id, log power); the coefficients must be t-only."""
-    terms = [
-        (alpha, key, c)
-        for alpha, coeff in e.terms.items()
-        if alpha in symbols
-        for key, c in coeff.terms.items()
-    ]
-    if any(mono.exps for _, (mono, _, _), _ in terms):
-        raise ValueError("node-symbol coefficients must be t-only")
-    d = lcm(*(c.denominator for _, _, c in terms))
+def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> Form:
+    """The integer form of e keyed by (state, exponent id, log power): each
+    multi-index goes to its state, and those the tree lacks (zero nodes) are
+    dropped; the coefficients must be t-only."""
+    acc: dict[tuple, Fraction] = {}
+    for alpha, coeff in e.terms.items():
+        s = tree.state_of(alpha)
+        if s is None:
+            continue
+        for (mono, mu, k), c in coeff.terms.items():
+            if mono.exps:
+                raise ValueError("node-symbol coefficients must be t-only")
+            _acc(acc, (s, mu, k), c)
+    d = lcm(*(c.denominator for c in acc.values()))
     exponent_id = tables.exponent_id
     return d, {
-        (alpha, exponent_id(mu), k): c.numerator * (d // c.denominator)
-        for alpha, (_, mu, k), c in terms
+        (s, exponent_id(mu), k): c.numerator * (d // c.denominator)
+        for (s, mu, k), c in acc.items()
     }
 
 
-def _symbols(tables: Tables, form: Form) -> NodeSymbolExpr:
-    """The node-symbol sum of a form keyed by node symbol."""
+def _symbols(tables: Tables, tree: TensionTree, form: Form) -> NodeSymbolExpr:
+    """The node-symbol sum of a form keyed by state, each state named by its
+    least multi-index (a radial tree's states are its nodes)."""
     d, terms = form
-    one, exponents = Monomial.one(), tables.exponents
+    one, exponents, states = Monomial.one(), tables.exponents, tree.states
     out: dict[MultiIndex, dict] = {}
-    for (alpha, e, k), v in terms.items():
-        out.setdefault(alpha, {})[(one, exponents[e], k)] = Fraction(v, d)
+    for (s, e, k), v in terms.items():
+        out.setdefault(states[s].least, {})[(one, exponents[e], k)] = Fraction(v, d)
     return NodeSymbolExpr._wrap({alpha: MixedExpr._wrap(c) for alpha, c in out.items()})
 
 
@@ -246,58 +292,70 @@ def build_psi(spec: AlgebraSpec, tree: TensionTree, p: int) -> Built:
 
 
 def _build(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> Built:
-    """Seed and nodes times their branch coefficients, summed in integer form
-    (`_build_form`): a MixedExpr for a polynomial tree, the formal node-symbol
-    sum for a radial one."""
+    """The state rows times their weights (`_coefficients`), times the nodes:
+    a MixedExpr for a polynomial tree (`_concrete_form`), the formal
+    node-symbol sum for a radial one."""
     _check_p(p)
     tables = tables_of(spec)
     tables.bound_images()
-    form = _build_form(spec, tables, tree, p, family)
-    return to_expr(tables, form) if tree.kind == "polynomial" else _symbols(tables, form)
+    coefficients = _coefficients(spec, tables, tree, p, family)
+    if tree.kind == "radial":
+        return _symbols(tables, tree, _state_form(coefficients))
+    return to_expr(tables, _concrete_form(tables, tree, coefficients))
 
 
-def _rows(
-    spec: AlgebraSpec, tables: Tables, branches: list[MultiIndex], p: int, family: str
-) -> list[_Row]:
-    """The rows of the root and of `branches`, walked in `tree.branches()`
-    order, parents before children, so the first resonant phi branch raises."""
-    memo = tables.branch_rows(family)
-    rows = [_row(spec, memo, (), p, family)]
-    for alpha in branches:
-        row = _row(spec, memo, alpha, p, family)
-        if row is None:
-            raise Resonance(alpha, len(alpha))
-        rows.append(row)
-    return rows
+# A family member's coefficients: (W, exponent id per state, per state
+# [(log power, numerator over W), ...]); the coefficient of state S is
+# sum_j w_j U_S[j] t^exponent log(t)^(p-1-j), w_j = `_weights(p)[j]`.
+_Coefficients = tuple[int, list[int], list[list[tuple[int, int]]]]
+
+# How many orders' weighted rows a tree keeps per family: a recurrence check
+# at p reads p, p - 1 and p - 2, the builds before it p.
+_WEIGHTED_ORDERS = 3
 
 
-def _build_form(
+def _coefficients(
     spec: AlgebraSpec, tables: Tables, tree: TensionTree, p: int, family: str
-) -> Form:
-    """The family member of order p in integer form: node coefficients over
-    their common denominator D, rows with their weights folded in over theirs
-    W, summed on integers keyed by (x-part, exponent id, p - 1 - j) and
-    reduced once over D * W.  The x-part is a monomial id for a polynomial
-    tree; a radial tree's nodes are its symbols, each with coefficient 1."""
-    rows = _rows(spec, tables, tree.branches(), p, family)
-    d, nodes = tree.scaled_terms
-    w = lcm(*(u.denominator for row in rows for u in row.u[:p]))
-    weights = _weights(p)
+) -> _Coefficients:
+    """The coefficient of order p of every state: its rows (`_rows`) and
+    weights over their common denominator W, kept for the last
+    `_WEIGHTED_ORDERS` orders asked for."""
+    rows = _rows(spec, tree, p, family)
+    weighted = rows.weighted.get(p)
+    if weighted is None:
+        w = lcm(*(d for row in rows.u for _, d in row[:p]))
+        weights = _weights(p)
+        weighted = rows.weighted[p] = w, [
+            [(p - 1 - j, n * (w // d) * weights[j]) for j, (n, d) in enumerate(row[:p]) if n]
+            for row in rows.u
+        ]
+        if len(rows.weighted) > _WEIGHTED_ORDERS:
+            del rows.weighted[next(iter(rows.weighted))]
+    return weighted[0], _exponent_ids(tables, rows), weighted[1]
+
+
+def _state_form(coefficients: _Coefficients) -> Form:
+    """The family member in integer form keyed by (state, exponent id, log
+    power)."""
+    w, ids, states = coefficients
+    return w, {
+        (s, e, k): u for s, (e, scaled) in enumerate(zip(ids, states)) for k, u in scaled
+    }
+
+
+def _concrete_form(tables: Tables, tree: TensionTree, coefficients: _Coefficients) -> Form:
+    """The family member of a polynomial tree in integer form: node
+    coefficients over their common denominator D (`TensionTree.integer_nodes`)
+    times the state coefficients over W, summed on integers keyed by
+    (monomial id, exponent id, log power) and reduced once over D * W."""
+    w, exponent_ids, states = coefficients
+    d, nodes = tree.integer_nodes
     ids = tables.monomial_ids
-    symbols = tree.kind == "radial"
     out: dict[tuple, int] = {}
     get = out.get
-    for terms, row in zip(nodes, rows):
-        e = row.exponent_id
-        if e is None:
-            e = row.exponent_id = tables.exponent_id(row.exponent)
-        scaled = [
-            (p - 1 - j, u.numerator * (w // u.denominator) * weights[j])
-            for j, u in enumerate(row.u[:p])
-            if u
-        ]
+    for terms, e, scaled in zip(nodes, exponent_ids, states):
         for mono, c in terms:
-            m = mono if symbols else ids.get(mono)
+            m = ids.get(mono)
             if m is None:
                 m = tables.monomial_id(mono)
             for k, u in scaled:
@@ -410,15 +468,15 @@ def _node_terms(node: Node) -> dict:
 
 
 def realize(tree: TensionTree, form: Form) -> dict:
-    """Substitute the tree's nodes for the symbols of a form keyed by node
-    symbol: sum_alpha c_alpha(t) * node_alpha, in canonical sparse form keyed
-    by (x-basis function, exponent id, log power) over the form's
-    denominator.  The basis functions are linearly independent, so the map
-    is empty exactly when the function is zero."""
+    """Substitute the tree's nodes for the symbols of a form keyed by state:
+    sum_S c_S(t) * node_S, in canonical sparse form keyed by (x-basis
+    function, exponent id, log power) over the form's denominator.  The basis
+    functions are linearly independent, so the map is empty exactly when the
+    function is zero."""
     out: dict = {}
-    for (alpha, e, k), v in form[1].items():
-        node = tree.nodes[alpha] if alpha else tree.seed
-        for basis, c_x in _node_terms(node).items():
+    states = tree.states
+    for (s, e, k), v in form[1].items():
+        for basis, c_x in _node_terms(states[s].node).items():
             _acc(out, (basis, e, k), c_x * v)
     return out
 
@@ -432,9 +490,10 @@ def verify_formal(
     seed: str = "",
 ) -> HarmonicCertificate:
     """Certify in node-symbol mode: iterate the kernel `laplacian.tau_form`
-    under the tree's images (`_symbol_images`) and test each iterate for zero
-    on its realization (`realize`).  Symbols of e that the tree lacks (zero
-    nodes) are dropped.
+    on states under the tree's images (`TensionTree.images`) and test each iterate
+    for zero on its realization (`realize`).  Symbols of e that the tree
+    lacks (zero nodes) are dropped, those of one state are summed, and the
+    residuals name each state by its least multi-index.
 
     Every formal iterate is the exact image of the realized function, because
     the tree satisfies tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k) by
@@ -443,15 +502,15 @@ def verify_formal(
     """
     tables = tables_of(spec)
     tables.bound_images()
-    images = _symbol_images(tree)
+    images = tree.images
 
     def realized(form: Form) -> Form:
         return form if realize(tree, form) else (1, {})
 
     return _certify(
-        kind, p, seed, realized(_symbol_form(tables, e, images)),
+        kind, p, seed, realized(_symbol_form(tables, tree, e)),
         lambda form: realized(tau_form(tables, form, images)),
-        lambda form: _symbols(tables, form),
+        lambda form: _symbols(tables, tree, form),
     )
 
 
@@ -480,14 +539,15 @@ def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
         tau(psi_p) = +n (p-1) psi_{p-1} + (p-1)(p-2) psi_{p-2}
 
     For p = 2 the two-step term carries coefficient zero and is dropped; for
-    p = 1 the identities reduce to tau = 0.  Branches blocked by Resonance
-    skip the phi side (psi is always checked).  Both tree kinds are checked
-    on integer forms, a radial tree under its images (`_symbol_images`).
+    p = 1 the identities reduce to tau = 0.  A resonant tree skips the phi
+    side (psi is always checked).  Both tree kinds are checked on states, the
+    members keyed by state and tau applied under the state images
+    (`TensionTree.images`), as `_recurrence_holds` describes.
     """
     _check_p(p)
     tables = tables_of(spec)
     tables.bound_images()
-    images = None if tree.kind == "polynomial" else _symbol_images(tree)
+    images = tree.images
     ok = True
     for family, sign in (("phi", -1), ("psi", 1)):
         try:
@@ -507,26 +567,32 @@ def _recurrence_holds(
     p: int,
     family: str,
     sign: int,
-    images: dict | None,
+    images: dict,
 ) -> bool:
     """The identity of one family: tau(f_p) minus the scaled lower members,
-    as (form, coefficient numerator, coefficient denominator) parts summed
-    on integers (`_vanishes`)."""
+    as (form, coefficient numerator, coefficient denominator) parts keyed by
+    state and summed on integers (`_combination`).  The tree rule holds by
+    construction, so a sum that vanishes state by state is a proof; one that
+    does not is decided on its realization (`realize`), since distinct
+    states may carry dependent nodes."""
     n = spec.homogeneous_dim
-    parts = [(tau_form(tables, _build_form(spec, tables, tree, p, family), images), 1, 1)]
+
+    def member(order: int) -> Form:
+        return _state_form(_coefficients(spec, tables, tree, order, family))
+
+    parts = [(tau_form(tables, member(p), images), 1, 1)]
     if p >= 2:
-        lower = _build_form(spec, tables, tree, p - 1, family)
-        parts.append((lower, -sign * (p - 1) * n.numerator, n.denominator))
+        parts.append((member(p - 1), -sign * (p - 1) * n.numerator, n.denominator))
     if p >= 3:
-        lower = _build_form(spec, tables, tree, p - 2, family)
-        parts.append((lower, -(p - 1) * (p - 2), 1))
-    return _vanishes(parts)
+        parts.append((member(p - 2), -(p - 1) * (p - 2), 1))
+    residual = _combination(parts)
+    return not residual[1] or not realize(tree, residual)
 
 
-def _vanishes(parts: list[tuple[Form, int, int]]) -> bool:
-    """Whether the sum of c * f over the parts (f, numerator of c,
-    denominator of c) is zero, cross-multiplied over the lcm of each form's
-    denominator times its coefficient's."""
+def _combination(parts: list[tuple[Form, int, int]]) -> Form:
+    """The sum of c * f over the parts (f, numerator of c, denominator of c),
+    cross-multiplied over the lcm of each form's denominator times its
+    coefficient's, with its zero terms dropped."""
     common = lcm(*(form[0] * c_den for form, _, c_den in parts))
     total: dict[tuple, int] = {}
     get = total.get
@@ -534,4 +600,4 @@ def _vanishes(parts: list[tuple[Form, int, int]]) -> bool:
         scale = c_num * (common // (d * c_den))
         for key, v in terms.items():
             total[key] = get(key, 0) + v * scale
-    return not any(total.values())
+    return common, {key: v for key, v in total.items() if v}

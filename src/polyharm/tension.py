@@ -5,22 +5,30 @@
 A polynomial node is expanded by the one operator kernel `laplacian.tau_form`
 on its integer form, and each child is read off the image by exponent id: the
 id of 2 lambda_k names layer k, which is well defined because the eigenvalues
-are distinct and nodes are t-independent.  The children of a node depend only
-on its polynomial, so each distinct node is expanded once per tree (a dict
-local to `tension_tree`) and its children are shared by every multi-index
-that reaches it.  Polynomial seeds always terminate; the radial x^1-power
-seeds of the rho-span (times an affine function of the x^2 variables) produce
-single-branch trees via the closed-form radial Laplacian and never touch the
-full operator.
+are distinct and nodes are t-independent.
+
+The children of a node depend only on its polynomial, so a tree is stored as
+its DAG of states (`State`): a state S = (node polynomial, Lambda) stands for
+every multi-index alpha with that node and Lambda_alpha = sum of lambda_k
+along alpha, and S has an edge to the state of (alpha, k) for each layer k.
+`tension_tree` expands states breadth-first, never multi-indices, and each
+distinct node polynomial once (a dict local to the call).  Each state keeps
+its least alpha and its number of multi-indices, which give `Resonance` its
+alpha and `node_count` its value; the alpha-keyed view `TensionTree.nodes`
+is derived only for rendering and JSON, under a budget (ch2 z^24 has 196,416
+multi-indices in 168 states).  Polynomial seeds always terminate; the radial
+x^1-power seeds of the rho-span (times an affine function of the x^2
+variables) produce single-branch trees via the closed-form radial Laplacian,
+a chain whose states are its nodes, and never touch the full operator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from .algebra import AlgebraSpec, VarIndex
 from .errors import (
@@ -216,47 +224,143 @@ class RadialSeed:
 Node = Union[Polynomial, RadialSeed]
 
 
+class State(NamedTuple):
+    """One state of a tension tree: the multi-indices alpha that share a node
+    polynomial and Lambda_alpha = lambda_(alpha_1) + ... + lambda_(alpha_i).
+
+    The children of a node depend only on its polynomial, so every alpha of a
+    state has the same children, each in one state: `children` maps layer k
+    to the state of (alpha, k).  `lam` is Lambda in units of 1/scale, the
+    tree's `scale`; `parents` names the source of each edge into this state,
+    one per (state, layer); `least` is the state's least alpha in
+    `branches()` order and `paths` its number of multi-indices."""
+
+    node: Node
+    lam: int
+    least: MultiIndex
+    children: dict[int, int]
+    parents: tuple[int, ...]
+    paths: int
+
+
 @dataclass(frozen=True)
 class TensionTree:
-    """Sparse tree: only nonzero nodes are stored, keyed by multi-index;
-    equal polynomial nodes may be one shared object."""
+    """A tension tree as its DAG of states (`State`).  State 0 is the seed's,
+    and the states run in order of increasing Lambda, so parents come before
+    their children; only nonzero nodes have states.
+
+    `nodes`, the alpha-keyed view, is derived on first use and refused past
+    `_VIEW_BUDGET` multi-indices; only rendering and JSON read it.  `rows` is
+    the branch-row memo `pharmonic` keeps per family, extended in place as p
+    grows; it takes no part in equality."""
 
     spec: AlgebraSpec
     kind: str  # "polynomial" | "radial"
     seed: Node
-    nodes: dict[MultiIndex, Node]
+    states: tuple[State, ...]
+    scale: int  # the lcm of the eigenvalue denominators
     degree: int
+    rows: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def branches(self) -> list[MultiIndex]:
-        return sorted(self.nodes)
+    def node_count(self) -> int:
+        """The number of nonzero nodes (multi-indices), from the path counts."""
+        return sum(state.paths for state in self.states[1:])
 
     @cached_property
-    def scaled_terms(self) -> tuple[int, list[list[tuple[Monomial | MultiIndex, int]]]]:
-        """The seed and nodes, in `branches()` order, as (D, [[(x-part,
-        numerator over D), ...], ...]): for a polynomial tree the monomials,
-        D the common denominator of every coefficient; a radial tree's nodes
-        are not polynomial, so each is its node symbol with coefficient 1."""
-        if self.kind == "radial":
-            return 1, [[(alpha, 1)] for alpha in [(), *self.branches()]]
-        nodes = [self.seed.terms] + [self.nodes[alpha].terms for alpha in self.branches()]
+    def nodes(self) -> dict[MultiIndex, Node]:
+        """Every nonzero node keyed by its multi-index, in `branches()` order;
+        the nodes of one state are one object."""
+        count = self.node_count()
+        if count > _VIEW_BUDGET:
+            raise BudgetExceeded(
+                f"the tension tree has {count} nodes; listing them is refused past "
+                f"{_VIEW_BUDGET} (its {len(self.states)} states still build and certify)"
+            )
+        states = self.states
+        out: dict[MultiIndex, Node] = {}
+        stack = [((k,), child) for k, child in reversed(states[0].children.items())]
+        while stack:  # preorder with children in layer order: lexicographic
+            alpha, s = stack.pop()
+            out[alpha] = states[s].node
+            stack += [(alpha + (k,), child) for k, child in reversed(states[s].children.items())]
+        return out
+
+    def branches(self) -> list[MultiIndex]:
+        return list(self.nodes)
+
+    def state_of(self, alpha: MultiIndex) -> int | None:
+        """The state of alpha, or None when its node is zero."""
+        s: int | None = 0
+        for k in alpha:
+            s = self.states[s].children.get(k)
+            if s is None:
+                return None
+        return s
+
+    def children(self, alpha: MultiIndex) -> list[int]:
+        s = self.state_of(alpha)
+        return [] if s is None else list(self.states[s].children)
+
+    @cached_property
+    def images(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
+        """The tree rule tau(h_S) = sum_k h_(S,k) t^(2 lambda_k) as the
+        images of the state symbols in the layout of `laplacian.tau_form`
+        over denominator 1: (shift id k - 1, child state, 1) per child."""
+        return {
+            s: tuple((k - 1, child, 1) for k, child in state.children.items())
+            for s, state in enumerate(self.states)
+        }
+
+    @cached_property
+    def integer_nodes(self) -> tuple[int, list[list[tuple[Monomial, int]]]]:
+        """A polynomial tree's state nodes as (D, [[(monomial, numerator
+        over D), ...] per state]), D the common denominator of every
+        coefficient."""
+        nodes = [state.node.terms for state in self.states]
         d = lcm(*(c.denominator for terms in nodes for c in terms.values()))
         return d, [
             [(mono, c.numerator * (d // c.denominator)) for mono, c in terms.items()]
             for terms in nodes
         ]
 
-    def node_count(self) -> int:
-        return len(self.nodes)
 
-    @cached_property
-    def _children(self) -> dict[MultiIndex, list[int]]:
-        out: dict[MultiIndex, list[int]] = {}
-        for alpha in self.nodes:
-            out.setdefault(alpha[:-1], []).append(alpha[-1])
-        return out
-
-    def children(self, alpha: MultiIndex) -> list[int]:
-        return sorted(self._children.get(alpha, []))
+def _tree(
+    spec: AlgebraSpec,
+    kind: str,
+    found: list[tuple[Node, int]],
+    edges: list[dict[int, int]],
+    scale: int,
+    bound: int,
+) -> TensionTree:
+    """The tree of the states an expansion found: `found[i]` is the node and
+    Lambda, in units of 1/scale, of state i, the seed's first, and `edges[i]`
+    its children by layer.  Every edge raises Lambda, so ordering by Lambda puts parents
+    before children; least alpha, path counts and depths then follow in one
+    pass.  A depth past `bound` means an operator bug."""
+    order = sorted(range(len(found)), key=lambda i: found[i][1])
+    renamed = {old: new for new, old in enumerate(order)}
+    children = [{k: renamed[c] for k, c in sorted(edges[old].items())} for old in order]
+    least: list[MultiIndex | None] = [()] + [None] * (len(order) - 1)
+    paths = [1] + [0] * (len(order) - 1)
+    depth = [0] * len(order)
+    parents: list[list[int]] = [[] for _ in order]
+    for s, kids in enumerate(children):
+        for k, c in kids.items():
+            alpha = least[s] + (k,)
+            if least[c] is None or alpha < least[c]:
+                least[c] = alpha
+            paths[c] += paths[s]
+            depth[c] = max(depth[c], depth[s] + 1)
+            parents[c].append(s)
+    degree = max(depth)
+    _check_depth(degree, bound)
+    states = tuple(
+        State(found[old][0], found[old][1], least[s], children[s], tuple(parents[s]), paths[s])
+        for s, old in enumerate(order)
+    )
+    return TensionTree(
+        spec=spec, kind=kind, seed=found[0][0], states=states, scale=scale, degree=degree
+    )
 
 
 def _expand(tables: Tables, node: Polynomial, layers: dict[int, int]) -> dict[int, Polynomial]:
@@ -284,6 +388,11 @@ def _expand(tables: Tables, node: Polynomial, layers: dict[int, int]) -> dict[in
 # on rh2 would otherwise be expanded one level at a time, 5 * 10^10 levels.
 _DEPTH_BUDGET = 1024
 
+# The most multi-indices a tree's alpha-keyed view may list: their number
+# grows exponentially with the seed's degree while the states stay few (ch2
+# z^24: 196,416 alpha, 168 states), and only the view enumerates them.
+_VIEW_BUDGET = 1_000_000
+
 
 def _check_budget(bound: int) -> None:
     if bound > _DEPTH_BUDGET:
@@ -302,7 +411,7 @@ def _check_depth(depth: int, bound: int) -> None:
 
 
 def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
-    """Full tree of a polynomial seed.
+    """Full tree of a polynomial seed, expanded state by state.
 
     Terminates for every polynomial: validation enforces the grading rule, so
     the child at t^(2 lambda_k) has weighted degree (sum of lambda_layer *
@@ -310,8 +419,9 @@ def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
     parent's, and the depth is at most the seed's weighted degree over
     2 lambda_1.  A node past that bound means an operator bug; a bound past
     `_DEPTH_BUDGET` raises BudgetExceeded before any level is expanded.
-    Each distinct node polynomial is expanded once (`_expand`), so nodes
-    that repeat share their `Polynomial` objects.
+    The expansion runs breadth-first over states (node, Lambda), never over
+    multi-indices, and each distinct node polynomial is expanded once
+    (`_expand`), so states that share a node share its `Polynomial`.
     """
     for v_layer in h.layers_used():
         if not 1 <= v_layer <= spec.m:
@@ -325,29 +435,47 @@ def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
     tables = tables_of(spec)
     tables.bound_images()
     layers = {tables.exponent_id(shift): k for k, shift in enumerate(tables.shifts, 1)}
-    expanded: dict[Polynomial, dict[int, Polynomial]] = {}
-    nodes: dict[MultiIndex, Polynomial] = {}
-    frontier: dict[MultiIndex, Polynomial] = {(): h}
+    # states are keyed by the id of a distinct node polynomial and by Lambda
+    # in units of 1/scale, so no polynomial or Fraction is hashed per edge
+    scale = lcm(*(lam.denominator for lam in spec.lambdas))
+    steps = {
+        k: lam.numerator * (scale // lam.denominator) for k, lam in enumerate(spec.lambdas, 1)
+    }
+    distinct: dict[Polynomial, Polynomial] = {h: h}
+    expanded: dict[int, dict[int, Polynomial]] = {}
+    found: list[tuple[Polynomial, int]] = [(h, 0)]
+    index = {(id(h), 0): 0}
+    edges: list[dict[int, int]] = [{}]
+    frontier = [0]
     depth = 0
     while frontier:
         _check_depth(depth, bound)
-        next_frontier: dict[MultiIndex, Polynomial] = {}
-        for alpha, node in frontier.items():
-            children = expanded.get(node)
+        next_frontier = []
+        for s in frontier:
+            node, lam = found[s]
+            children = expanded.get(id(node))
             if children is None:
-                children = expanded[node] = _expand(tables, node, layers)
+                children = expanded[id(node)] = {
+                    k: distinct.setdefault(child, child)
+                    for k, child in _expand(tables, node, layers).items()
+                }
             for k, child in children.items():
-                child_alpha = alpha + (k,)
-                nodes[child_alpha] = child
-                next_frontier[child_alpha] = child
+                key = (id(child), lam + steps[k])
+                c = index.get(key)
+                if c is None:
+                    c = index[key] = len(found)
+                    found.append((child, key[1]))
+                    edges.append({})
+                    next_frontier.append(c)
+                edges[s][k] = c
         frontier = next_frontier
         depth += 1
-    degree = max((len(alpha) for alpha in nodes), default=0)
-    return TensionTree(spec=spec, kind="polynomial", seed=h, nodes=nodes, degree=degree)
+    return _tree(spec, "polynomial", found, edges, scale, bound)
 
 
 def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:
-    """Single-branch tree of H(|x^1|) G(x^2): node i is Lap^i(H) * G.
+    """Single-branch tree of H(|x^1|) G(x^2): node i is Lap^i(H) * G, so its
+    states are its nodes, a chain along layer 1.
 
     Each Laplacian lowers every rho-power by 2 down to its harmonic floor, 0
     or 2 - n1, so the depth is at most (max a - min(0, 2 - n1)) // 2; a node
@@ -369,41 +497,40 @@ def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:
             )
         for slot, _ in seed.affine.linear:
             spec.check_index(VarIndex(2, slot))
-    n1 = seed.radial.n1
+    n1, lam = seed.radial.n1, spec.lam(1)
     bound = (max((a for a, _ in seed.radial.terms), default=0) - min(0, 2 - n1)) // 2
     _check_budget(bound)
-    nodes: dict[MultiIndex, RadialSeed] = {}
+    found: list[tuple[Node, int]] = [(seed, 0)]
     current = seed.radial
-    depth = 0
     while not seed.is_zero():
         current = current.laplacian()
         if current.is_zero():
             break
-        depth += 1
-        _check_depth(depth, bound)
-        nodes[(1,) * depth] = RadialSeed(radial=current, affine=seed.affine)
-    degree = max((len(alpha) for alpha in nodes), default=0)
-    return TensionTree(spec=spec, kind="radial", seed=seed, nodes=nodes, degree=degree)
+        _check_depth(len(found), bound)
+        found.append((RadialSeed(radial=current, affine=seed.affine), len(found) * lam.numerator))
+    edges = [{1: s + 1} for s in range(len(found) - 1)] + [{}]
+    return _tree(spec, "radial", found, edges, lam.denominator, bound)
 
 
 # --- rendering ---
+
+def _rendered(tree: TensionTree, render: Callable[[Node], object]):
+    """(alpha, render(node)) for every node in `branches()` order; the alphas
+    of one state share its node object, which is rendered once."""
+    memo: dict[int, object] = {}
+    for alpha, node in tree.nodes.items():
+        if id(node) not in memo:
+            memo[id(node)] = render(node)
+        yield alpha, memo[id(node)]
+
 
 def render_tree_text(tree: TensionTree) -> str:
     """Indented branch layout: each node under its parent, root first."""
     namer = tree.spec.var_name
     lines = [f"h = {tree.seed.render(namer)}"]
-
-    def walk(alpha: MultiIndex, indent: int) -> None:
-        for k in tree.children(alpha):
-            child = alpha + (k,)
-            label = ",".join(str(a) for a in child)
-            lines.append(
-                "  " * indent + f"h^{len(child)}_({label}) = "
-                + tree.nodes[child].render(namer)
-            )
-            walk(child, indent + 1)
-
-    walk((), 1)
+    for alpha, text in _rendered(tree, lambda node: node.render(namer)):
+        label = ",".join(str(a) for a in alpha)
+        lines.append("  " * len(alpha) + f"h^{len(alpha)}_({label}) = {text}")
     lines.append(f"degree = {tree.degree}")
     return "\n".join(lines)
 
@@ -418,9 +545,9 @@ def render_tree_latex(tree: TensionTree) -> str:
         return node.latex(namer)
 
     lines = [rf"h &= {node_tex(tree.seed)} \\"]
-    for alpha in tree.branches():
+    for alpha, tex in _rendered(tree, node_tex):
         label = ",".join(str(a) for a in alpha)
-        lines.append(rf"h^{{{len(alpha)}}}_{{({label})}} &= {node_tex(tree.nodes[alpha])} \\")
+        lines.append(rf"h^{{{len(alpha)}}}_{{({label})}} &= {tex} \\")
     return "\n".join(lines)
 
 
@@ -467,8 +594,8 @@ def tree_to_json(tree: TensionTree) -> dict:
         "seed": _node_to_json(tree, tree.seed),
         "degree": tree.degree,
         "nodes": [
-            {"alpha": list(alpha), "node": _node_to_json(tree, tree.nodes[alpha])}
-            for alpha in tree.branches()
+            {"alpha": list(alpha), "node": node}
+            for alpha, node in _rendered(tree, lambda node: _node_to_json(tree, node))
         ],
     }
 

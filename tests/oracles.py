@@ -40,8 +40,7 @@ from polyharm import (
     build_psi,
     struct_polys,
 )
-from polyharm.laplacian import tables_of
-from polyharm.pharmonic import _node_terms, _row, _weights
+from polyharm.pharmonic import _node_terms
 from polyharm.poly import Monomial
 from polyharm.scalar import _acc
 
@@ -224,32 +223,42 @@ def branch_coeff_by_compositions(
     return MixedExpr(terms)
 
 
-def _coeff_expr(row, p: int) -> MixedExpr:
-    """The branch coefficient of order p from its row (`pharmonic._Row`), as
-    a t-only MixedExpr."""
-    one = Monomial.one()
-    return MixedExpr._wrap(
-        {
-            (one, row.exponent, p - 1 - j): w * u
-            for j, (w, u) in enumerate(zip(_weights(p), row.u))
-            if u
-        }
-    )
-
-
 def _branch_coeff(spec, alpha: tuple[int, ...], p: int, family: str) -> MixedExpr:
-    """The production branch coefficient of order p along alpha: the rows of
-    `pharmonic._row` from the root down, turned into a t-only MixedExpr by
-    `_coeff_expr`.  Raises Resonance at the first resonant prefix."""
+    """The branch coefficient of order p along alpha from the row of alpha
+    alone, made one step at a time from the root in Fractions: with
+    Lambda = Lambda_parent + lambda_k, d = 2 Lambda -+ n, a = 1/d and
+    m = -a / (2 Lambda),
+
+        u_alpha[0] = m u_parent[0],   u_alpha[j] = m u_parent[j] + a u_alpha[j-1]
+
+    from u_() = (1, 0, 0, ...), and the coefficient is
+    sum_{j<p} (-2)^j (p-1)...(p-j) u_alpha[j] t^exponent log(t)^(p-1-j).  This
+    is the per-multi-index recurrence the production rows sum over each tree
+    state.  Raises Resonance at the first resonant prefix."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    memo = tables_of(spec).branch_rows(family)
-    row = _row(spec, memo, (), p, family)
-    for k in range(1, len(alpha) + 1):
-        row = _row(spec, memo, alpha[:k], p, family)
-        if row is None:
-            raise Resonance(alpha, k)
-    return _coeff_expr(row, p)
+    n = spec.homogeneous_dim
+    u = [Fraction(1)] + [Fraction(0)] * (p - 1)
+    lam = Fraction(0)
+    for i, layer in enumerate(alpha, start=1):
+        lam += spec.lam(layer)
+        d = 2 * lam - n if family == "phi" else 2 * lam + n
+        if not d:
+            raise Resonance(alpha, i)
+        a = 1 / d
+        m = -a / (2 * lam)
+        row: list[Fraction] = []
+        for j in range(p):
+            row.append(m * u[j] + (a * row[j - 1] if j else 0))
+        u = row
+    exponent = 2 * lam if family == "phi" else 2 * lam + n
+    one, weight, terms = Monomial.one(), 1, {}
+    for j in range(p):
+        if j:
+            weight *= -2 * (p - j)
+        if u[j]:
+            terms[(one, exponent, p - 1 - j)] = weight * u[j]
+    return MixedExpr._wrap(terms)
 
 
 def f_coeff(spec, alpha, p: int) -> MixedExpr:
@@ -454,8 +463,25 @@ def structure_constant(spec, i: int, j: int, k: int, l: int, alpha: int, beta: i
     return spec.bracket(VarIndex(i, j), VarIndex(k, l)).get(VarIndex(alpha, beta), Fraction(0))
 
 
-def sum_trees(t1: TensionTree, t2: TensionTree) -> TensionTree:
-    """Nodewise sum; the tree map is linear in the seed."""
+@dataclass(frozen=True)
+class NodeView:
+    """The multi-index view of a tension tree: its seed, its nonzero nodes
+    keyed by multi-index and its degree."""
+
+    spec: object
+    kind: str
+    seed: object
+    nodes: dict
+    degree: int
+
+
+def node_view(tree: TensionTree) -> NodeView:
+    return NodeView(tree.spec, tree.kind, tree.seed, dict(tree.nodes), tree.degree)
+
+
+def sum_trees(t1: TensionTree, t2: TensionTree) -> NodeView:
+    """Nodewise sum of the multi-index views; the tree map is linear in the
+    seed."""
     if t1.spec != t2.spec or t1.kind != t2.kind:
         raise KindMismatch("trees over different algebras or node kinds")
     if t1.kind == "polynomial":
@@ -479,7 +505,7 @@ def sum_trees(t1: TensionTree, t2: TensionTree) -> TensionTree:
             if not total.is_zero():
                 nodes[alpha] = RadialSeed(radial=total, affine=t1.seed.affine)
     degree = max((len(alpha) for alpha in nodes), default=0)
-    return TensionTree(spec=t1.spec, kind=t1.kind, seed=seed, nodes=nodes, degree=degree)
+    return NodeView(spec=t1.spec, kind=t1.kind, seed=seed, nodes=nodes, degree=degree)
 
 
 # --- numeric spot checks (secondary signal only) ---

@@ -450,11 +450,14 @@ def test_unknown_algebra(capsys):
         # no iterate of t^(1/2) vanishes, and a build makes rows of length p
         ("verify", "--algebra", "rh2", "--expr", "t^(1/2)", "--p", "10000000000"),
         ("build", "--algebra", "rh2", "--seed", "x^2", "--kind", "psi", "--p", "100000000"),
+        # depth bound 200, within budget, but C(206, 6) ~ 10^11 terms
+        ("tree", "--algebra", "ch4", "--seed", "(x_1+x_2+x_3+y_1+y_2+y_3+z)^200"),
     ],
     ids=[
         "zero-denominator", "zero-exponent-denominator", "missing-file", "radial-k-not-int",
         "radial-G-c-string", "radial-k-float", "radial-n1-float", "radial-k-bool",
         "seed-past-depth-budget", "verify-p-past-budget", "build-p-past-budget",
+        "power-past-term-budget",
     ],
 )
 def test_bad_input_is_domain_error(capsys, tmp_path, monkeypatch, argv):
@@ -462,6 +465,21 @@ def test_bad_input_is_domain_error(capsys, tmp_path, monkeypatch, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "error[" in err and "Traceback" not in err
+
+
+def test_tree_view_past_budget_is_refused_but_builds(capsys, monkeypatch):
+    # ch2 z^28 has 1,346,267 multi-indices in 224 states: listing them is
+    # refused before any is made, while the build runs on the states
+    import polyharm.tension as tension
+
+    def no_view(tree):
+        raise AssertionError("the multi-index view was listed")
+
+    code, out, err = run(capsys, "tree", "--algebra", "ch2", "--seed", "z^28")
+    assert (code, out) == (1, "") and "error[BudgetExceeded]" in err
+    monkeypatch.setattr(tension.TensionTree, "nodes", property(no_view))
+    code, out, err = run(capsys, "build", "--algebra", "ch2", "--seed", "z^28", "--kind", "psi", "--p", "2")
+    assert code == 0 and err == "" and " + z^28*t^2*log(t)" in out
 
 
 # --- argv fuzz: every input ends in exit 0, 1 or 2, never a traceback ---

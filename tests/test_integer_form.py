@@ -32,7 +32,7 @@ from polyharm import (
 )
 from polyharm import laplacian
 from polyharm.laplacian import tables_of, tau_form
-from polyharm.pharmonic import _build_form, _symbol_images, _symbols
+from polyharm.pharmonic import _coefficients, _state_form, _symbols
 
 from conftest import random_mixed_expr
 from oracles import (
@@ -241,7 +241,7 @@ RADIAL_P_MAX = 5
 def test_radial_kernel_iterates_match_formal_operator():
     checked = 0
     for spec, tree in radial_cases():
-        images = _symbol_images(tree)
+        images = tree.images
         for family, builder in (("phi", build_phi), ("psi", build_psi)):
             for p in range(1, RADIAL_P_MAX + 1):
                 try:
@@ -254,9 +254,9 @@ def test_radial_kernel_iterates_match_formal_operator():
                 for _ in range(p):
                     expected.append(formal_tau(spec, tree, expected[-1]))
                 tables = tables_of(spec)
-                form = _build_form(spec, tables, tree, p, family)
+                form = _state_form(_coefficients(spec, tables, tree, p, family))
                 for e in expected:
-                    assert _symbols(tables, form) == e
+                    assert _symbols(tables, tree, form) == e
                     form = tau_form(tables, form, images)
                     checked += 1
     assert checked > 1500

@@ -37,7 +37,6 @@ from polyharm import (
 from polyharm import laplacian
 from polyharm.cli import parse_radial_seed
 from polyharm.laplacian import tables_of
-from polyharm.poly import Monomial
 
 from oracles import (
     branch_coeff_by_compositions,
@@ -48,6 +47,7 @@ from oracles import (
     formal_tau,
     g_coeff,
     realize,
+    recurrence_by_exprs,
 )
 from test_algebra import filiform
 
@@ -247,6 +247,66 @@ def test_build_matches_branch_oracle(name, seed):
             )
 
 
+# The state route against the per-multi-index oracles on trees whose states
+# merge many multi-indices (ch2), with resonant phi sides (ch2, ch6) and over
+# a 3-step algebra (fil3), at p <= 6.  ch2 z^8, rh3 (x1_1^2+x1_2^2)^6, fil3
+# (x1_1*x1_2+x2_1+x3_1)^4 and ch4 (x_1*y_2+z)^4 are checked to p = 8 by
+# `test_build_matches_branch_oracle` and by the recurrence test of
+# `test_integer_form.py`.
+STATE_TREES = [
+    ("rh2", "x^16"),
+    ("ch2", "z^12"),
+    ("ch6", "(x_1*y_2+x_3*y_4+z)^4"),
+    ("fil3", "(x1_1*x1_2+x2_1+x3_1)^6"),
+]
+
+
+@pytest.mark.parametrize("name, seed", STATE_TREES)
+def test_state_route_matches_oracles(name, seed):
+    # the recurrence to p = 4, where both lower members enter: the oracle's
+    # operator on the concrete fil3 members takes seconds per order beyond
+    spec, tree = oracle_tree(name, seed)
+    assert len(tree.states) <= tree.node_count() + 1
+    for p in range(1, 7):
+        for family in ("phi", "psi"):
+            assert outcome(lambda: production_build(spec, tree, p, family)) == outcome(
+                lambda: build_by_branches(spec, tree, p, family)
+            )
+        if p <= 4:
+            assert recurrence_check(spec, tree, p) == recurrence_by_exprs(spec, tree, p)
+
+
+def test_state_counts_on_a_large_tree(ch2, monkeypatch):
+    # ch2 z^24: 196,416 multi-indices in 168 states; counting, building and
+    # checking never list them, and a psi build at p=4 computes each state's
+    # row entries once, kept for the recurrence check that follows
+    import polyharm.pharmonic as ph
+
+    appended = []
+
+    class CountingRow(list):
+        def append(self, entry):
+            appended.append(entry)
+            super().append(entry)
+
+    new_rows = ph._new_rows
+
+    def counting_rows(*args):
+        rows = new_rows(*args)
+        rows.u = [CountingRow(row) for row in rows.u]
+        return rows
+
+    monkeypatch.setattr(ph, "_new_rows", counting_rows)
+    tree = tree_of(ch2, "z^24")
+    assert (len(tree.states), tree.node_count(), tree.degree) == (168, 196416, 24)
+    build_psi(ch2, tree, 4)
+    assert len(appended) == (len(tree.states) - 1) * 4
+    build_psi(ch2, tree, 4)
+    assert recurrence_check(ch2, tree, 4)
+    assert len(appended) == (len(tree.states) - 1) * 4
+    assert "nodes" not in vars(tree)
+
+
 P_ORDERS = [range(1, 9), range(8, 0, -1), (5, 1, 8, 3, 2, 7, 4, 6)]
 
 
@@ -265,12 +325,13 @@ def memo_outcomes(trees, order):
 
 
 def clear_row_memos(trees):
-    for spec, _ in trees:
-        for memo in tables_of(spec).rows.values():
-            memo.clear()
+    for _, tree in trees:
+        tree.rows.clear()
 
 
 def test_row_memo_does_not_change_results(monkeypatch):
+    # a tree's state rows are extended in place as p grows: fresh rows, any
+    # order of p and the smallest memo bound all give the same results
     trees = [oracle_tree(name, seed) for name, seed in ORACLE_TREES]
     clear_row_memos(trees)
     expected = memo_outcomes(trees, P_ORDERS[0])
@@ -283,14 +344,22 @@ def test_row_memo_does_not_change_results(monkeypatch):
 
 
 def test_row_memo_is_bounded(monkeypatch, rh2, ch2):
+    # the rows live on the tree, one per state, as long as the largest p
+    # asked for; the algebra's tables hold none
     monkeypatch.setattr(laplacian, "_MEMO_LIMIT", 1)
     calls = [(ch2, "z^8", build_psi, "psi"), (rh2, "x^6", build_phi, "phi")]
-    for p in (3, 6, 2):
-        for spec, seed, build, family in calls:
-            tree = tree_of(spec, seed)
+    for spec, seed, build, family in calls:
+        tree = tree_of(spec, seed)
+        longest = 0
+        for p in (3, 6, 2):
             build(spec, tree, p)
-            # cleared at the start of every call: only this call's rows stay
-            assert set(tables_of(spec).rows[family]) == {()} | set(tree.nodes)
+            recurrence_check(spec, tree, p)
+            longest = max(longest, p)
+            rows = tree.rows[family].u
+            assert len(rows) == len(tree.states)
+            assert sum(len(row) for row in rows) == len(tree.states) * longest
+        tables = tables_of(spec)
+        assert not hasattr(tables, "rows") and not hasattr(tables, "branch_rows")
 
 
 def test_tables_die_with_their_spec():
@@ -626,7 +695,7 @@ def test_p_budget_refuses_before_any_work(rh2, rh3, monkeypatch):
 
     trees = [(rh2, tree_of(rh2, "x^2")), (rh3, radial_tree(rh3, {(2, True): 1}))]
     calls = []
-    monkeypatch.setattr(ph, "_row", lambda *args: calls.append("row"))
+    monkeypatch.setattr(ph, "_rows", lambda *args: calls.append("row"))
     monkeypatch.setattr(ph, "tau_form", lambda *args: calls.append("tau"))
     p = ph._P_BUDGET + 1
     for spec, tree in trees:
@@ -669,9 +738,10 @@ def test_recurrence_radial(rh3):
 
 def test_recurrence_detects_wrong_factor(rh2, rh3, monkeypatch):
     # sanity: the check is not vacuous; an operator off by t must fail it.
-    # Both tree kinds apply the integer kernel, so that is what is broken: on
-    # a polynomial tree it adds t^1 to every image, on a radial tree t^1
-    # times the seed symbol.
+    # Both tree kinds check the identity on states with the integer kernel,
+    # so that is what is broken: it adds t^1 times the seed's state symbol.
+    # The sum then fails to vanish on states and is decided on its
+    # realization, t^1 times the seed, which is not zero.
     trees = [(rh2, tree_of(rh2, "x^6")), (rh3, radial_tree(rh3, {(2, True): 1}))]
     import polyharm.pharmonic as ph
 
@@ -679,8 +749,7 @@ def test_recurrence_detects_wrong_factor(rh2, rh3, monkeypatch):
 
     def broken_tau_form(tables, form, images=None):
         d, terms = original(tables, form, images)
-        x_part = tables.monomial_id(Monomial.one()) if images is None else ()
-        key = (x_part, tables.exponent_id(Fraction(1)), 0)
+        key = (0, tables.exponent_id(Fraction(1)), 0)
         return d, {**terms, key: terms.get(key, 0) + d}
 
     assert all(recurrence_check(spec, tree, 2) for spec, tree in trees)

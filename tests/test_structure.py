@@ -6,7 +6,9 @@ accumulates through the one `scalar._acc` instead of a pasted
 `d.get(k, zero) + v` loop, and production code reaches the operator only
 through its integer kernel `laplacian.tau_form`: no module but
 `laplacian.py` refers to the MixedExpr operator `tau`, which `__init__.py`
-only re-exports.
+only re-exports.  Build, certification and recurrence checks run on a tension
+tree's states, never on its multi-indices: `pharmonic.py` never reads a
+tree's `.nodes` view or calls `.branches()`.
 """
 
 import ast
@@ -94,6 +96,15 @@ def operator_references(module: ast.Module, reexport: bool = False) -> list[int]
     return lines
 
 
+def multi_index_reads(module: ast.Module) -> list[int]:
+    """Lines that read a `.nodes` or `.branches` attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(module)
+        if isinstance(node, ast.Attribute) and node.attr in ("nodes", "branches")
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_source_structure(path):
     module = tree_of(path)
@@ -103,6 +114,8 @@ def test_source_structure(path):
     assert pasted_accumulates(module) == []
     if path.name != "laplacian.py":
         assert operator_references(module, reexport=path.name == "__init__.py") == []
+    if path.name == "pharmonic.py":
+        assert multi_index_reads(module) == []
 
 
 def test_accumulate_check_sees_a_pasted_loop():
@@ -117,3 +130,9 @@ def test_operator_check_sees_a_reference_to_tau():
     assert operator_references(ast.parse(injected)) == [1, 2, 3]
     assert operator_references(ast.parse(injected), reexport=True) == [2, 3]
     assert operator_references(ast.parse("from .laplacian import tables_of, tau_form\n")) == []
+
+
+def test_multi_index_check_sees_a_read_of_the_view():
+    injected = "node = tree.nodes[alpha]\nfor alpha in tree.branches():\n    pass\n"
+    assert multi_index_reads(ast.parse(injected)) == [1, 2]
+    assert multi_index_reads(ast.parse("node = tree.states[s].node\nnodes = []\n")) == []
