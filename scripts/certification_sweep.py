@@ -23,11 +23,13 @@ from polyharm import (
 )
 from polyharm.poly import Monomial
 
+# The sweep's pool is these seeds of each algebra, then random ones; the
+# acceptance tests load this module and certify the same pool.
 NAMED_SEEDS = {"rh2": ["x^6"], "rh4": [], "ch2": ["z^4", "x^2*z^2", "x^4"], "ch3": []}
 
 
-def random_polynomial(spec, rng, max_degree=4, max_terms=4):
-    variables = spec.variables()
+def random_polynomial(variables, rng, max_degree=4, max_terms=4):
+    """A small random polynomial over `variables`, never zero."""
     while True:
         terms = {}
         for _ in range(rng.randint(1, max_terms)):
@@ -44,6 +46,14 @@ def random_polynomial(spec, rng, max_degree=4, max_terms=4):
             return p
 
 
+def seed_pool(name, spec, count, rng_seed):
+    """The named seeds of algebra `name`, then `count` random ones drawn
+    from `random.Random(rng_seed)`."""
+    rng = random.Random(rng_seed)
+    seeds = [parse_polynomial(s, spec) for s in NAMED_SEEDS.get(name, [])]
+    return seeds + [random_polynomial(spec.variables(), rng) for _ in range(count)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--algebras", nargs="+", default=["rh2", "rh4", "ch2", "ch3"])
@@ -57,9 +67,7 @@ def main(argv=None) -> int:
     total = failures = skips = 0
     for name in args.algebras:
         spec = catalog_short_name(name)
-        rng = random.Random(args.rng_seed)
-        seeds = [parse_polynomial(s, spec) for s in NAMED_SEEDS.get(name, [])]
-        seeds += [random_polynomial(spec, rng) for _ in range(args.random_seeds)]
+        seeds = seed_pool(name, spec, args.random_seeds, args.rng_seed)
         for seed in seeds:
             tree = tension_tree(spec, seed)
             for p in range(1, args.max_p + 1):

@@ -33,7 +33,6 @@ from .errors import (
 from .expr import MixedExpr, parse, parse_polynomial
 from .laplacian import (
     StructPolyTable,
-    ad_power,
     bernoulli,
     struct_polys,
     tau,
@@ -61,7 +60,6 @@ from .tension import (
     render_tree_text,
     tension_tree,
     tension_tree_radial,
-    tree_from_json,
     tree_to_json,
 )
 

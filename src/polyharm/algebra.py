@@ -123,21 +123,6 @@ class AlgebraSpec:
             return self.var_to_alias[v]
         return str(v)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lambdas": [format_rational(q) for q in self.lambdas],
-            "dims": list(self.dims),
-            "brackets": [
-                {
-                    "i": e.i, "j": e.j, "k": e.k, "l": e.l,
-                    "alpha": e.alpha, "beta": e.beta,
-                    "c": format_rational(e.c),
-                }
-                for e in self.brackets
-            ],
-        }
-
 
 def _canonical_entries(
     raw: Iterable[tuple[tuple[int, int, int, int, int, int], Fraction]],
@@ -333,8 +318,13 @@ def from_json_dict(obj: Mapping) -> AlgebraSpec:
         dims = [int_field(raw_dims, i) for i in range(len(raw_dims))]
     except ParseError:
         raise ParseError(f"'dims' must be a list of positive integers, got {raw_dims!r}") from None
+    raw_brackets = obj.get("brackets", [])
+    if not isinstance(raw_brackets, list):
+        raise ParseError(
+            f"'brackets' must be a list of bracket entries, got {type(raw_brackets).__name__}"
+        )
     brackets = []
-    for entry in obj.get("brackets", []):
+    for entry in raw_brackets:
         if not isinstance(entry, Mapping):
             raise ParseError("each bracket entry must be an object")
         try:
@@ -354,4 +344,6 @@ def load_file(path: str) -> AlgebraSpec:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"invalid JSON in {path}: nested too deeply") from None
     return from_json_dict(obj)

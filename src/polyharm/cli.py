@@ -62,6 +62,8 @@ def parse_radial_seed(text: str | Mapping) -> RadialSeed:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"radial seed is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ParseError("radial seed is not valid JSON: nested too deeply") from None
     else:
         obj = text
     if not isinstance(obj, Mapping):

@@ -238,16 +238,24 @@ def _check_power(terms: int, e: int) -> None:
             )
 
 
+# The deepest nesting of parenthesized groups the parser accepts.  Each level
+# costs four Python frames of the descent, so 300 levels would pass the
+# interpreter's default recursion limit of 1000; this leaves room for callers.
+_NESTING_LIMIT = 100
+
+
 class _Parser:
     """Recursive descent for: rationals, x{i}_{j} / aliases, t, log(t), + - * ^.
 
     Rational exponents (parenthesized) and negative exponents are legal on t
     only; x-powers are positive integers and log powers non-negative integers.
+    Groups nested past `_NESTING_LIMIT` are a ParseError.
     """
 
     def __init__(self, text: str, spec: AlgebraSpec | None = None):
         self.toks = _Tokenizer(text)
         self.spec = spec
+        self.depth = 0
 
     def parse(self) -> MixedExpr:
         result = self._expr()
@@ -358,8 +366,14 @@ class _Parser:
                 Polynomial.variable(self._resolve_var(value, pos))
             ), "var"
         if (kind, value) == ("op", "("):
+            if self.depth == _NESTING_LIMIT:
+                raise ParseError(
+                    f"parentheses nested deeper than {_NESTING_LIMIT} levels", pos
+                )
+            self.depth += 1
             inner = self._expr()
             self.toks.expect_op(")")
+            self.depth -= 1
             return inner, "group"
         raise ParseError(f"unexpected token {value!r}", pos)
 

@@ -15,8 +15,11 @@ the spec and no lookup hashes the spec: the ad-power rows, the structure
 polynomials, the operator's first and second order coefficient polynomials,
 the monomials and t-exponents interned to integer ids, and the memos of the
 operator's monomial images and of each exponent's t-part, all bounded by
-`_MEMO_LIMIT`.  Branch rows are not kept here: they belong to one tree's
-states, and `pharmonic` keeps them on the tree.
+`_MEMO_LIMIT`.  The bound applies per memo of each live spec, not per
+process: a process that keeps many specs alive holds one set of tables for
+each, and a spec's tables are freed with the spec.  Branch rows are not kept
+here: they belong to one tree's states, and `pharmonic` keeps them on the
+tree.
 
 Functions are carried in an integer form (`Form`): one denominator and a map
 from (x-part, exponent id, log power) to integer numerators, the x-part a
@@ -201,15 +204,6 @@ def _ad_rows(spec: AlgebraSpec) -> list[_AdRows]:
             rows[source] = row
         powers.append(rows)
     return powers[1:]
-
-
-def ad_power(spec: AlgebraSpec, i: int, j: int, r: int) -> dict[VarIndex, Polynomial]:
-    """Coefficient polynomials p^{i alpha}_{j beta}(x, r) of ad(X)^r X^i_j."""
-    if r < 1:
-        raise ValueError("ad power must be >= 1")
-    spec.check_index(VarIndex(i, j))
-    rows = tables_of(spec).ad_rows
-    return dict(rows[r - 1][VarIndex(i, j)]) if r < spec.m else {}
 
 
 # --- structure polynomials ---

@@ -27,8 +27,8 @@ monomials run on integers straight into the operator's integer form
 to a MixedExpr once.  A radial tree's nodes are not polynomial, so its build
 stays keyed by state (`_state_form`) and converts to the formal sum
 `NodeSymbolExpr`, a `poly.Sparse` like MixedExpr, each state named by its
-multi-index.  Phi raises Resonance at the least alpha, in `branches()`
-order, of any state with 2 Lambda = n.
+multi-index.  Phi raises Resonance at the least alpha, in lexicographic
+order (the order of `TensionTree.nodes`), of any state with 2 Lambda = n.
 
 Certification never trusts the construction, and both tree kinds run on the
 one kernel `laplacian.tau_form`.  `verify` iterates it exactly on the
@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Mapping, Union
+from typing import Callable, Union
 
 from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, KindMismatch, Resonance, ZeroCombination
@@ -104,8 +104,9 @@ class _Rows:
 
 def _rows(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> _Rows:
     """The rows of `tree` for `family` to length at least p, kept in
-    `tree.rows`; Resonance, naming the least resonant alpha in `branches()`
-    order, where phi is resonant at some state (2 Lambda = n)."""
+    `tree.rows`; Resonance, naming the least resonant alpha in lexicographic
+    order (the order of `TensionTree.nodes`), where phi is resonant at some
+    state (2 Lambda = n)."""
     rows = tree.rows.get(family)
     if rows is None:
         rows = tree.rows[family] = _new_rows(spec, tree, family)
@@ -195,11 +196,6 @@ class NodeSymbolExpr(Sparse):
     """
 
     __slots__ = ()
-
-    @classmethod
-    def build(cls, terms: Mapping[MultiIndex, MixedExpr]) -> "NodeSymbolExpr":
-        """The sum of `terms`; zero coefficients are dropped."""
-        return cls(terms)
 
     def render(self, namer: Callable[[VarIndex], str] = str) -> str:
         if not self.terms:

@@ -211,9 +211,6 @@ class Polynomial(Sparse):
 
     # --- structure ---
 
-    def total_degree(self) -> int:
-        return max((mono.degree for mono in self.terms), default=0)
-
     def layers_used(self) -> set[int]:
         out: set[int] = set()
         for mono in self.terms:

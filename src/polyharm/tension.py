@@ -36,14 +36,12 @@ from .errors import (
     BudgetExceeded,
     IndexOutOfRange,
     InternalClosureError,
-    KindMismatch,
-    ParseError,
     UnsupportedSpan,
 )
-from .expr import MixedExpr, latex_term, parse_polynomial
+from .expr import MixedExpr, latex_term
 from .laplacian import Tables, tables_of, tau_form
 from .poly import Monomial, Polynomial, format_term
-from .scalar import _acc, format_rational, int_field, parse_rational
+from .scalar import _acc, format_rational
 
 MultiIndex = tuple[int, ...]
 
@@ -100,16 +98,6 @@ class RadialFunction:
     def __hash__(self):
         return hash((self.n1, frozenset(self.terms.items())))
 
-    def __add__(self, other: "RadialFunction") -> "RadialFunction":
-        if self.n1 != other.n1:
-            raise KindMismatch("radial functions over different layer-1 dimensions")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(out, key, c)
-        result = RadialFunction.__new__(RadialFunction)
-        result.n1, result.terms = self.n1, out
-        return result
-
     def laplacian(self) -> "RadialFunction":
         """Closed form: Lap(rho^a) = a(a+n1-2) rho^(a-2);
         Lap(rho^a log rho) = a(a+n1-2) rho^(a-2) log rho + (2a+n1-2) rho^(a-2)."""
@@ -126,21 +114,6 @@ class RadialFunction:
         result = RadialFunction.__new__(RadialFunction)
         result.n1, result.terms = n1, out
         return result
-
-    def is_polynomial(self) -> bool:
-        return all(a >= 0 and a % 2 == 0 and not has_log for a, has_log in self.terms)
-
-    def to_polynomial(self, spec: AlgebraSpec) -> Polynomial:
-        """Expand rho^(2k) = (x^1_1^2 + ... )^k; only for log-free even powers."""
-        if not self.is_polynomial():
-            raise UnsupportedSpan("only even log-free powers expand to polynomials")
-        rho2 = Polynomial.zero()
-        for j in range(1, spec.dim(1) + 1):
-            rho2 = rho2 + Polynomial.variable(VarIndex(1, j), 2)
-        out = Polynomial.zero()
-        for (a, _), c in self.terms.items():
-            out = out + rho2 ** (a // 2) * c
-        return out
 
     def sorted_terms(self) -> list[tuple[tuple[int, bool], Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -233,7 +206,8 @@ class State(NamedTuple):
     to the state of (alpha, k).  `lam` is Lambda in units of 1/scale, the
     tree's `scale`; `parents` names the source of each edge into this state,
     one per (state, layer); `least` is the state's least alpha in
-    `branches()` order and `paths` its number of multi-indices."""
+    lexicographic order (the order of `TensionTree.nodes`) and `paths` its
+    number of multi-indices."""
 
     node: Node
     lam: int
@@ -268,8 +242,8 @@ class TensionTree:
 
     @cached_property
     def nodes(self) -> dict[MultiIndex, Node]:
-        """Every nonzero node keyed by its multi-index, in `branches()` order;
-        the nodes of one state are one object."""
+        """Every nonzero node keyed by its multi-index, in lexicographic
+        order; the nodes of one state are one object."""
         count = self.node_count()
         if count > _VIEW_BUDGET:
             raise BudgetExceeded(
@@ -285,9 +259,6 @@ class TensionTree:
             stack += [(alpha + (k,), child) for k, child in reversed(states[s].children.items())]
         return out
 
-    def branches(self) -> list[MultiIndex]:
-        return list(self.nodes)
-
     def state_of(self, alpha: MultiIndex) -> int | None:
         """The state of alpha, or None when its node is zero."""
         s: int | None = 0
@@ -296,10 +267,6 @@ class TensionTree:
             if s is None:
                 return None
         return s
-
-    def children(self, alpha: MultiIndex) -> list[int]:
-        s = self.state_of(alpha)
-        return [] if s is None else list(self.states[s].children)
 
     @cached_property
     def images(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
@@ -515,8 +482,9 @@ def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:
 # --- rendering ---
 
 def _rendered(tree: TensionTree, render: Callable[[Node], object]):
-    """(alpha, render(node)) for every node in `branches()` order; the alphas
-    of one state share its node object, which is rendered once."""
+    """(alpha, render(node)) for every node in lexicographic order (the
+    order of `TensionTree.nodes`); the alphas of one state share its node
+    object, which is rendered once."""
     memo: dict[int, object] = {}
     for alpha, node in tree.nodes.items():
         if id(node) not in memo:
@@ -559,17 +527,6 @@ def _affine_to_json(g: AffinePart, n2: int) -> dict:
     }
 
 
-def _affine_from_json(obj: Mapping) -> AffinePart:
-    constant = parse_rational(obj.get("c0", "0"))
-    linear = obj.get("c", [])
-    if not isinstance(linear, list):
-        raise ParseError(f"affine field 'c' must be a JSON list, got {linear!r}")
-    linear = tuple(
-        (j + 1, parse_rational(c)) for j, c in enumerate(linear) if parse_rational(c) != 0
-    )
-    return AffinePart(constant=constant, linear=linear)
-
-
 def _radial_to_json(r: RadialFunction) -> list[dict]:
     return [
         {"a": a, "log": has_log, "c": format_rational(c)}
@@ -598,66 +555,3 @@ def tree_to_json(tree: TensionTree) -> dict:
             for alpha, node in _rendered(tree, lambda node: _node_to_json(tree, node))
         ],
     }
-
-
-def _field(obj: object, key: str, kind: type = object) -> object:
-    """obj[key], refusing a non-object, a missing key or a value not of `kind`;
-    an int field is read by `int_field`."""
-    if not isinstance(obj, Mapping):
-        raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
-    if key not in obj:
-        raise ParseError(f"missing field {key!r}")
-    if kind is int:
-        return int_field(obj, key)
-    value = obj[key]
-    if not isinstance(value, kind):
-        raise ParseError(
-            f"field {key!r} must be a JSON {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
-
-
-def _node_from_json(spec: AlgebraSpec, obj: object, kind: str) -> Node:
-    if kind == "polynomial":
-        if not isinstance(obj, str):
-            raise ParseError(f"a polynomial node must be a string, got {type(obj).__name__}")
-        return parse_polynomial(obj, spec)
-    terms = {}
-    for term in _field(obj, "radial", list):
-        log = _field(term, "log", bool)
-        terms[(_field(term, "a", int), log)] = parse_rational(_field(term, "c"))
-    radial = RadialFunction(spec.dim(1), terms)
-    return RadialSeed(radial=radial, affine=_affine_from_json(_field(obj, "affine", Mapping)))
-
-
-def _alpha_from_json(entry: object) -> MultiIndex:
-    alpha = _field(entry, "alpha", list)
-    if not all(isinstance(k, int) and not isinstance(k, bool) for k in alpha):
-        raise ParseError(f"field 'alpha' must be a list of layer numbers, got {alpha!r}")
-    return tuple(alpha)
-
-
-def tree_from_json(spec: AlgebraSpec, obj: Mapping) -> TensionTree:
-    """Read a tree written by `tree_to_json`.  The tree is rebuilt from the
-    seed; declared nodes or a declared degree that differ from it are a
-    ParseError."""
-    kind = _field(obj, "kind")
-    if kind not in ("polynomial", "radial"):
-        raise ParseError(f"tree kind must be 'polynomial' or 'radial', got {kind!r}")
-    seed = _node_from_json(spec, _field(obj, "seed"), kind)
-    nodes = {
-        _alpha_from_json(entry): _node_from_json(spec, _field(entry, "node"), kind)
-        for entry in _field(obj, "nodes", list)
-    }
-    degree = _field(obj, "degree", int)
-    if kind == "polynomial":
-        tree = tension_tree(spec, seed)
-    else:
-        tree = tension_tree_radial(spec, seed)
-    if nodes != tree.nodes:
-        raise ParseError("the declared nodes differ from the tension tree of the seed")
-    if degree != tree.degree:
-        raise ParseError(
-            f"declared degree {degree} differs from the tree degree {tree.degree}"
-        )
-    return tree

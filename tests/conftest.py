@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from polyharm import MixedExpr, Polynomial, VarIndex, catalog
-from polyharm.poly import Monomial
+from polyharm import MixedExpr, Polynomial, catalog
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +39,17 @@ def ch3():
     return catalog("complex-hyperbolic", [2])
 
 
+def load_script(name: str):
+    """The module of scripts/<name>.py, loaded from its file."""
+    loader = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
+SWEEP = load_script("certification_sweep")
+
+
 def random_polynomial(
     spec,
     rng: random.Random,
@@ -43,23 +57,10 @@ def random_polynomial(
     max_terms: int = 4,
     layers: set[int] | None = None,
 ) -> Polynomial:
-    """Small random polynomial over the algebra's coordinates, never zero."""
+    """The sweep script's random polynomial over the algebra's coordinates,
+    or over those of `layers` when given; never zero."""
     variables = [v for v in spec.variables() if layers is None or v.layer in layers]
-    while True:
-        terms = {}
-        for _ in range(rng.randint(1, max_terms)):
-            degree = rng.randint(0, max_degree)
-            exps: dict[VarIndex, int] = {}
-            for _ in range(degree):
-                v = rng.choice(variables)
-                exps[v] = exps.get(v, 0) + 1
-            coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            if coeff:
-                mono = Monomial(exps.items())
-                terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        p = Polynomial(terms)
-        if not p.is_zero():
-            return p
+    return SWEEP.random_polynomial(variables, rng, max_degree, max_terms)
 
 
 def random_mixed_expr(spec, rng: random.Random, max_degree: int = 3) -> MixedExpr:

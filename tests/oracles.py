@@ -12,7 +12,8 @@ tree's images; the recurrence and certificate loops redo
 the high-precision evaluator is a numeric signal beside the canonical zero
 test.  The module also holds small helpers only the tests use: the calculus
 on MixedExpr (d/dt, partial derivatives, t-shifts), exact polynomial
-evaluation, the homogeneous degree, structure constants and tree sums.
+evaluation, the total and homogeneous degrees, radial functions expanded as
+polynomials, structure constants and tree sums.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from polyharm import (
     PolyharmError,
     Polynomial,
     RadialFunction,
-    RadialSeed,
     Resonance,
     TensionTree,
     VarIndex,
@@ -275,15 +275,15 @@ def build_by_branches(spec, tree, p: int, family: str):
     """phi_p (family "phi") or psi_p ("psi") assembled branch by branch: the
     seed times the root coefficient plus every node times its coefficient from
     `branch_coeff_by_compositions`, summed in plain Fractions.  Branches are
-    taken in `tree.branches()` order, so the first resonant one raises.  A
+    taken in lexicographic order, so the first resonant one raises.  A
     radial tree gives the node-symbol form."""
-    alphas = [()] + tree.branches()
+    alphas = [(), *tree.nodes]
     coeffs = [
         branch_coeff_by_compositions(spec.lambdas, spec.homogeneous_dim, alpha, p, family)
         for alpha in alphas
     ]
     if tree.kind == "radial":
-        return NodeSymbolExpr.build(dict(zip(alphas, coeffs)))
+        return NodeSymbolExpr(dict(zip(alphas, coeffs)))
     out: dict = {}
     for alpha, coeff in zip(alphas, coeffs):
         node = tree.nodes[alpha] if alpha else tree.seed
@@ -450,6 +450,25 @@ def evaluate(poly: Polynomial, point: Mapping[VarIndex, Fraction]) -> Fraction:
     return total
 
 
+def total_degree(poly: Polynomial) -> int:
+    """Largest degree of a term; 0 for the zero polynomial."""
+    return max((mono.degree for mono in poly.terms), default=0)
+
+
+def radial_polynomial(spec, f: RadialFunction) -> Polynomial:
+    """f with rho^(2k) expanded as (x^1_1^2 + ... + x^1_n1^2)^k; only for
+    log-free even powers."""
+    rho2 = Polynomial.zero()
+    for j in range(1, spec.dim(1) + 1):
+        rho2 = rho2 + Polynomial.variable(VarIndex(1, j), 2)
+    out = Polynomial.zero()
+    for (a, has_log), c in f.terms.items():
+        if has_log or a < 0 or a % 2:
+            raise ValueError("only even log-free powers expand to polynomials")
+        out = out + rho2 ** (a // 2) * c
+    return out
+
+
 def homogeneous_degree(poly: Polynomial) -> int | None:
     """Common degree of all terms, or None if inhomogeneous / zero."""
     degrees = {mono.degree for mono in poly.terms}
@@ -480,32 +499,20 @@ def node_view(tree: TensionTree) -> NodeView:
 
 
 def sum_trees(t1: TensionTree, t2: TensionTree) -> NodeView:
-    """Nodewise sum of the multi-index views; the tree map is linear in the
-    seed."""
-    if t1.spec != t2.spec or t1.kind != t2.kind:
-        raise KindMismatch("trees over different algebras or node kinds")
-    if t1.kind == "polynomial":
-        seed = t1.seed + t2.seed
-        nodes = {}
-        for alpha in set(t1.nodes) | set(t2.nodes):
-            zero = Polynomial.zero()
-            total = t1.nodes.get(alpha, zero) + t2.nodes.get(alpha, zero)
-            if not total.is_zero():
-                nodes[alpha] = total
-    else:
-        if t1.seed.affine != t2.seed.affine:
-            raise KindMismatch("radial trees with different affine parts do not sum")
-        seed = RadialSeed(radial=t1.seed.radial + t2.seed.radial, affine=t1.seed.affine)
-        nodes = {}
-        for alpha in set(t1.nodes) | set(t2.nodes):
-            zero = RadialFunction(t1.seed.radial.n1)
-            total = (
-                t1.nodes[alpha].radial if alpha in t1.nodes else zero
-            ) + (t2.nodes[alpha].radial if alpha in t2.nodes else zero)
-            if not total.is_zero():
-                nodes[alpha] = RadialSeed(radial=total, affine=t1.seed.affine)
+    """Nodewise sum of the multi-index views of two polynomial trees; the
+    tree map is linear in the seed."""
+    if t1.spec != t2.spec or t1.kind != "polynomial" or t2.kind != "polynomial":
+        raise KindMismatch("trees over different algebras or not polynomial")
+    nodes = {}
+    for alpha in set(t1.nodes) | set(t2.nodes):
+        zero = Polynomial.zero()
+        total = t1.nodes.get(alpha, zero) + t2.nodes.get(alpha, zero)
+        if not total.is_zero():
+            nodes[alpha] = total
     degree = max((len(alpha) for alpha in nodes), default=0)
-    return NodeView(spec=t1.spec, kind=t1.kind, seed=seed, nodes=nodes, degree=degree)
+    return NodeView(
+        spec=t1.spec, kind=t1.kind, seed=t1.seed + t2.seed, nodes=nodes, degree=degree
+    )
 
 
 # --- numeric spot checks (secondary signal only) ---
@@ -666,7 +673,7 @@ def formal_certificate(spec, tree: TensionTree, e: NodeSymbolExpr, p: int) -> tu
     up to the first whose realization (`realize`) is zero; a zero iterate is
     the empty sum."""
     valid = {()} | set(tree.nodes)
-    current = NodeSymbolExpr.build({a: c for a, c in e.terms.items() if a in valid})
+    current = NodeSymbolExpr({a: c for a, c in e.terms.items() if a in valid})
     iterates = []
     while True:
         iterates.append(current if realize(tree, current) else NodeSymbolExpr())

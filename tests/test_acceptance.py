@@ -18,7 +18,6 @@ from polyharm import (
     NonIncreasingEigenvalues,
     Polynomial,
     Resonance,
-    ad_power,
     build_phi,
     build_psi,
     catalog_short_name,
@@ -36,21 +35,22 @@ from polyharm import (
 )
 from polyharm.algebra import VarIndex
 from polyharm.cli import parse_radial_seed
+from polyharm.laplacian import tables_of
 
-from conftest import random_mixed_expr, random_polynomial
+from conftest import SWEEP, random_mixed_expr, random_polynomial
 from oracles import (
     brute_ad_power,
     ch2_display_tau,
     ch2_display_tau_as_printed,
     composition_identity_holds,
     kappa,
+    radial_polynomial,
     tau_fast_x1,
     tau_fast_x1x2,
     tau_frame,
 )
 
 ALGEBRAS = ("rh2", "rh4", "ch2", "ch3")
-NAMED_SEEDS = {"rh2": ["x^6"], "rh4": [], "ch2": ["z^4", "x^2*z^2", "x^4"], "ch3": []}
 POOL_RNG_SEED = 20250810
 
 GOLDEN_PHI2_RH2 = (
@@ -81,13 +81,9 @@ def spec_of(name):
 
 
 def seed_pool(name):
+    """The sweep script's pool: its named seeds, then 10 random ones."""
     spec = spec_of(name)
-    rng = random.Random(POOL_RNG_SEED)
-    seeds = [parse_polynomial(text, spec) for text in NAMED_SEEDS[name]]
-    seeds += [
-        random_polynomial(spec, rng, max_degree=4, max_terms=4) for _ in range(10)
-    ]
-    return spec, seeds
+    return spec, SWEEP.seed_pool(name, spec, 10, POOL_RNG_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -280,11 +276,11 @@ def test_criterion_7_oracle_equivalences():
     discrepancies = []
     for name in ALGEBRAS:
         spec = spec_of(name)
+        rows = tables_of(spec).ad_rows
         for v in spec.variables():
             for r in range(1, spec.m + 1):
-                if ad_power(spec, v.layer, v.slot, r) != brute_ad_power(
-                    spec, v.layer, v.slot, r
-                ):
+                row = rows[r - 1][v] if r < spec.m else {}
+                if row != brute_ad_power(spec, v.layer, v.slot, r):
                     discrepancies.append(f"ad_power {name} {v} r={r}")
         rng = random.Random(POOL_RNG_SEED)
         for _ in range(100):
@@ -359,7 +355,7 @@ def test_criterion_9_radial_path():
     ))
     ptree = tension_tree(ch2, parse_polynomial("x^2 + y^2", ch2))
     agree = set(rtree.nodes) == set(ptree.nodes) and all(
-        node.radial.to_polynomial(ch2) * node.affine.constant == ptree.nodes[alpha]
+        radial_polynomial(ch2, node.radial) * node.affine.constant == ptree.nodes[alpha]
         for alpha, node in rtree.nodes.items()
     )
     ok = ok_rh3 and ok_phi and agree

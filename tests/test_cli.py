@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyharm import ParseError, RadialFunction, UnsupportedSpan, parse
+from polyharm import ParseError, RadialFunction, UnsupportedSpan, parse, tension_tree
 from polyharm.cli import main, parse_radial_seed, resolve_algebra
-from polyharm.tension import tree_from_json
 
 
 def run(capsys, *argv):
@@ -75,6 +74,9 @@ def test_validate_broken_file(capsys, tmp_path):
         ({"lambdas": ["1"], "dims": [True], "brackets": []}, 1),
         # a decimal-integer string is an integer
         ({"brackets": [dict(CH2_FILE["brackets"][0], i="1")]}, 0),
+        # brackets that are not a list
+        ({"brackets": 5}, 1),
+        ({"brackets": None}, 1),
     ],
 )
 def test_validate_file_integer_fields(capsys, tmp_path, change, code):
@@ -88,6 +90,13 @@ def test_validate_file_integer_fields(capsys, tmp_path, change, code):
 def test_validate_non_utf8_file(capsys, tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"name": "caf\xe9"}')
+    code, _, err = run(capsys, "validate", "--algebra", str(path))
+    assert code == 1 and "error[ParseError]" in err
+
+
+def test_validate_deeply_nested_file(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
     code, _, err = run(capsys, "validate", "--algebra", str(path))
     assert code == 1 and "error[ParseError]" in err
 
@@ -110,10 +119,11 @@ def test_tree_json_round_trip(capsys):
     assert code == 0
     payload = json.loads(out)
     spec = resolve_algebra("ch2")
-    from polyharm import tension_tree
-
-    rebuilt = tree_from_json(spec, payload)
-    assert rebuilt == tension_tree(spec, parse("z^4", spec).as_polynomial())
+    tree = tension_tree(spec, parse("z^4", spec).as_polynomial())
+    assert parse(payload["seed"], spec).as_polynomial() == tree.seed
+    assert payload["degree"] == tree.degree
+    nodes = {tuple(e["alpha"]): parse(e["node"], spec).as_polynomial() for e in payload["nodes"]}
+    assert list(nodes) == list(tree.nodes) and nodes == tree.nodes
 
 
 def test_build_latex_golden(capsys):
@@ -213,7 +223,7 @@ def test_build_formal_json_round_trip(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    rebuilt = NodeSymbolExpr.build(
+    rebuilt = NodeSymbolExpr(
         {
             tuple(entry["alpha"]): parse(entry["coefficient"])
             for entry in payload["formal"]
@@ -452,12 +462,16 @@ def test_unknown_algebra(capsys):
         ("build", "--algebra", "rh2", "--seed", "x^2", "--kind", "psi", "--p", "100000000"),
         # depth bound 200, within budget, but C(206, 6) ~ 10^11 terms
         ("tree", "--algebra", "ch4", "--seed", "(x_1+x_2+x_3+y_1+y_2+y_3+z)^200"),
+        ("verify", "--algebra", "ch2", "--expr", "(" * 10_000 + "x" + ")" * 10_000, "--p", "2"),
+        ("tree", "--algebra", "ch2", "--seed", "(" * 10_000 + "z" + ")" * 10_000),
+        ("tree", "--algebra", "rh3", "--radial-seed", "[" * 5_000),
     ],
     ids=[
         "zero-denominator", "zero-exponent-denominator", "missing-file", "radial-k-not-int",
         "radial-G-c-string", "radial-k-float", "radial-n1-float", "radial-k-bool",
         "seed-past-depth-budget", "verify-p-past-budget", "build-p-past-budget",
-        "power-past-term-budget",
+        "power-past-term-budget", "expr-nested-10000", "seed-nested-10000",
+        "radial-seed-nested-5000",
     ],
 )
 def test_bad_input_is_domain_error(capsys, tmp_path, monkeypatch, argv):

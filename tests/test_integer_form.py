@@ -265,8 +265,8 @@ def test_radial_kernel_iterates_match_formal_operator():
 def random_symbol_sum(tree, rng):
     """Random t-powers and logs on some of the tree's symbols and on one
     symbol the tree lacks, which certification drops."""
-    symbols = [(), *tree.branches(), (9,)]
-    return NodeSymbolExpr.build(
+    symbols = [(), *tree.nodes, (9,)]
+    return NodeSymbolExpr(
         {
             alpha: MixedExpr.t_power(
                 Fraction(rng.randint(-3, 4), rng.randint(1, 2)), rng.randint(0, 2)

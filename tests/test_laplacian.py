@@ -10,7 +10,6 @@ from polyharm import (
     Polynomial,
     Resonance,
     VarIndex,
-    ad_power,
     bernoulli,
     build_phi,
     build_psi,
@@ -36,6 +35,7 @@ from oracles import (
     tau_fast_x1x2,
     tau_frame,
     tau_t,
+    total_degree,
 )
 from test_algebra import filiform
 
@@ -60,25 +60,25 @@ def test_bernoulli_values():
 
 
 def test_ad_power_ch2(ch2):
-    # ad(X) Y picks up x*Z from the generic element's x-component
-    row = ad_power(ch2, 1, 2, 1)
-    assert row == {Z: Polynomial.variable(X)}
-    for v in ch2.variables():
-        assert ad_power(ch2, v.layer, v.slot, 2) == {}
+    # ad(X) Y picks up x*Z from the generic element's x-component; ad(X)^2 = 0
+    assert laplacian.tables_of(ch2).ad_rows == [
+        {X: {Z: -Polynomial.variable(Y)}, Y: {Z: Polynomial.variable(X)}, Z: {}}
+    ]
 
 
 def test_ad_power_abelian(rh3):
-    for v in rh3.variables():
-        assert ad_power(rh3, v.layer, v.slot, 1) == {}
+    # m = 1: ad(X) = 0, so there are no rows
+    assert laplacian.tables_of(rh3).ad_rows == []
 
 
 def test_ad_power_matches_bracket_iteration(rh2, rh4, ch2, ch3):
     for spec in (rh2, rh4, ch2, ch3, filiform()):
+        rows = laplacian.tables_of(spec).ad_rows
+        assert len(rows) == spec.m - 1
         for v in spec.variables():
-            for r in range(1, spec.m + 1):
-                assert ad_power(spec, v.layer, v.slot, r) == brute_ad_power(
-                    spec, v.layer, v.slot, r
-                )
+            for r in range(1, spec.m):
+                assert rows[r - 1][v] == brute_ad_power(spec, v.layer, v.slot, r)
+            assert brute_ad_power(spec, v.layer, v.slot, spec.m) == {}
 
 
 def test_struct_polys_ch2(ch2):
@@ -116,10 +116,10 @@ def test_struct_poly_invariants(ch2, ch3):
         table = struct_polys(spec)
         for v in spec.variables():
             for r in range(1, spec.m):
-                for p in ad_power(spec, v.layer, v.slot, r).values():
+                for p in laplacian.tables_of(spec).ad_rows[r - 1][v].values():
                     assert p.is_zero() or homogeneous_degree(p) == r
         for (i, j, alpha, beta), p in table.entries.items():
-            assert p.total_degree() < spec.m
+            assert total_degree(p) < spec.m
             if i >= alpha:
                 assert (i, j) == (alpha, beta) and p == Polynomial.one()
 

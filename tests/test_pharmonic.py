@@ -49,7 +49,7 @@ from oracles import (
     realize,
     recurrence_by_exprs,
 )
-from test_algebra import filiform
+from test_algebra import CH2_JSON, filiform
 
 
 def tree_of(spec, text):
@@ -146,7 +146,7 @@ def assert_coeff_matches_oracle(spec, alpha, p):
 def test_coeff_matches_composition_oracle_on_tree(name, seed):
     spec = filiform() if name == "fil3" else catalog_short_name(name)
     tree = tree_of(spec, seed)
-    for alpha in [()] + list(tree.branches()):
+    for alpha in [(), *tree.nodes]:
         for p in range(1, 9):
             assert_coeff_matches_oracle(spec, alpha, p)
 
@@ -319,7 +319,7 @@ def memo_outcomes(trees, order):
                 out[index, p, family] = outcome(
                     lambda: production_build(spec, tree, p, family)
                 )
-                for alpha in [()] + tree.branches()[-3:]:
+                for alpha in [(), *list(tree.nodes)[-3:]]:
                     out[index, p, family, alpha] = outcome(lambda: coeff(spec, alpha, p))
     return out
 
@@ -364,7 +364,7 @@ def test_row_memo_is_bounded(monkeypatch, rh2, ch2):
 
 def test_tables_die_with_their_spec():
     # a name of its own, so that no equal spec is held anywhere else
-    spec = from_json_dict({**catalog_short_name("ch2").to_json_dict(), "name": "ch2 weakref"})
+    spec = from_json_dict({**CH2_JSON, "name": "ch2 weakref"})
     ref = weakref.ref(spec)
     tree = tree_of(spec, "x2_1^4")
     built = build_psi(spec, tree, 3)
@@ -450,7 +450,7 @@ def test_combine_formal(rh4):
     a, b = Fraction(2), Fraction(-1, 3)
     both = combine(a, b, phi3, psi3)
     zero = MixedExpr.zero()
-    assert both == NodeSymbolExpr.build(
+    assert both == NodeSymbolExpr(
         {
             alpha: phi3.terms.get(alpha, zero) * a + psi3.terms.get(alpha, zero) * b
             for alpha in set(phi3.terms) | set(psi3.terms)
@@ -553,15 +553,15 @@ def test_formal_render_takes_the_namer(rh3, ch2):
 
 def test_formal_root_log_alone_exceeds(rh3):
     tree = radial_tree(rh3, {(2, True): 1})
-    e = NodeSymbolExpr.build({(): MixedExpr.log_t()})
+    e = NodeSymbolExpr({(): MixedExpr.log_t()})
     cert = verify_formal(rh3, e, tree, 1)
     assert cert.verified_order is None and not cert.proper
 
 
 def test_formal_tau_children_shift(rh3):
     tree = radial_tree(rh3, {(2, True): 1})
-    image = formal_tau(rh3, tree, NodeSymbolExpr.build({(): MixedExpr.one()}))
-    assert image == NodeSymbolExpr.build({(1,): parse("t^2")})
+    image = formal_tau(rh3, tree, NodeSymbolExpr({(): MixedExpr.one()}))
+    assert image == NodeSymbolExpr({(1,): parse("t^2")})
 
 
 @pytest.mark.parametrize(
@@ -585,7 +585,7 @@ def test_realization_keeps_log_terms_apart(rh3):
     # nonzero, although its two coefficients sum to zero
     tree = radial_tree(rh3, {(2, True): 1, (2, False): -2})
     assert tree.nodes[(1,)].radial == RadialFunction(2, {(0, True): 4, (0, False): -4})
-    cert = verify_formal(rh3, NodeSymbolExpr.build({(1,): MixedExpr.one()}), tree, 1)
+    cert = verify_formal(rh3, NodeSymbolExpr({(1,): MixedExpr.one()}), tree, 1)
     assert cert.verified_order == 1 and cert.proper
 
 
@@ -640,8 +640,8 @@ def test_formal_iterates_realize_to_concrete_iterates(name, seed):
     spec = filiform() if name == "fil3" else catalog_short_name(name)
     tree = tree_of(spec, seed)
     for p in (1, 2, 3):
-        formal = NodeSymbolExpr.build(
-            {alpha: g_coeff(spec, alpha, p) for alpha in [()] + tree.branches()}
+        formal = NodeSymbolExpr(
+            {alpha: g_coeff(spec, alpha, p) for alpha in [(), *tree.nodes]}
         )
         concrete = build_psi(spec, tree, p)
         assert realize(tree, formal) == concrete.terms
@@ -703,7 +703,7 @@ def test_p_budget_refuses_before_any_work(rh2, rh3, monkeypatch):
             lambda: build_psi(spec, tree, p),
             lambda: recurrence_check(spec, tree, p),
             lambda: verify(spec, parse("t^(1/2)"), p),
-            lambda: verify_formal(spec, NodeSymbolExpr.build({(): MixedExpr.one()}), tree, p),
+            lambda: verify_formal(spec, NodeSymbolExpr({(): MixedExpr.one()}), tree, p),
         ):
             with pytest.raises(BudgetExceeded):
                 run()

@@ -8,7 +8,9 @@ through its integer kernel `laplacian.tau_form`: no module but
 `laplacian.py` refers to the MixedExpr operator `tau`, which `__init__.py`
 only re-exports.  Build, certification and recurrence checks run on a tension
 tree's states, never on its multi-indices: `pharmonic.py` never reads a
-tree's `.nodes` view or calls `.branches()`.
+tree's `.nodes` view or calls `.branches()`.  Nothing is exported that
+nothing calls: every name `__init__.py` imports is referenced by another
+module of the package, a script or the benchmark harness.
 """
 
 import ast
@@ -16,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "polyharm"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "polyharm"
 MODULES = sorted(SOURCE.glob("*.py"))
 ZERO_CLASSES = {"Polynomial", "MixedExpr"}
 
@@ -136,3 +139,45 @@ def test_multi_index_check_sees_a_read_of_the_view():
     injected = "node = tree.nodes[alpha]\nfor alpha in tree.branches():\n    pass\n"
     assert multi_index_reads(ast.parse(injected)) == [1, 2]
     assert multi_index_reads(ast.parse("node = tree.states[s].node\nnodes = []\n")) == []
+
+
+def references(module: ast.Module) -> set[str]:
+    """Every name the module reads, looks up as an attribute or imports."""
+    out = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name.split(".")[-1] for alias in node.names)
+    return out
+
+
+def unused_exports(init: ast.Module, users: list[ast.Module]) -> list[str]:
+    """The names `init` imports that no module of `users` refers to."""
+    exported = [
+        alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    used = set().union(*map(references, users))
+    return [name for name in exported if name not in used]
+
+
+def test_every_export_is_used():
+    users = [path for path in MODULES if path.name != "__init__.py"]
+    users += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    init = tree_of(SOURCE / "__init__.py")
+    assert unused_exports(init, [tree_of(path) for path in users]) == []
+
+
+def test_export_check_sees_an_unused_export():
+    init = ast.parse("from .a import used, unused\nfrom .b import (imported, looked_up)\n")
+    users = [
+        ast.parse("def unused():\n    pass\nused(1)\n"),
+        ast.parse("from polyharm import imported\nx = ph.looked_up\n"),
+    ]
+    assert unused_exports(init, users) == ["unused"]
+    assert unused_exports(init, users[:1]) == ["unused", "imported", "looked_up"]
