@@ -16,7 +16,6 @@ over basis triples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -57,22 +56,63 @@ class BracketEntry(NamedTuple):
     c: Fraction
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """A validated algebra.  Immutable; safe for concurrent reads."""
+class Record:
+    """An immutable record whose instance dict may also hold cached state.
 
-    name: str
-    m: int
-    lambdas: tuple[Fraction, ...]
-    dims: tuple[int, ...]
-    brackets: tuple[BracketEntry, ...]
-    homogeneous_dim: Fraction
-    aliases: tuple[tuple[str, VarIndex], ...] = ()
+    The constructor sets the `_fields`; they alone are compared, hashed,
+    shown and pickled, so a copy or pickle leaves the cached state behind
+    (cached properties rebuild it on use).  Assigning to any attribute
+    raises AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        fields = self.__dict__
+        return tuple(fields[name] for name in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __getstate__(self) -> dict:
-        """Only the fields: a pickle or copy leaves behind the cached lookups
-        and the tables (`laplacian.tables_of`), which are rebuilt on use."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(self._fields, self._values()))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+
+class AlgebraSpec(Record):
+    """A validated algebra.  Immutable; safe for concurrent reads.  Its
+    cached lookups and tables (`laplacian.tables_of`) are left out of
+    equality, copies and pickles."""
+
+    _fields = ("name", "m", "lambdas", "dims", "brackets", "homogeneous_dim", "aliases")
+
+    def __init__(
+        self,
+        name: str,
+        m: int,
+        lambdas: tuple[Fraction, ...],
+        dims: tuple[int, ...],
+        brackets: tuple[BracketEntry, ...],
+        homogeneous_dim: Fraction,
+        aliases: tuple[tuple[str, VarIndex], ...] = (),
+    ) -> None:
+        self.__dict__.update(
+            name=name, m=m, lambdas=lambdas, dims=dims, brackets=brackets,
+            homogeneous_dim=homogeneous_dim, aliases=aliases,
+        )
 
     # --- index helpers ---
 
@@ -342,7 +382,7 @@ def load_file(path: str) -> AlgebraSpec:
             obj = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past the digit limit
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
     except RecursionError:
         raise ParseError(f"invalid JSON in {path}: nested too deeply") from None

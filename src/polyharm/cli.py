@@ -60,7 +60,7 @@ def parse_radial_seed(text: str | Mapping) -> RadialSeed:
     if isinstance(text, str):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer past the digit limit
             raise ParseError(f"radial seed is not valid JSON: {exc}") from None
         except RecursionError:
             raise ParseError("radial seed is not valid JSON: nested too deeply") from None

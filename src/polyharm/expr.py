@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Callable, Mapping
 
 from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, ParseError
 from .poly import Monomial, Polynomial, Sparse, format_term, monomial_factors
-from .scalar import _acc, format_rational
+from .scalar import _acc, decimal_int, format_rational
 
 # key: (monomial, t-exponent, log-power)
 Key = tuple[Monomial, Fraction, int]
@@ -190,12 +191,8 @@ class _Tokenizer:
                         f"unexpected character {text[self.pos]!r}", self.pos
                     )
                 break
-            if m.group("num"):
-                self.tokens.append(("num", m.group("num"), m.start("num")))
-            elif m.group("ident"):
-                self.tokens.append(("ident", m.group("ident"), m.start("ident")))
-            else:
-                self.tokens.append(("op", m.group("op"), m.start("op")))
+            kind = m.lastgroup
+            self.tokens.append((kind, m.group(kind), m.start(kind)))
             self.pos = m.end()
         self.index = 0
 
@@ -216,7 +213,8 @@ class _Tokenizer:
 
 
 # The most terms a power of a sum may expand to, by the bound C(T + e - 1,
-# T - 1) on the monomials of degree e in T terms: on ch4,
+# T - 1) on the monomials of degree e in T terms, which is also the number of
+# terms the multinomial expansion (`_sum_power`) makes: on ch4,
 # (x_1+x_2+x_3+y_1+y_2+y_3+z)^200 passes the depth budget but would expand
 # eagerly to C(206, 6) ~ 10^11 terms.
 _TERM_BUDGET = 2_000
@@ -243,76 +241,140 @@ def _check_power(terms: int, e: int) -> None:
 # interpreter's default recursion limit of 1000; this leaves room for callers.
 _NESTING_LIMIT = 100
 
+# A product of atoms, kept as one term until it joins a sum:
+# (coefficient, monomial, t-exponent, log power).  The parser's other value
+# is a MixedExpr of any other number of terms.
+_Term = tuple[Fraction, Monomial, Fraction, int]
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_ONE_MONO = Monomial.one()
+_T: _Term = (_ONE, _ONE_MONO, _ONE, 0)
+_LOG: _Term = (_ONE, _ONE_MONO, _ZERO, 1)
+
+
+def _term_power(term: _Term, e: int) -> _Term:
+    c, mono, mu, logpow = term
+    return c**e, Monomial([(v, x * e) for v, x in mono.exps]), mu * e, logpow * e
+
+
+def _sum_power(terms: dict[Key, Fraction], e: int) -> dict[Key, Fraction]:
+    """(sum of terms)^e by the multinomial theorem: each composition
+    e = k_1 + ... + k_T once, as e! / (k_1! ... k_T!) times the product of
+    term_i^k_i, the last term taking what the others leave; a composition
+    is complete as soon as nothing is left."""
+    powers = [[_term_power((c, *key), k) for k in range(e + 1)] for key, c in terms.items()]
+    last = len(powers) - 1
+    out: dict[Key, Fraction] = {}
+    stack = [(0, e, _ONE, _ONE_MONO, _ZERO, 0)]
+    while stack:
+        i, left, c, mono, mu, logpow = stack.pop()
+        if i == last or not left:
+            pc, pmono, pmu, plog = powers[i][left]
+            _acc(out, (mono * pmono, mu + pmu, logpow + plog), c * pc)
+            continue
+        stack.append((i + 1, left, c, mono, mu, logpow))
+        for k in range(1, left + 1):
+            pc, pmono, pmu, plog = powers[i][k]
+            stack.append(
+                (i + 1, left - k, c * pc * comb(left, k), mono * pmono, mu + pmu, logpow + plog)
+            )
+    return out
+
+
+def _as_expr(value: "_Term | MixedExpr") -> MixedExpr:
+    """A parser value as a MixedExpr, for the product of multi-term factors."""
+    if type(value) is not tuple:
+        return value
+    c, mono, mu, logpow = value
+    return MixedExpr._wrap({(mono, mu, logpow): c} if c else {})
+
 
 class _Parser:
     """Recursive descent for: rationals, x{i}_{j} / aliases, t, log(t), + - * ^.
 
     Rational exponents (parenthesized) and negative exponents are legal on t
     only; x-powers are positive integers and log powers non-negative integers.
-    Groups nested past `_NESTING_LIMIT` are a ParseError.
+    Groups nested past `_NESTING_LIMIT` are a ParseError, and so is an
+    integer literal past the interpreter's digit limit.
+
+    Each term is made once: a product or power of single terms multiplies
+    their parts directly, every summand of a sum is added into one dict, and
+    a power of a sum is expanded term by term (`_sum_power`) once
+    `_check_power` has passed it.
     """
 
     def __init__(self, text: str, spec: AlgebraSpec | None = None):
         self.toks = _Tokenizer(text)
         self.spec = spec
         self.depth = 0
+        self.variables: dict[str, Monomial] = {}
 
     def parse(self) -> MixedExpr:
         result = self._expr()
         tok = self.toks.peek()
         if tok is not None:
             raise ParseError(f"trailing input starting at {tok[1]!r}", tok[2])
-        return result
+        return MixedExpr._wrap(result)
 
-    def _expr(self) -> MixedExpr:
+    def _expr(self) -> dict[Key, Fraction]:
+        out: dict[Key, Fraction] = {}
         negate = False
         tok = self.toks.peek()
         if tok and tok[:2] == ("op", "-"):
             self.toks.next()
             negate = True
-        total = self._term()
-        if negate:
-            total = -total
         while True:
-            tok = self.toks.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.toks.next()
-                rhs = self._term()
-                total = total + rhs if tok[1] == "+" else total - rhs
+            summand = self._term()
+            if type(summand) is tuple:
+                c, mono, mu, logpow = summand
+                _acc(out, (mono, mu, logpow), -c if negate else c)
             else:
-                return total
+                for key, c in summand.terms.items():
+                    _acc(out, key, -c if negate else c)
+            tok = self.toks.peek()
+            if not (tok and tok[0] == "op" and tok[1] in "+-"):
+                return out
+            self.toks.next()
+            negate = tok[1] == "-"
 
-    def _term(self) -> MixedExpr:
+    def _term(self) -> "_Term | MixedExpr":
         product = self._factor()
         while True:
             tok = self.toks.peek()
-            if tok and tok[:2] == ("op", "*"):
-                self.toks.next()
-                product = product * self._factor()
-            else:
+            if not (tok and tok[:2] == ("op", "*")):
                 return product
+            self.toks.next()
+            factor = self._factor()
+            if type(product) is tuple and type(factor) is tuple:
+                c1, m1, mu1, k1 = product
+                c2, m2, mu2, k2 = factor
+                product = (c1 * c2, m1 * m2, mu1 + mu2, k1 + k2)
+            else:
+                product = _as_expr(product) * _as_expr(factor)
 
-    def _factor(self) -> MixedExpr:
+    def _factor(self) -> "_Term | MixedExpr":
         base, base_kind = self._atom()
         tok = self.toks.peek()
         if tok and tok[:2] == ("op", "^"):
             self.toks.next()
             exponent, is_rational = self._exponent()
             if base_kind == "t":
-                return MixedExpr.t_power(exponent)
+                return (_ONE, _ONE_MONO, exponent, 0)
             if is_rational or exponent < 0:
                 pos = tok[2]
                 raise ParseError(
                     "rational or negative exponents are allowed on t only", pos
                 )
-            _check_power(len(base.terms), int(exponent))
-            return base ** int(exponent)
+            e = int(exponent)
+            if type(base) is tuple:
+                return _term_power(base, e)
+            _check_power(len(base.terms), e)
+            return MixedExpr._wrap(_sum_power(base.terms, e))
         return base
 
     def _exponent(self) -> tuple[Fraction, bool]:
         tok = self.toks.next()
         if tok[0] == "num":
-            return Fraction(int(tok[1])), False
+            return Fraction(decimal_int(tok[1], tok[2])), False
         if tok[:2] == ("op", "("):
             sign = 1
             tok = self.toks.next()
@@ -321,7 +383,7 @@ class _Parser:
                 tok = self.toks.next()
             if tok[0] != "num":
                 raise ParseError("expected a number in exponent", tok[2])
-            num = int(tok[1])
+            num = decimal_int(tok[1], tok[2])
             den = 1
             rational = False
             nxt = self.toks.peek()
@@ -338,33 +400,31 @@ class _Parser:
         dtok = self.toks.next()
         if dtok[0] != "num":
             raise ParseError("expected a denominator", dtok[2])
-        den = int(dtok[1])
+        den = decimal_int(dtok[1], dtok[2])
         if den == 0:
             raise ParseError("zero denominator", dtok[2])
         return den
 
-    def _atom(self) -> tuple[MixedExpr, str]:
+    def _atom(self) -> "tuple[_Term | MixedExpr, str]":
         tok = self.toks.next()
         kind, value, pos = tok
         if kind == "num":
-            num = int(value)
+            num = decimal_int(value, pos)
             nxt = self.toks.peek()
             if nxt and nxt[:2] == ("op", "/"):
-                return MixedExpr.constant(Fraction(num, self._denominator())), "const"
-            return MixedExpr.constant(num), "const"
+                return (Fraction(num, self._denominator()), _ONE_MONO, _ZERO, 0), "const"
+            return (Fraction(num), _ONE_MONO, _ZERO, 0), "const"
         if kind == "ident":
             if value == "t":
-                return MixedExpr.t_power(1), "t"
+                return _T, "t"
             if value == "log":
                 self.toks.expect_op("(")
                 arg = self.toks.next()
                 if arg[:2] != ("ident", "t"):
                     raise ParseError("only log(t) is supported", arg[2])
                 self.toks.expect_op(")")
-                return MixedExpr.log_t(), "log"
-            return MixedExpr.from_polynomial(
-                Polynomial.variable(self._resolve_var(value, pos))
-            ), "var"
+                return _LOG, "log"
+            return (_ONE, self._variable(value, pos), _ZERO, 0), "var"
         if (kind, value) == ("op", "("):
             if self.depth == _NESTING_LIMIT:
                 raise ParseError(
@@ -374,20 +434,30 @@ class _Parser:
             inner = self._expr()
             self.toks.expect_op(")")
             self.depth -= 1
-            return inner, "group"
+            if len(inner) == 1:
+                ((mono, mu, logpow), c), = inner.items()
+                return (c, mono, mu, logpow), "group"
+            if not inner:
+                return (_ZERO, _ONE_MONO, _ZERO, 0), "group"
+            return MixedExpr._wrap(inner), "group"
         raise ParseError(f"unexpected token {value!r}", pos)
 
-    def _resolve_var(self, name: str, pos: int) -> VarIndex:
+    def _variable(self, name: str, pos: int) -> Monomial:
+        """The monomial of a variable name, resolved and bound-checked once."""
+        mono = self.variables.get(name)
+        if mono is not None:
+            return mono
         m = _FULL_VAR_RE.match(name)
         if m:
-            v = VarIndex(int(m.group(1)), int(m.group(2)))
+            v = VarIndex(decimal_int(m.group(1), pos), decimal_int(m.group(2), pos))
         elif self.spec is not None and name in self.spec.alias_to_var:
             v = self.spec.alias_to_var[name]
         else:
             raise ParseError(f"unknown variable {name!r}", pos)
         if self.spec is not None:
             self.spec.check_index(v)
-        return v
+        mono = self.variables[name] = Monomial.variable(v)
+        return mono
 
 
 def parse(text: str, spec: AlgebraSpec | None = None) -> MixedExpr:

@@ -48,10 +48,9 @@ structure constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 from .algebra import AlgebraSpec, VarIndex
 from .expr import MixedExpr
 from .poly import Monomial, Polynomial
@@ -101,8 +100,7 @@ _TPart = tuple[int, int, int, tuple[int, ...]]
 _AdRows = dict[VarIndex, dict[VarIndex, Polynomial]]
 
 
-@dataclass(frozen=True, eq=False)
-class StructPolyTable:
+class StructPolyTable(NamedTuple):
     """All P^{i alpha}_{j beta}."""
 
     spec: AlgebraSpec

@@ -52,10 +52,9 @@ the entry of each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, KindMismatch, Resonance, ZeroCombination
@@ -68,7 +67,6 @@ from .tension import MultiIndex, Node, TensionTree
 
 # --- branch rows, per state ---
 
-@dataclass(slots=True)
 class _Rows:
     """The p-independent parts of the branch coefficients of one tree and
     family, summed per state, extended in place as p grows.
@@ -93,13 +91,20 @@ class _Rows:
     integers (numerator, positive denominator).
     """
 
-    resonant: MultiIndex | None  # phi only: the least alpha with 2 Lambda = n
-    exponents: list[Fraction]  # of t per state: 2 Lambda (phi) or 2 Lambda + n (psi)
-    steps: list[tuple[int, int, int, int] | None]  # per state (a, m) as two pairs
-    u: list[list[tuple[int, int]]]
-    stamp: tuple | None  # the tables and clear count `exponent_ids` are valid for
-    exponent_ids: list[int]
-    weighted: dict[int, tuple[int, list]]  # see `_coefficients`
+    __slots__ = ("resonant", "exponents", "steps", "u", "stamp", "exponent_ids", "weighted")
+
+    def __init__(
+        self,
+        resonant: MultiIndex | None,  # phi only: the least alpha with 2 Lambda = n
+        exponents: list[Fraction],  # of t per state: 2 Lambda (phi) or 2 Lambda + n (psi)
+        steps: list[tuple[int, int, int, int] | None],  # per state (a, m) as two pairs
+        u: list[list[tuple[int, int]]],
+    ) -> None:
+        self.resonant, self.exponents, self.steps, self.u = resonant, exponents, steps, u
+        # the tables and clear count `exponent_ids` are valid for
+        self.stamp: tuple | None = None
+        self.exponent_ids: list[int] = []
+        self.weighted: dict[int, tuple[int, list]] = {}  # see `_coefficients`
 
 
 def _rows(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> _Rows:
@@ -156,7 +161,7 @@ def _new_rows(spec: AlgebraSpec, tree: TensionTree, family: str) -> _Rows:
             continue
         steps.append(_pair(dd, dn) + _pair(-dd * ld, 2 * ln * dn))
     u = [[(1, 1)]] + [[] for _ in tree.states[1:]]
-    return _Rows(min(resonant, default=None), exponents, steps, u, None, [], {})
+    return _Rows(min(resonant, default=None), exponents, steps, u)
 
 
 def _pair(num: int, den: int) -> tuple[int, int]:
@@ -372,8 +377,7 @@ def combine(a: Fraction, b: Fraction, phi: Built, psi: Built) -> Built:
 
 # --- certification ---
 
-@dataclass(frozen=True)
-class HarmonicCertificate:
+class HarmonicCertificate(NamedTuple):
     """Outcome of exact operator iteration on a candidate function.
 
     verified_order is the least q with tau^q = 0, or None when no q <= p

@@ -33,6 +33,15 @@ def _acc(out: dict, key, value) -> None:
         out.pop(key, None)
 
 
+def decimal_int(text: str, position: int | None = None) -> int:
+    """int(text) of a decimal literal; a literal past the interpreter's limit
+    on digits (`sys.get_int_max_str_digits`) is a ParseError at `position`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"an integer of {len(text)} digits is too long", position) from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" (q > 0, decimal-free) into a Fraction."""
     if not isinstance(text, str):
@@ -40,8 +49,8 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ParseError(f"not a rational 'p' or 'p/q' string: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = decimal_int(m.group(1))
+    den = decimal_int(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
 
 
@@ -60,5 +69,5 @@ def int_field(obj: Mapping | Sequence, key: str | int) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and _DECIMAL_INT_RE.fullmatch(value):
-        return int(value)
+        return decimal_int(value)
     raise ParseError(f"field {key!r} must be an integer, got {value!r}")

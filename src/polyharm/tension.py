@@ -24,13 +24,12 @@ a chain whose states are its nodes, and never touch the full operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Callable, Mapping, NamedTuple, Union
 
-from .algebra import AlgebraSpec, VarIndex
+from .algebra import AlgebraSpec, Record, VarIndex
 from .errors import (
     BadParams,
     BudgetExceeded,
@@ -137,8 +136,7 @@ class RadialFunction:
         return f"RadialFunction(n1={self.n1}, {self.render()})"
 
 
-@dataclass(frozen=True)
-class AffinePart:
+class AffinePart(NamedTuple):
     """G(x^2) = c0 + sum_j c_j x^2_j."""
 
     constant: Fraction
@@ -160,8 +158,7 @@ class AffinePart:
         return self.to_polynomial().render(namer)
 
 
-@dataclass(frozen=True)
-class RadialSeed:
+class RadialSeed(NamedTuple):
     """H(|x^1|) * G(x^2) with H in the radial span and G affine."""
 
     radial: RadialFunction
@@ -217,8 +214,7 @@ class State(NamedTuple):
     paths: int
 
 
-@dataclass(frozen=True)
-class TensionTree:
+class TensionTree(Record):
     """A tension tree as its DAG of states (`State`).  State 0 is the seed's,
     and the states run in order of increasing Lambda, so parents come before
     their children; only nonzero nodes have states.
@@ -226,15 +222,26 @@ class TensionTree:
     `nodes`, the alpha-keyed view, is derived on first use and refused past
     `_VIEW_BUDGET` multi-indices; only rendering and JSON read it.  `rows` is
     the branch-row memo `pharmonic` keeps per family, extended in place as p
-    grows; it takes no part in equality."""
+    grows; like every cached property it takes no part in equality."""
 
-    spec: AlgebraSpec
-    kind: str  # "polynomial" | "radial"
-    seed: Node
-    states: tuple[State, ...]
-    scale: int  # the lcm of the eigenvalue denominators
-    degree: int
-    rows: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("spec", "kind", "seed", "states", "scale", "degree")
+
+    def __init__(
+        self,
+        spec: AlgebraSpec,
+        kind: str,  # "polynomial" | "radial"
+        seed: Node,
+        states: tuple[State, ...],
+        scale: int,  # the lcm of the eigenvalue denominators
+        degree: int,
+    ) -> None:
+        self.__dict__.update(
+            spec=spec, kind=kind, seed=seed, states=states, scale=scale, degree=degree
+        )
+
+    @cached_property
+    def rows(self) -> dict:
+        return {}
 
     def node_count(self) -> int:
         """The number of nonzero nodes (multi-indices), from the path counts."""

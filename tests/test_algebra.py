@@ -248,3 +248,19 @@ def test_pickle_and_copy_carry_only_the_fields():
         assert rebuilt is not original
         assert rebuilt.coefficients == original.coefficients
         assert rebuilt.struct.entries == original.struct.entries
+
+
+def test_spec_is_an_immutable_value():
+    spec, again = catalog_short_name("ch3"), catalog_short_name("ch3")
+    other = catalog_short_name("ch2")
+    tables_of(spec)  # cached state takes no part in equality or hashing
+    assert spec == again and hash(spec) == hash(again)
+    assert spec != other and spec != spec.name
+    for clone in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert clone == spec and hash(clone) == hash(spec)
+        assert clone.lambdas == spec.lambdas and clone.aliases == spec.aliases
+    with pytest.raises(AttributeError):
+        spec.name = "other"
+    with pytest.raises(AttributeError):
+        del spec.m
+    assert spec.name == "ch3" and spec.m == 2

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -430,6 +431,18 @@ def test_unknown_algebra(capsys):
     assert code == 1 and "UnknownCatalogName" in err
 
 
+# Integers past the interpreter's limit on decimal digits end in ParseError
+# like any other malformed input; where no limit refuses them, they are skipped.
+BIG = "1" * 5_000
+HAS_DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(BIG)
+DIGIT_LIMIT = pytest.mark.skipif(
+    not HAS_DIGIT_LIMIT,
+    reason="no limit on the digits of an integer refuses 5,000",
+)
+BIG_RADIAL_K = '{"n1":2,"terms":[{"k":%s,"a":"1","b":"0"}]}' % BIG
+BIG_RADIAL_A = '{"n1":2,"terms":[{"k":1,"a":"%s","b":"0"}]}' % BIG
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -465,17 +478,38 @@ def test_unknown_algebra(capsys):
         ("verify", "--algebra", "ch2", "--expr", "(" * 10_000 + "x" + ")" * 10_000, "--p", "2"),
         ("tree", "--algebra", "ch2", "--seed", "(" * 10_000 + "z" + ")" * 10_000),
         ("tree", "--algebra", "rh3", "--radial-seed", "[" * 5_000),
+        *(
+            pytest.param(argv, marks=DIGIT_LIMIT)
+            for argv in (
+                ("verify", "--algebra", "ch2", "--expr", BIG, "--p", "2"),
+                ("verify", "--algebra", "ch2", "--expr", f"t^(1/{BIG})", "--p", "2"),
+                ("tree", "--algebra", "ch2", "--seed", f"z^{BIG}"),
+                ("tree", "--algebra", "ch2", "--seed", f"x1_{BIG}"),
+                ("tree", "--algebra", "rh3", "--radial-seed", BIG_RADIAL_K),
+                ("tree", "--algebra", "rh3", "--radial-seed", BIG_RADIAL_A),
+                ("build", "--algebra", "ch2", "--seed", "z", "--kind", "combo", "--p", "2",
+                 "--a", BIG),
+                ("validate", "--algebra", "big-dims.json"),
+                ("validate", "--algebra", "big-dims-text.json"),
+            )
+        ),
     ],
     ids=[
         "zero-denominator", "zero-exponent-denominator", "missing-file", "radial-k-not-int",
         "radial-G-c-string", "radial-k-float", "radial-n1-float", "radial-k-bool",
         "seed-past-depth-budget", "verify-p-past-budget", "build-p-past-budget",
         "power-past-term-budget", "expr-nested-10000", "seed-nested-10000",
-        "radial-seed-nested-5000",
+        "radial-seed-nested-5000", "expr-big-integer", "expr-big-denominator",
+        "seed-big-exponent", "seed-big-variable-index", "radial-big-k", "radial-big-a",
+        "combo-big-a", "algebra-big-dims", "algebra-big-dims-text",
     ],
 )
 def test_bad_input_is_domain_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "big-dims.json").write_text(
+        json.dumps(CH2_FILE).replace('"dims": [2, 1]', f'"dims": [{BIG}, 1]')
+    )
+    (tmp_path / "big-dims-text.json").write_text(json.dumps({**CH2_FILE, "dims": [BIG, "1"]}))
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "error[" in err and "Traceback" not in err
@@ -502,7 +536,7 @@ FUZZ_SEEDS = ("x^4", "z^2", "x_1*y_2 + z", "x^2*z - 1/3*y", "x1_1^3", "0", "7")
 FUZZ_MALFORMED = (
     "", "x^", "((z", "z^-1", "x*t", "1/0", "x_9", "t^(1/0)", "--p", "nan", "1e3",
     "\x00", "é", "x^99999999999", "{", '{"n1":2,"terms":[]}', "-", "3/-2",
-)
+) + ((BIG, f"x^{BIG}", BIG_RADIAL_K, BIG_RADIAL_A) if HAS_DIGIT_LIMIT else ())
 FUZZ_RADIAL = (
     '{"n1":2,"terms":[{"k":1,"a":"1","b":"0"}],"G":{"c0":"1"}}',
     '{"n1":2,"terms":[{"k":2,"a":"0","b":"1/2"}]}',

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyharm
-from polyharm import MixedExpr, ParseError, Polynomial, VarIndex, parse, parse_polynomial
+from polyharm import (
+    MixedExpr,
+    ParseError,
+    Polynomial,
+    VarIndex,
+    format_rational,
+    parse,
+    parse_polynomial,
+)
 from polyharm.poly import Monomial
 
 from conftest import random_mixed_expr
@@ -106,6 +115,107 @@ def test_parse_errors_carry_position():
         parse("t^^2")
     with pytest.raises(ParseError):
         parse("(t")
+
+
+def test_power_of_a_sum_is_expanded_term_by_term():
+    e = parse("(x1_1 + x1_2)^999")
+    assert e.terms == {
+        (Monomial([(X, k), (Y, 999 - k)]), Fraction(0), 0): comb(999, k) for k in range(1000)
+    }
+    # compositions whose terms meet, and here cancel: x^2 - x^2
+    assert parse("(1 + x1_1 - 1/2*x1_1^2)^2") == parse("1 + 2*x1_1 - x1_1^3 + 1/4*x1_1^4")
+    assert parse("(1 + x1_1*t - x1_1^2)^5") == (
+        MixedExpr.one() + parse("x1_1*t") - parse("x1_1^2")
+    ) ** 5
+    assert parse("(x1_1 - x1_1)^3 + (x1_1 - x1_1)^0") == MixedExpr.one()
+
+
+# --- the parser's fast paths against MixedExpr ring operations ---
+# Each strategy draws (text, value, kind): `value` is what the text means,
+# made with MixedExpr sums, products and powers; `kind` says where the text
+# needs parentheses: an "atom" nowhere, a "factor" or "term" as a power's
+# base, and a "sum" there and inside a product or another sum.
+
+def _const(c: Fraction):
+    text = format_rational(c)
+    return (text if c >= 0 else f"({text})"), MixedExpr.constant(c), "atom"
+
+
+_VARIABLES = {"x": X, "y": Y, "z": Z, "x1_1": X}  # names on ch2
+
+
+def _variable(name: str):
+    return name, MixedExpr.from_polynomial(Polynomial.variable(_VARIABLES[name])), "atom"
+
+
+def _t_power(exponent: Fraction):
+    if exponent == 1:
+        return "t", MixedExpr.t_power(1), "atom"
+    return f"t^({format_rational(exponent)})", MixedExpr.t_power(exponent), "factor"
+
+
+def _log_power(k: int):
+    return ("log(t)", MixedExpr.log_t(), "atom") if k == 1 else (
+        f"log(t)^{k}", MixedExpr.log_t(k), "factor"
+    )
+
+
+def _wrap(node, kinds):
+    text, _, kind = node
+    return f"({text})" if kind in kinds else text
+
+
+def _product(nodes):
+    value = MixedExpr.one()
+    for _, v, _ in nodes:
+        value = value * v
+    return "*".join(_wrap(n, ("sum",)) for n in nodes), value, "term"
+
+
+def _sum(signed):
+    (first_minus, first), rest = signed[0], signed[1:]
+    text = ("-" if first_minus else "") + _wrap(first, ("sum",))
+    value = -first[1] if first_minus else first[1]
+    for minus, node in rest:
+        text += (" - " if minus else " + ") + _wrap(node, ("sum",))
+        value = value - node[1] if minus else value + node[1]
+    return text, value, "sum"
+
+
+def _power(node, e: int):
+    # keep the reference's repeated multiplication small
+    if len(node[1].terms) > 4:
+        e = min(e, 1)
+    return f"{_wrap(node, ('factor', 'term', 'sum'))}^{e}", node[1] ** e, "factor"
+
+
+def _group(node):
+    return f"({node[0]})", node[1], "atom"
+
+
+_leaves = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).map(_const),
+    st.sampled_from(sorted(_VARIABLES)).map(_variable),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).map(_t_power),
+    st.integers(1, 3).map(_log_power),
+)
+expression_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(_product),
+        st.lists(st.tuples(st.booleans(), children), min_size=1, max_size=3).map(_sum),
+        st.tuples(children, st.integers(0, 4)).map(lambda pair: _power(*pair)),
+        children.map(_group),
+    ),
+    max_leaves=10,
+)
+
+
+@given(expression_trees)
+@settings(max_examples=150, deadline=None)
+def test_parse_matches_ring_operations(ch2, tree):
+    text, value, _ = tree
+    assert parse(text, ch2) == value, text
 
 
 def test_parse_polynomial_rejects_t():

@@ -10,10 +10,15 @@ only re-exports.  Build, certification and recurrence checks run on a tension
 tree's states, never on its multi-indices: `pharmonic.py` never reads a
 tree's `.nodes` view or calls `.branches()`.  Nothing is exported that
 nothing calls: every name `__init__.py` imports is referenced by another
-module of the package, a script or the benchmark harness.
+module of the package, a script or the benchmark harness.  A cold command
+pays for no machinery it does not use: importing `polyharm.cli` loads
+neither `dataclasses` nor `inspect`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,3 +186,19 @@ def test_export_check_sees_an_unused_export():
     ]
     assert unused_exports(init, users) == ["unused"]
     assert unused_exports(init, users[:1]) == ["unused", "imported", "looked_up"]
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # a fresh interpreter without site packages: only what the import pulls in
+    code = (
+        "import sys; before = set(sys.modules); import polyharm.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "polyharm.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect"}), sorted(loaded)

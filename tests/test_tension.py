@@ -15,6 +15,7 @@ from polyharm import (
     RadialSeed,
     UnsupportedSpan,
     VarIndex,
+    build_psi,
     parse_polynomial,
     render_tree_text,
     tau,
@@ -223,6 +224,27 @@ def radial(n1, terms, c0="1", linear=()):
             constant=Fraction(c0), linear=tuple((s, Fraction(c)) for s, c in linear)
         ),
     )
+
+
+def test_radial_seed_and_affine_part_are_values():
+    seed = radial(2, {(2, True): 1}, c0="2", linear=((1, "1/2"),))
+    again = radial(2, {(2, True): 1}, c0="2", linear=((1, "1/2"),))
+    assert seed == again and hash(seed) == hash(again)
+    assert seed.affine == again.affine and hash(seed.affine) == hash(again.affine)
+    assert seed != radial(2, {(2, True): 1}, c0="2")
+    assert seed.affine != AffinePart(Fraction(2))
+    assert AffinePart(Fraction(2)).linear == ()
+
+
+def test_tree_equality_ignores_its_rows(ch2):
+    seed = poly("x^2*z", ch2)
+    tree, again = tension_tree(ch2, seed), tension_tree(ch2, seed)
+    build_psi(ch2, tree, 3)  # fills the branch-row memo of one tree only
+    assert tree.rows and not again.rows
+    assert tree == again
+    assert tree != tension_tree(ch2, poly("x^2*z^2", ch2))
+    with pytest.raises(AttributeError):
+        tree.degree = 0
 
 
 def test_log_rho_harmonic(rh3):
