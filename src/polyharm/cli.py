@@ -19,11 +19,10 @@ from typing import Mapping
 from . import algebra as algebra_mod
 from .algebra import AlgebraSpec
 from .errors import ParseError, PolyharmError, UnsupportedSpan
-from .expr import MixedExpr, parse, parse_polynomial
+from .expr import parse, parse_polynomial
 from .pharmonic import (
     Built,
     HarmonicCertificate,
-    NodeSymbolExpr,
     build_phi,
     build_psi,
     certify,
@@ -107,28 +106,21 @@ def parse_radial_seed(text: str | Mapping) -> RadialSeed:
     )
 
 
-def _emit_expr(e: MixedExpr, spec: AlgebraSpec, fmt: str) -> str:
+def _emit_built(built: Built, tree: TensionTree, fmt: str) -> str:
+    """A built family in text or LaTeX, or as JSON: the expression of a
+    polynomial tree's build, the node-symbol terms of a radial one's."""
+    namer = tree.spec.var_name
     if fmt == "latex":
-        return e.latex(spec.var_name)
-    if fmt == "json":
-        return json.dumps({"expr": e.render(spec.var_name)}, sort_keys=True)
-    return e.render(spec.var_name)
-
-
-def _emit_formal(e: NodeSymbolExpr, fmt: str) -> str:
-    if fmt == "latex":
-        return e.latex()
-    if fmt == "json":
-        payload = {
-            "formal": [
-                {"alpha": list(alpha), "coefficient": coeff.render()}
-                for alpha, coeff in sorted(
-                    e.terms.items(), key=lambda kv: (len(kv[0]), kv[0])
-                )
-            ]
-        }
-        return json.dumps(payload, sort_keys=True)
-    return e.render()
+        return built.latex(namer)
+    if fmt == "text":
+        return built.render(namer)
+    if tree.kind == "polynomial":
+        return json.dumps({"expr": built.render(namer)}, sort_keys=True)
+    formal = [
+        {"alpha": list(alpha), "coefficient": coeff.render()}
+        for alpha, coeff in sorted(built.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    ]
+    return json.dumps({"formal": formal}, sort_keys=True)
 
 
 def _emit_certificate(cert: HarmonicCertificate, fmt: str) -> str:
@@ -199,11 +191,7 @@ def _build_family(spec: AlgebraSpec, tree: TensionTree, args) -> Built:
 def _cmd_build(args) -> int:
     spec = resolve_algebra(args.algebra)
     tree = _load_tree(spec, args)
-    built = _build_family(spec, tree, args)
-    if tree.kind == "polynomial":
-        print(_emit_expr(built, spec, args.format))
-    else:
-        print(_emit_formal(built, args.format))
+    print(_emit_built(_build_family(spec, tree, args), tree, args.format))
     return 0
 
 

@@ -78,8 +78,19 @@ class UnsupportedSpan(PolyharmError):
 
 
 class BudgetExceeded(PolyharmError):
-    """A seed's tension tree may be deeper than the depth budget allows; it is
-    refused before any level is expanded."""
+    """An input asks for more work or output than a budget allows, and is
+    refused before the work is done:
+
+    - depth: a seed's tension tree may be deeper than `tension._DEPTH_BUDGET`
+      levels, refused before any level is expanded;
+    - order: an order p past `pharmonic._P_BUDGET`, refused before a row is
+      made or the operator applied;
+    - term: a power of a sum that may expand past `expr._TERM_BUDGET` terms;
+    - view: a tree whose multi-index view would list more than
+      `tension._VIEW_BUDGET` nodes (its states still build and certify);
+    - coefficient: a power of a constant past `expr._BIT_BUDGET` bits, or a
+      coefficient with more digits than the interpreter prints
+      (`scalar.format_rational`)."""
 
 
 class KindMismatch(PolyharmError):

@@ -5,9 +5,10 @@ makes exact iteration (and hence exact certification) possible.  Exponents mu
 are rationals, log powers are non-negative integers.  Canonical form = sparse
 map keyed by (monomial, mu, logpow) with nonzero Fraction values; equality of
 maps is the authoritative zero test.  `MixedExpr` is a `poly.Sparse`, which
-gives it equality, hashing, sums, scalar multiples and powers; this module
-adds its product, rendering and the parser.  The operator acts on it through
-the integer form of `laplacian`, so it carries no calculus of its own.
+gives it equality, hashing, sums and scalar multiples; this module adds its
+product, its written form (through the writer in `poly`) and the parser.  The
+operator acts on it through the integer form of `laplacian`, so it carries no
+calculus of its own.
 
 An expression whose every monomial is constant is "t-only" (the coefficient
 functions f/g of the main construction live there); one with mu = 0 and
@@ -23,8 +24,8 @@ from typing import Callable, Mapping
 
 from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, ParseError
-from .poly import Monomial, Polynomial, Sparse, format_term, monomial_factors
-from .scalar import _acc, decimal_int, format_rational
+from .poly import _LATEX, Monomial, Polynomial, Sparse, _factors, _power, _Style, _sum
+from .scalar import _acc, decimal_int
 
 # key: (monomial, t-exponent, log-power)
 Key = tuple[Monomial, Fraction, int]
@@ -60,14 +61,6 @@ class MixedExpr(Sparse):
         mu = Fraction(mu)
         return cls({(mono, mu, logpow): c for mono, c in p.terms.items()})
 
-    @classmethod
-    def t_power(cls, mu: Fraction | int, logpow: int = 0) -> "MixedExpr":
-        return cls({(Monomial.one(), Fraction(mu), logpow): Fraction(1)})
-
-    @classmethod
-    def log_t(cls, power: int = 1) -> "MixedExpr":
-        return cls.t_power(0, power)
-
     # --- structure ---
 
     def is_t_independent(self) -> bool:
@@ -98,76 +91,22 @@ class MixedExpr(Sparse):
             reverse=True,
         )
 
-    def render(self, namer: Callable[[VarIndex], str] = str) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for (mono, mu, logpow), coeff in self.sorted_terms():
-            factors = monomial_factors(mono, namer) + _t_factors(mu, logpow)
-            parts.append(format_term(coeff, factors, first=not parts))
-        return "".join(parts)
+    def _write(self, style: _Style, namer: Callable[[VarIndex], str]) -> str:
+        terms = []
+        for (mono, mu, logpow), c in self.sorted_terms():
+            factors = _factors(style, mono, namer)
+            if mu:
+                factors.append(_power(style, style.t, mu))
+            if logpow:
+                factors.append(_power(style, style.logt, logpow))
+            terms.append((c, factors))
+        return _sum(style, terms)
 
     def latex(self, namer: Callable[[VarIndex], str] | None = None) -> str:
-        if not self.terms:
-            return "0"
-        namer = namer or _latex_var
-        parts: list[str] = []
-        for (mono, mu, logpow), coeff in self.sorted_terms():
-            factors = [
-                f"{namer(v)}^{{{e}}}" if e > 1 else namer(v) for v, e in mono.exps
-            ]
-            if mu == 1:
-                factors.append("t")
-            elif mu != 0:
-                factors.append(f"t^{{{format_rational(mu)}}}")
-            if logpow == 1:
-                factors.append(r"\log(t)")
-            elif logpow:
-                factors.append(rf"\log(t)^{{{logpow}}}")
-            parts.append(latex_term(coeff, factors, first=not parts))
-        return "".join(parts)
+        return self._write(_LATEX, namer or _LATEX.var)
 
     def __repr__(self) -> str:
         return f"MixedExpr({self.render()})"
-
-
-def latex_term(coeff: Fraction, factors: list[str], first: bool) -> str:
-    """Signed LaTeX term for joined rendering: the magnitude (left out when it
-    is 1 and there are factors), then the factors, joined by thin spaces."""
-    sign = "-" if coeff < 0 else "+"
-    mag = abs(coeff)
-    if mag == 1 and factors:
-        body = r" \, ".join(factors)
-    else:
-        mag_tex = (
-            str(mag.numerator)
-            if mag.denominator == 1
-            else rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        )
-        body = r" \, ".join([mag_tex] + factors)
-    if first:
-        return body if sign == "+" else f"-{body}"
-    return f" {sign} {body}"
-
-
-def _t_factors(mu: Fraction, logpow: int) -> list[str]:
-    factors = []
-    if mu == 1:
-        factors.append("t")
-    elif mu != 0:
-        if mu.denominator == 1 and mu > 0:
-            factors.append(f"t^{mu.numerator}")
-        else:
-            factors.append(f"t^({format_rational(mu)})")
-    if logpow == 1:
-        factors.append("log(t)")
-    elif logpow:
-        factors.append(f"log(t)^{logpow}")
-    return factors
-
-
-def _latex_var(v: VarIndex) -> str:
-    return f"x^{{{v.layer}}}_{{{v.slot}}}"
 
 
 # --- parsing ---
@@ -251,8 +190,21 @@ _T: _Term = (_ONE, _ONE_MONO, _ONE, 0)
 _LOG: _Term = (_ONE, _ONE_MONO, _ZERO, 1)
 
 
+# The most bits a power of a constant may need, counted before it is made as
+# (bit length - 1) * e, a lower bound on the bits of c**e: 2^100000000 would
+# otherwise take 0.6 s to make 100,000,001 bits.  10^5 bits is some 30,000
+# digits, seven times what the interpreter prints by default.
+_BIT_BUDGET = 100_000
+
+
 def _term_power(term: _Term, e: int) -> _Term:
+    """term^e; a coefficient whose power passes `_BIT_BUDGET` is refused
+    before the power is made."""
     c, mono, mu, logpow = term
+    if (max(c.numerator.bit_length(), c.denominator.bit_length()) - 1) * e > _BIT_BUDGET:
+        raise BudgetExceeded(
+            f"a power of a constant passes the coefficient budget of {_BIT_BUDGET} bits"
+        )
     return c**e, Monomial([(v, x * e) for v, x in mono.exps]), mu * e, logpow * e
 
 
@@ -294,7 +246,8 @@ class _Parser:
     Rational exponents (parenthesized) and negative exponents are legal on t
     only; x-powers are positive integers and log powers non-negative integers.
     Groups nested past `_NESTING_LIMIT` are a ParseError, and so is an
-    integer literal past the interpreter's digit limit.
+    integer literal past the interpreter's digit limit; a power of a
+    constant past `_BIT_BUDGET` is BudgetExceeded.
 
     Each term is made once: a product or power of single terms multiplies
     their parts directly, every summand of a sum is added into one dict, and

@@ -60,7 +60,7 @@ from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, KindMismatch, Resonance, ZeroCombination
 from .expr import MixedExpr
 from .laplacian import Form, Tables, reduced, tables_of, tau_form, to_expr, to_form
-from .poly import Monomial, Polynomial, Sparse
+from .poly import _LATEX, Monomial, Polynomial, Sparse, _label, _Style
 from .scalar import _acc
 from .tension import MultiIndex, Node, TensionTree
 
@@ -202,30 +202,14 @@ class NodeSymbolExpr(Sparse):
 
     __slots__ = ()
 
-    def render(self, namer: Callable[[VarIndex], str] = str) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for alpha in sorted(self.terms, key=lambda a: (len(a), a)):
-            label = "h" if not alpha else "h^%d_(%s)" % (
-                len(alpha),
-                ",".join(map(str, alpha)),
-            )
-            parts.append(f"[{label}]*({self.terms[alpha].render(namer)})")
-        return " + ".join(parts)
+    def _write(self, style: _Style, namer: Callable[[VarIndex], str]) -> str:
+        return " + ".join(
+            style.symbol.format(_label(style, alpha), self.terms[alpha]._write(style, namer))
+            for alpha in sorted(self.terms, key=lambda a: (len(a), a))
+        ) or "0"
 
-    def latex(self, namer=None) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for alpha in sorted(self.terms, key=lambda a: (len(a), a)):
-            if alpha:
-                label = ",".join(map(str, alpha))
-                symbol = rf"h^{{{len(alpha)}}}_{{({label})}}"
-            else:
-                symbol = "h"
-            parts.append(rf"{symbol} \left({self.terms[alpha].latex(namer)}\right)")
-        return " + ".join(parts)
+    def latex(self, namer: Callable[[VarIndex], str] | None = None) -> str:
+        return self._write(_LATEX, namer or _LATEX.var)
 
 
 def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> Form:

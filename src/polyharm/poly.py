@@ -1,26 +1,35 @@
-"""Sparse exact sums, and the multivariate polynomials in the coordinates x^i_j.
+"""Sparse exact sums, the multivariate polynomials in the coordinates x^i_j,
+and the one writer of every sum in text and LaTeX.
 
 `Sparse` is the one core of every finite sum in the package: a map from keys
-to nonzero coefficients with equality, hashing, the zero test, sums, scalar
-multiples and powers.  `Polynomial` (keyed by monomials) and
+to nonzero coefficients with equality, hashing, the zero test, sums and
+scalar multiples.  `Polynomial` (keyed by monomials) and
 `expr.MixedExpr` (keyed by monomial, t-exponent and log power) derive from it
-and add their own constructors, product and rendering, and Polynomial its
+and add their own constructors, product and written form, and Polynomial its
 partial derivatives.  `pharmonic.NodeSymbolExpr` (keyed by tree node, with
 t-only MixedExpr coefficients) derives from it too, as the public value of a
 radial tree's build and certificate residuals, and adds only a constructor
-and its rendering; sums and scalar multiples are all `combine` needs of it.
+and its written form; sums and scalar multiples are all `combine` needs of it.
 
 Polynomial coefficients are Fractions, exponent maps are kept sparse (no zero
 exponents, no zero coefficients), and terms are ordered
 graded-lexicographically so that equal polynomials have identical canonical
 form and deterministic rendering.
+
+Writing: each type that prints (these sums, `tension.RadialFunction` and
+`tension.RadialSeed`) has one body, `_write(style, namer)`, behind both its
+`render` and its `latex`.  The bodies share `_sum`, which joins signed terms,
+and the two rows of `_Style`, `_TEXT` and `_LATEX`, which hold every spelling
+that differs between the two: factor joiner, magnitude, powers, t, log(t),
+rho, log(rho), the default variable name, node labels (`_label`, also used
+by tension trees) and bracketed products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .algebra import VarIndex
 from .scalar import _acc, format_rational
@@ -110,8 +119,8 @@ _ONE_MONOMIAL = Monomial()
 class Sparse:
     """A finite sum: `terms` maps each key to its nonzero coefficient.
 
-    Subclasses give the constructors (`one` is where `**` starts), the
-    product of two sums (`_times`), the derivatives and the rendering; the
+    Subclasses give the constructors, the product of two sums (`_times`),
+    the derivatives and the written form (`_write`, behind `render`); the
     ring operations here only add and scale coefficients, so they serve
     every kind of key.  Equal sums have equal
     `terms`, so the zero test and equality are exact.
@@ -166,19 +175,8 @@ class Sparse:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError(f"negative power of a {type(self).__name__}")
-        result = type(self).one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+    def render(self, namer: Callable[[VarIndex], str] = str) -> str:
+        return self._write(_TEXT, namer)
 
 
 class Polynomial(Sparse):
@@ -237,30 +235,90 @@ class Polynomial(Sparse):
                 _acc(out, lowered, coeff * factor)
         return self._wrap(out)
 
-    # --- rendering ---
-
-    def render(self, namer: Callable[[VarIndex], str] = str) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
-            parts.append(format_term(coeff, monomial_factors(mono, namer), first=not parts))
-        return "".join(parts)
+    def _write(self, style: _Style, namer: Callable[[VarIndex], str]) -> str:
+        return _sum(style, ((c, _factors(style, mono, namer)) for mono, c in self.sorted_terms()))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()})"
 
 
-def monomial_factors(mono: Monomial, namer: Callable[[VarIndex], str] = str) -> list[str]:
-    return [f"{namer(v)}^{e}" if e > 1 else namer(v) for v, e in mono.exps]
+# --- writing ---
+
+class _Style(NamedTuple):
+    """The spellings of one output style.  Format fields take their
+    arguments in order: `power` (base, positive integer e), `rational_power`
+    (base, the rational e as "p/q"), `label` (depth, comma-separated
+    multi-index), `product` (two bracketed sums) and `symbol` (a node
+    label, the bracketed sum it multiplies)."""
+
+    join: str  # between the factors of a term
+    magnitude: Callable[[Fraction], str]  # a coefficient's absolute value
+    power: str
+    rational_power: str
+    t: str
+    logt: str
+    rho: str
+    logrho: str
+    var: Callable[[VarIndex], str]  # a variable's name when no namer is given
+    label: str
+    product: str
+    symbol: str
 
 
-def format_term(coeff: Fraction, factors: list[str], first: bool) -> str:
-    """Signed canonical term like "3*x1_1^2" / " - x1_1*t^2" for joined rendering."""
-    sign = "-" if coeff < 0 else "+"
-    mag = abs(coeff)
-    body_parts = ([] if mag == 1 and factors else [format_rational(mag)]) + factors
-    body = "*".join(body_parts)
-    if first:
-        return body if sign == "+" else f"-{body}"
-    return f" {sign} {body}"
+def _latex_magnitude(q: Fraction) -> str:
+    num, slash, den = format_rational(q).partition("/")
+    return rf"\frac{{{num}}}{{{den}}}" if slash else num
+
+
+_TEXT = _Style(
+    join="*", magnitude=format_rational, power="{}^{}", rational_power="{}^({})",
+    t="t", logt="log(t)", rho="rho", logrho="log(rho)", var=str,
+    label="h^{}_({})", product="({}) * ({})", symbol="[{}]*({})",
+)
+_LATEX = _Style(
+    join=r" \, ", magnitude=_latex_magnitude, power="{}^{{{}}}", rational_power="{}^{{{}}}",
+    t="t", logt=r"\log(t)", rho=r"\rho", logrho=r"\log(\rho)",
+    var=lambda v: f"x^{{{v.layer}}}_{{{v.slot}}}",
+    label="h^{{{}}}_{{({})}}", product=r"\left({}\right) \left({}\right)",
+    symbol=r"{} \left({}\right)",
+)
+
+
+def _sum(style: _Style, terms: Iterable[tuple[Fraction, list[str]]]) -> str:
+    """The terms (coefficient, factors), in order, as one signed sum: the
+    magnitude is left out when it is 1 and factors follow, a minus sign opens
+    a negative first term, " + " or " - " joins the rest, and no term is "0"."""
+    write_magnitude, join = style.magnitude, style.join.join
+    parts: list[str] = []
+    for coeff, factors in terms:
+        negative = coeff < 0
+        magnitude = -coeff if negative else coeff
+        if magnitude != 1 or not factors:
+            factors = [write_magnitude(magnitude), *factors]
+        body = join(factors)
+        if parts:
+            parts.append((" - " if negative else " + ") + body)
+        else:
+            parts.append("-" + body if negative else body)
+    return "".join(parts) or "0"
+
+
+def _factors(style: _Style, mono: Monomial, namer: Callable[[VarIndex], str]) -> list[str]:
+    # exponents are positive integers here, so each is formatted in place
+    # rather than through `_power`: monomials are the bulk of a tree's text
+    power = style.power
+    return [power.format(namer(v), e) if e > 1 else namer(v) for v, e in mono.exps]
+
+
+def _power(style: _Style, base: str, e: Fraction | int) -> str:
+    """base^e for a nonzero rational e."""
+    if e.denominator == 1 and e.numerator > 0:
+        return base if e.numerator == 1 else style.power.format(base, e.numerator)
+    return style.rational_power.format(base, format_rational(e))
+
+
+def _label(style: _Style, alpha: tuple[int, ...]) -> str:
+    """The node h^i_alpha, i the length of alpha; the seed (alpha = ()) is h."""
+    if not alpha:
+        return "h"
+    return style.label.format(len(alpha), ",".join(map(str, alpha)))

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import ParseError
+from .errors import BudgetExceeded, ParseError
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 _DECIMAL_INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -55,10 +55,19 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction in the canonical "p" / "p/q" form."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction in the canonical "p" / "p/q" form; a numerator or
+    denominator past the interpreter's limit on printed digits
+    (`sys.get_int_max_str_digits`) is BudgetExceeded.  Every writer of a
+    coefficient, text, LaTeX or JSON, prints it through here."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise BudgetExceeded(
+            f"a coefficient of {max(value.numerator.bit_length(), value.denominator.bit_length())}"
+            " bits has more digits than the interpreter prints"
+        ) from None
 
 
 def int_field(obj: Mapping | Sequence, key: str | int) -> int:

@@ -37,9 +37,8 @@ from .errors import (
     InternalClosureError,
     UnsupportedSpan,
 )
-from .expr import MixedExpr, latex_term
 from .laplacian import Tables, tables_of, tau_form
-from .poly import Monomial, Polynomial, format_term
+from .poly import _LATEX, _TEXT, Monomial, Polynomial, _label, _power, _Style, _sum
 from .scalar import _acc, format_rational
 
 MultiIndex = tuple[int, ...]
@@ -117,20 +116,17 @@ class RadialFunction:
     def sorted_terms(self) -> list[tuple[tuple[int, bool], Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+    def _write(self, style: _Style) -> str:
+        terms = []
         for (a, has_log), c in self.sorted_terms():
-            factors = []
-            if a == 1:
-                factors.append("rho")
-            elif a:
-                factors.append(f"rho^{a}" if a > 0 else f"rho^({a})")
+            factors = [_power(style, style.rho, a)] if a else []
             if has_log:
-                factors.append("log(rho)")
-            parts.append(format_term(c, factors, first=not parts))
-        return "".join(parts)
+                factors.append(style.logrho)
+            terms.append((c, factors))
+        return _sum(style, terms)
+
+    def render(self) -> str:
+        return self._write(_TEXT)
 
     def __repr__(self) -> str:
         return f"RadialFunction(n1={self.n1}, {self.render()})"
@@ -154,9 +150,6 @@ class AffinePart(NamedTuple):
             out = out + Polynomial.variable(VarIndex(2, slot)) * c
         return out
 
-    def render(self, namer: Callable[[VarIndex], str] = str) -> str:
-        return self.to_polynomial().render(namer)
-
 
 class RadialSeed(NamedTuple):
     """H(|x^1|) * G(x^2) with H in the radial span and G affine."""
@@ -167,28 +160,17 @@ class RadialSeed(NamedTuple):
     def is_zero(self) -> bool:
         return self.radial.is_zero() or self.affine.is_zero()
 
-    def render(self, namer: Callable[[VarIndex], str] = str) -> str:
-        h = self.radial.render()
+    def _write(self, style: _Style, namer: Callable[[VarIndex], str]) -> str:
+        h = self.radial._write(style)
         if self.affine.is_constant() and self.affine.constant == 1:
             return h
-        return f"({h}) * ({self.affine.render(namer)})"
+        return style.product.format(h, self.affine.to_polynomial()._write(style, namer))
+
+    def render(self, namer: Callable[[VarIndex], str] = str) -> str:
+        return self._write(_TEXT, namer)
 
     def latex(self, namer: Callable[[VarIndex], str] | None = None) -> str:
-        parts = []
-        for (a, has_log), c in self.radial.sorted_terms():
-            factors = []
-            if a == 1:
-                factors.append(r"\rho")
-            elif a:
-                factors.append(rf"\rho^{{{a}}}")
-            if has_log:
-                factors.append(r"\log(\rho)")
-            parts.append(latex_term(c, factors, first=not parts))
-        h = "".join(parts) if parts else "0"
-        if self.affine.is_constant() and self.affine.constant == 1:
-            return h
-        g = MixedExpr.from_polynomial(self.affine.to_polynomial()).latex(namer)
-        return rf"\left({h}\right) \left({g}\right)"
+        return self._write(_LATEX, namer or _LATEX.var)
 
 
 Node = Union[Polynomial, RadialSeed]
@@ -499,31 +481,28 @@ def _rendered(tree: TensionTree, render: Callable[[Node], object]):
         yield alpha, memo[id(node)]
 
 
+def _written(tree: TensionTree, style: _Style):
+    """(alpha, written node) for the seed, alpha = (), then every node."""
+    namer = tree.spec.var_name
+    yield (), tree.seed._write(style, namer)
+    yield from _rendered(tree, lambda node: node._write(style, namer))
+
+
 def render_tree_text(tree: TensionTree) -> str:
     """Indented branch layout: each node under its parent, root first."""
-    namer = tree.spec.var_name
-    lines = [f"h = {tree.seed.render(namer)}"]
-    for alpha, text in _rendered(tree, lambda node: node.render(namer)):
-        label = ",".join(str(a) for a in alpha)
-        lines.append("  " * len(alpha) + f"h^{len(alpha)}_({label}) = {text}")
+    lines = [
+        "  " * len(alpha) + f"{_label(_TEXT, alpha)} = {text}"
+        for alpha, text in _written(tree, _TEXT)
+    ]
     lines.append(f"degree = {tree.degree}")
     return "\n".join(lines)
 
 
 def render_tree_latex(tree: TensionTree) -> str:
     """One aligned line per node, paper-style labels h^{i}_{(alpha)}."""
-    namer = tree.spec.var_name
-
-    def node_tex(node: Node) -> str:
-        if isinstance(node, Polynomial):
-            return MixedExpr.from_polynomial(node).latex(namer)
-        return node.latex(namer)
-
-    lines = [rf"h &= {node_tex(tree.seed)} \\"]
-    for alpha, tex in _rendered(tree, node_tex):
-        label = ",".join(str(a) for a in alpha)
-        lines.append(rf"h^{{{len(alpha)}}}_{{({label})}} &= {tex} \\")
-    return "\n".join(lines)
+    return "\n".join(
+        rf"{_label(_LATEX, alpha)} &= {tex} \\" for alpha, tex in _written(tree, _LATEX)
+    )
 
 
 def _affine_to_json(g: AffinePart, n2: int) -> dict:

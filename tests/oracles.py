@@ -11,9 +11,10 @@ tree's images; the recurrence and certificate loops redo
 `recurrence_check`, `verify` and `verify_formal` with these operators; and
 the high-precision evaluator is a numeric signal beside the canonical zero
 test.  The module also holds small helpers only the tests use: the calculus
-on MixedExpr (d/dt, partial derivatives, t-shifts), exact polynomial
-evaluation, the total and homogeneous degrees, radial functions expanded as
-polynomials, structure constants and tree sums.
+on MixedExpr (d/dt, partial derivatives, t-shifts), the expressions t^mu
+log(t)^k, powers of sums by repeated products, exact polynomial evaluation,
+the total and homogeneous degrees, radial functions expanded as polynomials,
+structure constants and tree sums.
 """
 
 from __future__ import annotations
@@ -74,6 +75,24 @@ def mul_t_power(e: MixedExpr, shift: Fraction | int) -> MixedExpr:
     if not shift:
         return e
     return MixedExpr._wrap({(m, mu + shift, k): c for (m, mu, k), c in e.terms.items()})
+
+
+def t_power(mu: Fraction | int, logpow: int = 0) -> MixedExpr:
+    """t^mu * log(t)^logpow."""
+    return MixedExpr({(Monomial.one(), Fraction(mu), logpow): Fraction(1)})
+
+
+def log_t(power: int = 1) -> MixedExpr:
+    """log(t)^power."""
+    return t_power(0, power)
+
+
+def power(e: Polynomial | MixedExpr, n: int) -> Polynomial | MixedExpr:
+    """e^n as n products starting from one."""
+    out = type(e).one()
+    for _ in range(n):
+        out = out * e
+    return out
 
 
 def brute_ad_power(spec, i: int, j: int, r: int) -> dict[VarIndex, Polynomial]:
@@ -318,7 +337,7 @@ class VectorField:
 def left_invariant_fields(spec) -> tuple[VectorField, ...]:
     """The orthonormal frame: the grading field t d/dt, then one field per x^i_j."""
     fields = [
-        VectorField("A", MixedExpr.t_power(1), {})
+        VectorField("A", t_power(1), {})
     ]
     table = struct_polys(spec)
     for v in spec.variables():
@@ -465,7 +484,7 @@ def radial_polynomial(spec, f: RadialFunction) -> Polynomial:
     for (a, has_log), c in f.terms.items():
         if has_log or a < 0 or a % 2:
             raise ValueError("only even log-free powers expand to polynomials")
-        out = out + rho2 ** (a // 2) * c
+        out = out + power(rho2, a // 2) * c
     return out
 
 

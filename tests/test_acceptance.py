@@ -44,7 +44,9 @@ from oracles import (
     ch2_display_tau_as_printed,
     composition_identity_holds,
     kappa,
+    log_t,
     radial_polynomial,
+    t_power,
     tau_fast_x1,
     tau_fast_x1x2,
     tau_frame,
@@ -184,9 +186,9 @@ def _display_basis(ch2):
     x, y, z = VarIndex(1, 1), VarIndex(1, 2), VarIndex(2, 1)
     t_factors = (
         MixedExpr.one(),
-        MixedExpr.t_power(1),
-        MixedExpr.t_power(2),
-        MixedExpr.log_t(),
+        t_power(1),
+        t_power(2),
+        log_t(),
     )
     for dx in range(4):
         for dy in range(4 - dx):

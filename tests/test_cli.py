@@ -361,20 +361,49 @@ def test_radial_output_is_pinned(capsys, case, command, fmt, code, digest):
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
-# polynomial trees pinned byte for byte: (algebra, seed, format, sha256 of
-# stdout); ch2 z^16 has 4,179 nodes and only 79 distinct polynomials
+# polynomial output pinned byte for byte.  `tree` rows: (algebra, seed,
+# format, sha256 of stdout); ch2 z^16 has 4,179 nodes and only 79 distinct
+# polynomials.  `build` rows: (family, format, sha256 of stdout) of
+# BUILD_SEED on ch2, each family at p = 3 with BUILD_FAMILIES' arguments.
 TREE_DIGESTS = [
     ("ch2", "z^16", "json", "e742e06a9f50732d1f1f8590acd8848d33be1cfc6cf8877570f07722389b206e"),
+    ("ch2", "z^8", "text", "b9aa0e589d667516673cb402d8eb5856b20ece2810def3412ca5d1282bb16768"),
+    ("ch2", "z^8", "latex", "ba8a5240bc84e03b3714a08a1578aa3d5f37f7084637cc1ddd2eee29fd571a4c"),
+    ("ch4", "(x_1*y_2+z)^4", "text", "0b0c2ad82df532abe67c0b51c426a4049eca295d9aab18e866abbfbecf92814c"),
+    ("ch4", "(x_1*y_2+z)^4", "latex", "70b02a91b4d32641b54a589cc15892cc7f40111cc9f6bcb9cd01becd381f866c"),
+]
+BUILD_SEED = "x^2*z - 1/3*y"
+BUILD_FAMILIES = {
+    "phi": ("--kind", "phi"),
+    "psi": ("--kind", "psi"),
+    "combo": ("--kind", "combo", "--a", "2/3", "--b=-5/7"),
+}
+BUILD_DIGESTS = [
+    ("phi", "text", "9c9e7e501fdfd3b99abf56b8ef47e09cc44940e19cecc3e152c5130c869008e6"),
+    ("phi", "latex", "763ae5d5eddc23f09747d8bdb9823296ed9d96d60a0e9f919d2e462adc71ad9a"),
+    ("phi", "json", "87f2131fe097c666477e7d26d4f982831f64ed8e460e4870f852da2ececc8cdf"),
+    ("psi", "text", "bd00d5be023d818929574e1009fd350634acceda9738b753ce6317a066d056c0"),
+    ("psi", "latex", "03fca1d62ccc3ae97554f068c15097de9db2645efd7470f5eae4a416a9f28168"),
+    ("psi", "json", "7178a4f4ffcc19a96269f42e30c0b26671f701d1eeb263a56ee20ba234f52c65"),
+    ("combo", "text", "947ff507cd3042da0a9f2fb655bfc7321307f3b48bb39756306401b6f71af08f"),
+    ("combo", "latex", "07027fc6c6061964769ea9e2441b5e8518d88cca032061c21b8498f4a0ad706b"),
+    ("combo", "json", "6e0da610db9291e6f39712e5a7b48e5761fe99d7db9c73f42b98e1e02453e0f2"),
+]
+POLYNOMIAL_PINS = [(("tree",), *row) for row in TREE_DIGESTS] + [
+    (("build", *BUILD_FAMILIES[family], "--p", "3"), "ch2", BUILD_SEED, fmt, digest)
+    for family, fmt, digest in BUILD_DIGESTS
 ]
 
 
 @pytest.mark.parametrize(
-    "algebra, seed, fmt, digest",
-    TREE_DIGESTS,
-    ids=[":".join(entry[:3]) for entry in TREE_DIGESTS],
+    "command, algebra, seed, fmt, digest",
+    POLYNOMIAL_PINS,
+    ids=[":".join(entry[:3]) for entry in TREE_DIGESTS]
+    + [f"build:{family}:{fmt}" for family, fmt, _ in BUILD_DIGESTS],
 )
-def test_tree_output_is_pinned(capsys, algebra, seed, fmt, digest):
-    got, out, _ = run(capsys, "tree", "--algebra", algebra, "--seed", seed, "--format", fmt)
+def test_tree_output_is_pinned(capsys, command, algebra, seed, fmt, digest):
+    argv = [command[0], "--algebra", algebra, "--seed", seed, "--format", fmt, *command[1:]]
+    got, out, _ = run(capsys, *argv)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
@@ -529,6 +558,25 @@ def test_tree_view_past_budget_is_refused_but_builds(capsys, monkeypatch):
     code, out, err = run(capsys, "build", "--algebra", "ch2", "--seed", "z^28", "--kind", "psi", "--p", "2")
     assert code == 0 and err == "" and " + z^28*t^2*log(t)" in out
 
+
+
+# 2^15000 has 4,516 digits, past the interpreter's default limit of 4,300
+# on the digits of a printed integer
+@DIGIT_LIMIT
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tree", "--format", "text"),
+        ("tree", "--format", "latex"),
+        ("tree", "--format", "json"),
+        ("build", "--kind", "psi", "--p", "2"),
+    ],
+    ids=["tree-text", "tree-latex", "tree-json", "build-psi"],
+)
+def test_coefficient_too_long_to_print_is_budget_exceeded(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--algebra", "ch2", "--seed", "2^15000*z^2", *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[BudgetExceeded]") and "Traceback" not in err
 
 # --- argv fuzz: every input ends in exit 0, 1 or 2, never a traceback ---
 

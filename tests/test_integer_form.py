@@ -41,6 +41,7 @@ from oracles import (
     formal_certificate,
     formal_tau,
     recurrence_by_exprs,
+    t_power,
 )
 from test_algebra import filiform
 
@@ -268,7 +269,7 @@ def random_symbol_sum(tree, rng):
     symbols = [(), *tree.nodes, (9,)]
     return NodeSymbolExpr(
         {
-            alpha: MixedExpr.t_power(
+            alpha: t_power(
                 Fraction(rng.randint(-3, 4), rng.randint(1, 2)), rng.randint(0, 2)
             ) * rng.randint(-2, 3)
             for alpha in rng.sample(symbols, rng.randint(1, len(symbols)))

@@ -46,6 +46,7 @@ from oracles import (
     f_coeff,
     formal_tau,
     g_coeff,
+    log_t,
     realize,
     recurrence_by_exprs,
 )
@@ -395,8 +396,8 @@ def test_harmonic_seed_families(rh2):
     tree = tree_of(rh2, "x")  # degree 0
     assert tree.degree == 0
     for p in (1, 2, 3):
-        assert build_phi(rh2, tree, p) == parse("x", rh2) * MixedExpr.log_t(p - 1)
-        assert build_psi(rh2, tree, p) == parse("x*t", rh2) * MixedExpr.log_t(p - 1)
+        assert build_phi(rh2, tree, p) == parse("x", rh2) * log_t(p - 1)
+        assert build_psi(rh2, tree, p) == parse("x*t", rh2) * log_t(p - 1)
 
 
 def test_psi1_simple_seed(rh2):
@@ -553,7 +554,7 @@ def test_formal_render_takes_the_namer(rh3, ch2):
 
 def test_formal_root_log_alone_exceeds(rh3):
     tree = radial_tree(rh3, {(2, True): 1})
-    e = NodeSymbolExpr({(): MixedExpr.log_t()})
+    e = NodeSymbolExpr({(): log_t()})
     cert = verify_formal(rh3, e, tree, 1)
     assert cert.verified_order is None and not cert.proper
 

@@ -9,7 +9,7 @@ from polyharm import MixedExpr, NodeSymbolExpr, Polynomial, VarIndex
 from polyharm.poly import Monomial
 
 from conftest import random_mixed_expr, random_polynomial
-from oracles import MissingAssignment, evaluate, homogeneous_degree, total_degree
+from oracles import MissingAssignment, evaluate, homogeneous_degree, power, total_degree
 
 X = VarIndex(1, 1)
 Y = VarIndex(1, 2)
@@ -118,7 +118,7 @@ def test_render_deterministic():
 
 
 def test_pow_and_degree():
-    p = (var(X) + var(Y)) ** 3
+    p = power(var(X) + var(Y), 3)
     assert total_degree(p) == 3
     assert p.terms[Monomial([(X, 2), (Y, 1)])] == 3
     assert total_degree(Polynomial.zero()) == 0

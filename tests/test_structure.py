@@ -12,7 +12,9 @@ tree's `.nodes` view or calls `.branches()`.  Nothing is exported that
 nothing calls: every name `__init__.py` imports is referenced by another
 module of the package, a script or the benchmark harness.  A cold command
 pays for no machinery it does not use: importing `polyharm.cli` loads
-neither `dataclasses` nor `inspect`.
+neither `dataclasses` nor `inspect`.  LaTeX is spelled in one place: no
+module but `poly.py`, which holds the writer's style table, has a LaTeX
+token in a string constant.
 """
 
 import ast
@@ -113,6 +115,21 @@ def multi_index_reads(module: ast.Module) -> list[int]:
     ]
 
 
+LATEX_TOKENS = ("\\frac", "\\left", "\\right", "\\log", "\\rho", "\\,")
+
+
+def latex_tokens(module: ast.Module) -> list[int]:
+    """Lines of string constants, f-string parts included, that hold a
+    LaTeX token."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(module)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and any(token in node.value for token in LATEX_TOKENS)
+    })
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_source_structure(path):
     module = tree_of(path)
@@ -124,6 +141,8 @@ def test_source_structure(path):
         assert operator_references(module, reexport=path.name == "__init__.py") == []
     if path.name == "pharmonic.py":
         assert multi_index_reads(module) == []
+    if path.name != "poly.py":
+        assert latex_tokens(module) == []
 
 
 def test_accumulate_check_sees_a_pasted_loop():
@@ -144,6 +163,16 @@ def test_multi_index_check_sees_a_read_of_the_view():
     injected = "node = tree.nodes[alpha]\nfor alpha in tree.branches():\n    pass\n"
     assert multi_index_reads(ast.parse(injected)) == [1, 2]
     assert multi_index_reads(ast.parse("node = tree.states[s].node\nnodes = []\n")) == []
+
+
+def test_latex_check_sees_a_token():
+    injected = (
+        'half = r"\\frac{1}{2}"\n'
+        'pair = rf"\\left({a}\\right) \\, {b}"\n'
+        'doc = "log(t), rho and h^{1}_{(1)} are plain text"\n'
+        'tex = r"\\log(\\rho)"\n'
+    )
+    assert latex_tokens(ast.parse(injected)) == [1, 2, 4]
 
 
 def references(module: ast.Module) -> set[str]:
