@@ -118,7 +118,7 @@ def _emit_built(built: Built, tree: TensionTree, fmt: str) -> str:
         return json.dumps({"expr": built.render(namer)}, sort_keys=True)
     formal = [
         {"alpha": list(alpha), "coefficient": coeff.render()}
-        for alpha, coeff in sorted(built.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        for alpha, coeff in built.sorted_terms()
     ]
     return json.dumps({"formal": formal}, sort_keys=True)
 

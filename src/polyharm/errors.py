@@ -88,9 +88,10 @@ class BudgetExceeded(PolyharmError):
     - term: a power of a sum that may expand past `expr._TERM_BUDGET` terms;
     - view: a tree whose multi-index view would list more than
       `tension._VIEW_BUDGET` nodes (its states still build and certify);
-    - coefficient: a power of a constant past `expr._BIT_BUDGET` bits, or a
-      coefficient with more digits than the interpreter prints
-      (`scalar.format_rational`)."""
+    - coefficient: a power of a constant past `expr._BIT_BUDGET` bits, a
+      power of a sum whose term bound times the bits of its longest
+      coefficient's power passes 100 times that, or a coefficient with more
+      digits than the interpreter prints (`scalar.format_rational`)."""
 
 
 class KindMismatch(PolyharmError):

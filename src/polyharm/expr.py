@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 
 from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, ParseError
-from .poly import _LATEX, Monomial, Polynomial, Sparse, _factors, _power, _Style, _sum
+from .poly import _LATEX, Monomial, Polynomial, Sparse, _factors, _graded, _power, _Style, _sum
 from .scalar import _acc, decimal_int
 
 # key: (monomial, t-exponent, log-power)
@@ -33,6 +33,8 @@ Key = tuple[Monomial, Fraction, int]
 
 class MixedExpr(Sparse):
     __slots__ = ()
+    # written order: by monomial, then rising t-power and log power
+    _order = staticmethod(lambda key: (_graded(key[0]), key[1], key[2]))
 
     def __init__(self, terms: Mapping[Key, Fraction] | None = None):
         clean: dict[Key, Fraction] = {}
@@ -83,13 +85,6 @@ class MixedExpr(Sparse):
         return self._wrap(out)
 
     # --- rendering ---
-
-    def sorted_terms(self) -> list[tuple[Key, Fraction]]:
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][0], -kv[0][1], -kv[0][2]),
-            reverse=True,
-        )
 
     def _write(self, style: _Style, namer: Callable[[VarIndex], str]) -> str:
         terms = []
@@ -159,20 +154,28 @@ class _Tokenizer:
 _TERM_BUDGET = 2_000
 
 
-def _check_power(terms: int, e: int) -> None:
-    """Refuse a power of a `terms`-term sum whose term bound passes
-    `_TERM_BUDGET`, before expanding it.  The bound is built up one factor
-    at a time, C(n - k + i, i) for i = 1..k, and stops once past the budget,
-    so a huge e or a long sum costs at most a few steps."""
-    n, k = terms + e - 1, min(terms - 1, e)
+def _check_power(terms: dict[Key, Fraction], e: int) -> None:
+    """Refuse a power of a sum before expanding it when its term bound passes
+    `_TERM_BUDGET`, or when the term bound times the bits of its longest
+    coefficient's power (`_bits` * e) passes 100 * `_BIT_BUDGET`, as
+    (2^50*x1_1 + 3^31*x1_2)^1999 would: 2,000 terms of ~100,000 bits.  The
+    term bound is built up one factor at a time, C(n - k + i, i) for
+    i = 1..k, and stops once past the budget."""
+    count = len(terms)
+    n, k = count + e - 1, min(count - 1, e)
     bound = 1
     for i in range(1, k + 1):
         bound = bound * (n - k + i) // i
         if bound > _TERM_BUDGET:
             raise BudgetExceeded(
-                f"a power of a {terms}-term sum to the {e} may expand to more than "
+                f"a power of a {count}-term sum to the {e} may expand to more than "
                 f"{_TERM_BUDGET} terms; the term budget is {_TERM_BUDGET}"
             )
+    if bound * max(map(_bits, terms.values())) * e > 100 * _BIT_BUDGET:
+        raise BudgetExceeded(
+            f"a power of a {count}-term sum to the {e} passes the coefficient budget "
+            f"of {100 * _BIT_BUDGET} bits for a whole expansion"
+        )
 
 
 # The deepest nesting of parenthesized groups the parser accepts.  Each level
@@ -197,11 +200,17 @@ _LOG: _Term = (_ONE, _ONE_MONO, _ZERO, 1)
 _BIT_BUDGET = 100_000
 
 
+def _bits(c: Fraction) -> int:
+    """Bit length - 1 of c's longer part: (bits - 1) * e is a lower bound on
+    the bits of c**e."""
+    return max(c.numerator.bit_length(), c.denominator.bit_length()) - 1
+
+
 def _term_power(term: _Term, e: int) -> _Term:
     """term^e; a coefficient whose power passes `_BIT_BUDGET` is refused
     before the power is made."""
     c, mono, mu, logpow = term
-    if (max(c.numerator.bit_length(), c.denominator.bit_length()) - 1) * e > _BIT_BUDGET:
+    if _bits(c) * e > _BIT_BUDGET:
         raise BudgetExceeded(
             f"a power of a constant passes the coefficient budget of {_BIT_BUDGET} bits"
         )
@@ -320,7 +329,7 @@ class _Parser:
             e = int(exponent)
             if type(base) is tuple:
                 return _term_power(base, e)
-            _check_power(len(base.terms), e)
+            _check_power(base.terms, e)
             return MixedExpr._wrap(_sum_power(base.terms, e))
         return base
 

@@ -20,15 +20,16 @@ same recurrence over the state's in-edges (`_Rows`).  These state rows are
 exact integer pairs, made once per tree and family and extended in place as
 p grows (`_rows`, kept in `TensionTree.rows`); one row serves every p up to
 its length.  Their weighted sums over one denominator give each state's
-coefficient (`_coefficients`), and the family member is sum_S node_S times
-the coefficient of S.  For a polynomial tree the products with the node
-monomials run on integers straight into the operator's integer form
-(`laplacian.Form`, `_concrete_form`) and `build_phi`/`build_psi` convert it
-to a MixedExpr once.  A radial tree's nodes are not polynomial, so its build
-stays keyed by state (`_state_form`) and converts to the formal sum
-`NodeSymbolExpr`, a `poly.Sparse` like MixedExpr, each state named by its
-multi-index.  Phi raises Resonance at the least alpha, in lexicographic
-order (the order of `TensionTree.nodes`), of any state with 2 Lambda = n.
+coefficient (`_coefficients`), and the family member, in integer form keyed
+by state (`_state_form`), is sum_S node_S times the coefficient of S.  One
+substitution puts the nodes in, for both tree kinds: `realize` runs on
+integers over the tree's node table (`TensionTree.integer_nodes`), keyed by
+(basis function, exponent id, log power) and reduced once, and never asks
+what a node is.  A polynomial tree's build is its realization as a
+MixedExpr; a radial tree's stays keyed by state and converts to the formal
+sum `NodeSymbolExpr`, each state named by its multi-index.  Phi raises
+Resonance at the least alpha, in lexicographic order (the order of
+`TensionTree.nodes`), of any state with 2 Lambda = n.
 
 Certification never trusts the construction, and both tree kinds run on the
 one kernel `laplacian.tau_form`.  `verify` iterates it exactly on the
@@ -37,17 +38,16 @@ converting only the two residuals the certificate keeps, and reports the
 least vanishing order; it is the independent check on the state
 construction.  `verify_formal` iterates it on a form keyed by state under
 the tree's state images (the tree rule tau(h_S) = sum_k h_(S,k)
-t^(2 lambda_k)) and decides each iterate by substituting the actual nodes
-and testing the realized function for zero in canonical form (`realize`).
-`recurrence_check` tests the two-step iteration identities the families
-satisfy on states: one integer sum over the state-keyed forms of tau(f_p),
-f_(p-1) and f_(p-2), with tau under the state images.  The tree rule holds
-by construction, so a sum that vanishes state by state proves the
-identity; only a sum that does not is realized.  `certify` routes by
-`tree.kind`.  Every order p is checked against the budget `_P_BUDGET`
-before a row is made or the operator applied.  A form's ids are valid only
-inside the public call that made it, since `Tables.bound_images` runs at
-the entry of each.
+t^(2 lambda_k)) and decides each iterate by whether its realization
+(`realize`) has a term.  `recurrence_check` tests the two-step iteration
+identities the families satisfy on states: one integer sum over the
+state-keyed forms of tau(f_p), f_(p-1) and f_(p-2), with tau under the state
+images.  The tree rule holds by construction, so a sum that vanishes state
+by state proves the identity; only a sum that does not is realized.
+`certify` routes by `tree.kind`.  Every order p is checked against the
+budget `_P_BUDGET` before a row is made or the operator applied.  A form's
+ids are valid only inside the public call that made it, since
+`Tables.bound_images` runs at the entry of each.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, KindMismatch, Resonance, ZeroCombination
 from .expr import MixedExpr
 from .laplacian import Form, Tables, reduced, tables_of, tau_form, to_expr, to_form
-from .poly import _LATEX, Monomial, Polynomial, Sparse, _label, _Style
+from .poly import _LATEX, Monomial, Sparse, _label, _Style
 from .scalar import _acc
-from .tension import MultiIndex, Node, TensionTree
+from .tension import MultiIndex, TensionTree
 
 
 # --- branch rows, per state ---
@@ -201,11 +201,12 @@ class NodeSymbolExpr(Sparse):
     """
 
     __slots__ = ()
+    _order = staticmethod(lambda alpha: (len(alpha), alpha))  # by depth, then lexicographic
 
     def _write(self, style: _Style, namer: Callable[[VarIndex], str]) -> str:
         return " + ".join(
-            style.symbol.format(_label(style, alpha), self.terms[alpha]._write(style, namer))
-            for alpha in sorted(self.terms, key=lambda a: (len(a), a))
+            style.symbol.format(_label(style, alpha), coeff._write(style, namer))
+            for alpha, coeff in self.sorted_terms()
         ) or "0"
 
     def latex(self, namer: Callable[[VarIndex], str] | None = None) -> str:
@@ -277,16 +278,20 @@ def build_psi(spec: AlgebraSpec, tree: TensionTree, p: int) -> Built:
 
 
 def _build(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> Built:
-    """The state rows times their weights (`_coefficients`), times the nodes:
-    a MixedExpr for a polynomial tree (`_concrete_form`), the formal
-    node-symbol sum for a radial one."""
+    """The state rows times their weights (`_coefficients`), keyed by state:
+    for a polynomial tree with the nodes substituted (`realize`), as a
+    MixedExpr, for a radial one as the formal node-symbol sum."""
     _check_p(p)
     tables = tables_of(spec)
     tables.bound_images()
-    coefficients = _coefficients(spec, tables, tree, p, family)
+    form = _state_form(_coefficients(spec, tables, tree, p, family))
     if tree.kind == "radial":
-        return _symbols(tables, tree, _state_form(coefficients))
-    return to_expr(tables, _concrete_form(tables, tree, coefficients))
+        return _symbols(tables, tree, form)
+    d, terms = realize(tree, form)
+    monomials, exponents = tree.integer_nodes[1], tables.exponents
+    return MixedExpr._wrap({
+        (monomials[b], exponents[e], k): Fraction(v, d) for (b, e, k), v in terms.items()
+    })
 
 
 # A family member's coefficients: (W, exponent id per state, per state
@@ -326,27 +331,6 @@ def _state_form(coefficients: _Coefficients) -> Form:
     return w, {
         (s, e, k): u for s, (e, scaled) in enumerate(zip(ids, states)) for k, u in scaled
     }
-
-
-def _concrete_form(tables: Tables, tree: TensionTree, coefficients: _Coefficients) -> Form:
-    """The family member of a polynomial tree in integer form: node
-    coefficients over their common denominator D (`TensionTree.integer_nodes`)
-    times the state coefficients over W, summed on integers keyed by
-    (monomial id, exponent id, log power) and reduced once over D * W."""
-    w, exponent_ids, states = coefficients
-    d, nodes = tree.integer_nodes
-    ids = tables.monomial_ids
-    out: dict[tuple, int] = {}
-    get = out.get
-    for terms, e, scaled in zip(nodes, exponent_ids, states):
-        for mono, c in terms:
-            m = ids.get(mono)
-            if m is None:
-                m = tables.monomial_id(mono)
-            for k, u in scaled:
-                key = (m, e, k)
-                out[key] = get(key, 0) + c * u
-    return reduced(d * w, out)
 
 
 def combine(a: Fraction, b: Fraction, phi: Built, psi: Built) -> Built:
@@ -437,32 +421,21 @@ def verify(
     )
 
 
-def _node_terms(node: Node) -> dict:
-    """A node as a sparse map from independent x-basis functions to their
-    coefficients: monomials for a polynomial node; for a radial node
-    H(rho) * G(x^2), the products rho^a log(rho)^b * (monomial of G)."""
-    if isinstance(node, Polynomial):
-        return node.terms
-    g = node.affine.to_polynomial()
-    return {
-        (a, has_log, mono): c * c_g
-        for (a, has_log), c in node.radial.terms.items()
-        for mono, c_g in g.terms.items()
-    }
-
-
-def realize(tree: TensionTree, form: Form) -> dict:
-    """Substitute the tree's nodes for the symbols of a form keyed by state:
-    sum_S c_S(t) * node_S, in canonical sparse form keyed by (x-basis
-    function, exponent id, log power) over the form's denominator.  The basis
-    functions are linearly independent, so the map is empty exactly when the
-    function is zero."""
-    out: dict = {}
-    states = tree.states
-    for (s, e, k), v in form[1].items():
-        for basis, c_x in _node_terms(states[s].node).items():
-            _acc(out, (basis, e, k), c_x * v)
-    return out
+def realize(tree: TensionTree, form: Form) -> Form:
+    """Substitute the tree's nodes for the states of a form keyed by state:
+    sum_S c_S(t) * node_S on integers, keyed by (basis index, exponent id,
+    log power) over the tree's node table (`TensionTree.integer_nodes`) and
+    reduced once.  The basis functions are linearly independent, so the
+    form has no terms exactly when the function is zero."""
+    w, terms = form
+    d, _, nodes = tree.integer_nodes
+    out: dict[tuple, int] = {}
+    get = out.get
+    for (s, e, k), u in terms.items():
+        for b, c in nodes[s]:
+            key = (b, e, k)
+            out[key] = get(key, 0) + c * u
+    return reduced(d * w, out)
 
 
 def verify_formal(
@@ -489,7 +462,7 @@ def verify_formal(
     images = tree.images
 
     def realized(form: Form) -> Form:
-        return form if realize(tree, form) else (1, {})
+        return form if realize(tree, form)[1] else (1, {})
 
     return _certify(
         kind, p, seed, realized(_symbol_form(tables, tree, e)),
@@ -570,7 +543,7 @@ def _recurrence_holds(
     if p >= 3:
         parts.append((member(p - 2), -(p - 1) * (p - 2), 1))
     residual = _combination(parts)
-    return not residual[1] or not realize(tree, residual)
+    return not residual[1] or not realize(tree, residual)[1]
 
 
 def _combination(parts: list[tuple[Form, int, int]]) -> Form:

@@ -28,14 +28,12 @@ by tension trees) and bracketed products.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .algebra import VarIndex
 from .scalar import _acc, format_rational
 
 
-@total_ordering
 class Monomial:
     """Product of coordinate powers; the empty product is the constant monomial."""
 
@@ -61,19 +59,6 @@ class Monomial:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __lt__(self, other: "Monomial") -> bool:
-        # graded lex: lower total degree first; ties broken so that a higher
-        # power of the earliest differing variable sorts later ("larger").
-        if self.degree != other.degree:
-            return self.degree < other.degree
-        a = dict(self.exps)
-        b = dict(other.exps)
-        for v in sorted(set(a) | set(b)):
-            ea, eb = a.get(v, 0), b.get(v, 0)
-            if ea != eb:
-                return ea < eb
-        return False
 
     @property
     def degree(self) -> int:
@@ -116,14 +101,22 @@ class Monomial:
 _ONE_MONOMIAL = Monomial()
 
 
+def _graded(mono: Monomial) -> tuple:
+    """The written order of monomials, graded lexicographic: higher total
+    degree first, then the higher power of the earliest variable where two
+    monomials differ."""
+    return -mono.degree, tuple((v.layer, v.slot, -e) for v, e in mono.exps)
+
+
 class Sparse:
     """A finite sum: `terms` maps each key to its nonzero coefficient.
 
     Subclasses give the constructors, the product of two sums (`_times`),
-    the derivatives and the written form (`_write`, behind `render`); the
-    ring operations here only add and scale coefficients, so they serve
-    every kind of key.  Equal sums have equal
-    `terms`, so the zero test and equality are exact.
+    the derivatives, the written form (`_write`, behind `render`) and the
+    written order of their keys (`_order`, behind `sorted_terms`); the ring
+    operations here only add and scale coefficients, so they serve every
+    kind of key.  Equal sums have equal `terms`, so the zero test and
+    equality are exact.
     """
 
     __slots__ = ("terms",)
@@ -175,6 +168,11 @@ class Sparse:
 
     __rmul__ = __mul__
 
+    def sorted_terms(self) -> list:
+        """The terms in written order, by the class's key order `_order`."""
+        order = self._order
+        return sorted(self.terms.items(), key=lambda kv: order(kv[0]))
+
     def render(self, namer: Callable[[VarIndex], str] = str) -> str:
         return self._write(_TEXT, namer)
 
@@ -183,6 +181,7 @@ class Polynomial(Sparse):
     """Canonical sparse polynomial: map monomial -> nonzero Fraction."""
 
     __slots__ = ()
+    _order = staticmethod(_graded)
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -214,9 +213,6 @@ class Polynomial(Sparse):
         for mono in self.terms:
             out |= mono.layers()
         return out
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     # --- product and calculus ---
 

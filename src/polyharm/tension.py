@@ -2,24 +2,27 @@
 
     tau(h^i_alpha) = sum_k h^{i+1}_{(alpha,k)} * t^(2 lambda_k).
 
-A polynomial node is expanded by the one operator kernel `laplacian.tau_form`
-on its integer form, and each child is read off the image by exponent id: the
-id of 2 lambda_k names layer k, which is well defined because the eigenvalues
-are distinct and nodes are t-independent.
+Both seed kinds grow through one expander (`_grow`), told only the children
+of a node.  A polynomial node is expanded by the one operator kernel
+`laplacian.tau_form` on its integer form, and each child is read off the
+image by exponent id: the id of 2 lambda_k names layer k, which is well
+defined because the eigenvalues are distinct and nodes are t-independent.  A
+radial node H(|x^1|) G(x^2), H in the rho-span and G affine, has the one
+child Lap(H) G at layer 1 by the closed-form radial Laplacian, and never
+touches the full operator.
 
-The children of a node depend only on its polynomial, so a tree is stored as
-its DAG of states (`State`): a state S = (node polynomial, Lambda) stands for
-every multi-index alpha with that node and Lambda_alpha = sum of lambda_k
-along alpha, and S has an edge to the state of (alpha, k) for each layer k.
-`tension_tree` expands states breadth-first, never multi-indices, and each
-distinct node polynomial once (a dict local to the call).  Each state keeps
-its least alpha and its number of multi-indices, which give `Resonance` its
-alpha and `node_count` its value; the alpha-keyed view `TensionTree.nodes`
-is derived only for rendering and JSON, under a budget (ch2 z^24 has 196,416
-multi-indices in 168 states).  Polynomial seeds always terminate; the radial
-x^1-power seeds of the rho-span (times an affine function of the x^2
-variables) produce single-branch trees via the closed-form radial Laplacian,
-a chain whose states are its nodes, and never touch the full operator.
+The children of a node depend only on the node, so a tree is stored as its
+DAG of states (`State`): a state S = (node, Lambda) stands for every
+multi-index alpha with that node and Lambda_alpha = sum of lambda_k along
+alpha, and S has an edge to the state of (alpha, k) for each layer k.  The
+expander runs breadth-first over states, never multi-indices, and expands
+each distinct node once.  Each state keeps its least alpha and its number of
+multi-indices, which give `Resonance` its alpha and `node_count` its value;
+the alpha-keyed view `TensionTree.nodes` is derived only for rendering and
+JSON, under a budget (ch2 z^24 has 196,416 multi-indices in 168 states).
+The tree also holds its nodes on integers, one table for both kinds
+(`TensionTree.integer_nodes`): each node's `terms` map x-basis functions
+(monomials, or rho^a log(rho)^b times a monomial of G) to coefficients.
 """
 
 from __future__ import annotations
@@ -160,6 +163,17 @@ class RadialSeed(NamedTuple):
     def is_zero(self) -> bool:
         return self.radial.is_zero() or self.affine.is_zero()
 
+    @property
+    def terms(self) -> dict[tuple[int, bool, Monomial], Fraction]:
+        """The node on independent x-basis functions, rho^a log(rho)^b *
+        (monomial of G), as `Polynomial.terms` is on monomials."""
+        g = self.affine.to_polynomial().terms
+        return {
+            (a, has_log, mono): c * c_g
+            for (a, has_log), c in self.radial.terms.items()
+            for mono, c_g in g.items()
+        }
+
     def _write(self, style: _Style, namer: Callable[[VarIndex], str]) -> str:
         h = self.radial._write(style)
         if self.affine.is_constant() and self.affine.constant == 1:
@@ -268,55 +282,21 @@ class TensionTree(Record):
         }
 
     @cached_property
-    def integer_nodes(self) -> tuple[int, list[list[tuple[Monomial, int]]]]:
-        """A polynomial tree's state nodes as (D, [[(monomial, numerator
-        over D), ...] per state]), D the common denominator of every
-        coefficient."""
+    def integer_nodes(self) -> tuple[int, list, list[list[tuple[int, int]]]]:
+        """The state nodes on integers, for both kinds: (D, basis, [[(basis
+        index, numerator over D), ...] per state]), D the common denominator
+        of every coefficient and `basis` the keys of the nodes' `terms`
+        (monomials, or rho^a log(rho)^b times a monomial of G) in order of
+        first use."""
         nodes = [state.node.terms for state in self.states]
         d = lcm(*(c.denominator for terms in nodes for c in terms.values()))
-        return d, [
-            [(mono, c.numerator * (d // c.denominator)) for mono, c in terms.items()]
+        index: dict = {}
+        rows = [
+            [(index.setdefault(f, len(index)), c.numerator * (d // c.denominator))
+             for f, c in terms.items()]
             for terms in nodes
         ]
-
-
-def _tree(
-    spec: AlgebraSpec,
-    kind: str,
-    found: list[tuple[Node, int]],
-    edges: list[dict[int, int]],
-    scale: int,
-    bound: int,
-) -> TensionTree:
-    """The tree of the states an expansion found: `found[i]` is the node and
-    Lambda, in units of 1/scale, of state i, the seed's first, and `edges[i]`
-    its children by layer.  Every edge raises Lambda, so ordering by Lambda puts parents
-    before children; least alpha, path counts and depths then follow in one
-    pass.  A depth past `bound` means an operator bug."""
-    order = sorted(range(len(found)), key=lambda i: found[i][1])
-    renamed = {old: new for new, old in enumerate(order)}
-    children = [{k: renamed[c] for k, c in sorted(edges[old].items())} for old in order]
-    least: list[MultiIndex | None] = [()] + [None] * (len(order) - 1)
-    paths = [1] + [0] * (len(order) - 1)
-    depth = [0] * len(order)
-    parents: list[list[int]] = [[] for _ in order]
-    for s, kids in enumerate(children):
-        for k, c in kids.items():
-            alpha = least[s] + (k,)
-            if least[c] is None or alpha < least[c]:
-                least[c] = alpha
-            paths[c] += paths[s]
-            depth[c] = max(depth[c], depth[s] + 1)
-            parents[c].append(s)
-    degree = max(depth)
-    _check_depth(degree, bound)
-    states = tuple(
-        State(found[old][0], found[old][1], least[s], children[s], tuple(parents[s]), paths[s])
-        for s, old in enumerate(order)
-    )
-    return TensionTree(
-        spec=spec, kind=kind, seed=found[0][0], states=states, scale=scale, degree=degree
-    )
+        return d, list(index), rows
 
 
 def _expand(tables: Tables, node: Polynomial, layers: dict[int, int]) -> dict[int, Polynomial]:
@@ -366,8 +346,78 @@ def _check_depth(depth: int, bound: int) -> None:
         )
 
 
+def _grow(
+    spec: AlgebraSpec,
+    kind: str,
+    seed: Node,
+    children_of: Callable[[Node], dict[int, Node]],
+    bound: int,
+) -> TensionTree:
+    """The tree of `seed`, breadth-first over states: `children_of` gives a
+    node's nonzero children by layer, once per distinct node, and a state is
+    keyed by the id of its node and its Lambda in units of 1/scale (the lcm
+    of the eigenvalue denominators), so no node or Fraction is hashed per
+    edge.  Every edge raises Lambda, so ordering the states by Lambda puts
+    parents before children; least alpha, path counts and depths then follow
+    in one pass.  A level or a depth past `bound` means an operator bug."""
+    scale = lcm(*(lam.denominator for lam in spec.lambdas))
+    steps = {
+        k: lam.numerator * (scale // lam.denominator) for k, lam in enumerate(spec.lambdas, 1)
+    }
+    distinct: dict[Node, Node] = {seed: seed}
+    expanded: dict[int, dict[int, Node]] = {}
+    found: list[tuple[Node, int]] = [(seed, 0)]
+    index = {(id(seed), 0): 0}
+    edges: list[dict[int, int]] = [{}]
+    frontier = [0]
+    depth = 0
+    while frontier:
+        _check_depth(depth, bound)
+        next_frontier = []
+        for s in frontier:
+            node, lam = found[s]
+            children = expanded.get(id(node))
+            if children is None:
+                children = expanded[id(node)] = {
+                    k: distinct.setdefault(child, child) for k, child in children_of(node).items()
+                }
+            for k, child in children.items():
+                key = (id(child), lam + steps[k])
+                c = index.get(key)
+                if c is None:
+                    c = index[key] = len(found)
+                    found.append((child, key[1]))
+                    edges.append({})
+                    next_frontier.append(c)
+                edges[s][k] = c
+        frontier = next_frontier
+        depth += 1
+    order = sorted(range(len(found)), key=lambda i: found[i][1])
+    renamed = {old: new for new, old in enumerate(order)}
+    children = [{k: renamed[c] for k, c in sorted(edges[old].items())} for old in order]
+    least: list[MultiIndex | None] = [()] + [None] * (len(order) - 1)
+    paths = [1] + [0] * (len(order) - 1)
+    depths = [0] * len(order)
+    parents: list[list[int]] = [[] for _ in order]
+    for s, kids in enumerate(children):
+        for k, c in kids.items():
+            alpha = least[s] + (k,)
+            if least[c] is None or alpha < least[c]:
+                least[c] = alpha
+            paths[c] += paths[s]
+            depths[c] = max(depths[c], depths[s] + 1)
+            parents[c].append(s)
+    degree = max(depths)
+    _check_depth(degree, bound)
+    states = tuple(
+        State(found[old][0], found[old][1], least[s], children[s], tuple(parents[s]), paths[s])
+        for s, old in enumerate(order)
+    )
+    return TensionTree(spec, kind, seed, states, scale, degree)
+
+
 def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
-    """Full tree of a polynomial seed, expanded state by state.
+    """Full tree of a polynomial seed, each node expanded by `_expand`.
 
     Terminates for every polynomial: validation enforces the grading rule, so
     the child at t^(2 lambda_k) has weighted degree (sum of lambda_layer *
@@ -375,9 +425,6 @@ def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
     parent's, and the depth is at most the seed's weighted degree over
     2 lambda_1.  A node past that bound means an operator bug; a bound past
     `_DEPTH_BUDGET` raises BudgetExceeded before any level is expanded.
-    The expansion runs breadth-first over states (node, Lambda), never over
-    multi-indices, and each distinct node polynomial is expanded once
-    (`_expand`), so states that share a node share its `Polynomial`.
     """
     for v_layer in h.layers_used():
         if not 1 <= v_layer <= spec.m:
@@ -391,55 +438,21 @@ def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
     tables = tables_of(spec)
     tables.bound_images()
     layers = {tables.exponent_id(shift): k for k, shift in enumerate(tables.shifts, 1)}
-    # states are keyed by the id of a distinct node polynomial and by Lambda
-    # in units of 1/scale, so no polynomial or Fraction is hashed per edge
-    scale = lcm(*(lam.denominator for lam in spec.lambdas))
-    steps = {
-        k: lam.numerator * (scale // lam.denominator) for k, lam in enumerate(spec.lambdas, 1)
-    }
-    distinct: dict[Polynomial, Polynomial] = {h: h}
-    expanded: dict[int, dict[int, Polynomial]] = {}
-    found: list[tuple[Polynomial, int]] = [(h, 0)]
-    index = {(id(h), 0): 0}
-    edges: list[dict[int, int]] = [{}]
-    frontier = [0]
-    depth = 0
-    while frontier:
-        _check_depth(depth, bound)
-        next_frontier = []
-        for s in frontier:
-            node, lam = found[s]
-            children = expanded.get(id(node))
-            if children is None:
-                children = expanded[id(node)] = {
-                    k: distinct.setdefault(child, child)
-                    for k, child in _expand(tables, node, layers).items()
-                }
-            for k, child in children.items():
-                key = (id(child), lam + steps[k])
-                c = index.get(key)
-                if c is None:
-                    c = index[key] = len(found)
-                    found.append((child, key[1]))
-                    edges.append({})
-                    next_frontier.append(c)
-                edges[s][k] = c
-        frontier = next_frontier
-        depth += 1
-    return _tree(spec, "polynomial", found, edges, scale, bound)
+    return _grow(spec, "polynomial", h, lambda node: _expand(tables, node, layers), bound)
 
 
 def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:
-    """Single-branch tree of H(|x^1|) G(x^2): node i is Lap^i(H) * G, so its
-    states are its nodes, a chain along layer 1.
+    """Single-branch tree of H(|x^1|) G(x^2): the child of H * G is
+    Lap(H) * G at layer 1, none once Lap(H) or G is zero, so node i is
+    Lap^i(H) * G and the states are the nodes, a chain along layer 1.
 
     Each Laplacian lowers every rho-power by 2 down to its harmonic floor, 0
     or 2 - n1, so the depth is at most (max a - min(0, 2 - n1)) // 2; a node
     past that bound means an operator bug, and a bound past `_DEPTH_BUDGET`
-    raises BudgetExceeded.  The layer-1/2 cross terms of the operator annihilate on radial x affine
-    functions because the first-layer bracket constants are antisymmetric in
-    the two layer-1 slots; validation rejects a self-bracket [X, X], so the
-    diagonal constants vanish on every algebra spec.
+    raises BudgetExceeded.  The layer-1/2 cross terms of the operator
+    annihilate on radial x affine functions because the first-layer bracket
+    constants are antisymmetric in the two layer-1 slots; validation rejects
+    a self-bracket [X, X], so the diagonal constants vanish on every spec.
     """
     if seed.radial.n1 != spec.dim(1):
         raise BadParams(
@@ -453,19 +466,17 @@ def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:
             )
         for slot, _ in seed.affine.linear:
             spec.check_index(VarIndex(2, slot))
-    n1, lam = seed.radial.n1, spec.lam(1)
+    n1 = seed.radial.n1
     bound = (max((a for a, _ in seed.radial.terms), default=0) - min(0, 2 - n1)) // 2
     _check_budget(bound)
-    found: list[tuple[Node, int]] = [(seed, 0)]
-    current = seed.radial
-    while not seed.is_zero():
-        current = current.laplacian()
-        if current.is_zero():
-            break
-        _check_depth(len(found), bound)
-        found.append((RadialSeed(radial=current, affine=seed.affine), len(found) * lam.numerator))
-    edges = [{1: s + 1} for s in range(len(found) - 1)] + [{}]
-    return _tree(spec, "radial", found, edges, lam.denominator, bound)
+
+    def child(node: RadialSeed) -> dict[int, RadialSeed]:
+        if node.affine.is_zero():
+            return {}
+        lap = node.radial.laplacian()
+        return {} if lap.is_zero() else {1: RadialSeed(radial=lap, affine=node.affine)}
+
+    return _grow(spec, "radial", seed, child, bound)
 
 
 # --- rendering ---

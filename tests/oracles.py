@@ -41,7 +41,6 @@ from polyharm import (
     build_psi,
     struct_polys,
 )
-from polyharm.pharmonic import _node_terms
 from polyharm.poly import Monomial
 from polyharm.scalar import _acc
 
@@ -671,6 +670,23 @@ def formal_tau(spec, tree: TensionTree, e: NodeSymbolExpr) -> NodeSymbolExpr:
     return NodeSymbolExpr._wrap(out)
 
 
+def node_basis(node) -> dict:
+    """A node as a sparse map from independent x-basis functions to their
+    coefficients, expanded here apart from the package: the monomials of a
+    polynomial node; for a radial node H(rho) * G(x^2), the products
+    rho^a log(rho)^b * x^2_j keyed by (a, has_log, j), j = 0 for the
+    constant of G."""
+    if isinstance(node, Polynomial):
+        return dict(node.terms)
+    affine = [(0, node.affine.constant), *node.affine.linear]
+    return {
+        (a, has_log, slot): c * c_g
+        for (a, has_log), c in node.radial.terms.items()
+        for slot, c_g in affine
+        if c_g
+    }
+
+
 def realize(tree: TensionTree, e: NodeSymbolExpr) -> dict:
     """Substitute the tree's nodes into the t-only coefficients of e:
     sum_alpha c_alpha(t) * node_alpha, in canonical sparse form keyed by
@@ -680,7 +696,7 @@ def realize(tree: TensionTree, e: NodeSymbolExpr) -> dict:
     out: dict = {}
     for alpha, coeff in e.terms.items():
         node = tree.nodes[alpha] if alpha else tree.seed
-        for basis, c_x in _node_terms(node).items():
+        for basis, c_x in node_basis(node).items():
             for (_, mu, k), c_t in coeff.terms.items():
                 _acc(out, (basis, mu, k), c_x * c_t)
     return out

@@ -302,6 +302,12 @@ RADIAL_CASES = {
         '{"n1":2,"terms":[{"k":1,"a":"1","b":"0"}],"G":{"c0":"0"}}',
         ("--kind", "psi", "--p", "2"),
     ),
+    # n1 = 4: the shifted power rho^(2k + 2 - n1) is negative, rho^(-2)
+    "ch3-n1-4": (
+        "ch3",
+        '{"n1":4,"terms":[{"k":0,"a":"1","b":"0"},{"k":2,"a":"1","b":"1"}],"G":{"c0":"1","c":["2"]}}',
+        ("--kind", "phi", "--p", "3"),
+    ),
 }
 # (case, command, format, exit code, sha256 of stdout); the resonance case's
 # tree is the rh3-psi tree
@@ -344,6 +350,14 @@ RADIAL_DIGESTS = [
     ("G-zero", "build", "json", 0, '1bb887741689da931649ddb144612dc6219aa9a5550e5e6fb8f511de559edbc5'),
     ("G-zero", "verify", "text", 0, '45c59c20e65d97dca87d9acecb28c53828cfa7f5ef5112d75f9fa870a24ede88'),
     ("G-zero", "verify", "json", 0, '8cdf80ce454b35aa83b7279fb1c124e0fb2a7ef0ceda191a4e8ddeef4f1fc2fc'),
+    ("ch3-n1-4", "tree", "text", 0, 'a829168ed6f9379d56afea54a43a3d6c5df058d42e6aa2099daf8b75ee55f62d'),
+    ("ch3-n1-4", "tree", "latex", 0, 'd6bb6382628aa6c8a6cadd59bc9e3b721c68befbc8dcb119f6827780e93c558e'),
+    ("ch3-n1-4", "tree", "json", 0, '75e21e2c9f3c750efbdbe088d4112a09cd3504f1693614042fca29535fe0495b'),
+    ("ch3-n1-4", "build", "text", 0, '76412c476c3c77479ffcaf60cc09c8c7c16f3685028284c531a268c17dc608ef'),
+    ("ch3-n1-4", "build", "latex", 0, '57dfbc292713be2e30c9b7f2b6bc2db10689a36aa70a57b99d2f73c4c540d69a'),
+    ("ch3-n1-4", "build", "json", 0, 'f5f34a10d8ac9ff811db5a960fb1353be084828eb1afb1745be9fc3991e53352'),
+    ("ch3-n1-4", "verify", "text", 0, 'e5286537e3fbeb08ccf2c716d54f0ed55cddfb36682ea3825484a7a349c1b6e0'),
+    ("ch3-n1-4", "verify", "json", 0, '4d8775bca0d4fafd31ddf5682b101a6af8a8a8eb6e8826e14e59b47ffec59a6b'),
 ]
 
 

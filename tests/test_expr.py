@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyharm
+from polyharm import expr
 from polyharm import (
     BudgetExceeded,
     MixedExpr,
@@ -131,7 +132,7 @@ def test_power_of_a_sum_is_expanded_term_by_term():
     assert parse("(x1_1 - x1_1)^3 + (x1_1 - x1_1)^0") == MixedExpr.one()
 
 
-def test_constant_power_past_bit_budget_is_refused():
+def test_constant_power_past_bit_budget_is_refused(monkeypatch):
     # refused before c**e is made: 2^100000000 alone has 100,000,001 bits
     with pytest.raises(BudgetExceeded):
         parse("2^100000000*x1_1")
@@ -140,6 +141,14 @@ def test_constant_power_past_bit_budget_is_refused():
         parse("(2^3000*x1_1 + x1_2)^40")
     assert parse("(2^3000*x1_1 + x1_2)^2") == parse("2^6000*x1_1^2 + 2^3001*x1_1*x1_2 + x1_2^2")
     assert parse("1^100000000*x1_1 + (-1)^100000001") == parse("x1_1 - 1")
+    # each term's power passes, but 2,000 terms of ~100,000 bits do not, and
+    # are refused before the expansion starts
+    monkeypatch.setattr(expr, "_sum_power", lambda terms, e: pytest.fail("expanded"))
+    with pytest.raises(BudgetExceeded):
+        parse("(2^50*x1_1 + 3^31*x1_2)^1999")
+    monkeypatch.undo()
+    # 2,000 x 2 x 1999 = 8.0 x 10^6 bits, under the 10^7 of a power of a sum
+    assert len(parse("(4*x1_1 + 5*x1_2)^1999").terms) == 2000
 
 
 # --- the parser's fast paths against MixedExpr ring operations ---

@@ -34,7 +34,7 @@ from polyharm import (
     verify,
     verify_formal,
 )
-from polyharm import laplacian
+from polyharm import laplacian, pharmonic
 from polyharm.cli import parse_radial_seed
 from polyharm.laplacian import tables_of
 
@@ -607,6 +607,14 @@ def random_radial_seed(spec, rng):
     return RadialSeed(radial=radial, affine=AffinePart(constant=c0, linear=linear))
 
 
+def realized_terms(spec, tree, e: NodeSymbolExpr) -> int:
+    """The number of terms of the package's realization of e (keyed by
+    state, nodes substituted on the tree's node table by
+    `pharmonic.realize`): zero exactly when e is, and the oracle's count
+    whenever both expand the nodes on independent basis functions."""
+    return len(pharmonic.realize(tree, pharmonic._symbol_form(tables_of(spec), tree, e))[1])
+
+
 def test_realized_zero_test_agrees_with_formal_on_random_radial_seeds(rh3, ch2):
     # on nonzero radial seeds the tree nodes are independent, so the formal
     # zero test and the zero test on the realized function must agree
@@ -623,6 +631,7 @@ def test_realized_zero_test_agrees_with_formal_on_random_radial_seeds(rh3, ch2):
                         continue
                     for _ in range(p + 1):
                         assert image.is_zero() == (not realize(tree, image))
+                        assert realized_terms(spec, tree, image) == len(realize(tree, image))
                         iterates_checked += 1
                         if image.is_zero():
                             break
@@ -646,6 +655,7 @@ def test_formal_iterates_realize_to_concrete_iterates(name, seed):
         )
         concrete = build_psi(spec, tree, p)
         assert realize(tree, formal) == concrete.terms
+        assert realized_terms(spec, tree, formal) == len(realize(tree, formal))
         cert = verify_formal(spec, formal, tree, p, kind="psi")
         expected = verify(spec, concrete, p, kind="psi")
         assert cert.to_json_dict() == expected.to_json_dict()
@@ -653,6 +663,7 @@ def test_formal_iterates_realize_to_concrete_iterates(name, seed):
             formal = formal_tau(spec, tree, formal)
             concrete = tau(spec, concrete)
             assert realize(tree, formal) == concrete.terms
+            assert realized_terms(spec, tree, formal) == len(realize(tree, formal))
 
 
 def test_random_combinations_stay_proper(rh2, ch2, ch3):

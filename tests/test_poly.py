@@ -106,10 +106,22 @@ def test_evaluate_is_ring_hom(p, q, pt):
 
 
 def test_graded_lex_order():
-    assert Monomial([(X, 1)]) > Monomial.one()
-    assert Monomial([(X, 2)]) > Monomial([(X, 1), (Y, 1)])  # lex tie-break on x
-    assert Monomial([(X, 1), (Y, 1)]) > Monomial([(Y, 2)])
-    assert Monomial([(Y, 2)]) > Monomial([(X, 1)])  # degree first
+    def written(*monomials):
+        # the written order of a sum of these monomials, whatever their order
+        # in its term map
+        orders = {
+            tuple(mono for mono, _ in Polynomial({m: 1 for m in ms}).sorted_terms())
+            for ms in (monomials, monomials[::-1])
+        }
+        assert len(orders) == 1
+        return list(orders.pop())
+
+    x, xx, yy = Monomial([(X, 1)]), Monomial([(X, 2)]), Monomial([(Y, 2)])
+    xy = Monomial([(X, 1), (Y, 1)])
+    assert written(Monomial.one(), x) == [x, Monomial.one()]
+    assert written(xy, xx) == [xx, xy]  # lex tie-break on x
+    assert written(yy, xy) == [xy, yy]
+    assert written(x, yy) == [yy, x]  # degree first
 
 
 def test_render_deterministic():

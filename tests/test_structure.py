@@ -8,7 +8,9 @@ through its integer kernel `laplacian.tau_form`: no module but
 `laplacian.py` refers to the MixedExpr operator `tau`, which `__init__.py`
 only re-exports.  Build, certification and recurrence checks run on a tension
 tree's states, never on its multi-indices: `pharmonic.py` never reads a
-tree's `.nodes` view or calls `.branches()`.  Nothing is exported that
+tree's `.nodes` view or calls `.branches()`, and it never asks what a node
+is: the tree's node table serves both kinds, so `pharmonic.py` calls no
+`isinstance` and names no node type.  Nothing is exported that
 nothing calls: every name `__init__.py` imports is referenced by another
 module of the package, a script or the benchmark harness.  A cold command
 pays for no machinery it does not use: importing `polyharm.cli` loads
@@ -115,6 +117,22 @@ def multi_index_reads(module: ast.Module) -> list[int]:
     ]
 
 
+NODE_TYPES = {"Polynomial", "RadialSeed", "RadialFunction", "AffinePart"}
+
+
+def node_type_tests(module: ast.Module) -> list[int]:
+    """Lines that call `isinstance` or name, import or look up a node type."""
+    lines = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name) and node.id in NODE_TYPES | {"isinstance"}:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in NODE_TYPES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            lines += [node.lineno for alias in node.names if alias.name in NODE_TYPES]
+    return sorted(lines)
+
+
 LATEX_TOKENS = ("\\frac", "\\left", "\\right", "\\log", "\\rho", "\\,")
 
 
@@ -141,6 +159,7 @@ def test_source_structure(path):
         assert operator_references(module, reexport=path.name == "__init__.py") == []
     if path.name == "pharmonic.py":
         assert multi_index_reads(module) == []
+        assert node_type_tests(module) == []
     if path.name != "poly.py":
         assert latex_tokens(module) == []
 
@@ -163,6 +182,18 @@ def test_multi_index_check_sees_a_read_of_the_view():
     injected = "node = tree.nodes[alpha]\nfor alpha in tree.branches():\n    pass\n"
     assert multi_index_reads(ast.parse(injected)) == [1, 2]
     assert multi_index_reads(ast.parse("node = tree.states[s].node\nnodes = []\n")) == []
+
+
+def test_node_type_check_sees_a_test_of_a_node():
+    injected = (
+        "from .poly import Monomial, Polynomial\n"
+        "if isinstance(node, tension.RadialSeed):\n"
+        "    g = AffinePart(c)\n"
+        "terms = tree.states[s].node.terms\n"
+        "h = RadialFunction\n"
+    )
+    assert node_type_tests(ast.parse(injected)) == [1, 2, 2, 3, 5]
+    assert node_type_tests(ast.parse("d, basis, nodes = tree.integer_nodes\n")) == []
 
 
 def test_latex_check_sees_a_token():
