@@ -2,15 +2,21 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyharm import ParseError, RadialFunction, UnsupportedSpan, parse, tension_tree
+from polyharm import laplacian
 from polyharm.cli import main, parse_radial_seed, resolve_algebra
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -361,24 +367,37 @@ RADIAL_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "case, command, fmt, code, digest",
-    RADIAL_DIGESTS,
-    ids=[":".join(entry[:3]) for entry in RADIAL_DIGESTS],
-)
-def test_radial_output_is_pinned(capsys, case, command, fmt, code, digest):
+def memo_limits(rows, ids):
+    """Each pinned row at the default memo bound under its own id, then at
+    the smallest bound, where every public call clears the tables' ids."""
+    return [
+        pytest.param(*row, limit, id=name + suffix)
+        for limit, suffix in ((None, ""), (1, ":memo-1"))
+        for row, name in zip(rows, ids)
+    ]
+
+
+def radial_argv(case, command, fmt):
     algebra, seed, family = RADIAL_CASES[case]
     argv = [command, "--algebra", algebra, "--radial-seed", seed, "--format", fmt]
-    if command != "tree":
-        argv += family
-    got, out, _ = run(capsys, *argv)
+    return argv + list(family) if command != "tree" else argv
+
+
+@pytest.mark.parametrize(
+    "case, command, fmt, code, digest, memo_limit",
+    memo_limits(RADIAL_DIGESTS, [":".join(entry[:3]) for entry in RADIAL_DIGESTS]),
+)
+def test_radial_output_is_pinned(capsys, monkeypatch, case, command, fmt, code, digest, memo_limit):
+    if memo_limit:
+        monkeypatch.setattr(laplacian, "_MEMO_LIMIT", memo_limit)
+    got, out, _ = run(capsys, *radial_argv(case, command, fmt))
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 # polynomial output pinned byte for byte.  `tree` rows: (algebra, seed,
 # format, sha256 of stdout); ch2 z^16 has 4,179 nodes and only 79 distinct
-# polynomials.  `build` rows: (family, format, sha256 of stdout) of
-# BUILD_SEED on ch2, each family at p = 3 with BUILD_FAMILIES' arguments.
+# polynomials.  `build` and `verify` rows: (family, format, sha256 of stdout)
+# of BUILD_SEED on ch2, each family at p = 3 with BUILD_FAMILIES' arguments.
 TREE_DIGESTS = [
     ("ch2", "z^16", "json", "e742e06a9f50732d1f1f8590acd8848d33be1cfc6cf8877570f07722389b206e"),
     ("ch2", "z^8", "text", "b9aa0e589d667516673cb402d8eb5856b20ece2810def3412ca5d1282bb16768"),
@@ -403,22 +422,92 @@ BUILD_DIGESTS = [
     ("combo", "latex", "07027fc6c6061964769ea9e2441b5e8518d88cca032061c21b8498f4a0ad706b"),
     ("combo", "json", "6e0da610db9291e6f39712e5a7b48e5761fe99d7db9c73f42b98e1e02453e0f2"),
 ]
-POLYNOMIAL_PINS = [(("tree",), *row) for row in TREE_DIGESTS] + [
-    (("build", *BUILD_FAMILIES[family], "--p", "3"), "ch2", BUILD_SEED, fmt, digest)
-    for family, fmt, digest in BUILD_DIGESTS
+VERIFY_DIGESTS = [
+    ("phi", "text", "d690fa4aa6d917e7d18ecdb7f858bf66b96a1b8c9c6969b6ebb62306c7d5b7c0"),
+    ("phi", "json", "71632e5e304fe4104d29d097d7aabadbb750793b3eaf945221cf94c27894701c"),
+    ("psi", "text", "50a9de22c8c471db17a9a2244b5970e9660cfd42095981bb5ec682b146348c60"),
+    ("psi", "json", "c082d4c5ee277e5d463ac29f9fb0f7e72429c170dec7af3437bc412d1cc50f32"),
+    ("combo", "text", "e21b8eae52190b47c66eac9ecb65e37165836f98287d6286e8d33acc5717060f"),
+    ("combo", "json", "a78ec49218ac1c61f9e527afba106500ff19ad52bbdeb1007af84ad016a09437"),
 ]
+# The order of a combination's errors on ch2 at p = 2: --a, then --b are
+# read (ParseError), then phi and psi are built (Resonance at z^4), then the
+# zero combination is refused; --a is read only for a combination.  Rows:
+# (id, seed, family arguments, exit code, sha256 of stdout, error class).
+COMBO_ERRORS = [
+    ("resonance-first", "z^4", ("--kind", "combo", "--a", "0", "--b", "0"), 1, EMPTY, "Resonance"),
+    ("zero-combination", "x^2", ("--kind", "combo", "--a", "0", "--b", "0"), 1, EMPTY,
+     "ZeroCombination"),
+    ("parse-first", "z^4", ("--kind", "combo", "--a", "junk"), 1, EMPTY, "ParseError"),
+    ("a-unread-for-phi", BUILD_SEED, ("--kind", "phi", "--a", "junk"), 0,
+     "a14f59bc79e7f06f21598fa60c7a971cda9ee6f4cfd28b6d3b84f2db93fe2a4d", ""),
+]
+# (command, algebra, seed, format, exit code, sha256 of stdout, error class)
+POLYNOMIAL_PINS = (
+    [(("tree",), algebra, seed, fmt, 0, digest, "") for algebra, seed, fmt, digest in TREE_DIGESTS]
+    + [
+        ((command, *BUILD_FAMILIES[family], "--p", "3"), "ch2", BUILD_SEED, fmt, 0, digest, "")
+        for command, rows in (("build", BUILD_DIGESTS), ("verify", VERIFY_DIGESTS))
+        for family, fmt, digest in rows
+    ]
+    + [
+        (("verify", *family, "--p", "2"), "ch2", seed, "text", code, digest, error)
+        for _, seed, family, code, digest, error in COMBO_ERRORS
+    ]
+)
+POLYNOMIAL_IDS = (
+    [":".join(entry[:3]) for entry in TREE_DIGESTS]
+    + [f"{command}:{family}:{fmt}" for command, rows in (("build", BUILD_DIGESTS),
+       ("verify", VERIFY_DIGESTS)) for family, fmt, _ in rows]
+    + [f"verify:{entry[0]}" for entry in COMBO_ERRORS]
+)
+
+
+def polynomial_argv(command, algebra, seed, fmt):
+    return [command[0], "--algebra", algebra, "--seed", seed, "--format", fmt, *command[1:]]
 
 
 @pytest.mark.parametrize(
-    "command, algebra, seed, fmt, digest",
-    POLYNOMIAL_PINS,
-    ids=[":".join(entry[:3]) for entry in TREE_DIGESTS]
-    + [f"build:{family}:{fmt}" for family, fmt, _ in BUILD_DIGESTS],
+    "command, algebra, seed, fmt, code, digest, error, memo_limit",
+    memo_limits(POLYNOMIAL_PINS, POLYNOMIAL_IDS),
 )
-def test_tree_output_is_pinned(capsys, command, algebra, seed, fmt, digest):
-    argv = [command[0], "--algebra", algebra, "--seed", seed, "--format", fmt, *command[1:]]
-    got, out, _ = run(capsys, *argv)
-    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+def test_tree_output_is_pinned(
+    capsys, monkeypatch, command, algebra, seed, fmt, code, digest, error, memo_limit
+):
+    if memo_limit:
+        monkeypatch.setattr(laplacian, "_MEMO_LIMIT", memo_limit)
+    got, out, err = run(capsys, *polynomial_argv(command, algebra, seed, fmt))
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    assert err.startswith(f"error[{error}]") if error else err == ""
+
+
+# Every pinned row again in a fresh interpreter under two hash seeds: no
+# output may depend on the order of a set or dict of hashed keys.
+PIN_RUNNER = """
+import contextlib, hashlib, io, json, sys
+from polyharm.cli import main
+out = []
+for argv in json.load(sys.stdin):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    out.append([code, hashlib.sha256(stdout.getvalue().encode()).hexdigest()])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_pinned_output_does_not_depend_on_the_hash_seed(hash_seed):
+    pins = [(radial_argv(*row[:3]), *row[3:]) for row in RADIAL_DIGESTS] + [
+        (polynomial_argv(*row[:4]), *row[4:6]) for row in POLYNOMIAL_PINS
+    ]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", PIN_RUNNER], input=json.dumps([argv for argv, *_ in pins]),
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[code, digest] for _, code, digest in pins]
 
 
 def test_verify_seed_exceeds(capsys):
