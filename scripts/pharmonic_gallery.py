@@ -11,10 +11,9 @@ import sys
 
 from polyharm import (
     Resonance,
-    build_phi,
-    build_psi,
+    build,
     catalog_short_name,
-    certify,
+    certify_family,
     parse_polynomial,
     render_tree_text,
     tension_tree,
@@ -36,13 +35,13 @@ def main(argv=None) -> int:
     print(render_tree_text(tree))
     print()
     for p in range(1, args.max_p + 1):
-        for family, builder in (("phi", build_phi), ("psi", build_psi)):
+        for family in ("phi", "psi"):
             try:
-                built = builder(spec, tree, p)
+                cert = certify_family(spec, tree, p, family, args.seed)
             except Resonance as exc:
                 print(f"{family}_{p}: undefined ({exc})")
                 continue
-            cert = certify(spec, tree, built, p, family, args.seed)
+            built = build(spec, tree, p, family)
             status = "proper" if cert.proper else f"order={cert.verified_order}"
             rendered = built.latex(namer) if args.latex else built.render(namer)
             print(f"{family}_{p} ({status}): {rendered}")

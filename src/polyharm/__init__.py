@@ -20,7 +20,6 @@ from .errors import (
     IndexOutOfRange,
     InternalClosureError,
     JacobiViolation,
-    KindMismatch,
     NonIncreasingEigenvalues,
     NonPositiveEigenvalue,
     ParseError,
@@ -40,11 +39,10 @@ from .laplacian import (
 from .pharmonic import (
     HarmonicCertificate,
     NodeSymbolExpr,
+    build,
     build_phi,
     build_psi,
-    certify,
     certify_family,
-    combine,
     recurrence_check,
     verify,
     verify_formal,

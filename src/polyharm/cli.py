@@ -20,15 +20,7 @@ from . import algebra as algebra_mod
 from .algebra import AlgebraSpec
 from .errors import ParseError, PolyharmError, UnsupportedSpan
 from .expr import parse, parse_polynomial
-from .pharmonic import (
-    Built,
-    HarmonicCertificate,
-    build_phi,
-    build_psi,
-    certify,
-    combine,
-    verify,
-)
+from .pharmonic import Built, HarmonicCertificate, build, certify_family, verify
 from .scalar import _acc, format_rational, int_field, parse_rational
 from .tension import (
     AffinePart,
@@ -175,23 +167,18 @@ def _cmd_tree(args) -> int:
     return 0
 
 
-def _build_family(spec: AlgebraSpec, tree: TensionTree, args) -> Built:
-    if args.kind == "phi":
-        return build_phi(spec, tree, args.p)
-    if args.kind == "psi":
-        return build_psi(spec, tree, args.p)
-    return combine(
-        parse_rational(args.a),
-        parse_rational(args.b),
-        build_phi(spec, tree, args.p),
-        build_psi(spec, tree, args.p),
-    )
+def _combo_coefficients(args) -> tuple[Fraction, Fraction]:
+    """--a and --b, read only for a combination."""
+    if args.kind != "combo":
+        return Fraction(1), Fraction(1)
+    return parse_rational(args.a), parse_rational(args.b)
 
 
 def _cmd_build(args) -> int:
     spec = resolve_algebra(args.algebra)
     tree = _load_tree(spec, args)
-    print(_emit_built(_build_family(spec, tree, args), tree, args.format))
+    built = build(spec, tree, args.p, args.kind, *_combo_coefficients(args))
+    print(_emit_built(built, tree, args.format))
     return 0
 
 
@@ -202,9 +189,10 @@ def _cmd_verify(args) -> int:
         cert = verify(spec, e, args.p, kind="expression", seed=args.expr)
     else:
         tree = _load_tree(spec, args)
-        built = _build_family(spec, tree, args)
         seed_text = args.seed if args.seed is not None else args.radial_seed
-        cert = certify(spec, tree, built, args.p, args.kind, seed_text)
+        cert = certify_family(
+            spec, tree, args.p, args.kind, seed_text, *_combo_coefficients(args)
+        )
     print(_emit_certificate(cert, args.format))
     return 0
 

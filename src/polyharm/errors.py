@@ -94,10 +94,6 @@ class BudgetExceeded(PolyharmError):
       digits than the interpreter prints (`scalar.format_rational`)."""
 
 
-class KindMismatch(PolyharmError):
-    pass
-
-
 # --- construction / certification layer ---
 
 class Resonance(PolyharmError):

@@ -100,9 +100,6 @@ class MixedExpr(Sparse):
     def latex(self, namer: Callable[[VarIndex], str] | None = None) -> str:
         return self._write(_LATEX, namer or _LATEX.var)
 
-    def __repr__(self) -> str:
-        return f"MixedExpr({self.render()})"
-
 
 # --- parsing ---
 

@@ -21,15 +21,17 @@ exact integer pairs, made once per tree and family and extended in place as
 p grows (`_rows`, kept in `TensionTree.rows`); one row serves every p up to
 its length.  Their weighted sums over one denominator give each state's
 coefficient (`_coefficients`), and the family member, in integer form keyed
-by state (`_state_form`), is sum_S node_S times the coefficient of S.  One
-substitution puts the nodes in, for both tree kinds: `realize` runs on
-integers over the tree's node table (`TensionTree.integer_nodes`), keyed by
-(basis function, exponent id, log power) and reduced once, and never asks
-what a node is.  A polynomial tree's build is its realization as a
-MixedExpr; a radial tree's stays keyed by state and converts to the formal
-sum `NodeSymbolExpr`, each state named by its multi-index.  Phi raises
-Resonance at the least alpha, in lexicographic order (the order of
-`TensionTree.nodes`), of any state with 2 Lambda = n.
+by state, is sum_S node_S times the coefficient of S.  Every member, phi,
+psi or a combination a*phi + b*psi summed on integers, comes from the one
+assembly `_member`, where builds and certificates start.  One substitution
+puts the nodes in, for both tree kinds:
+`realize` runs on integers over the tree's node table
+(`TensionTree.integer_nodes`), keyed by (basis function, exponent id, log
+power) and reduced once, and never asks what a node is.  A polynomial tree's
+build is its realization as a MixedExpr; a radial tree's stays keyed by
+state and converts to the formal sum `NodeSymbolExpr`, each state named by
+its multi-index.  Phi raises Resonance at the least alpha, in lexicographic
+order (the order of `TensionTree.nodes`), of any state with 2 Lambda = n.
 
 Certification never trusts the construction, and both tree kinds run on the
 one kernel `laplacian.tau_form`.  `verify` iterates it exactly on the
@@ -44,10 +46,13 @@ identities the families satisfy on states: one integer sum over the
 state-keyed forms of tau(f_p), f_(p-1) and f_(p-2), with tau under the state
 images.  The tree rule holds by construction, so a sum that vanishes state
 by state proves the identity; only a sum that does not is realized.
-`certify` routes by `tree.kind`.  Every order p is checked against the
-budget `_P_BUDGET` before a row is made or the operator applied.  A form's
-ids are valid only inside the public call that made it, since
-`Tables.bound_images` runs at the entry of each.
+`certify_family` certifies a tree's member with no public value between
+assembly and certificate: a polynomial tree's realization, re-keyed from the
+tree's basis to monomial ids, runs the loop of `verify`, a radial tree's
+form the loop of `verify_formal`, and only the two residuals are converted.
+Every order p is checked against the budget `_P_BUDGET` before a row is made
+or the operator applied.  A form's ids are valid only inside the public call
+that made it, since `Tables.bound_images` runs at the entry of each.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from math import gcd, lcm
 from typing import Callable, NamedTuple, Union
 
 from .algebra import AlgebraSpec, VarIndex
-from .errors import BudgetExceeded, KindMismatch, Resonance, ZeroCombination
+from .errors import BudgetExceeded, Resonance, ZeroCombination
 from .expr import MixedExpr
 from .laplacian import Form, Tables, reduced, tables_of, tau_form, to_expr, to_form
 from .poly import _LATEX, Monomial, Sparse, _label, _Style
@@ -263,35 +268,61 @@ def _check_p(p: int) -> None:
 
 
 def build_phi(spec: AlgebraSpec, tree: TensionTree, p: int) -> Built:
-    """Assemble the log-family function of order p from a finite tree.
-
-    Polynomial trees give a concrete MixedExpr; radial trees give the formal
-    node-symbol form (their nodes are not polynomial).  Raises Resonance if a
-    branch with a nonzero node violates the side condition.
-    """
-    return _build(spec, tree, p, "phi")
+    """Assemble the log-family function of order p from a finite tree
+    (`build`)."""
+    return build(spec, tree, p, "phi")
 
 
 def build_psi(spec: AlgebraSpec, tree: TensionTree, p: int) -> Built:
     """Assemble the t^n-family function of order p; no side condition."""
-    return _build(spec, tree, p, "psi")
+    return build(spec, tree, p, "psi")
 
 
-def _build(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> Built:
-    """The state rows times their weights (`_coefficients`), keyed by state:
-    for a polynomial tree with the nodes substituted (`realize`), as a
-    MixedExpr, for a radial one as the formal node-symbol sum."""
-    _check_p(p)
+def build(
+    spec: AlgebraSpec, tree: TensionTree, p: int, kind: str = "phi",
+    a: Fraction = 1, b: Fraction = 1,
+) -> Built:
+    """Assemble the family member `kind` of order p from a finite tree:
+    phi, psi, or the combination a*phi + b*psi ("combo").
+
+    Polynomial trees give a concrete MixedExpr, with the nodes substituted
+    (`realize`); radial trees give the formal node-symbol sum (their nodes
+    are not polynomial).  Raises Resonance if phi is asked for, alone or in
+    a combination, and a branch with a nonzero node violates the side
+    condition, and ZeroCombination for a = b = 0.
+    """
     tables = tables_of(spec)
     tables.bound_images()
-    form = _state_form(_coefficients(spec, tables, tree, p, family))
+    form = _member(spec, tables, tree, p, kind, a, b)
     if tree.kind == "radial":
         return _symbols(tables, tree, form)
     d, terms = realize(tree, form)
     monomials, exponents = tree.integer_nodes[1], tables.exponents
     return MixedExpr._wrap({
-        (monomials[b], exponents[e], k): Fraction(v, d) for (b, e, k), v in terms.items()
+        (monomials[f], exponents[e], k): Fraction(v, d) for (f, e, k), v in terms.items()
     })
+
+
+def _member(
+    spec: AlgebraSpec, tables: Tables, tree: TensionTree, p: int, kind: str,
+    a: Fraction = 1, b: Fraction = 1,
+) -> Form:
+    """The member `kind` of order p keyed by (state, exponent id, log power),
+    the one assembly of every build, certificate and recurrence check: the
+    state rows times their weights (`_coefficients`) for phi or psi, and
+    a*phi + b*psi on integers (`_combination`), phi first, so Resonance
+    comes before ZeroCombination."""
+    _check_p(p)
+    if kind != "combo":
+        if kind not in ("phi", "psi"):
+            raise ValueError(f"unknown family {kind!r}: phi, psi or combo")
+        w, ids, states = _coefficients(spec, tables, tree, p, kind)
+        return w, {(s, ids[s], k): u for s, scaled in enumerate(states) for k, u in scaled}
+    phi, psi = (_member(spec, tables, tree, p, family) for family in ("phi", "psi"))
+    a, b = Fraction(a), Fraction(b)
+    if not (a or b):
+        raise ZeroCombination("the zero combination is not a p-harmonic candidate")
+    return _combination([(phi, a.numerator, a.denominator), (psi, b.numerator, b.denominator)])
 
 
 # A family member's coefficients: (W, exponent id per state, per state
@@ -322,25 +353,6 @@ def _coefficients(
         if len(rows.weighted) > _WEIGHTED_ORDERS:
             del rows.weighted[next(iter(rows.weighted))]
     return weighted[0], _exponent_ids(tables, rows), weighted[1]
-
-
-def _state_form(coefficients: _Coefficients) -> Form:
-    """The family member in integer form keyed by (state, exponent id, log
-    power)."""
-    w, ids, states = coefficients
-    return w, {
-        (s, e, k): u for s, (e, scaled) in enumerate(zip(ids, states)) for k, u in scaled
-    }
-
-
-def combine(a: Fraction, b: Fraction, phi: Built, psi: Built) -> Built:
-    """a*phi + b*psi; (a, b) = (0, 0) is rejected."""
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 and b == 0:
-        raise ZeroCombination("the zero combination is not a p-harmonic candidate")
-    if type(phi) is not type(psi):
-        raise KindMismatch("cannot combine a concrete and a formal expression")
-    return phi * a + psi * b
 
 
 # --- certification ---
@@ -375,21 +387,34 @@ class HarmonicCertificate(NamedTuple):
 
 
 def _certify(
-    kind: str,
-    p: int,
-    seed: str,
-    form: Form,
-    step: Callable[[Form], Form],
-    built: Callable[[Form], Built],
+    tables: Tables, tree: TensionTree | None, kind: str, p: int, seed: str, form: Form
 ) -> HarmonicCertificate:
-    """Iterate `step` from a form up to p times, stopping at the first zero
-    iterate; only the last two iterates are held, and `built` turns the two
-    residuals into the certificate's functions."""
+    """Iterate the kernel `laplacian.tau_form` from a form up to p times,
+    stopping at the first zero iterate; only the last two iterates are held,
+    and only the two residuals become public values.
+
+    A concrete form (`tree` None) is keyed by monomial id and goes through
+    the monomial images.  A formal form is keyed by state of `tree`, goes
+    through the tree's images (`TensionTree.images`), and is zero when its
+    realization (`realize`) is.  Every formal iterate is the exact image of
+    the realized function, because the tree satisfies tau(h_alpha) = sum_k
+    h_(alpha,k) t^(2 lambda_k) by construction; so the realized test decides
+    both tau^p = 0 and tau^(p-1) != 0 without any independence assumption on
+    the nodes.
+    """
     _check_p(p)
-    previous = current = form
+    images = None if tree is None else tree.images
+
+    def realized(form: Form) -> Form:
+        return form if tree is None or realize(tree, form)[1] else (1, {})
+
+    def public(form: Form) -> Built:
+        return to_expr(tables, form) if tree is None else _symbols(tables, tree, form)
+
+    previous = current = realized(form)
     q = 0
     while q < p and current[1]:
-        previous, current, q = current, step(current), q + 1
+        previous, current, q = current, realized(tau_form(tables, current, images)), q + 1
     # only the last iterate can be zero, and every power past it is zero too
     verified_order = None if current[1] else q
     return HarmonicCertificate(
@@ -398,27 +423,19 @@ def _certify(
         seed=seed,
         verified_order=verified_order,
         proper=verified_order == p,
-        residual_pminus1=built(previous if q == p else current),
-        residual_p=built(current),
+        residual_pminus1=public(previous if q == p else current),
+        residual_p=public(current),
     )
 
 
 def verify(
-    spec: AlgebraSpec,
-    e: MixedExpr,
-    p: int,
-    kind: str = "expression",
-    seed: str = "",
+    spec: AlgebraSpec, e: MixedExpr, p: int, kind: str = "expression", seed: str = ""
 ) -> HarmonicCertificate:
     """Apply the operator up to p times with exact zero tests, iterating on
     e's integer form (`laplacian.tau_form`)."""
     tables = tables_of(spec)
     tables.bound_images()
-    return _certify(
-        kind, p, seed, to_form(tables, e),
-        lambda form: tau_form(tables, form),
-        lambda form: to_expr(tables, form),
-    )
+    return _certify(tables, None, kind, p, seed, to_form(tables, e))
 
 
 def realize(tree: TensionTree, form: Form) -> Form:
@@ -446,47 +463,33 @@ def verify_formal(
     kind: str = "expression",
     seed: str = "",
 ) -> HarmonicCertificate:
-    """Certify in node-symbol mode: iterate the kernel `laplacian.tau_form`
-    on states under the tree's images (`TensionTree.images`) and test each iterate
-    for zero on its realization (`realize`).  Symbols of e that the tree
-    lacks (zero nodes) are dropped, those of one state are summed, and the
-    residuals name each state by its least multi-index.
-
-    Every formal iterate is the exact image of the realized function, because
-    the tree satisfies tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k) by
-    construction; so the realized test decides both tau^p = 0 and
-    tau^(p-1) != 0 without any independence assumption on the nodes.
-    """
+    """Certify in node-symbol mode: iterate the kernel on states under the
+    tree's images and test each iterate for zero on its realization
+    (`_certify`).  Symbols of e that the tree lacks (zero nodes) are
+    dropped, those of one state are summed, and the residuals name each
+    state by its least multi-index."""
     tables = tables_of(spec)
     tables.bound_images()
-    images = tree.images
-
-    def realized(form: Form) -> Form:
-        return form if realize(tree, form)[1] else (1, {})
-
-    return _certify(
-        kind, p, seed, realized(_symbol_form(tables, tree, e)),
-        lambda form: realized(tau_form(tables, form, images)),
-        lambda form: _symbols(tables, tree, form),
-    )
-
-
-def certify(
-    spec: AlgebraSpec, tree: TensionTree, built: Built, p: int, kind: str, seed: str
-) -> HarmonicCertificate:
-    """Certify a function built from `tree`: `verify` for a polynomial tree,
-    `verify_formal` for a radial one."""
-    if tree.kind == "polynomial":
-        return verify(spec, built, p, kind=kind, seed=seed)
-    return verify_formal(spec, built, tree, p, kind=kind, seed=seed)
+    return _certify(tables, tree, kind, p, seed, _symbol_form(tables, tree, e))
 
 
 def certify_family(
-    spec: AlgebraSpec, tree: TensionTree, p: int, family: str, seed: str = ""
+    spec: AlgebraSpec, tree: TensionTree, p: int, family: str, seed: str = "",
+    a: Fraction = 1, b: Fraction = 1,
 ) -> HarmonicCertificate:
-    """Build one family member and certify it."""
-    builder = build_phi if family == "phi" else build_psi
-    return certify(spec, tree, builder(spec, tree, p), p, family, seed)
+    """Certify the member `build` makes from its integer form (`_member`),
+    with no public value in between: a radial tree's form is iterated as
+    `verify_formal` iterates, a polynomial tree's realization, re-keyed from
+    the tree's basis to monomial ids, as `verify` iterates."""
+    tables = tables_of(spec)
+    tables.bound_images()
+    form = _member(spec, tables, tree, p, family, a, b)
+    if tree.kind == "radial":
+        return _certify(tables, tree, family, p, seed, form)
+    d, terms = realize(tree, form)
+    ids = [tables.monomial_id(mono) for mono in tree.integer_nodes[1]]
+    concrete = d, {(ids[f], e, k): v for (f, e, k), v in terms.items()}
+    return _certify(tables, None, family, p, seed, concrete)
 
 
 def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
@@ -535,7 +538,7 @@ def _recurrence_holds(
     n = spec.homogeneous_dim
 
     def member(order: int) -> Form:
-        return _state_form(_coefficients(spec, tables, tree, order, family))
+        return _member(spec, tables, tree, order, family)
 
     parts = [(tau_form(tables, member(p), images), 1, 1)]
     if p >= 2:

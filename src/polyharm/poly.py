@@ -8,8 +8,8 @@ scalar multiples.  `Polynomial` (keyed by monomials) and
 and add their own constructors, product and written form, and Polynomial its
 partial derivatives.  `pharmonic.NodeSymbolExpr` (keyed by tree node, with
 t-only MixedExpr coefficients) derives from it too, as the public value of a
-radial tree's build and certificate residuals, and adds only a constructor
-and its written form; sums and scalar multiples are all `combine` needs of it.
+radial tree's build and certificate residuals, and adds only its written
+form and key order.  Every sum prints as `Name(text)` (`Sparse.__repr__`).
 
 Polynomial coefficients are Fractions, exponent maps are kept sparse (no zero
 exponents, no zero coefficients), and terms are ordered
@@ -176,6 +176,9 @@ class Sparse:
     def render(self, namer: Callable[[VarIndex], str] = str) -> str:
         return self._write(_TEXT, namer)
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()})"
+
 
 class Polynomial(Sparse):
     """Canonical sparse polynomial: map monomial -> nonzero Fraction."""
@@ -233,9 +236,6 @@ class Polynomial(Sparse):
 
     def _write(self, style: _Style, namer: Callable[[VarIndex], str]) -> str:
         return _sum(style, ((c, _factors(style, mono, namer)) for mono, c in self.sorted_terms()))
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.render()})"
 
 
 # --- writing ---

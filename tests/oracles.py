@@ -28,7 +28,6 @@ from typing import Mapping
 import mpmath
 
 from polyharm import (
-    KindMismatch,
     MixedExpr,
     NodeSymbolExpr,
     PolyharmError,
@@ -520,7 +519,7 @@ def sum_trees(t1: TensionTree, t2: TensionTree) -> NodeView:
     """Nodewise sum of the multi-index views of two polynomial trees; the
     tree map is linear in the seed."""
     if t1.spec != t2.spec or t1.kind != "polynomial" or t2.kind != "polynomial":
-        raise KindMismatch("trees over different algebras or not polynomial")
+        raise ValueError("trees over different algebras or not polynomial")
     nodes = {}
     for alpha in set(t1.nodes) | set(t2.nodes):
         zero = Polynomial.zero()

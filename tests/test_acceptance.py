@@ -18,6 +18,7 @@ from polyharm import (
     NonIncreasingEigenvalues,
     Polynomial,
     Resonance,
+    build,
     build_phi,
     build_psi,
     catalog_short_name,
@@ -90,8 +91,10 @@ def seed_pool(name):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Criteria 4 and 5 share one timed pass over the pool."""
+    """Criteria 4 and 5 share one timed pass over the pool; each certificate
+    is checked against the public route, `verify` on the built function."""
     cert_failures: list[str] = []
+    route_mismatches: list[str] = []
     rec_failures: list[str] = []
     cases = 0
     resonance_skips = 0
@@ -110,6 +113,8 @@ def sweep():
                             continue
                         raise
                     cases += 1
+                    if cert != verify(spec, build(spec, tree, p, family), p, family):
+                        route_mismatches.append(f"{name} seed={seed.render()} p={p} {family}")
                     if not (cert.verified_order == p and cert.proper):
                         cert_failures.append(
                             f"{name} seed={seed.render()} p={p} {family}: "
@@ -120,6 +125,7 @@ def sweep():
     elapsed = time.perf_counter() - start
     return {
         "cert_failures": cert_failures,
+        "route_mismatches": route_mismatches,
         "rec_failures": rec_failures,
         "cases": cases,
         "resonance_skips": resonance_skips,
@@ -238,7 +244,7 @@ def test_criterion_3_golden_operator():
 
 
 def test_criterion_4_certification_sweep(sweep):
-    ok = not sweep["cert_failures"] and sweep["elapsed"] < 120.0
+    ok = not sweep["cert_failures"] and not sweep["route_mismatches"] and sweep["elapsed"] < 120.0
     report(
         4,
         "both families certify proper with verified_order = p across the pool",
@@ -247,6 +253,7 @@ def test_criterion_4_certification_sweep(sweep):
         f"{sweep['elapsed']:.2f} s",
     )
     assert not sweep["cert_failures"], sweep["cert_failures"][:5]
+    assert not sweep["route_mismatches"], sweep["route_mismatches"][:5]
     assert sweep["elapsed"] < 120.0
 
 

@@ -32,7 +32,7 @@ from polyharm import (
 )
 from polyharm import laplacian
 from polyharm.laplacian import tables_of, tau_form
-from polyharm.pharmonic import _coefficients, _state_form, _symbols
+from polyharm.pharmonic import _member, _symbols
 
 from conftest import random_mixed_expr
 from oracles import (
@@ -255,7 +255,7 @@ def test_radial_kernel_iterates_match_formal_operator():
                 for _ in range(p):
                     expected.append(formal_tau(spec, tree, expected[-1]))
                 tables = tables_of(spec)
-                form = _state_form(_coefficients(spec, tables, tree, p, family))
+                form = _member(spec, tables, tree, p, family)
                 for e in expected:
                     assert _symbols(tables, tree, form) == e
                     form = tau_form(tables, form, images)

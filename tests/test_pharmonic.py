@@ -12,17 +12,18 @@ from hypothesis import strategies as st
 from polyharm import (
     AffinePart,
     BudgetExceeded,
+    HarmonicCertificate,
     MixedExpr,
     NodeSymbolExpr,
     RadialFunction,
     RadialSeed,
     Resonance,
     ZeroCombination,
+    build,
     build_phi,
     build_psi,
     catalog_short_name,
-    certify,
-    combine,
+    certify_family,
     from_json_dict,
     parse,
     parse_polynomial,
@@ -226,12 +227,17 @@ def typed(e):
 
 
 def outcome(make):
-    """What make() gives: the typed terms of a function, or the Resonance it
-    raises."""
+    """What make() gives: the typed terms of a function, a certificate with
+    the typed terms of its residuals, or the Resonance it raises."""
     try:
-        return typed(make())
+        made = make()
     except Resonance as err:
         return ("Resonance", err.alpha, err.k, str(err))
+    if isinstance(made, HarmonicCertificate):
+        return made._replace(
+            residual_pminus1=typed(made.residual_pminus1), residual_p=typed(made.residual_p)
+        )
+    return typed(made)
 
 
 def production_build(spec, tree, p, family):
@@ -312,7 +318,8 @@ P_ORDERS = [range(1, 9), range(8, 0, -1), (5, 1, 8, 3, 2, 7, 4, 6)]
 
 
 def memo_outcomes(trees, order):
-    """Every build and some branch coefficients of the trees, p in `order`."""
+    """Every build, every certificate of phi, psi and a combination, and
+    some branch coefficients of the trees, p in `order`."""
     out = {}
     for index, (spec, tree) in enumerate(trees):
         for p in order:
@@ -322,6 +329,10 @@ def memo_outcomes(trees, order):
                 )
                 for alpha in [(), *list(tree.nodes)[-3:]]:
                     out[index, p, family, alpha] = outcome(lambda: coeff(spec, alpha, p))
+            for family in ("phi", "psi", "combo"):
+                out[index, p, "certificate", family] = outcome(
+                    lambda: certify_family(spec, tree, p, family, a=2, b=Fraction(-1, 3))
+                )
     return out
 
 
@@ -430,16 +441,23 @@ def test_resonance_synthetic_then_psi(rh3):
 
 
 def test_combine(rh2):
-    tree = tree_of(rh2, "x")
+    tree = tree_of(rh2, "x^6")
     phi2, psi2 = build_phi(rh2, tree, 2), build_psi(rh2, tree, 2)
-    assert combine(1, 0, phi2, psi2) == phi2
-    assert combine(0, 1, phi2, psi2) == psi2
-    both = combine(1, 1, phi2, psi2)
-    assert both == parse("(1 + t)*log(t)*x", rh2)
-    cert = verify(rh2, both, 2)
+    assert build(rh2, tree, 2, "combo", 1, 0) == phi2
+    assert build(rh2, tree, 2, "combo", 0, 1) == psi2
+    a, b = Fraction(2), Fraction(-1, 3)
+    both = build(rh2, tree, 2, "combo", a, b)
+    assert both == phi2 * a + psi2 * b
+    cert = certify_family(rh2, tree, 2, "combo", a=a, b=b)
+    assert cert == verify(rh2, both, 2, "combo")
     assert cert.proper and cert.verified_order == 2
-    with pytest.raises(ZeroCombination):
-        combine(0, 0, phi2, psi2)
+    x = tree_of(rh2, "x")
+    assert build(rh2, x, 2, "combo") == parse("(1 + t)*log(t)*x", rh2)
+    for make in (build, certify_family):
+        with pytest.raises(ZeroCombination):
+            make(rh2, tree, 2, "combo", a=0, b=0)
+        with pytest.raises(ValueError, match="unknown family"):
+            make(rh2, tree, 2, "chi")
 
 
 def test_combine_formal(rh4):
@@ -449,7 +467,8 @@ def test_combine_formal(rh4):
     tree = tension_tree_radial(rh4, seed)
     phi3, psi3 = build_phi(rh4, tree, 3), build_psi(rh4, tree, 3)
     a, b = Fraction(2), Fraction(-1, 3)
-    both = combine(a, b, phi3, psi3)
+    both = build(rh4, tree, 3, "combo", a, b)
+    assert both == phi3 * a + psi3 * b
     zero = MixedExpr.zero()
     assert both == NodeSymbolExpr(
         {
@@ -457,8 +476,11 @@ def test_combine_formal(rh4):
             for alpha in set(phi3.terms) | set(psi3.terms)
         }
     )
-    cert = certify(rh4, tree, both, 3, "combo", "")
+    cert = certify_family(rh4, tree, 3, "combo", a=a, b=b)
+    assert cert == verify_formal(rh4, both, tree, 3, "combo")
     assert cert.proper and cert.verified_order == 3
+    with pytest.raises(ZeroCombination):
+        certify_family(rh4, tree, 3, "combo", a=0, b=0)
 
 
 def test_verify_published_function(rh2):
@@ -550,6 +572,17 @@ def test_formal_render_takes_the_namer(rh3, ch2):
         assert not built.is_zero()
         assert built.render(spec.var_name) == built.render()
         assert built.latex(spec.var_name) == built.latex()
+
+
+def test_certificate_repr_is_deterministic(rh2, rh3):
+    # a sum prints as its class name and text, never as an object address
+    tree = radial_tree(rh3, {(2, True): 1})
+    psi2 = build_psi(rh3, tree, 2)
+    text = repr(verify_formal(rh3, psi2, tree, 2, kind="psi"))
+    assert " at 0x" not in text and "NodeSymbolExpr(" in text
+    assert repr(psi2) == f"NodeSymbolExpr({psi2.render()})"
+    assert repr(parse("x^2 - t*log(t)", rh2)) == "MixedExpr(x1_1^2 - t*log(t))"
+    assert repr(parse_polynomial("x^2 - 1/3", rh2)) == "Polynomial(x1_1^2 - 1/3)"
 
 
 def test_formal_root_log_alone_exceeds(rh3):
@@ -688,7 +721,7 @@ def test_random_combinations_stay_proper(rh2, ch2, ch3):
                 if phi is None:
                     combined = psi * b if b else psi
                 else:
-                    combined = combine(a, b, phi, psi) if (a or b) else psi
+                    combined = build(spec, tree, p, "combo", a, b)
                 cert = verify(spec, combined, p)
                 assert cert.verified_order == p and cert.proper
 

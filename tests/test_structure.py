@@ -10,7 +10,10 @@ only re-exports.  Build, certification and recurrence checks run on a tension
 tree's states, never on its multi-indices: `pharmonic.py` never reads a
 tree's `.nodes` view or calls `.branches()`, and it never asks what a node
 is: the tree's node table serves both kinds, so `pharmonic.py` calls no
-`isinstance` and names no node type.  Nothing is exported that
+`isinstance` and names no node type.  No tree certificate goes back through
+a public value: in `pharmonic.py` only `verify` converts a MixedExpr to a
+form (`to_form`) and only `verify_formal` a node-symbol sum
+(`_symbol_form`).  Nothing is exported that
 nothing calls: every name `__init__.py` imports is referenced by another
 module of the package, a script or the benchmark harness.  A cold command
 pays for no machinery it does not use: importing `polyharm.cli` loads
@@ -133,6 +136,26 @@ def node_type_tests(module: ast.Module) -> list[int]:
     return sorted(lines)
 
 
+# name -> the one function of `pharmonic.py` that may refer to it
+CONFINED = {"to_form": "verify", "_symbol_form": "verify_formal"}
+
+
+def confined_references(module: ast.Module) -> list[int]:
+    """Lines that refer to a name of `CONFINED` outside its one function;
+    importing or defining the name is not a reference."""
+    inside: dict[str, set[int]] = {}
+    for fn in ast.walk(module):
+        if isinstance(fn, ast.FunctionDef):
+            inside.setdefault(fn.name, set()).update(id(node) for node in ast.walk(fn))
+    lines = []
+    for node in ast.walk(module):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in CONFINED:
+            if id(node) not in inside.get(CONFINED[name], ()):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
 LATEX_TOKENS = ("\\frac", "\\left", "\\right", "\\log", "\\rho", "\\,")
 
 
@@ -160,6 +183,7 @@ def test_source_structure(path):
     if path.name == "pharmonic.py":
         assert multi_index_reads(module) == []
         assert node_type_tests(module) == []
+        assert confined_references(module) == []
     if path.name != "poly.py":
         assert latex_tokens(module) == []
 
@@ -194,6 +218,21 @@ def test_node_type_check_sees_a_test_of_a_node():
     )
     assert node_type_tests(ast.parse(injected)) == [1, 2, 2, 3, 5]
     assert node_type_tests(ast.parse("d, basis, nodes = tree.integer_nodes\n")) == []
+
+
+def test_confined_check_sees_a_conversion_outside_its_function():
+    injected = (
+        "from .laplacian import to_form\n"
+        "def verify(spec, e):\n"
+        "    return _certify(to_form(tables, e))\n"
+        "def certify_family(spec, tree, e):\n"
+        "    return to_form(tables, e), _symbol_form(tables, tree, e)\n"
+        "def verify_formal(spec, e, tree):\n"
+        "    return _symbol_form(tables, tree, e), laplacian.to_form\n"
+        "def _symbol_form(tables, tree, e):\n"
+        "    pass\n"
+    )
+    assert confined_references(ast.parse(injected)) == [5, 5, 7]
 
 
 def test_latex_check_sees_a_token():
