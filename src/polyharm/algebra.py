@@ -10,7 +10,9 @@ Only one orientation of each bracket pair is stored ((i,j) lexicographically
 before (k,l)); the antisymmetric mirror is synthesized on lookup.  Validation
 enforces the eigenvalue ordering, the grading rule lambda_alpha = lambda_i +
 lambda_k on every stored constant, and the Jacobi identity by exhaustive scan
-over basis triples.
+over basis triples; that scan is cubic in the dimension, so an algebra past
+the dimension budget `_DIMENSION_BUDGET` is refused before its brackets are
+checked.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadParams,
+    BudgetExceeded,
     DuplicateBracket,
     GradingViolation,
     IndexOutOfRange,
@@ -164,6 +167,20 @@ class AlgebraSpec(Record):
         return str(v)
 
 
+# The largest total dimension sum(dims) validation accepts: the Jacobi check
+# scans every triple of basis vectors, a cubic cost (ch120 takes seconds), and
+# a catalog label like ch99999999999 would make 10^11 bracket entries first.
+_DIMENSION_BUDGET = 256
+
+
+def _check_dimension(dims: Sequence[int]) -> None:
+    total = sum(dims)
+    if total > _DIMENSION_BUDGET:
+        raise BudgetExceeded(
+            f"the algebra has dimension {total}; the dimension budget is {_DIMENSION_BUDGET}"
+        )
+
+
 def _canonical_entries(
     raw: Iterable[tuple[tuple[int, int, int, int, int, int], Fraction]],
     m: int,
@@ -208,7 +225,8 @@ def validate(
     """Check every structural invariant and return the immutable spec.
 
     Raises NonPositiveEigenvalue, NonIncreasingEigenvalues, GradingViolation,
-    JacobiViolation, IndexOutOfRange, DuplicateBracket or BadParams.
+    JacobiViolation, IndexOutOfRange, DuplicateBracket, BadParams or
+    BudgetExceeded.
     """
     m = len(lambdas)
     if m == 0:
@@ -217,6 +235,7 @@ def validate(
         raise BadParams(f"{m} eigenvalues but {len(dims)} dimensions")
     if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in dims):
         raise BadParams(f"eigenspace dimensions must be positive integers: {dims}")
+    _check_dimension(dims)
     lambdas = tuple(Fraction(q) for q in lambdas)
     for q in lambdas:
         if q <= 0:
@@ -272,7 +291,10 @@ def _check_jacobi(spec: AlgebraSpec) -> None:
 
 # --- built-in catalog ---
 
+# Each catalog family checks its dimension before it lists a bracket.
+
 def _real_hyperbolic(n: int) -> AlgebraSpec:
+    _check_dimension([n])
     aliases: list[tuple[str, VarIndex]] = [(f"x_{j}", VarIndex(1, j)) for j in range(1, n + 1)]
     if n == 1:
         aliases.append(("x", VarIndex(1, 1)))
@@ -280,6 +302,7 @@ def _real_hyperbolic(n: int) -> AlgebraSpec:
 
 
 def _complex_hyperbolic(n: int) -> AlgebraSpec:
+    _check_dimension([2 * n, 1])
     brackets = [((1, i, 1, n + i, 2, 1), Fraction(1)) for i in range(1, n + 1)]
     if n == 1:
         aliases = [("x", VarIndex(1, 1)), ("y", VarIndex(1, 2)), ("z", VarIndex(2, 1))]

@@ -81,6 +81,9 @@ class BudgetExceeded(PolyharmError):
     """An input asks for more work or output than a budget allows, and is
     refused before the work is done:
 
+    - dimension: an algebra whose total dimension passes
+      `algebra._DIMENSION_BUDGET`, refused before its brackets are listed or
+      its Jacobi identity scanned;
     - depth: a seed's tension tree may be deeper than `tension._DEPTH_BUDGET`
       levels, refused before any level is expanded;
     - order: an order p past `pharmonic._P_BUDGET`, refused before a row is

@@ -24,10 +24,10 @@ coefficient (`_coefficients`), and the family member, in integer form keyed
 by state, is sum_S node_S times the coefficient of S.  Every member, phi,
 psi or a combination a*phi + b*psi summed on integers, comes from the one
 assembly `_member`, where builds and certificates start.  One substitution
-puts the nodes in, for both tree kinds:
-`realize` runs on integers over the tree's node table
-(`TensionTree.integer_nodes`), keyed by (basis function, exponent id, log
-power) and reduced once, and never asks what a node is.  A polynomial tree's
+puts the nodes in, for both tree kinds: `realize` runs on integers over the
+tree's node table (`TensionTree.integer_nodes`, the one node storage a tree
+has, made as it grows), keyed by (basis function, exponent id, log power)
+and reduced once, and never asks what a node is.  A polynomial tree's
 build is its realization as a MixedExpr; a radial tree's stays keyed by
 state and converts to the formal sum `NodeSymbolExpr`, each state named by
 its multi-index.  Phi raises Resonance at the least alpha, in lexicographic

@@ -3,13 +3,15 @@
     tau(h^i_alpha) = sum_k h^{i+1}_{(alpha,k)} * t^(2 lambda_k).
 
 Both seed kinds grow through one expander (`_grow`), told only the children
-of a node.  A polynomial node is expanded by the one operator kernel
-`laplacian.tau_form` on its integer form, and each child is read off the
-image by exponent id: the id of 2 lambda_k names layer k, which is well
-defined because the eigenvalues are distinct and nodes are t-independent.  A
-radial node H(|x^1|) G(x^2), H in the rho-span and G affine, has the one
-child Lap(H) G at layer 1 by the closed-form radial Laplacian, and never
-touches the full operator.
+of a node, and nodes live on integers: a node is (d, frozenset of (basis
+function, numerator over d)) reduced by its gcd, so equal nodes are equal
+values, on basis functions the tree owns (monomials, or (a, has_log,
+monomial of G) for a radial node H(|x^1|) G(x^2), H in the rho-span and G
+affine).  A polynomial node's children are read off the image of the one
+kernel `laplacian.tau_form` by exponent id (`_expand`): the id of 2 lambda_k
+names layer k, which is well defined because the eigenvalues are distinct
+and nodes are t-independent.  A radial node has the one child Lap(H) G at
+layer 1, by the closed-form radial Laplacian on its keys (`_radial_child`).
 
 The children of a node depend only on the node, so a tree is stored as its
 DAG of states (`State`): a state S = (node, Lambda) stands for every
@@ -17,19 +19,19 @@ multi-index alpha with that node and Lambda_alpha = sum of lambda_k along
 alpha, and S has an edge to the state of (alpha, k) for each layer k.  The
 expander runs breadth-first over states, never multi-indices, and expands
 each distinct node once.  Each state keeps its least alpha and its number of
-multi-indices, which give `Resonance` its alpha and `node_count` its value;
-the alpha-keyed view `TensionTree.nodes` is derived only for rendering and
-JSON, under a budget (ch2 z^24 has 196,416 multi-indices in 168 states).
-The tree also holds its nodes on integers, one table for both kinds
-(`TensionTree.integer_nodes`): each node's `terms` map x-basis functions
-(monomials, or rho^a log(rho)^b times a monomial of G) to coefficients.
+multi-indices, which give `Resonance` its alpha and `node_count` its value.
+The state nodes are stored once, as the node table that builds and
+certificates read (`TensionTree.integer_nodes`); node objects are made only
+at the edges, one per state, by the alpha-keyed view `TensionTree.nodes`
+for rendering and JSON, under a budget (ch2 z^24: 196,416 multi-indices in
+168 states).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Mapping, NamedTuple, Union
 
 from .algebra import AlgebraSpec, Record, VarIndex
@@ -86,9 +88,6 @@ class RadialFunction:
                 f"rho^{a} is outside the span rho^(2k), rho^(2k+2-{self.n1})"
             )
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RadialFunction)
@@ -98,23 +97,6 @@ class RadialFunction:
 
     def __hash__(self):
         return hash((self.n1, frozenset(self.terms.items())))
-
-    def laplacian(self) -> "RadialFunction":
-        """Closed form: Lap(rho^a) = a(a+n1-2) rho^(a-2);
-        Lap(rho^a log rho) = a(a+n1-2) rho^(a-2) log rho + (2a+n1-2) rho^(a-2)."""
-        out: dict[tuple[int, bool], Fraction] = {}
-        n1 = self.n1
-        for (a, has_log), c in self.terms.items():
-            main = a * (a + n1 - 2)
-            if main:
-                _acc(out, (a - 2, has_log), c * main)
-            if has_log:
-                extra = 2 * a + n1 - 2
-                if extra:
-                    _acc(out, (a - 2, False), c * extra)
-        result = RadialFunction.__new__(RadialFunction)
-        result.n1, result.terms = n1, out
-        return result
 
     def sorted_terms(self) -> list[tuple[tuple[int, bool], Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -141,9 +123,6 @@ class AffinePart(NamedTuple):
     constant: Fraction
     linear: tuple[tuple[int, Fraction], ...] = ()  # (slot, coefficient), sparse
 
-    def is_zero(self) -> bool:
-        return self.constant == 0 and all(c == 0 for _, c in self.linear)
-
     def is_constant(self) -> bool:
         return all(c == 0 for _, c in self.linear)
 
@@ -159,9 +138,6 @@ class RadialSeed(NamedTuple):
 
     radial: RadialFunction
     affine: AffinePart
-
-    def is_zero(self) -> bool:
-        return self.radial.is_zero() or self.affine.is_zero()
 
     @property
     def terms(self) -> dict[tuple[int, bool, Monomial], Fraction]:
@@ -189,20 +165,28 @@ class RadialSeed(NamedTuple):
 
 Node = Union[Polynomial, RadialSeed]
 
+# A node on integers (d, frozenset of (basis function, numerator over d)).
+_IntNode = tuple[int, frozenset]
+
+
+def _int_node(d: int, terms: Mapping) -> _IntNode:
+    """The node sum_f terms[f] / d * f, zero terms dropped and reduced."""
+    g = gcd(d, *terms.values())
+    return d // g, frozenset((f, v // g) for f, v in terms.items() if v)
+
 
 class State(NamedTuple):
     """One state of a tension tree: the multi-indices alpha that share a node
-    polynomial and Lambda_alpha = lambda_(alpha_1) + ... + lambda_(alpha_i).
+    (its row of `TensionTree.integer_nodes`) and Lambda_alpha =
+    lambda_(alpha_1) + ... + lambda_(alpha_i).  The children of a node
+    depend only on the node, so every alpha of a state has the same
+    children, each in one state: `children` maps layer k to the state of
+    (alpha, k).  `lam` is Lambda in units of 1/scale, the tree's `scale`;
+    `parents` names the source of each edge into this state, one per
+    (state, layer); `least` is the state's least alpha in lexicographic order
+    (the order of `TensionTree.nodes`) and `paths` its number of
+    multi-indices."""
 
-    The children of a node depend only on its polynomial, so every alpha of a
-    state has the same children, each in one state: `children` maps layer k
-    to the state of (alpha, k).  `lam` is Lambda in units of 1/scale, the
-    tree's `scale`; `parents` names the source of each edge into this state,
-    one per (state, layer); `least` is the state's least alpha in
-    lexicographic order (the order of `TensionTree.nodes`) and `paths` its
-    number of multi-indices."""
-
-    node: Node
     lam: int
     least: MultiIndex
     children: dict[int, int]
@@ -211,16 +195,20 @@ class State(NamedTuple):
 
 
 class TensionTree(Record):
-    """A tension tree as its DAG of states (`State`).  State 0 is the seed's,
-    and the states run in order of increasing Lambda, so parents come before
-    their children; only nonzero nodes have states.
+    """A tension tree as its DAG of states (`State`) and their node table.
+    State 0 is the seed's, and the states run in order of increasing Lambda,
+    so parents come before their children; only nonzero nodes have states.
+    `integer_nodes`, the one node storage of both kinds, is (D, basis,
+    [[(basis index, numerator over D), ...] per state]), D the common
+    denominator and `basis` the tree's basis functions in order of first
+    use; `seed` is the public seed.
 
     `nodes`, the alpha-keyed view, is derived on first use and refused past
     `_VIEW_BUDGET` multi-indices; only rendering and JSON read it.  `rows` is
     the branch-row memo `pharmonic` keeps per family, extended in place as p
     grows; like every cached property it takes no part in equality."""
 
-    _fields = ("spec", "kind", "seed", "states", "scale", "degree")
+    _fields = ("spec", "kind", "seed", "states", "scale", "degree", "integer_nodes")
 
     def __init__(
         self,
@@ -230,9 +218,11 @@ class TensionTree(Record):
         states: tuple[State, ...],
         scale: int,  # the lcm of the eigenvalue denominators
         degree: int,
+        integer_nodes: tuple[int, list, list[list[tuple[int, int]]]],
     ) -> None:
         self.__dict__.update(
-            spec=spec, kind=kind, seed=seed, states=states, scale=scale, degree=degree
+            spec=spec, kind=kind, seed=seed, states=states, scale=scale, degree=degree,
+            integer_nodes=integer_nodes,
         )
 
     @cached_property
@@ -246,19 +236,36 @@ class TensionTree(Record):
     @cached_property
     def nodes(self) -> dict[MultiIndex, Node]:
         """Every nonzero node keyed by its multi-index, in lexicographic
-        order; the nodes of one state are one object."""
+        order, as one object per state made from its row of the node table:
+        a Polynomial, or a RadialSeed whose H is the row's terms on the
+        first monomial of the seed's G over G's coefficient there (a radial
+        node is Lap^i(H) times the seed's G)."""
         count = self.node_count()
         if count > _VIEW_BUDGET:
             raise BudgetExceeded(
                 f"the tension tree has {count} nodes; listing them is refused past "
                 f"{_VIEW_BUDGET} (its {len(self.states)} states still build and certify)"
             )
+        d, basis, rows = self.integer_nodes
+        if self.kind == "polynomial":
+            made = [
+                Polynomial._wrap({basis[f]: Fraction(v, d) for f, v in row}) for row in rows[1:]
+            ]
+        else:
+            affine, n1 = self.seed.affine, self.seed.radial.n1
+            first, c_g = next(iter(affine.to_polynomial().terms.items()), (None, 1))
+            made = [
+                RadialSeed(RadialFunction(n1, {
+                    basis[f][:2]: Fraction(v, d) / c_g for f, v in row if basis[f][2] == first
+                }), affine)
+                for row in rows[1:]
+            ]
         states = self.states
         out: dict[MultiIndex, Node] = {}
         stack = [((k,), child) for k, child in reversed(states[0].children.items())]
         while stack:  # preorder with children in layer order: lexicographic
             alpha, s = stack.pop()
-            out[alpha] = states[s].node
+            out[alpha] = made[s - 1]
             stack += [(alpha + (k,), child) for k, child in reversed(states[s].children.items())]
         return out
 
@@ -281,43 +288,43 @@ class TensionTree(Record):
             for s, state in enumerate(self.states)
         }
 
-    @cached_property
-    def integer_nodes(self) -> tuple[int, list, list[list[tuple[int, int]]]]:
-        """The state nodes on integers, for both kinds: (D, basis, [[(basis
-        index, numerator over D), ...] per state]), D the common denominator
-        of every coefficient and `basis` the keys of the nodes' `terms`
-        (monomials, or rho^a log(rho)^b times a monomial of G) in order of
-        first use."""
-        nodes = [state.node.terms for state in self.states]
-        d = lcm(*(c.denominator for terms in nodes for c in terms.values()))
-        index: dict = {}
-        rows = [
-            [(index.setdefault(f, len(index)), c.numerator * (d // c.denominator))
-             for f, c in terms.items()]
-            for terms in nodes
-        ]
-        return d, list(index), rows
+
+def _seed_node(terms: Mapping) -> _IntNode:
+    """A seed's `terms`, basis function to Fraction, as a node on integers."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return _int_node(d, {f: c.numerator * (d // c.denominator) for f, c in terms.items()})
 
 
-def _expand(tables: Tables, node: Polynomial, layers: dict[int, int]) -> dict[int, Polynomial]:
-    """The children of a polynomial node: h_(alpha,k) is the coefficient of
-    t^(2 lambda_k) in the kernel's image of the node's integer form, and
-    `layers` maps the exponent id of each 2 lambda_k to k."""
-    d = lcm(*(c.denominator for c in node.terms.values()))
-    zero = tables.exponent_id(Fraction(0))
-    d, image = tau_form(tables, (d, {
-        (tables.monomial_id(mono), zero, 0): c.numerator * (d // c.denominator)
-        for mono, c in node.terms.items()
-    }))
-    children: dict[int, dict[Monomial, Fraction]] = {}
+def _expand(tables: Tables, node: _IntNode, zero: int, layers: dict) -> dict[int, _IntNode]:
+    """The children of a polynomial node: h_(alpha,k) is the part at
+    t^(2 lambda_k) of the kernel's image of the node at t-exponent id
+    `zero`, and `layers` maps the exponent id of each 2 lambda_k to k."""
+    d, terms = node
+    monomial_id, monomials = tables.monomial_id, tables.monomials
+    d, image = tau_form(tables, (d, {(monomial_id(mono), zero, 0): v for mono, v in terms}))
+    children: dict[int, dict] = {}
     for (m, e, logpow), v in image.items():
         if logpow or e not in layers:
             raise InternalClosureError(
                 f"operator image contains an unexpected t^({format_rational(tables.exponents[e])})"
                 f"*log^{logpow} component; this is a bug, not a user error"
             )
-        children.setdefault(layers[e], {})[tables.monomials[m]] = Fraction(v, d)
-    return {k: Polynomial._wrap(terms) for k, terms in children.items()}
+        children.setdefault(layers[e], {})[monomials[m]] = v
+    return {k: _int_node(d, terms) for k, terms in children.items()}
+
+
+def _radial_child(n1: int, node: _IntNode) -> dict[int, _IntNode]:
+    """The child of a radial node H G at layer 1, Lap(H) G, none when it is
+    zero, by the closed form on the node's keys (a, has_log, monomial of G):
+    Lap(rho^a) = a(a+n1-2) rho^(a-2) and Lap(rho^a log rho) = a(a+n1-2)
+    rho^(a-2) log rho + (2a+n1-2) rho^(a-2)."""
+    d, terms = node
+    out: dict = {}
+    for (a, has_log, mono), v in terms:
+        _acc(out, (a - 2, has_log, mono), v * a * (a + n1 - 2))
+        if has_log:
+            _acc(out, (a - 2, False, mono), v * (2 * a + n1 - 2))
+    return {1: _int_node(d, out)} if out else {}
 
 
 # The deepest tension tree a seed may ask for, by its depth bound: x^(10^11)
@@ -350,24 +357,24 @@ def _grow(
     spec: AlgebraSpec,
     kind: str,
     seed: Node,
-    children_of: Callable[[Node], dict[int, Node]],
+    children_of: Callable[[_IntNode], dict[int, _IntNode]],
     bound: int,
 ) -> TensionTree:
-    """The tree of `seed`, breadth-first over states: `children_of` gives a
-    node's nonzero children by layer, once per distinct node, and a state is
-    keyed by the id of its node and its Lambda in units of 1/scale (the lcm
-    of the eigenvalue denominators), so no node or Fraction is hashed per
-    edge.  Every edge raises Lambda, so ordering the states by Lambda puts
-    parents before children; least alpha, path counts and depths then follow
-    in one pass.  A level or a depth past `bound` means an operator bug."""
+    """The tree of `seed`, breadth-first over states from its node on
+    integers (`_seed_node`): `children_of` gives a node's nonzero children
+    by layer, once per distinct node, and a state is keyed by its node and
+    its Lambda in units of 1/scale (the lcm of the eigenvalue
+    denominators).  Every edge raises Lambda, so ordering the states by
+    Lambda puts parents before children; least alpha, path counts, depths
+    and the node table then follow in one pass.  A level or a depth past
+    `bound` means an operator bug."""
     scale = lcm(*(lam.denominator for lam in spec.lambdas))
     steps = {
         k: lam.numerator * (scale // lam.denominator) for k, lam in enumerate(spec.lambdas, 1)
     }
-    distinct: dict[Node, Node] = {seed: seed}
-    expanded: dict[int, dict[int, Node]] = {}
-    found: list[tuple[Node, int]] = [(seed, 0)]
-    index = {(id(seed), 0): 0}
+    expanded: dict[_IntNode, dict[int, _IntNode]] = {}
+    found: list[tuple[_IntNode, int]] = [(_seed_node(seed.terms), 0)]
+    index = {found[0]: 0}
     edges: list[dict[int, int]] = [{}]
     frontier = [0]
     depth = 0
@@ -376,17 +383,15 @@ def _grow(
         next_frontier = []
         for s in frontier:
             node, lam = found[s]
-            children = expanded.get(id(node))
+            children = expanded.get(node)
             if children is None:
-                children = expanded[id(node)] = {
-                    k: distinct.setdefault(child, child) for k, child in children_of(node).items()
-                }
+                children = expanded[node] = children_of(node)
             for k, child in children.items():
-                key = (id(child), lam + steps[k])
+                key = (child, lam + steps[k])
                 c = index.get(key)
                 if c is None:
                     c = index[key] = len(found)
-                    found.append((child, key[1]))
+                    found.append(key)
                     edges.append({})
                     next_frontier.append(c)
                 edges[s][k] = c
@@ -410,10 +415,17 @@ def _grow(
     degree = max(depths)
     _check_depth(degree, bound)
     states = tuple(
-        State(found[old][0], found[old][1], least[s], children[s], tuple(parents[s]), paths[s])
+        State(found[old][1], least[s], children[s], tuple(parents[s]), paths[s])
         for s, old in enumerate(order)
     )
-    return TensionTree(spec, kind, seed, states, scale, degree)
+    nodes = [found[old][0] for old in order]
+    d = lcm(*(node_d for node_d, _ in nodes))
+    basis: dict = {}
+    rows = [
+        [(basis.setdefault(f, len(basis)), v * (d // node_d)) for f, v in terms]
+        for node_d, terms in nodes
+    ]
+    return TensionTree(spec, kind, seed, states, scale, degree, (d, list(basis), rows))
 
 
 def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
@@ -437,14 +449,16 @@ def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
     _check_budget(bound)
     tables = tables_of(spec)
     tables.bound_images()
+    zero = tables.exponent_id(Fraction(0))
     layers = {tables.exponent_id(shift): k for k, shift in enumerate(tables.shifts, 1)}
-    return _grow(spec, "polynomial", h, lambda node: _expand(tables, node, layers), bound)
+    return _grow(spec, "polynomial", h, lambda node: _expand(tables, node, zero, layers), bound)
 
 
 def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:
     """Single-branch tree of H(|x^1|) G(x^2): the child of H * G is
-    Lap(H) * G at layer 1, none once Lap(H) or G is zero, so node i is
-    Lap^i(H) * G and the states are the nodes, a chain along layer 1.
+    Lap(H) * G at layer 1 (`_radial_child`), none once Lap(H) or G is zero,
+    so node i is Lap^i(H) * G and the states are the nodes, a chain along
+    layer 1.
 
     Each Laplacian lowers every rho-power by 2 down to its harmonic floor, 0
     or 2 - n1, so the depth is at most (max a - min(0, 2 - n1)) // 2; a node
@@ -469,14 +483,7 @@ def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:
     n1 = seed.radial.n1
     bound = (max((a for a, _ in seed.radial.terms), default=0) - min(0, 2 - n1)) // 2
     _check_budget(bound)
-
-    def child(node: RadialSeed) -> dict[int, RadialSeed]:
-        if node.affine.is_zero():
-            return {}
-        lap = node.radial.laplacian()
-        return {} if lap.is_zero() else {1: RadialSeed(radial=lap, affine=node.affine)}
-
-    return _grow(spec, "radial", seed, child, bound)
+    return _grow(spec, "radial", seed, lambda node: _radial_child(n1, node), bound)
 
 
 # --- rendering ---
@@ -516,28 +523,20 @@ def render_tree_latex(tree: TensionTree) -> str:
     )
 
 
-def _affine_to_json(g: AffinePart, n2: int) -> dict:
-    dense = {slot: c for slot, c in g.linear}
-    return {
-        "c0": format_rational(g.constant),
-        "c": [format_rational(dense.get(j, Fraction(0))) for j in range(1, n2 + 1)],
-    }
-
-
-def _radial_to_json(r: RadialFunction) -> list[dict]:
-    return [
-        {"a": a, "log": has_log, "c": format_rational(c)}
-        for (a, has_log), c in r.sorted_terms()
-    ]
-
-
 def _node_to_json(tree: TensionTree, node: Node) -> object:
-    if isinstance(node, Polynomial):
+    if tree.kind == "polynomial":
         return node.render(tree.spec.var_name)
+    linear = dict(node.affine.linear)
     n2 = tree.spec.dim(2) if tree.spec.m >= 2 else 0
     return {
-        "radial": _radial_to_json(node.radial),
-        "affine": _affine_to_json(node.affine, n2),
+        "radial": [
+            {"a": a, "log": has_log, "c": format_rational(c)}
+            for (a, has_log), c in node.radial.sorted_terms()
+        ],
+        "affine": {
+            "c0": format_rational(node.affine.constant),
+            "c": [format_rational(linear.get(j, Fraction(0))) for j in range(1, n2 + 1)],
+        },
     }
 
 

@@ -472,6 +472,19 @@ def total_degree(poly: Polynomial) -> int:
     return max((mono.degree for mono in poly.terms), default=0)
 
 
+def radial_laplacian(f: RadialFunction) -> RadialFunction:
+    """The flat x^1 Laplacian of f in closed form, on Fractions:
+    Lap(rho^a) = a(a+n1-2) rho^(a-2) and
+    Lap(rho^a log rho) = a(a+n1-2) rho^(a-2) log rho + (2a+n1-2) rho^(a-2)."""
+    out: dict = {}
+    n1 = f.n1
+    for (a, has_log), c in f.terms.items():
+        _acc(out, (a - 2, has_log), c * (a * (a + n1 - 2)))
+        if has_log:
+            _acc(out, (a - 2, False), c * (2 * a + n1 - 2))
+    return RadialFunction(n1, out)
+
+
 def radial_polynomial(spec, f: RadialFunction) -> Polynomial:
     """f with rho^(2k) expanded as (x^1_1^2 + ... + x^1_n1^2)^k; only for
     log-free even powers."""

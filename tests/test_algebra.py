@@ -6,6 +6,7 @@ import pytest
 
 from polyharm import (
     BadParams,
+    BudgetExceeded,
     DuplicateBracket,
     GradingViolation,
     IndexOutOfRange,
@@ -23,6 +24,7 @@ from polyharm import (
     validate,
     verify,
 )
+from polyharm import algebra
 from polyharm.laplacian import tables_of
 
 from oracles import structure_constant
@@ -89,6 +91,23 @@ def test_validate_refuses_bool_dimension():
 def test_catalog_refuses_bool_parameter():
     with pytest.raises(BadParams):
         catalog("real-hyperbolic", [True])
+
+
+def test_dimension_budget_refuses_a_large_algebra_before_its_jacobi_scan(monkeypatch):
+    # the Jacobi scan is cubic in the dimension: an algebra past the budget is
+    # refused before it runs, here made to fail if it is reached at all
+    def reached(spec):
+        raise AssertionError(f"the Jacobi scan ran on dimension {sum(spec.dims)}")
+
+    monkeypatch.setattr(algebra, "_check_jacobi", reached)
+    with pytest.raises(BudgetExceeded):
+        catalog_short_name("ch1000")
+    with pytest.raises(BudgetExceeded):
+        catalog("real-hyperbolic", [algebra._DIMENSION_BUDGET + 1])
+    with pytest.raises(BudgetExceeded):
+        from_json_dict({**CH2_JSON, "dims": ["1000000000000", 1]})
+    with pytest.raises(AssertionError):
+        catalog("real-hyperbolic", [algebra._DIMENSION_BUDGET])
 
 
 def test_catalog_short_names(ch3):

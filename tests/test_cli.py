@@ -94,6 +94,21 @@ def test_validate_file_integer_fields(capsys, tmp_path, change, code):
     assert ("error[ParseError]" in err) == bool(code)
 
 
+def test_validate_refuses_an_algebra_past_the_dimension_budget(capsys, tmp_path, monkeypatch):
+    # refused before the cubic Jacobi scan, which fails the test if reached
+    import polyharm.algebra as algebra
+
+    def reached(spec):
+        raise AssertionError(f"the Jacobi scan ran on dimension {sum(spec.dims)}")
+
+    monkeypatch.setattr(algebra, "_check_jacobi", reached)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**CH2_FILE, "dims": ["1000000000000", 1]}))
+    for label in ("ch1000", "rh300", str(path)):
+        code, out, err = run(capsys, "validate", "--algebra", label)
+        assert (code, out) == (1, "") and err.startswith("error[BudgetExceeded]")
+
+
 def test_validate_non_utf8_file(capsys, tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"name": "caf\xe9"}')
@@ -314,6 +329,12 @@ RADIAL_CASES = {
         '{"n1":4,"terms":[{"k":0,"a":"1","b":"0"},{"k":2,"a":"1","b":"1"}],"G":{"c0":"1","c":["2"]}}',
         ("--kind", "phi", "--p", "3"),
     ),
+    # G with no constant term: a node's H is read off G's first monomial, z
+    "ch2-G-no-constant": (
+        "ch2",
+        '{"n1":2,"terms":[{"k":2,"a":"1","b":"1"}],"G":{"c0":"0","c":["-3/2"]}}',
+        ("--kind", "psi", "--p", "4"),
+    ),
 }
 # (case, command, format, exit code, sha256 of stdout); the resonance case's
 # tree is the rh3-psi tree
@@ -364,6 +385,14 @@ RADIAL_DIGESTS = [
     ("ch3-n1-4", "build", "json", 0, 'f5f34a10d8ac9ff811db5a960fb1353be084828eb1afb1745be9fc3991e53352'),
     ("ch3-n1-4", "verify", "text", 0, 'e5286537e3fbeb08ccf2c716d54f0ed55cddfb36682ea3825484a7a349c1b6e0'),
     ("ch3-n1-4", "verify", "json", 0, '4d8775bca0d4fafd31ddf5682b101a6af8a8a8eb6e8826e14e59b47ffec59a6b'),
+    ("ch2-G-no-constant", "tree", "text", 0, '67a11a1f21ffdd194eabc1456967b17f50e0f49a210aaa6ceb8ab50cf774b5b0'),
+    ("ch2-G-no-constant", "tree", "latex", 0, '798166e8f00f8231e0acce708a44cba5f7b26b03e843c5b6fd424870e3641c4b'),
+    ("ch2-G-no-constant", "tree", "json", 0, '2e39cfab3d60d19bf9a1ac9e8b8fb69a16c941d4c4fa502aec3c03cab423b745'),
+    ("ch2-G-no-constant", "build", "text", 0, '9acbb8b5d4335dc411fdd0d0f42ed6b6d8ece414a23d1c259da372715c992798'),
+    ("ch2-G-no-constant", "build", "latex", 0, '9044c9c0e342f64321ac08167cd1bd771a6f6097e2ff654a5dcdcd938304d536'),
+    ("ch2-G-no-constant", "build", "json", 0, 'f6493b273de9d613f681d4d8b3e4934057872627da1324923d25e7f91271247d'),
+    ("ch2-G-no-constant", "verify", "text", 0, 'bc83f0846056ebc5a475741635ce2b983e4bf4fa65512733e5b4e726237d0328'),
+    ("ch2-G-no-constant", "verify", "json", 0, '11d3155e1638ae7228ffe4b286dbe8b76432c0704e184bae517fb25b644e960a'),
 ]
 
 

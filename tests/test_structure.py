@@ -19,7 +19,9 @@ module of the package, a script or the benchmark harness.  A cold command
 pays for no machinery it does not use: importing `polyharm.cli` loads
 neither `dataclasses` nor `inspect`.  LaTeX is spelled in one place: no
 module but `poly.py`, which holds the writer's style table, has a LaTeX
-token in a string constant.
+token in a string constant.  Tension-tree nodes live on integers: the
+expander `_grow`, the polynomial children `_expand` and the radial child
+`_radial_child` of `tension.py` name no Fraction and no node-object type.
 """
 
 import ast
@@ -156,6 +158,25 @@ def confined_references(module: ast.Module) -> list[int]:
     return sorted(lines)
 
 
+# the functions of `tension.py` that run on integer nodes, and the names
+# none of them may use
+INTEGER_NODE_FUNCTIONS = {"_grow", "_expand", "_radial_child"}
+NODE_OBJECTS = {"Fraction", "Polynomial", "RadialFunction", "RadialSeed", "AffinePart"}
+
+
+def node_object_names(module: ast.Module) -> list[int]:
+    """Lines inside a function of `INTEGER_NODE_FUNCTIONS` that name or look
+    up a name of `NODE_OBJECTS`."""
+    return sorted(
+        node.lineno
+        for fn in ast.walk(module)
+        if isinstance(fn, ast.FunctionDef) and fn.name in INTEGER_NODE_FUNCTIONS
+        for node in ast.walk(fn)
+        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+        in NODE_OBJECTS
+    )
+
+
 LATEX_TOKENS = ("\\frac", "\\left", "\\right", "\\log", "\\rho", "\\,")
 
 
@@ -186,6 +207,10 @@ def test_source_structure(path):
         assert confined_references(module) == []
     if path.name != "poly.py":
         assert latex_tokens(module) == []
+    if path.name == "tension.py":
+        defined = {fn.name for fn in ast.walk(module) if isinstance(fn, ast.FunctionDef)}
+        assert INTEGER_NODE_FUNCTIONS <= defined
+        assert node_object_names(module) == []
 
 
 def test_accumulate_check_sees_a_pasted_loop():
@@ -233,6 +258,19 @@ def test_confined_check_sees_a_conversion_outside_its_function():
         "    pass\n"
     )
     assert confined_references(ast.parse(injected)) == [5, 5, 7]
+
+
+def test_node_object_check_sees_a_name_in_an_integer_function():
+    injected = (
+        "def _expand(tables, node: Polynomial, layers):\n"
+        "    return Fraction(v, d), poly.Polynomial._wrap(terms)\n"
+        "def _radial_child(n1, node):\n"
+        "    return RadialSeed(node.radial, tension.AffinePart(c))\n"
+        "def nodes(self):\n"
+        "    return Polynomial._wrap({f: Fraction(v, d)})\n"
+    )
+    assert node_object_names(ast.parse(injected)) == [1, 2, 2, 4, 4]
+    assert node_object_names(ast.parse("def _grow(spec, kind, seed: Node, root):\n    pass\n")) == []
 
 
 def test_latex_check_sees_a_token():

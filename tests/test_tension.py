@@ -21,11 +21,20 @@ from polyharm import (
     tension_tree,
     tension_tree_radial,
     tree_to_json,
+    validate,
 )
 from polyharm import catalog_short_name, laplacian, tension
+from polyharm.poly import Monomial
 
 from conftest import random_polynomial
-from oracles import node_view, radial_polynomial, sum_trees, tau_by_partials, total_degree
+from oracles import (
+    node_view,
+    radial_laplacian,
+    radial_polynomial,
+    sum_trees,
+    tau_by_partials,
+    total_degree,
+)
 from test_algebra import filiform
 
 X = VarIndex(1, 1)
@@ -167,7 +176,7 @@ def test_depth_guard_stops_a_looping_operator(rh2, rh3, monkeypatch):
     monkeypatch.setattr(tension, "tau_form", looping)
     with pytest.raises(InternalClosureError):
         tension_tree(rh2, poly("x^6", rh2))
-    monkeypatch.setattr(RadialFunction, "laplacian", lambda self: self)
+    monkeypatch.setattr(tension, "_radial_child", lambda n1, node: {1: node})
     seed = RadialSeed(RadialFunction(2, {(4, False): Fraction(1)}), AffinePart(Fraction(1)))
     with pytest.raises(InternalClosureError):
         tension_tree_radial(rh3, seed)
@@ -309,12 +318,53 @@ def test_unsupported_span():
 def test_radial_laplacian_closed_form():
     # Lap(rho^a) = a(a + n1 - 2) rho^(a-2)
     f = RadialFunction(4, {(-2, False): Fraction(1), (2, False): Fraction(1)})
-    lap = f.laplacian()
+    lap = radial_laplacian(f)
     assert lap == RadialFunction(4, {(0, False): Fraction(8)})  # rho^-2 harmonic
     g = RadialFunction(2, {(4, True): Fraction(1)})
-    assert g.laplacian() == RadialFunction(
+    assert radial_laplacian(g) == RadialFunction(
         2, {(2, True): Fraction(16), (2, False): Fraction(8)}
     )
+    # the tree's child on integer keys (a, has_log, monomial of G), here
+    # rho^4 log(rho) * z / 3, reduced by its own gcd
+    z = Monomial.variable(VarIndex(2, 1))
+    assert tension._radial_child(2, (3, frozenset({((4, True, z), 1)}))) == {
+        1: (3, frozenset({((2, True, z), 16), ((2, False, z), 8)}))
+    }
+    assert tension._radial_child(4, (1, frozenset({((-2, False, z), 5)}))) == {}
+
+
+def random_radial(rng, n1):
+    """A random H in the span of n1 (logs only for n1 = 2), as RadialFunction."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(0, 4)
+        if n1 == 2:
+            key = (2 * k, rng.random() < 0.5)
+        else:
+            key = (2 * k if rng.random() < 0.5 else 2 * k + 2 - n1, False)
+        terms[key] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+    return RadialFunction(n1, terms)
+
+
+def test_radial_nodes_are_iterated_laplacians_times_g():
+    # every node of the view is Lap^i(H) * G, with Lap^i from the oracle's
+    # closed form and G the seed's, over n1 = 1..5 and G constant-only,
+    # linear-only and both; layer 1 of dimension n1, layer 2 of dimension 2
+    rng = random.Random(71)
+    for n1 in range(1, 6):
+        spec = validate(f"flat{n1}", [Fraction(1, 2), Fraction(1)], [n1, 2])
+        for constant, linear in ((1, False), (0, True), (1, True)):
+            for _ in range(4):
+                c0 = Fraction(rng.randint(1, 7), rng.randint(1, 5)) if constant else Fraction(0)
+                slots = ((1, Fraction(rng.randint(-5, 5) or 1, 3)), (2, Fraction(2))) if linear else ()
+                seed = RadialSeed(random_radial(rng, n1), AffinePart(c0, slots[:rng.randint(1, 2)]))
+                tree = tension_tree_radial(spec, seed)
+                h = seed.radial
+                for alpha, node in tree.nodes.items():
+                    assert alpha == (1,) * len(alpha)
+                    h = radial_laplacian(h)
+                    assert node == RadialSeed(h, seed.affine)
+                assert not radial_laplacian(h).terms
 
 
 def test_tree_text_render(ch2):
