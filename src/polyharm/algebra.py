@@ -9,10 +9,10 @@ structure constants
 Only one orientation of each bracket pair is stored ((i,j) lexicographically
 before (k,l)); the antisymmetric mirror is synthesized on lookup.  Validation
 enforces the eigenvalue ordering, the grading rule lambda_alpha = lambda_i +
-lambda_k on every stored constant, and the Jacobi identity by exhaustive scan
-over basis triples; that scan is cubic in the dimension, so an algebra past
-the dimension budget `_DIMENSION_BUDGET` is refused before its brackets are
-checked.
+lambda_k on every stored constant, and the Jacobi identity on every basis
+triple that holds a bracketed pair (the others satisfy it trivially); an
+algebra past the dimension budget `_DIMENSION_BUDGET` is refused before its
+brackets are checked.
 """
 
 from __future__ import annotations
@@ -167,9 +167,9 @@ class AlgebraSpec(Record):
         return str(v)
 
 
-# The largest total dimension sum(dims) validation accepts: the Jacobi check
-# scans every triple of basis vectors, a cubic cost (ch120 takes seconds), and
-# a catalog label like ch99999999999 would make 10^11 bracket entries first.
+# The largest total dimension sum(dims) validation accepts: the Jacobi check is
+# cubic in the dimension when most pairs bracket, and a catalog label like
+# ch99999999999 would make 10^11 bracket entries first.
 _DIMENSION_BUDGET = 256
 
 
@@ -274,19 +274,21 @@ def validate(
 
 
 def _check_jacobi(spec: AlgebraSpec) -> None:
-    basis = spec.variables()
-    for a_idx in range(len(basis)):
-        for b_idx in range(a_idx + 1, len(basis)):
-            for c_idx in range(b_idx + 1, len(basis)):
-                u, v, w = basis[a_idx], basis[b_idx], basis[c_idx]
-                acc: dict[VarIndex, Fraction] = {}
-                for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
-                    inner = spec.bracket(x, y)
-                    for mid, c_mid in inner.items():
-                        for target, c_t in spec.bracket(mid, z).items():
-                            _acc(acc, target, c_mid * c_t)
-                if acc:
-                    raise JacobiViolation(f"Jacobi identity fails on triple ({u}, {v}, {w})")
+    """JacobiViolation naming the least basis triple u < v < w with a nonzero
+    cyclic sum; only triples holding a bracketed pair can have one, so only
+    those are scanned, in order."""
+    pairs = {(VarIndex(e.i, e.j), VarIndex(e.k, e.l)) for e in spec.brackets}
+    triples = sorted({
+        tuple(sorted((u, v, w))) for u, v in pairs for w in spec.variables() if w not in (u, v)
+    })
+    for u, v, w in triples:
+        acc: dict[VarIndex, Fraction] = {}
+        for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
+            for mid, c_mid in spec.bracket(x, y).items():
+                for target, c_t in spec.bracket(mid, z).items():
+                    _acc(acc, target, c_mid * c_t)
+        if acc:
+            raise JacobiViolation(f"Jacobi identity fails on triple ({u}, {v}, {w})")
 
 
 # --- built-in catalog ---

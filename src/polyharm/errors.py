@@ -68,7 +68,7 @@ class ParseError(PolyharmError):
 
 class InternalClosureError(PolyharmError):
     """A tension tree left its expected shape: a term of the kernel's image of
-    a node has an exponent id that is not that of some t^(2*lambda_k), or a
+    a node has a t-exponent that is not some 2*lambda_k, or a
     log power, or a node lies past the seed's depth bound.  Indicates an
     operator bug, never user error."""
 

@@ -12,31 +12,35 @@ of the ad-power polynomials p^{i alpha}_{j beta}(x, r) for i < alpha.
 Everything derived from one algebra lives in one `Tables` object, built on
 first use and stored on the spec itself (`tables_of`), so it lives as long as
 the spec and no lookup hashes the spec: the ad-power rows, the structure
-polynomials, the operator's first and second order coefficient polynomials,
-the monomials and t-exponents interned to integer ids, and the memos of the
-operator's monomial images and of each exponent's t-part, all bounded by
-`_MEMO_LIMIT`.  The bound applies per memo of each live spec, not per
-process: a process that keeps many specs alive holds one set of tables for
-each, and a spec's tables are freed with the spec.  Branch rows are not kept
-here: they belong to one tree's states, and `pharmonic` keeps them on the
-tree.
+polynomials, the operator compiled once to integer numerators over one image
+denominator (`_operator`), the eigenvalues as integers over their scale (the
+lcm of their denominators), the monomials interned to integer ids and the
+memo of the operator's monomial images, bounded by `_MEMO_LIMIT`.  The bound
+applies per live spec, not per process: a process that keeps many specs
+alive holds one set of tables for each, and a spec's tables are freed with
+the spec.  Branch rows are not kept here: they belong to one tree's states,
+and `pharmonic` keeps them on the tree.
 
 Functions are carried in an integer form (`Form`): one denominator and a map
-from (x-part, exponent id, log power) to integer numerators, the x-part a
-monomial id for a concrete function and a tree state for a formal one.  The
-operator is linear and its x-part does not depend on t, so its one kernel
-`tau_form` is the linear extension of images: each monomial's
-image (a sum of t-shifts times integer polynomials over one per-algebra
-denominator) is computed once, each exponent's t-part factors mu (mu - n)
-and 2 mu - n and shifted exponent ids are computed once, and a form's terms
-are pushed through both on integers, with one gcd reduction per
-application.  A tree passes its own state images in place of the monomial
-images, the tree rule tau(h_S) = sum_k h_(S,k) t^(2 lambda_k), and the
-t-part comes from the same memo.  `tau` is the operator on MixedExpr, for
-the public API only: it converts to the form, applies the kernel and converts
+from (x-part, t-exponent, log power) to integer numerators, the x-part a
+monomial id for a concrete function and a tree state for a formal one, and
+the t-exponent an integer e over a unit q that travels beside the form.  The
+operator moves an exponent only by 2 lambda_k, so q is fixed for a whole
+computation: a tree's scale for every tree form, and for a MixedExpr the lcm
+of the scale and its exponent denominators (`to_form`).  The operator is
+linear and its x-part does not depend on t, so its one kernel `tau_form` is
+the linear extension of images: each monomial's image (a sum of t-shifts
+times integer polynomials over the image denominator) is computed once, each
+distinct exponent's t-part e (e - n q) / q^2 and 2 e - n q over q is worked
+out on integers per application, and a form's terms are pushed through both
+on integers, with one gcd reduction per application.  A tree passes its own
+state images in place of the monomial images, the tree rule tau(h_S) =
+sum_k h_(S,k) t^(2 lambda_k).  `tau` is the operator on MixedExpr, for the
+public API only: it converts to the form, applies the kernel and converts
 back.  `tension` expands tree nodes, and `pharmonic` builds, iterates and
 checks both kinds of function, on forms, so Fractions appear only where a
-polynomial, a MixedExpr or a node-symbol sum crosses the public API.
+polynomial, a MixedExpr or a node-symbol sum crosses the public API, where
+each distinct exponent becomes one Fraction (`exponents_of`).
 
 The test suite cross-asserts `tau` against an independent frame-sum
 realization A(A(e)) + sum X^i_j(X^i_j(e)) - n t e_t built from the
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 from .algebra import AlgebraSpec, VarIndex
 from .expr import MixedExpr
 from .poly import Monomial, Polynomial
@@ -72,30 +76,26 @@ def bernoulli(r: int) -> Fraction:
 
 # --- per-algebra tables ---
 
-# Most entries each memo of an algebra's tables keeps: the interned monomials
-# and t-exponents with the operator's images and t-parts.
-# A memo is cleared wholesale at the start of a public call once it holds this
-# many, so a long-lived process keeps at most this many plus those of one
-# call, per memo of a live algebra.
+# Most monomials an algebra's tables intern, with their images, before the
+# memo is cleared wholesale at the start of a public call, so a long-lived
+# process keeps at most this many plus those of one call per live algebra.
 _MEMO_LIMIT = 4096
 
-# A function in integer form: (denominator, {(x-part, t-exponent id, log
+# A function in integer form: (denominator, {(x-part, t-exponent, log
 # power): numerator}), with no zero numerator, so the zero function has no
-# terms.  The x-part is a monomial id for a concrete function and a state
-# symbol (a state's index in its tree) for a formal one.  Ids are interned in
+# terms.  The t-exponent is an integer e standing for e / q, the unit q a
+# multiple of the algebra's eigenvalue scale that travels beside the form.
+# The x-part is a monomial id for a concrete function and a state symbol (a
+# state's index in its tree) for a formal one.  Monomial ids are interned in
 # the algebra's tables and stay valid until the next `Tables.bound_images`,
 # which runs only at the entry of a public call, so a form never outlives the
 # call that made it.
 Form = tuple[int, dict[tuple, int]]
 
-# The x-part of the operator on one monomial: sum over s of t^(shifts[s])
-# times a polynomial, as ((shift id, monomial id, numerator), ...) over the
+# The x-part of the operator on one monomial: sum over s of t^(2 lambda_(s+1))
+# times a polynomial, as ((shift id s, monomial id, numerator), ...) over the
 # algebra's one image denominator.
 _Image = tuple[tuple[int, int, int], ...]
-
-# The t-part of the operator at one t-exponent mu, as (t, mu (mu - n) * t,
-# (2 mu - n) * t, ids of mu + each shift): two factors as integers over t.
-_TPart = tuple[int, int, int, tuple[int, ...]]
 
 _AdRows = dict[VarIndex, dict[VarIndex, Polynomial]]
 
@@ -114,59 +114,36 @@ class Tables:
     """Everything derived from one algebra; see the module docstring."""
 
     def __init__(self, spec: AlgebraSpec) -> None:
-        self.n = spec.homogeneous_dim
         self.ad_rows = _ad_rows(spec)
         self.struct = _struct_table(spec, self.ad_rows)
-        # 2 lambda_i, with shift id i - 1
-        self.shifts = tuple(2 * spec.lam(i) for i in range(1, spec.m + 1))
-        self.coefficients = _coefficients(spec, self.struct)
-        # every image coefficient is a sum of integer multiples of these
-        # polynomials' coefficients, so their lcm serves every image
-        self.image_denominator = lcm(
-            *(
-                c.denominator
-                for shifts in self.coefficients.values()
-                for poly in shifts.values()
-                for c in poly.terms.values()
-            )
+        # the eigenvalues on integers: scale is the lcm of their
+        # denominators, shifts[k - 1] is 2 lambda_k and n the homogeneous
+        # dimension, both in units of 1 / scale
+        self.scale = lcm(*(lam.denominator for lam in spec.lambdas))
+        self.shifts = tuple(
+            2 * lam.numerator * (self.scale // lam.denominator) for lam in spec.lambdas
         )
-        # monomials and t-exponents interned to ids (id -> value, value -> id),
-        # the image of each monomial id (`_image`) and the t-part of each
-        # exponent id (`_t_part`); `bound_images` clears all six together
+        n = spec.homogeneous_dim
+        self.n = n.numerator * (self.scale // n.denominator)
+        self.image_denominator, self.operator = _operator(spec, self.struct)
+        # monomials interned to ids (id -> monomial, monomial -> id) and the
+        # image of each id (`_image`); `bound_images` empties all three
         self.monomials: list[Monomial] = []
         self.monomial_ids: dict[Monomial, int] = {}
-        self.exponents: list[Fraction] = []
-        self.exponent_ids: dict[Fraction, int] = {}
         self.images: dict[int, _Image] = {}
-        self.t_parts: dict[int, _TPart] = {}
-        # how many times `bound_images` has cleared the ids: an id kept
-        # outside the tables is valid while this count is unchanged
-        self.clears = 0
 
     def bound_images(self) -> None:
-        """Clear the ids, and every memo holding one (the images and the
-        t-parts), once `_MEMO_LIMIT` monomials or exponents are interned;
-        called only at the entry of a public call."""
-        if max(len(self.monomials), len(self.exponents)) >= _MEMO_LIMIT:
-            for memo in (
-                self.monomials, self.monomial_ids, self.exponents,
-                self.exponent_ids, self.images, self.t_parts,
-            ):
+        """Clear the monomial ids and their images once `_MEMO_LIMIT`
+        monomials are interned; called only at the entry of a public call."""
+        if len(self.monomials) >= _MEMO_LIMIT:
+            for memo in (self.monomials, self.monomial_ids, self.images):
                 memo.clear()
-            self.clears += 1
 
     def monomial_id(self, mono: Monomial) -> int:
         i = self.monomial_ids.get(mono)
         if i is None:
             i = self.monomial_ids[mono] = len(self.monomials)
             self.monomials.append(mono)
-        return i
-
-    def exponent_id(self, mu: Fraction) -> int:
-        i = self.exponent_ids.get(mu)
-        if i is None:
-            i = self.exponent_ids[mu] = len(self.exponents)
-            self.exponents.append(mu)
         return i
 
 
@@ -227,10 +204,13 @@ def struct_polys(spec: AlgebraSpec) -> StructPolyTable:
 
 # --- the operator ---
 
-def _coefficients(spec: AlgebraSpec, table: StructPolyTable) -> dict:
-    """The operator's coefficient polynomials by the variables of their
-    derivative, first order (one variable) before second order (an
-    unordered pair), then by shift id."""
+def _operator(spec: AlgebraSpec, table: StructPolyTable) -> tuple[int, tuple]:
+    """The operator's coefficient polynomials on integers: their common
+    denominator, and by the variables of their derivative, first order (one
+    variable) before second order (an unordered pair), (variables, ((shift
+    id, target monomial, numerator), ...)).  Every image coefficient is a sum
+    of integer multiples of these numerators, so the one denominator serves
+    every image."""
     first: dict[tuple[VarIndex], dict[int, Polynomial]] = {}
     second: dict[tuple[VarIndex, VarIndex], dict[int, Polynomial]] = {}
     for i in range(1, spec.m + 1):
@@ -250,40 +230,36 @@ def _coefficients(spec: AlgebraSpec, table: StructPolyTable) -> dict:
                     if dp.is_zero():
                         continue
                     _acc(first.setdefault((v2,), {}), shift, p1 * dp)
-    return {variables: shifts for variables, shifts in {**first, **second}.items() if shifts}
+    coefficients = [
+        (variables, [
+            (s, target, c) for s, poly in shifts.items() for target, c in poly.terms.items()
+        ])
+        for variables, shifts in {**first, **second}.items()
+        if shifts
+    ]
+    denominator = lcm(*(c.denominator for _, row in coefficients for _, _, c in row))
+    return denominator, tuple(
+        (variables, tuple((s, target, c.numerator * (denominator // c.denominator))
+                          for s, target, c in row))
+        for variables, row in coefficients
+    )
 
 
 def _image(tables: Tables, m: int) -> _Image:
     """The x-part of the operator on monomial id m, computed once per memo."""
     mono = tables.monomials[m]
-    acc: dict[tuple[int, Monomial], Fraction] = {}
-    for variables, shifts in tables.coefficients.items():
+    acc: dict[tuple[int, Monomial], int] = {}
+    for variables, terms in tables.operator:
         factor, lowered = mono.derivative(*variables)
         if not factor:
             continue
-        for shift, poly in shifts.items():
-            for target, c in poly.terms.items():
-                _acc(acc, (shift, target * lowered), c * factor)
-    denominator = tables.image_denominator
+        for shift, target, a in terms:
+            _acc(acc, (shift, target * lowered), a * factor)
+    monomial_id = tables.monomial_id
     image = tables.images[m] = tuple(
-        (shift, tables.monomial_id(target), c.numerator * (denominator // c.denominator))
-        for (shift, target), c in acc.items()
+        (shift, monomial_id(target), a) for (shift, target), a in acc.items()
     )
     return image
-
-
-def _t_part(tables: Tables, e: int) -> _TPart:
-    """The t-part factors of exponent id e, computed once per memo."""
-    mu, n = tables.exponents[e], tables.n
-    t2, t1 = mu * (mu - n), 2 * mu - n
-    t = lcm(t2.denominator, t1.denominator)
-    part = tables.t_parts[e] = (
-        t,
-        t2.numerator * (t // t2.denominator),
-        t1.numerator * (t // t1.denominator),
-        tuple(tables.exponent_id(mu + shift) for shift in tables.shifts),
-    )
-    return part
 
 
 def reduced(denominator: int, numerators: dict) -> Form:
@@ -297,20 +273,30 @@ def reduced(denominator: int, numerators: dict) -> Form:
     return denominator, numerators
 
 
-def to_form(tables: Tables, e: MixedExpr) -> Form:
-    """e in integer form over the lcm of its coefficient denominators."""
+def to_form(tables: Tables, e: MixedExpr) -> tuple[Form, int]:
+    """e in integer form over the lcm of its coefficient denominators, and
+    the unit of its t-exponents: the lcm of the algebra's scale and their
+    denominators."""
     d = lcm(*(c.denominator for c in e.terms.values()))
-    monomial_id, exponent_id = tables.monomial_id, tables.exponent_id
-    return d, {
-        (monomial_id(mono), exponent_id(mu), k): c.numerator * (d // c.denominator)
+    q = lcm(tables.scale, *(mu.denominator for _, mu, _ in e.terms))
+    monomial_id = tables.monomial_id
+    return (d, {
+        (monomial_id(mono), mu.numerator * (q // mu.denominator), k):
+            c.numerator * (d // c.denominator)
         for (mono, mu, k), c in e.terms.items()
-    }
+    }), q
 
 
-def to_expr(tables: Tables, form: Form) -> MixedExpr:
-    """The MixedExpr of a form."""
+def exponents_of(form: Form, q: int) -> dict[int, Fraction]:
+    """Each distinct t-exponent of a form as a Fraction, e / q."""
+    return {e: Fraction(e, q) for e in {e for _, e, _ in form[1]}}
+
+
+def to_expr(monomials: Sequence[Monomial], form: Form, q: int) -> MixedExpr:
+    """The MixedExpr of a form whose x-parts index `monomials` and whose
+    t-exponents are in units of 1 / q."""
     d, terms = form
-    monomials, exponents = tables.monomials, tables.exponents
+    exponents = exponents_of(form, q)
     return MixedExpr._wrap(
         {
             (monomials[m], exponents[e], k): Fraction(v, d)
@@ -319,15 +305,16 @@ def to_expr(tables: Tables, form: Form) -> MixedExpr:
     )
 
 
-def tau_form(tables: Tables, form: Form, images: Mapping | None = None) -> Form:
-    """The operator on a form: each term is pushed through the image of its
-    key's first part with the t-shifts of its exponent, and the t-part of its
-    exponent (`_t_part`) is added.  The images are the monomial images
-    (`_image`) unless `images` maps every first part of the form to its image
-    over denominator 1, as a tree's state symbols do.  The sum runs on
-    integers over d * s, d the form's denominator and s the lcm of the image
-    denominator and the t-part denominators of the form's exponents; the
-    result is reduced once."""
+def tau_form(tables: Tables, form: Form, q: int, images: Mapping | None = None) -> Form:
+    """The operator on a form with t-exponents in units of 1 / q: each term
+    is pushed through the image of its key's first part, its exponent e
+    shifted by 2 lambda_k q, and the t-part of t^(e/q) log(t)^k is added,
+    e (e - n q) / q^2, k (2 e - n q) / q and k (k - 1) on the log powers k,
+    k - 1 and k - 2.  The images are the monomial images (`_image`) unless
+    `images` maps every first part of the form to its image over
+    denominator 1, as a tree's state symbols do.  The sum runs on integers
+    over d * s, d the form's denominator and s the lcm of the image
+    denominator and q^2; the result is reduced once."""
     d, terms = form
     if not terms:
         return form
@@ -335,16 +322,14 @@ def tau_form(tables: Tables, form: Form, images: Mapping | None = None) -> Form:
         images, image_denominator = tables.images, tables.image_denominator
     else:
         image_denominator = 1
-    t_parts = tables.t_parts
-    parts = {
-        e: t_parts[e] if e in t_parts else _t_part(tables, e)
-        for e in {e for _, e, _ in terms}
-    }
-    s = lcm(image_denominator, *(part[0] for part in parts.values()))
-    scale = s // image_denominator
+    unit = q // tables.scale
+    nq = tables.n * unit
+    shifts = [shift * unit for shift in tables.shifts]
+    s = lcm(image_denominator, q * q)
+    lift, per_q2, per_q = s // image_denominator, s // (q * q), s // q
     factors = {
-        e: (t2 * (s // t), t1 * (s // t), shifted)
-        for e, (t, t2, t1, shifted) in parts.items()
+        e: (e * (e - nq) * per_q2, (2 * e - nq) * per_q, [e + shift for shift in shifts])
+        for e in {e for _, e, _ in terms}
     }
     out: dict[tuple, int] = {}
     get = out.get
@@ -353,7 +338,7 @@ def tau_form(tables: Tables, form: Form, images: Mapping | None = None) -> Form:
         if image is None:
             image = _image(tables, m)
         t2, t1, shifted = factors[e]
-        scaled = num * scale
+        scaled = num * lift
         for shift, target, a in image:
             key = (target, shifted[shift], k)
             out[key] = get(key, 0) + scaled * a
@@ -376,4 +361,5 @@ def tau(spec: AlgebraSpec, e: MixedExpr) -> MixedExpr:
     tables.bound_images()
     if not e.terms:
         return MixedExpr()
-    return to_expr(tables, tau_form(tables, to_form(tables, e)))
+    form, q = to_form(tables, e)
+    return to_expr(tables.monomials, tau_form(tables, form, q), q)

@@ -26,7 +26,7 @@ psi or a combination a*phi + b*psi summed on integers, comes from the one
 assembly `_member`, where builds and certificates start.  One substitution
 puts the nodes in, for both tree kinds: `realize` runs on integers over the
 tree's node table (`TensionTree.integer_nodes`, the one node storage a tree
-has, made as it grows), keyed by (basis function, exponent id, log power)
+has, made as it grows), keyed by (basis function, t-exponent, log power)
 and reduced once, and never asks what a node is.  A polynomial tree's
 build is its realization as a MixedExpr; a radial tree's stays keyed by
 state and converts to the formal sum `NodeSymbolExpr`, each state named by
@@ -51,8 +51,13 @@ assembly and certificate: a polynomial tree's realization, re-keyed from the
 tree's basis to monomial ids, runs the loop of `verify`, a radial tree's
 form the loop of `verify_formal`, and only the two residuals are converted.
 Every order p is checked against the budget `_P_BUDGET` before a row is made
-or the operator applied.  A form's ids are valid only inside the public call
-that made it, since `Tables.bound_images` runs at the entry of each.
+or the operator applied.  Every tree form has its t-exponents as integers
+over the tree's scale (`TensionTree.scale`), from the state rows on, and a
+public MixedExpr or node-symbol sum over the lcm of that scale and its own
+exponent denominators; the unit goes with the form through the kernel to the
+residuals.  Only a concrete form holds ids, monomial ids valid inside the
+public call that made it, since `Tables.bound_images` runs at the entry of
+each.
 """
 
 from __future__ import annotations
@@ -64,7 +69,9 @@ from typing import Callable, NamedTuple, Union
 from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, Resonance, ZeroCombination
 from .expr import MixedExpr
-from .laplacian import Form, Tables, reduced, tables_of, tau_form, to_expr, to_form
+from .laplacian import (
+    Form, Tables, exponents_of, reduced, tables_of, tau_form, to_expr, to_form,
+)
 from .poly import _LATEX, Monomial, Sparse, _label, _Style
 from .scalar import _acc
 from .tension import MultiIndex, TensionTree
@@ -93,33 +100,33 @@ class _Rows:
         U_S[0] = m sum U_S'[0],   U_S[j] = m sum U_S'[j] + a U_S[j-1],
 
     each sum over the edges (S', k) -> S.  Every entry is a reduced pair of
-    integers (numerator, positive denominator).
+    integers (numerator, positive denominator), and each state's t-exponent
+    is an integer over the tree's scale, so the rows hold no id and stay
+    valid for the life of the tree.
     """
 
-    __slots__ = ("resonant", "exponents", "steps", "u", "stamp", "exponent_ids", "weighted")
+    __slots__ = ("resonant", "exponents", "steps", "u", "weighted")
 
     def __init__(
         self,
         resonant: MultiIndex | None,  # phi only: the least alpha with 2 Lambda = n
-        exponents: list[Fraction],  # of t per state: 2 Lambda (phi) or 2 Lambda + n (psi)
+        # of t per state over the tree's scale: 2 Lambda (phi) or 2 Lambda + n (psi)
+        exponents: list[int],
         steps: list[tuple[int, int, int, int] | None],  # per state (a, m) as two pairs
         u: list[list[tuple[int, int]]],
     ) -> None:
         self.resonant, self.exponents, self.steps, self.u = resonant, exponents, steps, u
-        # the tables and clear count `exponent_ids` are valid for
-        self.stamp: tuple | None = None
-        self.exponent_ids: list[int] = []
         self.weighted: dict[int, tuple[int, list]] = {}  # see `_coefficients`
 
 
-def _rows(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> _Rows:
+def _rows(tables: Tables, tree: TensionTree, p: int, family: str) -> _Rows:
     """The rows of `tree` for `family` to length at least p, kept in
     `tree.rows`; Resonance, naming the least resonant alpha in lexicographic
     order (the order of `TensionTree.nodes`), where phi is resonant at some
     state (2 Lambda = n)."""
     rows = tree.rows.get(family)
     if rows is None:
-        rows = tree.rows[family] = _new_rows(spec, tree, family)
+        rows = tree.rows[family] = _new_rows(tables, tree, family)
     if rows.resonant is not None:
         raise Resonance(rows.resonant, len(rows.resonant))
     u, states = rows.u, tree.states
@@ -146,25 +153,27 @@ def _rows(spec: AlgebraSpec, tree: TensionTree, p: int, family: str) -> _Rows:
     return rows
 
 
-def _new_rows(spec: AlgebraSpec, tree: TensionTree, family: str) -> _Rows:
+def _new_rows(tables: Tables, tree: TensionTree, family: str) -> _Rows:
     """Empty rows past the seed's, with each state's exponent and steps,
-    worked out on integers: d = 2 Lambda -+ n, a = 1/d, m = -a / (2 Lambda)."""
-    n = spec.homogeneous_dim
+    worked out on integers over the tree's scale q: with l = 2 Lambda q and
+    n q the algebra's (`Tables.n`), the exponent is l for phi and l + n q for
+    psi, d = 2 Lambda -+ n = (l -+ n q) / q, a = 1/d and m = -a / (2 Lambda)
+    = -q^2 / (l (l -+ n q))."""
     sign = -1 if family == "phi" else 1
-    exponents: list[Fraction] = []
+    exponents: list[int] = []
     steps: list[tuple[int, int, int, int] | None] = []
     resonant = []
-    ld = tree.scale
+    q, nq = tree.scale, tables.n
     for state in tree.states:
-        ln = state.lam
-        dn, dd = 2 * ln * n.denominator + sign * n.numerator * ld, ld * n.denominator
-        exponents.append(Fraction(2 * ln, ld) if family == "phi" else Fraction(dn, dd))
-        if not ln or not dn:
+        lam2 = 2 * state.lam
+        dn = lam2 + sign * nq
+        exponents.append(lam2 if family == "phi" else dn)
+        if not lam2 or not dn:
             steps.append(None)
-            if ln:
+            if lam2:
                 resonant.append(state.least)
             continue
-        steps.append(_pair(dd, dn) + _pair(-dd * ld, 2 * ln * dn))
+        steps.append(_pair(q, dn) + _pair(-q * q, lam2 * dn))
     u = [[(1, 1)]] + [[] for _ in tree.states[1:]]
     return _Rows(min(resonant, default=None), exponents, steps, u)
 
@@ -173,16 +182,6 @@ def _pair(num: int, den: int) -> tuple[int, int]:
     """num / den as a reduced pair with a positive denominator."""
     g = gcd(num, den) if den > 0 else -gcd(num, den)
     return num // g, den // g
-
-
-def _exponent_ids(tables: Tables, rows: _Rows) -> list[int]:
-    """The exponent id of each state's t-power, kept with the rows until
-    the tables clear their ids (`Tables.clears`)."""
-    stamp = (tables, tables.clears)
-    if rows.stamp != stamp:
-        rows.exponent_ids = [tables.exponent_id(mu) for mu in rows.exponents]
-        rows.stamp = stamp
-    return rows.exponent_ids
 
 
 def _weights(p: int) -> list[int]:
@@ -218,10 +217,11 @@ class NodeSymbolExpr(Sparse):
         return self._write(_LATEX, namer or _LATEX.var)
 
 
-def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> Form:
-    """The integer form of e keyed by (state, exponent id, log power): each
-    multi-index goes to its state, and those the tree lacks (zero nodes) are
-    dropped; the coefficients must be t-only."""
+def _symbol_form(tree: TensionTree, e: NodeSymbolExpr) -> tuple[Form, int]:
+    """The integer form of e keyed by (state, t-exponent, log power), and the
+    unit of its t-exponents, the lcm of the tree's scale and their
+    denominators: each multi-index goes to its state, and those the tree
+    lacks (zero nodes) are dropped; the coefficients must be t-only."""
     acc: dict[tuple, Fraction] = {}
     for alpha, coeff in e.terms.items():
         s = tree.state_of(alpha)
@@ -232,18 +232,19 @@ def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> Form:
                 raise ValueError("node-symbol coefficients must be t-only")
             _acc(acc, (s, mu, k), c)
     d = lcm(*(c.denominator for c in acc.values()))
-    exponent_id = tables.exponent_id
-    return d, {
-        (s, exponent_id(mu), k): c.numerator * (d // c.denominator)
+    q = lcm(tree.scale, *(mu.denominator for _, mu, _ in acc))
+    return (d, {
+        (s, mu.numerator * (q // mu.denominator), k): c.numerator * (d // c.denominator)
         for (s, mu, k), c in acc.items()
-    }
+    }), q
 
 
-def _symbols(tables: Tables, tree: TensionTree, form: Form) -> NodeSymbolExpr:
-    """The node-symbol sum of a form keyed by state, each state named by its
-    least multi-index (a radial tree's states are its nodes)."""
+def _symbols(tree: TensionTree, form: Form, q: int) -> NodeSymbolExpr:
+    """The node-symbol sum of a form keyed by state with t-exponents in units
+    of 1 / q, each state named by its least multi-index (a radial tree's
+    states are its nodes)."""
     d, terms = form
-    one, exponents, states = Monomial.one(), tables.exponents, tree.states
+    one, exponents, states = Monomial.one(), exponents_of(form, q), tree.states
     out: dict[MultiIndex, dict] = {}
     for (s, e, k), v in terms.items():
         out.setdefault(states[s].least, {})[(one, exponents[e], k)] = Fraction(v, d)
@@ -293,41 +294,40 @@ def build(
     """
     tables = tables_of(spec)
     tables.bound_images()
-    form = _member(spec, tables, tree, p, kind, a, b)
+    form = _member(tables, tree, p, kind, a, b)
     if tree.kind == "radial":
-        return _symbols(tables, tree, form)
-    d, terms = realize(tree, form)
-    monomials, exponents = tree.integer_nodes[1], tables.exponents
-    return MixedExpr._wrap({
-        (monomials[f], exponents[e], k): Fraction(v, d) for (f, e, k), v in terms.items()
-    })
+        return _symbols(tree, form, tree.scale)
+    return to_expr(tree.integer_nodes[1], realize(tree, form), tree.scale)
 
 
 def _member(
-    spec: AlgebraSpec, tables: Tables, tree: TensionTree, p: int, kind: str,
-    a: Fraction = 1, b: Fraction = 1,
+    tables: Tables, tree: TensionTree, p: int, kind: str, a: Fraction = 1, b: Fraction = 1
 ) -> Form:
-    """The member `kind` of order p keyed by (state, exponent id, log power),
-    the one assembly of every build, certificate and recurrence check: the
-    state rows times their weights (`_coefficients`) for phi or psi, and
-    a*phi + b*psi on integers (`_combination`), phi first, so Resonance
-    comes before ZeroCombination."""
+    """The member `kind` of order p keyed by (state, t-exponent over the
+    tree's scale, log power), the one assembly of every build, certificate
+    and recurrence check: the state rows times their weights
+    (`_coefficients`) for phi or psi, and a*phi + b*psi on integers
+    (`_combination`), phi first, so Resonance comes before
+    ZeroCombination."""
     _check_p(p)
     if kind != "combo":
         if kind not in ("phi", "psi"):
             raise ValueError(f"unknown family {kind!r}: phi, psi or combo")
-        w, ids, states = _coefficients(spec, tables, tree, p, kind)
-        return w, {(s, ids[s], k): u for s, scaled in enumerate(states) for k, u in scaled}
-    phi, psi = (_member(spec, tables, tree, p, family) for family in ("phi", "psi"))
+        w, exponents, states = _coefficients(tables, tree, p, kind)
+        return w, {
+            (s, exponents[s], k): u for s, scaled in enumerate(states) for k, u in scaled
+        }
+    phi, psi = (_member(tables, tree, p, family) for family in ("phi", "psi"))
     a, b = Fraction(a), Fraction(b)
     if not (a or b):
         raise ZeroCombination("the zero combination is not a p-harmonic candidate")
     return _combination([(phi, a.numerator, a.denominator), (psi, b.numerator, b.denominator)])
 
 
-# A family member's coefficients: (W, exponent id per state, per state
-# [(log power, numerator over W), ...]); the coefficient of state S is
-# sum_j w_j U_S[j] t^exponent log(t)^(p-1-j), w_j = `_weights(p)[j]`.
+# A family member's coefficients: (W, t-exponent per state over the tree's
+# scale, per state [(log power, numerator over W), ...]); the coefficient of
+# state S is sum_j w_j U_S[j] t^exponent log(t)^(p-1-j), w_j =
+# `_weights(p)[j]`.
 _Coefficients = tuple[int, list[int], list[list[tuple[int, int]]]]
 
 # How many orders' weighted rows a tree keeps per family: a recurrence check
@@ -335,13 +335,11 @@ _Coefficients = tuple[int, list[int], list[list[tuple[int, int]]]]
 _WEIGHTED_ORDERS = 3
 
 
-def _coefficients(
-    spec: AlgebraSpec, tables: Tables, tree: TensionTree, p: int, family: str
-) -> _Coefficients:
+def _coefficients(tables: Tables, tree: TensionTree, p: int, family: str) -> _Coefficients:
     """The coefficient of order p of every state: its rows (`_rows`) and
     weights over their common denominator W, kept for the last
     `_WEIGHTED_ORDERS` orders asked for."""
-    rows = _rows(spec, tree, p, family)
+    rows = _rows(tables, tree, p, family)
     weighted = rows.weighted.get(p)
     if weighted is None:
         w = lcm(*(d for row in rows.u for _, d in row[:p]))
@@ -352,7 +350,7 @@ def _coefficients(
         ]
         if len(rows.weighted) > _WEIGHTED_ORDERS:
             del rows.weighted[next(iter(rows.weighted))]
-    return weighted[0], _exponent_ids(tables, rows), weighted[1]
+    return weighted[0], rows.exponents, weighted[1]
 
 
 # --- certification ---
@@ -387,11 +385,12 @@ class HarmonicCertificate(NamedTuple):
 
 
 def _certify(
-    tables: Tables, tree: TensionTree | None, kind: str, p: int, seed: str, form: Form
+    tables: Tables, tree: TensionTree | None, kind: str, p: int, seed: str, form: Form, q: int
 ) -> HarmonicCertificate:
-    """Iterate the kernel `laplacian.tau_form` from a form up to p times,
-    stopping at the first zero iterate; only the last two iterates are held,
-    and only the two residuals become public values.
+    """Iterate the kernel `laplacian.tau_form` up to p times from a form
+    whose t-exponents are in units of 1 / q, stopping at the first zero
+    iterate; only the last two iterates are held, and only the two residuals
+    become public values.
 
     A concrete form (`tree` None) is keyed by monomial id and goes through
     the monomial images.  A formal form is keyed by state of `tree`, goes
@@ -409,21 +408,22 @@ def _certify(
         return form if tree is None or realize(tree, form)[1] else (1, {})
 
     def public(form: Form) -> Built:
-        return to_expr(tables, form) if tree is None else _symbols(tables, tree, form)
+        return to_expr(tables.monomials, form, q) if tree is None else _symbols(tree, form, q)
 
     previous = current = realized(form)
-    q = 0
-    while q < p and current[1]:
-        previous, current, q = current, realized(tau_form(tables, current, images)), q + 1
+    order = 0
+    while order < p and current[1]:
+        previous, current = current, realized(tau_form(tables, current, q, images))
+        order += 1
     # only the last iterate can be zero, and every power past it is zero too
-    verified_order = None if current[1] else q
+    verified_order = None if current[1] else order
     return HarmonicCertificate(
         kind=kind,
         p=p,
         seed=seed,
         verified_order=verified_order,
         proper=verified_order == p,
-        residual_pminus1=public(previous if q == p else current),
+        residual_pminus1=public(previous if order == p else current),
         residual_p=public(current),
     )
 
@@ -435,12 +435,12 @@ def verify(
     e's integer form (`laplacian.tau_form`)."""
     tables = tables_of(spec)
     tables.bound_images()
-    return _certify(tables, None, kind, p, seed, to_form(tables, e))
+    return _certify(tables, None, kind, p, seed, *to_form(tables, e))
 
 
 def realize(tree: TensionTree, form: Form) -> Form:
     """Substitute the tree's nodes for the states of a form keyed by state:
-    sum_S c_S(t) * node_S on integers, keyed by (basis index, exponent id,
+    sum_S c_S(t) * node_S on integers, keyed by (basis index, t-exponent,
     log power) over the tree's node table (`TensionTree.integer_nodes`) and
     reduced once.  The basis functions are linearly independent, so the
     form has no terms exactly when the function is zero."""
@@ -470,7 +470,7 @@ def verify_formal(
     state by its least multi-index."""
     tables = tables_of(spec)
     tables.bound_images()
-    return _certify(tables, tree, kind, p, seed, _symbol_form(tables, tree, e))
+    return _certify(tables, tree, kind, p, seed, *_symbol_form(tree, e))
 
 
 def certify_family(
@@ -483,13 +483,13 @@ def certify_family(
     the tree's basis to monomial ids, as `verify` iterates."""
     tables = tables_of(spec)
     tables.bound_images()
-    form = _member(spec, tables, tree, p, family, a, b)
+    form = _member(tables, tree, p, family, a, b)
     if tree.kind == "radial":
-        return _certify(tables, tree, family, p, seed, form)
+        return _certify(tables, tree, family, p, seed, form, tree.scale)
     d, terms = realize(tree, form)
     ids = [tables.monomial_id(mono) for mono in tree.integer_nodes[1]]
     concrete = d, {(ids[f], e, k): v for (f, e, k), v in terms.items()}
-    return _certify(tables, None, family, p, seed, concrete)
+    return _certify(tables, None, family, p, seed, concrete, tree.scale)
 
 
 def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
@@ -511,7 +511,7 @@ def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
     ok = True
     for family, sign in (("phi", -1), ("psi", 1)):
         try:
-            holds = _recurrence_holds(spec, tables, tree, p, family, sign, images)
+            holds = _recurrence_holds(tables, tree, p, family, sign, images)
         except Resonance:
             if family == "phi":
                 continue
@@ -521,13 +521,7 @@ def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
 
 
 def _recurrence_holds(
-    spec: AlgebraSpec,
-    tables: Tables,
-    tree: TensionTree,
-    p: int,
-    family: str,
-    sign: int,
-    images: dict,
+    tables: Tables, tree: TensionTree, p: int, family: str, sign: int, images: dict
 ) -> bool:
     """The identity of one family: tau(f_p) minus the scaled lower members,
     as (form, coefficient numerator, coefficient denominator) parts keyed by
@@ -535,14 +529,12 @@ def _recurrence_holds(
     construction, so a sum that vanishes state by state is a proof; one that
     does not is decided on its realization (`realize`), since distinct
     states may carry dependent nodes."""
-    n = spec.homogeneous_dim
-
     def member(order: int) -> Form:
-        return _member(spec, tables, tree, order, family)
+        return _member(tables, tree, order, family)
 
-    parts = [(tau_form(tables, member(p), images), 1, 1)]
-    if p >= 2:
-        parts.append((member(p - 1), -sign * (p - 1) * n.numerator, n.denominator))
+    parts = [(tau_form(tables, member(p), tree.scale, images), 1, 1)]
+    if p >= 2:  # n = tables.n / scale
+        parts.append((member(p - 1), -sign * (p - 1) * tables.n, tables.scale))
     if p >= 3:
         parts.append((member(p - 2), -(p - 1) * (p - 2), 1))
     residual = _combination(parts)

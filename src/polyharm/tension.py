@@ -8,10 +8,12 @@ function, numerator over d)) reduced by its gcd, so equal nodes are equal
 values, on basis functions the tree owns (monomials, or (a, has_log,
 monomial of G) for a radial node H(|x^1|) G(x^2), H in the rho-span and G
 affine).  A polynomial node's children are read off the image of the one
-kernel `laplacian.tau_form` by exponent id (`_expand`): the id of 2 lambda_k
-names layer k, which is well defined because the eigenvalues are distinct
-and nodes are t-independent.  A radial node has the one child Lap(H) G at
-layer 1, by the closed-form radial Laplacian on its keys (`_radial_child`).
+kernel `laplacian.tau_form` by t-exponent (`_expand`): on integers over the
+algebra's scale, 2 lambda_k names layer k, which is well defined because the
+eigenvalues are distinct and nodes are t-independent.  The depth bound of a
+polynomial seed is worked out on the same integer eigenvalues.  A radial
+node has the one child Lap(H) G at layer 1, by the closed-form radial
+Laplacian on its keys (`_radial_child`).
 
 The children of a node depend only on the node, so a tree is stored as its
 DAG of states (`State`): a state S = (node, Lambda) stands for every
@@ -295,21 +297,21 @@ def _seed_node(terms: Mapping) -> _IntNode:
     return _int_node(d, {f: c.numerator * (d // c.denominator) for f, c in terms.items()})
 
 
-def _expand(tables: Tables, node: _IntNode, zero: int, layers: dict) -> dict[int, _IntNode]:
+def _expand(tables: Tables, node: _IntNode) -> dict[int, _IntNode]:
     """The children of a polynomial node: h_(alpha,k) is the part at
-    t^(2 lambda_k) of the kernel's image of the node at t-exponent id
-    `zero`, and `layers` maps the exponent id of each 2 lambda_k to k."""
+    t^(2 lambda_k) of the kernel's image of the node at t^0, its t-exponents
+    over the algebra's scale, where 2 lambda_k is `Tables.shifts[k - 1]`."""
     d, terms = node
-    monomial_id, monomials = tables.monomial_id, tables.monomials
-    d, image = tau_form(tables, (d, {(monomial_id(mono), zero, 0): v for mono, v in terms}))
+    monomial_id, scale, shifts = tables.monomial_id, tables.scale, tables.shifts
+    d, image = tau_form(tables, (d, {(monomial_id(mono), 0, 0): v for mono, v in terms}), scale)
     children: dict[int, dict] = {}
     for (m, e, logpow), v in image.items():
-        if logpow or e not in layers:
+        if logpow or e not in shifts:
             raise InternalClosureError(
-                f"operator image contains an unexpected t^({format_rational(tables.exponents[e])})"
-                f"*log^{logpow} component; this is a bug, not a user error"
+                f"operator image contains an unexpected t^({e}/{scale})*log^{logpow} "
+                "component; this is a bug, not a user error"
             )
-        children.setdefault(layers[e], {})[monomials[m]] = v
+        children.setdefault(shifts.index(e) + 1, {})[tables.monomials[m]] = v
     return {k: _int_node(d, terms) for k, terms in children.items()}
 
 
@@ -441,17 +443,17 @@ def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
     for v_layer in h.layers_used():
         if not 1 <= v_layer <= spec.m:
             raise IndexOutOfRange(f"seed uses layer {v_layer}, algebra has m={spec.m}")
-    weighted = max(
-        (sum(spec.lam(v.layer) * e for v, e in mono.exps) for mono in h.terms),
-        default=0,
-    )
-    bound = weighted // (2 * spec.lam(1))
-    _check_budget(bound)
     tables = tables_of(spec)
+    # the weighted degree over 2 lambda_1, floored, on integers: shifts[k - 1]
+    # is 2 lambda_k times the scale, so `weighted` is 2 scale times the degree
+    shifts = tables.shifts
+    weighted = max(
+        (sum(shifts[v.layer - 1] * e for v, e in mono.exps) for mono in h.terms), default=0
+    )
+    bound = weighted // (2 * shifts[0])
+    _check_budget(bound)
     tables.bound_images()
-    zero = tables.exponent_id(Fraction(0))
-    layers = {tables.exponent_id(shift): k for k, shift in enumerate(tables.shifts, 1)}
-    return _grow(spec, "polynomial", h, lambda node: _expand(tables, node, zero, layers), bound)
+    return _grow(spec, "polynomial", h, lambda node: _expand(tables, node), bound)
 
 
 def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:

@@ -14,7 +14,9 @@ test.  The module also holds small helpers only the tests use: the calculus
 on MixedExpr (d/dt, partial derivatives, t-shifts), the expressions t^mu
 log(t)^k, powers of sums by repeated products, exact polynomial evaluation,
 the total and homogeneous degrees, radial functions expanded as polynomials,
-structure constants and tree sums.
+structure constants and tree sums.  Two validation and budget checks are
+redone here the long way: the tree depth bound on Fractions (`depth_bound`)
+and the Jacobi scan over every basis triple (`jacobi_violation`).
 """
 
 from __future__ import annotations
@@ -504,6 +506,36 @@ def homogeneous_degree(poly: Polynomial) -> int | None:
     degrees = {mono.degree for mono in poly.terms}
     if len(degrees) == 1:
         return degrees.pop()
+    return None
+
+
+def depth_bound(spec, h: Polynomial) -> int:
+    """The depth bound of the tension tree of h on Fractions: its weighted
+    degree (sum of lambda_layer * exponent over a monomial, maximized) over
+    2 lambda_1, floored."""
+    weighted = max(
+        (sum(spec.lam(v.layer) * e for v, e in mono.exps) for mono in h.terms),
+        default=0,
+    )
+    return weighted // (2 * spec.lam(1))
+
+
+def jacobi_violation(spec) -> tuple[VarIndex, VarIndex, VarIndex] | None:
+    """The least basis triple u < v < w with a nonzero cyclic sum
+    [[u, v], w] + [[v, w], u] + [[w, u], v], by a scan of every triple, or
+    None when the Jacobi identity holds."""
+    basis = spec.variables()
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            for c in range(b + 1, len(basis)):
+                u, v, w = basis[a], basis[b], basis[c]
+                total: dict = {}
+                for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
+                    for mid, c_mid in spec.bracket(x, y).items():
+                        for target, c_t in spec.bracket(mid, z).items():
+                            _acc(total, target, c_mid * c_t)
+                if total:
+                    return u, v, w
     return None
 
 

@@ -1,5 +1,7 @@
 import copy
 import pickle
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,7 @@ from polyharm import (
 from polyharm import algebra
 from polyharm.laplacian import tables_of
 
-from oracles import structure_constant
+from oracles import jacobi_violation, structure_constant
 
 CH2_JSON = {
     "name": "ch2",
@@ -163,6 +165,47 @@ def test_jacobi_violation():
         )
 
 
+def random_brackets(rng, dims):
+    """Random brackets graded for lambda = (1, 2, 3): some [X^1_a, X^1_b] =
+    c X^2_e and [X^1_a, X^2_e] = c X^3_f, which often break Jacobi, as in
+    `test_jacobi_violation`."""
+    pairs = [
+        ((1, a, 1, b), (2, e))
+        for a in range(1, dims[0] + 1) for b in range(a + 1, dims[0] + 1)
+        for e in range(1, dims[1] + 1)
+    ]
+    pairs += [
+        ((1, a, 2, e), (3, f))
+        for a in range(1, dims[0] + 1) for e in range(1, dims[1] + 1)
+        for f in range(1, dims[2] + 1)
+    ]
+    return [
+        (pair + target, Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2)))
+        for pair, target in rng.sample(pairs, rng.randint(0, min(len(pairs), 8)))
+    ]
+
+
+@pytest.mark.parametrize("dims", [(3, 1, 1), (4, 2, 2)])
+def test_jacobi_check_matches_the_full_scan(monkeypatch, dims):
+    # the check scans only triples holding a bracketed pair; the oracle scans
+    # every triple, and both must name the same least violating triple
+    rng = random.Random(31)
+    outcomes = []
+    for _ in range(300):
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "_check_jacobi", lambda spec: None)
+            spec = validate("random", [Fraction(1), Fraction(2), Fraction(3)], dims,
+                            random_brackets(rng, dims))
+        least = jacobi_violation(spec)
+        if least is None:
+            algebra._check_jacobi(spec)
+        else:
+            with pytest.raises(JacobiViolation, match=re.escape("triple (%s, %s, %s)" % least)):
+                algebra._check_jacobi(spec)
+        outcomes.append(least is None)
+    assert 30 < sum(outcomes) < 270  # both valid and violating sets were drawn
+
+
 def test_filiform_valid():
     spec = filiform()
     assert spec.homogeneous_dim == 7
@@ -265,7 +308,7 @@ def test_pickle_and_copy_carry_only_the_fields():
         assert certify(clone) == cert
         rebuilt, original = tables_of(clone), tables_of(spec)
         assert rebuilt is not original
-        assert rebuilt.coefficients == original.coefficients
+        assert rebuilt.operator == original.operator
         assert rebuilt.struct.entries == original.struct.entries
 
 

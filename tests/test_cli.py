@@ -471,6 +471,13 @@ COMBO_ERRORS = [
     ("a-unread-for-phi", BUILD_SEED, ("--kind", "phi", "--a", "junk"), 0,
      "a14f59bc79e7f06f21598fa60c7a971cda9ee6f4cfd28b6d3b84f2db93fe2a4d", ""),
 ]
+# `verify --expr` rows: (format, sha256 of stdout) of EXPR on ch2 at p = 3,
+# whose t-exponents have the unit 42, not ch2's eigenvalue scale 2
+EXPR = "t^(1/3)*x + z^2*t^(2/7)*log(t)^2"
+EXPR_DIGESTS = [
+    ("text", "d1c320ec66d46eed76bda4a20a4655413a9bf0e7b58fa165550d90a4602b6977"),
+    ("json", "da1c4f793024ffa372ea0120a058d01783a780cf01961d49be4a1f6ffc09f5ec"),
+]
 # (command, algebra, seed, format, exit code, sha256 of stdout, error class)
 POLYNOMIAL_PINS = (
     [(("tree",), algebra, seed, fmt, 0, digest, "") for algebra, seed, fmt, digest in TREE_DIGESTS]
@@ -510,6 +517,20 @@ def test_tree_output_is_pinned(
     assert err.startswith(f"error[{error}]") if error else err == ""
 
 
+def expr_argv(fmt):
+    return ["verify", "--algebra", "ch2", "--expr", EXPR, "--p", "3", "--format", fmt]
+
+
+@pytest.mark.parametrize(
+    "fmt, digest, memo_limit", memo_limits(EXPR_DIGESTS, [f"expr:{fmt}" for fmt, _ in EXPR_DIGESTS])
+)
+def test_expr_output_is_pinned(capsys, monkeypatch, fmt, digest, memo_limit):
+    if memo_limit:
+        monkeypatch.setattr(laplacian, "_MEMO_LIMIT", memo_limit)
+    got, out, err = run(capsys, *expr_argv(fmt))
+    assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+
+
 # Every pinned row again in a fresh interpreter under two hash seeds: no
 # output may depend on the order of a set or dict of hashed keys.
 PIN_RUNNER = """
@@ -527,9 +548,11 @@ print(json.dumps(out))
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 def test_pinned_output_does_not_depend_on_the_hash_seed(hash_seed):
-    pins = [(radial_argv(*row[:3]), *row[3:]) for row in RADIAL_DIGESTS] + [
-        (polynomial_argv(*row[:4]), *row[4:6]) for row in POLYNOMIAL_PINS
-    ]
+    pins = (
+        [(radial_argv(*row[:3]), *row[3:]) for row in RADIAL_DIGESTS]
+        + [(polynomial_argv(*row[:4]), *row[4:6]) for row in POLYNOMIAL_PINS]
+        + [(expr_argv(fmt), 0, digest) for fmt, digest in EXPR_DIGESTS]
+    )
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, "-c", PIN_RUNNER], input=json.dumps([argv for argv, *_ in pins]),

@@ -5,6 +5,7 @@ memo bound.  Radial trees run on the same kernel under their images; there
 the oracles are the formal operator `formal_tau` on node-symbol sums and its
 certificate loop."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -90,7 +91,42 @@ EXPRESSIONS = [
     ("rh2", "x^3*t^(-2) + log(t)^4", 5),
     ("fil3", "x1_1^2*x2_1*t^(-1/3)*log(t)", 3),
     ("odd", "x2_1^2*t^(4/3)*log(t)^2 - 1/2*x1_2*t^(-2/3)", 4),
+    # exponent unit 42 = lcm(2, 3, 7), against ch2's eigenvalue scale 2
+    ("ch2", "t^(1/3)*x + z^2*t^(2/7)*log(t)^2", 3),
 ]
+
+# Per EXPRESSIONS row, by its text: the sha256 of repr(verify(spec, e, p))
+# and of repr(tau(spec, e)).
+EXPRESSION_DIGESTS = {
+    "x*t^(-1/2)*log(t)^2": (
+        "3749382b8b7d37714833e8e45eccc0b0d93549bafbe444a338d4dcd1cf8e28c0",
+        "f3a47fa9ccafae99bd52e780fc2cf9f0b6c53e0b7d1786906801498e3e137e7b",
+    ),
+    "t^(-3)*log(t)^3 - 2/5*z^2*t^(1/3)": (
+        "68fc85b331b599f4b455c4e553b7ecf82d3f5aed1c4dd7756c564e4df86babe5",
+        "2f78aa64f78d27bd478c20c6769ada324c7cf4a56a49cf71a5663969fbb3cf71",
+    ),
+    "x_1*y_2*t^(5/2) + z*log(t) - 7": (
+        "5426354df3d8246aba2c87636b27675939b1338996d3fa85c2bacb31e668c923",
+        "245956e0f31f5896944fa06480b362f4fe75daa17897710d2868f3fa54717324",
+    ),
+    "x^3*t^(-2) + log(t)^4": (
+        "ba43a2e69797e7b4ab1e50b3aff5ee16ca127395f35a5e931a0027ce927cbf5a",
+        "5219c948f2992532b99f257fbf8755f952316920a0bb39a75a064fe3016181e5",
+    ),
+    "x1_1^2*x2_1*t^(-1/3)*log(t)": (
+        "6cc114419230f0f20f85468f1807b6e2d27cde4c15870d512adc641696cbc512",
+        "3e132a37a1bb6c3279d782bb7930246185a2f4754ed8a8d80189bdcececfe1e5",
+    ),
+    "x2_1^2*t^(4/3)*log(t)^2 - 1/2*x1_2*t^(-2/3)": (
+        "c97cc7c6f50764ae27773c7eb67e5eec450fa665c88a19db891e66453d8dbb2e",
+        "18bbd8857c503042c69925c6a3db4d0cc63be23fc258ad4c11f5f64c1a6a42eb",
+    ),
+    "t^(1/3)*x + z^2*t^(2/7)*log(t)^2": (
+        "bdbbda380f0afa4b4f3b1930ccb89e8a85b18ae2bcd3aa7ee28e777c8b7ea5d7",
+        "f75e4fe83695ea28a69c60a93fa52400df6c0fea5439a87e3579a0927f8c793f",
+    ),
+}
 
 
 def tree_of(spec, seed):
@@ -141,6 +177,15 @@ def test_certificate_matches_oracle_on_expressions(name, text, p_max):
         assert_matches_oracle(spec, e, p)
 
 
+@pytest.mark.parametrize("name, text, p", EXPRESSIONS)
+def test_expression_results_are_pinned(name, text, p):
+    spec = spec_of(name)
+    e = parse(text, spec)
+    results = (verify(spec, e, p), tau(spec, e))
+    digests = tuple(hashlib.sha256(repr(value).encode()).hexdigest() for value in results)
+    assert digests == EXPRESSION_DIGESTS[text]
+
+
 def test_certificate_matches_oracle_on_random_expressions(ch2, ch3):
     rng = random.Random(8)
     for spec in (ch2, ch3, spec_of("odd")):
@@ -184,21 +229,8 @@ def test_memo_bound_keeps_every_result(monkeypatch):
         # interns all stay until it returns
         tables = tables_of(spec)
         verify(spec, build_psi(spec, tree, 5), 5)
-        assert len(tables.monomials) > 1 and len(tables.exponents) > 1
+        assert len(tables.monomials) > 1
         assert set(tables.images) <= set(range(len(tables.monomials)))
-        assert set(tables.t_parts) <= set(range(len(tables.exponents)))
-
-
-def test_exponent_parts_are_made_once(ch2):
-    spec = ch2
-    tree = tree_of(spec, "z^4")
-    verify(spec, build_psi(spec, tree, 4), 4)
-    tables = tables_of(spec)
-    n = spec.homogeneous_dim
-    for e, (t, t2, t1, shifted) in tables.t_parts.items():
-        mu = tables.exponents[e]
-        assert Fraction(t2, t) == mu * (mu - n) and Fraction(t1, t) == 2 * mu - n
-        assert [tables.exponents[s] for s in shifted] == [mu + s for s in tables.shifts]
 
 
 # --- radial trees: the kernel under the tree's images ---
@@ -255,10 +287,10 @@ def test_radial_kernel_iterates_match_formal_operator():
                 for _ in range(p):
                     expected.append(formal_tau(spec, tree, expected[-1]))
                 tables = tables_of(spec)
-                form = _member(spec, tables, tree, p, family)
+                form = _member(tables, tree, p, family)
                 for e in expected:
-                    assert _symbols(tables, tree, form) == e
-                    form = tau_form(tables, form, images)
+                    assert _symbols(tree, form, tree.scale) == e
+                    form = tau_form(tables, form, tree.scale, images)
                     checked += 1
     assert checked > 1500
 

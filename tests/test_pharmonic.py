@@ -645,7 +645,7 @@ def realized_terms(spec, tree, e: NodeSymbolExpr) -> int:
     state, nodes substituted on the tree's node table by
     `pharmonic.realize`): zero exactly when e is, and the oracle's count
     whenever both expand the nodes on independent basis functions."""
-    return len(pharmonic.realize(tree, pharmonic._symbol_form(tables_of(spec), tree, e))[1])
+    return len(pharmonic.realize(tree, pharmonic._symbol_form(tree, e)[0])[1])
 
 
 def test_realized_zero_test_agrees_with_formal_on_random_radial_seeds(rh3, ch2):
@@ -792,9 +792,9 @@ def test_recurrence_detects_wrong_factor(rh2, rh3, monkeypatch):
 
     original = ph.tau_form
 
-    def broken_tau_form(tables, form, images=None):
-        d, terms = original(tables, form, images)
-        key = (0, tables.exponent_id(Fraction(1)), 0)
+    def broken_tau_form(tables, form, q, images=None):
+        d, terms = original(tables, form, q, images)
+        key = (0, q, 0)  # t^1: the exponent q over the unit q
         return d, {**terms, key: terms.get(key, 0) + d}
 
     assert all(recurrence_check(spec, tree, 2) for spec, tree in trees)

@@ -19,9 +19,12 @@ module of the package, a script or the benchmark harness.  A cold command
 pays for no machinery it does not use: importing `polyharm.cli` loads
 neither `dataclasses` nor `inspect`.  LaTeX is spelled in one place: no
 module but `poly.py`, which holds the writer's style table, has a LaTeX
-token in a string constant.  Tension-tree nodes live on integers: the
-expander `_grow`, the polynomial children `_expand` and the radial child
-`_radial_child` of `tension.py` name no Fraction and no node-object type.
+token in a string constant.  The inner loops run on integers: the functions of
+`INTEGER_FUNCTIONS` name no Fraction (the operator kernel `tau_form` and the
+monomial images `_image`; the state rows, coefficients, realization and
+combinations of `pharmonic.py`; the tree expander and its depth bound), and
+the expander `_grow`, the polynomial children `_expand` and the radial child
+`_radial_child` of `tension.py` name no node-object type either.
 """
 
 import ast
@@ -158,22 +161,32 @@ def confined_references(module: ast.Module) -> list[int]:
     return sorted(lines)
 
 
-# the functions of `tension.py` that run on integer nodes, and the names
-# none of them may use
-INTEGER_NODE_FUNCTIONS = {"_grow", "_expand", "_radial_child"}
+# the functions that run on integers, by module, each with the names it may
+# not use: none names a Fraction, and those of `tension.py` that run on
+# integer nodes name no node-object type either
 NODE_OBJECTS = {"Fraction", "Polynomial", "RadialFunction", "RadialSeed", "AffinePart"}
+INTEGER_FUNCTIONS = {
+    "laplacian.py": dict.fromkeys(("tau_form", "_image"), {"Fraction"}),
+    "pharmonic.py": dict.fromkeys(
+        ("_rows", "_new_rows", "_coefficients", "realize", "_combination"), {"Fraction"}
+    ),
+    "tension.py": {
+        **dict.fromkeys(("_grow", "_expand", "_radial_child"), NODE_OBJECTS),
+        "tension_tree": {"Fraction"},
+    },
+}
 
 
-def node_object_names(module: ast.Module) -> list[int]:
-    """Lines inside a function of `INTEGER_NODE_FUNCTIONS` that name or look
-    up a name of `NODE_OBJECTS`."""
+def banned_names(module: ast.Module, functions: dict[str, set[str]]) -> list[int]:
+    """Lines inside a function of `functions` that name or look up one of
+    the names it bans."""
     return sorted(
         node.lineno
         for fn in ast.walk(module)
-        if isinstance(fn, ast.FunctionDef) and fn.name in INTEGER_NODE_FUNCTIONS
+        if isinstance(fn, ast.FunctionDef) and fn.name in functions
         for node in ast.walk(fn)
         if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
-        in NODE_OBJECTS
+        in functions[fn.name]
     )
 
 
@@ -207,10 +220,10 @@ def test_source_structure(path):
         assert confined_references(module) == []
     if path.name != "poly.py":
         assert latex_tokens(module) == []
-    if path.name == "tension.py":
-        defined = {fn.name for fn in ast.walk(module) if isinstance(fn, ast.FunctionDef)}
-        assert INTEGER_NODE_FUNCTIONS <= defined
-        assert node_object_names(module) == []
+    functions = INTEGER_FUNCTIONS.get(path.name, {})
+    defined = {fn.name for fn in ast.walk(module) if isinstance(fn, ast.FunctionDef)}
+    assert set(functions) <= defined
+    assert banned_names(module, functions) == []
 
 
 def test_accumulate_check_sees_a_pasted_loop():
@@ -268,9 +281,26 @@ def test_node_object_check_sees_a_name_in_an_integer_function():
         "    return RadialSeed(node.radial, tension.AffinePart(c))\n"
         "def nodes(self):\n"
         "    return Polynomial._wrap({f: Fraction(v, d)})\n"
+        "def tension_tree(spec, h: Polynomial):\n"
+        "    return spec.lam(1) * fractions.Fraction(0)\n"
     )
-    assert node_object_names(ast.parse(injected)) == [1, 2, 2, 4, 4]
-    assert node_object_names(ast.parse("def _grow(spec, kind, seed: Node, root):\n    pass\n")) == []
+    tension = INTEGER_FUNCTIONS["tension.py"]
+    assert banned_names(ast.parse(injected), tension) == [1, 2, 2, 4, 4, 8]
+    allowed = "def _grow(spec, kind, seed: Node, root):\n    pass\n"
+    assert banned_names(ast.parse(allowed), tension) == []
+
+
+def test_integer_function_check_sees_a_fraction():
+    injected = (
+        "def _image(tables, m):\n"
+        "    acc: dict[tuple, Fraction] = {}\n"
+        "def _new_rows(tables, tree, family):\n"
+        "    return Fraction(2 * lam, scale)\n"
+        "def to_expr(monomials, form, q):\n"
+        "    return Fraction(v, d)\n"
+    )
+    functions = {**INTEGER_FUNCTIONS["laplacian.py"], **INTEGER_FUNCTIONS["pharmonic.py"]}
+    assert banned_names(ast.parse(injected), functions) == [2, 4]
 
 
 def test_latex_check_sees_a_token():

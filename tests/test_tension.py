@@ -15,6 +15,7 @@ from polyharm import (
     UnsupportedSpan,
     VarIndex,
     build_psi,
+    from_json_dict,
     parse_polynomial,
     render_tree_text,
     tau,
@@ -28,6 +29,7 @@ from polyharm.poly import Monomial
 
 from conftest import random_polynomial
 from oracles import (
+    depth_bound,
     node_view,
     radial_laplacian,
     radial_polynomial,
@@ -36,6 +38,7 @@ from oracles import (
     total_degree,
 )
 from test_algebra import filiform
+from test_integer_form import ODD
 
 X = VarIndex(1, 1)
 
@@ -135,12 +138,11 @@ def test_each_distinct_node_is_expanded_once(ch2, monkeypatch):
 
 def test_closure_check_refuses_a_stray_image_term(rh2, monkeypatch):
     # an image term at a t-power that is no 2 lambda_k, or with a log power,
-    # cannot be read as a child
-    for shift, logpow in ((Fraction(5, 2), 0), (Fraction(2), 1)):
-        def stray(tables, form, images=None, shift=shift, logpow=logpow):
+    # cannot be read as a child; rh2 has 2 lambda_1 = 2
+    for shift, logpow in ((3, 0), (2, 1)):
+        def stray(tables, form, q, images=None, shift=shift, logpow=logpow):
             d, terms = form
-            e = tables.exponent_id(shift)
-            return d, {(m, e, logpow): v for (m, _, _), v in terms.items()}
+            return d, {(m, shift * q, logpow): v for (m, _, _), v in terms.items()}
 
         monkeypatch.setattr(tension, "tau_form", stray)
         with pytest.raises(InternalClosureError):
@@ -152,10 +154,35 @@ def test_depth_bound_comes_from_the_seed(rh2):
     assert tension_tree(rh2, poly("x^130", rh2)).degree == 65
 
 
+def test_depth_bound_matches_fraction_oracle(rh2, ch3, monkeypatch):
+    # the bound runs on the integer eigenvalues; the oracle floors the
+    # weighted degree over 2 lambda_1 on Fractions, here on eigenvalues
+    # (1), (1/2, 1), (1, 2, 3) and (1/3, 2/3)
+    class Stop(Exception):
+        pass
+
+    bounds = []
+
+    def record(bound):
+        bounds.append(bound)
+        raise Stop
+
+    monkeypatch.setattr(tension, "_check_budget", record)
+    rng = random.Random(41)
+    for spec in (rh2, ch3, filiform(), from_json_dict(ODD)):
+        seeds = [Polynomial.zero()]
+        seeds += [random_polynomial(spec, rng, max_degree=9, max_terms=3) for _ in range(40)]
+        for seed in seeds:
+            with pytest.raises(Stop):
+                tension_tree(spec, seed)
+            assert bounds[-1] == depth_bound(spec, seed)
+    assert len(set(bounds)) > 5
+
+
 def test_depth_budget_refuses_a_huge_seed_up_front(rh2, rh3, monkeypatch):
     # x^(10^11) would be expanded one level at a time for hours
     calls = []
-    monkeypatch.setattr(tension, "tau_form", lambda tables, form, images=None: calls.append(form))
+    monkeypatch.setattr(tension, "tau_form", lambda tables, form, *rest: calls.append(form))
     with pytest.raises(BudgetExceeded):
         tension_tree(rh2, poly("x^99999999999", rh2))
     seed = RadialSeed(RadialFunction(2, {(10**9, False): Fraction(1)}), AffinePart(Fraction(1)))
@@ -168,9 +195,9 @@ def test_depth_budget_refuses_a_huge_seed_up_front(rh2, rh3, monkeypatch):
 
 def test_depth_guard_stops_a_looping_operator(rh2, rh3, monkeypatch):
     # operators that make a node its own child would never terminate
-    def looping(tables, form, images=None):
+    def looping(tables, form, q, images=None):
         d, terms = form
-        e = tables.exponent_id(tables.shifts[0])
+        e = tables.shifts[0] * (q // tables.scale)
         return d, {(m, e, k): v for (m, _, k), v in terms.items()}
 
     monkeypatch.setattr(tension, "tau_form", looping)
