@@ -209,10 +209,14 @@ def outcomes(spec, tree, exprs, p_max):
             out.append(built)
             out.append(certificate_fields(verify(spec, built, p)))
         out.append(recurrence_check(spec, tree, p))
-    for e in exprs:
-        out.append(tau(spec, e))
-        out.append(certificate_fields(verify(spec, e, 4)))
-    return out
+    return out, [(tau(spec, e), certificate_fields(verify(spec, e, 4))) for e in exprs]
+
+
+def both_orders(spec, tree, exprs):
+    """`outcomes` with the expressions in order, then in reverse order (read
+    back in order), so their exponent units meet the tables in two orders."""
+    family, backward = outcomes(spec, tree, exprs[::-1], 5)
+    return outcomes(spec, tree, exprs, 5), (family, backward[::-1])
 
 
 def test_memo_bound_keeps_every_result(monkeypatch):
@@ -221,10 +225,14 @@ def test_memo_bound_keeps_every_result(monkeypatch):
         spec = spec_of(name)
         exprs = [parse(text, spec) for n, text, _ in EXPRESSIONS if n == name]
         cases.append((spec, tree_of(spec, seed), exprs))
-    expected = [outcomes(spec, tree, exprs, 5) for spec, tree, exprs in cases]
+    expected = []
+    for spec, tree, exprs in cases:
+        forward, backward = both_orders(spec, tree, exprs)
+        assert backward == forward
+        expected.append(forward)
     monkeypatch.setattr(laplacian, "_MEMO_LIMIT", 1)
     for (spec, tree, exprs), before in zip(cases, expected):
-        assert outcomes(spec, tree, exprs, 5) == before
+        assert both_orders(spec, tree, exprs) == (before, before)
         # ids are cleared only at the entry of a call, so the ids one call
         # interns all stay until it returns
         tables = tables_of(spec)
