@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -135,6 +136,17 @@ class AlgebraSpec(Record):
     def check_index(self, v: VarIndex) -> None:
         if not (1 <= v.layer <= self.m and 1 <= v.slot <= self.dims[v.layer - 1]):
             raise IndexOutOfRange(f"{v} out of range for algebra {self.name!r}")
+
+    @cached_property
+    def integer_eigenvalues(self) -> tuple[int, tuple[int, ...], int]:
+        """(scale, lambda_k * scale per layer, n * scale): the eigenvalues and
+        the homogeneous dimension n as integers over their scale, the lcm of
+        the eigenvalue denominators."""
+        scale = lcm(*(lam.denominator for lam in self.lambdas))
+        n = self.homogeneous_dim
+        return scale, tuple(
+            lam.numerator * (scale // lam.denominator) for lam in self.lambdas
+        ), n.numerator * (scale // n.denominator)
 
     # --- bracket lookup (antisymmetry-completed) ---
 

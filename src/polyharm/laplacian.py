@@ -13,34 +13,33 @@ Everything derived from one algebra lives in one `Tables` object, built on
 first use and stored on the spec itself (`tables_of`), so it lives as long as
 the spec and no lookup hashes the spec: the ad-power rows, the structure
 polynomials, the operator compiled once to integer numerators over one image
-denominator (`_operator`), the eigenvalues as integers over their scale (the
-lcm of their denominators), the monomials interned to integer ids and the
-memo of the operator's monomial images, bounded by `_MEMO_LIMIT`.  The bound
-applies per live spec, not per process: a process that keeps many specs
-alive holds one set of tables for each, and a spec's tables are freed with
-the spec.  Branch rows are not kept here: they belong to one tree's states,
-and `pharmonic` keeps them on the tree.
+denominator (`_operator`), the eigenvalues as integers over their scale, the
+monomials interned to integer ids, the memo of their images, and one `Basis`
+per exponent unit, all bounded together by `_MEMO_LIMIT` per live spec.
+Branch rows and the bases over a tree's states belong to one tree, and
+`pharmonic` keeps them on the tree.
 
-Functions are carried in an integer form (`Form`): one denominator and a map
-from (x-part, t-exponent, log power) to integer numerators, the x-part a
-monomial id for a concrete function and a tree state for a formal one, and
-the t-exponent an integer e over a unit q that travels beside the form.  The
-operator moves an exponent only by 2 lambda_k, so q is fixed for a whole
-computation: a tree's scale for every tree form, and for a MixedExpr the lcm
-of the scale and its exponent denominators (`to_form`).  The operator is
-linear and its x-part does not depend on t, so its one kernel `tau_form` is
-the linear extension of images: each monomial's image (a sum of t-shifts
-times integer polynomials over the image denominator) is computed once, each
-distinct exponent's t-part e (e - n q) / q^2 and 2 e - n q over q is worked
-out on integers per application, and a form's terms are pushed through both
-on integers, with one gcd reduction per application.  A tree passes its own
-state images in place of the monomial images, the tree rule tau(h_S) =
-sum_k h_(S,k) t^(2 lambda_k).  `tau` is the operator on MixedExpr, for the
-public API only: it converts to the form, applies the kernel and converts
-back.  `tension` expands tree nodes, and `pharmonic` builds, iterates and
-checks both kinds of function, on forms, so Fractions appear only where a
-polynomial, a MixedExpr or a node-symbol sum crosses the public API, where
-each distinct exponent becomes one Fraction (`exponents_of`).
+A function is a sum of terms c x^m t^mu log(t)^k, and
+
+    tau(x^m t^mu log^k t) = log^k t L(x^m t^mu) + k (2 mu - n) x^m t^mu
+                            log^(k-1) t + k (k - 1) x^m t^mu log^(k-2) t,
+
+where L(x^m t^mu) = mu (mu - n) x^m t^mu + sum_k t^(mu + 2 lambda_k) (x-part
+at layer k) depends only on (m, mu).  The operator moves an exponent only by
+2 lambda_k, so a computation has one unit q, each exponent an integer e over
+q: a tree's scale for tree forms, and for a MixedExpr the lcm of the scale
+and its exponent denominators (`to_form`).  A `Basis` holds one unit and
+interns each (x-part, e) to an int id, the x-part a monomial id or a tree
+state; per id it keeps L as ((id, numerator), ...) over s = lcm(image
+denominator, q^2) (`_basis_image`), the log factor (2 e - n q) s / q and
+e / q as a Fraction.  A `Form` is one denominator and, per log power, basis
+id to integer numerator, so the one kernel `tau_form` is a sparse integer
+matrix-vector product per log power plus the two log-lowering terms, with
+one gcd reduction.  A tree's basis takes its state images, the tree rule
+tau(h_S) = sum_k h_(S,k) t^(2 lambda_k), in place of the monomial images.
+`tau` is the operator on MixedExpr, for the public API only; `tension` and
+`pharmonic` work on forms, so Fractions appear only where a polynomial, a
+MixedExpr or a node-symbol sum crosses the public API.
 
 The test suite cross-asserts `tau` against an independent frame-sum
 realization A(A(e)) + sum X^i_j(X^i_j(e)) - n t e_t built from the
@@ -54,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 from .algebra import AlgebraSpec, VarIndex
 from .expr import MixedExpr
 from .poly import Monomial, Polynomial
@@ -76,21 +75,16 @@ def bernoulli(r: int) -> Fraction:
 
 # --- per-algebra tables ---
 
-# Most monomials an algebra's tables intern, with their images, before the
-# memo is cleared wholesale at the start of a public call, so a long-lived
-# process keeps at most this many plus those of one call per live algebra.
+# Most monomials and basis ids an algebra's tables hold, with their images,
+# before the memo is cleared wholesale at the start of a public call, so a
+# long-lived process keeps at most this many plus those of one call per live
+# algebra; a tree's bases are bounded alike (`bound_bases`).
 _MEMO_LIMIT = 4096
 
-# A function in integer form: (denominator, {(x-part, t-exponent, log
-# power): numerator}), with no zero numerator, so the zero function has no
-# terms.  The t-exponent is an integer e standing for e / q, the unit q a
-# multiple of the algebra's eigenvalue scale that travels beside the form.
-# The x-part is a monomial id for a concrete function and a state symbol (a
-# state's index in its tree) for a formal one.  Monomial ids are interned in
-# the algebra's tables and stay valid until the next `Tables.bound_images`,
-# which runs only at the entry of a public call, so a form never outlives the
-# call that made it.
-Form = tuple[int, dict[tuple, int]]
+# (denominator, {log power: {basis id: numerator}}), with no zero numerator
+# and no empty group.  Ids stay valid until their basis is cleared, only at
+# the entry of a public call, so a form never outlives the call that made it.
+Form = tuple[int, dict[int, dict[int, int]]]
 
 # The x-part of the operator on one monomial: sum over s of t^(2 lambda_(s+1))
 # times a polynomial, as ((shift id s, monomial id, numerator), ...) over the
@@ -116,27 +110,25 @@ class Tables:
     def __init__(self, spec: AlgebraSpec) -> None:
         self.ad_rows = _ad_rows(spec)
         self.struct = _struct_table(spec, self.ad_rows)
-        # the eigenvalues on integers: scale is the lcm of their
-        # denominators, shifts[k - 1] is 2 lambda_k and n the homogeneous
-        # dimension, both in units of 1 / scale
-        self.scale = lcm(*(lam.denominator for lam in spec.lambdas))
-        self.shifts = tuple(
-            2 * lam.numerator * (self.scale // lam.denominator) for lam in spec.lambdas
-        )
-        n = spec.homogeneous_dim
-        self.n = n.numerator * (self.scale // n.denominator)
+        # shifts[k - 1] is 2 lambda_k and n the homogeneous dimension, both in
+        # units of 1 / scale
+        self.scale, lams, self.n = spec.integer_eigenvalues
+        self.shifts = tuple(2 * lam for lam in lams)
         self.image_denominator, self.operator = _operator(spec, self.struct)
-        # monomials interned to ids (id -> monomial, monomial -> id) and the
-        # image of each id (`_image`); `bound_images` empties all three
+        # monomials interned to ids (id -> monomial, monomial -> id), the
+        # image of each id (`_image`) and the basis of each exponent unit;
+        # `bound_images` empties all four
         self.monomials: list[Monomial] = []
         self.monomial_ids: dict[Monomial, int] = {}
         self.images: dict[int, _Image] = {}
+        self.bases: dict[int, Basis] = {}
 
     def bound_images(self) -> None:
-        """Clear the monomial ids and their images once `_MEMO_LIMIT`
-        monomials are interned; called only at the entry of a public call."""
-        if len(self.monomials) >= _MEMO_LIMIT:
-            for memo in (self.monomials, self.monomial_ids, self.images):
+        """Clear the monomial ids, their images and the bases once they
+        hold `_MEMO_LIMIT` monomials and basis ids; called only at the entry
+        of a public call."""
+        if len(self.monomials) + _held(self.bases) >= _MEMO_LIMIT:
+            for memo in (self.monomials, self.monomial_ids, self.images, self.bases):
                 memo.clear()
 
     def monomial_id(self, mono: Monomial) -> int:
@@ -145,6 +137,69 @@ class Tables:
             i = self.monomial_ids[mono] = len(self.monomials)
             self.monomials.append(mono)
         return i
+
+    def basis(self, q: int) -> Basis:
+        """The basis over monomial ids of exponent unit q."""
+        found = self.bases.get(q)
+        if found is None:
+            found = self.bases[q] = Basis(self, q)
+        return found
+
+
+class Basis:
+    """The t-monomials x-part * t^(e / q) of one unit q, interned to int ids,
+    with what the kernel reads of each (see the module docstring).  The
+    x-parts are monomial ids of `tables`, under the monomial images
+    (`_image`), unless `images` maps each x-part, a tree state, to its image
+    in the same layout over denominator 1."""
+
+    __slots__ = (
+        "tables", "q", "xparts", "nq", "shifts", "s", "lift", "per_q2", "per_q",
+        "keys", "ids", "images", "logs", "exponents", "fractions",
+    )
+
+    def __init__(self, tables: Tables, q: int, images: Mapping | None = None) -> None:
+        self.tables, self.q, self.xparts = tables, q, images
+        unit = q // tables.scale
+        self.nq = tables.n * unit
+        self.shifts = [shift * unit for shift in tables.shifts]
+        image_denominator = tables.image_denominator if images is None else 1
+        self.s = lcm(image_denominator, q * q)
+        self.lift, self.per_q2, self.per_q = (
+            self.s // image_denominator, self.s // (q * q), self.s // q
+        )
+        self.keys: list[tuple[int, int]] = []  # id -> (x-part, e)
+        self.ids: dict[tuple[int, int], int] = {}
+        self.images: list[tuple[tuple[int, int], ...] | None] = []  # `_basis_image`
+        self.logs: list[int] = []  # id -> (2 e - n q) s / q
+        self.exponents: list[Fraction] = []  # id -> e / q
+        self.fractions: dict[int, Fraction] = {}  # e -> e / q, one per exponent
+
+    def intern(self, x: int, e: int) -> int:
+        """The id of x-part x times t^(e / q)."""
+        key = (x, e)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.images.append(None)
+            self.logs.append((2 * e - self.nq) * self.per_q)
+            exponent = self.fractions.get(e)
+            if exponent is None:
+                exponent = self.fractions[e] = Fraction(e, self.q)
+            self.exponents.append(exponent)
+        return i
+
+
+def _held(bases: Mapping[int, Basis]) -> int:
+    return sum(len(basis.keys) for basis in bases.values())
+
+
+def bound_bases(bases: dict[int, Basis]) -> None:
+    """Clear `bases`, kept outside the tables, once they hold `_MEMO_LIMIT`
+    ids; called only at the entry of a public call."""
+    if _held(bases) >= _MEMO_LIMIT:
+        bases.clear()
 
 
 def tables_of(spec: AlgebraSpec) -> Tables:
@@ -262,95 +317,104 @@ def _image(tables: Tables, m: int) -> _Image:
     return image
 
 
-def reduced(denominator: int, numerators: dict) -> Form:
-    """The form of numerators over denominator, zeros dropped and the common
-    factor of every numerator and the denominator divided out."""
-    g = gcd(denominator, *numerators.values())
-    if g > 1:
-        return denominator // g, {key: v // g for key, v in numerators.items() if v}
-    if 0 in numerators.values():
-        return denominator, {key: v for key, v in numerators.items() if v}
-    return denominator, numerators
+def _basis_image(basis: Basis, i: int) -> tuple[tuple[int, int], ...]:
+    """L on basis id i, memoized in `basis.images`, over the basis's s: for
+    x-part x and exponent e, each entry a of x's image at shift k becomes a
+    * s / (image denominator) on (target, e + 2 lambda_k q), then the self
+    entry e (e - n q) s / q^2 unless it is zero.  The shifts are positive, so
+    no two entries share an id."""
+    x, e = basis.keys[i]
+    xparts = basis.xparts
+    if xparts is None:
+        xpart = basis.tables.images.get(x)
+        if xpart is None:
+            xpart = _image(basis.tables, x)
+    else:
+        xpart = xparts[x]
+    intern, shifts, lift = basis.intern, basis.shifts, basis.lift
+    image = [(intern(target, e + shifts[shift]), a * lift) for shift, target, a in xpart]
+    t2 = e * (e - basis.nq) * basis.per_q2
+    if t2:
+        image.append((i, t2))
+    found = basis.images[i] = tuple(image)
+    return found
 
 
-def to_form(tables: Tables, e: MixedExpr) -> tuple[Form, int]:
-    """e in integer form over the lcm of its coefficient denominators, and
-    the unit of its t-exponents: the lcm of the algebra's scale and their
-    denominators."""
+def reduced(denominator: int, groups: dict) -> Form:
+    """The form of numerators over denominator, grouped by log power, zeros
+    and empty groups dropped and the common factor of every numerator and
+    the denominator divided out."""
+    g = denominator
+    for terms in groups.values():
+        g = gcd(g, *terms.values())
+    out = {}
+    for k, terms in groups.items():
+        if g > 1:
+            terms = {key: v // g for key, v in terms.items() if v}
+        elif 0 in terms.values():
+            terms = {key: v for key, v in terms.items() if v}
+        if terms:
+            out[k] = terms
+    return denominator // g, out
+
+
+def to_form(tables: Tables, e: MixedExpr) -> tuple[Basis, Form]:
+    """e in integer form over the lcm of its coefficient denominators, on
+    the tables' basis of the unit of its t-exponents: the lcm of the
+    algebra's scale and their denominators."""
     d = lcm(*(c.denominator for c in e.terms.values()))
     q = lcm(tables.scale, *(mu.denominator for _, mu, _ in e.terms))
-    monomial_id = tables.monomial_id
-    return (d, {
-        (monomial_id(mono), mu.numerator * (q // mu.denominator), k):
-            c.numerator * (d // c.denominator)
-        for (mono, mu, k), c in e.terms.items()
-    }), q
+    basis = tables.basis(q)
+    monomial_id, intern = tables.monomial_id, basis.intern
+    groups: dict[int, dict[int, int]] = {}
+    for (mono, mu, k), c in e.terms.items():
+        term = intern(monomial_id(mono), mu.numerator * (q // mu.denominator))
+        groups.setdefault(k, {})[term] = c.numerator * (d // c.denominator)
+    return basis, (d, groups)
 
 
-def exponents_of(form: Form, q: int) -> dict[int, Fraction]:
-    """Each distinct t-exponent of a form as a Fraction, e / q."""
-    return {e: Fraction(e, q) for e in {e for _, e, _ in form[1]}}
+def to_expr(basis: Basis, form: Form) -> MixedExpr:
+    """The MixedExpr of a form on a basis over monomial ids."""
+    d, groups = form
+    keys, exponents, monomials = basis.keys, basis.exponents, basis.tables.monomials
+    return MixedExpr._wrap({
+        (monomials[keys[i][0]], exponents[i], k): Fraction(v, d)
+        for k, terms in groups.items()
+        for i, v in terms.items()
+    })
 
 
-def to_expr(monomials: Sequence[Monomial], form: Form, q: int) -> MixedExpr:
-    """The MixedExpr of a form whose x-parts index `monomials` and whose
-    t-exponents are in units of 1 / q."""
-    d, terms = form
-    exponents = exponents_of(form, q)
-    return MixedExpr._wrap(
-        {
-            (monomials[m], exponents[e], k): Fraction(v, d)
-            for (m, e, k), v in terms.items()
-        }
-    )
-
-
-def tau_form(tables: Tables, form: Form, q: int, images: Mapping | None = None) -> Form:
-    """The operator on a form with t-exponents in units of 1 / q: each term
-    is pushed through the image of its key's first part, its exponent e
-    shifted by 2 lambda_k q, and the t-part of t^(e/q) log(t)^k is added,
-    e (e - n q) / q^2, k (2 e - n q) / q and k (k - 1) on the log powers k,
-    k - 1 and k - 2.  The images are the monomial images (`_image`) unless
-    `images` maps every first part of the form to its image over
-    denominator 1, as a tree's state symbols do.  The sum runs on integers
-    over d * s, d the form's denominator and s the lcm of the image
-    denominator and q^2; the result is reduced once."""
-    d, terms = form
-    if not terms:
+def tau_form(basis: Basis, form: Form) -> Form:
+    """The operator on a form: per log power k, each term is pushed through
+    L of its id (`_basis_image`), and k (2 e - n q) / q and k (k - 1) times
+    the term go to the log powers k - 1 and k - 2.  The sum runs on integers
+    over d * s, d the form's denominator and s the basis's; the result is
+    reduced once."""
+    d, groups = form
+    if not groups:
         return form
-    if images is None:
-        images, image_denominator = tables.images, tables.image_denominator
-    else:
-        image_denominator = 1
-    unit = q // tables.scale
-    nq = tables.n * unit
-    shifts = [shift * unit for shift in tables.shifts]
-    s = lcm(image_denominator, q * q)
-    lift, per_q2, per_q = s // image_denominator, s // (q * q), s // q
-    factors = {
-        e: (e * (e - nq) * per_q2, (2 * e - nq) * per_q, [e + shift for shift in shifts])
-        for e in {e for _, e, _ in terms}
-    }
-    out: dict[tuple, int] = {}
-    get = out.get
-    for (m, e, k), num in terms.items():
-        image = images.get(m)
-        if image is None:
-            image = _image(tables, m)
-        t2, t1, shifted = factors[e]
-        scaled = num * lift
-        for shift, target, a in image:
-            key = (target, shifted[shift], k)
-            out[key] = get(key, 0) + scaled * a
-        if t2:
-            key = (m, e, k)
-            out[key] = get(key, 0) + num * t2
+    images, logs, s = basis.images, basis.logs, basis.s
+    out: dict[int, dict[int, int]] = {}
+    for k, terms in groups.items():
+        acc = out.setdefault(k, {})
+        get = acc.get
+        for i, num in terms.items():
+            image = images[i]
+            if image is None:
+                image = _basis_image(basis, i)
+            for j, a in image:
+                acc[j] = get(j, 0) + num * a
         if k:
-            key = (m, e, k - 1)
-            out[key] = get(key, 0) + num * k * t1
+            acc = out.setdefault(k - 1, {})
+            get = acc.get
+            for i, num in terms.items():
+                acc[i] = get(i, 0) + num * k * logs[i]
             if k >= 2:
-                key = (m, e, k - 2)
-                out[key] = get(key, 0) + num * k * (k - 1) * s
+                acc = out.setdefault(k - 2, {})
+                get = acc.get
+                c = k * (k - 1) * s
+                for i, num in terms.items():
+                    acc[i] = get(i, 0) + num * c
     return reduced(d * s, out)
 
 
@@ -361,5 +425,5 @@ def tau(spec: AlgebraSpec, e: MixedExpr) -> MixedExpr:
     tables.bound_images()
     if not e.terms:
         return MixedExpr()
-    form, q = to_form(tables, e)
-    return to_expr(tables.monomials, tau_form(tables, form, q), q)
+    basis, form = to_form(tables, e)
+    return to_expr(basis, tau_form(basis, form))

@@ -20,44 +20,39 @@ same recurrence over the state's in-edges (`_Rows`).  These state rows are
 exact integer pairs, made once per tree and family and extended in place as
 p grows (`_rows`, kept in `TensionTree.rows`); one row serves every p up to
 its length.  Their weighted sums over one denominator give each state's
-coefficient (`_coefficients`), and the family member, in integer form keyed
-by state, is sum_S node_S times the coefficient of S.  Every member, phi,
-psi or a combination a*phi + b*psi summed on integers, comes from the one
-assembly `_member`, where builds and certificates start.  One substitution
-puts the nodes in, for both tree kinds: `realize` runs on integers over the
-tree's node table (`TensionTree.integer_nodes`, the one node storage a tree
-has, made as it grows), keyed by (basis function, t-exponent, log power)
-and reduced once, and never asks what a node is.  A polynomial tree's
-build is its realization as a MixedExpr; a radial tree's stays keyed by
-state and converts to the formal sum `NodeSymbolExpr`, each state named by
-its multi-index.  Phi raises Resonance at the least alpha, in lexicographic
-order (the order of `TensionTree.nodes`), of any state with 2 Lambda = n.
+coefficient (`_coefficients`), and the family member, an integer form on the
+tree's basis of (state, t-exponent) at its scale (`_states_basis`, kept in
+`TensionTree.bases`), is sum_S node_S times the coefficient of S.  Every
+member, phi, psi or a combination a*phi + b*psi summed on integers, comes
+from the one assembly `_member`, where builds and certificates start.  One
+substitution puts the nodes in, for both tree kinds: `realize` runs on
+integers over the tree's node table (`TensionTree.integer_nodes`), keyed per
+log power by (node basis function, t-exponent), and never asks what a node
+is.  A polynomial tree's build is its realization on the algebra's basis
+(`_concrete`) as a MixedExpr; a radial tree's stays on states and converts
+to the formal sum `NodeSymbolExpr`, each state named by its multi-index.
+Phi raises Resonance at the least alpha, in lexicographic order (the order
+of `TensionTree.nodes`), of any state with 2 Lambda = n.
 
 Certification never trusts the construction, and both tree kinds run on the
 one kernel `laplacian.tau_form`.  `verify` iterates it exactly on the
 concrete function, testing each iterate for zero by its empty term map and
 converting only the two residuals the certificate keeps, and reports the
 least vanishing order; it is the independent check on the state
-construction.  `verify_formal` iterates it on a form keyed by state under
-the tree's state images (the tree rule tau(h_S) = sum_k h_(S,k)
-t^(2 lambda_k)) and decides each iterate by whether its realization
-(`realize`) has a term.  `recurrence_check` tests the two-step iteration
-identities the families satisfy on states: one integer sum over the
-state-keyed forms of tau(f_p), f_(p-1) and f_(p-2), with tau under the state
-images.  The tree rule holds by construction, so a sum that vanishes state
-by state proves the identity; only a sum that does not is realized.
+construction.  `verify_formal` iterates it on the tree's basis, whose images
+are the tree rule tau(h_S) = sum_k h_(S,k) t^(2 lambda_k), and decides each
+iterate by whether its realization (`realize`) has a term.
+`recurrence_check` tests the two-step iteration identities the families
+satisfy on states: one integer sum of tau(f_p), f_(p-1) and f_(p-2) on the
+tree's basis.  The tree rule holds by construction, so a sum that vanishes
+state by state proves the identity; only a sum that does not is realized.
 `certify_family` certifies a tree's member with no public value between
-assembly and certificate: a polynomial tree's realization, re-keyed from the
-tree's basis to monomial ids, runs the loop of `verify`, a radial tree's
-form the loop of `verify_formal`, and only the two residuals are converted.
+assembly and certificate: a polynomial tree's realization, re-keyed once
+into the algebra's basis, runs the loop of `verify`, a radial tree's form
+the loop of `verify_formal`, and only the two residuals are converted.
 Every order p is checked against the budget `_P_BUDGET` before a row is made
-or the operator applied.  Every tree form has its t-exponents as integers
-over the tree's scale (`TensionTree.scale`), from the state rows on, and a
-public MixedExpr or node-symbol sum over the lcm of that scale and its own
-exponent denominators; the unit goes with the form through the kernel to the
-residuals.  Only a concrete form holds ids, monomial ids valid inside the
-public call that made it, since `Tables.bound_images` runs at the entry of
-each.
+or the operator applied.  Basis ids are cleared only at the entry of a
+public call (`_tables`), so a form never outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -70,7 +65,7 @@ from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, Resonance, ZeroCombination
 from .expr import MixedExpr
 from .laplacian import (
-    Form, Tables, exponents_of, reduced, tables_of, tau_form, to_expr, to_form,
+    Basis, Form, Tables, bound_bases, reduced, tables_of, tau_form, to_expr, to_form,
 )
 from .poly import _LATEX, Monomial, Sparse, _label, _Style
 from .scalar import _acc
@@ -217,8 +212,8 @@ class NodeSymbolExpr(Sparse):
         return self._write(_LATEX, namer or _LATEX.var)
 
 
-def _symbol_form(tree: TensionTree, e: NodeSymbolExpr) -> tuple[Form, int]:
-    """The integer form of e keyed by (state, t-exponent, log power), and the
+def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> tuple[Basis, Form]:
+    """The integer form of e on the tree's basis (`_states_basis`) of the
     unit of its t-exponents, the lcm of the tree's scale and their
     denominators: each multi-index goes to its state, and those the tree
     lacks (zero nodes) are dropped; the coefficients must be t-only."""
@@ -233,22 +228,43 @@ def _symbol_form(tree: TensionTree, e: NodeSymbolExpr) -> tuple[Form, int]:
             _acc(acc, (s, mu, k), c)
     d = lcm(*(c.denominator for c in acc.values()))
     q = lcm(tree.scale, *(mu.denominator for _, mu, _ in acc))
-    return (d, {
-        (s, mu.numerator * (q // mu.denominator), k): c.numerator * (d // c.denominator)
-        for (s, mu, k), c in acc.items()
-    }), q
+    basis = _states_basis(tables, tree, q)
+    groups: dict[int, dict[int, int]] = {}
+    for (s, mu, k), c in acc.items():
+        term = basis.intern(s, mu.numerator * (q // mu.denominator))
+        groups.setdefault(k, {})[term] = c.numerator * (d // c.denominator)
+    return basis, (d, groups)
 
 
-def _symbols(tree: TensionTree, form: Form, q: int) -> NodeSymbolExpr:
-    """The node-symbol sum of a form keyed by state with t-exponents in units
-    of 1 / q, each state named by its least multi-index (a radial tree's
-    states are its nodes)."""
-    d, terms = form
-    one, exponents, states = Monomial.one(), exponents_of(form, q), tree.states
+def _symbols(tree: TensionTree, basis: Basis, form: Form) -> NodeSymbolExpr:
+    """The node-symbol sum of a form on the tree's basis, each state named
+    by its least multi-index (a radial tree's states are its nodes)."""
+    d, groups = form
+    one, keys, exponents, states = Monomial.one(), basis.keys, basis.exponents, tree.states
     out: dict[MultiIndex, dict] = {}
-    for (s, e, k), v in terms.items():
-        out.setdefault(states[s].least, {})[(one, exponents[e], k)] = Fraction(v, d)
+    for k, terms in groups.items():
+        for i, v in terms.items():
+            out.setdefault(states[keys[i][0]].least, {})[(one, exponents[i], k)] = Fraction(v, d)
     return NodeSymbolExpr._wrap({alpha: MixedExpr._wrap(c) for alpha, c in out.items()})
+
+
+def _states_basis(tables: Tables, tree: TensionTree, q: int) -> Basis:
+    """The basis over the tree's states of exponent unit q, under the
+    tree's state images (`TensionTree.images`), kept on the tree."""
+    found = tree.bases.get(q)
+    if found is None:
+        found = tree.bases[q] = Basis(tables, q, tree.images)
+    return found
+
+
+def _tables(spec: AlgebraSpec, tree: TensionTree | None = None) -> Tables:
+    """The tables of `spec` at the entry of a public call, their memos
+    bounded (`Tables.bound_images`), and the bases kept on `tree` too."""
+    tables = tables_of(spec)
+    tables.bound_images()
+    if tree is not None:
+        bound_bases(tree.bases)
+    return tables
 
 
 # --- assembly ---
@@ -292,32 +308,34 @@ def build(
     a combination, and a branch with a nonzero node violates the side
     condition, and ZeroCombination for a = b = 0.
     """
-    tables = tables_of(spec)
-    tables.bound_images()
-    form = _member(tables, tree, p, kind, a, b)
+    basis = _states_basis(_tables(spec, tree), tree, tree.scale)
+    form = _member(basis, tree, p, kind, a, b)
     if tree.kind == "radial":
-        return _symbols(tree, form, tree.scale)
-    return to_expr(tree.integer_nodes[1], realize(tree, form), tree.scale)
+        return _symbols(tree, basis, form)
+    return to_expr(*_concrete(basis.tables, tree, realize(tree, basis, form)))
 
 
 def _member(
-    tables: Tables, tree: TensionTree, p: int, kind: str, a: Fraction = 1, b: Fraction = 1
+    basis: Basis, tree: TensionTree, p: int, kind: str, a: Fraction = 1, b: Fraction = 1
 ) -> Form:
-    """The member `kind` of order p keyed by (state, t-exponent over the
-    tree's scale, log power), the one assembly of every build, certificate
-    and recurrence check: the state rows times their weights
-    (`_coefficients`) for phi or psi, and a*phi + b*psi on integers
-    (`_combination`), phi first, so Resonance comes before
-    ZeroCombination."""
+    """The member `kind` of order p on the tree's basis at its scale
+    (`_states_basis`), the one assembly of every build, certificate and
+    recurrence check: the state rows times their weights (`_coefficients`)
+    for phi or psi, and a*phi + b*psi on integers (`_combination`), phi
+    first, so Resonance comes before ZeroCombination."""
     _check_p(p)
     if kind != "combo":
         if kind not in ("phi", "psi"):
             raise ValueError(f"unknown family {kind!r}: phi, psi or combo")
-        w, exponents, states = _coefficients(tables, tree, p, kind)
-        return w, {
-            (s, exponents[s], k): u for s, scaled in enumerate(states) for k, u in scaled
-        }
-    phi, psi = (_member(tables, tree, p, family) for family in ("phi", "psi"))
+        w, exponents, states = _coefficients(basis.tables, tree, p, kind)
+        groups: dict[int, dict[int, int]] = {}
+        for s, scaled in enumerate(states):
+            if scaled:
+                term = basis.intern(s, exponents[s])
+                for k, u in scaled:
+                    groups.setdefault(k, {})[term] = u
+        return w, groups
+    phi, psi = (_member(basis, tree, p, family) for family in ("phi", "psi"))
     a, b = Fraction(a), Fraction(b)
     if not (a or b):
         raise ZeroCombination("the zero combination is not a p-harmonic candidate")
@@ -385,35 +403,32 @@ class HarmonicCertificate(NamedTuple):
 
 
 def _certify(
-    tables: Tables, tree: TensionTree | None, kind: str, p: int, seed: str, form: Form, q: int
+    basis: Basis, tree: TensionTree | None, kind: str, p: int, seed: str, form: Form
 ) -> HarmonicCertificate:
-    """Iterate the kernel `laplacian.tau_form` up to p times from a form
-    whose t-exponents are in units of 1 / q, stopping at the first zero
-    iterate; only the last two iterates are held, and only the two residuals
-    become public values.
+    """Iterate the kernel `laplacian.tau_form` up to p times from a form on
+    `basis`, stopping at the first zero iterate; only the last two iterates
+    are held, and only the two residuals become public values.
 
-    A concrete form (`tree` None) is keyed by monomial id and goes through
-    the monomial images.  A formal form is keyed by state of `tree`, goes
-    through the tree's images (`TensionTree.images`), and is zero when its
-    realization (`realize`) is.  Every formal iterate is the exact image of
-    the realized function, because the tree satisfies tau(h_alpha) = sum_k
-    h_(alpha,k) t^(2 lambda_k) by construction; so the realized test decides
-    both tau^p = 0 and tau^(p-1) != 0 without any independence assumption on
-    the nodes.
+    A concrete form (`tree` None) is on a basis over monomial ids.  A formal
+    form is on the basis over the states of `tree` (`_states_basis`), and is
+    zero when its realization (`realize`) is.  Every formal iterate is the
+    exact image of the realized function, because the tree satisfies
+    tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k) by construction; so the
+    realized test decides both tau^p = 0 and tau^(p-1) != 0 without any
+    independence assumption on the nodes.
     """
     _check_p(p)
-    images = None if tree is None else tree.images
 
     def realized(form: Form) -> Form:
-        return form if tree is None or realize(tree, form)[1] else (1, {})
+        return form if tree is None or realize(tree, basis, form)[1] else (1, {})
 
     def public(form: Form) -> Built:
-        return to_expr(tables.monomials, form, q) if tree is None else _symbols(tree, form, q)
+        return to_expr(basis, form) if tree is None else _symbols(tree, basis, form)
 
     previous = current = realized(form)
     order = 0
     while order < p and current[1]:
-        previous, current = current, realized(tau_form(tables, current, q, images))
+        previous, current = current, realized(tau_form(basis, current))
         order += 1
     # only the last iterate can be zero, and every power past it is zero too
     verified_order = None if current[1] else order
@@ -433,26 +448,43 @@ def verify(
 ) -> HarmonicCertificate:
     """Apply the operator up to p times with exact zero tests, iterating on
     e's integer form (`laplacian.tau_form`)."""
-    tables = tables_of(spec)
-    tables.bound_images()
-    return _certify(tables, None, kind, p, seed, *to_form(tables, e))
+    basis, form = to_form(_tables(spec), e)
+    return _certify(basis, None, kind, p, seed, form)
 
 
-def realize(tree: TensionTree, form: Form) -> Form:
-    """Substitute the tree's nodes for the states of a form keyed by state:
-    sum_S c_S(t) * node_S on integers, keyed by (basis index, t-exponent,
-    log power) over the tree's node table (`TensionTree.integer_nodes`) and
-    reduced once.  The basis functions are linearly independent, so the
-    form has no terms exactly when the function is zero."""
-    w, terms = form
+def realize(tree: TensionTree, basis: Basis, form: Form) -> Form:
+    """Substitute the tree's nodes for the states of a form on the tree's
+    basis: sum_S c_S(t) * node_S on integers, keyed per log power by (node
+    basis index, t-exponent over the basis's unit) over the tree's node table
+    (`TensionTree.integer_nodes`) and reduced once.  The node basis
+    functions are linearly independent, so the form has no terms exactly
+    when the function is zero."""
+    w, groups = form
     d, _, nodes = tree.integer_nodes
-    out: dict[tuple, int] = {}
-    get = out.get
-    for (s, e, k), u in terms.items():
-        for b, c in nodes[s]:
-            key = (b, e, k)
-            out[key] = get(key, 0) + c * u
+    keys = basis.keys
+    out: dict[int, dict[tuple[int, int], int]] = {}
+    for k, terms in groups.items():
+        acc = out[k] = {}
+        get = acc.get
+        for i, u in terms.items():
+            s, e = keys[i]
+            for f, c in nodes[s]:
+                key = (f, e)
+                acc[key] = get(key, 0) + c * u
     return reduced(d * w, out)
+
+
+def _concrete(tables: Tables, tree: TensionTree, realized: Form) -> tuple[Basis, Form]:
+    """A polynomial tree's realization (`realize`) on the tables' basis at
+    the tree's scale: each node basis function, a monomial, goes to its
+    monomial id."""
+    d, groups = realized
+    basis = tables.basis(tree.scale)
+    intern = basis.intern
+    ids = [tables.monomial_id(mono) for mono in tree.integer_nodes[1]]
+    return basis, (d, {
+        k: {intern(ids[f], e): v for (f, e), v in terms.items()} for k, terms in groups.items()
+    })
 
 
 def verify_formal(
@@ -468,9 +500,9 @@ def verify_formal(
     (`_certify`).  Symbols of e that the tree lacks (zero nodes) are
     dropped, those of one state are summed, and the residuals name each
     state by its least multi-index."""
-    tables = tables_of(spec)
-    tables.bound_images()
-    return _certify(tables, tree, kind, p, seed, *_symbol_form(tree, e))
+    tables = _tables(spec, tree)
+    basis, form = _symbol_form(tables, tree, e)
+    return _certify(basis, tree, kind, p, seed, form)
 
 
 def certify_family(
@@ -479,17 +511,14 @@ def certify_family(
 ) -> HarmonicCertificate:
     """Certify the member `build` makes from its integer form (`_member`),
     with no public value in between: a radial tree's form is iterated as
-    `verify_formal` iterates, a polynomial tree's realization, re-keyed from
-    the tree's basis to monomial ids, as `verify` iterates."""
-    tables = tables_of(spec)
-    tables.bound_images()
-    form = _member(tables, tree, p, family, a, b)
+    `verify_formal` iterates, a polynomial tree's realization, re-keyed once
+    into the tables' basis (`_concrete`), as `verify` iterates."""
+    basis = _states_basis(_tables(spec, tree), tree, tree.scale)
+    form = _member(basis, tree, p, family, a, b)
     if tree.kind == "radial":
-        return _certify(tables, tree, family, p, seed, form, tree.scale)
-    d, terms = realize(tree, form)
-    ids = [tables.monomial_id(mono) for mono in tree.integer_nodes[1]]
-    concrete = d, {(ids[f], e, k): v for (f, e, k), v in terms.items()}
-    return _certify(tables, None, family, p, seed, concrete, tree.scale)
+        return _certify(basis, tree, family, p, seed, form)
+    concrete, form = _concrete(basis.tables, tree, realize(tree, basis, form))
+    return _certify(concrete, None, family, p, seed, form)
 
 
 def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
@@ -505,13 +534,11 @@ def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
     (`TensionTree.images`), as `_recurrence_holds` describes.
     """
     _check_p(p)
-    tables = tables_of(spec)
-    tables.bound_images()
-    images = tree.images
+    basis = _states_basis(_tables(spec, tree), tree, tree.scale)
     ok = True
     for family, sign in (("phi", -1), ("psi", 1)):
         try:
-            holds = _recurrence_holds(tables, tree, p, family, sign, images)
+            holds = _recurrence_holds(basis, tree, p, family, sign)
         except Resonance:
             if family == "phi":
                 continue
@@ -521,35 +548,40 @@ def recurrence_check(spec: AlgebraSpec, tree: TensionTree, p: int) -> bool:
 
 
 def _recurrence_holds(
-    tables: Tables, tree: TensionTree, p: int, family: str, sign: int, images: dict
+    basis: Basis, tree: TensionTree, p: int, family: str, sign: int
 ) -> bool:
     """The identity of one family: tau(f_p) minus the scaled lower members,
-    as (form, coefficient numerator, coefficient denominator) parts keyed by
-    state and summed on integers (`_combination`).  The tree rule holds by
-    construction, so a sum that vanishes state by state is a proof; one that
-    does not is decided on its realization (`realize`), since distinct
+    as (form, coefficient numerator, coefficient denominator) parts on the
+    tree's basis, summed on integers (`_combination`).  The tree rule holds
+    by construction, so a sum that vanishes state by state is a proof; one
+    that does not is decided on its realization (`realize`), since distinct
     states may carry dependent nodes."""
     def member(order: int) -> Form:
-        return _member(tables, tree, order, family)
+        return _member(basis, tree, order, family)
 
-    parts = [(tau_form(tables, member(p), tree.scale, images), 1, 1)]
+    tables = basis.tables
+    parts = [(tau_form(basis, member(p)), 1, 1)]
     if p >= 2:  # n = tables.n / scale
         parts.append((member(p - 1), -sign * (p - 1) * tables.n, tables.scale))
     if p >= 3:
         parts.append((member(p - 2), -(p - 1) * (p - 2), 1))
     residual = _combination(parts)
-    return not residual[1] or not realize(tree, residual)[1]
+    return not residual[1] or not realize(tree, basis, residual)[1]
 
 
 def _combination(parts: list[tuple[Form, int, int]]) -> Form:
     """The sum of c * f over the parts (f, numerator of c, denominator of c),
-    cross-multiplied over the lcm of each form's denominator times its
-    coefficient's, with its zero terms dropped."""
+    forms on one basis, cross-multiplied over the lcm of each form's
+    denominator times its coefficient's, with its zero terms and empty
+    groups dropped."""
     common = lcm(*(form[0] * c_den for form, _, c_den in parts))
-    total: dict[tuple, int] = {}
-    get = total.get
-    for (d, terms), c_num, c_den in parts:
+    total: dict[int, dict[int, int]] = {}
+    for (d, groups), c_num, c_den in parts:
         scale = c_num * (common // (d * c_den))
-        for key, v in terms.items():
-            total[key] = get(key, 0) + v * scale
-    return common, {key: v for key, v in total.items() if v}
+        for k, terms in groups.items():
+            acc = total.setdefault(k, {})
+            get = acc.get
+            for i, v in terms.items():
+                acc[i] = get(i, 0) + v * scale
+    kept = ({i: v for i, v in terms.items() if v} for terms in total.values())
+    return common, {k: terms for k, terms in zip(total, kept) if terms}

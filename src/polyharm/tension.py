@@ -8,10 +8,13 @@ function, numerator over d)) reduced by its gcd, so equal nodes are equal
 values, on basis functions the tree owns (monomials, or (a, has_log,
 monomial of G) for a radial node H(|x^1|) G(x^2), H in the rho-span and G
 affine).  A polynomial node's children are read off the image of the one
-kernel `laplacian.tau_form` by t-exponent (`_expand`): on integers over the
-algebra's scale, 2 lambda_k names layer k, which is well defined because the
-eigenvalues are distinct and nodes are t-independent.  The depth bound of a
-polynomial seed is worked out on the same integer eigenvalues.  A radial
+kernel `laplacian.tau_form` by t-exponent (`_expand`): the node goes in as
+one log-power-0 group on the algebra's basis at its eigenvalue scale, and
+the exponent 2 lambda_k of an output id names layer k, which is well defined
+because the eigenvalues are distinct and nodes are t-independent.  The depth
+bound of a polynomial seed and the Lambda of each state are worked out on
+the same integer eigenvalues (`AlgebraSpec.integer_eigenvalues`), which a
+radial tree reads without building the operator tables.  A radial
 node has the one child Lap(H) G at layer 1, by the closed-form radial
 Laplacian on its keys (`_radial_child`).
 
@@ -208,7 +211,9 @@ class TensionTree(Record):
     `nodes`, the alpha-keyed view, is derived on first use and refused past
     `_VIEW_BUDGET` multi-indices; only rendering and JSON read it.  `rows` is
     the branch-row memo `pharmonic` keeps per family, extended in place as p
-    grows; like every cached property it takes no part in equality."""
+    grows, and `bases` the bases over the states it keeps per exponent unit
+    (`laplacian.Basis`); like every cached property they take no part in
+    equality."""
 
     _fields = ("spec", "kind", "seed", "states", "scale", "degree", "integer_nodes")
 
@@ -229,6 +234,10 @@ class TensionTree(Record):
 
     @cached_property
     def rows(self) -> dict:
+        return {}
+
+    @cached_property
+    def bases(self) -> dict:
         return {}
 
     def node_count(self) -> int:
@@ -299,19 +308,25 @@ def _seed_node(terms: Mapping) -> _IntNode:
 
 def _expand(tables: Tables, node: _IntNode) -> dict[int, _IntNode]:
     """The children of a polynomial node: h_(alpha,k) is the part at
-    t^(2 lambda_k) of the kernel's image of the node at t^0, its t-exponents
-    over the algebra's scale, where 2 lambda_k is `Tables.shifts[k - 1]`."""
+    t^(2 lambda_k) of the kernel's image of the node at t^0 and log power 0,
+    on the tables' basis at the algebra's scale, where 2 lambda_k is
+    `Tables.shifts[k - 1]`; each output id's exponent names its layer."""
     d, terms = node
-    monomial_id, scale, shifts = tables.monomial_id, tables.scale, tables.shifts
-    d, image = tau_form(tables, (d, {(monomial_id(mono), 0, 0): v for mono, v in terms}), scale)
+    scale, shifts = tables.scale, tables.shifts
+    basis = tables.basis(scale)
+    monomial_id, intern = tables.monomial_id, basis.intern
+    d, image = tau_form(basis, (d, {0: {intern(monomial_id(mono), 0): v for mono, v in terms}}))
+    keys, monomials = basis.keys, tables.monomials
     children: dict[int, dict] = {}
-    for (m, e, logpow), v in image.items():
-        if logpow or e not in shifts:
-            raise InternalClosureError(
-                f"operator image contains an unexpected t^({e}/{scale})*log^{logpow} "
-                "component; this is a bug, not a user error"
-            )
-        children.setdefault(shifts.index(e) + 1, {})[tables.monomials[m]] = v
+    for logpow, group in image.items():
+        for i, v in group.items():
+            m, e = keys[i]
+            if logpow or e not in shifts:
+                raise InternalClosureError(
+                    f"operator image contains an unexpected t^({e}/{scale})*log^{logpow} "
+                    "component; this is a bug, not a user error"
+                )
+            children.setdefault(shifts.index(e) + 1, {})[monomials[m]] = v
     return {k: _int_node(d, terms) for k, terms in children.items()}
 
 
@@ -370,10 +385,8 @@ def _grow(
     Lambda puts parents before children; least alpha, path counts, depths
     and the node table then follow in one pass.  A level or a depth past
     `bound` means an operator bug."""
-    scale = lcm(*(lam.denominator for lam in spec.lambdas))
-    steps = {
-        k: lam.numerator * (scale // lam.denominator) for k, lam in enumerate(spec.lambdas, 1)
-    }
+    scale, lams, _ = spec.integer_eigenvalues
+    steps = dict(enumerate(lams, 1))
     expanded: dict[_IntNode, dict[int, _IntNode]] = {}
     found: list[tuple[_IntNode, int]] = [(_seed_node(seed.terms), 0)]
     index = {found[0]: 0}

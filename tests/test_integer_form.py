@@ -33,7 +33,7 @@ from polyharm import (
 )
 from polyharm import laplacian
 from polyharm.laplacian import tables_of, tau_form
-from polyharm.pharmonic import _member, _symbols
+from polyharm.pharmonic import _member, _states_basis, _symbols
 
 from conftest import random_mixed_expr
 from oracles import (
@@ -237,8 +237,13 @@ def test_memo_bound_keeps_every_result(monkeypatch):
         # interns all stay until it returns
         tables = tables_of(spec)
         verify(spec, build_psi(spec, tree, 5), 5)
-        assert len(tables.monomials) > 1
+        assert len(tables.monomials) > 1 and tables.bases
         assert set(tables.images) <= set(range(len(tables.monomials)))
+        for basis in [*tables.bases.values(), *tree.bases.values()]:
+            held = range(len(basis.keys))
+            assert sorted(basis.ids.values()) == list(held)
+            assert all(j in held for image in basis.images if image for j, _ in image)
+        assert {m for m, _ in tables.basis(tree.scale).keys} <= set(range(len(tables.monomials)))
 
 
 # --- radial trees: the kernel under the tree's images ---
@@ -282,7 +287,6 @@ RADIAL_P_MAX = 5
 def test_radial_kernel_iterates_match_formal_operator():
     checked = 0
     for spec, tree in radial_cases():
-        images = tree.images
         for family, builder in (("phi", build_phi), ("psi", build_psi)):
             for p in range(1, RADIAL_P_MAX + 1):
                 try:
@@ -294,11 +298,11 @@ def test_radial_kernel_iterates_match_formal_operator():
                 expected = [built]
                 for _ in range(p):
                     expected.append(formal_tau(spec, tree, expected[-1]))
-                tables = tables_of(spec)
-                form = _member(tables, tree, p, family)
+                basis = _states_basis(tables_of(spec), tree, tree.scale)
+                form = _member(basis, tree, p, family)
                 for e in expected:
-                    assert _symbols(tree, form, tree.scale) == e
-                    form = tau_form(tables, form, tree.scale, images)
+                    assert _symbols(tree, basis, form) == e
+                    form = tau_form(basis, form)
                     checked += 1
     assert checked > 1500
 

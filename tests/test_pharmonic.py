@@ -645,7 +645,8 @@ def realized_terms(spec, tree, e: NodeSymbolExpr) -> int:
     state, nodes substituted on the tree's node table by
     `pharmonic.realize`): zero exactly when e is, and the oracle's count
     whenever both expand the nodes on independent basis functions."""
-    return len(pharmonic.realize(tree, pharmonic._symbol_form(tree, e)[0])[1])
+    basis, form = pharmonic._symbol_form(tables_of(spec), tree, e)
+    return sum(map(len, pharmonic.realize(tree, basis, form)[1].values()))
 
 
 def test_realized_zero_test_agrees_with_formal_on_random_radial_seeds(rh3, ch2):
@@ -792,10 +793,11 @@ def test_recurrence_detects_wrong_factor(rh2, rh3, monkeypatch):
 
     original = ph.tau_form
 
-    def broken_tau_form(tables, form, q, images=None):
-        d, terms = original(tables, form, q, images)
-        key = (0, q, 0)  # t^1: the exponent q over the unit q
-        return d, {**terms, key: terms.get(key, 0) + d}
+    def broken_tau_form(basis, form):
+        d, groups = original(basis, form)
+        i = basis.intern(0, basis.q)  # t^1: the exponent q over the unit q
+        terms = groups.get(0, {})
+        return d, {**groups, 0: {**terms, i: terms.get(i, 0) + d}}
 
     assert all(recurrence_check(spec, tree, 2) for spec, tree in trees)
     monkeypatch.setattr(ph, "tau_form", broken_tau_form)

@@ -20,9 +20,10 @@ pays for no machinery it does not use: importing `polyharm.cli` loads
 neither `dataclasses` nor `inspect`.  LaTeX is spelled in one place: no
 module but `poly.py`, which holds the writer's style table, has a LaTeX
 token in a string constant.  The inner loops run on integers: the functions of
-`INTEGER_FUNCTIONS` name no Fraction (the operator kernel `tau_form` and the
-monomial images `_image`; the state rows, coefficients, realization and
-combinations of `pharmonic.py`; the tree expander and its depth bound), and
+`INTEGER_FUNCTIONS` name no Fraction (the operator kernel `tau_form`, the
+monomial images `_image` and the basis images `_basis_image`; the state
+rows, coefficients, realization and combinations of `pharmonic.py`; the tree
+expander and its depth bound), and
 the expander `_grow`, the polynomial children `_expand` and the radial child
 `_radial_child` of `tension.py` name no node-object type either.
 """
@@ -166,7 +167,7 @@ def confined_references(module: ast.Module) -> list[int]:
 # integer nodes name no node-object type either
 NODE_OBJECTS = {"Fraction", "Polynomial", "RadialFunction", "RadialSeed", "AffinePart"}
 INTEGER_FUNCTIONS = {
-    "laplacian.py": dict.fromkeys(("tau_form", "_image"), {"Fraction"}),
+    "laplacian.py": dict.fromkeys(("tau_form", "_image", "_basis_image"), {"Fraction"}),
     "pharmonic.py": dict.fromkeys(
         ("_rows", "_new_rows", "_coefficients", "realize", "_combination"), {"Fraction"}
     ),
@@ -296,11 +297,13 @@ def test_integer_function_check_sees_a_fraction():
         "    acc: dict[tuple, Fraction] = {}\n"
         "def _new_rows(tables, tree, family):\n"
         "    return Fraction(2 * lam, scale)\n"
-        "def to_expr(monomials, form, q):\n"
+        "def to_expr(basis, form):\n"
         "    return Fraction(v, d)\n"
+        "def _basis_image(basis, i):\n"
+        "    return basis.exponents[i] * fractions.Fraction(e, basis.q)\n"
     )
     functions = {**INTEGER_FUNCTIONS["laplacian.py"], **INTEGER_FUNCTIONS["pharmonic.py"]}
-    assert banned_names(ast.parse(injected), functions) == [2, 4]
+    assert banned_names(ast.parse(injected), functions) == [2, 4, 8]
 
 
 def test_latex_check_sees_a_token():

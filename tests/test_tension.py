@@ -140,9 +140,12 @@ def test_closure_check_refuses_a_stray_image_term(rh2, monkeypatch):
     # an image term at a t-power that is no 2 lambda_k, or with a log power,
     # cannot be read as a child; rh2 has 2 lambda_1 = 2
     for shift, logpow in ((3, 0), (2, 1)):
-        def stray(tables, form, q, images=None, shift=shift, logpow=logpow):
-            d, terms = form
-            return d, {(m, shift * q, logpow): v for (m, _, _), v in terms.items()}
+        def stray(basis, form, shift=shift, logpow=logpow):
+            d, groups = form
+            return d, {logpow: {
+                basis.intern(basis.keys[i][0], shift * basis.q): v
+                for terms in groups.values() for i, v in terms.items()
+            }}
 
         monkeypatch.setattr(tension, "tau_form", stray)
         with pytest.raises(InternalClosureError):
@@ -195,10 +198,13 @@ def test_depth_budget_refuses_a_huge_seed_up_front(rh2, rh3, monkeypatch):
 
 def test_depth_guard_stops_a_looping_operator(rh2, rh3, monkeypatch):
     # operators that make a node its own child would never terminate
-    def looping(tables, form, q, images=None):
-        d, terms = form
-        e = tables.shifts[0] * (q // tables.scale)
-        return d, {(m, e, k): v for (m, _, k), v in terms.items()}
+    def looping(basis, form):
+        d, groups = form
+        e = basis.shifts[0]
+        return d, {
+            k: {basis.intern(basis.keys[i][0], e): v for i, v in terms.items()}
+            for k, terms in groups.items()
+        }
 
     monkeypatch.setattr(tension, "tau_form", looping)
     with pytest.raises(InternalClosureError):
