@@ -139,8 +139,7 @@ class AlgebraSpec(Record):
 
     @cached_property
     def integer_eigenvalues(self) -> tuple[int, tuple[int, ...], int]:
-        """(scale, lambda_k * scale per layer, n * scale): the eigenvalues and
-        the homogeneous dimension n as integers over their scale, the lcm of
+        """(scale, lambda_k * scale per layer, n * scale), scale the lcm of
         the eigenvalue denominators."""
         scale = lcm(*(lam.denominator for lam in self.lambdas))
         n = self.homogeneous_dim

@@ -124,9 +124,8 @@ class Tables:
         self.bases: dict[int, Basis] = {}
 
     def bound_images(self) -> None:
-        """Clear the monomial ids, their images and the bases once they
-        hold `_MEMO_LIMIT` monomials and basis ids; called only at the entry
-        of a public call."""
+        """Clear the monomials, images and bases once they hold `_MEMO_LIMIT`
+        monomials and ids; called only at the entry of a public call."""
         if len(self.monomials) + _held(self.bases) >= _MEMO_LIMIT:
             for memo in (self.monomials, self.monomial_ids, self.images, self.bases):
                 memo.clear()
@@ -147,14 +146,12 @@ class Tables:
 
 
 class Basis:
-    """The t-monomials x-part * t^(e / q) of one unit q, interned to int ids,
-    with what the kernel reads of each (see the module docstring).  The
-    x-parts are monomial ids of `tables`, under the monomial images
-    (`_image`), unless `images` maps each x-part, a tree state, to its image
-    in the same layout over denominator 1."""
+    """The t-monomials (x-part, e) of unit q as ids (see the module
+    docstring): x-parts are monomial ids of `tables` unless `images` maps
+    each, a tree state, to its image over denominator 1."""
 
     __slots__ = (
-        "tables", "q", "xparts", "nq", "shifts", "s", "lift", "per_q2", "per_q",
+        "tables", "q", "xparts", "nq", "shifts", "s", "lift",
         "keys", "ids", "images", "logs", "exponents", "fractions",
     )
 
@@ -165,25 +162,22 @@ class Basis:
         self.shifts = [shift * unit for shift in tables.shifts]
         image_denominator = tables.image_denominator if images is None else 1
         self.s = lcm(image_denominator, q * q)
-        self.lift, self.per_q2, self.per_q = (
-            self.s // image_denominator, self.s // (q * q), self.s // q
-        )
+        self.lift = self.s // image_denominator
         self.keys: list[tuple[int, int]] = []  # id -> (x-part, e)
         self.ids: dict[tuple[int, int], int] = {}
-        self.images: list[tuple[tuple[int, int], ...] | None] = []  # `_basis_image`
+        self.images: list[tuple | None] = []  # id -> L (`_basis_image`)
         self.logs: list[int] = []  # id -> (2 e - n q) s / q
         self.exponents: list[Fraction] = []  # id -> e / q
-        self.fractions: dict[int, Fraction] = {}  # e -> e / q, one per exponent
+        self.fractions: dict[int, Fraction] = {}  # e -> e / q
 
     def intern(self, x: int, e: int) -> int:
-        """The id of x-part x times t^(e / q)."""
         key = (x, e)
         i = self.ids.get(key)
         if i is None:
             i = self.ids[key] = len(self.keys)
             self.keys.append(key)
             self.images.append(None)
-            self.logs.append((2 * e - self.nq) * self.per_q)
+            self.logs.append((2 * e - self.nq) * self.s // self.q)
             exponent = self.fractions.get(e)
             if exponent is None:
                 exponent = self.fractions[e] = Fraction(e, self.q)
@@ -196,8 +190,7 @@ def _held(bases: Mapping[int, Basis]) -> int:
 
 
 def bound_bases(bases: dict[int, Basis]) -> None:
-    """Clear `bases`, kept outside the tables, once they hold `_MEMO_LIMIT`
-    ids; called only at the entry of a public call."""
+    """`Tables.bound_images` for bases kept on a tree."""
     if _held(bases) >= _MEMO_LIMIT:
         bases.clear()
 
@@ -318,11 +311,9 @@ def _image(tables: Tables, m: int) -> _Image:
 
 
 def _basis_image(basis: Basis, i: int) -> tuple[tuple[int, int], ...]:
-    """L on basis id i, memoized in `basis.images`, over the basis's s: for
-    x-part x and exponent e, each entry a of x's image at shift k becomes a
-    * s / (image denominator) on (target, e + 2 lambda_k q), then the self
-    entry e (e - n q) s / q^2 unless it is zero.  The shifts are positive, so
-    no two entries share an id."""
+    """L on id i = (x, e) over s, memoized: each entry a at shift k of x's
+    image as a s / (image denominator) on (target, e + 2 lambda_k q), then
+    e (e - n q) s / q^2 on i unless zero; no two entries share an id."""
     x, e = basis.keys[i]
     xparts = basis.xparts
     if xparts is None:
@@ -333,7 +324,7 @@ def _basis_image(basis: Basis, i: int) -> tuple[tuple[int, int], ...]:
         xpart = xparts[x]
     intern, shifts, lift = basis.intern, basis.shifts, basis.lift
     image = [(intern(target, e + shifts[shift]), a * lift) for shift, target, a in xpart]
-    t2 = e * (e - basis.nq) * basis.per_q2
+    t2 = e * (e - basis.nq) * basis.s // (basis.q * basis.q)
     if t2:
         image.append((i, t2))
     found = basis.images[i] = tuple(image)
@@ -341,12 +332,9 @@ def _basis_image(basis: Basis, i: int) -> tuple[tuple[int, int], ...]:
 
 
 def reduced(denominator: int, groups: dict) -> Form:
-    """The form of numerators over denominator, grouped by log power, zeros
-    and empty groups dropped and the common factor of every numerator and
-    the denominator divided out."""
-    g = denominator
-    for terms in groups.values():
-        g = gcd(g, *terms.values())
+    """Numerators grouped by log power over denominator as a form: zeros and
+    empty groups dropped, the common factor divided out."""
+    g = gcd(denominator, *[v for terms in groups.values() for v in terms.values()])
     out = {}
     for k, terms in groups.items():
         if g > 1:
@@ -359,9 +347,8 @@ def reduced(denominator: int, groups: dict) -> Form:
 
 
 def to_form(tables: Tables, e: MixedExpr) -> tuple[Basis, Form]:
-    """e in integer form over the lcm of its coefficient denominators, on
-    the tables' basis of the unit of its t-exponents: the lcm of the
-    algebra's scale and their denominators."""
+    """e's form over the lcm of its coefficient denominators, on the basis
+    of unit lcm(scale, its exponent denominators)."""
     d = lcm(*(c.denominator for c in e.terms.values()))
     q = lcm(tables.scale, *(mu.denominator for _, mu, _ in e.terms))
     basis = tables.basis(q)
@@ -385,11 +372,9 @@ def to_expr(basis: Basis, form: Form) -> MixedExpr:
 
 
 def tau_form(basis: Basis, form: Form) -> Form:
-    """The operator on a form: per log power k, each term is pushed through
-    L of its id (`_basis_image`), and k (2 e - n q) / q and k (k - 1) times
-    the term go to the log powers k - 1 and k - 2.  The sum runs on integers
-    over d * s, d the form's denominator and s the basis's; the result is
-    reduced once."""
+    """The operator on a form: per log power k, each term through L of its
+    id, and k (2 e - n q) / q and k (k - 1) times it to log powers k - 1 and
+    k - 2, on integers over d s, reduced once."""
     d, groups = form
     if not groups:
         return form

@@ -213,10 +213,9 @@ class NodeSymbolExpr(Sparse):
 
 
 def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> tuple[Basis, Form]:
-    """The integer form of e on the tree's basis (`_states_basis`) of the
-    unit of its t-exponents, the lcm of the tree's scale and their
-    denominators: each multi-index goes to its state, and those the tree
-    lacks (zero nodes) are dropped; the coefficients must be t-only."""
+    """e's form on the tree's basis of unit lcm(scale, its exponent
+    denominators): each multi-index goes to its state, those the tree lacks
+    (zero nodes) are dropped; the coefficients must be t-only."""
     acc: dict[tuple, Fraction] = {}
     for alpha, coeff in e.terms.items():
         s = tree.state_of(alpha)
@@ -238,7 +237,7 @@ def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> tuple[
 
 def _symbols(tree: TensionTree, basis: Basis, form: Form) -> NodeSymbolExpr:
     """The node-symbol sum of a form on the tree's basis, each state named
-    by its least multi-index (a radial tree's states are its nodes)."""
+    by its least multi-index."""
     d, groups = form
     one, keys, exponents, states = Monomial.one(), basis.keys, basis.exponents, tree.states
     out: dict[MultiIndex, dict] = {}
@@ -249,8 +248,8 @@ def _symbols(tree: TensionTree, basis: Basis, form: Form) -> NodeSymbolExpr:
 
 
 def _states_basis(tables: Tables, tree: TensionTree, q: int) -> Basis:
-    """The basis over the tree's states of exponent unit q, under the
-    tree's state images (`TensionTree.images`), kept on the tree."""
+    """The basis of unit q over the tree's states, under the tree rule
+    (`TensionTree.images`), kept on the tree."""
     found = tree.bases.get(q)
     if found is None:
         found = tree.bases[q] = Basis(tables, q, tree.images)
@@ -258,8 +257,8 @@ def _states_basis(tables: Tables, tree: TensionTree, q: int) -> Basis:
 
 
 def _tables(spec: AlgebraSpec, tree: TensionTree | None = None) -> Tables:
-    """The tables of `spec` at the entry of a public call, their memos
-    bounded (`Tables.bound_images`), and the bases kept on `tree` too."""
+    """The tables of `spec` at the entry of a public call, their memos and
+    the bases of `tree` bounded."""
     tables = tables_of(spec)
     tables.bound_images()
     if tree is not None:
@@ -330,10 +329,13 @@ def _member(
         w, exponents, states = _coefficients(basis.tables, tree, p, kind)
         groups: dict[int, dict[int, int]] = {}
         for s, scaled in enumerate(states):
-            if scaled:
-                term = basis.intern(s, exponents[s])
-                for k, u in scaled:
-                    groups.setdefault(k, {})[term] = u
+            term = basis.intern(s, exponents[s])
+            for k, u in scaled:
+                group = groups.get(k)
+                if group is None:
+                    groups[k] = {term: u}
+                else:
+                    group[term] = u
         return w, groups
     phi, psi = (_member(basis, tree, p, family) for family in ("phi", "psi"))
     a, b = Fraction(a), Fraction(b)
@@ -455,10 +457,9 @@ def verify(
 def realize(tree: TensionTree, basis: Basis, form: Form) -> Form:
     """Substitute the tree's nodes for the states of a form on the tree's
     basis: sum_S c_S(t) * node_S on integers, keyed per log power by (node
-    basis index, t-exponent over the basis's unit) over the tree's node table
-    (`TensionTree.integer_nodes`) and reduced once.  The node basis
-    functions are linearly independent, so the form has no terms exactly
-    when the function is zero."""
+    basis index, t-exponent) over the node table and reduced once.  The node
+    basis functions are linearly independent, so the form has no terms
+    exactly when the function is zero."""
     w, groups = form
     d, _, nodes = tree.integer_nodes
     keys = basis.keys
@@ -475,9 +476,7 @@ def realize(tree: TensionTree, basis: Basis, form: Form) -> Form:
 
 
 def _concrete(tables: Tables, tree: TensionTree, realized: Form) -> tuple[Basis, Form]:
-    """A polynomial tree's realization (`realize`) on the tables' basis at
-    the tree's scale: each node basis function, a monomial, goes to its
-    monomial id."""
+    """A polynomial tree's realization on the tables' basis at its scale."""
     d, groups = realized
     basis = tables.basis(tree.scale)
     intern = basis.intern
@@ -572,14 +571,17 @@ def _recurrence_holds(
 def _combination(parts: list[tuple[Form, int, int]]) -> Form:
     """The sum of c * f over the parts (f, numerator of c, denominator of c),
     forms on one basis, cross-multiplied over the lcm of each form's
-    denominator times its coefficient's, with its zero terms and empty
-    groups dropped."""
+    denominator times its coefficient's, zero terms and empty groups
+    dropped."""
     common = lcm(*(form[0] * c_den for form, _, c_den in parts))
     total: dict[int, dict[int, int]] = {}
     for (d, groups), c_num, c_den in parts:
         scale = c_num * (common // (d * c_den))
         for k, terms in groups.items():
-            acc = total.setdefault(k, {})
+            acc = total.get(k)
+            if acc is None:
+                total[k] = {i: v * scale for i, v in terms.items()}
+                continue
             get = acc.get
             for i, v in terms.items():
                 acc[i] = get(i, 0) + v * scale

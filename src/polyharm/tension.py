@@ -8,13 +8,12 @@ function, numerator over d)) reduced by its gcd, so equal nodes are equal
 values, on basis functions the tree owns (monomials, or (a, has_log,
 monomial of G) for a radial node H(|x^1|) G(x^2), H in the rho-span and G
 affine).  A polynomial node's children are read off the image of the one
-kernel `laplacian.tau_form` by t-exponent (`_expand`): the node goes in as
-one log-power-0 group on the algebra's basis at its eigenvalue scale, and
-the exponent 2 lambda_k of an output id names layer k, which is well defined
-because the eigenvalues are distinct and nodes are t-independent.  The depth
-bound of a polynomial seed and the Lambda of each state are worked out on
-the same integer eigenvalues (`AlgebraSpec.integer_eigenvalues`), which a
-radial tree reads without building the operator tables.  A radial
+kernel `laplacian.tau_form` by t-exponent (`_expand`): on the algebra's
+basis at its eigenvalue scale, an output id's exponent 2 lambda_k names
+layer k, which is well defined because the eigenvalues are distinct and
+nodes are t-independent.  Depth bounds and each state's Lambda are worked
+out on the same integer eigenvalues (`AlgebraSpec.integer_eigenvalues`),
+which a radial tree reads without building the operator tables.  A radial
 node has the one child Lap(H) G at layer 1, by the closed-form radial
 Laplacian on its keys (`_radial_child`).
 
@@ -211,9 +210,8 @@ class TensionTree(Record):
     `nodes`, the alpha-keyed view, is derived on first use and refused past
     `_VIEW_BUDGET` multi-indices; only rendering and JSON read it.  `rows` is
     the branch-row memo `pharmonic` keeps per family, extended in place as p
-    grows, and `bases` the bases over the states it keeps per exponent unit
-    (`laplacian.Basis`); like every cached property they take no part in
-    equality."""
+    grows, and `bases` its bases over the states per exponent unit; like
+    every cached property they take no part in equality."""
 
     _fields = ("spec", "kind", "seed", "states", "scale", "degree", "integer_nodes")
 
@@ -308,9 +306,8 @@ def _seed_node(terms: Mapping) -> _IntNode:
 
 def _expand(tables: Tables, node: _IntNode) -> dict[int, _IntNode]:
     """The children of a polynomial node: h_(alpha,k) is the part at
-    t^(2 lambda_k) of the kernel's image of the node at t^0 and log power 0,
-    on the tables' basis at the algebra's scale, where 2 lambda_k is
-    `Tables.shifts[k - 1]`; each output id's exponent names its layer."""
+    t^(2 lambda_k) = t^(`Tables.shifts[k - 1]` / scale) of the kernel's
+    image of the node at t^0, on the tables' basis at the scale."""
     d, terms = node
     scale, shifts = tables.scale, tables.shifts
     basis = tables.basis(scale)

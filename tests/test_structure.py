@@ -23,9 +23,9 @@ token in a string constant.  The inner loops run on integers: the functions of
 `INTEGER_FUNCTIONS` name no Fraction (the operator kernel `tau_form`, the
 monomial images `_image` and the basis images `_basis_image`; the state
 rows, coefficients, realization and combinations of `pharmonic.py`; the tree
-expander and its depth bound), and
-the expander `_grow`, the polynomial children `_expand` and the radial child
-`_radial_child` of `tension.py` name no node-object type either.
+expander and its depth bound), and the expander `_grow`, the polynomial
+children `_expand` and the radial child `_radial_child` of `tension.py` name
+no node-object type either.
 """
 
 import ast
