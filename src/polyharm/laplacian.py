@@ -126,7 +126,7 @@ class Tables:
     def bound_images(self) -> None:
         """Clear the monomials, images and bases once they hold `_MEMO_LIMIT`
         monomials and ids; called only at the entry of a public call."""
-        if len(self.monomials) + _held(self.bases) >= _MEMO_LIMIT:
+        if _held(self.bases, len(self.monomials)) >= _MEMO_LIMIT:
             for memo in (self.monomials, self.monomial_ids, self.images, self.bases):
                 memo.clear()
 
@@ -185,8 +185,10 @@ class Basis:
         return i
 
 
-def _held(bases: Mapping[int, Basis]) -> int:
-    return sum(len(basis.keys) for basis in bases.values())
+def _held(bases: Mapping[int, Basis], held: int = 0) -> int:
+    for basis in bases.values():
+        held += len(basis.keys)
+    return held
 
 
 def bound_bases(bases: dict[int, Basis]) -> None:
