@@ -350,27 +350,44 @@ def reduced(denominator: int, groups: dict) -> Form:
 
 def to_form(tables: Tables, e: MixedExpr) -> tuple[Basis, Form]:
     """e's form over the lcm of its coefficient denominators, on the basis
-    of unit lcm(scale, its exponent denominators)."""
-    d = lcm(*(c.denominator for c in e.terms.values()))
-    q = lcm(tables.scale, *(mu.denominator for _, mu, _ in e.terms))
+    of unit lcm(scale, its exponent denominators).  Each term costs one
+    lookup of its monomial and one of its (x-part, e) key; only a miss
+    interns."""
+    terms = e.terms
+    d = lcm(*{c.denominator for c in terms.values()})
+    q = lcm(tables.scale, *{mu.denominator for _, mu, _ in terms})
     basis = tables.basis(q)
-    monomial_id, intern = tables.monomial_id, basis.intern
+    find_monomial, find = tables.monomial_ids.get, basis.ids.get
     groups: dict[int, dict[int, int]] = {}
-    for (mono, mu, k), c in e.terms.items():
-        term = intern(monomial_id(mono), mu.numerator * (q // mu.denominator))
-        groups.setdefault(k, {})[term] = c.numerator * (d // c.denominator)
+    for (mono, mu, k), c in terms.items():
+        x = find_monomial(mono)
+        if x is None:
+            x = tables.monomial_id(mono)
+        key = (x, mu.numerator * (q // mu.denominator))
+        i = find(key)
+        if i is None:
+            i = basis.intern(*key)
+        group = groups.get(k)
+        if group is None:
+            group = groups[k] = {}
+        group[i] = c.numerator * (d // c.denominator)
     return basis, (d, groups)
 
 
 def to_expr(basis: Basis, form: Form) -> MixedExpr:
-    """The MixedExpr of a form on a basis over monomial ids."""
+    """The MixedExpr of a form on a basis over monomial ids, with one
+    Fraction per distinct numerator."""
     d, groups = form
     keys, exponents, monomials = basis.keys, basis.exponents, basis.tables.monomials
-    return MixedExpr._wrap({
-        (monomials[keys[i][0]], exponents[i], k): Fraction(v, d)
-        for k, terms in groups.items()
-        for i, v in terms.items()
-    })
+    coefficients: dict[int, Fraction] = {}
+    terms = {}
+    for k, group in groups.items():
+        for i, v in group.items():
+            c = coefficients.get(v)
+            if c is None:
+                c = coefficients[v] = Fraction(v, d)
+            terms[(monomials[keys[i][0]], exponents[i], k)] = c
+    return MixedExpr._wrap(terms)
 
 
 def tau_form(basis: Basis, form: Form) -> Form:

@@ -479,11 +479,16 @@ def _concrete(tables: Tables, tree: TensionTree, realized: Form) -> tuple[Basis,
     """A polynomial tree's realization on the tables' basis at its scale."""
     d, groups = realized
     basis = tables.basis(tree.scale)
-    intern = basis.intern
+    find = basis.ids.get
     ids = [tables.monomial_id(mono) for mono in tree.integer_nodes[1]]
-    return basis, (d, {
-        k: {intern(ids[f], e): v for (f, e), v in terms.items()} for k, terms in groups.items()
-    })
+    out: dict[int, dict[int, int]] = {}
+    for k, terms in groups.items():
+        group = out[k] = {}
+        for (f, e), v in terms.items():
+            key = (ids[f], e)
+            i = find(key)
+            group[basis.intern(*key) if i is None else i] = v
+    return basis, (d, out)
 
 
 def verify_formal(

@@ -8,6 +8,7 @@ certificate loop."""
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -244,6 +245,39 @@ def test_memo_bound_keeps_every_result(monkeypatch):
             assert sorted(basis.ids.values()) == list(held)
             assert all(j in held for image in basis.images if image for j, _ in image)
         assert {m for m, _ in tables.basis(tree.scale).keys} <= set(range(len(tables.monomials)))
+
+
+def assert_converts_term_by_term(spec, e):
+    """`to_form` keys each term by its monomial id and exponent over the
+    basis unit, over the lcm of the coefficient denominators, and `to_expr`
+    gives e back with one Fraction object per distinct coefficient."""
+    tables = tables_of(spec)
+    basis, (d, groups) = laplacian.to_form(tables, e)
+    assert d == lcm(*(c.denominator for c in e.terms.values()))
+    assert basis.q == lcm(tables.scale, *(mu.denominator for _, mu, _ in e.terms))
+    found = {
+        (tables.monomials[basis.keys[i][0]], Fraction(basis.keys[i][1], basis.q), k): Fraction(v, d)
+        for k, group in groups.items()
+        for i, v in group.items()
+    }
+    assert found == e.terms and all(groups.values())
+    back = laplacian.to_expr(basis, (d, groups))
+    assert back == e
+    assert len({id(c) for c in back.terms.values()}) == len(set(back.terms.values()))
+
+
+def test_conversions_invert_each_other_on_fresh_and_warm_tables():
+    for name, seed, _ in TREES[-4:]:
+        tree_spec = spec_of(name)
+        tree = tree_of(tree_spec, seed)
+        for p, built in members(tree_spec, tree, 3):
+            # a second spec has its own, empty tables: every key misses
+            for spec in (spec_of(name), tree_spec):
+                assert_converts_term_by_term(spec, built)
+    for name, text, _ in EXPRESSIONS:
+        spec = spec_of(name)
+        for _ in range(2):
+            assert_converts_term_by_term(spec, parse(text, spec))
 
 
 # --- radial trees: the kernel under the tree's images ---
