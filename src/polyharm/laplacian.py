@@ -13,9 +13,9 @@ Everything derived from one algebra lives in one `Tables` object, built on
 first use and stored on the spec itself (`tables_of`), so it lives as long as
 the spec and no lookup hashes the spec: the ad-power rows, the structure
 polynomials, the operator compiled once to integer numerators over one image
-denominator (`_operator`), the eigenvalues as integers over their scale, the
-monomials interned to integer ids, the memo of their images, and one `Basis`
-per exponent unit, all bounded together by `_MEMO_LIMIT` per live spec.
+denominator (`_operator`) and packed into the tables' fields, the eigenvalues
+as integers over their scale, and the memo: monomials and their packed
+forms, the image of each packed monomial, and one `Basis` per exponent unit.
 Branch rows and the bases over a tree's states belong to one tree, and
 `pharmonic` keeps them on the tree.
 
@@ -29,8 +29,8 @@ at layer k) depends only on (m, mu).  The operator moves an exponent only by
 2 lambda_k, so a computation has one unit q, each exponent an integer e over
 q: a tree's scale for tree forms, and for a MixedExpr the lcm of the scale
 and its exponent denominators (`to_form`).  A `Basis` holds one unit and
-interns each (x-part, e) to an int id, the x-part a monomial id or a tree
-state; per id it keeps L as ((id, numerator), ...) over s = lcm(image
+interns each (x-part, e) to an int id, the x-part a packed monomial or a
+tree state; per id it keeps L as ((id, numerator), ...) over s = lcm(image
 denominator, q^2) (`_basis_image`), the log factor (2 e - n q) s / q and
 e / q as a Fraction.  A `Form` is one denominator and, per log power, basis
 id to integer numerator, so the one kernel `tau_form` is a sparse integer
@@ -41,20 +41,65 @@ tau(h_S) = sum_k h_(S,k) t^(2 lambda_k), in place of the monomial images.
 `pharmonic` work on forms, so Fractions appear only where a polynomial, a
 MixedExpr or a node-symbol sum crosses the public API.
 
+Packed monomials.  Inside the kernel a monomial is one int, its exponent
+vector in fixed-width fields of `Tables.width` bits, the variables in
+`spec.variables()` order from the lowest bits up (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  The product of two monomials is then the sum of their
+ints, the exponent of the variable at offset o is (m >> o) & mask, and the
+derivative by it lowers m to m - (1 << o).  `_image` works only so, on the
+operator's target monomials packed once per width; a Monomial is made only
+where a form leaves the kernel (`to_expr`, a tree's node table) and looked
+up once per term where one enters (`to_form`).
+
+The width is safe a priori.  Give x^i_j the weight w_i = 2 lambda_i scale,
+an integer (`Tables.weights`), and a monomial the sum of its exponents times
+their weights (`Tables.weight`).  Validation enforces the grading rule
+lambda_alpha = lambda_i + lambda_k on every structure constant, so the ad-power
+polynomial p^{i alpha}_{j beta} has weight w_alpha - w_i, and every term of
+the coordinate part at layer i, a product of two such polynomials and two
+derivatives (or one polynomial, a derivative of another and a derivative),
+lowers the weight by exactly w_i: each monomial of L(x^m t^mu) at shift k has
+the weight of m minus w_k.  The weight never grows along the kernel, so
+every monomial of a computation whose input monomials weigh at most W weighs
+at most W, and each of its exponents is at most W / w_min, w_min the least
+weight.  Fields of b bits with 2^b > max(W / w_min, the largest exponent of
+an operator target) therefore hold every exponent the computation makes.  A
+sum of packed monomials in `_image` is the packed product, itself a monomial
+of the image, so no field carries into the next; a lowering subtracts only
+from a field the factor found nonzero (at least 2 for a repeated variable),
+so none borrows.  The tables admit weights up to `Tables.limit` = w_min 2^b
+- 1.  Each public call admits the weight of what enters before any form is
+made (`Tables.admit`): the seed of `tension.tension_tree`, the seed of a tree
+handed to `pharmonic` (`TensionTree.weight`), and each monomial of a
+MixedExpr that `to_form` has not packed yet.  A heavier input widens the
+fields to its weight and empties the memo, whose keys are packed at the old
+width; a tree keeps its node monomials packed per width
+(`TensionTree.node_keys`).
+
+The memo is bounded by the entries it holds: the tables count their
+monomials and image entries (`Tables.held`), and each basis its ids and
+basis-image entries (`Basis.held`), as they are added.  At the entry of a
+public call a memo holding `_MEMO_LIMIT` entries is emptied wholesale
+(`Tables.bound_images`, `bound_bases`), so ids stay valid for the whole of
+the call that made them.
+
 The test suite cross-asserts `tau` against an independent frame-sum
 realization A(A(e)) + sum X^i_j(X^i_j(e)) - n t e_t built from the
 left-invariant fields, and against the same coordinate formula applied to
 the whole expression through its partial derivatives: the redundancy is the
 only practical defense against index transcription mistakes in six-index
-structure constants.
+structure constants.  `_image` is cross-asserted against the same image
+computed on Monomial objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 from .algebra import AlgebraSpec, VarIndex
+from .errors import IndexOutOfRange
 from .expr import MixedExpr
 from .poly import Monomial, Polynomial
 from .scalar import _acc
@@ -75,21 +120,23 @@ def bernoulli(r: int) -> Fraction:
 
 # --- per-algebra tables ---
 
-# Most monomials and basis ids an algebra's tables hold, with their images,
-# before the memo is cleared wholesale at the start of a public call, so a
-# long-lived process keeps at most this many plus those of one call per live
-# algebra; a tree's bases are bounded alike (`bound_bases`).
-_MEMO_LIMIT = 4096
+# Most entries an algebra's memo holds (`Tables.held`: monomials, image
+# entries, basis ids and basis-image entries) before it is cleared wholesale
+# at the start of a public call, so a long-lived process keeps at most this
+# many plus those of one call per live algebra; a tree's bases are bounded
+# alike (`bound_bases`).  ch6 (x_1*y_2+x_3*y_4+z)^8 at p = 10 holds 143,246
+# after its tree, build and certificate, so they never clear between them.
+_MEMO_LIMIT = 1 << 18
 
 # (denominator, {log power: {basis id: numerator}}), with no zero numerator
 # and no empty group.  Ids stay valid until their basis is cleared, only at
 # the entry of a public call, so a form never outlives the call that made it.
 Form = tuple[int, dict[int, dict[int, int]]]
 
-# The x-part of the operator on one monomial: sum over s of t^(2 lambda_(s+1))
-# times a polynomial, as ((shift id s, monomial id, numerator), ...) over the
-# algebra's one image denominator.
-_Image = tuple[tuple[int, int, int], ...]
+# The x-part of the operator on one packed monomial: per shift id s, the
+# polynomial at t^(2 lambda_(s+1)) as ((packed monomial, numerator), ...) over
+# the algebra's one image denominator.
+_Image = tuple[tuple[tuple[int, int], ...], ...]
 
 _AdRows = dict[VarIndex, dict[VarIndex, Polynomial]]
 
@@ -111,51 +158,130 @@ class Tables:
         self.ad_rows = _ad_rows(spec)
         self.struct = _struct_table(spec, self.ad_rows)
         # shifts[k - 1] is 2 lambda_k and n the homogeneous dimension, both in
-        # units of 1 / scale
+        # units of 1 / scale; a variable's weight is the shift of its layer
         self.scale, lams, self.n = spec.integer_eigenvalues
         self.shifts = tuple(2 * lam for lam in lams)
-        self.image_denominator, self.operator = _operator(spec, self.struct)
-        # monomials interned to ids (id -> monomial, monomial -> id), the
-        # image of each id (`_image`) and the basis of each exponent unit;
-        # `bound_images` empties all four
-        self.monomials: list[Monomial] = []
-        self.monomial_ids: dict[Monomial, int] = {}
+        self.variables = spec.variables()
+        self.weights = {v: self.shifts[v.layer - 1] for v in self.variables}
+        self.image_denominator, self.coefficients = _operator(spec, self.struct)
+        # the memo: packed monomial -> Monomial and back, the image of each
+        # packed monomial (`_image`) and the basis of each exponent unit, with
+        # `held` the running count of their entries but the bases' (each
+        # basis counts its own); `_clear` empties all four
+        self.monomials: dict[int, Monomial] = {}
+        self.packed: dict[Monomial, int] = {}
         self.images: dict[int, _Image] = {}
         self.bases: dict[int, Basis] = {}
+        self.held = 0
+        # no fields until the first public call admits a weight (`admit`)
+        self.limit = -1
+
+    def admit(self, weight: int) -> None:
+        """Widen the fields, emptying the memo, unless a monomial of weight
+        `weight` fits them; called only at the entry of a public call."""
+        if weight > self.limit:
+            self._fields(weight)
+
+    def _fields(self, weight: int) -> None:
+        """Fields for monomials of weight up to `weight` and for the
+        operator's target monomials, and the operator packed in them; see
+        the module docstring."""
+        coefficients, least = self.coefficients, min(self.shifts)
+        targets = [e for _, row in coefficients for _, target, _ in row for _, e in target.exps]
+        width = self.width = max(weight // least, *targets, 1).bit_length()
+        self.mask = (1 << width) - 1
+        self.limit = (least << width) - 1
+        offsets = self.offsets = {v: i * width for i, v in enumerate(self.variables)}
+        rows: dict[VarIndex, list] = {v: [] for v in self.variables}
+        for variables, terms in coefficients:
+            terms = tuple((s, _pack(offsets, target), a) for s, target, a in terms)
+            first, *second = variables
+            unit = 1 << offsets[first]
+            if second:  # the factor e1 (e2 - [first is second]), then lowered by both
+                unit += 1 << offsets[second[0]]
+                rows[first].append((offsets[second[0]], int(second[0] == first), unit, terms))
+            else:
+                rows[first].append((None, 0, unit, terms))
+        self.operator = tuple(tuple(row) for row in rows.values())
+        self._clear()
+
+    def _clear(self) -> None:
+        for memo in (self.monomials, self.packed, self.images, self.bases):
+            memo.clear()
+        self.held = 0
 
     def bound_images(self) -> None:
-        """Clear the monomials, images and bases once they hold `_MEMO_LIMIT`
-        monomials and ids; called only at the entry of a public call."""
-        if _held(self.bases, len(self.monomials)) >= _MEMO_LIMIT:
-            for memo in (self.monomials, self.monomial_ids, self.images, self.bases):
-                memo.clear()
+        """Empty the memo once it holds `_MEMO_LIMIT` entries; called only at
+        the entry of a public call."""
+        if self.held + _held(self.bases) >= _MEMO_LIMIT:
+            self._clear()
 
-    def monomial_id(self, mono: Monomial) -> int:
-        i = self.monomial_ids.get(mono)
-        if i is None:
-            i = self.monomial_ids[mono] = len(self.monomials)
-            self.monomials.append(mono)
-        return i
+    def weight(self, mono: Monomial) -> int:
+        """sum of 2 lambda_(layer) * exponent over the variables of mono, in
+        units of 1 / scale; IndexOutOfRange on a variable the algebra lacks."""
+        weights, weight = self.weights, 0
+        for v, e in mono.exps:
+            w = weights.get(v)
+            if w is None:
+                raise IndexOutOfRange(f"{v} is not a variable of this algebra")
+            weight += w * e
+        return weight
+
+    def pack(self, mono: Monomial) -> int | None:
+        """mono as one int in the fields, memoized, or None when its weight
+        passes them (`admit` first)."""
+        x = self.packed.get(mono)
+        if x is None:
+            if self.weight(mono) > self.limit:
+                return None
+            x = self.packed[mono] = _pack(self.offsets, mono)
+            self.monomials[x] = mono
+            self.held += 1
+        return x
+
+    def monomial(self, x: int) -> Monomial:
+        """The Monomial of a packed monomial, memoized."""
+        mono = self.monomials.get(x)
+        if mono is None:
+            width, mask, rest, exps = self.width, self.mask, x, []
+            for v in self.variables:
+                if not rest:
+                    break
+                if rest & mask:
+                    exps.append((v, rest & mask))
+                rest >>= width
+            mono = self.monomials[x] = Monomial(exps)
+            self.packed[mono] = x
+            self.held += 1
+        return mono
 
     def basis(self, q: int) -> Basis:
-        """The basis over monomial ids of exponent unit q."""
+        """The basis over packed monomials of exponent unit q."""
         found = self.bases.get(q)
         if found is None:
             found = self.bases[q] = Basis(self, q)
         return found
 
 
+def _pack(offsets: dict[VarIndex, int], mono: Monomial) -> int:
+    packed = 0
+    for v, e in mono.exps:
+        packed += e << offsets[v]
+    return packed
+
+
 class Basis:
     """The t-monomials (x-part, e) of unit q as ids (see the module
-    docstring): x-parts are monomial ids of `tables` unless `images` maps
-    each, a tree state, to its image over denominator 1."""
+    docstring): x-parts are packed monomials of `tables` unless `images`
+    maps each, a tree state, to its image over denominator 1.  `held`
+    counts its ids and image entries."""
 
     __slots__ = (
         "tables", "q", "xparts", "nq", "shifts", "s", "lift",
-        "keys", "ids", "images", "logs", "exponents", "fractions",
+        "keys", "ids", "monomials", "images", "logs", "exponents", "fractions", "held",
     )
 
-    def __init__(self, tables: Tables, q: int, images: Mapping | None = None) -> None:
+    def __init__(self, tables: Tables, q: int, images: Sequence | None = None) -> None:
         self.tables, self.q, self.xparts = tables, q, images
         unit = q // tables.scale
         self.nq = tables.n * unit
@@ -165,10 +291,12 @@ class Basis:
         self.lift = self.s // image_denominator
         self.keys: list[tuple[int, int]] = []  # id -> (x-part, e)
         self.ids: dict[tuple[int, int], int] = {}
+        self.monomials: list[Monomial | None] = []  # id -> its x-part's Monomial (`to_expr`)
         self.images: list[tuple | None] = []  # id -> L (`_basis_image`)
         self.logs: list[int] = []  # id -> (2 e - n q) s / q
         self.exponents: list[Fraction] = []  # id -> e / q
         self.fractions: dict[int, Fraction] = {}  # e -> e / q
+        self.held = 0
 
     def intern(self, x: int, e: int) -> int:
         key = (x, e)
@@ -176,18 +304,21 @@ class Basis:
         if i is None:
             i = self.ids[key] = len(self.keys)
             self.keys.append(key)
+            self.monomials.append(None)
             self.images.append(None)
             self.logs.append((2 * e - self.nq) * self.s // self.q)
             exponent = self.fractions.get(e)
             if exponent is None:
                 exponent = self.fractions[e] = Fraction(e, self.q)
             self.exponents.append(exponent)
+            self.held += 1
         return i
 
 
-def _held(bases: Mapping[int, Basis], held: int = 0) -> int:
+def _held(bases: Mapping[int, Basis]) -> int:
+    held = 0
     for basis in bases.values():
-        held += len(basis.keys)
+        held += basis.held
     return held
 
 
@@ -260,7 +391,7 @@ def _operator(spec: AlgebraSpec, table: StructPolyTable) -> tuple[int, tuple]:
     variable) before second order (an unordered pair), (variables, ((shift
     id, target monomial, numerator), ...)).  Every image coefficient is a sum
     of integer multiples of these numerators, so the one denominator serves
-    every image."""
+    every image.  `Tables` packs them into its fields."""
     first: dict[tuple[VarIndex], dict[int, Polynomial]] = {}
     second: dict[tuple[VarIndex, VarIndex], dict[int, Polynomial]] = {}
     for i in range(1, spec.m + 1):
@@ -296,19 +427,33 @@ def _operator(spec: AlgebraSpec, table: StructPolyTable) -> tuple[int, tuple]:
 
 
 def _image(tables: Tables, m: int) -> _Image:
-    """The x-part of the operator on monomial id m, computed once per memo."""
-    mono = tables.monomials[m]
-    acc: dict[tuple[int, Monomial], int] = {}
-    for variables, terms in tables.operator:
-        factor, lowered = mono.derivative(*variables)
-        if not factor:
-            continue
-        for shift, target, a in terms:
-            _acc(acc, (shift, target * lowered), a * factor)
-    monomial_id = tables.monomial_id
+    """The x-part of the operator on packed monomial m, computed once per
+    memo: per variable with a nonzero field e1, the operator's entries whose
+    first variable it is, each with its factor (e1, or e1 (e2 - [same
+    variable])) and its lowering `unit`, so a derivative is a shift, a mask
+    and a subtraction and each product an addition."""
+    width, mask, operator = tables.width, tables.mask, tables.operator
+    acc: list[dict[int, int]] = [{} for _ in tables.shifts]
+    rest, i = m, 0
+    while rest:
+        e1 = rest & mask
+        if e1:
+            for o2, repeat, unit, terms in operator[i]:
+                f = e1 if o2 is None else e1 * (((m >> o2) & mask) - repeat)
+                if not f:
+                    continue
+                lowered = m - unit
+                for s, target, a in terms:
+                    part = acc[s]
+                    key = target + lowered
+                    part[key] = part.get(key, 0) + a * f
+        rest >>= width
+        i += 1
     image = tables.images[m] = tuple(
-        (shift, monomial_id(target), a) for (shift, target), a in acc.items()
+        tuple((target, a) for target, a in part.items() if a) for part in acc
     )
+    for part in image:
+        tables.held += len(part)
     return image
 
 
@@ -324,12 +469,17 @@ def _basis_image(basis: Basis, i: int) -> tuple[tuple[int, int], ...]:
             xpart = _image(basis.tables, x)
     else:
         xpart = xparts[x]
-    intern, shifts, lift = basis.intern, basis.shifts, basis.lift
-    image = [(intern(target, e + shifts[shift]), a * lift) for shift, target, a in xpart]
+    intern, lift = basis.intern, basis.lift
+    image = [
+        (intern(target, e + shift), a * lift)
+        for shift, part in zip(basis.shifts, xpart)
+        for target, a in part
+    ]
     t2 = e * (e - basis.nq) * basis.s // (basis.q * basis.q)
     if t2:
         image.append((i, t2))
     found = basis.images[i] = tuple(image)
+    basis.held += len(found)
     return found
 
 
@@ -352,17 +502,22 @@ def to_form(tables: Tables, e: MixedExpr) -> tuple[Basis, Form]:
     """e's form over the lcm of its coefficient denominators, on the basis
     of unit lcm(scale, its exponent denominators).  Each term costs one
     lookup of its monomial and one of its (x-part, e) key; only a miss
-    interns."""
+    packs or interns.  A monomial past the fields widens them for all of e
+    (`Tables.admit`) and starts again, so it is called only at the entry of
+    a public call."""
     terms = e.terms
     d = lcm(*{c.denominator for c in terms.values()})
     q = lcm(tables.scale, *{mu.denominator for _, mu, _ in terms})
     basis = tables.basis(q)
-    find_monomial, find = tables.monomial_ids.get, basis.ids.get
+    find_monomial, find = tables.packed.get, basis.ids.get
     groups: dict[int, dict[int, int]] = {}
     for (mono, mu, k), c in terms.items():
         x = find_monomial(mono)
         if x is None:
-            x = tables.monomial_id(mono)
+            x = tables.pack(mono)
+            if x is None:
+                tables.admit(max(tables.weight(m) for m, _, _ in terms))
+                return to_form(tables, e)
         key = (x, mu.numerator * (q // mu.denominator))
         i = find(key)
         if i is None:
@@ -375,10 +530,10 @@ def to_form(tables: Tables, e: MixedExpr) -> tuple[Basis, Form]:
 
 
 def to_expr(basis: Basis, form: Form) -> MixedExpr:
-    """The MixedExpr of a form on a basis over monomial ids, with one
+    """The MixedExpr of a form on a basis over packed monomials, with one
     Fraction per distinct numerator."""
     d, groups = form
-    keys, exponents, monomials = basis.keys, basis.exponents, basis.tables.monomials
+    keys, exponents, monomials = basis.keys, basis.exponents, basis.monomials
     coefficients: dict[int, Fraction] = {}
     terms = {}
     for k, group in groups.items():
@@ -386,7 +541,10 @@ def to_expr(basis: Basis, form: Form) -> MixedExpr:
             c = coefficients.get(v)
             if c is None:
                 c = coefficients[v] = Fraction(v, d)
-            terms[(monomials[keys[i][0]], exponents[i], k)] = c
+            mono = monomials[i]
+            if mono is None:
+                mono = monomials[i] = basis.tables.monomial(keys[i][0])
+            terms[(mono, exponents[i], k)] = c
     return MixedExpr._wrap(terms)
 
 

@@ -257,12 +257,14 @@ def _states_basis(tables: Tables, tree: TensionTree, q: int) -> Basis:
 
 
 def _tables(spec: AlgebraSpec, tree: TensionTree | None = None) -> Tables:
-    """The tables of `spec` at the entry of a public call, their memos and
-    the bases of `tree` bounded."""
+    """The tables of `spec` at the entry of a public call, their fields wide
+    enough for the monomials of `tree`, their memos and the bases of `tree`
+    bounded."""
     tables = tables_of(spec)
-    tables.bound_images()
     if tree is not None:
+        tables.admit(tree.weight)
         bound_bases(tree.bases)
+    tables.bound_images()
     return tables
 
 
@@ -411,10 +413,10 @@ def _certify(
     `basis`, stopping at the first zero iterate; only the last two iterates
     are held, and only the two residuals become public values.
 
-    A concrete form (`tree` None) is on a basis over monomial ids.  A formal
-    form is on the basis over the states of `tree` (`_states_basis`), and is
-    zero when its realization (`realize`) is.  Every formal iterate is the
-    exact image of the realized function, because the tree satisfies
+    A concrete form (`tree` None) is on a basis over packed monomials.  A
+    formal form is on the basis over the states of `tree` (`_states_basis`),
+    and is zero when its realization (`realize`) is.  Every formal iterate
+    is the exact image of the realized function, because the tree satisfies
     tau(h_alpha) = sum_k h_(alpha,k) t^(2 lambda_k) by construction; so the
     realized test decides both tau^p = 0 and tau^(p-1) != 0 without any
     independence assumption on the nodes.
@@ -476,16 +478,20 @@ def realize(tree: TensionTree, basis: Basis, form: Form) -> Form:
 
 
 def _concrete(tables: Tables, tree: TensionTree, realized: Form) -> tuple[Basis, Form]:
-    """A polynomial tree's realization on the tables' basis at its scale."""
+    """A polynomial tree's realization on the tables' basis at its scale,
+    through the tree's node monomials packed at the tables' width
+    (`TensionTree.node_keys`): one lookup per term."""
     d, groups = realized
     basis = tables.basis(tree.scale)
     find = basis.ids.get
-    ids = [tables.monomial_id(mono) for mono in tree.integer_nodes[1]]
+    keys = tree.node_keys.get(tables.width)
+    if keys is None:
+        keys = tree.node_keys[tables.width] = list(map(tables.pack, tree.integer_nodes[1]))
     out: dict[int, dict[int, int]] = {}
     for k, terms in groups.items():
         group = out[k] = {}
         for (f, e), v in terms.items():
-            key = (ids[f], e)
+            key = (keys[f], e)
             i = find(key)
             group[basis.intern(*key) if i is None else i] = v
     return basis, (d, out)

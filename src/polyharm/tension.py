@@ -5,15 +5,16 @@
 Both seed kinds grow through one expander (`_grow`), told only the children
 of a node, and nodes live on integers: a node is (d, frozenset of (basis
 function, numerator over d)) reduced by its gcd, so equal nodes are equal
-values, on basis functions the tree owns (monomials, or (a, has_log,
-monomial of G) for a radial node H(|x^1|) G(x^2), H in the rho-span and G
-affine).  A polynomial node's children are read off the image of the one
-kernel `laplacian.tau_form` by t-exponent (`_expand`): on the algebra's
-basis at its eigenvalue scale, an output id's exponent 2 lambda_k names
-layer k, which is well defined because the eigenvalues are distinct and
-nodes are t-independent.  Depth bounds and each state's Lambda are worked
-out on the same integer eigenvalues (`AlgebraSpec.integer_eigenvalues`),
-which a radial tree reads without building the operator tables.  A radial
+values, on basis functions the tree owns (monomials packed in the tables'
+fields, see `laplacian`, or (a, has_log, monomial of G) for a radial node
+H(|x^1|) G(x^2), H in the rho-span and G affine).  A polynomial node's
+children are the sums of its monomials' memoized images
+(`laplacian._image`), read straight from the tables by shift (`_expand`):
+a node is t-independent, so the operator's t-part vanishes on it and its
+image at t^(2 lambda_k) is the child at layer k.  Depth bounds and each
+state's Lambda are worked out on the same integer eigenvalues
+(`AlgebraSpec.integer_eigenvalues`), which a radial tree reads without
+building the operator tables.  A radial
 node has the one child Lap(H) G at layer 1, by the closed-form radial
 Laplacian on its keys (`_radial_child`).
 
@@ -25,10 +26,12 @@ expander runs breadth-first over states, never multi-indices, and expands
 each distinct node once.  Each state keeps its least alpha and its number of
 multi-indices, which give `Resonance` its alpha and `node_count` its value.
 The state nodes are stored once, as the node table that builds and
-certificates read (`TensionTree.integer_nodes`); node objects are made only
-at the edges, one per state, by the alpha-keyed view `TensionTree.nodes`
-for rendering and JSON, under a budget (ch2 z^24: 196,416 multi-indices in
-168 states).
+certificates read (`TensionTree.integer_nodes`), its polynomial basis
+functions as Monomials made once each, and kept packed per field width for
+the builds (`TensionTree.node_keys`); node objects are made only at the
+edges, one per state, by the alpha-keyed view `TensionTree.nodes` for
+rendering and JSON, under a budget (ch2 z^24: 196,416 multi-indices in 168
+states).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .errors import (
     InternalClosureError,
     UnsupportedSpan,
 )
-from .laplacian import Tables, tables_of, tau_form
+from .laplacian import Tables, _image, tables_of
 from .poly import _LATEX, _TEXT, Monomial, Polynomial, _label, _power, _Style, _sum
 from .scalar import _acc, format_rational
 
@@ -288,43 +291,61 @@ class TensionTree(Record):
         return s
 
     @cached_property
-    def images(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
+    def images(self) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
         """The tree rule tau(h_S) = sum_k h_(S,k) t^(2 lambda_k) as the
-        images of the state symbols in the layout of `laplacian.tau_form`
-        over denominator 1: (shift id k - 1, child state, 1) per child."""
-        return {
-            s: tuple((k - 1, child, 1) for k, child in state.children.items())
-            for s, state in enumerate(self.states)
-        }
+        images of the state symbols in the layout of `laplacian._image` over
+        denominator 1: per shift id k - 1, ((child state, 1),) or ()."""
+        layers = range(1, self.spec.m + 1)
+        return [
+            tuple(((state.children[k], 1),) if k in state.children else () for k in layers)
+            for state in self.states
+        ]
+
+    @cached_property
+    def weight(self) -> int:
+        """The largest weight of a monomial of a polynomial seed
+        (`laplacian.Tables.weight`), which bounds every node's; 0 for a
+        radial seed, whose nodes are never packed."""
+        if self.kind != "polynomial":
+            return 0
+        return max(map(tables_of(self.spec).weight, self.seed.terms), default=0)
+
+    @cached_property
+    def node_keys(self) -> dict[int, list[int]]:
+        """Per field width, the node table's monomials packed
+        (`laplacian.Tables.pack`); `tension_tree` fills its own width."""
+        return {}
 
 
 def _seed_node(terms: Mapping) -> _IntNode:
-    """A seed's `terms`, basis function to Fraction, as a node on integers."""
+    """A seed's terms, basis function to Fraction, as a node on integers."""
     d = lcm(*(c.denominator for c in terms.values()))
     return _int_node(d, {f: c.numerator * (d // c.denominator) for f, c in terms.items()})
 
 
 def _expand(tables: Tables, node: _IntNode) -> dict[int, _IntNode]:
-    """The children of a polynomial node: h_(alpha,k) is the part at
-    t^(2 lambda_k) = t^(`Tables.shifts[k - 1]` / scale) of the kernel's
-    image of the node at t^0, on the tables' basis at the scale."""
+    """The children of a polynomial node on packed monomials: h_(alpha,k)
+    is the part at t^(2 lambda_k) of the operator's image of the node at
+    t^0, which is the node's sum of the monomial images (`tables.images`) at
+    shift id k - 1, since mu (mu - n) vanishes at mu = 0."""
     d, terms = node
-    scale, shifts = tables.scale, tables.shifts
-    basis = tables.basis(scale)
-    monomial_id, intern = tables.monomial_id, basis.intern
-    d, image = tau_form(basis, (d, {0: {intern(monomial_id(mono), 0): v for mono, v in terms}}))
-    keys, monomials = basis.keys, tables.monomials
-    children: dict[int, dict] = {}
-    for logpow, group in image.items():
-        for i, v in group.items():
-            m, e = keys[i]
-            if logpow or e not in shifts:
-                raise InternalClosureError(
-                    f"operator image contains an unexpected t^({e}/{scale})*log^{logpow} "
-                    "component; this is a bug, not a user error"
-                )
-            children.setdefault(shifts.index(e) + 1, {})[monomials[m]] = v
-    return {k: _int_node(d, terms) for k, terms in children.items()}
+    images = tables.images
+    children: list[dict[int, int]] = [{} for _ in tables.shifts]
+    for m, v in terms:
+        image = images.get(m)
+        if image is None:
+            image = _image(tables, m)
+        for child, part in zip(children, image):
+            get = child.get
+            for target, a in part:
+                child[target] = get(target, 0) + v * a
+    d *= tables.image_denominator
+    out = {}
+    for k, child in enumerate(children, 1):
+        node = _int_node(d, child)
+        if node[1]:
+            out[k] = node
+    return out
 
 
 def _radial_child(n1: int, node: _IntNode) -> dict[int, _IntNode]:
@@ -339,6 +360,13 @@ def _radial_child(n1: int, node: _IntNode) -> dict[int, _IntNode]:
         if has_log:
             _acc(out, (a - 2, False, mono), v * (2 * a + n1 - 2))
     return {1: _int_node(d, out)} if out else {}
+
+
+def _radial_order(term: tuple) -> tuple:
+    """A radial node term ((a, has_log, monomial of G), numerator) as a sort
+    key."""
+    (a, has_log, mono), _ = term
+    return a, has_log, mono.exps
 
 
 # The deepest tension tree a seed may ask for, by its depth bound: x^(10^11)
@@ -369,23 +397,26 @@ def _check_depth(depth: int, bound: int) -> None:
 
 def _grow(
     spec: AlgebraSpec,
-    kind: str,
-    seed: Node,
+    terms: Mapping,
     children_of: Callable[[_IntNode], dict[int, _IntNode]],
     bound: int,
-) -> TensionTree:
-    """The tree of `seed`, breadth-first over states from its node on
-    integers (`_seed_node`): `children_of` gives a node's nonzero children
-    by layer, once per distinct node, and a state is keyed by its node and
-    its Lambda in units of 1/scale (the lcm of the eigenvalue
+    term_order: Callable | None = None,
+) -> tuple[tuple[State, ...], int, int, tuple[int, list, list[list[tuple[int, int]]]]]:
+    """The states, scale, degree and node table of the tree of a seed with
+    `terms` (basis function to Fraction), breadth-first over states from its
+    node on integers (`_seed_node`): `children_of` gives a node's nonzero
+    children by layer, once per distinct node, and a state is keyed by its
+    node and its Lambda in units of 1/scale (the lcm of the eigenvalue
     denominators).  Every edge raises Lambda, so ordering the states by
     Lambda puts parents before children; least alpha, path counts, depths
-    and the node table then follow in one pass.  A level or a depth past
-    `bound` means an operator bug."""
+    and the node table then follow in one pass, each row sorted by the key
+    `term_order` on (basis function, numerator), so the table does not
+    depend on set order (nor, for packed monomials, on the field width).  A
+    level or a depth past `bound` means an operator bug."""
     scale, lams, _ = spec.integer_eigenvalues
     steps = dict(enumerate(lams, 1))
     expanded: dict[_IntNode, dict[int, _IntNode]] = {}
-    found: list[tuple[_IntNode, int]] = [(_seed_node(seed.terms), 0)]
+    found: list[tuple[_IntNode, int]] = [(_seed_node(terms), 0)]
     index = {found[0]: 0}
     edges: list[dict[int, int]] = [{}]
     frontier = [0]
@@ -434,10 +465,13 @@ def _grow(
     d = lcm(*(node_d for node_d, _ in nodes))
     basis: dict = {}
     rows = [
-        [(basis.setdefault(f, len(basis)), v * (d // node_d)) for f, v in terms]
+        [
+            (basis.setdefault(f, len(basis)), v * (d // node_d))
+            for f, v in sorted(terms, key=term_order)
+        ]
         for node_d, terms in nodes
     ]
-    return TensionTree(spec, kind, seed, states, scale, degree, (d, list(basis), rows))
+    return states, scale, degree, (d, list(basis), rows)
 
 
 def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
@@ -456,14 +490,19 @@ def tension_tree(spec: AlgebraSpec, h: Polynomial) -> TensionTree:
     tables = tables_of(spec)
     # the weighted degree over 2 lambda_1, floored, on integers: shifts[k - 1]
     # is 2 lambda_k times the scale, so `weighted` is 2 scale times the degree
-    shifts = tables.shifts
-    weighted = max(
-        (sum(shifts[v.layer - 1] * e for v, e in mono.exps) for mono in h.terms), default=0
-    )
-    bound = weighted // (2 * shifts[0])
+    weighted = max(map(tables.weight, h.terms), default=0)
+    bound = weighted // (2 * tables.shifts[0])
     _check_budget(bound)
+    tables.admit(weighted)
     tables.bound_images()
-    return _grow(spec, "polynomial", h, lambda node: _expand(tables, node), bound)
+    terms = {tables.pack(mono): c for mono, c in h.terms.items()}
+    states, scale, degree, (d, keys, rows) = _grow(
+        spec, terms, lambda node: _expand(tables, node), bound
+    )
+    nodes = (d, [tables.monomial(m) for m in keys], rows)
+    tree = TensionTree(spec, "polynomial", h, states, scale, degree, nodes)
+    tree.node_keys[tables.width] = keys
+    return tree
 
 
 def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:
@@ -495,7 +534,8 @@ def tension_tree_radial(spec: AlgebraSpec, seed: RadialSeed) -> TensionTree:
     n1 = seed.radial.n1
     bound = (max((a for a, _ in seed.radial.terms), default=0) - min(0, 2 - n1)) // 2
     _check_budget(bound)
-    return _grow(spec, "radial", seed, lambda node: _radial_child(n1, node), bound)
+    grown = _grow(spec, seed.terms, lambda node: _radial_child(n1, node), bound, _radial_order)
+    return TensionTree(spec, "radial", seed, *grown)
 
 
 # --- rendering ---

@@ -4,7 +4,9 @@ Everything here is deliberately written against the raw data (bracket maps,
 structure polynomials, hand-typed display formulas) and never calls the
 production code paths it is used to check: the frame-sum operator, the
 expression-level partial-derivative operator and the layer closed forms are
-second realizations of `polyharm.tau`; the formal operator `formal_tau`
+second realizations of `polyharm.tau`; `image_by_monomials` is the monomial
+image of the operator kernel on Monomial objects, beside its packed
+`laplacian._image`; the formal operator `formal_tau`
 (with its t-part `tau_t`) pushes the operator through node symbols in
 MixedExpr arithmetic, beside the kernel `laplacian.tau_form` under a radial
 tree's images; the recurrence and certificate loops redo
@@ -682,6 +684,24 @@ def tau_by_partials(spec, e: MixedExpr) -> MixedExpr:
         for shift, poly in shifts.items():
             _accumulate_product(out, poly, d, shift)
     return MixedExpr(out)
+
+
+# --- the operator's monomial images on Monomial objects ---
+
+def image_by_monomials(tables, mono: Monomial) -> list[dict[Monomial, int]]:
+    """The x-part of the operator on one monomial as it was computed before
+    monomials were packed: per shift id, target monomial to numerator over
+    `tables.image_denominator`, from the operator's compiled coefficients
+    (`tables.coefficients`) through `Monomial.derivative` and
+    `Monomial.__mul__`, with no field, mask or packed key."""
+    acc: list[dict[Monomial, int]] = [{} for _ in tables.shifts]
+    for variables, terms in tables.coefficients:
+        factor, lowered = mono.derivative(*variables)
+        if not factor:
+            continue
+        for shift, target, a in terms:
+            _acc(acc[shift], target * lowered, a * factor)
+    return acc
 
 
 # --- the formal operator on node symbols ---

@@ -22,6 +22,7 @@ from polyharm import (
     build_phi,
     build_psi,
     catalog_short_name,
+    certify_family,
     from_json_dict,
     parse,
     parse_polynomial,
@@ -42,6 +43,7 @@ from oracles import (
     certificate_by_partials,
     formal_certificate,
     formal_tau,
+    image_by_monomials,
     recurrence_by_exprs,
     t_power,
 )
@@ -196,55 +198,147 @@ def test_certificate_matches_oracle_on_random_expressions(ch2, ch3):
         assert_matches_oracle(spec, MixedExpr(), 2)
 
 
-def outcomes(spec, tree, exprs, p_max):
-    """Every public result the integer form feeds, for one tree and a few
-    expressions."""
-    out = []
+def held_entries(tables):
+    """The entries the tables' memo holds, recounted: monomials and image
+    entries, then per basis its ids and basis-image entries."""
+    images = sum(len(part) for image in tables.images.values() for part in image)
+    return len(tables.monomials) + images, [
+        len(basis.keys) + sum(len(image) for image in basis.images if image)
+        for basis in tables.bases.values()
+    ]
+
+
+def assert_counts_held(spec, tree):
+    """The running counts of the memo equal a fresh recount."""
+    tables = tables_of(spec)
+    assert len(tables.packed) == len(tables.monomials)
+    assert held_entries(tables) == (tables.held, [b.held for b in tables.bases.values()])
+    for basis in tree.bases.values():
+        assert basis.held == len(basis.keys) + sum(len(i) for i in basis.images if i)
+
+
+def outcomes(spec, tree, seed, exprs, p_max):
+    """Every public result the integer form feeds, for one tree, its seed
+    grown again and a few expressions, with the memo's counts checked after
+    each call."""
+    def call(function, *args):
+        try:
+            return function(*args)
+        finally:
+            assert_counts_held(spec, tree)
+
+    out = [call(tree_of, spec, seed)]
     for p in range(1, p_max + 1):
         for builder in (build_phi, build_psi):
             try:
-                built = builder(spec, tree, p)
+                built = call(builder, spec, tree, p)
             except Resonance:
                 out.append(None)
                 continue
             out.append(built)
-            out.append(certificate_fields(verify(spec, built, p)))
-        out.append(recurrence_check(spec, tree, p))
-    return out, [(tau(spec, e), certificate_fields(verify(spec, e, 4))) for e in exprs]
+            out.append(certificate_fields(call(verify, spec, built, p)))
+        out.append(call(recurrence_check, spec, tree, p))
+    return out, [(call(tau, spec, e), certificate_fields(call(verify, spec, e, 4))) for e in exprs]
 
 
-def both_orders(spec, tree, exprs):
+def both_orders(spec, tree, seed, exprs):
     """`outcomes` with the expressions in order, then in reverse order (read
     back in order), so their exponent units meet the tables in two orders."""
-    family, backward = outcomes(spec, tree, exprs[::-1], 5)
-    return outcomes(spec, tree, exprs, 5), (family, backward[::-1])
+    family, backward = outcomes(spec, tree, seed, exprs[::-1], 5)
+    return outcomes(spec, tree, seed, exprs, 5), (family, backward[::-1])
 
 
 def test_memo_bound_keeps_every_result(monkeypatch):
+    # the bound counts entries, so at 1 every public call starts from an
+    # empty memo: certificates, residuals and trees must not change
     cases = []
     for name, seed in (("ch2", "z^8"), ("fil3", "(x1_1*x1_2 + x2_1 + x3_1)^3"), ("odd", "x2_1^3")):
         spec = spec_of(name)
         exprs = [parse(text, spec) for n, text, _ in EXPRESSIONS if n == name]
-        cases.append((spec, tree_of(spec, seed), exprs))
+        cases.append((spec, tree_of(spec, seed), seed, exprs))
     expected = []
-    for spec, tree, exprs in cases:
-        forward, backward = both_orders(spec, tree, exprs)
+    for spec, tree, seed, exprs in cases:
+        forward, backward = both_orders(spec, tree, seed, exprs)
         assert backward == forward
+        assert forward[0][0] == tree
         expected.append(forward)
     monkeypatch.setattr(laplacian, "_MEMO_LIMIT", 1)
-    for (spec, tree, exprs), before in zip(cases, expected):
-        assert both_orders(spec, tree, exprs) == (before, before)
+    for (spec, tree, seed, exprs), before in zip(cases, expected):
+        assert both_orders(spec, tree, seed, exprs) == (before, before)
         # ids are cleared only at the entry of a call, so the ids one call
         # interns all stay until it returns
         tables = tables_of(spec)
         verify(spec, build_psi(spec, tree, 5), 5)
-        assert len(tables.monomials) > 1 and tables.bases
-        assert set(tables.images) <= set(range(len(tables.monomials)))
+        assert tables.monomials and tables.images and tables.bases
         for basis in [*tables.bases.values(), *tree.bases.values()]:
             held = range(len(basis.keys))
             assert sorted(basis.ids.values()) == list(held)
             assert all(j in held for image in basis.images if image for j, _ in image)
-        assert {m for m, _ in tables.basis(tree.scale).keys} <= set(range(len(tables.monomials)))
+        # every key is a monomial packed in the fields: it unpacks and packs back
+        keys = {x for x, _ in tables.basis(tree.scale).keys} | set(tables.images)
+        assert all(laplacian._pack(tables.offsets, tables.monomial(x)) == x for x in keys)
+        assert_counts_held(spec, tree)
+
+
+def assert_images_match_oracle(tables):
+    """Every image the memo holds equals the image on Monomial objects, and
+    every key unpacks to a monomial that packs back to it."""
+    for m, image in tables.images.items():
+        mono = tables.monomial(m)
+        assert laplacian._pack(tables.offsets, mono) == m
+        got = [{tables.monomial(target): a for target, a in part} for part in image]
+        assert got == image_by_monomials(tables, mono)
+    return len(tables.images)
+
+
+# trees whose monomials fill their fields: x^16 and x^6 reach the top field
+# value of their width on the one variable of rh2
+IMAGE_TREES = [
+    ("rh2", "x^6"),
+    ("rh2", "x^16"),
+    ("ch3", "(x_1*y_2 + x_2*y_1 + z)^3"),
+    ("ch3", "(x_1^2 + y_1^2)*z^2"),
+    ("fil3", "(x1_1*x1_2 + x2_1 + x3_1)^4"),
+    ("odd", "(x1_1^2 + x1_2^2)*x2_1^2"),
+]
+
+
+def test_packed_images_match_monomial_oracle():
+    rng = random.Random(21)
+    checked = 0
+    for name, seed in IMAGE_TREES:
+        spec = spec_of(name)  # fresh tables: the tree's seed sets the fields
+        tree = tree_of(spec, seed)
+        checked += assert_images_match_oracle(tables_of(spec))
+        for p, built in members(spec, tree, 3):
+            verify(spec, built, p)
+        for _ in range(3):
+            verify(spec, random_mixed_expr(spec, rng), 3)
+        checked += assert_images_match_oracle(tables_of(spec))
+    assert checked > 250
+
+
+def test_a_wider_expression_widens_the_fields():
+    # x^6 on rh2 sets 3-bit fields (x^7 is the widest monomial they admit);
+    # x^9 passes them, so its verify widens them, empties the memo and
+    # starts again, and its certificate and images match the oracles
+    spec = spec_of("rh2")
+    tables = tables_of(spec)
+    tree = tree_of(spec, "x^6")
+    assert (tables.width, tables.limit) == (3, 15)
+    assert tables.images and tables.pack(parse_polynomial("x^8", spec).terms.popitem()[0]) is None
+    for text in ("x^7*t + x^2", "x^9*t^(1/2) - x^6*log(t)"):
+        e = parse(text, spec)
+        assert_matches_oracle(spec, e, 6)
+        assert_images_match_oracle(tables)
+    assert tables.width == 4 and all(tables.monomial(m).degree <= 9 for m in tables.images)
+    # the tree made at the narrower width still builds, certifies and grows alike
+    assert tree_of(spec, "x^6") == tree
+    for p, built in members(spec, tree, 4):
+        assert_matches_oracle(spec, built, p)
+    assert certify_family(spec, tree, 4, "psi").proper
+    assert set(tree.node_keys) == {3, 4}
+    assert_images_match_oracle(tables)
 
 
 def assert_converts_term_by_term(spec, e):

@@ -25,7 +25,9 @@ monomial images `_image` and the basis images `_basis_image`; the state
 rows, coefficients, realization and combinations of `pharmonic.py`; the tree
 expander and its depth bound), and the expander `_grow`, the polynomial
 children `_expand` and the radial child `_radial_child` of `tension.py` name
-no node-object type either.
+no node-object type either.  The kernel, the two images and `_expand` run on
+packed monomials: they name no `Monomial` and call no `derivative` or
+`partial`.
 """
 
 import ast
@@ -163,16 +165,20 @@ def confined_references(module: ast.Module) -> list[int]:
 
 
 # the functions that run on integers, by module, each with the names it may
-# not use: none names a Fraction, and those of `tension.py` that run on
-# integer nodes name no node-object type either
+# not use: none names a Fraction, those of `tension.py` that run on integer
+# nodes name no node-object type either, and the operator kernel, the
+# monomial and basis images and the polynomial expander name no Monomial and
+# take no derivative of one: they run on packed monomials
 NODE_OBJECTS = {"Fraction", "Polynomial", "RadialFunction", "RadialSeed", "AffinePart"}
+PACKED = {"Monomial", "derivative", "partial"}
 INTEGER_FUNCTIONS = {
-    "laplacian.py": dict.fromkeys(("tau_form", "_image", "_basis_image"), {"Fraction"}),
+    "laplacian.py": dict.fromkeys(("tau_form", "_image", "_basis_image"), {"Fraction"} | PACKED),
     "pharmonic.py": dict.fromkeys(
         ("_rows", "_new_rows", "_coefficients", "realize", "_combination"), {"Fraction"}
     ),
     "tension.py": {
-        **dict.fromkeys(("_grow", "_expand", "_radial_child"), NODE_OBJECTS),
+        **dict.fromkeys(("_grow", "_radial_child"), NODE_OBJECTS),
+        "_expand": NODE_OBJECTS | PACKED,
         "tension_tree": {"Fraction"},
     },
 }
@@ -304,6 +310,25 @@ def test_integer_function_check_sees_a_fraction():
     )
     functions = {**INTEGER_FUNCTIONS["laplacian.py"], **INTEGER_FUNCTIONS["pharmonic.py"]}
     assert banned_names(ast.parse(injected), functions) == [2, 4, 8]
+
+
+def test_packed_function_check_sees_a_monomial():
+    injected = (
+        "def _image(tables, m):\n"
+        "    factor, lowered = tables.monomial(m).derivative(v)\n"
+        "def _expand(tables, node):\n"
+        "    return {poly.Monomial(exps): v for exps, v in node[1]}\n"
+        "def tau_form(basis, form):\n"
+        "    one = Monomial.one()\n"
+        "def _basis_image(basis, i):\n"
+        "    x: Monomial = basis.keys[i][0]\n"
+        "def to_expr(basis, form):\n"
+        "    return Monomial(exps)\n"
+    )
+    functions = {**INTEGER_FUNCTIONS["laplacian.py"], **INTEGER_FUNCTIONS["tension.py"]}
+    assert banned_names(ast.parse(injected), functions) == [2, 4, 6, 8]
+    allowed = "def _image(tables, m):\n    lowered = m - unit\n"
+    assert banned_names(ast.parse(allowed), functions) == []
 
 
 def test_latex_check_sees_a_token():

