@@ -19,27 +19,67 @@ forms, the image of each packed monomial, and one `Basis` per exponent unit.
 Branch rows and the bases over a tree's states belong to one tree, and
 `pharmonic` keeps them on the tree.
 
-A function is a sum of terms c x^m t^mu log(t)^k, and
+A function is a sum of terms c x^m t^mu l^[k], written in the divided
+powers l^[k] = log(t)^k / k! of the log, and
 
-    tau(x^m t^mu log^k t) = log^k t L(x^m t^mu) + k (2 mu - n) x^m t^mu
-                            log^(k-1) t + k (k - 1) x^m t^mu log^(k-2) t,
+    tau(x^m t^mu l^[k]) = l^[k] L(x^m t^mu) + (2 mu - n) x^m t^mu l^[k-1]
+                          + x^m t^mu l^[k-2],
 
 where L(x^m t^mu) = mu (mu - n) x^m t^mu + sum_k t^(mu + 2 lambda_k) (x-part
-at layer k) depends only on (m, mu).  The operator moves an exponent only by
+at layer k) depends only on (m, mu); in the powers log(t)^k the two
+lowering terms carry k and k (k - 1), in the divided powers they carry
+nothing.  The operator moves an exponent only by
 2 lambda_k, so a computation has one unit q, each exponent an integer e over
 q: a tree's scale for tree forms, and for a MixedExpr the lcm of the scale
 and its exponent denominators (`to_form`).  A `Basis` holds one unit and
 interns each (x-part, e) to an int id, the x-part a packed monomial or a
 tree state; per id it keeps L as ((id, numerator), ...) over s = lcm(image
 denominator, q^2) (`_basis_image`), the log factor (2 e - n q) s / q and
-e / q as a Fraction.  A `Form` is one denominator and, per log power, basis
-id to integer numerator, so the one kernel `tau_form` is a sparse integer
-matrix-vector product per log power plus the two log-lowering terms, with
-one gcd reduction.  A tree's basis takes its state images, the tree rule
+e / q as a Fraction.  A `Form` is one dict level: per basis id one integer
+that packs every log power (below), so the one kernel `tau_form` is one
+sparse integer matrix-vector product for all log powers at once, plus the
+two lowerings.  A tree's basis takes its state images, the tree rule
 tau(h_S) = sum_k h_(S,k) t^(2 lambda_k), in place of the monomial images.
 `tau` is the operator on MixedExpr, for the public API only; `tension` and
 `pharmonic` work on forms, so Fractions appear only where a polynomial, a
 MixedExpr or a node-symbol sum crosses the public API.
+
+Packed log powers.  A form (d, B, M, {id: P}) holds the function sum over
+ids of (P's slots) / d, P = sum_k w_k 2^(B k) one signed int, w_k the
+numerator of x^m t^mu l^[k] (so w_k = k! times the numerator of log(t)^k),
+by Kronecker substitution 2^B for the divided power (Kronecker 1882; Harvey,
+J. Symbolic Comput. 44 (2009) 1502-1510).  The invariant is |w_k| <= M <
+2^(B - 1) for every slot, so each w_k is a balanced residue: w_0 is P mod
+2^B taken in [-2^(B - 1), 2^(B - 1)), (P - w_0) / 2^B holds the rest, and P
+determines its slots (`expr_terms` reads them, `widened` repacks them).
+Sums and integer multiples of packed ints pack the same sums and multiples
+of their slots, exactly, whatever the slots are; a slot sum is read back
+right if and only if it stays inside the balanced range.  So each kernel
+bounds its output slots before it keeps them:
+
+- `tau_form`.  Over d s, slot k of id j of the result is sum_i w_k[i]
+  L[i][j] + w_(k+1)[j] (2 e_j - n q) s / q + w_(k+2)[j] s: the image rows
+  times P, then P of j lowered once (its slot 0 stripped as a balanced
+  residue, then shifted) times the log factor and twice times s.  Its
+  magnitude is at most M (sum_i |L[i][j]| + |log factor of j| + s) <= M F,
+  F = s + sum over the input ids i of (|L[i]|_1 + |log factor of i|)
+  (`_factor`, each id's column norm memoized on the basis, each monomial
+  image's norm on the tables).  The result's bound is M F.
+- `pharmonic.realize`.  The slots of (f, e) are sums over states S of
+  c_(S,f) w_k[S], at most M C, C the node table's largest column sum
+  (`TensionTree._node_norm`).
+- `pharmonic._combination`.  The slots of sum c_i f_i over a common
+  denominator are at most sum |c_i| M_i; parts narrower than the sum's
+  width are repacked slot by slot (`repacked`).
+
+Before a result is kept its bound is checked against 2^(B - 1).  When it
+fails, the input is reduced by the gcd of its denominator and every slot and
+repacked at the least width for `ahead` more products by the same factor
+(`widened`), and the kernel runs on that.  Nothing else picks a width: a
+form is packed once at the least width for the iterates it is about to
+meet (`to_form` for a certificate's p iterates, `pharmonic._coefficients`
+for the node table and one iterate), and the iterates of a certificate
+stay packed and unreduced until the two residuals are read.
 
 Packed monomials.  Inside the kernel a monomial is one int, its exponent
 vector in fixed-width fields of `Tables.width` bits, the variables in
@@ -97,7 +137,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 from .algebra import AlgebraSpec, VarIndex
 from .errors import IndexOutOfRange
 from .expr import MixedExpr
@@ -128,10 +168,14 @@ def bernoulli(r: int) -> Fraction:
 # after its tree, build and certificate, so they never clear between them.
 _MEMO_LIMIT = 1 << 18
 
-# (denominator, {log power: {basis id: numerator}}), with no zero numerator
-# and no empty group.  Ids stay valid until their basis is cleared, only at
-# the entry of a public call, so a form never outlives the call that made it.
-Form = tuple[int, dict[int, dict[int, int]]]
+# (d, width, bound, {key: P}): per key, a basis id (a (node basis function,
+# exponent) pair for a realization), one packed int P = sum_k w_k 2^(width
+# k) over denominator d, w_k the numerator of log(t)^k / k! (see the module
+# docstring), every |w_k| at most bound and bound < 2^(width - 1), with no
+# zero P.  Ids stay valid until their basis is cleared, only at the entry of
+# a public call, so a form never outlives the call that made it.
+Form = tuple[int, int, int, dict]
+
 
 # The x-part of the operator on one packed monomial: per shift id s, the
 # polynomial at t^(2 lambda_(s+1)) as ((packed monomial, numerator), ...) over
@@ -167,10 +211,13 @@ class Tables:
         # the memo: packed monomial -> Monomial and back, the image of each
         # packed monomial (`_image`) and the basis of each exponent unit, with
         # `held` the running count of their entries but the bases' (each
-        # basis counts its own); `_clear` empties all four
+        # basis counts its own); `norms` holds the sum of |entry| of an image
+        # once `_factor` asks, at most one per image, uncounted; `_clear`
+        # empties all five
         self.monomials: dict[int, Monomial] = {}
         self.packed: dict[Monomial, int] = {}
         self.images: dict[int, _Image] = {}
+        self.norms: dict[int, int] = {}
         self.bases: dict[int, Basis] = {}
         self.held = 0
         # no fields until the first public call admits a weight (`admit`)
@@ -206,7 +253,7 @@ class Tables:
         self._clear()
 
     def _clear(self) -> None:
-        for memo in (self.monomials, self.packed, self.images, self.bases):
+        for memo in (self.monomials, self.packed, self.images, self.norms, self.bases):
             memo.clear()
         self.held = 0
 
@@ -277,8 +324,8 @@ class Basis:
     counts its ids and image entries."""
 
     __slots__ = (
-        "tables", "q", "xparts", "nq", "shifts", "s", "lift",
-        "keys", "ids", "monomials", "images", "logs", "exponents", "fractions", "held",
+        "tables", "q", "xparts", "nq", "shifts", "s", "lift", "keys", "ids",
+        "monomials", "images", "norms", "logs", "exponents", "fractions", "held",
     )
 
     def __init__(self, tables: Tables, q: int, images: Sequence | None = None) -> None:
@@ -293,6 +340,7 @@ class Basis:
         self.ids: dict[tuple[int, int], int] = {}
         self.monomials: list[Monomial | None] = []  # id -> its x-part's Monomial (`to_expr`)
         self.images: list[tuple | None] = []  # id -> L (`_basis_image`)
+        self.norms: list[int | None] = []  # id -> |L| + |log factor| (`_factor`)
         self.logs: list[int] = []  # id -> (2 e - n q) s / q
         self.exponents: list[Fraction] = []  # id -> e / q
         self.fractions: dict[int, Fraction] = {}  # e -> e / q
@@ -306,6 +354,7 @@ class Basis:
             self.keys.append(key)
             self.monomials.append(None)
             self.images.append(None)
+            self.norms.append(None)
             self.logs.append((2 * e - self.nq) * self.s // self.q)
             exponent = self.fractions.get(e)
             if exponent is None:
@@ -475,7 +524,7 @@ def _basis_image(basis: Basis, i: int) -> tuple[tuple[int, int], ...]:
         for shift, part in zip(basis.shifts, xpart)
         for target, a in part
     ]
-    t2 = e * (e - basis.nq) * basis.s // (basis.q * basis.q)
+    t2 = _diagonal(basis, e)
     if t2:
         image.append((i, t2))
     found = basis.images[i] = tuple(image)
@@ -483,24 +532,84 @@ def _basis_image(basis: Basis, i: int) -> tuple[tuple[int, int], ...]:
     return found
 
 
-def reduced(denominator: int, groups: dict) -> Form:
-    """Numerators grouped by log power over denominator as a form: zeros and
-    empty groups dropped, the common factor divided out."""
-    g = gcd(denominator, *[v for terms in groups.values() for v in terms.values()])
+def _diagonal(basis: Basis, e: int) -> int:
+    """The entry of L on id (x, e) at itself: e (e - n q) s / q^2."""
+    return e * (e - basis.nq) * basis.s // (basis.q * basis.q)
+
+
+def _width(bound: int) -> int:
+    """The fewest bits per slot that hold every |w| <= bound as a balanced
+    residue: bound < 2^(width - 1)."""
+    return bound.bit_length() + 1
+
+
+def pack_form(d: int, terms: dict[int, int], higher: list, headroom: int = 1) -> Form:
+    """The form over d whose slot 0 of id i is terms[i] (0 for an id with
+    only higher slots) and whose slot k > 0 is w for each (i, k, w) of
+    `higher`, one per (i, k), at the least width that holds `headroom`
+    times their bound; `terms` becomes the form's.  Slot 0 needs no width,
+    so a form without logs is packed as it is read."""
+    bound = max(map(abs, terms.values()), default=0)
+    if higher:
+        bound = max(bound, *(abs(w) for _, _, w in higher))
+    width = _width(bound * headroom)
+    for i, k, w in higher:
+        terms[i] += w << width * k
+    return d, width, bound, terms
+
+
+def slots(packed: int, width: int) -> list[int]:
+    """w_0, w_1, ... of a packed int, up to its highest nonzero slot: each
+    the balanced residue of what is left mod 2^width, taken off before the
+    shift."""
+    mask, half, out = (1 << width) - 1, 1 << (width - 1), []
+    while packed:
+        w = packed & mask
+        packed >>= width
+        if w >= half:
+            w -= mask + 1
+            packed += 1
+        out.append(w)
+    return out
+
+
+def repacked(terms: Mapping, width: int, wider: int, divisor: int = 1) -> dict:
+    """The packed ints of `terms` moved from `width` to `wider` bits a slot,
+    each slot divided by `divisor`, which divides every slot."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    full = mask + 1
     out = {}
-    for k, terms in groups.items():
-        if g > 1:
-            terms = {key: v // g for key, v in terms.items() if v}
-        elif 0 in terms.values():
-            terms = {key: v for key, v in terms.items() if v}
-        if terms:
-            out[k] = terms
-    return denominator // g, out
+    for i, v in terms.items():
+        packed, shift = 0, 0
+        while v:
+            w = v & mask
+            v >>= width
+            if w >= half:
+                w -= full
+                v += 1
+            packed += (w // divisor) << shift
+            shift += wider
+        out[i] = packed
+    return out
 
 
-def to_form(tables: Tables, e: MixedExpr) -> tuple[Basis, Form]:
+def widened(form: Form, factor: int, ahead: int = 1) -> Form:
+    """The form reduced by the gcd of its denominator and every slot, and
+    repacked wide enough for `ahead` products of its bound by `factor`: what
+    a kernel does with a form whose bound times its factor passes its slots
+    (see the module docstring)."""
+    d, width, _, terms = form
+    every = [w for v in terms.values() for w in slots(v, width)]
+    g = gcd(d, *every)
+    bound = max(map(abs, every), default=0) // g
+    wider = _width(bound * factor**ahead)
+    return d // g, wider, bound, repacked(terms, width, wider, g)
+
+
+def to_form(tables: Tables, e: MixedExpr, ahead: int = 0) -> tuple[Basis, Form]:
     """e's form over the lcm of its coefficient denominators, on the basis
-    of unit lcm(scale, its exponent denominators).  Each term costs one
+    of unit lcm(scale, its exponent denominators), packed once wide enough
+    for `ahead` iterates of `tau_form` (`_factor`).  Each term costs one
     lookup of its monomial and one of its (x-part, e) key; only a miss
     packs or interns.  A monomial past the fields widens them for all of e
     (`Tables.admit`) and starts again, so it is called only at the entry of
@@ -510,74 +619,144 @@ def to_form(tables: Tables, e: MixedExpr) -> tuple[Basis, Form]:
     q = lcm(tables.scale, *{mu.denominator for _, mu, _ in terms})
     basis = tables.basis(q)
     find_monomial, find = tables.packed.get, basis.ids.get
-    groups: dict[int, dict[int, int]] = {}
+    constant: dict[int, int] = {}
+    higher = []
     for (mono, mu, k), c in terms.items():
         x = find_monomial(mono)
         if x is None:
             x = tables.pack(mono)
             if x is None:
                 tables.admit(max(tables.weight(m) for m, _, _ in terms))
-                return to_form(tables, e)
+                return to_form(tables, e, ahead)
         key = (x, mu.numerator * (q // mu.denominator))
         i = find(key)
         if i is None:
             i = basis.intern(*key)
-        group = groups.get(k)
-        if group is None:
-            group = groups[k] = {}
-        group[i] = c.numerator * (d // c.denominator)
-    return basis, (d, groups)
+        w = c.numerator * (d // c.denominator)
+        if k:
+            higher.append((i, k, factorial(k) * w))
+            constant.setdefault(i, 0)
+        else:
+            constant[i] = w
+    headroom = _factor(basis, constant) ** ahead if ahead else 1
+    return basis, pack_form(d, constant, higher, headroom)
+
+
+def expr_terms(form: Form, xparts: Sequence | Mapping, exponents: Sequence) -> dict:
+    """{(xparts[key], exponents[key], k): coefficient of log(t)^k} over every
+    nonzero slot of a form.  Each coefficient w / (d k!) is made once per
+    value, cached by its numerator over d: w / k! as an int when k! divides
+    w, else as a reduced pair."""
+    d, width, _, terms = form
+    if not terms:
+        return {}
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    full = mask + 1
+    cache: dict = {}
+    find = cache.get
+    factorials: list[int] = []
+    denominators = [d, d]
+    out = {}
+    for key, v in terms.items():
+        xpart, exponent, k = xparts[key], exponents[key], 0
+        if -half <= v < half:  # slot 0 alone: no log
+            c = find(v)
+            if c is None:
+                c = cache[v] = Fraction(v, d)
+            out[(xpart, exponent, 0)] = c
+            continue
+        while v:
+            w = v & mask
+            v >>= width
+            if w >= half:
+                w -= full
+                v += 1
+            if w:
+                value = w
+                if k > 1:
+                    while len(denominators) <= k:
+                        factorials.append(factorial(len(denominators)))
+                        denominators.append(d * factorials[-1])
+                    f = factorials[k - 2]
+                    value, r = divmod(w, f)
+                    if r:
+                        g = gcd(r, f)
+                        value = (w // g, f // g)
+                c = find(value)
+                if c is None:
+                    c = cache[value] = Fraction(w, denominators[k])
+                out[(xpart, exponent, k)] = c
+            k += 1
+    return out
 
 
 def to_expr(basis: Basis, form: Form) -> MixedExpr:
     """The MixedExpr of a form on a basis over packed monomials, with one
-    Fraction per distinct numerator."""
-    d, groups = form
-    keys, exponents, monomials = basis.keys, basis.exponents, basis.monomials
-    coefficients: dict[int, Fraction] = {}
-    terms = {}
-    for k, group in groups.items():
-        for i, v in group.items():
-            c = coefficients.get(v)
-            if c is None:
-                c = coefficients[v] = Fraction(v, d)
-            mono = monomials[i]
-            if mono is None:
-                mono = monomials[i] = basis.tables.monomial(keys[i][0])
-            terms[(mono, exponents[i], k)] = c
-    return MixedExpr._wrap(terms)
+    Fraction per distinct coefficient (`expr_terms`)."""
+    keys, monomials = basis.keys, basis.monomials
+    for i in form[3]:
+        if monomials[i] is None:
+            monomials[i] = basis.tables.monomial(keys[i][0])
+    return MixedExpr._wrap(expr_terms(form, monomials, basis.exponents))
 
 
-def tau_form(basis: Basis, form: Form) -> Form:
-    """The operator on a form: per log power k, each term through L of its
-    id, and k (2 e - n q) / q and k (k - 1) times it to log powers k - 1 and
-    k - 2, on integers over d s, reduced once."""
-    d, groups = form
-    if not groups:
+def _factor(basis: Basis, ids: Collection[int]) -> int:
+    """s + the sum over ids of the norm of their column: the sum of |entry|
+    over L, read off the x-part's image so that no image is made, plus
+    |log factor|.  No `tau_form` multiplies a slot bound by more (see the
+    module docstring)."""
+    norms = basis.norms
+    if None in map(norms.__getitem__, ids):
+        keys, logs, lift, tables = basis.keys, basis.logs, basis.lift, basis.tables
+        xparts, xnorms = basis.xparts, tables.norms
+        for i in ids:
+            if norms[i] is None:
+                x, e = keys[i]
+                if xparts is not None:  # a tree state: one entry 1 per child
+                    xnorm = sum(map(len, xparts[x]))
+                else:
+                    xnorm = xnorms.get(x)
+                    if xnorm is None:
+                        image = tables.images.get(x) or _image(tables, x)
+                        xnorm = xnorms[x] = sum(abs(a) for part in image for _, a in part)
+                norms[i] = lift * xnorm + abs(_diagonal(basis, e)) + abs(logs[i])
+    return basis.s + sum(map(norms.__getitem__, ids))
+
+
+def tau_form(basis: Basis, form: Form, ahead: int = 1) -> Form:
+    """The operator on a form over d s: each packed int through L of its
+    id, and its slots lowered once times (2 e - n q) s / q and twice times
+    s to its own id, every log power in one product.  The slot bound is
+    checked first: when its bound times `_factor` of its ids does not fit
+    its slots, the form is reduced and repacked (`widened`) wide enough for
+    `ahead` iterates."""
+    d, width, bound, terms = form
+    if not terms:
         return form
+    factor = _factor(basis, terms)
+    if (bound * factor).bit_length() >= width:
+        d, width, bound, terms = widened(form, factor, ahead)
     images, logs, s = basis.images, basis.logs, basis.s
-    out: dict[int, dict[int, int]] = {}
-    for k, terms in groups.items():
-        acc = out.setdefault(k, {})
-        get = acc.get
-        for i, num in terms.items():
-            image = images[i]
-            if image is None:
-                image = _basis_image(basis, i)
-            for j, a in image:
-                acc[j] = get(j, 0) + num * a
-        if k:
-            acc = out.setdefault(k - 1, {})
-            get = acc.get
-            for i, num in terms.items():
-                acc[i] = get(i, 0) + num * k * logs[i]
-            if k >= 2:
-                acc = out.setdefault(k - 2, {})
-                get = acc.get
-                c = k * (k - 1) * s
-                for i, num in terms.items():
-                    acc[i] = get(i, 0) + num * c
-    return reduced(d * s, out)
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out: dict[int, int] = {}
+    get = out.get
+    for i, v in terms.items():
+        image = images[i]
+        if image is None:
+            image = _basis_image(basis, i)
+        for j, a in image:
+            out[j] = get(j, 0) + v * a
+        lowered = v >> width
+        if v & mask >= half:
+            lowered += 1
+        if lowered:
+            twice = lowered >> width
+            if lowered & mask >= half:
+                twice += 1
+            out[i] = get(i, 0) + lowered * logs[i] + twice * s
+    if 0 in out.values():
+        out = {j: v for j, v in out.items() if v}
+    return d * s, width, bound * factor, out
 
 
 def tau(spec: AlgebraSpec, e: MixedExpr) -> MixedExpr:
@@ -587,5 +766,5 @@ def tau(spec: AlgebraSpec, e: MixedExpr) -> MixedExpr:
     tables.bound_images()
     if not e.terms:
         return MixedExpr()
-    basis, form = to_form(tables, e)
+    basis, form = to_form(tables, e, 1)
     return to_expr(basis, tau_form(basis, form))

@@ -22,13 +22,19 @@ p grows (`_rows`, kept in `TensionTree.rows`); one row serves every p up to
 its length.  Their weighted sums over one denominator give each state's
 coefficient (`_coefficients`), and the family member, an integer form on the
 tree's basis of (state, t-exponent) at its scale (`_states_basis`, kept in
-`TensionTree.bases`), is sum_S node_S times the coefficient of S.  Every
-member, phi, psi or a combination a*phi + b*psi summed on integers, comes
-from the one assembly `_member`, where builds and certificates start.  One
-substitution puts the nodes in, for both tree kinds: `realize` runs on
-integers over the tree's node table (`TensionTree.integer_nodes`), keyed per
-log power by (node basis function, t-exponent), and never asks what a node
-is.  A polynomial tree's build is its realization on the algebra's basis
+`TensionTree.bases`), is sum_S node_S times the coefficient of S.  A form
+holds its log powers as the divided powers log(t)^k / k! packed into one
+int per id (`laplacian`), so the weight of log(t)^(p-1-j), (-2)^j
+(p-1)...(p-j), becomes (-2)^j (p-1)! on log(t)^(p-1-j) / (p-1-j)!, one
+factor for every slot (`_weights`).  A state's coefficient is packed once
+per order, wide enough for the node table and for one operator step
+(`_Rows.headroom`).  Every member, phi, psi or a combination a*phi + b*psi
+summed on integers, comes from the one assembly `_member`, where builds and
+certificates start.  One substitution puts the nodes in, for both tree
+kinds: `realize` runs on integers over the tree's node table
+(`TensionTree.integer_nodes`), keyed by (node basis function, t-exponent)
+with every log power in one product, and never asks what a node is.  A
+polynomial tree's build is its realization on the algebra's basis
 (`_concrete`) as a MixedExpr; a radial tree's stays on states and converts
 to the formal sum `NodeSymbolExpr`, each state named by its multi-index.
 Phi raises Resonance at the least alpha, in lexicographic order (the order
@@ -58,14 +64,16 @@ public call (`_tables`), so a form never outlives the call that made it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import factorial, gcd, lcm
 from typing import Callable, NamedTuple, Union
 
 from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, Resonance, ZeroCombination
 from .expr import MixedExpr
 from .laplacian import (
-    Basis, Form, Tables, bound_bases, reduced, tables_of, tau_form, to_expr, to_form,
+    Basis, Form, Tables, _width, bound_bases, expr_terms, pack_form, repacked, widened,
+    tables_of, tau_form, to_expr, to_form,
 )
 from .poly import _LATEX, Monomial, Sparse, _label, _Style
 from .scalar import _acc
@@ -87,7 +95,8 @@ class _Rows:
     times h_j(1/d_1, ..., 1/d_i), h_j the complete homogeneous symmetric
     polynomial, and the coefficient of order p is
 
-        sum_{j<p} (-2)^j (p-1)...(p-j) u_alpha[j] t^exponent log(t)^(p-1-j).
+        sum_{j<p} (-2)^j (p-1)...(p-j) u_alpha[j] t^exponent log(t)^(p-1-j)
+          = sum_{j<p} (-2)^j (p-1)! u_alpha[j] t^exponent log(t)^(p-1-j) / (p-1-j)!.
 
     The recurrence is linear and a, m depend only on Lambda, so the sum U_S
     of the rows of a state's multi-indices obeys it over the state's in-edges:
@@ -100,7 +109,7 @@ class _Rows:
     valid for the life of the tree.
     """
 
-    __slots__ = ("resonant", "exponents", "steps", "u", "weighted")
+    __slots__ = ("resonant", "exponents", "steps", "u", "weighted", "headroom")
 
     def __init__(
         self,
@@ -109,9 +118,13 @@ class _Rows:
         exponents: list[int],
         steps: list[tuple[int, int, int, int] | None],  # per state (a, m) as two pairs
         u: list[list[tuple[int, int]]],
+        # the most a slot bound of the family's forms is multiplied by, once
+        # by the node table (`realize`) or once by `tau_form` on the tree's basis
+        headroom: int,
     ) -> None:
         self.resonant, self.exponents, self.steps, self.u = resonant, exponents, steps, u
-        self.weighted: dict[int, tuple[int, list]] = {}  # see `_coefficients`
+        self.headroom = headroom
+        self.weighted: dict[int, Form] = {}  # see `_coefficients`
 
 
 def _rows(tables: Tables, tree: TensionTree, p: int, family: str) -> _Rows:
@@ -153,16 +166,24 @@ def _new_rows(tables: Tables, tree: TensionTree, family: str) -> _Rows:
     worked out on integers over the tree's scale q: with l = 2 Lambda q and
     n q the algebra's (`Tables.n`), the exponent is l for phi and l + n q for
     psi, d = 2 Lambda -+ n = (l -+ n q) / q, a = 1/d and m = -a / (2 Lambda)
-    = -q^2 / (l (l -+ n q))."""
+    = -q^2 / (l (l -+ n q)).  The headroom of the family's forms is the
+    larger of the node table's (`TensionTree._node_norm`) and the factor
+    `laplacian._factor` of the tree's basis at unit q over every state: s =
+    q^2 and per state q^2 per child, |e (e - n q)| on itself and the log
+    factor |(2 e - n q) q|."""
     sign = -1 if family == "phi" else 1
     exponents: list[int] = []
     steps: list[tuple[int, int, int, int] | None] = []
     resonant = []
     q, nq = tree.scale, tables.n
+    q2 = q * q
+    factor = q2
     for state in tree.states:
         lam2 = 2 * state.lam
         dn = lam2 + sign * nq
-        exponents.append(lam2 if family == "phi" else dn)
+        e = lam2 if family == "phi" else dn
+        exponents.append(e)
+        factor += q2 * len(state.children) + abs(e * (e - nq)) + abs((2 * e - nq) * q)
         if not lam2 or not dn:
             steps.append(None)
             if lam2:
@@ -170,7 +191,8 @@ def _new_rows(tables: Tables, tree: TensionTree, family: str) -> _Rows:
             continue
         steps.append(_pair(q, dn) + _pair(-q * q, lam2 * dn))
     u = [[(1, 1)]] + [[] for _ in tree.states[1:]]
-    return _Rows(min(resonant, default=None), exponents, steps, u)
+    headroom = max(tree._node_norm, factor)
+    return _Rows(min(resonant, default=None), exponents, steps, u, headroom)
 
 
 def _pair(num: int, den: int) -> tuple[int, int]:
@@ -180,10 +202,11 @@ def _pair(num: int, den: int) -> tuple[int, int]:
 
 
 def _weights(p: int) -> list[int]:
-    """(-2)^j (p-1)(p-2)...(p-j) for j < p."""
-    out = [1]
-    for j in range(1, p):
-        out.append(out[-1] * -2 * (p - j))
+    """(-2)^j (p-1)! for j < p: the weight (-2)^j (p-1)...(p-j) of
+    log(t)^(p-1-j) times (p-1-j)!, its weight on log(t)^(p-1-j) / (p-1-j)!."""
+    out = [factorial(p - 1)]
+    for _ in range(1, p):
+        out.append(out[-1] * -2)
     return out
 
 
@@ -228,22 +251,27 @@ def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> tuple[
     d = lcm(*(c.denominator for c in acc.values()))
     q = lcm(tree.scale, *(mu.denominator for _, mu, _ in acc))
     basis = _states_basis(tables, tree, q)
-    groups: dict[int, dict[int, int]] = {}
+    constant: dict[int, int] = {}
+    higher = []
     for (s, mu, k), c in acc.items():
-        term = basis.intern(s, mu.numerator * (q // mu.denominator))
-        groups.setdefault(k, {})[term] = c.numerator * (d // c.denominator)
-    return basis, (d, groups)
+        i = basis.intern(s, mu.numerator * (q // mu.denominator))
+        w = c.numerator * (d // c.denominator)
+        if k:
+            higher.append((i, k, factorial(k) * w))
+            constant.setdefault(i, 0)
+        else:
+            constant[i] = w
+    return basis, pack_form(d, constant, higher)
 
 
 def _symbols(tree: TensionTree, basis: Basis, form: Form) -> NodeSymbolExpr:
     """The node-symbol sum of a form on the tree's basis, each state named
     by its least multi-index."""
-    d, groups = form
-    one, keys, exponents, states = Monomial.one(), basis.keys, basis.exponents, tree.states
+    one, keys, states = Monomial.one(), basis.keys, tree.states
+    least = {i: states[keys[i][0]].least for i in form[3]}
     out: dict[MultiIndex, dict] = {}
-    for k, terms in groups.items():
-        for i, v in terms.items():
-            out.setdefault(states[keys[i][0]].least, {})[(one, exponents[i], k)] = Fraction(v, d)
+    for (alpha, exponent, k), c in expr_terms(form, least, basis.exponents).items():
+        out.setdefault(alpha, {})[(one, exponent, k)] = c
     return NodeSymbolExpr._wrap({alpha: MixedExpr._wrap(c) for alpha, c in out.items()})
 
 
@@ -328,17 +356,9 @@ def _member(
     if kind != "combo":
         if kind not in ("phi", "psi"):
             raise ValueError(f"unknown family {kind!r}: phi, psi or combo")
-        w, exponents, states = _coefficients(basis.tables, tree, p, kind)
-        groups: dict[int, dict[int, int]] = {}
-        for s, scaled in enumerate(states):
-            term = basis.intern(s, exponents[s])
-            for k, u in scaled:
-                group = groups.get(k)
-                if group is None:
-                    groups[k] = {term: u}
-                else:
-                    group[term] = u
-        return w, groups
+        exponents, (w, width, bound, states) = _coefficients(basis.tables, tree, p, kind)
+        intern = basis.intern
+        return w, width, bound, {intern(s, exponents[s]): v for s, v in states.items()}
     phi, psi = (_member(basis, tree, p, family) for family in ("phi", "psi"))
     a, b = Fraction(a), Fraction(b)
     if not (a or b):
@@ -346,11 +366,11 @@ def _member(
     return _combination([(phi, a.numerator, a.denominator), (psi, b.numerator, b.denominator)])
 
 
-# A family member's coefficients: (W, t-exponent per state over the tree's
-# scale, per state [(log power, numerator over W), ...]); the coefficient of
-# state S is sum_j w_j U_S[j] t^exponent log(t)^(p-1-j), w_j =
-# `_weights(p)[j]`.
-_Coefficients = tuple[int, list[int], list[list[tuple[int, int]]]]
+# A family member's coefficients: (t-exponent per state over the tree's
+# scale, a form keyed by state over W); the coefficient of state S is sum_j
+# w_j U_S[j] t^exponent log(t)^(p-1-j) / (p-1-j)!, w_j = `_weights(p)[j]`,
+# packed as one int per state.
+_Coefficients = tuple[list[int], Form]
 
 # How many orders' weighted rows a tree keeps per family: a recurrence check
 # at p reads p, p - 1 and p - 2, the builds before it p.
@@ -359,20 +379,31 @@ _WEIGHTED_ORDERS = 3
 
 def _coefficients(tables: Tables, tree: TensionTree, p: int, family: str) -> _Coefficients:
     """The coefficient of order p of every state: its rows (`_rows`) and
-    weights over their common denominator W, kept for the last
-    `_WEIGHTED_ORDERS` orders asked for."""
+    weights over their common denominator W, packed with the family's
+    headroom (`_new_rows`), so that neither `realize` nor one `tau_form`
+    widens them, and kept for the last `_WEIGHTED_ORDERS` orders asked
+    for."""
     rows = _rows(tables, tree, p, family)
     weighted = rows.weighted.get(p)
     if weighted is None:
         w = lcm(*(d for row in rows.u for _, d in row[:p]))
         weights = _weights(p)
-        weighted = rows.weighted[p] = w, [
-            [(p - 1 - j, n * (w // d) * weights[j]) for j, (n, d) in enumerate(row[:p]) if n]
-            for row in rows.u
+        numerators = [
+            [n * (w // d) * weights[j] for j, (n, d) in enumerate(row[:p])] for row in rows.u
         ]
+        bound = max(map(abs, chain.from_iterable(numerators)))
+        width = _width(bound * rows.headroom)
+        packed = {}
+        for s, row in enumerate(numerators):
+            v = 0
+            for u in row:  # from log power p - 1 down
+                v = (v << width) + u
+            if v:
+                packed[s] = v
+        weighted = rows.weighted[p] = w, width, bound, packed
         if len(rows.weighted) > _WEIGHTED_ORDERS:
             del rows.weighted[next(iter(rows.weighted))]
-    return weighted[0], rows.exponents, weighted[1]
+    return rows.exponents, weighted
 
 
 # --- certification ---
@@ -424,18 +455,18 @@ def _certify(
     _check_p(p)
 
     def realized(form: Form) -> Form:
-        return form if tree is None or realize(tree, basis, form)[1] else (1, {})
+        return form if tree is None or realize(tree, basis, form)[3] else (1, 1, 0, {})
 
     def public(form: Form) -> Built:
         return to_expr(basis, form) if tree is None else _symbols(tree, basis, form)
 
     previous = current = realized(form)
     order = 0
-    while order < p and current[1]:
-        previous, current = current, realized(tau_form(basis, current))
+    while order < p and current[3]:
+        previous, current = current, realized(tau_form(basis, current, p - order))
         order += 1
     # only the last iterate can be zero, and every power past it is zero too
-    verified_order = None if current[1] else order
+    verified_order = None if current[3] else order
     return HarmonicCertificate(
         kind=kind,
         p=p,
@@ -452,49 +483,52 @@ def verify(
 ) -> HarmonicCertificate:
     """Apply the operator up to p times with exact zero tests, iterating on
     e's integer form (`laplacian.tau_form`)."""
-    basis, form = to_form(_tables(spec), e)
+    _check_p(p)  # before the form is sized for p iterates
+    basis, form = to_form(_tables(spec), e, p)
     return _certify(basis, None, kind, p, seed, form)
 
 
 def realize(tree: TensionTree, basis: Basis, form: Form) -> Form:
     """Substitute the tree's nodes for the states of a form on the tree's
-    basis: sum_S c_S(t) * node_S on integers, keyed per log power by (node
-    basis index, t-exponent) over the node table and reduced once.  The node
-    basis functions are linearly independent, so the form has no terms
-    exactly when the function is zero."""
-    w, groups = form
+    basis: sum_S c_S(t) * node_S on integers over the node table, keyed by
+    (node basis index, t-exponent), every log power in one product, after
+    the slot bound times the table's (`TensionTree._node_norm`) is checked
+    (`laplacian.widened`).  The node basis functions are linearly independent,
+    so the form has no terms exactly when the function is zero."""
+    norm = tree._node_norm
+    w, width, bound, terms = form
+    if (bound * norm).bit_length() >= width:
+        w, width, bound, terms = widened(form, norm)
     d, _, nodes = tree.integer_nodes
     keys = basis.keys
-    out: dict[int, dict[tuple[int, int], int]] = {}
-    for k, terms in groups.items():
-        acc = out[k] = {}
-        get = acc.get
-        for i, u in terms.items():
-            s, e = keys[i]
-            for f, c in nodes[s]:
-                key = (f, e)
-                acc[key] = get(key, 0) + c * u
-    return reduced(d * w, out)
+    out: dict[tuple[int, int], int] = {}
+    get = out.get
+    for i, u in terms.items():
+        s, e = keys[i]
+        for f, c in nodes[s]:
+            key = (f, e)
+            out[key] = get(key, 0) + c * u
+    if 0 in out.values():
+        out = {key: v for key, v in out.items() if v}
+    return d * w, width, bound * norm, out
 
 
 def _concrete(tables: Tables, tree: TensionTree, realized: Form) -> tuple[Basis, Form]:
     """A polynomial tree's realization on the tables' basis at its scale,
     through the tree's node monomials packed at the tables' width
     (`TensionTree.node_keys`): one lookup per term."""
-    d, groups = realized
     basis = tables.basis(tree.scale)
     find = basis.ids.get
     keys = tree.node_keys.get(tables.width)
     if keys is None:
         keys = tree.node_keys[tables.width] = list(map(tables.pack, tree.integer_nodes[1]))
-    out: dict[int, dict[int, int]] = {}
-    for k, terms in groups.items():
-        group = out[k] = {}
-        for (f, e), v in terms.items():
-            key = (keys[f], e)
-            i = find(key)
-            group[basis.intern(*key) if i is None else i] = v
-    return basis, (d, out)
+    d, width, bound, terms = realized
+    out: dict[int, int] = {}
+    for (f, e), v in terms.items():
+        key = (keys[f], e)
+        i = find(key)
+        out[basis.intern(*key) if i is None else i] = v
+    return basis, (d, width, bound, out)
 
 
 def verify_formal(
@@ -576,25 +610,23 @@ def _recurrence_holds(
     if p >= 3:
         parts.append((member(p - 2), -(p - 1) * (p - 2), 1))
     residual = _combination(parts)
-    return not residual[1] or not realize(tree, basis, residual)[1]
+    return not residual[3] or not realize(tree, basis, residual)[3]
 
 
 def _combination(parts: list[tuple[Form, int, int]]) -> Form:
     """The sum of c * f over the parts (f, numerator of c, denominator of c),
     forms on one basis, cross-multiplied over the lcm of each form's
-    denominator times its coefficient's, zero terms and empty groups
-    dropped."""
+    denominator times its coefficient's, at the widest part's width unless
+    the bound of the sum needs more, zero terms dropped."""
     common = lcm(*(form[0] * c_den for form, _, c_den in parts))
-    total: dict[int, dict[int, int]] = {}
-    for (d, groups), c_num, c_den in parts:
-        scale = c_num * (common // (d * c_den))
-        for k, terms in groups.items():
-            acc = total.get(k)
-            if acc is None:
-                total[k] = {i: v * scale for i, v in terms.items()}
-                continue
-            get = acc.get
-            for i, v in terms.items():
-                acc[i] = get(i, 0) + v * scale
-    kept = ({i: v for i, v in terms.items() if v} for terms in total.values())
-    return common, {k: terms for k, terms in zip(total, kept) if terms}
+    scales = [c_num * (common // (form[0] * c_den)) for form, c_num, c_den in parts]
+    bound = sum(abs(scale) * form[2] for (form, _, _), scale in zip(parts, scales))
+    width = max(_width(bound), *(form[1] for form, _, _ in parts))
+    total: dict[int, int] = {}
+    get = total.get
+    for ((_, part_width, _, terms), _, _), scale in zip(parts, scales):
+        if part_width != width:
+            terms = repacked(terms, part_width, width)
+        for i, v in terms.items():
+            total[i] = get(i, 0) + v * scale
+    return common, width, bound, {i: v for i, v in total.items() if v}

@@ -302,6 +302,18 @@ class TensionTree(Record):
         ]
 
     @cached_property
+    def _node_norm(self) -> int:
+        """The largest sum over the states of |numerator| at one basis
+        function of the node table: a form on the states times the table
+        (`pharmonic.realize`) has slots at most this times the form's."""
+        _, basis, rows = self.integer_nodes
+        sums = [0] * len(basis)
+        for row in rows:
+            for f, v in row:
+                sums[f] += abs(v)
+        return max(sums, default=0)
+
+    @cached_property
     def weight(self) -> int:
         """The largest weight of a monomial of a polynomial seed
         (`laplacian.Tables.weight`), which bounds every node's; 0 for a

@@ -704,6 +704,30 @@ def image_by_monomials(tables, mono: Monomial) -> list[dict[Monomial, int]]:
     return acc
 
 
+# --- packed forms read flat ---
+
+def flat_form(form) -> dict[tuple, Fraction]:
+    """A packed form (`laplacian.Form`: (d, width, bound, terms), per key P =
+    sum_k w_k 2^(width k) over d, w_k the numerator of log(t)^k / k!) as
+    (key, log power) ->
+    coefficient, decoded here by floor division and the balanced residue,
+    apart from the package's shifts and masks."""
+    d, width, _, terms = form
+    unit = 1 << width
+    out = {}
+    for key, packed in terms.items():
+        k = 0
+        while packed:
+            packed, w = divmod(packed, unit)
+            if 2 * w >= unit:
+                w -= unit
+                packed += 1
+            if w:
+                out[(key, k)] = Fraction(w, d * factorial(k))
+            k += 1
+    return out
+
+
 # --- the formal operator on node symbols ---
 
 def tau_t(e: MixedExpr, n: Fraction) -> MixedExpr:

@@ -6,9 +6,13 @@ the oracles are the formal operator `formal_tau` on node-symbol sums and its
 certificate loop."""
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
@@ -19,6 +23,7 @@ from polyharm import (
     RadialFunction,
     RadialSeed,
     Resonance,
+    build,
     build_phi,
     build_psi,
     catalog_short_name,
@@ -33,19 +38,23 @@ from polyharm import (
     verify,
     verify_formal,
 )
-from polyharm import laplacian
+from polyharm import laplacian, pharmonic
 from polyharm.laplacian import tables_of, tau_form
 from polyharm.pharmonic import _member, _states_basis, _symbols
+from polyharm.poly import Monomial
 
 from conftest import random_mixed_expr
 from oracles import (
     build_by_branches,
     certificate_by_partials,
+    flat_form,
     formal_certificate,
     formal_tau,
     image_by_monomials,
+    realize,
     recurrence_by_exprs,
     t_power,
+    tau_by_partials,
 )
 from test_algebra import filiform
 
@@ -346,16 +355,19 @@ def assert_converts_term_by_term(spec, e):
     basis unit, over the lcm of the coefficient denominators, and `to_expr`
     gives e back with one Fraction object per distinct coefficient."""
     tables = tables_of(spec)
-    basis, (d, groups) = laplacian.to_form(tables, e)
+    basis, form = laplacian.to_form(tables, e)
+    d, width, bound, terms = form
     assert d == lcm(*(c.denominator for c in e.terms.values()))
     assert basis.q == lcm(tables.scale, *(mu.denominator for _, mu, _ in e.terms))
     found = {
-        (tables.monomials[basis.keys[i][0]], Fraction(basis.keys[i][1], basis.q), k): Fraction(v, d)
-        for k, group in groups.items()
-        for i, v in group.items()
+        (tables.monomials[basis.keys[i][0]], Fraction(basis.keys[i][1], basis.q), k): c
+        for (i, k), c in flat_form(form).items()
     }
-    assert found == e.terms and all(groups.values())
-    back = laplacian.to_expr(basis, (d, groups))
+    assert found == e.terms and all(terms.values())
+    # the least width: the largest numerator of log(t)^k / k! over d fits
+    largest = int(max(abs(c * factorial(k) * d) for (_, _, k), c in e.terms.items()))
+    assert (bound, width) == (largest, largest.bit_length() + 1)
+    back = laplacian.to_expr(basis, form)
     assert back == e
     assert len({id(c) for c in back.terms.values()}) == len(set(back.terms.values()))
 
@@ -430,6 +442,7 @@ def test_radial_kernel_iterates_match_formal_operator():
                 form = _member(basis, tree, p, family)
                 for e in expected:
                     assert _symbols(tree, basis, form) == e
+                    assert as_symbols(tree, basis, flat_form(form)) == e
                     form = tau_form(basis, form)
                     checked += 1
     assert checked > 1500
@@ -470,3 +483,231 @@ def test_radial_recurrence_matches_formal_oracle():
     for spec, tree in radial_cases():
         for p in range(1, RADIAL_P_MAX + 1):
             assert recurrence_check(spec, tree, p) == recurrence_by_exprs(spec, tree, p)
+
+
+# --- every packed result read flat against the flat oracles ---
+
+def as_expr(basis, flat):
+    """A form on a basis over packed monomials, read flat (`flat_form`), as
+    a MixedExpr."""
+    monomial = basis.tables.monomial
+    return MixedExpr({
+        (monomial(basis.keys[i][0]), Fraction(basis.keys[i][1], basis.q), k): c
+        for (i, k), c in flat.items()
+    })
+
+
+def as_symbols(tree, basis, flat):
+    """A form on a tree's basis, read flat, as a node-symbol sum."""
+    out: dict = {}
+    for (i, k), c in flat.items():
+        s, e = basis.keys[i]
+        out.setdefault(tree.states[s].least, {})[(Monomial.one(), Fraction(e, basis.q), k)] = c
+    return NodeSymbolExpr({alpha: MixedExpr(terms) for alpha, terms in out.items()})
+
+
+def by_state(tree, e):
+    """A node-symbol sum with the symbols of one state summed under the
+    state's least multi-index, as the tree's basis keys them."""
+    out: dict = {}
+    for alpha, coeff in e.terms.items():
+        s = tree.state_of(alpha)
+        if s is not None:
+            least = tree.states[s].least
+            out[least] = out.get(least, MixedExpr()) + coeff
+    return NodeSymbolExpr({alpha: c for alpha, c in out.items() if c.terms})
+
+
+def oracle_key(tree, f):
+    """The key `oracles.node_basis` gives the tree's basis function f: the
+    monomial itself, or (a, has_log, slot of the monomial of G) for a
+    radial tree."""
+    function = tree.integer_nodes[1][f]
+    if tree.kind == "polynomial":
+        return function
+    a, has_log, mono = function
+    return a, has_log, mono.exps[0][0].slot if mono.exps else 0
+
+
+class FlatChecks:
+    """`tau_form`, `realize` and `_combination` of `pharmonic`, each result
+    read flat and compared with the flat oracles: the operator by partial
+    derivatives on a concrete basis and the formal operator on a tree's
+    basis, `oracles.realize`, and the sum of the parts.  `count` counts the
+    results checked."""
+
+    def __init__(self, monkeypatch, spec, tree):
+        self.spec, self.tree, self.count = spec, tree, 0
+        tau_form, realize_form, combination = (
+            pharmonic.tau_form, pharmonic.realize, pharmonic._combination
+        )
+
+        def checked_tau_form(basis, form, ahead=1):
+            out = tau_form(basis, form, ahead)
+            if basis.xparts is None:
+                expected = tau_by_partials(spec, as_expr(basis, flat_form(form)))
+                assert as_expr(basis, flat_form(out)) == expected
+            else:
+                tree = self.tree
+                expected = formal_tau(spec, tree, as_symbols(tree, basis, flat_form(form)))
+                assert as_symbols(tree, basis, flat_form(out)) == by_state(tree, expected)
+            self.count += 1
+            return out
+
+        def checked_realize(tree, basis, form):
+            out = realize_form(tree, basis, form)
+            expected = realize(tree, as_symbols(tree, basis, flat_form(form)))
+            got = {
+                (oracle_key(tree, f), Fraction(e, basis.q), k): c
+                for ((f, e), k), c in flat_form(out).items()
+            }
+            assert got == expected
+            self.count += 1
+            return out
+
+        def checked_combination(parts):
+            out = combination(parts)
+            expected: dict = {}
+            for form, c_num, c_den in parts:
+                for key, c in flat_form(form).items():
+                    expected[key] = expected.get(key, 0) + c * Fraction(c_num, c_den)
+            assert flat_form(out) == {key: c for key, c in expected.items() if c}
+            self.count += 1
+            return out
+
+        monkeypatch.setattr(pharmonic, "tau_form", checked_tau_form)
+        monkeypatch.setattr(pharmonic, "realize", checked_realize)
+        monkeypatch.setattr(pharmonic, "_combination", checked_combination)
+
+
+# (algebra, seed, highest p): sweep-size seeds, deep trees and the wide seeds
+FLAT_CASES = [
+    ("ch2", "x^2*z - 1/2*y", 4),
+    ("rh4", "x_1^2*x_2^2 - x_3^4", 4),
+    ("ch3", "(x_1^2 + y_1^2)*z^2", 4),
+    ("ch2", "z^8", 6),
+    ("rh2", "x^16", 6),
+    ("fil3", "(x1_1*x1_2 + x2_1 + x3_1)^4", 3),
+    ("ch4", "(x_1*y_2 + z)^4", 4),
+    ("ch3", "(x_1*y_2 + x_2*y_1 + z)^3", 4),
+    ("odd", "(x1_1^2 + x1_2^2)*x2_1^2", 5),
+]
+
+
+def packed_results_checked(monkeypatch) -> int:
+    """Every packed iterate and realization of `verify`, `certify_family`,
+    `verify_formal` and `recurrence_check` on `FLAT_CASES` and on radial
+    trees, read flat and checked (`FlatChecks`); the number checked."""
+    count = 0
+    cases = [(spec_of(name), seed, p_max) for name, seed, p_max in FLAT_CASES]
+    cases = [(spec, tree_of(spec, seed), p_max) for spec, seed, p_max in cases]
+    cases += [(spec, tree, 3) for spec, tree in list(radial_cases())[::10]]
+    for spec, tree, p_max in cases:
+        for p in range(1, p_max + 1):
+            built = {}
+            for family in ("phi", "psi"):
+                try:
+                    built[family] = build(spec, tree, p, family)
+                except Resonance:
+                    pass
+            with monkeypatch.context() as patch:
+                checks = FlatChecks(patch, spec, tree)
+                for family, e in built.items():
+                    certify_family(spec, tree, p, family)
+                    if tree.kind == "polynomial":
+                        verify(spec, e, p)
+                    else:
+                        verify_formal(spec, e, tree, p)
+                recurrence_check(spec, tree, p)
+                count += checks.count
+    return count
+
+
+def test_every_packed_result_matches_flat_oracle(monkeypatch):
+    assert packed_results_checked(monkeypatch) > 800
+    monkeypatch.setattr(laplacian, "_MEMO_LIMIT", 1)
+    assert packed_results_checked(monkeypatch) > 800
+
+
+FLAT_RUNNER = """
+import sys
+import pytest
+from test_integer_form import packed_results_checked
+from polyharm import laplacian
+patch = pytest.MonkeyPatch()
+counts = [packed_results_checked(patch)]
+patch.setattr(laplacian, "_MEMO_LIMIT", 1)
+counts.append(packed_results_checked(patch))
+print(counts)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_packed_results_do_not_depend_on_the_hash_seed(hash_seed):
+    tests = os.path.dirname(os.path.abspath(__file__))
+    source = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join((source, tests)))
+    result = subprocess.run(
+        [sys.executable, "-c", FLAT_RUNNER], env=env, capture_output=True, text=True, cwd=tests
+    )
+    assert result.returncode == 0, result.stderr
+    assert all(count > 800 for count in json.loads(result.stdout))
+
+
+def reduced_slot_width(iterates) -> int:
+    """The least slot width that holds every iterate in its reduced form:
+    over the least common denominator D of its numerators of log(t)^k / k!,
+    each slot k! c D a balanced residue."""
+    width = 1
+    for e in iterates:
+        if not e.terms:
+            continue
+        slots = [c * factorial(k) for (_, _, k), c in e.terms.items()]
+        d = lcm(*(c.denominator for c in slots))
+        for c in slots:
+            w = int(c * d)
+            width = max(width, (w if w >= 0 else ~w).bit_length() + 1)
+    return width
+
+
+def test_a_width_one_bit_too_narrow_is_caught(monkeypatch):
+    # the oracle's iterates of psi_4 of (x_1*y_2 + z)^4 on ch4 fix the least
+    # width that holds all of them; forced one bit below it, some iterate
+    # `verify` makes reads back wrong, and the flat comparison says so
+    spec = spec_of("ch4")
+    tree = tree_of(spec, "(x_1*y_2 + z)^4")
+    e, p = build_psi(spec, tree, 4), 4
+    iterates = [e]
+    while len(iterates) <= p and iterates[-1].terms:
+        iterates.append(tau_by_partials(spec, iterates[-1]))
+    narrow = reduced_slot_width(iterates) - 1
+    original, read = pharmonic.tau_form, []
+
+    def recorded(basis, form, ahead=1):
+        out = original(basis, form, ahead)
+        if not read:
+            read.append(as_expr(basis, flat_form(form)))
+        read.append(as_expr(basis, flat_form(out)))
+        return out
+
+    monkeypatch.setattr(pharmonic, "tau_form", recorded)
+    verify(spec, e, p)
+    assert read == iterates[: len(read)]
+    read.clear()
+    monkeypatch.setattr(laplacian, "_width", lambda bound: narrow)
+    verify(spec, e, p)
+    assert read != iterates[: len(read)]
+
+
+def test_family_headroom_is_the_kernel_factor_on_states():
+    # `_new_rows` works out `laplacian._factor` of the tree's basis over
+    # every state from the states alone; the two must agree
+    trees = [tree_of(spec_of(name), seed) for name, seed, _ in FLAT_CASES]
+    trees += [tree for _, tree in list(radial_cases())[::10]]
+    for tree in trees:
+        spec = tree.spec
+        basis = _states_basis(tables_of(spec), tree, tree.scale)
+        for family in ("phi", "psi"):
+            rows = pharmonic._new_rows(tables_of(spec), tree, family)
+            ids = [basis.intern(s, e) for s, e in enumerate(rows.exponents)]
+            assert rows.headroom == max(tree._node_norm, laplacian._factor(basis, ids))

@@ -45,6 +45,7 @@ from oracles import (
     composition_identity_holds,
     compositions,
     f_coeff,
+    flat_form,
     formal_tau,
     g_coeff,
     log_t,
@@ -646,7 +647,7 @@ def realized_terms(spec, tree, e: NodeSymbolExpr) -> int:
     `pharmonic.realize`): zero exactly when e is, and the oracle's count
     whenever both expand the nodes on independent basis functions."""
     basis, form = pharmonic._symbol_form(tables_of(spec), tree, e)
-    return sum(map(len, pharmonic.realize(tree, basis, form)[1].values()))
+    return len(flat_form(pharmonic.realize(tree, basis, form)))
 
 
 def test_realized_zero_test_agrees_with_formal_on_random_radial_seeds(rh3, ch2):
@@ -793,11 +794,10 @@ def test_recurrence_detects_wrong_factor(rh2, rh3, monkeypatch):
 
     original = ph.tau_form
 
-    def broken_tau_form(basis, form):
-        d, groups = original(basis, form)
+    def broken_tau_form(basis, form, ahead=1):
         i = basis.intern(0, basis.q)  # t^1: the exponent q over the unit q
-        terms = groups.get(0, {})
-        return d, {**groups, 0: {**terms, i: terms.get(i, 0) + d}}
+        t = (1, 2, 1, {i: 1})  # the form 1 * t^1 on the seed's state
+        return ph._combination([(original(basis, form, ahead), 1, 1), (t, 1, 1)])
 
     assert all(recurrence_check(spec, tree, 2) for spec, tree in trees)
     monkeypatch.setattr(ph, "tau_form", broken_tau_form)
