@@ -576,19 +576,11 @@ def slots(packed: int, width: int) -> list[int]:
 def repacked(terms: Mapping, width: int, wider: int, divisor: int = 1) -> dict:
     """The packed ints of `terms` moved from `width` to `wider` bits a slot,
     each slot divided by `divisor`, which divides every slot."""
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    full = mask + 1
     out = {}
     for i, v in terms.items():
-        packed, shift = 0, 0
-        while v:
-            w = v & mask
-            v >>= width
-            if w >= half:
-                w -= full
-                v += 1
-            packed += (w // divisor) << shift
-            shift += wider
+        packed = 0
+        for w in reversed(slots(v, width)):
+            packed = (packed << wider) + w // divisor
         out[i] = packed
     return out
 
@@ -693,10 +685,11 @@ def expr_terms(form: Form, xparts: Sequence | Mapping, exponents: Sequence) -> d
 def to_expr(basis: Basis, form: Form) -> MixedExpr:
     """The MixedExpr of a form on a basis over packed monomials, with one
     Fraction per distinct coefficient (`expr_terms`)."""
-    keys, monomials = basis.keys, basis.monomials
-    for i in form[3]:
-        if monomials[i] is None:
-            monomials[i] = basis.tables.monomial(keys[i][0])
+    keys, monomials, terms = basis.keys, basis.monomials, form[3]
+    if None in map(monomials.__getitem__, terms):
+        for i in terms:
+            if monomials[i] is None:
+                monomials[i] = basis.tables.monomial(keys[i][0])
     return MixedExpr._wrap(expr_terms(form, monomials, basis.exponents))
 
 
@@ -746,14 +739,15 @@ def tau_form(basis: Basis, form: Form, ahead: int = 1) -> Form:
             image = _basis_image(basis, i)
         for j, a in image:
             out[j] = get(j, 0) + v * a
+        if -half <= v < half:  # slot 0 alone: nothing to lower
+            continue
         lowered = v >> width
         if v & mask >= half:
             lowered += 1
-        if lowered:
-            twice = lowered >> width
-            if lowered & mask >= half:
-                twice += 1
-            out[i] = get(i, 0) + lowered * logs[i] + twice * s
+        twice = lowered >> width
+        if lowered & mask >= half:
+            twice += 1
+        out[i] = get(i, 0) + lowered * logs[i] + twice * s
     if 0 in out.values():
         out = {j: v for j, v in out.items() if v}
     return d * s, width, bound * factor, out
