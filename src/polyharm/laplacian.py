@@ -550,8 +550,9 @@ def pack_form(d: int, terms: dict[int, int], higher: list, headroom: int = 1) ->
     times their bound; `terms` becomes the form's.  Slot 0 needs no width,
     so a form without logs is packed as it is read."""
     bound = max(map(abs, terms.values()), default=0)
-    if higher:
-        bound = max(bound, *(abs(w) for _, _, w in higher))
+    for _, _, w in higher:
+        if abs(w) > bound:
+            bound = abs(w)
     width = _width(bound * headroom)
     for i, k, w in higher:
         terms[i] += w << width * k
@@ -685,11 +686,10 @@ def expr_terms(form: Form, xparts: Sequence | Mapping, exponents: Sequence) -> d
 def to_expr(basis: Basis, form: Form) -> MixedExpr:
     """The MixedExpr of a form on a basis over packed monomials, with one
     Fraction per distinct coefficient (`expr_terms`)."""
-    keys, monomials, terms = basis.keys, basis.monomials, form[3]
-    if None in map(monomials.__getitem__, terms):
-        for i in terms:
-            if monomials[i] is None:
-                monomials[i] = basis.tables.monomial(keys[i][0])
+    keys, monomials = basis.keys, basis.monomials
+    for i in form[3]:
+        if monomials[i] is None:
+            monomials[i] = basis.tables.monomial(keys[i][0])
     return MixedExpr._wrap(expr_terms(form, monomials, basis.exponents))
 
 
