@@ -576,12 +576,20 @@ def slots(packed: int, width: int) -> list[int]:
 
 def repacked(terms: Mapping, width: int, wider: int, divisor: int = 1) -> dict:
     """The packed ints of `terms` moved from `width` to `wider` bits a slot,
-    each slot divided by `divisor`, which divides every slot."""
+    each slot (a balanced residue, as `slots` reads it) divided by
+    `divisor`, which divides every slot."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
     out = {}
     for i, v in terms.items():
-        packed = 0
-        for w in reversed(slots(v, width)):
-            packed = (packed << wider) + w // divisor
+        packed = shift = 0
+        while v:
+            w = v & mask
+            v >>= width
+            if w >= half:
+                w -= mask + 1
+                v += 1
+            packed += (w // divisor) << shift
+            shift += wider
         out[i] = packed
     return out
 
