@@ -28,10 +28,10 @@ powers l^[k] = log(t)^k / k! of the log, and
 where L(x^m t^mu) = mu (mu - n) x^m t^mu + sum_k t^(mu + 2 lambda_k) (x-part
 at layer k) depends only on (m, mu); in the powers log(t)^k the two
 lowering terms carry k and k (k - 1), in the divided powers they carry
-nothing.  The operator moves an exponent only by
-2 lambda_k, so a computation has one unit q, each exponent an integer e over
-q: a tree's scale for tree forms, and for a MixedExpr the lcm of the scale
-and its exponent denominators (`to_form`).  A `Basis` holds one unit and
+nothing.  The operator moves an exponent only by 2 lambda_k, so a
+computation has one unit q, each exponent an integer e over q: a tree's
+scale for tree forms, and for a MixedExpr the lcm of the scale and its
+exponent denominators (`to_form`).  A `Basis` holds one unit and
 interns each (x-part, e) to an int id, the x-part a packed monomial or a
 tree state; per id it keeps L as ((id, numerator), ...) over s = lcm(image
 denominator, q^2) (`_basis_image`), the log factor (2 e - n q) s / q and
@@ -58,13 +58,14 @@ right if and only if it stays inside the balanced range.  So each kernel
 bounds its output slots before it keeps them:
 
 - `tau_form`.  Over d s, slot k of id j of the result is sum_i w_k[i]
-  L[i][j] + w_(k+1)[j] (2 e_j - n q) s / q + w_(k+2)[j] s: the image rows
-  times P, then P of j lowered once (its slot 0 stripped as a balanced
-  residue, then shifted) times the log factor and twice times s.  Its
-  magnitude is at most M (sum_i |L[i][j]| + |log factor of j| + s) <= M F,
-  F = s + sum over the input ids i of (|L[i]|_1 + |log factor of i|)
-  (`_factor`, each id's column norm memoized on the basis, each monomial
-  image's norm on the tables).  The result's bound is M F.
+  L[i][j] + w_(k+1)[j] (2 e_j - n q) s / q + w_(k+2)[j] s: each P times
+  the image L[i] of its id, then P of j lowered once (its slot 0 stripped
+  as a balanced residue, then shifted, exact because the input keeps the
+  invariant) times the log factor and twice times s.  Its magnitude is at
+  most M (sum_i |L[i][j]| + |log factor of j| + s) <= M F, F = s + the sum
+  over the input ids i of |L[i]|_1 + |log factor of i| (`_factor`, each
+  id's term memoized on the basis, each monomial image's norm on the
+  tables).  The result's bound is M F.
 - `pharmonic.realize`.  The slots of (f, e) are sums over states S of
   c_(S,f) w_k[S], at most M C, C the node table's largest column sum
   (`TensionTree._node_norm`).
@@ -122,7 +123,9 @@ monomials and image entries (`Tables.held`), and each basis its ids and
 basis-image entries (`Basis.held`), as they are added.  At the entry of a
 public call a memo holding `_MEMO_LIMIT` entries is emptied wholesale
 (`Tables.bound_images`, `bound_bases`), so ids stay valid for the whole of
-the call that made them.
+the call that made them.  The norm of a monomial's image (`Tables.norms`,
+at most one per image) and of an id's image (`Basis.norms`, one per id) go
+uncounted beside the entries they summarize and are emptied with them.
 
 The test suite cross-asserts `tau` against an independent frame-sum
 realization A(A(e)) + sum X^i_j(X^i_j(e)) - n t e_t built from the
@@ -702,10 +705,10 @@ def to_expr(basis: Basis, form: Form) -> MixedExpr:
 
 
 def _factor(basis: Basis, ids: Collection[int]) -> int:
-    """s + the sum over ids of the norm of their column: the sum of |entry|
-    over L, read off the x-part's image so that no image is made, plus
-    |log factor|.  No `tau_form` multiplies a slot bound by more (see the
-    module docstring)."""
+    """s + the sum over ids of |L|_1, the sum of |entry| over the id's image
+    read off its x-part's image so that no image is made, plus |log
+    factor|.  No `tau_form` multiplies a slot bound by more (see the module
+    docstring)."""
     norms = basis.norms
     if None in map(norms.__getitem__, ids):
         keys, logs, lift, tables = basis.keys, basis.logs, basis.lift, basis.tables

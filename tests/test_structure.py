@@ -21,9 +21,10 @@ neither `dataclasses` nor `inspect`.  LaTeX is spelled in one place: no
 module but `poly.py`, which holds the writer's style table, has a LaTeX
 token in a string constant.  The inner loops run on integers: the functions of
 `INTEGER_FUNCTIONS` name no Fraction (the operator kernel `tau_form`, the
-monomial images `_image` and the basis images `_basis_image`; the state
-rows, coefficients, realization and combinations of `pharmonic.py`; the tree
-expander and its depth bound), and the expander `_grow`, the polynomial
+monomial images `_image` and the basis images `_basis_image`, and the
+packed log powers: their slot bound `_factor`, their packing, reading and
+widening; the state rows, coefficients, realization and combinations of
+`pharmonic.py`; the tree expander and its depth bound), and the expander `_grow`, the polynomial
 children `_expand` and the radial child `_radial_child` of `tension.py` name
 no node-object type either.  The kernel, the two images and `_expand` run on
 packed monomials: they name no `Monomial` and call no `derivative` or
@@ -172,7 +173,10 @@ def confined_references(module: ast.Module) -> list[int]:
 NODE_OBJECTS = {"Fraction", "Polynomial", "RadialFunction", "RadialSeed", "AffinePart"}
 PACKED = {"Monomial", "derivative", "partial"}
 INTEGER_FUNCTIONS = {
-    "laplacian.py": dict.fromkeys(("tau_form", "_image", "_basis_image"), {"Fraction"} | PACKED),
+    "laplacian.py": {
+        **dict.fromkeys(("tau_form", "_image", "_basis_image", "_factor"), {"Fraction"} | PACKED),
+        **dict.fromkeys(("pack_form", "slots", "repacked", "widened"), {"Fraction"}),
+    },
     "pharmonic.py": dict.fromkeys(
         ("_rows", "_new_rows", "_coefficients", "realize", "_combination"), {"Fraction"}
     ),
