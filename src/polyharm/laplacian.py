@@ -51,7 +51,7 @@ by Kronecker substitution 2^B for the divided power (Kronecker 1882; Harvey,
 J. Symbolic Comput. 44 (2009) 1502-1510).  The invariant is |w_k| <= M <
 2^(B - 1) for every slot, so each w_k is a balanced residue: w_0 is P mod
 2^B taken in [-2^(B - 1), 2^(B - 1)), (P - w_0) / 2^B holds the rest, and P
-determines its slots (`expr_terms` reads them, `widened` repacks them).
+determines its slots (`_expr_terms` reads them, `_widened` repacks them).
 Sums and integer multiples of packed ints pack the same sums and multiples
 of their slots, exactly, whatever the slots are; a slot sum is read back
 right if and only if it stays inside the balanced range.  So each kernel
@@ -71,12 +71,12 @@ bounds its output slots before it keeps them:
   (`TensionTree._node_norm`).
 - `pharmonic._combination`.  The slots of sum c_i f_i over a common
   denominator are at most sum |c_i| M_i; parts narrower than the sum's
-  width are repacked slot by slot (`repacked`).
+  width are repacked slot by slot (`_repacked`).
 
 Before a result is kept its bound is checked against 2^(B - 1).  When it
 fails, the input is reduced by the gcd of its denominator and every slot and
 repacked at the least width for `ahead` more products by the same factor
-(`widened`), and the kernel runs on that.  Nothing else picks a width: a
+(`_widened`), and the kernel runs on that.  Nothing else picks a width: a
 form is packed once at the least width for the iterates it is about to
 meet (`to_form` for a certificate's p iterates, `pharmonic._coefficients`
 for the node table and one iterate), and the iterates of a certificate
@@ -546,7 +546,7 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def pack_form(d: int, terms: dict[int, int], higher: list, headroom: int = 1) -> Form:
+def _pack_form(d: int, terms: dict[int, int], higher: list, headroom: int = 1) -> Form:
     """The form over d whose slot 0 of id i is terms[i] (0 for an id with
     only higher slots) and whose slot k > 0 is w for each (i, k, w) of
     `higher`, one per (i, k), at the least width that holds `headroom`
@@ -562,7 +562,7 @@ def pack_form(d: int, terms: dict[int, int], higher: list, headroom: int = 1) ->
     return d, width, bound, terms
 
 
-def slots(packed: int, width: int) -> list[int]:
+def _slots(packed: int, width: int) -> list[int]:
     """w_0, w_1, ... of a packed int, up to its highest nonzero slot: each
     the balanced residue of what is left mod 2^width, taken off before the
     shift."""
@@ -577,9 +577,9 @@ def slots(packed: int, width: int) -> list[int]:
     return out
 
 
-def repacked(terms: Mapping, width: int, wider: int, divisor: int = 1) -> dict:
+def _repacked(terms: Mapping, width: int, wider: int, divisor: int = 1) -> dict:
     """The packed ints of `terms` moved from `width` to `wider` bits a slot,
-    each slot (a balanced residue, as `slots` reads it) divided by
+    each slot (a balanced residue, as `_slots` reads it) divided by
     `divisor`, which divides every slot."""
     mask, half = (1 << width) - 1, 1 << (width - 1)
     out = {}
@@ -597,17 +597,17 @@ def repacked(terms: Mapping, width: int, wider: int, divisor: int = 1) -> dict:
     return out
 
 
-def widened(form: Form, factor: int, ahead: int = 1) -> Form:
+def _widened(form: Form, factor: int, ahead: int = 1) -> Form:
     """The form reduced by the gcd of its denominator and every slot, and
     repacked wide enough for `ahead` products of its bound by `factor`: what
     a kernel does with a form whose bound times its factor passes its slots
     (see the module docstring)."""
     d, width, _, terms = form
-    every = [w for v in terms.values() for w in slots(v, width)]
+    every = [w for v in terms.values() for w in _slots(v, width)]
     g = gcd(d, *every)
     bound = max(map(abs, every), default=0) // g
     wider = _width(bound * factor**ahead)
-    return d // g, wider, bound, repacked(terms, width, wider, g)
+    return d // g, wider, bound, _repacked(terms, width, wider, g)
 
 
 def to_form(tables: Tables, e: MixedExpr, ahead: int = 0) -> tuple[Basis, Form]:
@@ -643,10 +643,10 @@ def to_form(tables: Tables, e: MixedExpr, ahead: int = 0) -> tuple[Basis, Form]:
         else:
             constant[i] = w
     headroom = _factor(basis, constant) ** ahead if ahead else 1
-    return basis, pack_form(d, constant, higher, headroom)
+    return basis, _pack_form(d, constant, higher, headroom)
 
 
-def expr_terms(form: Form, xparts: Sequence | Mapping, exponents: Sequence) -> dict:
+def _expr_terms(form: Form, xparts: Sequence | Mapping, exponents: Sequence) -> dict:
     """{(xparts[key], exponents[key], k): coefficient of log(t)^k} over every
     nonzero slot of a form.  Each coefficient w / (d k!) is made once per
     value, cached by its numerator over d: w / k! as an int when k! divides
@@ -696,12 +696,12 @@ def expr_terms(form: Form, xparts: Sequence | Mapping, exponents: Sequence) -> d
 
 def to_expr(basis: Basis, form: Form) -> MixedExpr:
     """The MixedExpr of a form on a basis over packed monomials, with one
-    Fraction per distinct coefficient (`expr_terms`)."""
+    Fraction per distinct coefficient (`_expr_terms`)."""
     keys, monomials = basis.keys, basis.monomials
     for i in form[3]:
         if monomials[i] is None:
             monomials[i] = basis.tables.monomial(keys[i][0])
-    return MixedExpr._wrap(expr_terms(form, monomials, basis.exponents))
+    return MixedExpr._wrap(_expr_terms(form, monomials, basis.exponents))
 
 
 def _factor(basis: Basis, ids: Collection[int]) -> int:
@@ -732,14 +732,14 @@ def tau_form(basis: Basis, form: Form, ahead: int = 1) -> Form:
     id, and its slots lowered once times (2 e - n q) s / q and twice times
     s to its own id, every log power in one product.  The slot bound is
     checked first: when its bound times `_factor` of its ids does not fit
-    its slots, the form is reduced and repacked (`widened`) wide enough for
+    its slots, the form is reduced and repacked (`_widened`) wide enough for
     `ahead` iterates."""
     d, width, bound, terms = form
     if not terms:
         return form
     factor = _factor(basis, terms)
     if (bound * factor).bit_length() >= width:
-        d, width, bound, terms = widened(form, factor, ahead)
+        d, width, bound, terms = _widened(form, factor, ahead)
     images, logs, s = basis.images, basis.logs, basis.s
     mask, half = (1 << width) - 1, 1 << (width - 1)
     out: dict[int, int] = {}

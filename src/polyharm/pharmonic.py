@@ -72,7 +72,7 @@ from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, Resonance, ZeroCombination
 from .expr import MixedExpr
 from .laplacian import (
-    Basis, Form, Tables, _width, bound_bases, expr_terms, pack_form, repacked, widened,
+    Basis, Form, Tables, _expr_terms, _pack_form, _repacked, _widened, _width, bound_bases,
     tables_of, tau_form, to_expr, to_form,
 )
 from .poly import _LATEX, Monomial, Sparse, _label, _Style
@@ -261,7 +261,7 @@ def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> tuple[
             constant.setdefault(i, 0)
         else:
             constant[i] = w
-    return basis, pack_form(d, constant, higher)
+    return basis, _pack_form(d, constant, higher)
 
 
 def _symbols(tree: TensionTree, basis: Basis, form: Form) -> NodeSymbolExpr:
@@ -270,7 +270,7 @@ def _symbols(tree: TensionTree, basis: Basis, form: Form) -> NodeSymbolExpr:
     one, keys, states = Monomial.one(), basis.keys, tree.states
     least = {i: states[keys[i][0]].least for i in form[3]}
     out: dict[MultiIndex, dict] = {}
-    for (alpha, exponent, k), c in expr_terms(form, least, basis.exponents).items():
+    for (alpha, exponent, k), c in _expr_terms(form, least, basis.exponents).items():
         out.setdefault(alpha, {})[(one, exponent, k)] = c
     return NodeSymbolExpr._wrap({alpha: MixedExpr._wrap(c) for alpha, c in out.items()})
 
@@ -493,12 +493,12 @@ def realize(tree: TensionTree, basis: Basis, form: Form) -> Form:
     basis: sum_S c_S(t) * node_S on integers over the node table, keyed by
     (node basis index, t-exponent), every log power in one product, after
     the slot bound times the table's (`TensionTree._node_norm`) is checked
-    (`laplacian.widened`).  The node basis functions are linearly independent,
+    (`laplacian._widened`).  The node basis functions are linearly independent,
     so the form has no terms exactly when the function is zero."""
     norm = tree._node_norm
     w, width, bound, terms = form
     if (bound * norm).bit_length() >= width:
-        w, width, bound, terms = widened(form, norm)
+        w, width, bound, terms = _widened(form, norm)
     d, _, nodes = tree.integer_nodes
     keys = basis.keys
     out: dict[tuple[int, int], int] = {}
@@ -626,7 +626,7 @@ def _combination(parts: list[tuple[Form, int, int]]) -> Form:
     get = total.get
     for ((_, part_width, _, terms), _, _), scale in zip(parts, scales):
         if part_width != width:
-            terms = repacked(terms, part_width, width)
+            terms = _repacked(terms, part_width, width)
         for i, v in terms.items():
             total[i] = get(i, 0) + v * scale
     return common, width, bound, {i: v for i, v in total.items() if v}

@@ -175,7 +175,7 @@ PACKED = {"Monomial", "derivative", "partial"}
 INTEGER_FUNCTIONS = {
     "laplacian.py": {
         **dict.fromkeys(("tau_form", "_image", "_basis_image", "_factor"), {"Fraction"} | PACKED),
-        **dict.fromkeys(("pack_form", "slots", "repacked", "widened"), {"Fraction"}),
+        **dict.fromkeys(("_pack_form", "_slots", "_repacked", "_widened"), {"Fraction"}),
     },
     "pharmonic.py": dict.fromkeys(
         ("_rows", "_new_rows", "_coefficients", "realize", "_combination"), {"Fraction"}
