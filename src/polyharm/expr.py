@@ -347,13 +347,13 @@ class _Parser:
             rational = False
             nxt = self.toks.peek()
             if nxt and nxt[:2] == ("op", "/"):
-                den = self._denominator()
+                den = self._divisor()
                 rational = True
             self.toks.expect_op(")")
             return Fraction(sign * num, den), rational or sign < 0
         raise ParseError(f"bad exponent {tok[1]!r}", tok[2])
 
-    def _denominator(self) -> int:
+    def _divisor(self) -> int:
         """Consume "/" and a positive integer literal after it."""
         self.toks.next()
         dtok = self.toks.next()
@@ -371,7 +371,7 @@ class _Parser:
             num = decimal_int(value, pos)
             nxt = self.toks.peek()
             if nxt and nxt[:2] == ("op", "/"):
-                return (Fraction(num, self._denominator()), _ONE_MONO, _ZERO, 0), "const"
+                return (Fraction(num, self._divisor()), _ONE_MONO, _ZERO, 0), "const"
             return (Fraction(num), _ONE_MONO, _ZERO, 0), "const"
         if kind == "ident":
             if value == "t":

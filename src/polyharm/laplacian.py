@@ -42,7 +42,12 @@ two lowerings.  A tree's basis takes its state images, the tree rule
 tau(h_S) = sum_k h_(S,k) t^(2 lambda_k), in place of the monomial images.
 `tau` is the operator on MixedExpr, for the public API only; `tension` and
 `pharmonic` work on forms, so Fractions appear only where a polynomial, a
-MixedExpr or a node-symbol sum crosses the public API.
+MixedExpr or a node-symbol sum crosses the public API.  There they go
+through their two slots: `to_form` (and `pharmonic._symbol_form`) reads
+`_numerator` and `_denominator` of each coefficient and exponent, and
+`_expr_terms` makes each distinct coefficient with `scalar._fraction`, one
+gcd and two slot writes, because the constructor's checks and the property
+calls cost more than the arithmetic of a conversion.
 
 Packed log powers.  A form (d, B, M, {id: P}) holds the function sum over
 ids of (P's slots) / d, P = sum_k w_k 2^(B k) one signed int, w_k the
@@ -71,15 +76,17 @@ bounds its output slots before it keeps them:
   (`TensionTree._node_norm`).
 - `pharmonic._combination`.  The slots of sum c_i f_i over a common
   denominator are at most sum |c_i| M_i; parts narrower than the sum's
-  width are repacked slot by slot (`_repacked`).
+  width are repacked slot by slot (`_repacked`), which a recurrence check
+  avoids by packing its members at the sum's width.
 
 Before a result is kept its bound is checked against 2^(B - 1).  When it
 fails, the input is reduced by the gcd of its denominator and every slot and
 repacked at the least width for `ahead` more products by the same factor
 (`_widened`), and the kernel runs on that.  Nothing else picks a width: a
 form is packed once at the least width for the iterates it is about to
-meet (`to_form` for a certificate's p iterates, `pharmonic._coefficients`
-for the node table and one iterate), and the iterates of a certificate
+meet (`to_form` for a certificate's p iterates, `pharmonic._member` for
+the node table and one iterate, `pharmonic._recurrence_holds` for one
+iterate and the sum), and the iterates of a certificate
 stay packed and unreduced until the two residuals are read.
 
 Packed monomials.  Inside the kernel a monomial is one int, its exponent
@@ -145,7 +152,7 @@ from .algebra import AlgebraSpec, VarIndex
 from .errors import IndexOutOfRange
 from .expr import MixedExpr
 from .poly import Monomial, Polynomial
-from .scalar import _acc
+from .scalar import _acc, _fraction
 
 
 def bernoulli(r: int) -> Fraction:
@@ -619,8 +626,8 @@ def to_form(tables: Tables, e: MixedExpr, ahead: int = 0) -> tuple[Basis, Form]:
     (`Tables.admit`) and starts again, so it is called only at the entry of
     a public call."""
     terms = e.terms
-    d = lcm(*{c.denominator for c in terms.values()})
-    q = lcm(tables.scale, *{mu.denominator for _, mu, _ in terms})
+    d = lcm(*{c._denominator for c in terms.values()})
+    q = lcm(tables.scale, *{mu._denominator for _, mu, _ in terms})
     basis = tables.basis(q)
     find_monomial, find = tables.packed.get, basis.ids.get
     constant: dict[int, int] = {}
@@ -632,11 +639,11 @@ def to_form(tables: Tables, e: MixedExpr, ahead: int = 0) -> tuple[Basis, Form]:
             if x is None:
                 tables.admit(max(tables.weight(m) for m, _, _ in terms))
                 return to_form(tables, e, ahead)
-        key = (x, mu.numerator * (q // mu.denominator))
+        key = (x, mu._numerator * (q // mu._denominator))
         i = find(key)
         if i is None:
             i = basis.intern(*key)
-        w = c.numerator * (d // c.denominator)
+        w = c._numerator * (d // c._denominator)
         if k:
             higher.append((i, k, factorial(k) * w))
             constant.setdefault(i, 0)
@@ -666,7 +673,7 @@ def _expr_terms(form: Form, xparts: Sequence | Mapping, exponents: Sequence) -> 
         if -half <= v < half:  # slot 0 alone: no log
             c = find(v)
             if c is None:
-                c = cache[v] = Fraction(v, d)
+                c = cache[v] = _fraction(v, d)
             out[(xpart, exponent, 0)] = c
             continue
         while v:
@@ -688,7 +695,7 @@ def _expr_terms(form: Form, xparts: Sequence | Mapping, exponents: Sequence) -> 
                         value = (w // g, f // g)
                 c = find(value)
                 if c is None:
-                    c = cache[value] = Fraction(w, denominators[k])
+                    c = cache[value] = _fraction(w, denominators[k])
                 out[(xpart, exponent, k)] = c
             k += 1
     return out

@@ -26,11 +26,12 @@ tree's basis of (state, t-exponent) at its scale (`_states_basis`, kept in
 holds its log powers as the divided powers log(t)^k / k! packed into one
 int per id (`laplacian`), so the weight of log(t)^(p-1-j), (-2)^j
 (p-1)...(p-j), becomes (-2)^j (p-1)! on log(t)^(p-1-j) / (p-1-j)!, one
-factor for every slot (`_weights`).  A state's coefficient is packed once
-per order, wide enough for the node table and for one operator step
-(`_Rows.headroom`).  Every member, phi, psi or a combination a*phi + b*psi
-summed on integers, comes from the one assembly `_member`, where builds and
-certificates start.  One substitution puts the nodes in, for both tree
+factor for every slot (`_weights`).  A state's weighted row is kept per
+order and packed into one int (`_packed`) wide enough for the node table
+and for one operator step (`_Rows.headroom`), or, in a recurrence check,
+for the sum of its three members.  Every member, phi, psi or a
+combination a*phi + b*psi summed on integers, comes from the one assembly
+`_member`, where builds and certificates start.  One substitution puts the nodes in, for both tree
 kinds: `realize` runs on integers over the tree's node table
 (`TensionTree.integer_nodes`), keyed by (node basis function, t-exponent)
 with every log power in one product, and never asks what a node is.  A
@@ -124,7 +125,7 @@ class _Rows:
     ) -> None:
         self.resonant, self.exponents, self.steps, self.u = resonant, exponents, steps, u
         self.headroom = headroom
-        self.weighted: dict[int, Form] = {}  # see `_coefficients`
+        self.weighted: dict[int, _Coefficients] = {}  # see `_coefficients`
 
 
 def _rows(tables: Tables, tree: TensionTree, p: int, family: str) -> _Rows:
@@ -248,14 +249,14 @@ def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> tuple[
             if mono.exps:
                 raise ValueError("node-symbol coefficients must be t-only")
             _acc(acc, (s, mu, k), c)
-    d = lcm(*(c.denominator for c in acc.values()))
-    q = lcm(tree.scale, *(mu.denominator for _, mu, _ in acc))
+    d = lcm(*(c._denominator for c in acc.values()))
+    q = lcm(tree.scale, *(mu._denominator for _, mu, _ in acc))
     basis = _states_basis(tables, tree, q)
     constant: dict[int, int] = {}
     higher = []
     for (s, mu, k), c in acc.items():
-        i = basis.intern(s, mu.numerator * (q // mu.denominator))
-        w = c.numerator * (d // c.denominator)
+        i = basis.intern(s, mu._numerator * (q // mu._denominator))
+        w = c._numerator * (d // c._denominator)
         if k:
             higher.append((i, k, factorial(k) * w))
             constant.setdefault(i, 0)
@@ -349,16 +350,16 @@ def _member(
 ) -> Form:
     """The member `kind` of order p on the tree's basis at its scale
     (`_states_basis`), the one assembly of every build, certificate and
-    recurrence check: the state rows times their weights (`_coefficients`)
-    for phi or psi, and a*phi + b*psi on integers (`_combination`), phi
-    first, so Resonance comes before ZeroCombination."""
+    recurrence check: the state rows times their weights (`_coefficients`),
+    packed with the family's headroom (`_packed`), for phi or psi, and
+    a*phi + b*psi on integers (`_combination`), phi first, so Resonance
+    comes before ZeroCombination."""
     _check_p(p)
     if kind != "combo":
         if kind not in ("phi", "psi"):
             raise ValueError(f"unknown family {kind!r}: phi, psi or combo")
-        exponents, (w, width, bound, states) = _coefficients(basis.tables, tree, p, kind)
-        intern = basis.intern
-        return w, width, bound, {intern(s, exponents[s]): v for s, v in states.items()}
+        rows, coefficients = _coefficients(basis.tables, tree, p, kind)
+        return _packed(basis, rows, coefficients, _width(coefficients[1] * rows.headroom))
     phi, psi = (_member(basis, tree, p, family) for family in ("phi", "psi"))
     a, b = Fraction(a), Fraction(b)
     if not (a or b):
@@ -366,23 +367,23 @@ def _member(
     return _combination([(phi, a.numerator, a.denominator), (psi, b.numerator, b.denominator)])
 
 
-# A family member's coefficients: (t-exponent per state over the tree's
-# scale, a form keyed by state over W); the coefficient of state S is sum_j
-# w_j U_S[j] t^exponent log(t)^(p-1-j) / (p-1-j)!, w_j = `_weights(p)[j]`,
-# packed as one int per state.
-_Coefficients = tuple[list[int], Form]
+# The coefficients of a family member of order p: (W, bound, numerators),
+# numerators[S] the row of state S over W, sum_j w_j U_S[j] for log(t)^(p-1-j)
+# / (p-1-j)! from j = 0 (log power p - 1) up, w_j = `_weights(p)[j]`, and
+# bound the largest of their absolute values.
+_Coefficients = tuple[int, int, list[list[int]]]
 
 # How many orders' weighted rows a tree keeps per family: a recurrence check
 # at p reads p, p - 1 and p - 2, the builds before it p.
 _WEIGHTED_ORDERS = 3
 
 
-def _coefficients(tables: Tables, tree: TensionTree, p: int, family: str) -> _Coefficients:
-    """The coefficient of order p of every state: its rows (`_rows`) and
-    weights over their common denominator W, packed with the family's
-    headroom (`_new_rows`), so that neither `realize` nor one `tau_form`
-    widens them, and kept for the last `_WEIGHTED_ORDERS` orders asked
-    for."""
+def _coefficients(
+    tables: Tables, tree: TensionTree, p: int, family: str
+) -> tuple[_Rows, _Coefficients]:
+    """The rows of the family (`_rows`) and the coefficients of order p of
+    every state, their rows and weights over their common denominator W,
+    kept for the last `_WEIGHTED_ORDERS` orders asked for."""
     rows = _rows(tables, tree, p, family)
     weighted = rows.weighted.get(p)
     if weighted is None:
@@ -392,18 +393,26 @@ def _coefficients(tables: Tables, tree: TensionTree, p: int, family: str) -> _Co
             [n * (w // d) * weights[j] for j, (n, d) in enumerate(row[:p])] for row in rows.u
         ]
         bound = max(map(abs, chain.from_iterable(numerators)))
-        width = _width(bound * rows.headroom)
-        packed = {}
-        for s, row in enumerate(numerators):
-            v = 0
-            for u in row:  # from log power p - 1 down
-                v = (v << width) + u
-            if v:
-                packed[s] = v
-        weighted = rows.weighted[p] = w, width, bound, packed
+        weighted = rows.weighted[p] = w, bound, numerators
         if len(rows.weighted) > _WEIGHTED_ORDERS:
             del rows.weighted[next(iter(rows.weighted))]
-    return rows.exponents, weighted
+    return rows, weighted
+
+
+def _packed(basis: Basis, rows: _Rows, coefficients: _Coefficients, width: int) -> Form:
+    """The member of the coefficients on the tree's basis, each state's row
+    packed into one int of `width` bits a slot, keyed by the id of (state,
+    its exponent)."""
+    w, bound, numerators = coefficients
+    intern, exponents = basis.intern, rows.exponents
+    packed = {}
+    for s, row in enumerate(numerators):
+        v = 0
+        for u in row:  # from log power p - 1 down
+            v = (v << width) + u
+        if v:
+            packed[intern(s, exponents[s])] = v
+    return w, width, bound, packed
 
 
 # --- certification ---
@@ -596,31 +605,51 @@ def _recurrence_holds(
 ) -> bool:
     """The identity of one family: tau(f_p) minus the scaled lower members,
     as (form, coefficient numerator, coefficient denominator) parts on the
-    tree's basis, summed on integers (`_combination`).  The tree rule holds
-    by construction, so a sum that vanishes state by state is a proof; one
-    that does not is decided on its realization (`realize`), since distinct
-    states may carry dependent nodes."""
-    def member(order: int) -> Form:
-        return _member(basis, tree, order, family)
-
+    tree's basis, summed on integers (`_combination`).  The three members are
+    packed from their rows at one width, the least that holds the sum with
+    tau's factor taken at the family's headroom, so neither `tau_form` nor
+    the sum repacks a part.  The tree rule holds by construction, so a sum
+    that vanishes state by state is a proof; one that does not is decided on
+    its realization (`realize`), since distinct states may carry dependent
+    nodes."""
     tables = basis.tables
-    parts = [(tau_form(basis, member(p)), 1, 1)]
+    scaled = [(p, 1, 1)]
     if p >= 2:  # n = tables.n / scale
-        parts.append((member(p - 1), -sign * (p - 1) * tables.n, tables.scale))
+        scaled.append((p - 1, -sign * (p - 1) * tables.n, tables.scale))
     if p >= 3:
-        parts.append((member(p - 2), -(p - 1) * (p - 2), 1))
-    residual = _combination(parts)
+        scaled.append((p - 2, -(p - 1) * (p - 2), 1))
+    members = [_coefficients(tables, tree, order, family) for order, _, _ in scaled]
+    rows = members[0][0]
+    sizes = [(w, bound, c_num, c_den)
+             for (_, (w, bound, _)), (_, c_num, c_den) in zip(members, scaled)]
+    # tau_form multiplies the first member's denominator by s and its bound
+    # by at most the headroom
+    w, bound, _, _ = sizes[0]
+    sizes[0] = (w * basis.s, bound * rows.headroom, 1, 1)
+    width = _width(_scales(sizes)[2])
+    forms = [_packed(basis, rows, member, width) for _, member in members]
+    forms[0] = tau_form(basis, forms[0])
+    residual = _combination([(f, c_num, c_den) for f, (_, c_num, c_den) in zip(forms, scaled)])
     return not residual[3] or not realize(tree, basis, residual)[3]
+
+
+def _scales(sizes: list[tuple[int, int, int, int]]) -> tuple[int, list[int], int]:
+    """For a sum of c * f over parts given as (denominator of f, bound of f,
+    numerator of c, denominator of c): the lcm of each form's denominator
+    times its coefficient's, the integer each part's slots are multiplied by
+    over it, and the sum of |that integer| times the part's bound, which
+    bounds every slot of the sum."""
+    common = lcm(*(d * c_den for d, _, _, c_den in sizes))
+    scales = [c_num * (common // (d * c_den)) for d, _, c_num, c_den in sizes]
+    return common, scales, sum(abs(scale) * size[1] for size, scale in zip(sizes, scales))
 
 
 def _combination(parts: list[tuple[Form, int, int]]) -> Form:
     """The sum of c * f over the parts (f, numerator of c, denominator of c),
     forms on one basis, cross-multiplied over the lcm of each form's
-    denominator times its coefficient's, at the widest part's width unless
-    the bound of the sum needs more, zero terms dropped."""
-    common = lcm(*(form[0] * c_den for form, _, c_den in parts))
-    scales = [c_num * (common // (form[0] * c_den)) for form, c_num, c_den in parts]
-    bound = sum(abs(scale) * form[2] for (form, _, _), scale in zip(parts, scales))
+    denominator times its coefficient's (`_scales`), at the widest part's
+    width unless the bound of the sum needs more, zero terms dropped."""
+    common, scales, bound = _scales([(f[0], f[2], c_num, c_den) for f, c_num, c_den in parts])
     width = max(_width(bound), *(form[1] for form, _, _ in parts))
     total: dict[int, int] = {}
     get = total.get

@@ -4,13 +4,20 @@ All coefficients in the package are `fractions.Fraction` values; this module
 adds the strict forms used by the JSON interfaces: rationals as "p" or "p/q"
 with a positive denominator and no decimal points, and integer fields that
 are never truncated.  It also holds `_acc`, the one accumulate step of every
-sparse sum in the package.
+sparse sum in the package, and `_fraction`, the one place a Fraction is made
+through its two slots, `_numerator` and `_denominator`: the integer forms
+leave for the public API by way of `laplacian._expr_terms`, one Fraction per
+distinct coefficient, and there the constructor's type checks and sign
+handling cost more than the gcd that is the work.  The slots are read only
+where a MixedExpr enters a form (`laplacian.to_form`,
+`pharmonic._symbol_form`), for the same reason.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import BudgetExceeded, ParseError
@@ -31,6 +38,20 @@ def _acc(out: dict, key, value) -> None:
         out[key] = value
     else:
         out.pop(key, None)
+
+
+_new = object.__new__
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for ints n and d > 0: reduced by their gcd and filled
+    in through its two slots, with none of the constructor's checks."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    f = _new(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
 
 
 def decimal_int(text: str, position: int | None = None) -> int:

@@ -12,7 +12,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -20,6 +20,7 @@ from polyharm import (
     AffinePart,
     MixedExpr,
     NodeSymbolExpr,
+    Polynomial,
     RadialFunction,
     RadialSeed,
     Resonance,
@@ -43,7 +44,7 @@ from polyharm.laplacian import tables_of, tau_form
 from polyharm.pharmonic import _member, _states_basis, _symbols
 from polyharm.poly import Monomial
 
-from conftest import random_mixed_expr
+from conftest import SWEEP, random_mixed_expr
 from oracles import (
     build_by_branches,
     certificate_by_partials,
@@ -172,6 +173,25 @@ def test_recurrence_matches_expression_oracle(name, seed, p_max):
     tree = tree_of(spec, seed)
     for p in range(1, 9):
         assert recurrence_check(spec, tree, p) == recurrence_by_exprs(spec, tree, p)
+
+
+def test_recurrence_packs_its_members_at_one_width(monkeypatch):
+    # on the sweep's trees, the three members of each identity are packed
+    # from their rows at the width of their sum: neither the kernel nor the
+    # sum repacks a part
+    repacked = []
+    for module in (laplacian, pharmonic):
+        original = module._repacked
+        monkeypatch.setattr(module, "_repacked", lambda *a, f=original: repacked.append(a) or f(*a))
+    checked = 0
+    for name in ("rh2", "rh4", "ch2", "ch3", "ch4"):
+        spec = spec_of(name)
+        for seed in SWEEP.seed_pool(name, spec, 10, 1):
+            tree = tension_tree(spec, seed)
+            for p in range(1, 7):
+                assert recurrence_check(spec, tree, p)
+                checked += 1
+    assert checked > 300 and repacked == []
 
 
 @pytest.mark.parametrize("name, seed, p_max", TREES, ids=TREE_IDS)
@@ -384,6 +404,125 @@ def test_conversions_invert_each_other_on_fresh_and_warm_tables():
         spec = spec_of(name)
         for _ in range(2):
             assert_converts_term_by_term(spec, parse(text, spec))
+
+
+# --- the inputs the slot readers take and the Fractions the maker makes ---
+
+def constructed_exprs(spec):
+    """MixedExprs of ch2 from every public constructor: the parser, constants,
+    a polynomial at an int and at a Fraction exponent, the dict constructor
+    on ints, and sums, differences, products and scalar multiples of them."""
+    poly = parse_polynomial("x^2 - 2/3*z", spec)
+    parsed = parse("x*t^(-1/2)*log(t)^2 - 3/4*z", spec)
+    at_int = MixedExpr.from_polynomial(poly, 2, 1)
+    at_fraction = MixedExpr.from_polynomial(poly, Fraction(-1, 3))
+    constant = MixedExpr.constant(Fraction(-5, 6))
+    by_dict = MixedExpr({(Monomial.one(), 1, 2): 3})
+    return [
+        parsed, constant, MixedExpr.constant(3), MixedExpr.one(), at_int, at_fraction, by_dict,
+        parsed + at_int, at_fraction - constant, parsed * at_fraction, by_dict * poly,
+        at_int * 3, Fraction(2, 7) * parsed, -by_dict,
+    ]
+
+
+def test_constructed_expressions_certify_as_the_oracle():
+    # `to_form` reads the two slots of every coefficient and exponent, so
+    # each public way of making a MixedExpr must hand it Fractions
+    spec = spec_of("ch2")
+    for e in constructed_exprs(spec):
+        assert e.terms
+        for p in (1, 2, 3):
+            assert_matches_oracle(spec, e, p)
+        assert_converts_term_by_term(spec, e)
+
+
+def test_constructed_symbol_sums_certify_as_the_oracle():
+    # `_symbol_form` reads the same slots off a node-symbol sum's coefficients
+    spec, tree = next((spec, tree) for spec, tree in radial_cases() if len(tree.nodes) > 1)
+    alpha = max(tree.nodes)
+    e = NodeSymbolExpr({
+        (): MixedExpr.from_polynomial(Polynomial.one(), 2),
+        alpha: MixedExpr.constant(Fraction(-1, 2)) + parse("t^(1/2)*log(t)", spec),
+    })
+    sums = [e, e * 3, Fraction(-2, 5) * e, e + build_psi(spec, tree, 2), -e]
+    for e in sums:
+        for p in (1, 2, 3):
+            cert = verify_formal(spec, e, tree, p)
+            assert certificate_fields(cert) == formal_certificate(spec, tree, e, p)
+
+
+def assert_normalised(coefficients):
+    """Each coefficient a Fraction in lowest terms with a positive
+    denominator, hashing as the constructor's Fraction does."""
+    for c in coefficients:
+        n, d = c.numerator, c.denominator
+        assert type(c) is Fraction and type(n) is int and type(d) is int
+        assert d > 0 and gcd(n, d) == 1
+        assert hash(c) == hash(Fraction(n, d))
+
+
+def normalised_coefficients_checked(monkeypatch) -> int:
+    """Every coefficient the maker makes on the way out of a form
+    (`laplacian._expr_terms`, behind `to_expr` and `_symbols`) over the
+    builds, certificates and `tau` of `FLAT_CASES` and of radial trees,
+    checked (`assert_normalised`); the number checked."""
+    count = 0
+    expr_terms = laplacian._expr_terms
+
+    def checked(form, xparts, exponents):
+        nonlocal count
+        out = expr_terms(form, xparts, exponents)
+        assert_normalised(out.values())
+        count += len(out)
+        return out
+
+    cases = [(spec_of(name), seed, p_max) for name, seed, p_max in FLAT_CASES]
+    cases = [(spec, tree_of(spec, seed), p_max) for spec, seed, p_max in cases]
+    cases += [(spec, tree, 3) for spec, tree in list(radial_cases())[::10]]
+    with monkeypatch.context() as patch:
+        patch.setattr(laplacian, "_expr_terms", checked)
+        patch.setattr(pharmonic, "_expr_terms", checked)
+        for spec, tree, p_max in cases:
+            for p in range(1, p_max + 1):
+                for family in ("phi", "psi"):
+                    try:
+                        built = build(spec, tree, p, family)
+                    except Resonance:
+                        continue
+                    certify_family(spec, tree, p, family)
+                    if tree.kind == "polynomial":
+                        verify(spec, built, p)
+                        tau(spec, built)
+                    else:
+                        verify_formal(spec, built, tree, p)
+    return count
+
+
+NORMALISED_RUNNER = """
+import pytest
+from test_integer_form import normalised_coefficients_checked
+from polyharm import laplacian
+patch = pytest.MonkeyPatch()
+counts = [normalised_coefficients_checked(patch)]
+patch.setattr(laplacian, "_MEMO_LIMIT", 1)
+counts.append(normalised_coefficients_checked(patch))
+print(counts)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_every_coefficient_leaves_normalised(hash_seed):
+    # at the default memo bound and at 1, under two hash seeds
+    tests = os.path.dirname(os.path.abspath(__file__))
+    source = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join((source, tests)))
+    result = subprocess.run(
+        [sys.executable, "-c", NORMALISED_RUNNER], env=env, capture_output=True, text=True,
+        cwd=tests,
+    )
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout)
+    assert counts[0] == counts[1] > 10_000
 
 
 # --- radial trees: the kernel under the tree's images ---

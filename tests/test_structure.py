@@ -28,7 +28,10 @@ widening; the state rows, coefficients, realization and combinations of
 children `_expand` and the radial child `_radial_child` of `tension.py` name
 no node-object type either.  The kernel, the two images and `_expand` run on
 packed monomials: they name no `Monomial` and call no `derivative` or
-`partial`.
+`partial`.  A Fraction's two slots, `_numerator` and `_denominator`, are
+named only in `scalar.py`, which makes Fractions through them, and in the
+functions of `SLOT_READERS`, where a MixedExpr or a node-symbol sum enters a
+form.
 """
 
 import ast
@@ -178,7 +181,8 @@ INTEGER_FUNCTIONS = {
         **dict.fromkeys(("_pack_form", "_slots", "_repacked", "_widened"), {"Fraction"}),
     },
     "pharmonic.py": dict.fromkeys(
-        ("_rows", "_new_rows", "_coefficients", "realize", "_combination"), {"Fraction"}
+        ("_rows", "_new_rows", "_coefficients", "_packed", "realize", "_scales", "_combination"),
+        {"Fraction"},
     ),
     "tension.py": {
         **dict.fromkeys(("_grow", "_radial_child"), NODE_OBJECTS),
@@ -198,6 +202,33 @@ def banned_names(module: ast.Module, functions: dict[str, set[str]]) -> list[int
         for node in ast.walk(fn)
         if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
         in functions[fn.name]
+    )
+
+
+# the functions outside `scalar.py` that may read a Fraction's slots: the
+# two conversions from a public value to a form
+SLOT_READERS = {"laplacian.py": {"to_form"}, "pharmonic.py": {"_symbol_form"}}
+FRACTION_SLOTS = {"_numerator", "_denominator"}
+
+
+def slot_references(module: ast.Module, allowed: set[str]) -> list[int]:
+    """Lines that name, look up or spell out a Fraction slot outside the
+    functions of `allowed`."""
+    inside = {
+        id(node)
+        for fn in ast.walk(module)
+        if isinstance(fn, ast.FunctionDef) and fn.name in allowed
+        for node in ast.walk(fn)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(module)
+        if id(node) not in inside
+        and (
+            node.id if isinstance(node, ast.Name)
+            else node.value if isinstance(node, ast.Constant)
+            else getattr(node, "attr", None)
+        ) in FRACTION_SLOTS
     )
 
 
@@ -234,6 +265,10 @@ def test_source_structure(path):
     functions = INTEGER_FUNCTIONS.get(path.name, {})
     defined = {fn.name for fn in ast.walk(module) if isinstance(fn, ast.FunctionDef)}
     assert set(functions) <= defined
+    readers = SLOT_READERS.get(path.name, set())
+    assert readers <= defined
+    if path.name != "scalar.py":
+        assert slot_references(module, readers) == []
     assert banned_names(module, functions) == []
 
 
@@ -333,6 +368,21 @@ def test_packed_function_check_sees_a_monomial():
     assert banned_names(ast.parse(injected), functions) == [2, 4, 6, 8]
     allowed = "def _image(tables, m):\n    lowered = m - unit\n"
     assert banned_names(ast.parse(allowed), functions) == []
+
+
+def test_slot_check_sees_a_read_outside_the_boundary():
+    injected = (
+        "def to_form(tables, e):\n"
+        "    return c._numerator * (d // c._denominator)\n"
+        "def to_expr(basis, form):\n"
+        "    return f._numerator\n"
+        "d = getattr(c, '_denominator')\n"
+        "_numerator = 1\n"
+    )
+    assert slot_references(ast.parse(injected), {"to_form"}) == [4, 5, 6]
+    assert slot_references(ast.parse(injected), set()) == [2, 2, 4, 5, 6]
+    allowed = "def to_form(tables, e):\n    return c.numerator, c.denominator\n"
+    assert slot_references(ast.parse(allowed), set()) == []
 
 
 def test_latex_check_sees_a_token():
