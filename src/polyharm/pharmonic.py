@@ -639,9 +639,13 @@ def _scales(sizes: list[tuple[int, int, int, int]]) -> tuple[int, list[int], int
     times its coefficient's, the integer each part's slots are multiplied by
     over it, and the sum of |that integer| times the part's bound, which
     bounds every slot of the sum."""
-    common = lcm(*(d * c_den for d, _, _, c_den in sizes))
-    scales = [c_num * (common // (d * c_den)) for d, _, c_num, c_den in sizes]
-    return common, scales, sum(abs(scale) * size[1] for size, scale in zip(sizes, scales))
+    common = lcm(*[d * c_den for d, _, _, c_den in sizes])
+    scales, bound = [], 0
+    for d, part_bound, c_num, c_den in sizes:
+        scale = c_num * (common // (d * c_den))
+        scales.append(scale)
+        bound += abs(scale) * part_bound
+    return common, scales, bound
 
 
 def _combination(parts: list[tuple[Form, int, int]]) -> Form:
