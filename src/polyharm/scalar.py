@@ -40,16 +40,13 @@ def _acc(out: dict, key, value) -> None:
         out.pop(key, None)
 
 
-_new = object.__new__
-
-
 def _fraction(n: int, d: int) -> Fraction:
     """Fraction(n, d) for ints n and d > 0: reduced by their gcd and filled
     in through its two slots, with none of the constructor's checks."""
     g = gcd(n, d)
     if g != 1:
         n, d = n // g, d // g
-    f = _new(Fraction)
+    f = object.__new__(Fraction)
     f._numerator, f._denominator = n, d
     return f
 
