@@ -56,7 +56,8 @@ by Kronecker substitution 2^B for the divided power (Kronecker 1882; Harvey,
 J. Symbolic Comput. 44 (2009) 1502-1510).  The invariant is |w_k| <= M <
 2^(B - 1) for every slot, so each w_k is a balanced residue: w_0 is P mod
 2^B taken in [-2^(B - 1), 2^(B - 1)), (P - w_0) / 2^B holds the rest, and P
-determines its slots (`_expr_terms` reads them, `_widened` repacks them).
+determines its slots.  The one codec `_join`/`_slots` packs and reads
+them, by halves past `_LEAF` slots: O(K B log K) for K slots, not O(K^2 B).
 Sums and integer multiples of packed ints pack the same sums and multiples
 of their slots, exactly, whatever the slots are; a slot sum is read back
 right if and only if it stays inside the balanced range.  So each kernel
@@ -64,20 +65,19 @@ bounds its output slots before it keeps them:
 
 - `tau_form`.  Over d s, slot k of id j of the result is sum_i w_k[i]
   L[i][j] + w_(k+1)[j] (2 e_j - n q) s / q + w_(k+2)[j] s: each P times
-  the image L[i] of its id, then P of j lowered once (its slot 0 stripped
-  as a balanced residue, then shifted, exact because the input keeps the
-  invariant) times the log factor and twice times s.  Its magnitude is at
-  most M (sum_i |L[i][j]| + |log factor of j| + s) <= M F, F = s + the sum
-  over the input ids i of |L[i]|_1 + |log factor of i| (`_factor`, each
-  id's term memoized on the basis, each monomial image's norm on the
-  tables).  The result's bound is M F.
+  the image L[i] of its id, then P of j lowered once ((P + 2^(B - 1)) >>
+  B strips slot 0 as a balanced residue) times the log factor and twice
+  times s.  Its magnitude is at most M (sum_i |L[i][j]| + |log factor of
+  j| + s) <= M F, F = s + the sum over the input ids i of |L[i]|_1 + |log
+  factor of i| (`_factor`, each id's term memoized on the basis, each
+  monomial image's norm on the tables).  The result's bound is M F.
 - `pharmonic.realize`.  The slots of (f, e) are sums over states S of
   c_(S,f) w_k[S], at most M C, C the node table's largest column sum
   (`TensionTree._node_norm`).
 - `pharmonic._combination`.  The slots of sum c_i f_i over a common
   denominator are at most sum |c_i| M_i; parts narrower than the sum's
-  width are repacked slot by slot (`_repacked`), which a recurrence check
-  avoids by packing its members at the sum's width.
+  width are split and joined again, which a recurrence check avoids by
+  packing its members at the sum's width.
 
 Before a result is kept its bound is checked against 2^(B - 1).  When it
 fails, the input is reduced by the gcd of its denominator and every slot and
@@ -553,26 +553,34 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def _pack_form(d: int, terms: dict[int, int], higher: list, headroom: int = 1) -> Form:
-    """The form over d whose slot 0 of id i is terms[i] (0 for an id with
-    only higher slots) and whose slot k > 0 is w for each (i, k, w) of
-    `higher`, one per (i, k), at the least width that holds `headroom`
-    times their bound; `terms` becomes the form's.  Slot 0 needs no width,
-    so a form without logs is packed as it is read."""
-    bound = max(map(abs, terms.values()), default=0)
-    for _, _, w in higher:
-        if abs(w) > bound:
-            bound = abs(w)
-    width = _width(bound * headroom)
-    for i, k, w in higher:
-        terms[i] += w << width * k
-    return d, width, bound, terms
+# --- the slot codec: every packed int is joined and split here ---
+
+# The most slots joined or split one at a time: no form of order p <= 8 halves.
+_LEAF = 8
+
+
+def _join(slots: Sequence[int], width: int) -> int:
+    """sum_k slots[k] 2^(width k), by halves past `_LEAF` slots, so K slots
+    of B bits cost O(K B log K) (Brent and Zimmermann, Modern Computer
+    Arithmetic, 1.7)."""
+    if len(slots) > _LEAF:
+        mid = len(slots) // 2
+        return _join(slots[:mid], width) + (_join(slots[mid:], width) << width * mid)
+    packed = 0
+    for w in reversed(slots):
+        packed = (packed << width) + w
+    return packed
 
 
 def _slots(packed: int, width: int) -> list[int]:
-    """w_0, w_1, ... of a packed int, up to its highest nonzero slot: each
-    the balanced residue of what is left mod 2^width, taken off before the
-    shift."""
+    """The slots in [-2^(width - 1), 2^(width - 1)), width >= 2, that `_join`
+    packs, up to the highest nonzero one; past `_LEAF` slots the low half is
+    read off its low bits alone and its one slot of carry goes to the high."""
+    if packed.bit_length() > _LEAF * width:
+        mid = packed.bit_length() // width // 2
+        low = _slots(packed & ((1 << width * mid) - 1), width)
+        carry = low.pop() if len(low) > mid else 0
+        return low + [0] * (mid - len(low)) + _slots((packed >> width * mid) + carry, width)
     mask, half, out = (1 << width) - 1, 1 << (width - 1), []
     while packed:
         w = packed & mask
@@ -584,24 +592,28 @@ def _slots(packed: int, width: int) -> list[int]:
     return out
 
 
-def _repacked(terms: Mapping, width: int, wider: int, divisor: int = 1) -> dict:
-    """The packed ints of `terms` moved from `width` to `wider` bits a slot,
-    each slot (a balanced residue, as `_slots` reads it) divided by
-    `divisor`, which divides every slot."""
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    out = {}
-    for i, v in terms.items():
-        packed = shift = 0
-        while v:
-            w = v & mask
-            v >>= width
-            if w >= half:
-                w -= mask + 1
-                v += 1
-            packed += (w // divisor) << shift
-            shift += wider
-        out[i] = packed
-    return out
+def _pack_form(d: int, terms: dict[int, int], higher: list, headroom: int = 1) -> Form:
+    """The form over d whose slot 0 of id i is terms[i] (0 for an id with
+    only higher slots) and whose slot k > 0 is w for each (i, k, w) of
+    `higher`, one per (i, k), at the least width that holds `headroom`
+    times their bound; `terms` becomes the form's.  Slot 0 needs no width,
+    so an id without logs is kept as it is read."""
+    bound, rows = max(map(abs, terms.values()), default=0), {}
+    for i, k, w in higher:
+        if abs(w) > bound:
+            bound = abs(w)
+        row = rows.get(i)
+        if row is None:
+            rows[i] = [terms[i], *[0] * (k - 1), w]
+        elif k == len(row):
+            row.append(w)
+        else:
+            row += [0] * (k + 1 - len(row))
+            row[k] = w
+    width = _width(bound * headroom)
+    for i, row in rows.items():
+        terms[i] = _join(row, width)
+    return d, width, bound, terms
 
 
 def _widened(form: Form, factor: int, ahead: int = 1) -> Form:
@@ -610,11 +622,12 @@ def _widened(form: Form, factor: int, ahead: int = 1) -> Form:
     a kernel does with a form whose bound times its factor passes its slots
     (see the module docstring)."""
     d, width, _, terms = form
-    every = [w for v in terms.values() for w in _slots(v, width)]
+    rows = {i: _slots(v, width) for i, v in terms.items()}
+    every = [w for row in rows.values() for w in row]
     g = gcd(d, *every)
     bound = max(map(abs, every), default=0) // g
     wider = _width(bound * factor**ahead)
-    return d // g, wider, bound, _repacked(terms, width, wider, g)
+    return d // g, wider, bound, {i: _join([w // g for w in row], wider) for i, row in rows.items()}
 
 
 def to_form(tables: Tables, e: MixedExpr, ahead: int = 0) -> tuple[Basis, Form]:
@@ -661,27 +674,21 @@ def _expr_terms(form: Form, xparts: Sequence | Mapping, exponents: Sequence) -> 
     d, width, _, terms = form
     if not terms:
         return {}
-    mask, half = (1 << width) - 1, 1 << (width - 1)
-    full = mask + 1
+    half = 1 << (width - 1)
     cache: dict = {}
     find = cache.get
     factorials: list[int] = []
     denominators = [d, d]
     out = {}
     for key, v in terms.items():
-        xpart, exponent, k = xparts[key], exponents[key], 0
-        if -half <= v < half:  # slot 0 alone: no log
+        xpart, exponent = xparts[key], exponents[key]
+        if -half <= v < half:  # slot 0 alone: no log, no split
             c = find(v)
             if c is None:
                 c = cache[v] = _fraction(v, d)
             out[(xpart, exponent, 0)] = c
             continue
-        while v:
-            w = v & mask
-            v >>= width
-            if w >= half:
-                w -= full
-                v += 1
+        for k, w in enumerate(_slots(v, width)):
             if w:
                 value = w
                 if k > 1:
@@ -697,7 +704,6 @@ def _expr_terms(form: Form, xparts: Sequence | Mapping, exponents: Sequence) -> 
                 if c is None:
                     c = cache[value] = _fraction(w, denominators[k])
                 out[(xpart, exponent, k)] = c
-            k += 1
     return out
 
 
@@ -748,7 +754,7 @@ def tau_form(basis: Basis, form: Form, ahead: int = 1) -> Form:
     if (bound * factor).bit_length() >= width:
         d, width, bound, terms = _widened(form, factor, ahead)
     images, logs, s = basis.images, basis.logs, basis.s
-    mask, half = (1 << width) - 1, 1 << (width - 1)
+    half = 1 << (width - 1)
     out: dict[int, int] = {}
     get = out.get
     for i, v in terms.items():
@@ -759,13 +765,8 @@ def tau_form(basis: Basis, form: Form, ahead: int = 1) -> Form:
             out[j] = get(j, 0) + v * a
         if -half <= v < half:  # slot 0 alone: nothing to lower
             continue
-        lowered = v >> width
-        if v & mask >= half:
-            lowered += 1
-        twice = lowered >> width
-        if lowered & mask >= half:
-            twice += 1
-        out[i] = get(i, 0) + lowered * logs[i] + twice * s
+        lowered = (v + half) >> width
+        out[i] = get(i, 0) + lowered * logs[i] + ((lowered + half) >> width) * s
     if 0 in out.values():
         out = {j: v for j, v in out.items() if v}
     return d * s, width, bound * factor, out

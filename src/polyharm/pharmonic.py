@@ -73,7 +73,7 @@ from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, Resonance, ZeroCombination
 from .expr import MixedExpr
 from .laplacian import (
-    Basis, Form, Tables, _expr_terms, _pack_form, _repacked, _widened, _width, bound_bases,
+    Basis, Form, Tables, _expr_terms, _join, _pack_form, _slots, _widened, _width, bound_bases,
     tables_of, tau_form, to_expr, to_form,
 )
 from .poly import _LATEX, Monomial, Sparse, _label, _Style
@@ -368,9 +368,9 @@ def _member(
 
 
 # The coefficients of a family member of order p: (W, bound, numerators),
-# numerators[S] the row of state S over W, sum_j w_j U_S[j] for log(t)^(p-1-j)
-# / (p-1-j)! from j = 0 (log power p - 1) up, w_j = `_weights(p)[j]`, and
-# bound the largest of their absolute values.
+# numerators[S] the slots of state S over W, w_j U_S[j] for log(t)^(p-1-j) /
+# (p-1-j)! in slot p - 1 - j, from log power 0 up, w_j = `_weights(p)[j]`,
+# and bound the largest of their absolute values.
 _Coefficients = tuple[int, int, list[list[int]]]
 
 # How many orders' weighted rows a tree keeps per family: a recurrence check
@@ -390,7 +390,7 @@ def _coefficients(
         w = lcm(*(d for row in rows.u for _, d in row[:p]))
         weights = _weights(p)
         numerators = [
-            [n * (w // d) * weights[j] for j, (n, d) in enumerate(row[:p])] for row in rows.u
+            [n * (w // d) * weights[j] for j, (n, d) in enumerate(row[:p])][::-1] for row in rows.u
         ]
         bound = max(map(abs, chain.from_iterable(numerators)))
         weighted = rows.weighted[p] = w, bound, numerators
@@ -407,9 +407,7 @@ def _packed(basis: Basis, rows: _Rows, coefficients: _Coefficients, width: int) 
     intern, exponents = basis.intern, rows.exponents
     packed = {}
     for s, row in enumerate(numerators):
-        v = 0
-        for u in row:  # from log power p - 1 down
-            v = (v << width) + u
+        v = _join(row, width)
         if v:
             packed[intern(s, exponents[s])] = v
     return w, width, bound, packed
@@ -659,7 +657,7 @@ def _combination(parts: list[tuple[Form, int, int]]) -> Form:
     get = total.get
     for ((_, part_width, _, terms), _, _), scale in zip(parts, scales):
         if part_width != width:
-            terms = _repacked(terms, part_width, width)
+            terms = {i: _join(_slots(v, part_width), width) for i, v in terms.items()}
         for i, v in terms.items():
             total[i] = get(i, 0) + v * scale
     return common, width, bound, {i: v for i, v in total.items() if v}

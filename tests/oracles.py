@@ -706,26 +706,32 @@ def image_by_monomials(tables, mono: Monomial) -> list[dict[Monomial, int]]:
 
 # --- packed forms read flat ---
 
+def slots_by_divmod(packed: int, width: int) -> list[int]:
+    """The slots w_0, w_1, ... of P = sum_k w_k 2^(width k), each in
+    [-2^(width - 1), 2^(width - 1)), up to the highest nonzero one, read
+    here by floor division and the balanced residue, apart from the
+    package's shifts and masks."""
+    unit, out = 1 << width, []
+    while packed:
+        packed, w = divmod(packed, unit)
+        if 2 * w >= unit:
+            w -= unit
+            packed += 1
+        out.append(w)
+    return out
+
+
 def flat_form(form) -> dict[tuple, Fraction]:
     """A packed form (`laplacian.Form`: (d, width, bound, terms), per key P =
     sum_k w_k 2^(width k) over d, w_k the numerator of log(t)^k / k!) as
-    (key, log power) ->
-    coefficient, decoded here by floor division and the balanced residue,
-    apart from the package's shifts and masks."""
+    (key, log power) -> coefficient, its slots read by `slots_by_divmod`."""
     d, width, _, terms = form
-    unit = 1 << width
-    out = {}
-    for key, packed in terms.items():
-        k = 0
-        while packed:
-            packed, w = divmod(packed, unit)
-            if 2 * w >= unit:
-                w -= unit
-                packed += 1
-            if w:
-                out[(key, k)] = Fraction(w, d * factorial(k))
-            k += 1
-    return out
+    return {
+        (key, k): Fraction(w, d * factorial(k))
+        for key, packed in terms.items()
+        for k, w in enumerate(slots_by_divmod(packed, width))
+        if w
+    }
 
 
 # --- the formal operator on node symbols ---

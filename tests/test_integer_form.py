@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyharm import (
     AffinePart,
@@ -54,6 +56,7 @@ from oracles import (
     image_by_monomials,
     realize,
     recurrence_by_exprs,
+    slots_by_divmod,
     t_power,
     tau_by_partials,
 )
@@ -178,11 +181,12 @@ def test_recurrence_matches_expression_oracle(name, seed, p_max):
 def test_recurrence_packs_its_members_at_one_width(monkeypatch):
     # on the sweep's trees, the three members of each identity are packed
     # from their rows at the width of their sum: neither the kernel nor the
-    # sum repacks a part
+    # sum repacks a part; a repack reads the slots back through the codec
+    # (`_slots`), in the kernel's `_widened` and in `_combination`
     repacked = []
     for module in (laplacian, pharmonic):
-        original = module._repacked
-        monkeypatch.setattr(module, "_repacked", lambda *a, f=original: repacked.append(a) or f(*a))
+        original = module._slots
+        monkeypatch.setattr(module, "_slots", lambda *a, f=original: repacked.append(a) or f(*a))
     checked = 0
     for name in ("rh2", "rh4", "ch2", "ch3", "ch4"):
         spec = spec_of(name)
@@ -850,3 +854,73 @@ def test_family_headroom_is_the_kernel_factor_on_states():
             rows = pharmonic._new_rows(tables_of(spec), tree, family)
             ids = [basis.intern(s, e) for s, e in enumerate(rows.exponents)]
             assert rows.headroom == max(tree._node_norm, laplacian._factor(basis, ids))
+
+
+# --- the slot codec, against the divmod reader of the oracles ---
+
+@st.composite
+def slot_rows(draw):
+    """(slots, width): up to 300 slots of 2 to 300 bits, each a balanced
+    residue, the extremes -2^(width - 1) and 2^(width - 1) - 1 drawn often."""
+    width = draw(st.integers(2, 300))
+    half = 1 << (width - 1)
+    slot = st.one_of(st.sampled_from([-half, half - 1, -1, 0, 1]), st.integers(-half, half - 1))
+    count = draw(st.integers(0, 300))
+    return draw(st.lists(slot, min_size=count, max_size=count)), width
+
+
+def assert_round_trip(slots, width):
+    packed = laplacian._join(slots, width)
+    assert packed == sum(w << width * k for k, w in enumerate(slots))
+    top = len(slots)
+    while top and not slots[top - 1]:
+        top -= 1
+    assert laplacian._slots(packed, width) == slots_by_divmod(packed, width) == slots[:top]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(slot_rows())
+def test_codec_round_trips_its_slots(row):
+    assert_round_trip(*row)
+
+
+def test_codec_reads_the_shortest_packings():
+    # a top slot 1 over slots of -2^(width - 1) packs into an int one bit
+    # shorter than the slots below the top: width 2, 40 slots, 77 bits
+    assert laplacian._join([-2] * 39 + [1], 2).bit_length() == 77
+    for width in (2, 3, 64, 300):
+        half = 1 << (width - 1)
+        for count in (1, 8, 9, 16, 17, 40, 300):
+            for slots in ([-half] * (count - 1) + [1], [-half] * count, [half - 1] * count):
+                assert_round_trip(slots, width)
+
+
+@pytest.mark.parametrize("p", [17, 40])
+def test_members_past_the_codec_leaf_certify(p, monkeypatch):
+    # ids of p slots pass `laplacian._LEAF`, so the codec packs and reads
+    # them by halves; the build's packed form, read by the oracles' divmod
+    # reader, is the build
+    spec = spec_of("ch2")
+    tree = tree_of(spec, "z^8")
+    converted = []
+    to_expr = pharmonic.to_expr
+    monkeypatch.setattr(pharmonic, "to_expr", lambda b, f: converted.append((b, f)) or to_expr(b, f))
+    e = build_psi(spec, tree, p)
+    (basis, form), = converted
+    assert max(len(slots_by_divmod(v, form[1])) for v in form[3].values()) == p > laplacian._LEAF
+    assert as_expr(basis, flat_form(form)) == e
+    assert certify_family(spec, tree, p, "psi").proper
+    assert verify(spec, e, p).proper
+    assert recurrence_check(spec, tree, p)
+
+
+def test_log_terms_pack_in_any_order():
+    # `_pack_form` gathers each id's log powers from terms met in any order:
+    # a power below one already placed, or past the next free slot
+    spec = spec_of("ch2")
+    tables = tables_of(spec)
+    for text in ("x*log(t)^3 + 2*x*log(t) - x", "z*t^2*log(t)^5 + z*t^2*log(t)^2 + 3*z*t^2"):
+        e = parse(text, spec)
+        for terms in (e.terms, dict(reversed(list(e.terms.items())))):
+            basis, form = laplacian.to_form(tables, MixedExpr(terms), 2)
+            assert as_expr(basis, flat_form(form)) == e

@@ -31,7 +31,9 @@ packed monomials: they name no `Monomial` and call no `derivative` or
 `partial`.  A Fraction's two slots, `_numerator` and `_denominator`, are
 named only in `scalar.py`, which makes Fractions through them, and in the
 functions of `SLOT_READERS`, where a MixedExpr or a node-symbol sum enters a
-form.
+form.  A packed int is walked slot by slot, a loop shifting by `width` the
+value it carries, only in the functions of `SLOT_WALKERS`: the slot codec of
+packed log powers and the two walkers of packed monomial fields.
 """
 
 import ast
@@ -178,7 +180,7 @@ PACKED = {"Monomial", "derivative", "partial"}
 INTEGER_FUNCTIONS = {
     "laplacian.py": {
         **dict.fromkeys(("tau_form", "_image", "_basis_image", "_factor"), {"Fraction"} | PACKED),
-        **dict.fromkeys(("_pack_form", "_slots", "_repacked", "_widened"), {"Fraction"}),
+        **dict.fromkeys(("_join", "_slots", "_pack_form", "_widened"), {"Fraction"}),
     },
     "pharmonic.py": dict.fromkeys(
         ("_rows", "_new_rows", "_coefficients", "_packed", "realize", "_scales", "_combination"),
@@ -232,6 +234,75 @@ def slot_references(module: ast.Module, allowed: set[str]) -> list[int]:
     )
 
 
+# the functions, by qualified name, that may walk a packed int slot by slot:
+# the slot codec of packed log powers and the walkers of packed monomials
+SLOT_WALKERS = {"laplacian.py": {"_join", "_slots", "Tables.monomial", "_image"}}
+
+
+def qualified_functions(module: ast.Module) -> dict[str, ast.FunctionDef]:
+    """The module's functions and its classes' methods, by qualified name."""
+    out = {}
+    for node in module.body:
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    out[f"{node.name}.{fn.name}"] = fn
+        elif isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+    return out
+
+
+SHIFTS = (ast.LShift, ast.RShift)
+
+
+def names_width(node: ast.AST) -> bool:
+    return any(getattr(n, "id", getattr(n, "attr", None)) == "width" for n in ast.walk(node))
+
+
+def width_shifts(node: ast.AST) -> list[ast.BinOp]:
+    """The shifts under node whose amount names `width`."""
+    return [
+        shift
+        for shift in ast.walk(node)
+        if isinstance(shift, ast.BinOp) and isinstance(shift.op, SHIFTS) and names_width(shift.right)
+    ]
+
+
+def carried(statement: ast.stmt) -> bool:
+    """A statement that shifts by `width` the value it assigns to (`x >>=
+    width`, `x = (x << width) + w`) or adds a value shifted by `width` to
+    it (`x += w << width * k`): one step of a slot-by-slot walk."""
+    if isinstance(statement, ast.AugAssign):
+        own = isinstance(statement.op, SHIFTS) and names_width(statement.value)
+        return own or bool(width_shifts(statement.value))
+    if isinstance(statement, ast.Assign):
+        targets = {n.id for t in statement.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        return any(
+            isinstance(n, ast.Name) and n.id in targets
+            for shift in width_shifts(statement.value)
+            for n in ast.walk(shift.left)
+        )
+    return False
+
+
+def slot_walks(module: ast.Module, allowed: set[str]) -> list[int]:
+    """Lines of loop statements that walk a packed int slot by slot
+    (`carried`) outside the functions of `allowed`."""
+    inside = {
+        id(node)
+        for name, fn in qualified_functions(module).items()
+        if name in allowed
+        for node in ast.walk(fn)
+    }
+    return sorted({
+        statement.lineno
+        for loop in ast.walk(module)
+        if isinstance(loop, (ast.For, ast.While)) and id(loop) not in inside
+        for statement in ast.walk(loop)
+        if isinstance(statement, ast.stmt) and carried(statement)
+    })
+
+
 LATEX_TOKENS = ("\\frac", "\\left", "\\right", "\\log", "\\rho", "\\,")
 
 
@@ -269,6 +340,9 @@ def test_source_structure(path):
     assert readers <= defined
     if path.name != "scalar.py":
         assert slot_references(module, readers) == []
+    walkers = SLOT_WALKERS.get(path.name, set())
+    assert walkers <= set(qualified_functions(module))
+    assert slot_walks(module, walkers) == []
     assert banned_names(module, functions) == []
 
 
@@ -383,6 +457,34 @@ def test_slot_check_sees_a_read_outside_the_boundary():
     assert slot_references(ast.parse(injected), set()) == [2, 2, 4, 5, 6]
     allowed = "def to_form(tables, e):\n    return c.numerator, c.denominator\n"
     assert slot_references(ast.parse(allowed), set()) == []
+
+
+def test_slot_walk_check_sees_a_walk_outside_the_codec():
+    injected = (
+        "def _packed(row, width):\n"
+        "    v = 0\n"
+        "    for u in row:\n"
+        "        v = (v << width) + u\n"
+        "def _pack_form(terms, higher, width):\n"
+        "    for i, k, w in higher:\n"
+        "        terms[i] += w << width * k\n"
+        "class Form:\n"
+        "    def slots(self, v):\n"
+        "        while v:\n"
+        "            v >>= self.width\n"
+        "def tau_form(terms, half, width):\n"
+        "    for i, v in terms.items():\n"
+        "        lowered = (v + half) >> width\n"
+        "        out[i] = ((lowered + half) >> width) * s\n"
+        "def _join(slots, width):\n"
+        "    for w in reversed(slots):\n"
+        "        packed = (packed << width) + w\n"
+        "def _image(tables, m):\n"
+        "    while rest:\n"
+        "        rest >>= width\n"
+    )
+    assert slot_walks(ast.parse(injected), {"_join"}) == [4, 7, 11, 21]
+    assert slot_walks(ast.parse(injected), SLOT_WALKERS["laplacian.py"] | {"Form.slots"}) == [4, 7]
 
 
 def test_latex_check_sees_a_token():
