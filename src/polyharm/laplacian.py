@@ -555,8 +555,9 @@ def _width(bound: int) -> int:
 
 # --- the slot codec: every packed int is joined and split here ---
 
-# The most slots joined or split one at a time: no form of order p <= 8 halves.
-_LEAF = 8
+# The most slots joined or split one at a time: on ch2 z^8 psi rows, p = 9-200, a leaf of 12
+# costs at most 1.10x the best leaf at each p; 8 up to 1.41x (p = 9-12), 16 up to 1.21x (p > 32).
+_LEAF = 12
 
 
 def _join(slots: Sequence[int], width: int) -> int:
@@ -672,8 +673,6 @@ def _expr_terms(form: Form, xparts: Sequence | Mapping, exponents: Sequence) -> 
     value, cached by its numerator over d: w / k! as an int when k! divides
     w, else as a reduced pair."""
     d, width, _, terms = form
-    if not terms:
-        return {}
     half = 1 << (width - 1)
     cache: dict = {}
     find = cache.get

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyharm import (
@@ -869,30 +869,25 @@ def slot_rows(draw):
     return draw(st.lists(slot, min_size=count, max_size=count)), width
 
 
-def assert_round_trip(slots, width):
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(slot_rows())
+# a top slot 1 over slots of -2^(width - 1) packs one bit short of the slots
+# below it, at and past the leaf's twelve slots
+@example(([-2] * 39 + [1], 2))
+@example(([-2] * 11 + [1], 2))
+@example(([-4] * 12 + [1], 3))
+@example(([-(1 << 63)] * 13, 64))
+@example(([-(1 << 299)] * 299 + [1], 300))
+@example(([(1 << 299) - 1] * 300, 300))
+def test_codec_round_trips_its_slots(row):
+    slots, width = row
+    assert laplacian._join([-2] * 39 + [1], 2).bit_length() == 77
     packed = laplacian._join(slots, width)
     assert packed == sum(w << width * k for k, w in enumerate(slots))
     top = len(slots)
     while top and not slots[top - 1]:
         top -= 1
     assert laplacian._slots(packed, width) == slots_by_divmod(packed, width) == slots[:top]
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(slot_rows())
-def test_codec_round_trips_its_slots(row):
-    assert_round_trip(*row)
-
-
-def test_codec_reads_the_shortest_packings():
-    # a top slot 1 over slots of -2^(width - 1) packs into an int one bit
-    # shorter than the slots below the top: width 2, 40 slots, 77 bits
-    assert laplacian._join([-2] * 39 + [1], 2).bit_length() == 77
-    for width in (2, 3, 64, 300):
-        half = 1 << (width - 1)
-        for count in (1, 8, 9, 16, 17, 40, 300):
-            for slots in ([-half] * (count - 1) + [1], [-half] * count, [half - 1] * count):
-                assert_round_trip(slots, width)
 
 
 @pytest.mark.parametrize("p", [17, 40])
