@@ -58,6 +58,12 @@ J. Symbolic Comput. 44 (2009) 1502-1510).  The invariant is |w_k| <= M <
 2^B taken in [-2^(B - 1), 2^(B - 1)), (P - w_0) / 2^B holds the rest, and P
 determines its slots.  The one codec `_join`/`_slots` packs and reads
 them, by halves past `_LEAF` slots: O(K B log K) for K slots, not O(K^2 B).
+`_pack_form`, which packs the forms of `to_form` and
+`pharmonic._symbol_form`, needs no halving: it places each log power in
+place, w_k 2^(B k) added to its id's int, O(K^2 B) for K slots, because
+each of its forms goes straight into `tau` or a certificate of p products,
+each of which multiplies every id's K B-bit int by every entry of its image;
+below the leaf it saves the codec a call per id.
 Sums and integer multiples of packed ints pack the same sums and multiples
 of their slots, exactly, whatever the slots are; a slot sum is read back
 right if and only if it stays inside the balanced range.  So each kernel
@@ -70,7 +76,8 @@ bounds its output slots before it keeps them:
   times s.  Its magnitude is at most M (sum_i |L[i][j]| + |log factor of
   j| + s) <= M F, F = s + the sum over the input ids i of |L[i]|_1 + |log
   factor of i| (`_factor`, each id's term memoized on the basis, each
-  monomial image's norm on the tables).  The result's bound is M F.
+  monomial image's norm on the tables).  The result's bound is M F.  The
+  sums go to the basis's scratch row (below).
 - `pharmonic.realize`.  The slots of (f, e) are sums over states S of
   c_(S,f) w_k[S], at most M C, C the node table's largest column sum
   (`TensionTree._node_norm`).
@@ -88,6 +95,20 @@ meet (`to_form` for a certificate's p iterates, `pharmonic._member` for
 the node table and one iterate, `pharmonic._recurrence_holds` for one
 iterate and the sum), and the iterates of a certificate
 stay packed and unreduced until the two residuals are read.
+
+The kernel's accumulator.  Basis ids are dense, so `tau_form` sums into a
+row indexed by id, Gustavson's sparse accumulator ("Two fast algorithms
+for sparse matrices: multiplication and permuted transposition", ACM TOMS
+4 (1978) 250-269): `Basis.acc` holds one int per id, appended as the id is
+interned, and is all zero between calls.  The kernel first makes every
+image its input lacks, since interning a target grows the row; then it
+adds each product into the row and records an id whenever it meets the
+id's entry at zero, so each id's first record is where it was first met.
+It gathers the nonzero entries in the order of those first records, which
+is the order a dict's insertions would give, so every form and its key
+order are those of a dict accumulation (`tests/oracles.py`), and zeroes
+them, on an exception too.  The row is not reentrant: one product at a
+time may run on a basis.
 
 Packed monomials.  Inside the kernel a monomial is one int, its exponent
 vector in fixed-width fields of `Tables.width` bits, the variables in
@@ -335,7 +356,7 @@ class Basis:
 
     __slots__ = (
         "tables", "q", "xparts", "nq", "shifts", "s", "lift", "keys", "ids",
-        "monomials", "images", "norms", "logs", "exponents", "fractions", "held",
+        "monomials", "images", "norms", "logs", "exponents", "fractions", "acc", "held",
     )
 
     def __init__(self, tables: Tables, q: int, images: Sequence | None = None) -> None:
@@ -354,6 +375,7 @@ class Basis:
         self.logs: list[int] = []  # id -> (2 e - n q) s / q
         self.exponents: list[Fraction] = []  # id -> e / q
         self.fractions: dict[int, Fraction] = {}  # e -> e / q
+        self.acc: list[int] = []  # id -> 0, `tau_form`'s scratch row
         self.held = 0
 
     def intern(self, x: int, e: int) -> int:
@@ -370,6 +392,7 @@ class Basis:
             if exponent is None:
                 exponent = self.fractions[e] = Fraction(e, self.q)
             self.exponents.append(exponent)
+            self.acc.append(0)
             self.held += 1
         return i
 
@@ -553,7 +576,7 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-# --- the slot codec: every packed int is joined and split here ---
+# --- the slot codec: every packed int is joined, placed and split here ---
 
 # The most slots joined or split one at a time: on ch2 z^8 psi rows, p = 9-200, a leaf of 12
 # costs at most 1.10x the best leaf at each p; 8 up to 1.41x (p = 9-12), 16 up to 1.21x (p > 32).
@@ -597,23 +620,17 @@ def _pack_form(d: int, terms: dict[int, int], higher: list, headroom: int = 1) -
     """The form over d whose slot 0 of id i is terms[i] (0 for an id with
     only higher slots) and whose slot k > 0 is w for each (i, k, w) of
     `higher`, one per (i, k), at the least width that holds `headroom`
-    times their bound; `terms` becomes the form's.  Slot 0 needs no width,
-    so an id without logs is kept as it is read."""
-    bound, rows = max(map(abs, terms.values()), default=0), {}
-    for i, k, w in higher:
+    times their bound; `terms` becomes the form's.  Each higher slot is
+    placed in place, w 2^(width k) added to its id's int: quadratic in an
+    id's slots, which the certificate each form goes into bounds (see the
+    module docstring)."""
+    bound = max(map(abs, terms.values()), default=0)
+    for _, _, w in higher:
         if abs(w) > bound:
             bound = abs(w)
-        row = rows.get(i)
-        if row is None:
-            rows[i] = [terms[i], *[0] * (k - 1), w]
-        elif k == len(row):
-            row.append(w)
-        else:
-            row += [0] * (k + 1 - len(row))
-            row[k] = w
     width = _width(bound * headroom)
-    for i, row in rows.items():
-        terms[i] = _join(row, width)
+    for i, k, w in higher:
+        terms[i] += w << width * k
     return d, width, bound, terms
 
 
@@ -630,6 +647,8 @@ def _widened(form: Form, factor: int, ahead: int = 1) -> Form:
     wider = _width(bound * factor**ahead)
     return d // g, wider, bound, {i: _join([w // g for w in row], wider) for i, row in rows.items()}
 
+
+# --- forms: the conversions and the kernel ---
 
 def to_form(tables: Tables, e: MixedExpr, ahead: int = 0) -> tuple[Basis, Form]:
     """e's form over the lcm of its coefficient denominators, on the basis
@@ -745,29 +764,48 @@ def tau_form(basis: Basis, form: Form, ahead: int = 1) -> Form:
     s to its own id, every log power in one product.  The slot bound is
     checked first: when its bound times `_factor` of its ids does not fit
     its slots, the form is reduced and repacked (`_widened`) wide enough for
-    `ahead` iterates."""
+    `ahead` iterates.  The sums go to the basis's scratch row `acc`, each id
+    recorded when it is met at zero, and are gathered in that order and the
+    row zeroed (see the module docstring)."""
     d, width, bound, terms = form
     if not terms:
         return form
     factor = _factor(basis, terms)
     if (bound * factor).bit_length() >= width:
         d, width, bound, terms = _widened(form, factor, ahead)
-    images, logs, s = basis.images, basis.logs, basis.s
+    images = basis.images
+    for i in terms:  # before the product: interning a target grows the row
+        if images[i] is None:
+            _basis_image(basis, i)
+    acc, logs, s = basis.acc, basis.logs, basis.s
     half = 1 << (width - 1)
+    touched: list[int] = []
+    touch = touched.append
+    try:
+        for i, v in terms.items():
+            for j, a in images[i]:
+                if acc[j]:
+                    acc[j] += v * a
+                else:
+                    acc[j] = v * a
+                    touch(j)
+            if -half <= v < half:  # slot 0 alone: nothing to lower
+                continue
+            lowered = (v + half) >> width
+            twice = (lowered + half) >> width
+            if not acc[i]:
+                touch(i)
+            acc[i] += lowered * logs[i] + twice * s
+    except BaseException:
+        for j in touched:
+            acc[j] = 0
+        raise
     out: dict[int, int] = {}
-    get = out.get
-    for i, v in terms.items():
-        image = images[i]
-        if image is None:
-            image = _basis_image(basis, i)
-        for j, a in image:
-            out[j] = get(j, 0) + v * a
-        if -half <= v < half:  # slot 0 alone: nothing to lower
-            continue
-        lowered = (v + half) >> width
-        out[i] = get(i, 0) + lowered * logs[i] + ((lowered + half) >> width) * s
-    if 0 in out.values():
-        out = {j: v for j, v in out.items() if v}
+    for j in touched:
+        v = acc[j]
+        if v:
+            out[j] = v
+            acc[j] = 0
     return d * s, width, bound * factor, out
 
 

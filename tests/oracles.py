@@ -44,6 +44,7 @@ from polyharm import (
     build_psi,
     struct_polys,
 )
+from polyharm.laplacian import _basis_image, _factor, _widened
 from polyharm.poly import Monomial
 from polyharm.scalar import _acc
 
@@ -704,7 +705,7 @@ def image_by_monomials(tables, mono: Monomial) -> list[dict[Monomial, int]]:
     return acc
 
 
-# --- packed forms read flat ---
+# --- packed forms: the kernel's sums and the slots read flat ---
 
 def slots_by_divmod(packed: int, width: int) -> list[int]:
     """The slots w_0, w_1, ... of P = sum_k w_k 2^(width k), each in
@@ -719,6 +720,36 @@ def slots_by_divmod(packed: int, width: int) -> list[int]:
             packed += 1
         out.append(w)
     return out
+
+
+def tau_form_by_dict(basis, form, ahead: int = 1):
+    """`laplacian.tau_form` with its sums in a dict: each product added by
+    `get(j, 0)`, each id keyed where the dict first inserts it, each image
+    made as the loop meets its id.  The kernel's scratch row must give the
+    same form in the same key order."""
+    d, width, bound, terms = form
+    if not terms:
+        return form
+    factor = _factor(basis, terms)
+    if (bound * factor).bit_length() >= width:
+        d, width, bound, terms = _widened(form, factor, ahead)
+    images, logs, s = basis.images, basis.logs, basis.s
+    half = 1 << (width - 1)
+    out: dict[int, int] = {}
+    get = out.get
+    for i, v in terms.items():
+        image = images[i]
+        if image is None:
+            image = _basis_image(basis, i)
+        for j, a in image:
+            out[j] = get(j, 0) + v * a
+        if -half <= v < half:  # slot 0 alone: nothing to lower
+            continue
+        lowered = (v + half) >> width
+        out[i] = get(i, 0) + lowered * logs[i] + ((lowered + half) >> width) * s
+    if 0 in out.values():
+        out = {j: v for j, v in out.items() if v}
+    return d * s, width, bound * factor, out
 
 
 def flat_form(form) -> dict[tuple, Fraction]:

@@ -59,6 +59,7 @@ from oracles import (
     slots_by_divmod,
     t_power,
     tau_by_partials,
+    tau_form_by_dict,
 )
 from test_algebra import filiform
 
@@ -795,6 +796,127 @@ def test_packed_results_do_not_depend_on_the_hash_seed(hash_seed):
     )
     assert result.returncode == 0, result.stderr
     assert all(count > 800 for count in json.loads(result.stdout))
+
+
+# --- the kernel's scratch row, against the dict accumulation of the oracles ---
+
+def assert_row_zero(basis):
+    """`Basis.acc` holds one entry per id, every one zero."""
+    assert len(basis.acc) == len(basis.keys) and not any(basis.acc)
+
+
+def kernel_results_checked(monkeypatch) -> int:
+    """Every `tau_form` of the builds, certificates, `tau` and recurrence
+    checks of `FLAT_CASES`, of radial trees and of the certification
+    sweep's trees (its seed pools, p 1-6), checked against
+    `tau_form_by_dict`: the denominator, width, bound, every packed int and
+    the key order, with the row zero after each; the number checked.
+    Whichever kernel runs first makes the images its input lacks, so the
+    two orders alternate."""
+    count = 0
+    kernel = laplacian.tau_form
+
+    def checked(basis, form, ahead=1):
+        nonlocal count
+        if count % 2:
+            expected = tau_form_by_dict(basis, form, ahead)
+            out = kernel(basis, form, ahead)
+        else:
+            out = kernel(basis, form, ahead)
+            expected = tau_form_by_dict(basis, form, ahead)
+        assert_row_zero(basis)
+        assert out[:3] == expected[:3]
+        assert list(out[3].items()) == list(expected[3].items())
+        count += 1
+        return out
+
+    cases = [(spec_of(name), seed, p_max) for name, seed, p_max in FLAT_CASES]
+    cases = [(spec, tree_of(spec, seed), p_max) for spec, seed, p_max in cases]
+    cases += [(spec, tree, 3) for spec, tree in list(radial_cases())[::10]]
+    sweep = []
+    for name in ("rh2", "rh4", "ch2", "ch3", "ch4"):
+        spec = spec_of(name)
+        sweep += [(spec, tension_tree(spec, seed)) for seed in SWEEP.seed_pool(name, spec, 10, 1)]
+    with monkeypatch.context() as patch:
+        patch.setattr(laplacian, "tau_form", checked)
+        patch.setattr(pharmonic, "tau_form", checked)
+        for spec, tree, p_max in cases:
+            for p in range(1, p_max + 1):
+                for family in ("phi", "psi"):
+                    try:
+                        built = build(spec, tree, p, family)
+                    except Resonance:
+                        continue
+                    certify_family(spec, tree, p, family)
+                    if tree.kind == "polynomial":
+                        verify(spec, built, p)
+                        tau(spec, built)
+                    else:
+                        verify_formal(spec, built, tree, p)
+                recurrence_check(spec, tree, p)
+        for spec, tree in sweep:
+            for p in range(1, 7):
+                for family in ("phi", "psi"):
+                    try:
+                        certify_family(spec, tree, p, family)
+                    except Resonance:
+                        pass
+                recurrence_check(spec, tree, p)
+    return count
+
+
+def test_kernel_matches_dict_oracle(monkeypatch):
+    # at the default memo bound and at 1, where every public call starts
+    # from empty bases and rows
+    assert kernel_results_checked(monkeypatch) > 3000
+    monkeypatch.setattr(laplacian, "_MEMO_LIMIT", 1)
+    assert kernel_results_checked(monkeypatch) > 3000
+
+
+class Interrupt(Exception):
+    pass
+
+
+def test_an_interrupted_product_leaves_the_row_zero(monkeypatch):
+    # the second product of a certificate is stopped where it reads the log
+    # factor of the last id it lowers, with entries of the row summed; the
+    # row is zero afterwards, and the next certificate, on the same basis,
+    # is the oracle's
+    spec = spec_of("ch4")
+    e, p = build_psi(spec, tree_of(spec, "(x_1*y_2 + z)^4"), 4), 4
+    kernel, calls, summed = laplacian.tau_form, [], []
+
+    def interrupted(basis, form, ahead=1):
+        calls.append(basis)
+        if len(calls) != 2:
+            return kernel(basis, form, ahead)
+        _, width, _, terms = form
+        target = [i for i, v in terms.items() if len(slots_by_divmod(v, width)) > 1][-1]
+
+        class Raising(list):
+            def __getitem__(self, i):
+                if i == target:
+                    summed.append(sum(map(bool, basis.acc)))
+                    raise Interrupt
+                return list.__getitem__(self, i)
+
+        logs = basis.logs = Raising(basis.logs)
+        try:
+            return kernel(basis, form, ahead)
+        finally:
+            basis.logs = list(logs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pharmonic, "tau_form", interrupted)
+        with pytest.raises(Interrupt):
+            verify(spec, e, p)
+        basis = calls[0]
+        assert calls == [basis, basis] and summed[0] > 0
+        assert_row_zero(basis)
+        verify(spec, e, p)
+        assert calls[2:] == [basis] * p
+    assert_row_zero(basis)
+    assert_matches_oracle(spec, e, p)
 
 
 def reduced_slot_width(iterates) -> int:

@@ -33,7 +33,8 @@ named only in `scalar.py`, which makes Fractions through them, and in the
 functions of `SLOT_READERS`, where a MixedExpr or a node-symbol sum enters a
 form.  A packed int is walked slot by slot, a loop shifting by `width` the
 value it carries, only in the functions of `SLOT_WALKERS`: the slot codec of
-packed log powers and the two walkers of packed monomial fields.
+packed log powers, its in-place packing `_pack_form` included, and the two
+walkers of packed monomial fields.
 """
 
 import ast
@@ -235,8 +236,10 @@ def slot_references(module: ast.Module, allowed: set[str]) -> list[int]:
 
 
 # the functions, by qualified name, that may walk a packed int slot by slot:
-# the slot codec of packed log powers and the walkers of packed monomials
-SLOT_WALKERS = {"laplacian.py": {"_join", "_slots", "Tables.monomial", "_image"}}
+# the slot codec of packed log powers and the walkers of packed monomials;
+# `_pack_form` places each log power of an id in place, quadratic in the
+# id's slots, which the certificate its form goes into bounds
+SLOT_WALKERS = {"laplacian.py": {"_join", "_slots", "_pack_form", "Tables.monomial", "_image"}}
 
 
 def qualified_functions(module: ast.Module) -> dict[str, ast.FunctionDef]:
@@ -465,7 +468,7 @@ def test_slot_walk_check_sees_a_walk_outside_the_codec():
         "    v = 0\n"
         "    for u in row:\n"
         "        v = (v << width) + u\n"
-        "def _pack_form(terms, higher, width):\n"
+        "def _symbol_form(terms, higher, width):\n"
         "    for i, k, w in higher:\n"
         "        terms[i] += w << width * k\n"
         "class Form:\n"
