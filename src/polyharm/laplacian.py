@@ -97,18 +97,18 @@ iterate and the sum), and the iterates of a certificate
 stay packed and unreduced until the two residuals are read.
 
 The kernel's accumulator.  Basis ids are dense, so `tau_form` sums into a
-row indexed by id, Gustavson's sparse accumulator ("Two fast algorithms
-for sparse matrices: multiplication and permuted transposition", ACM TOMS
-4 (1978) 250-269): `Basis.acc` holds one int per id, appended as the id is
+row indexed by id, Gustavson's sparse accumulator ("Two fast algorithms for
+sparse matrices: multiplication and permuted transposition", ACM TOMS 4
+(1978) 250-269): `Basis.acc` holds one int per id, appended as the id is
 interned, and is all zero between calls.  The kernel first makes every
-image its input lacks, since interning a target grows the row; then it
-adds each product into the row and records an id whenever it meets the
-id's entry at zero, so each id's first record is where it was first met.
-It gathers the nonzero entries in the order of those first records, which
-is the order a dict's insertions would give, so every form and its key
-order are those of a dict accumulation (`tests/oracles.py`), and zeroes
-them, on an exception too.  The row is not reentrant: one product at a
-time may run on a basis.
+image its input lacks (interning their targets grows the row), so that the
+product itself changes nothing but the row; it adds each product into the
+row and records an id whenever it meets the id's entry at zero, so each
+id's first record is where it was first met.  It gathers the nonzero
+entries in the order of those first records, which is the order a dict's
+insertions would give, so every form and its key order are those of a dict
+accumulation (`tests/oracles.py`), and zeroes them, on an exception too.
+The row is not reentrant: one product at a time may run on a basis.
 
 Packed monomials.  Inside the kernel a monomial is one int, its exponent
 vector in fixed-width fields of `Tables.width` bits, the variables in
@@ -774,7 +774,7 @@ def tau_form(basis: Basis, form: Form, ahead: int = 1) -> Form:
     if (bound * factor).bit_length() >= width:
         d, width, bound, terms = _widened(form, factor, ahead)
     images = basis.images
-    for i in terms:  # before the product: interning a target grows the row
+    for i in terms:  # first, so that the product changes nothing but the row
         if images[i] is None:
             _basis_image(basis, i)
     acc, logs, s = basis.acc, basis.logs, basis.s

@@ -3,7 +3,8 @@ MixedExpr oracles: `recurrence_check` against `recurrence_by_exprs`, `verify`
 against a loop of `tau_by_partials`, and every result under the smallest
 memo bound.  Radial trees run on the same kernel under their images; there
 the oracles are the formal operator `formal_tau` on node-symbol sums and its
-certificate loop."""
+certificate loop.  The kernel's scratch row is checked against the dict
+kernel `tau_form_by_dict`, form by form and key by key."""
 
 import hashlib
 import json
@@ -806,9 +807,10 @@ def assert_row_zero(basis):
 
 
 def kernel_results_checked(monkeypatch) -> int:
-    """Every `tau_form` of the builds, certificates, `tau` and recurrence
-    checks of `FLAT_CASES`, of radial trees and of the certification
-    sweep's trees (its seed pools, p 1-6), checked against
+    """Every `tau_form` that `certify_family`, `verify`, `tau`,
+    `verify_formal` and `recurrence_check` make on `FLAT_CASES`, on radial
+    trees and on the certification sweep's trees (its seed pools, p 1-6,
+    as the sweep runs them), checked against
     `tau_form_by_dict`: the denominator, width, bound, every packed int and
     the key order, with the row zero after each; the number checked.
     Whichever kernel runs first makes the images its input lacks, so the
@@ -880,8 +882,8 @@ class Interrupt(Exception):
 def test_an_interrupted_product_leaves_the_row_zero(monkeypatch):
     # the second product of a certificate is stopped where it reads the log
     # factor of the last id it lowers, with entries of the row summed; the
-    # row is zero afterwards, and the next certificate, on the same basis,
-    # is the oracle's
+    # row is zero afterwards, the iterates of the same form on the same
+    # basis are the oracle's, and so is the next certificate
     spec = spec_of("ch4")
     e, p = build_psi(spec, tree_of(spec, "(x_1*y_2 + z)^4"), 4), 4
     kernel, calls, summed = laplacian.tau_form, [], []
@@ -910,12 +912,18 @@ def test_an_interrupted_product_leaves_the_row_zero(monkeypatch):
         patch.setattr(pharmonic, "tau_form", interrupted)
         with pytest.raises(Interrupt):
             verify(spec, e, p)
-        basis = calls[0]
-        assert calls == [basis, basis] and summed[0] > 0
-        assert_row_zero(basis)
-        verify(spec, e, p)
-        assert calls[2:] == [basis] * p
+    basis = calls[0]
+    assert calls == [basis, basis] and summed[0] > 0
     assert_row_zero(basis)
+    # `to_form` empties no memo, so the form lands on the interrupted basis
+    again, form = laplacian.to_form(tables_of(spec), e, p)
+    assert again is basis
+    iterate = e
+    for order in range(p):
+        form = tau_form(basis, form, p - order)
+        iterate = tau_by_partials(spec, iterate)
+        assert as_expr(basis, flat_form(form)) == iterate
+        assert_row_zero(basis)
     assert_matches_oracle(spec, e, p)
 
 
