@@ -88,6 +88,9 @@ class BudgetExceeded(PolyharmError):
       levels, refused before any level is expanded;
     - order: an order p past `pharmonic._P_BUDGET`, refused before a row is
       made or the operator applied;
+    - log power: a log(t)^k past `laplacian._LOG_BUDGET` in an expression
+      or node-symbol sum converted to a form (`tau`, `verify`,
+      `verify_formal`), refused before k! is made;
     - term: a power of a sum that may expand past `expr._TERM_BUDGET` terms;
     - view: a tree whose multi-index view would list more than
       `tension._VIEW_BUDGET` nodes (its states still build and certify);

@@ -34,12 +34,13 @@ scale for tree forms, and for a MixedExpr the lcm of the scale and its
 exponent denominators (`to_form`).  A `Basis` holds one unit and
 interns each (x-part, e) to an int id, the x-part a packed monomial or a
 tree state; per id it keeps L as ((id, numerator), ...) over s = lcm(image
-denominator, q^2) (`_basis_image`), the log factor (2 e - n q) s / q and
-e / q as a Fraction.  A `Form` is one dict level: per basis id one integer
-that packs every log power (below), so the one kernel `tau_form` is one
-sparse integer matrix-vector product for all log powers at once, plus the
-two lowerings.  A tree's basis takes its state images, the tree rule
-tau(h_S) = sum_k h_(S,k) t^(2 lambda_k), in place of the monomial images.
+denominator, q^2) with its norm (`_basis_image`), the log factor (2 e - n
+q) s / q and e / q as a Fraction.  A `Form` is one dict level: per basis
+id one integer that packs every log power (below), so the one kernel
+`tau_form` is one sparse integer matrix-vector product for all log powers
+at once, plus the two lowerings.  A tree's basis takes its state images,
+the tree rule tau(h_S) = sum_k h_(S,k) t^(2 lambda_k), in place of the
+monomial images.
 `tau` is the operator on MixedExpr, for the public API only; `tension` and
 `pharmonic` work on forms, so Fractions appear only where a polynomial, a
 MixedExpr or a node-symbol sum crosses the public API.  There they go
@@ -75,9 +76,9 @@ bounds its output slots before it keeps them:
   B strips slot 0 as a balanced residue) times the log factor and twice
   times s.  Its magnitude is at most M (sum_i |L[i][j]| + |log factor of
   j| + s) <= M F, F = s + the sum over the input ids i of |L[i]|_1 + |log
-  factor of i| (`_factor`, each id's term memoized on the basis, each
-  monomial image's norm on the tables).  The result's bound is M F.  The
-  sums go to the basis's scratch row (below).
+  factor of i| (`_factor`, each id's term recorded on the basis as its
+  image is made).  The result's bound is M F.  The sums go to the basis's
+  scratch row (below).
 - `pharmonic.realize`.  The slots of (f, e) are sums over states S of
   c_(S,f) w_k[S], at most M C, C the node table's largest column sum
   (`TensionTree._node_norm`).
@@ -100,14 +101,15 @@ The kernel's accumulator.  Basis ids are dense, so `tau_form` sums into a
 row indexed by id, Gustavson's sparse accumulator ("Two fast algorithms for
 sparse matrices: multiplication and permuted transposition", ACM TOMS 4
 (1978) 250-269): `Basis.acc` holds one int per id, appended as the id is
-interned, and is all zero between calls.  The kernel first makes every
-image its input lacks (interning their targets grows the row), so that the
-product itself changes nothing but the row; it adds each product into the
-row and records an id whenever it meets the id's entry at zero, so each
-id's first record is where it was first met.  It gathers the nonzero
-entries in the order of those first records, which is the order a dict's
-insertions would give, so every form and its key order are those of a dict
-accumulation (`tests/oracles.py`), and zeroes them, on an exception too.
+interned, and is all zero between calls.  The factor the kernel checks
+first makes every image its input lacks (interning their targets grows the
+row), so the product itself changes nothing but the row; it adds each
+product into the row and records an id whenever it meets the id's entry at
+zero, so each id's first record is where it was first met.  It gathers
+the nonzero entries in the order of those first records, which is the
+order a dict's insertions would give, so every form and its key order are
+those of a dict accumulation (`tests/oracles.py`), and zeroes them, on an
+exception too.
 The row is not reentrant: one product at a time may run on a basis.
 
 Packed monomials.  Inside the kernel a monomial is one int, its exponent
@@ -151,9 +153,9 @@ monomials and image entries (`Tables.held`), and each basis its ids and
 basis-image entries (`Basis.held`), as they are added.  At the entry of a
 public call a memo holding `_MEMO_LIMIT` entries is emptied wholesale
 (`Tables.bound_images`, `bound_bases`), so ids stay valid for the whole of
-the call that made them.  The norm of a monomial's image (`Tables.norms`,
-at most one per image) and of an id's image (`Basis.norms`, one per id) go
-uncounted beside the entries they summarize and are emptied with them.
+the call that made them.  Each id's norm (`Basis.norms`), recorded with its
+image, goes uncounted beside the entries it summarizes and is emptied with
+them.
 
 The test suite cross-asserts `tau` against an independent frame-sum
 realization A(A(e)) + sum X^i_j(X^i_j(e)) - n t e_t built from the
@@ -170,7 +172,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Collection, Mapping, NamedTuple, Sequence
 from .algebra import AlgebraSpec, VarIndex
-from .errors import IndexOutOfRange
+from .errors import BudgetExceeded, IndexOutOfRange
 from .expr import MixedExpr
 from .poly import Monomial, Polynomial
 from .scalar import _acc, _fraction
@@ -242,13 +244,10 @@ class Tables:
         # the memo: packed monomial -> Monomial and back, the image of each
         # packed monomial (`_image`) and the basis of each exponent unit, with
         # `held` the running count of their entries but the bases' (each
-        # basis counts its own); `norms` holds the sum of |entry| of an image
-        # once `_factor` asks, at most one per image, uncounted; `_clear`
-        # empties all five
+        # basis counts its own); `_clear` empties all four
         self.monomials: dict[int, Monomial] = {}
         self.packed: dict[Monomial, int] = {}
         self.images: dict[int, _Image] = {}
-        self.norms: dict[int, int] = {}
         self.bases: dict[int, Basis] = {}
         self.held = 0
         # no fields until the first public call admits a weight (`admit`)
@@ -284,7 +283,7 @@ class Tables:
         self._clear()
 
     def _clear(self) -> None:
-        for memo in (self.monomials, self.packed, self.images, self.norms, self.bases):
+        for memo in (self.monomials, self.packed, self.images, self.bases):
             memo.clear()
         self.held = 0
 
@@ -371,7 +370,7 @@ class Basis:
         self.ids: dict[tuple[int, int], int] = {}
         self.monomials: list[Monomial | None] = []  # id -> its x-part's Monomial (`to_expr`)
         self.images: list[tuple | None] = []  # id -> L (`_basis_image`)
-        self.norms: list[int | None] = []  # id -> |L| + |log factor| (`_factor`)
+        self.norms: list[int | None] = []  # id -> |L|_1 + |log factor|, made with L
         self.logs: list[int] = []  # id -> (2 e - n q) s / q
         self.exponents: list[Fraction] = []  # id -> e / q
         self.fractions: dict[int, Fraction] = {}  # e -> e / q
@@ -540,9 +539,10 @@ def _image(tables: Tables, m: int) -> _Image:
 
 
 def _basis_image(basis: Basis, i: int) -> tuple[tuple[int, int], ...]:
-    """L on id i = (x, e) over s, memoized: each entry a at shift k of x's
-    image as a s / (image denominator) on (target, e + 2 lambda_k q), then
-    e (e - n q) s / q^2 on i unless zero; no two entries share an id."""
+    """L on id i = (x, e) over s, memoized with the id's norm, |L|_1 + |log
+    factor| (`Basis.norms`): each entry a at shift k of x's image as a s /
+    (image denominator) on (target, e + 2 lambda_k q), then e (e - n q) s /
+    q^2 on i unless zero; no two entries share an id."""
     x, e = basis.keys[i]
     xparts = basis.xparts
     if xparts is None:
@@ -551,23 +551,21 @@ def _basis_image(basis: Basis, i: int) -> tuple[tuple[int, int], ...]:
             xpart = _image(basis.tables, x)
     else:
         xpart = xparts[x]
-    intern, lift = basis.intern, basis.lift
-    image = [
-        (intern(target, e + shift), a * lift)
-        for shift, part in zip(basis.shifts, xpart)
-        for target, a in part
-    ]
-    t2 = _diagonal(basis, e)
+    find, lift = basis.ids.get, basis.lift
+    image, norm = [], 0
+    for shift, part in zip(basis.shifts, xpart):
+        for target, a in part:
+            key = (target, e + shift)
+            j = find(key)
+            image.append((basis.intern(*key) if j is None else j, a * lift))
+            norm += abs(a)
+    t2 = e * (e - basis.nq) * basis.s // (basis.q * basis.q)
     if t2:
         image.append((i, t2))
     found = basis.images[i] = tuple(image)
+    basis.norms[i] = lift * norm + abs(t2) + abs(basis.logs[i])
     basis.held += len(found)
     return found
-
-
-def _diagonal(basis: Basis, e: int) -> int:
-    """The entry of L on id (x, e) at itself: e (e - n q) s / q^2."""
-    return e * (e - basis.nq) * basis.s // (basis.q * basis.q)
 
 
 def _width(bound: int) -> int:
@@ -650,6 +648,21 @@ def _widened(form: Form, factor: int, ahead: int = 1) -> Form:
 
 # --- forms: the conversions and the kernel ---
 
+# The highest log power a form takes, twice the order budget (a member of
+# order p carries p - 1): `_pack_form` is quadratic in an id's log powers
+# (`verify` of log(t)^4096 at p = 2: 2.0 s and 173 MB, Python 3.11).
+_LOG_BUDGET = 2048
+
+
+def _divided(k: int, w: int) -> int:
+    """k! w, the slot of w log(t)^k on log(t)^k / k!, in either conversion
+    into a form (`to_form`, `pharmonic._symbol_form`); a k past
+    `_LOG_BUDGET` is BudgetExceeded before k! is made."""
+    if k > _LOG_BUDGET:
+        raise BudgetExceeded(f"log(t)^{k} passes the log-power budget {_LOG_BUDGET}")
+    return factorial(k) * w
+
+
 def to_form(tables: Tables, e: MixedExpr, ahead: int = 0) -> tuple[Basis, Form]:
     """e's form over the lcm of its coefficient denominators, on the basis
     of unit lcm(scale, its exponent denominators), packed once wide enough
@@ -657,7 +670,7 @@ def to_form(tables: Tables, e: MixedExpr, ahead: int = 0) -> tuple[Basis, Form]:
     lookup of its monomial and one of its (x-part, e) key; only a miss
     packs or interns.  A monomial past the fields widens them for all of e
     (`Tables.admit`) and starts again, so it is called only at the entry of
-    a public call."""
+    a public call; a log power past `_LOG_BUDGET` is BudgetExceeded."""
     terms = e.terms
     d = lcm(*{c._denominator for c in terms.values()})
     q = lcm(tables.scale, *{mu._denominator for _, mu, _ in terms})
@@ -678,7 +691,7 @@ def to_form(tables: Tables, e: MixedExpr, ahead: int = 0) -> tuple[Basis, Form]:
             i = basis.intern(*key)
         w = c._numerator * (d // c._denominator)
         if k:
-            higher.append((i, k, factorial(k) * w))
+            higher.append((i, k, _divided(k, w)))
             constant.setdefault(i, 0)
         else:
             constant[i] = w
@@ -736,25 +749,15 @@ def to_expr(basis: Basis, form: Form) -> MixedExpr:
 
 
 def _factor(basis: Basis, ids: Collection[int]) -> int:
-    """s + the sum over ids of |L|_1, the sum of |entry| over the id's image
-    read off its x-part's image so that no image is made, plus |log
-    factor|.  No `tau_form` multiplies a slot bound by more (see the module
+    """s + the sum over ids of |L|_1 + |log factor|, the norm each id's
+    image records (`_basis_image`), the image made first where an id lacks
+    one.  No `tau_form` multiplies a slot bound by more (see the module
     docstring)."""
     norms = basis.norms
     if None in map(norms.__getitem__, ids):
-        keys, logs, lift, tables = basis.keys, basis.logs, basis.lift, basis.tables
-        xparts, xnorms = basis.xparts, tables.norms
         for i in ids:
             if norms[i] is None:
-                x, e = keys[i]
-                if xparts is not None:  # a tree state: one entry 1 per child
-                    xnorm = sum(map(len, xparts[x]))
-                else:
-                    xnorm = xnorms.get(x)
-                    if xnorm is None:
-                        image = tables.images.get(x) or _image(tables, x)
-                        xnorm = xnorms[x] = sum(abs(a) for part in image for _, a in part)
-                norms[i] = lift * xnorm + abs(_diagonal(basis, e)) + abs(logs[i])
+                _basis_image(basis, i)
     return basis.s + sum(map(norms.__getitem__, ids))
 
 
@@ -773,11 +776,9 @@ def tau_form(basis: Basis, form: Form, ahead: int = 1) -> Form:
     factor = _factor(basis, terms)
     if (bound * factor).bit_length() >= width:
         d, width, bound, terms = _widened(form, factor, ahead)
-    images = basis.images
-    for i in terms:  # first, so that the product changes nothing but the row
-        if images[i] is None:
-            _basis_image(basis, i)
-    acc, logs, s = basis.acc, basis.logs, basis.s
+    # `_factor` made every image of the input, so the product changes
+    # nothing but the row
+    images, acc, logs, s = basis.images, basis.acc, basis.logs, basis.s
     half = 1 << (width - 1)
     touched: list[int] = []
     touch = touched.append

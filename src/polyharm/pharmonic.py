@@ -73,8 +73,8 @@ from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, Resonance, ZeroCombination
 from .expr import MixedExpr
 from .laplacian import (
-    Basis, Form, Tables, _expr_terms, _join, _pack_form, _slots, _widened, _width, bound_bases,
-    tables_of, tau_form, to_expr, to_form,
+    Basis, Form, Tables, _divided, _expr_terms, _factor, _join, _pack_form, _slots, _widened,
+    _width, bound_bases, tables_of, tau_form, to_expr, to_form,
 )
 from .poly import _LATEX, Monomial, Sparse, _label, _Style
 from .scalar import _acc
@@ -128,14 +128,14 @@ class _Rows:
         self.weighted: dict[int, _Coefficients] = {}  # see `_coefficients`
 
 
-def _rows(tables: Tables, tree: TensionTree, p: int, family: str) -> _Rows:
+def _rows(basis: Basis, tree: TensionTree, p: int, family: str) -> _Rows:
     """The rows of `tree` for `family` to length at least p, kept in
     `tree.rows`; Resonance, naming the least resonant alpha in lexicographic
     order (the order of `TensionTree.nodes`), where phi is resonant at some
     state (2 Lambda = n)."""
     rows = tree.rows.get(family)
     if rows is None:
-        rows = tree.rows[family] = _new_rows(tables, tree, family)
+        rows = tree.rows[family] = _new_rows(basis, tree, family)
     if rows.resonant is not None:
         raise Resonance(rows.resonant, len(rows.resonant))
     u, states = rows.u, tree.states
@@ -162,29 +162,24 @@ def _rows(tables: Tables, tree: TensionTree, p: int, family: str) -> _Rows:
     return rows
 
 
-def _new_rows(tables: Tables, tree: TensionTree, family: str) -> _Rows:
+def _new_rows(basis: Basis, tree: TensionTree, family: str) -> _Rows:
     """Empty rows past the seed's, with each state's exponent and steps,
-    worked out on integers over the tree's scale q: with l = 2 Lambda q and
-    n q the algebra's (`Tables.n`), the exponent is l for phi and l + n q for
-    psi, d = 2 Lambda -+ n = (l -+ n q) / q, a = 1/d and m = -a / (2 Lambda)
-    = -q^2 / (l (l -+ n q)).  The headroom of the family's forms is the
-    larger of the node table's (`TensionTree._node_norm`) and the factor
-    `laplacian._factor` of the tree's basis at unit q over every state: s =
-    q^2 and per state q^2 per child, |e (e - n q)| on itself and the log
-    factor |(2 e - n q) q|."""
+    worked out on integers over the unit q of the tree's basis, its scale:
+    with l = 2 Lambda q and n q the algebra's (`Basis.nq`), the exponent is
+    l for phi and l + n q for psi, d = 2 Lambda -+ n = (l -+ n q) / q, a =
+    1/d and m = -a / (2 Lambda) = -q^2 / (l (l -+ n q)).  The headroom of
+    the family's forms is the larger of the node table's
+    (`TensionTree._node_norm`) and `laplacian._factor` of the basis over
+    every state at its exponent."""
     sign = -1 if family == "phi" else 1
     exponents: list[int] = []
     steps: list[tuple[int, int, int, int] | None] = []
     resonant = []
-    q, nq = tree.scale, tables.n
-    q2 = q * q
-    factor = q2
+    q, nq = basis.q, basis.nq
     for state in tree.states:
         lam2 = 2 * state.lam
         dn = lam2 + sign * nq
-        e = lam2 if family == "phi" else dn
-        exponents.append(e)
-        factor += q2 * len(state.children) + abs(e * (e - nq)) + abs((2 * e - nq) * q)
+        exponents.append(lam2 if family == "phi" else dn)
         if not lam2 or not dn:
             steps.append(None)
             if lam2:
@@ -192,8 +187,8 @@ def _new_rows(tables: Tables, tree: TensionTree, family: str) -> _Rows:
             continue
         steps.append(_pair(q, dn) + _pair(-q * q, lam2 * dn))
     u = [[(1, 1)]] + [[] for _ in tree.states[1:]]
-    headroom = max(tree._node_norm, factor)
-    return _Rows(min(resonant, default=None), exponents, steps, u, headroom)
+    factor = _factor(basis, [basis.intern(s, e) for s, e in enumerate(exponents)])
+    return _Rows(min(resonant, default=None), exponents, steps, u, max(tree._node_norm, factor))
 
 
 def _pair(num: int, den: int) -> tuple[int, int]:
@@ -239,7 +234,8 @@ class NodeSymbolExpr(Sparse):
 def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> tuple[Basis, Form]:
     """e's form on the tree's basis of unit lcm(scale, its exponent
     denominators): each multi-index goes to its state, those the tree lacks
-    (zero nodes) are dropped; the coefficients must be t-only."""
+    (zero nodes) are dropped; the coefficients must be t-only, their log
+    powers within `laplacian._LOG_BUDGET`."""
     acc: dict[tuple, Fraction] = {}
     for alpha, coeff in e.terms.items():
         s = tree.state_of(alpha)
@@ -258,7 +254,7 @@ def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> tuple[
         i = basis.intern(s, mu._numerator * (q // mu._denominator))
         w = c._numerator * (d // c._denominator)
         if k:
-            higher.append((i, k, factorial(k) * w))
+            higher.append((i, k, _divided(k, w)))
             constant.setdefault(i, 0)
         else:
             constant[i] = w
@@ -358,7 +354,7 @@ def _member(
     if kind != "combo":
         if kind not in ("phi", "psi"):
             raise ValueError(f"unknown family {kind!r}: phi, psi or combo")
-        rows, coefficients = _coefficients(basis.tables, tree, p, kind)
+        rows, coefficients = _coefficients(basis, tree, p, kind)
         return _packed(basis, rows, coefficients, _width(coefficients[1] * rows.headroom))
     phi, psi = (_member(basis, tree, p, family) for family in ("phi", "psi"))
     a, b = Fraction(a), Fraction(b)
@@ -379,12 +375,12 @@ _WEIGHTED_ORDERS = 3
 
 
 def _coefficients(
-    tables: Tables, tree: TensionTree, p: int, family: str
+    basis: Basis, tree: TensionTree, p: int, family: str
 ) -> tuple[_Rows, _Coefficients]:
     """The rows of the family (`_rows`) and the coefficients of order p of
     every state, their rows and weights over their common denominator W,
     kept for the last `_WEIGHTED_ORDERS` orders asked for."""
-    rows = _rows(tables, tree, p, family)
+    rows = _rows(basis, tree, p, family)
     weighted = rows.weighted.get(p)
     if weighted is None:
         w = lcm(*(d for row in rows.u for _, d in row[:p]))
@@ -616,7 +612,7 @@ def _recurrence_holds(
         scaled.append((p - 1, -sign * (p - 1) * tables.n, tables.scale))
     if p >= 3:
         scaled.append((p - 2, -(p - 1) * (p - 2), 1))
-    members = [_coefficients(tables, tree, order, family) for order, _, _ in scaled]
+    members = [_coefficients(basis, tree, order, family) for order, _, _ in scaled]
     rows = members[0][0]
     sizes = [(w, bound, c_num, c_den)
              for (_, (w, bound, _)), (_, c_num, c_den) in zip(members, scaled)]

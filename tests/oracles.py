@@ -6,10 +6,11 @@ production code paths it is used to check: the frame-sum operator, the
 expression-level partial-derivative operator and the layer closed forms are
 second realizations of `polyharm.tau`; `image_by_monomials` is the monomial
 image of the operator kernel on Monomial objects, beside its packed
-`laplacian._image`; the formal operator `formal_tau`
-(with its t-part `tau_t`) pushes the operator through node symbols in
-MixedExpr arithmetic, beside the kernel `laplacian.tau_form` under a radial
-tree's images; the recurrence and certificate loops redo
+`laplacian._image`, and `factor_by_formula` the kernel's slot factor
+worked out from its formula, beside `laplacian._factor`; the formal
+operator `formal_tau` (with its t-part `tau_t`) pushes the operator through
+node symbols in MixedExpr arithmetic, beside the kernel `laplacian.tau_form`
+under a radial tree's images; the recurrence and certificate loops redo
 `recurrence_check`, `verify` and `verify_formal` with these operators; and
 the high-precision evaluator is a numeric signal beside the canonical zero
 test.  The module also holds small helpers only the tests use: the calculus
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Mapping
 
 import mpmath
@@ -703,6 +704,48 @@ def image_by_monomials(tables, mono: Monomial) -> list[dict[Monomial, int]]:
         for shift, target, a in terms:
             _acc(acc[shift], target * lowered, a * factor)
     return acc
+
+
+def factor_by_formula(basis, ids) -> int:
+    """`laplacian._factor` from its formula, with no basis image: over s =
+    lcm(image denominator, q^2), s plus per id (x, e), with n q the
+    homogeneous dimension over the basis's unit q,
+
+    - x a packed monomial: lift |image of x|_1 + |e (e - n q) s / q^2| +
+      |(2 e - n q) s / q|, lift = s / (image denominator), x's image made
+      on Monomial objects (`image_by_monomials`);
+    - x a tree state (s = q^2): q^2 per child of x + |e (e - n q)| + |(2 e
+      - n q) q|, the children read off the state's image, one entry each."""
+    tables, q, states = basis.tables, basis.q, basis.xparts
+    nq = tables.n * (q // tables.scale)
+    if states is not None:
+        total = q * q
+        for i in ids:
+            x, e = basis.keys[i]
+            total += q * q * sum(map(len, states[x])) + abs(e * (e - nq)) + abs((2 * e - nq) * q)
+        return total
+    total = s = lcm(tables.image_denominator, q * q)
+    lift = s // tables.image_denominator
+    for i in ids:
+        x, e = basis.keys[i]
+        mono = _unpacked(tables, x)
+        xnorm = _xnorms.get((tables, mono))
+        if xnorm is None:
+            image = image_by_monomials(tables, mono)
+            xnorm = _xnorms[(tables, mono)] = sum(abs(a) for part in image for a in part.values())
+        total += lift * xnorm + abs(e * (e - nq) * s // (q * q)) + abs((2 * e - nq) * s // q)
+    return total
+
+
+# |image of a monomial|_1 by (tables, monomial), for `factor_by_formula`
+_xnorms: dict = {}
+
+
+def _unpacked(tables, x: int) -> Monomial:
+    """The Monomial of a packed monomial, read field by field from the
+    tables' offsets and mask, apart from their memo."""
+    exps = [(v, (x >> o) & tables.mask) for v, o in tables.offsets.items()]
+    return Monomial([(v, e) for v, e in exps if e])
 
 
 # --- packed forms: the kernel's sums and the slots read flat ---

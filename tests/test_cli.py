@@ -733,6 +733,21 @@ def test_coefficient_too_long_to_print_is_budget_exceeded(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error[BudgetExceeded]") and "Traceback" not in err
 
+
+def test_log_power_past_the_budget_is_budget_exceeded(capsys, monkeypatch):
+    # log(t)^1000000 is refused at the budget as it is read, before a form
+    # is packed; the boundary is checked at a small budget, so that no large
+    # form is built here
+    argv = ("verify", "--algebra", "ch2", "--p", "2", "--expr")
+    code, out, err = run(capsys, *argv, "log(t)^1000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error[BudgetExceeded]") and "Traceback" not in err
+    monkeypatch.setattr(laplacian, "_LOG_BUDGET", 3)
+    code, out, err = run(capsys, *argv, "z*log(t)^4")
+    assert (code, out) == (1, "") and err.startswith("error[BudgetExceeded]")
+    code, out, err = run(capsys, *argv, "z*log(t)^3")
+    assert (code, err) == (0, "") and "verified_order" in out
+
 # --- argv fuzz: every input ends in exit 0, 1 or 2, never a traceback ---
 
 FUZZ_SEEDS = ("x^4", "z^2", "x_1*y_2 + z", "x^2*z - 1/3*y", "x1_1^3", "0", "7")

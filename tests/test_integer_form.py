@@ -4,7 +4,8 @@ against a loop of `tau_by_partials`, and every result under the smallest
 memo bound.  Radial trees run on the same kernel under their images; there
 the oracles are the formal operator `formal_tau` on node-symbol sums and its
 certificate loop.  The kernel's scratch row is checked against the dict
-kernel `tau_form_by_dict`, form by form and key by key."""
+kernel `tau_form_by_dict`, form by form and key by key, and its slot factor
+against `factor_by_formula`."""
 
 import hashlib
 import json
@@ -51,6 +52,7 @@ from conftest import SWEEP, random_mixed_expr
 from oracles import (
     build_by_branches,
     certificate_by_partials,
+    factor_by_formula,
     flat_form,
     formal_certificate,
     formal_tau,
@@ -806,11 +808,50 @@ def assert_row_zero(basis):
     assert len(basis.acc) == len(basis.keys) and not any(basis.acc)
 
 
+def run_public_calls(check) -> None:
+    """`build`, `certify_family`, `verify`, `tau`, `verify_formal` and
+    `recurrence_check` on `FLAT_CASES`, on every tenth radial tree and on
+    the certification sweep's trees (its seed pools, p 1-6, as the sweep
+    runs them), with `check(spec, tree)` after each."""
+    cases = [(spec_of(name), seed, p_max) for name, seed, p_max in FLAT_CASES]
+    cases = [(spec, tree_of(spec, seed), p_max) for spec, seed, p_max in cases]
+    cases += [(spec, tree, 3) for spec, tree in list(radial_cases())[::10]]
+    sweep = []
+    for name in ("rh2", "rh4", "ch2", "ch3", "ch4"):
+        spec = spec_of(name)
+        sweep += [(spec, tension_tree(spec, seed)) for seed in SWEEP.seed_pool(name, spec, 10, 1)]
+
+    def call(spec, tree, f, *args):
+        out = f(spec, *args)
+        check(spec, tree)
+        return out
+
+    for spec, tree, p_max in cases:
+        for p in range(1, p_max + 1):
+            for family in ("phi", "psi"):
+                try:
+                    built = call(spec, tree, build, tree, p, family)
+                except Resonance:
+                    continue
+                call(spec, tree, certify_family, tree, p, family)
+                if tree.kind == "polynomial":
+                    call(spec, tree, verify, built, p)
+                    call(spec, tree, tau, built)
+                else:
+                    call(spec, tree, verify_formal, built, tree, p)
+            call(spec, tree, recurrence_check, tree, p)
+    for spec, tree in sweep:
+        for p in range(1, 7):
+            for family in ("phi", "psi"):
+                try:
+                    call(spec, tree, certify_family, tree, p, family)
+                except Resonance:
+                    pass
+            call(spec, tree, recurrence_check, tree, p)
+
+
 def kernel_results_checked(monkeypatch) -> int:
-    """Every `tau_form` that `certify_family`, `verify`, `tau`,
-    `verify_formal` and `recurrence_check` make on `FLAT_CASES`, on radial
-    trees and on the certification sweep's trees (its seed pools, p 1-6,
-    as the sweep runs them), checked against
+    """Every `tau_form` of `run_public_calls`, checked against
     `tau_form_by_dict`: the denominator, width, bound, every packed int and
     the key order, with the row zero after each; the number checked.
     Whichever kernel runs first makes the images its input lacks, so the
@@ -832,38 +873,10 @@ def kernel_results_checked(monkeypatch) -> int:
         count += 1
         return out
 
-    cases = [(spec_of(name), seed, p_max) for name, seed, p_max in FLAT_CASES]
-    cases = [(spec, tree_of(spec, seed), p_max) for spec, seed, p_max in cases]
-    cases += [(spec, tree, 3) for spec, tree in list(radial_cases())[::10]]
-    sweep = []
-    for name in ("rh2", "rh4", "ch2", "ch3", "ch4"):
-        spec = spec_of(name)
-        sweep += [(spec, tension_tree(spec, seed)) for seed in SWEEP.seed_pool(name, spec, 10, 1)]
     with monkeypatch.context() as patch:
         patch.setattr(laplacian, "tau_form", checked)
         patch.setattr(pharmonic, "tau_form", checked)
-        for spec, tree, p_max in cases:
-            for p in range(1, p_max + 1):
-                for family in ("phi", "psi"):
-                    try:
-                        built = build(spec, tree, p, family)
-                    except Resonance:
-                        continue
-                    certify_family(spec, tree, p, family)
-                    if tree.kind == "polynomial":
-                        verify(spec, built, p)
-                        tau(spec, built)
-                    else:
-                        verify_formal(spec, built, tree, p)
-                recurrence_check(spec, tree, p)
-        for spec, tree in sweep:
-            for p in range(1, 7):
-                for family in ("phi", "psi"):
-                    try:
-                        certify_family(spec, tree, p, family)
-                    except Resonance:
-                        pass
-                recurrence_check(spec, tree, p)
+        run_public_calls(lambda spec, tree: None)
     return count
 
 
@@ -873,6 +886,40 @@ def test_kernel_matches_dict_oracle(monkeypatch):
     assert kernel_results_checked(monkeypatch) > 3000
     monkeypatch.setattr(laplacian, "_MEMO_LIMIT", 1)
     assert kernel_results_checked(monkeypatch) > 3000
+
+
+# --- the slot factor, against its formula ---
+
+def factor_results_checked(monkeypatch) -> int:
+    """Every `_factor` of `run_public_calls`, on the tables' bases and the
+    trees', checked against `factor_by_formula`, and after each public call
+    every basis of the tables and the tree holding a norm exactly where it
+    holds an image; the number checked."""
+    count = 0
+    factor = laplacian._factor
+
+    def checked(basis, ids):
+        nonlocal count
+        out = factor(basis, ids)
+        assert out == factor_by_formula(basis, ids)
+        count += 1
+        return out
+
+    def norms_with_images(spec, tree):
+        for basis in [*tables_of(spec).bases.values(), *tree.bases.values()]:
+            assert [n is None for n in basis.norms] == [m is None for m in basis.images]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(laplacian, "_factor", checked)
+        patch.setattr(pharmonic, "_factor", checked)
+        run_public_calls(norms_with_images)
+    return count
+
+
+def test_factor_matches_formula_oracle(monkeypatch):
+    assert factor_results_checked(monkeypatch) > 3000
+    monkeypatch.setattr(laplacian, "_MEMO_LIMIT", 1)
+    assert factor_results_checked(monkeypatch) > 3000
 
 
 class Interrupt(Exception):
@@ -973,17 +1020,17 @@ def test_a_width_one_bit_too_narrow_is_caught(monkeypatch):
 
 
 def test_family_headroom_is_the_kernel_factor_on_states():
-    # `_new_rows` works out `laplacian._factor` of the tree's basis over
-    # every state from the states alone; the two must agree
+    # `_new_rows` takes `laplacian._factor` of the tree's basis over every
+    # state; the formula worked out from the states alone must agree
     trees = [tree_of(spec_of(name), seed) for name, seed, _ in FLAT_CASES]
     trees += [tree for _, tree in list(radial_cases())[::10]]
     for tree in trees:
         spec = tree.spec
         basis = _states_basis(tables_of(spec), tree, tree.scale)
         for family in ("phi", "psi"):
-            rows = pharmonic._new_rows(tables_of(spec), tree, family)
+            rows = pharmonic._new_rows(basis, tree, family)
             ids = [basis.intern(s, e) for s, e in enumerate(rows.exponents)]
-            assert rows.headroom == max(tree._node_norm, laplacian._factor(basis, ids))
+            assert rows.headroom == max(tree._node_norm, factor_by_formula(basis, ids))
 
 
 # --- the slot codec, against the divmod reader of the oracles ---

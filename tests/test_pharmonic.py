@@ -3,7 +3,7 @@ import hashlib
 import random
 import weakref
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -761,6 +761,36 @@ def test_p_budget_refuses_before_any_work(rh2, rh3, monkeypatch):
     assert verify(rh2, parse("x^2", rh2), ph._P_BUDGET).verified_order is None
     with pytest.raises(ValueError):
         build_phi(rh2, trees[0][1], 0)
+
+
+def test_log_budget_refuses_before_the_factorial(rh3, monkeypatch):
+    # a log power past the budget entering a form, through `tau`, `verify`
+    # or `verify_formal`, is a BudgetExceeded before its factorial is made;
+    # the budget itself passes.  It is set small, so that no large form is
+    # built here.
+    monkeypatch.setattr(laplacian, "_LOG_BUDGET", 3)
+    made = []
+
+    def recorded(k):
+        made.append(k)
+        return factorial(k)
+
+    monkeypatch.setattr(laplacian, "factorial", recorded)
+    tree = radial_tree(rh3, {(2, True): 1})
+    for k in (3, 4):
+        e = parse(f"x1_1^2*log(t) + t^2*log(t)^{k}", rh3)
+        symbols = NodeSymbolExpr({(): parse(f"log(t)^{k}"), (1,): parse("t")})
+        for run in (
+            lambda: tau(rh3, e),
+            lambda: verify(rh3, e, 2),
+            lambda: verify_formal(rh3, symbols, tree, 2),
+        ):
+            if k == 3:
+                run()
+            else:
+                with pytest.raises(BudgetExceeded, match="log-power budget 3"):
+                    run()
+    assert made and max(made) == 3
 
 
 # --- recurrences ---
