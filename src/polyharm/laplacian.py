@@ -82,20 +82,19 @@ bounds its output slots before it keeps them:
 - `pharmonic.realize`.  The slots of (f, e) are sums over states S of
   c_(S,f) w_k[S], at most M C, C the node table's largest column sum
   (`TensionTree._node_norm`).
-- `pharmonic._combination`.  The slots of sum c_i f_i over a common
-  denominator are at most sum |c_i| M_i; parts narrower than the sum's
-  width are split and joined again, which a recurrence check avoids by
-  packing its members at the sum's width.
+- `pharmonic._summed`.  The slots of sum c_i f_i over a common
+  denominator are at most sum |c_i| M_i, c_i each part's multiple over it;
+  every part is joined from its rows at the sum's width, so none is split.
 
 Before a result is kept its bound is checked against 2^(B - 1).  When it
 fails, the input is reduced by the gcd of its denominator and every slot and
 repacked at the least width for `ahead` more products by the same factor
 (`_widened`), and the kernel runs on that.  Nothing else picks a width: a
 form is packed once at the least width for the iterates it is about to
-meet (`to_form` for a certificate's p iterates, `pharmonic._member` for
-the node table and one iterate, `pharmonic._recurrence_holds` for one
-iterate and the sum), and the iterates of a certificate
-stay packed and unreduced until the two residuals are read.
+meet (`to_form` for a certificate's p iterates, `pharmonic._summed` for
+the node table after a member or for one iterate and the sum in a
+recurrence check), and the iterates of a certificate stay packed and
+unreduced until the two residuals are read.
 
 The kernel's accumulator.  Basis ids are dense, so `tau_form` sums into a
 row indexed by id, Gustavson's sparse accumulator ("Two fast algorithms for

@@ -27,12 +27,13 @@ holds its log powers as the divided powers log(t)^k / k! packed into one
 int per id (`laplacian`), so the weight of log(t)^(p-1-j), (-2)^j
 (p-1)...(p-j), becomes (-2)^j (p-1)! on log(t)^(p-1-j) / (p-1-j)!, one
 factor for every slot (`_weights`).  A state's weighted row is kept per
-order and packed into one int (`_packed`) wide enough for the node table
-and for one operator step (`_Rows.headroom`), or, in a recurrence check,
-for the sum of its three members.  Every member, phi, psi or a
-combination a*phi + b*psi summed on integers, comes from the one assembly
-`_member`, where builds and certificates start.  One substitution puts the nodes in, for both tree
-kinds: `realize` runs on integers over the tree's node table
+order, and one assembly (`_summed`) sums c times such members on integers,
+joining each state's row into one int once, at the least width that holds
+the sum's bound times the most the next step multiplies it by: the node
+table (`realize`) after a member, phi, psi or a combination a*phi + b*psi
+(`_member`, where builds and certificates start), or one operator step on
+the first member of a recurrence check.  One substitution puts the nodes in,
+for both tree kinds: `realize` runs on integers over the tree's node table
 (`TensionTree.integer_nodes`), keyed by (node basis function, t-exponent)
 with every log power in one product, and never asks what a node is.  A
 polynomial tree's build is its realization on the algebra's basis
@@ -73,8 +74,8 @@ from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, Resonance, ZeroCombination
 from .expr import MixedExpr
 from .laplacian import (
-    Basis, Form, Tables, _divided, _expr_terms, _factor, _join, _pack_form, _slots, _widened,
-    _width, bound_bases, tables_of, tau_form, to_expr, to_form,
+    Basis, Form, Tables, _divided, _expr_terms, _factor, _join, _pack_form, _widened, _width,
+    bound_bases, tables_of, tau_form, to_expr, to_form,
 )
 from .poly import _LATEX, Monomial, Sparse, _label, _Style
 from .scalar import _acc
@@ -110,7 +111,7 @@ class _Rows:
     valid for the life of the tree.
     """
 
-    __slots__ = ("resonant", "exponents", "steps", "u", "weighted", "headroom")
+    __slots__ = ("resonant", "exponents", "steps", "u", "weighted")
 
     def __init__(
         self,
@@ -119,12 +120,8 @@ class _Rows:
         exponents: list[int],
         steps: list[tuple[int, int, int, int] | None],  # per state (a, m) as two pairs
         u: list[list[tuple[int, int]]],
-        # the most a slot bound of the family's forms is multiplied by, once
-        # by the node table (`realize`) or once by `tau_form` on the tree's basis
-        headroom: int,
     ) -> None:
         self.resonant, self.exponents, self.steps, self.u = resonant, exponents, steps, u
-        self.headroom = headroom
         self.weighted: dict[int, _Coefficients] = {}  # see `_coefficients`
 
 
@@ -167,10 +164,8 @@ def _new_rows(basis: Basis, tree: TensionTree, family: str) -> _Rows:
     worked out on integers over the unit q of the tree's basis, its scale:
     with l = 2 Lambda q and n q the algebra's (`Basis.nq`), the exponent is
     l for phi and l + n q for psi, d = 2 Lambda -+ n = (l -+ n q) / q, a =
-    1/d and m = -a / (2 Lambda) = -q^2 / (l (l -+ n q)).  The headroom of
-    the family's forms is the larger of the node table's
-    (`TensionTree._node_norm`) and `laplacian._factor` of the basis over
-    every state at its exponent."""
+    1/d and m = -a / (2 Lambda) = -q^2 / (l (l -+ n q)).  No id is
+    interned and no image made: a build needs neither."""
     sign = -1 if family == "phi" else 1
     exponents: list[int] = []
     steps: list[tuple[int, int, int, int] | None] = []
@@ -187,8 +182,7 @@ def _new_rows(basis: Basis, tree: TensionTree, family: str) -> _Rows:
             continue
         steps.append(_pair(q, dn) + _pair(-q * q, lam2 * dn))
     u = [[(1, 1)]] + [[] for _ in tree.states[1:]]
-    factor = _factor(basis, [basis.intern(s, e) for s, e in enumerate(exponents)])
-    return _Rows(min(resonant, default=None), exponents, steps, u, max(tree._node_norm, factor))
+    return _Rows(min(resonant, default=None), exponents, steps, u)
 
 
 def _pair(num: int, den: int) -> tuple[int, int]:
@@ -345,22 +339,25 @@ def _member(
     basis: Basis, tree: TensionTree, p: int, kind: str, a: Fraction = 1, b: Fraction = 1
 ) -> Form:
     """The member `kind` of order p on the tree's basis at its scale
-    (`_states_basis`), the one assembly of every build, certificate and
-    recurrence check: the state rows times their weights (`_coefficients`),
-    packed with the family's headroom (`_packed`), for phi or psi, and
-    a*phi + b*psi on integers (`_combination`), phi first, so Resonance
-    comes before ZeroCombination."""
+    (`_states_basis`), where every build and certificate starts: phi, psi
+    or a*phi + b*psi, the state rows times their weights (`_coefficients`)
+    summed on integers (`_summed`) with room for the node table
+    (`realize`).  Phi's rows come first, so Resonance comes before
+    ZeroCombination."""
     _check_p(p)
-    if kind != "combo":
-        if kind not in ("phi", "psi"):
-            raise ValueError(f"unknown family {kind!r}: phi, psi or combo")
-        rows, coefficients = _coefficients(basis, tree, p, kind)
-        return _packed(basis, rows, coefficients, _width(coefficients[1] * rows.headroom))
-    phi, psi = (_member(basis, tree, p, family) for family in ("phi", "psi"))
-    a, b = Fraction(a), Fraction(b)
-    if not (a or b):
-        raise ZeroCombination("the zero combination is not a p-harmonic candidate")
-    return _combination([(phi, a.numerator, a.denominator), (psi, b.numerator, b.denominator)])
+    if kind in ("phi", "psi"):
+        parts = [(*_coefficients(basis, tree, p, kind), 1, 1)]
+    elif kind == "combo":
+        a, b = Fraction(a), Fraction(b)
+        parts = [(*_coefficients(basis, tree, p, "phi"), a.numerator, a.denominator)]
+        if not (a or b):
+            raise ZeroCombination("the zero combination is not a p-harmonic candidate")
+        parts.append((*_coefficients(basis, tree, p, "psi"), b.numerator, b.denominator))
+    else:
+        raise ValueError(f"unknown family {kind!r}: phi, psi or combo")
+    # a zero node's table is empty, of norm 0, which would leave the slots a
+    # width of 1 bit; the codec splits only widths of 2 or more
+    return _summed(basis, parts, max(tree._node_norm, 1))
 
 
 # The coefficients of a family member of order p: (W, bound, numerators),
@@ -395,18 +392,54 @@ def _coefficients(
     return rows, weighted
 
 
-def _packed(basis: Basis, rows: _Rows, coefficients: _Coefficients, width: int) -> Form:
-    """The member of the coefficients on the tree's basis, each state's row
-    packed into one int of `width` bits a slot, keyed by the id of (state,
-    its exponent)."""
-    w, bound, numerators = coefficients
-    intern, exponents = basis.intern, rows.exponents
-    packed = {}
-    for s, row in enumerate(numerators):
-        v = _join(row, width)
-        if v:
-            packed[intern(s, exponents[s])] = v
-    return w, width, bound, packed
+# A part of a sum: the rows of a family and the coefficients of one order
+# (`_coefficients`), then the numerator and denominator of its factor c.
+_Part = tuple[_Rows, _Coefficients, int, int]
+
+
+def _summed(basis: Basis, parts: list[_Part], headroom: int, kernel: bool = False) -> Form:
+    """The sum of c f over the parts on the tree's basis, f the member of a
+    part's coefficients keyed by the id of (state, its exponent), or, with
+    `kernel`, tau(f) for the first part (`tau_form`).  The sum is over the
+    lcm of each f's denominator times its c's, w s for tau(f); each part's
+    slots are multiplied by that lcm over its own, so the sum of |that
+    multiple| times the part's bound bounds the sum's slots, tau(f)'s bound
+    taken as f's times `headroom`, the most `tau_form` multiplies it by.
+    Each state's row is joined once, at the least width that holds that
+    bound (times `headroom` for the step after a sum with no kernel), and
+    the ints are added per id, zero sums dropped: nothing is repacked."""
+    sizes, common = [], 1
+    for _, (w, part_bound, _), c_num, c_den in parts:
+        if kernel and not sizes:
+            w, part_bound = w * basis.s, part_bound * headroom
+        sizes.append((w * c_den, part_bound, c_num))
+        common = lcm(common, w * c_den)
+    scales, bound = [], 0
+    for d, part_bound, c_num in sizes:
+        scales.append(c_num * (common // d))
+        bound += abs(scales[-1]) * part_bound
+    width = _width(bound if kernel else bound * headroom)
+    intern = basis.intern
+    total: dict[int, int] = {}
+    for (rows, (w, part_bound, numerators), _, _), scale in zip(parts, scales):
+        exponents = rows.exponents
+        terms = {}
+        for s, row in enumerate(numerators):
+            v = _join(row, width)
+            if v:
+                terms[intern(s, exponents[s])] = v
+        if kernel:  # the first part only
+            terms = tau_form(basis, (w, width, part_bound, terms))[3]
+            kernel = False
+        if not total and scale == 1:  # a lone member: its ints are the sum's
+            total = terms
+            continue
+        get = total.get
+        for i, v in terms.items():
+            total[i] = get(i, 0) + v * scale
+    if 0 in total.values():
+        total = {i: v for i, v in total.items() if v}
+    return common, width, bound, total
 
 
 # --- certification ---
@@ -598,62 +631,21 @@ def _recurrence_holds(
     basis: Basis, tree: TensionTree, p: int, family: str, sign: int
 ) -> bool:
     """The identity of one family: tau(f_p) minus the scaled lower members,
-    as (form, coefficient numerator, coefficient denominator) parts on the
-    tree's basis, summed on integers (`_combination`).  The three members are
-    packed from their rows at one width, the least that holds the sum with
-    tau's factor taken at the family's headroom, so neither `tau_form` nor
-    the sum repacks a part.  The tree rule holds by construction, so a sum
-    that vanishes state by state is a proof; one that does not is decided on
-    its realization (`realize`), since distinct states may carry dependent
-    nodes."""
+    summed on integers on the tree's basis (`_summed`, the first member
+    through the kernel), with room for `laplacian._factor` over every state
+    at its exponent, so neither `tau_form` nor the sum repacks a member.
+    The tree rule holds by construction, so a sum that vanishes state by
+    state is a proof; one that does not is decided on its realization
+    (`realize`), since distinct states may carry dependent nodes."""
     tables = basis.tables
     scaled = [(p, 1, 1)]
     if p >= 2:  # n = tables.n / scale
         scaled.append((p - 1, -sign * (p - 1) * tables.n, tables.scale))
     if p >= 3:
         scaled.append((p - 2, -(p - 1) * (p - 2), 1))
-    members = [_coefficients(basis, tree, order, family) for order, _, _ in scaled]
-    rows = members[0][0]
-    sizes = [(w, bound, c_num, c_den)
-             for (_, (w, bound, _)), (_, c_num, c_den) in zip(members, scaled)]
-    # tau_form multiplies the first member's denominator by s and its bound
-    # by at most the headroom
-    w, bound, _, _ = sizes[0]
-    sizes[0] = (w * basis.s, bound * rows.headroom, 1, 1)
-    width = _width(_scales(sizes)[2])
-    forms = [_packed(basis, rows, member, width) for _, member in members]
-    forms[0] = tau_form(basis, forms[0])
-    residual = _combination([(f, c_num, c_den) for f, (_, c_num, c_den) in zip(forms, scaled)])
+    parts = [(*_coefficients(basis, tree, order, family), *c) for order, *c in scaled]
+    exponents = parts[0][0].exponents
+    factor = _factor(basis, [basis.intern(s, e) for s, e in enumerate(exponents)])
+    residual = _summed(basis, parts, factor, kernel=True)
     return not residual[3] or not realize(tree, basis, residual)[3]
 
-
-def _scales(sizes: list[tuple[int, int, int, int]]) -> tuple[int, list[int], int]:
-    """For a sum of c * f over parts given as (denominator of f, bound of f,
-    numerator of c, denominator of c): the lcm of each form's denominator
-    times its coefficient's, the integer each part's slots are multiplied by
-    over it, and the sum of |that integer| times the part's bound, which
-    bounds every slot of the sum."""
-    common = lcm(*[d * c_den for d, _, _, c_den in sizes])
-    scales, bound = [], 0
-    for d, part_bound, c_num, c_den in sizes:
-        scale = c_num * (common // (d * c_den))
-        scales.append(scale)
-        bound += abs(scale) * part_bound
-    return common, scales, bound
-
-
-def _combination(parts: list[tuple[Form, int, int]]) -> Form:
-    """The sum of c * f over the parts (f, numerator of c, denominator of c),
-    forms on one basis, cross-multiplied over the lcm of each form's
-    denominator times its coefficient's (`_scales`), at the widest part's
-    width unless the bound of the sum needs more, zero terms dropped."""
-    common, scales, bound = _scales([(f[0], f[2], c_num, c_den) for f, c_num, c_den in parts])
-    width = max(_width(bound), *(form[1] for form, _, _ in parts))
-    total: dict[int, int] = {}
-    get = total.get
-    for ((_, part_width, _, terms), _, _), scale in zip(parts, scales):
-        if part_width != width:
-            terms = {i: _join(_slots(v, part_width), width) for i, v in terms.items()}
-        for i, v in terms.items():
-            total[i] = get(i, 0) + v * scale
-    return common, width, bound, {i: v for i, v in total.items() if v}

@@ -323,6 +323,12 @@ RADIAL_CASES = {
         '{"n1":2,"terms":[{"k":1,"a":"1","b":"0"}],"G":{"c0":"0"}}',
         ("--kind", "psi", "--p", "2"),
     ),
+    # a combination on the zero node: its node table is empty
+    "G-zero-combo": (
+        "rh3",
+        '{"n1":2,"terms":[{"k":1,"a":"1","b":"0"}],"G":{"c0":"0"}}',
+        ("--kind", "combo", "--p", "2"),
+    ),
     # n1 = 4: the shifted power rho^(2k + 2 - n1) is negative, rho^(-2)
     "ch3-n1-4": (
         "ch3",
@@ -337,7 +343,7 @@ RADIAL_CASES = {
     ),
 }
 # (case, command, format, exit code, sha256 of stdout); the resonance case's
-# tree is the rh3-psi tree
+# tree is the rh3-psi tree, the G-zero-combo case's the G-zero tree
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 RADIAL_DIGESTS = [
     ("rh3-psi", "tree", "text", 0, 'b88106717e789e2f6a20f6f76d0b5c07290f7fa0f32f2cca11cfc8bcb0dc0c07'),
@@ -377,6 +383,11 @@ RADIAL_DIGESTS = [
     ("G-zero", "build", "json", 0, '1bb887741689da931649ddb144612dc6219aa9a5550e5e6fb8f511de559edbc5'),
     ("G-zero", "verify", "text", 0, '45c59c20e65d97dca87d9acecb28c53828cfa7f5ef5112d75f9fa870a24ede88'),
     ("G-zero", "verify", "json", 0, '8cdf80ce454b35aa83b7279fb1c124e0fb2a7ef0ceda191a4e8ddeef4f1fc2fc'),
+    ("G-zero-combo", "build", "text", 0, '00b539505fb3f76dc05c9f13894c6ee63469ad9f8c10c026fb22ef7445cdc002'),
+    ("G-zero-combo", "build", "latex", 0, '767347e6cd099f66793bcc3921b85ba865f747621c14d35280ed3f74aabbfe00'),
+    ("G-zero-combo", "build", "json", 0, '036fa7ccb3026cd1a91efef7903be9edf06d98aea0221dc4a34124edff040344'),
+    ("G-zero-combo", "verify", "text", 0, 'd09e53d08b1f0da3dc8d70cbe282aa912e28dd2bfbb86501729c4a8fccc10e23'),
+    ("G-zero-combo", "verify", "json", 0, '83614a1e5c021cd497cc7db5d05654b8db9be2dcaa359877791e47f8bfe04730'),
     ("ch3-n1-4", "tree", "text", 0, 'a829168ed6f9379d56afea54a43a3d6c5df058d42e6aa2099daf8b75ee55f62d'),
     ("ch3-n1-4", "tree", "latex", 0, 'd6bb6382628aa6c8a6cadd59bc9e3b721c68befbc8dcb119f6827780e93c558e'),
     ("ch3-n1-4", "tree", "json", 0, '75e21e2c9f3c750efbdbe088d4112a09cd3504f1693614042fca29535fe0495b'),

@@ -183,14 +183,14 @@ def test_recurrence_matches_expression_oracle(name, seed, p_max):
 
 
 def test_recurrence_packs_its_members_at_one_width(monkeypatch):
-    # on the sweep's trees, the three members of each identity are packed
+    # on the sweep's trees, the three members of each identity are joined
     # from their rows at the width of their sum: neither the kernel nor the
-    # sum repacks a part; a repack reads the slots back through the codec
-    # (`_slots`), in the kernel's `_widened` and in `_combination`
+    # sum repacks a part; a repack widens a form (`_widened`) or reads its
+    # slots back through the codec (`_slots`)
     repacked = []
-    for module in (laplacian, pharmonic):
-        original = module._slots
-        monkeypatch.setattr(module, "_slots", lambda *a, f=original: repacked.append(a) or f(*a))
+    for module, name in ((laplacian, "_slots"), (laplacian, "_widened"), (pharmonic, "_widened")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=original: repacked.append(a) or f(*a))
     checked = 0
     for name in ("rh2", "rh4", "ch2", "ch3", "ch4"):
         spec = spec_of(name)
@@ -677,17 +677,15 @@ def oracle_key(tree, f):
 
 
 class FlatChecks:
-    """`tau_form`, `realize` and `_combination` of `pharmonic`, each result
-    read flat and compared with the flat oracles: the operator by partial
+    """`tau_form`, `realize` and `_summed` of `pharmonic`, each result read
+    flat and compared with the flat oracles: the operator by partial
     derivatives on a concrete basis and the formal operator on a tree's
-    basis, `oracles.realize`, and the sum of the parts.  `count` counts the
-    results checked."""
+    basis, `oracles.realize`, and the sum read off the parts' rows.  `count`
+    counts the results checked."""
 
     def __init__(self, monkeypatch, spec, tree):
         self.spec, self.tree, self.count = spec, tree, 0
-        tau_form, realize_form, combination = (
-            pharmonic.tau_form, pharmonic.realize, pharmonic._combination
-        )
+        tau_form, realize_form, summed = pharmonic.tau_form, pharmonic.realize, pharmonic._summed
 
         def checked_tau_form(basis, form, ahead=1):
             out = tau_form(basis, form, ahead)
@@ -712,19 +710,30 @@ class FlatChecks:
             self.count += 1
             return out
 
-        def checked_combination(parts):
-            out = combination(parts)
-            expected: dict = {}
-            for form, c_num, c_den in parts:
-                for key, c in flat_form(form).items():
-                    expected[key] = expected.get(key, 0) + c * Fraction(c_num, c_den)
-            assert flat_form(out) == {key: c for key, c in expected.items() if c}
+        def checked_summed(basis, parts, headroom, kernel=False):
+            # each part as the node-symbol sum of its rows: slot k of state
+            # S over w, times k!, on log(t)^k t^(exponent of S)
+            out = summed(basis, parts, headroom, kernel)
+            tree, one = self.tree, Monomial.one()
+            expected = NodeSymbolExpr()
+            for index, (rows, (w, _, numerators), c_num, c_den) in enumerate(parts):
+                part = NodeSymbolExpr({
+                    tree.states[s].least: MixedExpr({
+                        (one, Fraction(rows.exponents[s], basis.q), k): Fraction(v, w * factorial(k))
+                        for k, v in enumerate(row)
+                    })
+                    for s, row in enumerate(numerators)
+                })
+                if kernel and not index:
+                    part = formal_tau(spec, tree, part)
+                expected = expected + part * Fraction(c_num, c_den)
+            assert as_symbols(tree, basis, flat_form(out)) == by_state(tree, expected)
             self.count += 1
             return out
 
         monkeypatch.setattr(pharmonic, "tau_form", checked_tau_form)
         monkeypatch.setattr(pharmonic, "realize", checked_realize)
-        monkeypatch.setattr(pharmonic, "_combination", checked_combination)
+        monkeypatch.setattr(pharmonic, "_summed", checked_summed)
 
 
 # (algebra, seed, highest p): sweep-size seeds, deep trees and the wide seeds
@@ -742,9 +751,10 @@ FLAT_CASES = [
 
 
 def packed_results_checked(monkeypatch) -> int:
-    """Every packed iterate and realization of `verify`, `certify_family`,
-    `verify_formal` and `recurrence_check` on `FLAT_CASES` and on radial
-    trees, read flat and checked (`FlatChecks`); the number checked."""
+    """Every packed iterate and realization of `verify`, `certify_family`
+    (phi, psi and, where both are defined, a combination), `verify_formal`
+    and `recurrence_check` on `FLAT_CASES` and on radial trees, read flat
+    and checked (`FlatChecks`); the number checked."""
     count = 0
     cases = [(spec_of(name), seed, p_max) for name, seed, p_max in FLAT_CASES]
     cases = [(spec, tree_of(spec, seed), p_max) for spec, seed, p_max in cases]
@@ -765,6 +775,8 @@ def packed_results_checked(monkeypatch) -> int:
                         verify(spec, e, p)
                     else:
                         verify_formal(spec, e, tree, p)
+                if len(built) == 2:  # a sum of two members with no kernel
+                    certify_family(spec, tree, p, "combo", a=Fraction(1, 2), b=-3)
                 recurrence_check(spec, tree, p)
                 count += checks.count
     return count
@@ -1019,18 +1031,28 @@ def test_a_width_one_bit_too_narrow_is_caught(monkeypatch):
     assert read != iterates[: len(read)]
 
 
-def test_family_headroom_is_the_kernel_factor_on_states():
-    # `_new_rows` takes `laplacian._factor` of the tree's basis over every
-    # state; the formula worked out from the states alone must agree
-    trees = [tree_of(spec_of(name), seed) for name, seed, _ in FLAT_CASES]
-    trees += [tree for _, tree in list(radial_cases())[::10]]
-    for tree in trees:
-        spec = tree.spec
-        basis = _states_basis(tables_of(spec), tree, tree.scale)
-        for family in ("phi", "psi"):
-            rows = pharmonic._new_rows(basis, tree, family)
-            ids = [basis.intern(s, e) for s, e in enumerate(rows.exponents)]
-            assert rows.headroom == max(tree._node_norm, factor_by_formula(basis, ids))
+def test_polynomial_builds_make_no_image_on_states():
+    # a polynomial tree's build and certificate leave its basis of states
+    # before the operator runs, so no state image is made there; only a
+    # recurrence check, which applies the operator on states, makes them
+    for name, seed, _ in FLAT_CASES:
+        spec = spec_of(name)
+        tree = tree_of(spec, seed)
+        for p in (1, 3):
+            for kind in ("phi", "psi", "combo"):
+                try:
+                    build(spec, tree, p, kind, Fraction(1, 2), -3)
+                    certify_family(spec, tree, p, kind, a=Fraction(1, 2), b=-3)
+                except Resonance:
+                    continue
+                basis = tree.bases[tree.scale]
+                assert basis.keys and set(basis.images) == {None}
+        assert recurrence_check(spec, tree, 3)
+        # the basis the check ran on: a public call may drop a tree's bases
+        # (`laplacian.bound_bases`) before it makes its own
+        basis = tree.bases[tree.scale]
+        ids = [basis.intern(s, e) for s, e in enumerate(tree.rows["psi"].exponents)]
+        assert None not in [basis.images[i] for i in ids]
 
 
 # --- the slot codec, against the divmod reader of the oracles ---

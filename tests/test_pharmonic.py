@@ -825,9 +825,14 @@ def test_recurrence_detects_wrong_factor(rh2, rh3, monkeypatch):
     original = ph.tau_form
 
     def broken_tau_form(basis, form, ahead=1):
-        i = basis.intern(0, basis.q)  # t^1: the exponent q over the unit q
-        t = (1, 2, 1, {i: 1})  # the form 1 * t^1 on the seed's state
-        return ph._combination([(original(basis, form, ahead), 1, 1), (t, 1, 1)])
+        d, width, bound, terms = original(basis, form, ahead)
+        # 1 * t^1 on the seed's state, the exponent q over the unit q: d in
+        # slot 0 of its id, at the output's own width and denominator
+        i = basis.intern(0, basis.q)
+        terms = dict(terms)
+        terms[i] = terms.get(i, 0) + d
+        assert (bound + d).bit_length() < width
+        return d, width, bound + d, {j: v for j, v in terms.items() if v}
 
     assert all(recurrence_check(spec, tree, 2) for spec, tree in trees)
     monkeypatch.setattr(ph, "tau_form", broken_tau_form)

@@ -184,7 +184,7 @@ INTEGER_FUNCTIONS = {
         **dict.fromkeys(("_join", "_slots", "_pack_form", "_widened"), {"Fraction"}),
     },
     "pharmonic.py": dict.fromkeys(
-        ("_rows", "_new_rows", "_coefficients", "_packed", "realize", "_scales", "_combination"),
+        ("_rows", "_new_rows", "_coefficients", "_summed", "realize"),
         {"Fraction"},
     ),
     "tension.py": {
