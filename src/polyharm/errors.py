@@ -90,7 +90,8 @@ class BudgetExceeded(PolyharmError):
       made or the operator applied;
     - log power: a log(t)^k past `laplacian._LOG_BUDGET` in an expression
       or node-symbol sum converted to a form (`tau`, `verify`,
-      `verify_formal`), refused before k! is made;
+      `verify_formal`), refused in the one packing body
+      `laplacian._pack_form` before k! is made;
     - term: a power of a sum that may expand past `expr._TERM_BUDGET` terms;
     - view: a tree whose multi-index view would list more than
       `tension._VIEW_BUDGET` nodes (its states still build and certify);

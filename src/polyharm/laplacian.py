@@ -44,11 +44,13 @@ monomial images.
 `tau` is the operator on MixedExpr, for the public API only; `tension` and
 `pharmonic` work on forms, so Fractions appear only where a polynomial, a
 MixedExpr or a node-symbol sum crosses the public API.  There they go
-through their two slots: `to_form` (and `pharmonic._symbol_form`) reads
-`_numerator` and `_denominator` of each coefficient and exponent, and
-`_expr_terms` makes each distinct coefficient with `scalar._fraction`, one
-gcd and two slot writes, because the constructor's checks and the property
-calls cost more than the arithmetic of a conversion.
+through their two slots: both conversions into a form, `to_form` and
+`pharmonic._symbol_form`, hand their terms to the one packing body
+`_pack_form`, which reads `_numerator` and `_denominator` of each
+coefficient and exponent, and `_expr_terms` makes each distinct coefficient
+with `scalar._fraction`, one gcd and two slot writes, because the
+constructor's checks and the property calls cost more than the arithmetic
+of a conversion.
 
 Packed log powers.  A form (d, B, M, {id: P}) holds the function sum over
 ids of (P's slots) / d, P = sum_k w_k 2^(B k) one signed int, w_k the
@@ -59,12 +61,12 @@ J. Symbolic Comput. 44 (2009) 1502-1510).  The invariant is |w_k| <= M <
 2^B taken in [-2^(B - 1), 2^(B - 1)), (P - w_0) / 2^B holds the rest, and P
 determines its slots.  The one codec `_join`/`_slots` packs and reads
 them, by halves past `_LEAF` slots: O(K B log K) for K slots, not O(K^2 B).
-`_pack_form`, which packs the forms of `to_form` and
-`pharmonic._symbol_form`, needs no halving: it places each log power in
-place, w_k 2^(B k) added to its id's int, O(K^2 B) for K slots, because
-each of its forms goes straight into `tau` or a certificate of p products,
-each of which multiplies every id's K B-bit int by every entry of its image;
-below the leaf it saves the codec a call per id.
+`_pack_form`, the one body of both conversions into a form, needs no
+halving: it places each log power in place, w_k 2^(B k) added to its id's
+int, O(K^2 B) for K slots, because each of its forms goes straight into
+`tau` or a certificate of p products, each of which multiplies every id's K
+B-bit int by every entry of its image; below the leaf it saves the codec a
+call per id.
 Sums and integer multiples of packed ints pack the same sums and multiples
 of their slots, exactly, whatever the slots are; a slot sum is read back
 right if and only if it stays inside the balanced range.  So each kernel
@@ -90,11 +92,12 @@ Before a result is kept its bound is checked against 2^(B - 1).  When it
 fails, the input is reduced by the gcd of its denominator and every slot and
 repacked at the least width for `ahead` more products by the same factor
 (`_widened`), and the kernel runs on that.  Nothing else picks a width: a
-form is packed once at the least width for the iterates it is about to
-meet (`to_form` for a certificate's p iterates, `pharmonic._summed` for
-the node table after a member or for one iterate and the sum in a
-recurrence check), and the iterates of a certificate stay packed and
-unreduced until the two residuals are read.
+form is packed once at the least width for the products it is about to
+meet (`_pack_form` for a certificate's p iterates, and in
+`pharmonic.verify_formal` for the node table too, on which each iterate is
+realized; `pharmonic._summed` for the node table after a member or for one
+iterate and the sum in a recurrence check), and the iterates of a
+certificate stay packed and unreduced until the two residuals are read.
 
 The kernel's accumulator.  Basis ids are dense, so `tau_form` sums into a
 row indexed by id, Gustavson's sparse accumulator ("Two fast algorithms for
@@ -169,7 +172,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Collection, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, IndexOutOfRange
 from .expr import MixedExpr
@@ -613,24 +616,6 @@ def _slots(packed: int, width: int) -> list[int]:
     return out
 
 
-def _pack_form(d: int, terms: dict[int, int], higher: list, headroom: int = 1) -> Form:
-    """The form over d whose slot 0 of id i is terms[i] (0 for an id with
-    only higher slots) and whose slot k > 0 is w for each (i, k, w) of
-    `higher`, one per (i, k), at the least width that holds `headroom`
-    times their bound; `terms` becomes the form's.  Each higher slot is
-    placed in place, w 2^(width k) added to its id's int: quadratic in an
-    id's slots, which the certificate each form goes into bounds (see the
-    module docstring)."""
-    bound = max(map(abs, terms.values()), default=0)
-    for _, _, w in higher:
-        if abs(w) > bound:
-            bound = abs(w)
-    width = _width(bound * headroom)
-    for i, k, w in higher:
-        terms[i] += w << width * k
-    return d, width, bound, terms
-
-
 def _widened(form: Form, factor: int, ahead: int = 1) -> Form:
     """The form reduced by the gcd of its denominator and every slot, and
     repacked wide enough for `ahead` products of its bound by `factor`: what
@@ -653,49 +638,63 @@ def _widened(form: Form, factor: int, ahead: int = 1) -> Form:
 _LOG_BUDGET = 2048
 
 
-def _divided(k: int, w: int) -> int:
-    """k! w, the slot of w log(t)^k on log(t)^k / k!, in either conversion
-    into a form (`to_form`, `pharmonic._symbol_form`); a k past
-    `_LOG_BUDGET` is BudgetExceeded before k! is made."""
-    if k > _LOG_BUDGET:
-        raise BudgetExceeded(f"log(t)^{k} passes the log-power budget {_LOG_BUDGET}")
-    return factorial(k) * w
-
-
-def to_form(tables: Tables, e: MixedExpr, ahead: int = 0) -> tuple[Basis, Form]:
-    """e's form over the lcm of its coefficient denominators, on the basis
-    of unit lcm(scale, its exponent denominators), packed once wide enough
-    for `ahead` iterates of `tau_form` (`_factor`).  Each term costs one
-    lookup of its monomial and one of its (x-part, e) key; only a miss
-    packs or interns.  A monomial past the fields widens them for all of e
-    (`Tables.admit`) and starts again, so it is called only at the entry of
-    a public call; a log power past `_LOG_BUDGET` is BudgetExceeded."""
-    terms = e.terms
+def _pack_form(
+    terms: Mapping, scale: int, bases: Callable, find: Callable, ahead: int, headroom: int = 1
+) -> tuple[Basis, Form] | None:
+    """The form of {(key, exponent, log power k): coefficient} over the lcm
+    d of its denominators, on the basis `bases` gives for unit lcm(scale,
+    exponent denominators), or None when `find` has no x-part for a key:
+    slot 0 of each id is its numerator over d, slot k > 0 k! times it, at
+    the least width that holds the bound times `headroom` and `ahead`
+    products of `_factor`, each higher slot placed in place (see the module
+    docstring).  A k past `_LOG_BUDGET` is BudgetExceeded before k! is made."""
     d = lcm(*{c._denominator for c in terms.values()})
-    q = lcm(tables.scale, *{mu._denominator for _, mu, _ in terms})
-    basis = tables.basis(q)
-    find_monomial, find = tables.packed.get, basis.ids.get
+    q = lcm(scale, *{mu._denominator for _, mu, _ in terms})
+    basis = bases(q)
+    ids, intern = basis.ids.get, basis.intern
     constant: dict[int, int] = {}
-    higher = []
-    for (mono, mu, k), c in terms.items():
-        x = find_monomial(mono)
+    higher, bound = [], 0
+    for (key, mu, k), c in terms.items():
+        x = find(key)
         if x is None:
-            x = tables.pack(mono)
-            if x is None:
-                tables.admit(max(tables.weight(m) for m, _, _ in terms))
-                return to_form(tables, e, ahead)
-        key = (x, mu._numerator * (q // mu._denominator))
-        i = find(key)
+            return None
+        tmono = (x, mu._numerator * (q // mu._denominator))
+        i = ids(tmono)
         if i is None:
-            i = basis.intern(*key)
+            i = intern(*tmono)
         w = c._numerator * (d // c._denominator)
         if k:
-            higher.append((i, k, _divided(k, w)))
+            if k > _LOG_BUDGET:
+                raise BudgetExceeded(f"log(t)^{k} passes the log-power budget {_LOG_BUDGET}")
+            w *= factorial(k)
+            higher.append((i, k, w))
             constant.setdefault(i, 0)
         else:
             constant[i] = w
-    headroom = _factor(basis, constant) ** ahead if ahead else 1
-    return basis, _pack_form(d, constant, higher, headroom)
+        if abs(w) > bound:
+            bound = abs(w)
+    if ahead:
+        headroom *= _factor(basis, constant) ** ahead
+    width = _width(bound * headroom)
+    for i, k, w in higher:
+        constant[i] += w << width * k
+    return basis, (d, width, bound, constant)
+
+
+def to_form(tables: Tables, e: MixedExpr, ahead: int = 0) -> tuple[Basis, Form]:
+    """e's form on the tables' basis over packed monomials (`_pack_form`),
+    packed once wide enough for `ahead` iterates of `tau_form`.  Each term
+    costs one lookup of its monomial and one of its (x-part, e) key; only a
+    miss packs or interns.  On a monomial not packed yet, every monomial is
+    packed and the conversion starts again; one past the fields widens them
+    for all of e first (`Tables.admit`), so it is called only at the entry
+    of a public call."""
+    packed = _pack_form(e.terms, tables.scale, tables.basis, tables.packed.get, ahead)
+    if packed is None:
+        if None in [tables.pack(mono) for mono, _, _ in e.terms]:
+            tables.admit(max(tables.weight(mono) for mono, _, _ in e.terms))
+        return to_form(tables, e, ahead)
+    return packed
 
 
 def _expr_terms(form: Form, xparts: Sequence | Mapping, exponents: Sequence) -> dict:

@@ -74,7 +74,7 @@ from .algebra import AlgebraSpec, VarIndex
 from .errors import BudgetExceeded, Resonance, ZeroCombination
 from .expr import MixedExpr
 from .laplacian import (
-    Basis, Form, Tables, _divided, _expr_terms, _factor, _join, _pack_form, _widened, _width,
+    Basis, Form, Tables, _expr_terms, _factor, _join, _pack_form, _widened, _width,
     bound_bases, tables_of, tau_form, to_expr, to_form,
 )
 from .poly import _LATEX, Monomial, Sparse, _label, _Style
@@ -225,11 +225,14 @@ class NodeSymbolExpr(Sparse):
         return self._write(_LATEX, namer or _LATEX.var)
 
 
-def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> tuple[Basis, Form]:
-    """e's form on the tree's basis of unit lcm(scale, its exponent
-    denominators): each multi-index goes to its state, those the tree lacks
-    (zero nodes) are dropped; the coefficients must be t-only, their log
-    powers within `laplacian._LOG_BUDGET`."""
+def _symbol_form(
+    tables: Tables, tree: TensionTree, e: NodeSymbolExpr, ahead: int = 0
+) -> tuple[Basis, Form]:
+    """e's form on the tree's basis (`_states_basis`, `laplacian._pack_form`),
+    packed once with room for `ahead` iterates and the node table each is
+    realized on (`realize`): each multi-index goes to its state, those the
+    tree lacks (zero nodes) are dropped, and the t-only coefficients of one
+    state are summed."""
     acc: dict[tuple, Fraction] = {}
     for alpha, coeff in e.terms.items():
         s = tree.state_of(alpha)
@@ -239,20 +242,11 @@ def _symbol_form(tables: Tables, tree: TensionTree, e: NodeSymbolExpr) -> tuple[
             if mono.exps:
                 raise ValueError("node-symbol coefficients must be t-only")
             _acc(acc, (s, mu, k), c)
-    d = lcm(*(c._denominator for c in acc.values()))
-    q = lcm(tree.scale, *(mu._denominator for _, mu, _ in acc))
-    basis = _states_basis(tables, tree, q)
-    constant: dict[int, int] = {}
-    higher = []
-    for (s, mu, k), c in acc.items():
-        i = basis.intern(s, mu._numerator * (q // mu._denominator))
-        w = c._numerator * (d // c._denominator)
-        if k:
-            higher.append((i, k, _divided(k, w)))
-            constant.setdefault(i, 0)
-        else:
-            constant[i] = w
-    return basis, _pack_form(d, constant, higher)
+    # each key is its state; a zero node's table has norm 0 (see `_member`)
+    return _pack_form(
+        acc, tree.scale, lambda q: _states_basis(tables, tree, q),
+        range(len(tree.states)).__getitem__, ahead, max(tree._node_norm, 1),
+    )
 
 
 def _symbols(tree: TensionTree, basis: Basis, form: Form) -> NodeSymbolExpr:
@@ -577,11 +571,12 @@ def verify_formal(
 ) -> HarmonicCertificate:
     """Certify in node-symbol mode: iterate the kernel on states under the
     tree's images and test each iterate for zero on its realization
-    (`_certify`).  Symbols of e that the tree lacks (zero nodes) are
-    dropped, those of one state are summed, and the residuals name each
-    state by its least multi-index."""
-    tables = _tables(spec, tree)
-    basis, form = _symbol_form(tables, tree, e)
+    (`_certify`), from e's form packed once wide enough for the p iterates
+    and their realizations (`_symbol_form`).  Symbols of e that the tree
+    lacks (zero nodes) are dropped, those of one state are summed, and the
+    residuals name each state by its least multi-index."""
+    _check_p(p)  # before the form is sized for p iterates
+    basis, form = _symbol_form(_tables(spec, tree), tree, e, p)
     return _certify(basis, tree, kind, p, seed, form)
 
 

@@ -9,8 +9,8 @@ through its two slots, `_numerator` and `_denominator`: the integer forms
 leave for the public API by way of `laplacian._expr_terms`, one Fraction per
 distinct coefficient, and there the constructor's type checks and sign
 handling cost more than the gcd that is the work.  The slots are read only
-where a MixedExpr enters a form (`laplacian.to_form`,
-`pharmonic._symbol_form`), for the same reason.
+where a MixedExpr or a node-symbol sum enters a form, in the one packing
+body `laplacian._pack_form`, for the same reason.
 """
 
 from __future__ import annotations

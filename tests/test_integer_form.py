@@ -1109,8 +1109,10 @@ def test_members_past_the_codec_leaf_certify(p, monkeypatch):
 
 
 def test_log_terms_pack_in_any_order():
-    # `_pack_form` gathers each id's log powers from terms met in any order:
-    # a power below one already placed, or past the next free slot
+    # `_pack_form`, the one packing body of both conversions into a form
+    # (`to_form` here, `pharmonic._symbol_form`), gathers each id's log
+    # powers from terms met in any order: a power below one already placed,
+    # or past the next free slot
     spec = spec_of("ch2")
     tables = tables_of(spec)
     for text in ("x*log(t)^3 + 2*x*log(t) - x", "z*t^2*log(t)^5 + z*t^2*log(t)^2 + 3*z*t^2"):

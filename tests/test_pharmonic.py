@@ -674,6 +674,41 @@ def test_realized_zero_test_agrees_with_formal_on_random_radial_seeds(rh3, ch2):
     assert iterates_checked > 500
 
 
+def test_a_formal_certificate_packs_its_input_once(monkeypatch, rh3, ch2):
+    # `verify_formal` packs a node-symbol sum once, wide enough for its p
+    # iterates and their realizations on the node table: on the random
+    # radial seeds above, p = 1-6, and the radial k = 40 frontier row at
+    # p = 24, no form is widened (`_widened`), and each certificate is the
+    # one `certify_family` makes from the member's integer form
+    widened = []
+    for module in (laplacian, pharmonic):
+        original = module._widened
+        monkeypatch.setattr(module, "_widened", lambda *a, f=original: widened.append(a) or f(*a))
+    rng = random.Random(2007)
+    cases = []
+    for spec in (rh3, ch2):
+        for _ in range(25):
+            tree = tension_tree_radial(spec, random_radial_seed(spec, rng))
+            cases += [(spec, tree, family, p) for family in ("phi", "psi") for p in range(1, 7)]
+    frontier = parse_radial_seed('{"n1":2,"terms":[{"k":40,"a":"1","b":"1"}],"G":{"c0":"1","c":["1"]}}')
+    cases.append((ch2, tension_tree_radial(ch2, frontier), "psi", 24))
+    certified = 0
+    for spec, tree, family, p in cases:
+        try:
+            e = build(spec, tree, p, family)
+        except Resonance:
+            continue
+        cert = verify_formal(spec, e, tree, p, kind=family)
+        assert widened == []
+        expected = certify_family(spec, tree, p, family)
+        widened.clear()
+        assert cert.to_json_dict() == expected.to_json_dict()
+        assert cert.residual_pminus1 == expected.residual_pminus1
+        assert cert.residual_p == expected.residual_p
+        certified += 1
+    assert certified > 350
+
+
 @pytest.mark.parametrize(
     "name, seed",
     [("ch2", "x^4"), ("ch4", "(x_1*y_2+z)^4"), ("fil3", "(x1_1*x1_2+x2_1+x3_1)^4")],

@@ -31,10 +31,12 @@ packed monomials: they name no `Monomial` and call no `derivative` or
 `partial`.  A Fraction's two slots, `_numerator` and `_denominator`, are
 named only in `scalar.py`, which makes Fractions through them, and in the
 functions of `SLOT_READERS`, where a MixedExpr or a node-symbol sum enters a
-form.  A packed int is walked slot by slot, a loop shifting by `width` the
-value it carries, only in the functions of `SLOT_WALKERS`: the slot codec of
-packed log powers, its in-place packing `_pack_form` included, and the two
-walkers of packed monomial fields.
+form: `_pack_form`, the one packing body both conversions (`to_form`,
+`_symbol_form`) go through, so `pharmonic.py` reads none.  A packed int is
+walked slot by slot, a loop shifting by `width` the value it carries, only
+in the functions of `SLOT_WALKERS`: the slot codec of packed log powers,
+its in-place packing `_pack_form` included, and the two walkers of packed
+monomial fields.
 """
 
 import ast
@@ -209,8 +211,9 @@ def banned_names(module: ast.Module, functions: dict[str, set[str]]) -> list[int
 
 
 # the functions outside `scalar.py` that may read a Fraction's slots: the
-# two conversions from a public value to a form
-SLOT_READERS = {"laplacian.py": {"to_form"}, "pharmonic.py": {"_symbol_form"}}
+# one packing body that both conversions from a public value to a form
+# (`to_form`, `pharmonic._symbol_form`) hand their terms to
+SLOT_READERS = {"laplacian.py": {"_pack_form"}}
 FRACTION_SLOTS = {"_numerator", "_denominator"}
 
 
