@@ -226,7 +226,7 @@ class NodeSymbolExpr(Sparse):
 
 
 def _symbol_form(
-    tables: Tables, tree: TensionTree, e: NodeSymbolExpr, ahead: int = 0
+    tables: Tables, tree: TensionTree, e: NodeSymbolExpr, ahead: int
 ) -> tuple[Basis, Form]:
     """e's form on the tree's basis (`_states_basis`, `laplacian._pack_form`),
     packed once with room for `ahead` iterates and the node table each is

@@ -646,7 +646,7 @@ def realized_terms(spec, tree, e: NodeSymbolExpr) -> int:
     state, nodes substituted on the tree's node table by
     `pharmonic.realize`): zero exactly when e is, and the oracle's count
     whenever both expand the nodes on independent basis functions."""
-    basis, form = pharmonic._symbol_form(tables_of(spec), tree, e)
+    basis, form = pharmonic._symbol_form(tables_of(spec), tree, e, 0)
     return len(flat_form(pharmonic.realize(tree, basis, form)))
 
 
